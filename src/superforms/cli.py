@@ -216,6 +216,15 @@ def _cmd_compact_scan(args) -> int:
     return _emit(report, args.format)
 
 
+def positive_int(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1, got {count}: a check without samples decides nothing"
+        )
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superforms",
@@ -249,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--format", choices=("text", "json"), default="text")
 
     sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--samples", type=int, default=50, help="sample count (default 50)")
+    sampling.add_argument("--samples", type=positive_int, default=50,
+                          help="sample count, at least 1 (default 50)")
     sampling.add_argument("--seed", type=int, default=0, help="deterministic seed (default 0)")
 
     p_verify = sub.add_parser(

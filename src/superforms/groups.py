@@ -35,12 +35,11 @@ from .matrices import (
     inverse as matrix_inverse, is_invertible, mul_const, osp_form_grid,
     supertranspose,
 )
-from .realforms import (
-    CoordLayout, _fixed_vectors, _real_linear_matrix, _Tally, matrix_literal,
-)
+from .realforms import CoordLayout, _Tally, matrix_literal, real_coordinates
 from .report import CheckOutcome
 from .sampling import (
-    random_even, random_invertible_even, random_odd, random_point, rng_for,
+    random_even, random_invertible_even, random_odd, random_point, require_samples,
+    rng_for,
 )
 from .scalars import I, integer
 
@@ -117,6 +116,8 @@ def sample_sl(kind: MatrixKind, sig: AlgebraSignature, rng, factors: int = 4) ->
     holds exactly by construction."""
     m, n, size = kind.m, kind.n, kind.size
     acc = identity_matrix(m, n, sig)
+    if size == 1:
+        return acc          # SL(1|0) and SL(0|1) are trivial: Ber = u^{+-1} = 1
     made = 0
     while made < factors:
         if rng.random() < 0.65 and size > 1:
@@ -222,7 +223,9 @@ GROUP_CHECK_NAMES = ("closure", "multiplicativity", "involutivity",
 
 def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int = 50,
                            seed: int = 0) -> List[CheckOutcome]:
-    """Group axioms for the lifted structure, on deterministic samples."""
+    """Group axioms for the lifted structure, on ``samples`` (at least 1)
+    deterministic samples."""
+    require_samples(samples)
     if sig.conjugation != desc.conjugation:
         raise ValueError(
             f"descriptor {desc.name} needs {desc.conjugation} conjugation, "
@@ -298,7 +301,9 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
 
 def group_commutator_identity(kind: MatrixKind, sig: AlgebraSignature, samples: int = 50,
                               seed: int = 0) -> CheckOutcome:
-    """``(Id+eM)(Id+hN)(Id-eM)(Id-hN) == Id + eh[M,N]`` over ``A(e,h)``, exactly."""
+    """``(Id+eM)(Id+hN)(Id-eM)(Id-hN) == Id + eh[M,N]`` over ``A(e,h)``, exactly,
+    on ``samples`` (at least 1) samples."""
+    require_samples(samples)
     ext1, include1, _, _ = adjoin_dual(sig)
     ext2, include2, _, _ = adjoin_dual(ext1)
     e_idx, h_idx = sig.even_nilpotents, sig.even_nilpotents + 1
@@ -327,14 +332,11 @@ def group_commutator_identity(kind: MatrixKind, sig: AlgebraSignature, samples: 
 # fixed-span agreement between the group and algebra pictures
 # ---------------------------------------------------------------------------
 
-def lie_fixed_span_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
-    """Compare the fixed span of the lifted structure on the dual-number
-    kernel with the fixed span of the algebra-level structure, exactly.
-
-    Both sides are computed as nullspaces of real-linear maps on the same
-    coordinate system; the result records both dimensions and whether the
-    spans agree as Q-subspaces.
-    """
+def fixed_span_maps(desc: Descriptor, sig: AlgebraSignature):
+    """The two real-linear maps on ``g(A)`` whose fixed spans
+    :func:`lie_fixed_span_check` compares: the lifted structure read on the
+    dual-number kernel ``Id + eps M``, and the algebra-level structure.
+    Returns ``(layout, group_side, algebra_side)``."""
     from .liealg import matrix_of, tensor_of
 
     kind = desc.kind
@@ -355,10 +357,20 @@ def lie_fixed_span_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
     def algebra_side(t):
         return tensor_of(kind, apply_expr(desc.steps, matrix_of(t)))
 
-    group_matrix = _real_linear_matrix(layout, group_side)
-    algebra_matrix = _real_linear_matrix(layout, algebra_side)
-    group_span = _fixed_vectors(group_matrix)
-    algebra_span = _fixed_vectors(algebra_matrix)
+    return layout, group_side, algebra_side
+
+
+def lie_fixed_span_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
+    """Compare the fixed span of the lifted structure on the dual-number
+    kernel with the fixed span of the algebra-level structure, exactly.
+
+    Both sides are computed as fixed vectors of real-linear maps on the same
+    coordinate system; the result records both dimensions and whether the
+    spans agree as Q-subspaces.
+    """
+    layout, group_side, algebra_side = fixed_span_maps(desc, sig)
+    group_span = [real_coordinates(v, layout.complex_dim) for v in layout.fixed_vectors(group_side)]
+    algebra_span = [real_coordinates(v, layout.complex_dim) for v in layout.fixed_vectors(algebra_side)]
     return {
         "descriptor": desc.display(group=True),
         "group_fixed_dimension": len(group_span),

@@ -12,20 +12,23 @@ The bracket of points is the plain matrix commutator.  The underlying complex
 vector space V has a distinguished homogeneous basis (computed once per family
 by exact nullspace, even vectors first), and elements of ``g(A)`` can be moved
 between their matrix form and their "sum of coefficient-tensor-basis-vector"
-form.  The sign rules of that tensor form are checked against the matrix
-commutator by :func:`even_rules_consistency`.
+form without solving anything: every basis vector has a reading slot, a cell
+where it alone is nonzero, with value 1, so coordinates are read off those
+cells, and matrices are assembled from the vectors' sparse supports.  The
+sign rules of that tensor form live in :func:`even_rules_bracket`, which the
+tests check against the matrix commutator.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .algebra import AlgebraSignature, EVEN, ODD, SuperNumber, key_parity
+from .algebra import AlgebraSignature, EVEN, ODD, SuperNumber
 from .matrices import (
     SuperMatrix, const_mul, mul_const, osp_form_grid, supertranspose, supertrace,
-    tensor_term, zero_matrix,
 )
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 
@@ -60,11 +63,24 @@ class MatrixKind:
         return f"{self.family}({self.m}|{self.n})"
 
 
+Cell = Tuple[int, int]
+
+
 @dataclass(frozen=True)
 class BasisVector:
+    """A basis vector of the underlying space, with its sparse form.
+
+    ``support`` lists the nonzero cells of ``grid`` with their values, row by
+    row; ``slot`` is a cell of the support where this vector is 1 and every
+    other basis vector is 0, so a combination of basis vectors has this
+    vector's coefficient in that cell.
+    """
+
     index: int
     parity: int  # EVEN or ODD
     grid: Tuple[Tuple[GaussianRational, ...], ...]
+    support: Tuple[Tuple[Cell, GaussianRational], ...]
+    slot: Cell
 
     def grid_rows(self) -> List[List[GaussianRational]]:
         return [list(r) for r in self.grid]
@@ -150,22 +166,36 @@ def basis_of(kind: MatrixKind) -> List[BasisVector]:
 
     The coordinate order (diagonal blocks row-major, then upper-right block,
     then lower-left block) together with the nullspace's free-variable
-    convention makes the basis canonical and reproducible.
+    convention makes the basis canonical and reproducible.  The same
+    convention gives every vector its reading slot: the cell of its free
+    coordinate, which is 1 there and 0 in every other vector of its parity
+    (vectors of the other parity live in other blocks).
     """
     cached = _BASIS_CACHE.get(kind)
     if cached is not None:
         return cached
     size = kind.size
-    vectors: List[BasisVector] = []
+    grids: List[Tuple[int, Tuple[Tuple[GaussianRational, ...], ...]]] = []
     for parity, slots in ((EVEN, _even_slots(kind.m, kind.n)), (ODD, _odd_slots(kind.m, kind.n))):
         if not slots:
             continue
         for coords in linalg.nullspace(_constraint_rows(kind, slots, parity)):
-            vectors.append(BasisVector(len(vectors), parity, _grid_from_coords(slots, coords, size)))
+            grids.append((parity, _grid_from_coords(slots, coords, size)))
     expected = _expected_dims(kind)
-    got = (sum(1 for v in vectors if v.parity == EVEN), sum(1 for v in vectors if v.parity == ODD))
+    got = (sum(1 for p, _ in grids if p == EVEN), sum(1 for p, _ in grids if p == ODD))
     if expected != got:
         raise AssertionError(f"basis dimension mismatch for {kind.display()}: expected {expected}, got {got}")
+    supports = [
+        tuple(((i, j), c) for i, row in enumerate(grid) for j, c in enumerate(row) if not c.is_zero())
+        for _, grid in grids
+    ]
+    owners = Counter(cell for support in supports for cell, _ in support)
+    vectors: List[BasisVector] = []
+    for index, ((parity, grid), support) in enumerate(zip(grids, supports)):
+        slot = next((cell for cell, c in support if c.is_one() and owners[cell] == 1), None)
+        if slot is None:
+            raise AssertionError(f"basis vector {index} of {kind.display()} has no reading slot")
+        vectors.append(BasisVector(index, parity, grid, support, slot))
     _BASIS_CACHE[kind] = vectors
     return vectors
 
@@ -224,25 +254,30 @@ def require_member(kind: MatrixKind, x: SuperMatrix):
 _STRUCTURE_CACHE: Dict[MatrixKind, Dict[Tuple[int, int], List[Tuple[int, GaussianRational]]]] = {}
 
 
-def _flatten(grid) -> List[GaussianRational]:
-    return [grid[i][j] for i in range(len(grid)) for j in range(len(grid))]
-
-
 def decompose_in_basis(kind: MatrixKind, grid, parity) -> Optional[List[Tuple[int, GaussianRational]]]:
     """Write a constant grid in the basis vectors of one parity, or ``None``.
 
     Returns ``[(basis_index, coefficient), ...]`` with zero coefficients
     dropped; ``None`` means the grid is not in the span (i.e. not a member).
+    Each coefficient is read from its vector's slot; the combination is then
+    rebuilt and compared with the grid cell by cell, exactly.
     """
-    basis = [v for v in basis_of(kind) if v.parity == parity]
-    if not basis:
-        return None if any(not c.is_zero() for c in _flatten(grid)) else []
-    columns = [_flatten(v.grid) for v in basis]
-    matrix = [[columns[c][r] for c in range(len(basis))] for r in range(len(columns[0]))]
-    solution = linalg.solve(matrix, _flatten(grid))
-    if solution is None:
+    out = []
+    rebuilt: Dict[Cell, GaussianRational] = {}
+    for v in basis_of(kind):
+        if v.parity != parity:
+            continue
+        i, j = v.slot
+        coeff = grid[i][j]
+        if coeff.is_zero():
+            continue
+        out.append((v.index, coeff))
+        for cell, c in v.support:
+            rebuilt[cell] = rebuilt.get(cell, ZERO) + coeff * c
+    size = kind.size
+    if any(grid[i][j] != rebuilt.get((i, j), ZERO) for i in range(size) for j in range(size)):
         return None
-    return [(basis[c].index, coeff) for c, coeff in enumerate(solution) if not coeff.is_zero()]
+    return out
 
 
 def vector_bracket(kind: MatrixKind, i: int, j: int) -> List[Tuple[int, GaussianRational]]:
@@ -318,27 +353,30 @@ class TensorElement:
 
 
 def matrix_of(t: TensorElement) -> SuperMatrix:
+    """The matrix of a tensor element, each entry summed in place from the
+    sparse supports of the basis vectors."""
     basis = basis_of(t.kind)
-    acc = zero_matrix(t.kind.m, t.kind.n, t.sig)
+    size = t.kind.size
+    zero = SuperNumber.zero(t.sig)
+    rows = [[zero] * size for _ in range(size)]
     for i, c in t.coeffs.items():
-        acc = acc + tensor_term(c, basis[i].grid_rows(), t.kind.m, t.kind.n)
-    return acc
+        for (a, b), value in basis[i].support:
+            term = c if value.is_one() else c.scaled(value)
+            cur = rows[a][b]
+            rows[a][b] = term if cur.is_zero() else cur + term
+    return SuperMatrix(t.kind.m, t.kind.n, t.sig, rows, check=False)
 
 
 def tensor_of(kind: MatrixKind, x: SuperMatrix) -> TensorElement:
-    """Decompose a point into tensor form (raises MembershipError if impossible)."""
+    """Decompose a point into tensor form (raises MembershipError if impossible).
+
+    The coefficient of each basis vector is the point's entry at the vector's
+    reading slot.  Membership is the only condition: the defining conditions
+    are linear with constant coefficients, so a member's grid of every
+    monomial lies in the span of the basis vectors of that monomial's parity.
+    """
     require_member(kind, x)
-    keys = sorted({k for row in x.rows for e in row for k, _ in e.items()})
-    coeffs: Dict[int, SuperNumber] = {}
-    for key in keys:
-        grid = [[e.coefficient(key) for e in row] for row in x.rows]
-        decomposition = decompose_in_basis(kind, grid, key_parity(key))
-        if decomposition is None:
-            raise MembershipError("matrix does not decompose over the basis")
-        for index, coeff in decomposition:
-            term = SuperNumber(x.sig, {key: coeff})
-            cur = coeffs.get(index)
-            coeffs[index] = term if cur is None else cur + term
+    coeffs = {v.index: x.rows[v.slot[0]][v.slot[1]] for v in basis_of(kind)}
     return TensorElement(kind, x.sig, coeffs)
 
 

@@ -1,14 +1,18 @@
-"""Exact dense linear algebra over Q(i).
+"""Exact linear algebra over Q(i).
 
 Everything works on plain ``list[list[GaussianRational]]`` grids and returns
 exact results; there is no pivoting heuristics beyond "first nonzero", which
-keeps every computation deterministic.  Sizes in this package stay small
-(a few hundred rows at most), so classic Gauss-Jordan is plenty.
+keeps every computation deterministic.  Classic Gauss-Jordan costs cubic time
+in the width, so wide systems should not reach it whole: the fixed-point maps
+on ``g(A)`` have hundreds to thousands of real coordinates, but they split
+into small independent blocks, and :func:`block_nullspace` eliminates block
+by block.  The span comparisons of representability still run dense rrefs as
+wide as twice the complex dimension of ``g(A)``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 
@@ -96,6 +100,53 @@ def nullspace(matrix: Sequence[Sequence[GaussianRational]]) -> List[List[Gaussia
             vec[pivot_col] = MINUS_ONE * reduced[row_idx][free]
         basis.append(vec)
     return basis
+
+
+def block_nullspace(columns: Sequence[Dict[int, GaussianRational]]) -> List[Dict[int, GaussianRational]]:
+    """Right nullspace of a sparse square matrix, one connected block at a time.
+
+    ``columns[c]`` maps row indices to the nonzero entries of column ``c``.
+    Indices joined by a nonzero entry are in one block, so the matrix is block
+    diagonal up to a permutation; each block's nullspace comes from
+    :func:`nullspace` on its own rows and columns, in increasing order, and is
+    extended by zero.  Vectors are sparse ``{index: value}`` dicts.
+
+    The result equals :func:`nullspace` of the dense matrix, vector for vector
+    and in the same order.  A column is a pivot exactly when it is not in the
+    span of the columns before it, and columns of other blocks cannot help to
+    span it.  So the free columns are the same; the vector of free column
+    ``f`` is the unique null vector that is 1 at ``f`` and 0 at every other
+    free column; and, since the reduced form has no entry left of a pivot,
+    ``f`` is its last nonzero index, which orders the vectors.
+    """
+    parent = list(range(len(columns)))
+
+    def root(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for c, column in enumerate(columns):
+        for r in column:
+            a, b = root(r), root(c)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    blocks: Dict[int, List[int]] = {}
+    for k in range(len(columns)):
+        blocks.setdefault(root(k), []).append(k)
+
+    vectors = []
+    for members in blocks.values():
+        local = {k: pos for pos, k in enumerate(members)}
+        sub = zeros(len(members), len(members))
+        for pos, c in enumerate(members):
+            for r, value in columns[c].items():
+                sub[local[r]][pos] = value
+        for vec in nullspace(sub):
+            vectors.append({members[pos]: x for pos, x in enumerate(vec) if not x.is_zero()})
+    vectors.sort(key=max)
+    return vectors
 
 
 def solve(matrix: Sequence[Sequence[GaussianRational]], rhs: Sequence[GaussianRational]) -> Optional[List[GaussianRational]]:

@@ -20,7 +20,7 @@ This module houses the substance of the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import linalg
 from .algebra import (
@@ -38,7 +38,7 @@ from .literals import format_matrix, format_number
 from .matrices import SuperMatrix, const_matrix, tensor_term
 from .report import CheckOutcome, FAIL, FLAGGED, PASS
 from .sampling import (
-    random_even, random_point, random_self_conjugate_even, rng_for,
+    random_even, random_point, random_self_conjugate_even, require_samples, rng_for,
 )
 from .scalars import GaussianRational, I, ONE, ZERO
 
@@ -123,8 +123,9 @@ def verify_structure(desc: Descriptor, sig: AlgebraSignature, samples: int = 100
     Each sample draws fresh points/coefficients; the expensive evaluations are
     shared between checks.  The naturality check rotates through its morphism
     battery (pair projection, pair inclusion, real dual scaling, twisted
-    imaginary dual scaling) sample by sample.
+    imaginary dual scaling) sample by sample.  ``samples`` must be at least 1.
     """
+    require_samples(samples)
     if sig.conjugation != desc.conjugation:
         raise ValueError(
             f"descriptor {desc.name} needs {desc.conjugation} conjugation, "
@@ -344,7 +345,9 @@ def _validate_square(phi: VectorConjugation):
 
 def rebuild_matches(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignature,
                     samples: int = 100, seed: int = 0) -> CheckOutcome:
-    """Sampled equality of the descriptor's map and conj-coefficients + phi."""
+    """Sampled equality of the descriptor's map and conj-coefficients + phi
+    (``samples`` at least 1)."""
+    require_samples(samples)
     rng = rng_for(seed, "rebuild", desc.display(), f"P{sig.odd_pairs}")
     tally = _Tally("extraction-rebuild", False)
     for _ in range(samples):
@@ -363,8 +366,60 @@ def rebuild_matches(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignat
 # coordinates, fixed points
 # ---------------------------------------------------------------------------
 
+def _real_parts(z: GaussianRational) -> Tuple[GaussianRational, GaussianRational]:
+    return GaussianRational(z.re, 0, z.den), GaussianRational(z.im, 0, z.den)
+
+
+def real_coordinates(coords: Dict[int, GaussianRational], count: int) -> List[GaussianRational]:
+    """Dense real coordinates (real part at ``2p``, imaginary part at ``2p+1``)
+    of a sparse complex coordinate dict on ``count`` complex coordinates."""
+    vec = [ZERO] * (2 * count)
+    for p, z in coords.items():
+        vec[2 * p], vec[2 * p + 1] = _real_parts(z)
+    return vec
+
+
+def fixed_vectors(count: int, image: Callable[[int, GaussianRational], Dict[int, GaussianRational]]
+                  ) -> List[Dict[int, GaussianRational]]:
+    """Real basis of the fixed points of a real-linear map on ``count`` complex
+    coordinates.
+
+    ``image(p, u)`` returns the complex coordinates ``{q: z}`` of the image of
+    ``u`` times the ``p``-th unit vector, for ``u`` = 1 and ``u`` = i.  On the
+    real coordinates (real part ``2p``, imaginary part ``2p+1``) the fixed
+    points are the nullspace of ``M - I``; it is taken block by block
+    (:func:`linalg.block_nullspace`), which gives the basis and order of the
+    dense nullspace.  Each vector is returned as complex coordinates ``{p: z}``.
+    """
+    columns = []
+    for p in range(count):
+        for part, unit in enumerate((ONE, I)):
+            column: Dict[int, GaussianRational] = {}
+            for q, z in image(p, unit).items():
+                re_part, im_part = _real_parts(z)
+                if not re_part.is_zero():
+                    column[2 * q] = re_part
+                if not im_part.is_zero():
+                    column[2 * q + 1] = im_part
+            c = 2 * p + part
+            diagonal = column.get(c, ZERO) - ONE
+            if diagonal.is_zero():
+                del column[c]
+            else:
+                column[c] = diagonal
+            columns.append(column)
+    out = []
+    for vec in linalg.block_nullspace(columns):
+        coords: Dict[int, GaussianRational] = {}
+        for c, x in vec.items():
+            p = c // 2
+            coords[p] = coords.get(p, ZERO) + (x * I if c & 1 else x)
+        out.append(coords)
+    return out
+
+
 class CoordLayout:
-    """Real coordinates on ``g(A)``: (basis vector, monomial key, re/im)."""
+    """Complex coordinates on ``g(A)``, one per (basis vector, monomial key)."""
 
     def __init__(self, kind: MatrixKind, sig: AlgebraSignature):
         self.kind = kind
@@ -383,56 +438,31 @@ class CoordLayout:
     def real_dim(self) -> int:
         return 2 * len(self.entries)
 
-    def coords_of(self, t: TensorElement) -> List[GaussianRational]:
-        vec = [ZERO] * self.real_dim
-        for i, c in t.coeffs.items():
-            for key, z in c.items():
-                p = self.pos[(i, key)]
-                vec[2 * p] = GaussianRational(z.re, 0, z.den)
-                vec[2 * p + 1] = GaussianRational(z.im, 0, z.den)
-        return vec
+    def complex_coords(self, t: TensorElement) -> Dict[int, GaussianRational]:
+        return {self.pos[(i, key)]: z for i, c in t.coeffs.items() for key, z in c.items()}
 
-    def tensor_from(self, vec: Sequence[GaussianRational]) -> TensorElement:
+    def coords_of(self, t: TensorElement) -> List[GaussianRational]:
+        """Dense real coordinates of a tensor element."""
+        return real_coordinates(self.complex_coords(t), self.complex_dim)
+
+    def tensor_from(self, coords: Dict[int, GaussianRational]) -> TensorElement:
         coeffs: Dict[int, SuperNumber] = {}
-        for p, (i, key) in enumerate(self.entries):
-            re_part, im_part = vec[2 * p], vec[2 * p + 1]
-            if not re_part.is_real() or not im_part.is_real():
-                raise ValueError("real coordinate vector has imaginary entries")
-            if re_part.is_zero() and im_part.is_zero():
-                continue
-            z = GaussianRational(
-                re_part.re * im_part.den, im_part.re * re_part.den,
-                re_part.den * im_part.den,
-            )
+        for p, z in coords.items():
+            i, key = self.entries[p]
             term = SuperNumber(self.sig, {key: z})
             cur = coeffs.get(i)
             coeffs[i] = term if cur is None else cur + term
         return TensorElement(self.kind, self.sig, coeffs, check=False)
 
-    def unit_tensor(self, position: int, imaginary: bool) -> TensorElement:
-        i, key = self.entries[position]
-        value = I if imaginary else ONE
-        return TensorElement(self.kind, self.sig, {i: SuperNumber(self.sig, {key: value})}, check=False)
+    def fixed_vectors(self, func: Callable[[TensorElement], TensorElement]) -> List[Dict[int, GaussianRational]]:
+        """Real basis, as complex coordinate dicts, of the fixed points of a
+        real-linear map on ``g(A)``."""
+        def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
+            i, key = self.entries[p]
+            unit_tensor = TensorElement(self.kind, self.sig, {i: SuperNumber(self.sig, {key: unit})}, check=False)
+            return self.complex_coords(func(unit_tensor))
 
-
-def _real_linear_matrix(layout: CoordLayout, func: Callable[[TensorElement], TensorElement]):
-    """Matrix of a real-linear map on layout coordinates (columns = images)."""
-    dim = layout.real_dim
-    columns = []
-    for p in range(layout.complex_dim):
-        for imaginary in (False, True):
-            image = func(layout.unit_tensor(p, imaginary))
-            columns.append(layout.coords_of(image))
-    return [[columns[c][r] for c in range(dim)] for r in range(dim)]
-
-
-def _fixed_vectors(matrix) -> List[List[GaussianRational]]:
-    dim = len(matrix)
-    delta = [
-        [matrix[r][c] - (ONE if r == c else ZERO) for c in range(dim)]
-        for r in range(dim)
-    ]
-    return linalg.nullspace(delta)
+        return fixed_vectors(self.complex_dim, image)
 
 
 def fixed_point_data(desc: Descriptor, sig: AlgebraSignature):
@@ -448,9 +478,7 @@ def fixed_point_data(desc: Descriptor, sig: AlgebraSignature):
     def act(t: TensorElement) -> TensorElement:
         return tensor_of(desc.kind, apply_expr(desc.steps, matrix_of(t)))
 
-    matrix = _real_linear_matrix(layout, act)
-    vectors = _fixed_vectors(matrix)
-    points = [matrix_of(layout.tensor_from(v)) for v in vectors]
+    points = [matrix_of(layout.tensor_from(v)) for v in layout.fixed_vectors(act)]
     return points, layout, layout.complex_dim
 
 
@@ -461,34 +489,15 @@ def fixed_point_data(desc: Descriptor, sig: AlgebraSignature):
 def real_fixed_elements(sig: AlgebraSignature, parity: int) -> List[SuperNumber]:
     """Real basis of the conjugation-fixed elements of one parity sector."""
     keys = basis_keys(sig, parity)
-    if not keys:
-        return []
     pos = {key: idx for idx, key in enumerate(keys)}
-    dim = 2 * len(keys)
-    columns = []
-    for key in keys:
-        for value in (ONE, I):
-            image = SuperNumber(sig, {key: value}).conjugate()
-            vec = [ZERO] * dim
-            for k2, z in image.items():
-                p = pos[k2]
-                vec[2 * p] = GaussianRational(z.re, 0, z.den)
-                vec[2 * p + 1] = GaussianRational(z.im, 0, z.den)
-            columns.append(vec)
-    matrix = [[columns[c][r] for c in range(dim)] for r in range(dim)]
-    out = []
-    for vec in _fixed_vectors(matrix):
-        terms = {}
-        for idx, key in enumerate(keys):
-            re_part, im_part = vec[2 * idx], vec[2 * idx + 1]
-            z = GaussianRational(
-                re_part.re * im_part.den, im_part.re * re_part.den,
-                re_part.den * im_part.den,
-            )
-            if not z.is_zero():
-                terms[key] = z
-        out.append(SuperNumber.from_terms(sig, terms))
-    return out
+
+    def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
+        return {pos[key]: z for key, z in SuperNumber(sig, {keys[p]: unit}).conjugate().items()}
+
+    return [
+        SuperNumber(sig, {keys[p]: z for p, z in vec.items()})
+        for vec in fixed_vectors(len(keys), image)
+    ]
 
 
 def real_fixed_vectors(phi: VectorConjugation, parity: int) -> List[Dict[int, GaussianRational]]:
@@ -499,35 +508,16 @@ def real_fixed_vectors(phi: VectorConjugation, parity: int) -> List[Dict[int, Ga
     graded map (its square is -1 there).
     """
     indices = [v.index for v in basis_of(phi.kind) if v.parity == parity]
-    if not indices:
-        return []
     pos = {i: idx for idx, i in enumerate(indices)}
-    dim = 2 * len(indices)
-    columns = []
-    for i in indices:
-        for value in (ONE, I):
-            vec = [ZERO] * dim
-            cc = value.conjugate()
-            for j, p in phi.coords[i]:
-                z = cc * p
-                pj = pos[j]
-                vec[2 * pj] = vec[2 * pj] + GaussianRational(z.re, 0, z.den)
-                vec[2 * pj + 1] = vec[2 * pj + 1] + GaussianRational(z.im, 0, z.den)
-            columns.append(vec)
-    matrix = [[columns[c][r] for c in range(dim)] for r in range(dim)]
-    out = []
-    for vec in _fixed_vectors(matrix):
-        coords: Dict[int, GaussianRational] = {}
-        for idx, i in enumerate(indices):
-            re_part, im_part = vec[2 * idx], vec[2 * idx + 1]
-            z = GaussianRational(
-                re_part.re * im_part.den, im_part.re * re_part.den,
-                re_part.den * im_part.den,
-            )
-            if not z.is_zero():
-                coords[i] = z
-        out.append(coords)
-    return out
+
+    def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
+        cc = unit.conjugate()
+        return {pos[j]: cc * c for j, c in phi.coords[indices[p]]}
+
+    return [
+        {indices[p]: z for p, z in vec.items()}
+        for vec in fixed_vectors(len(indices), image)
+    ]
 
 
 def _product_span_coords(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignature,
@@ -709,13 +699,10 @@ def compact_scan(kind: MatrixKind) -> Dict:
         basis = basis_of(kind)
         even_indices = [v.index for v in basis if v.parity == EVEN]
         pos = {i: idx for idx, i in enumerate(even_indices)}
-        vecs = []
-        for u in data["_even_fixed"]:
-            vec = [ZERO] * (2 * len(even_indices))
-            for j, z in u.items():
-                vec[2 * pos[j]] = GaussianRational(z.re, 0, z.den)
-                vec[2 * pos[j] + 1] = GaussianRational(z.im, 0, z.den)
-            vecs.append(vec)
+        vecs = [
+            real_coordinates({pos[j]: z for j, z in u.items()}, len(even_indices))
+            for u in data["_even_fixed"]
+        ]
         for cls in span_classes:
             if linalg.spans_equal(cls[0], vecs):
                 cls.append(vecs)

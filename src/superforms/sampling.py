@@ -27,6 +27,13 @@ _POOL = (ZERO, ZERO, ZERO, ZERO, ONE, MINUS_ONE, I, MINUS_I, HALF, MINUS_HALF)
 _NONZERO_POOL = (ONE, MINUS_ONE, I, MINUS_I, HALF, MINUS_HALF)
 
 
+def require_samples(samples: int):
+    """Refuse a sample count below one: a check that draws no samples would
+    pass without testing anything."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+
+
 def rng_for(seed: int, *tags: str) -> random.Random:
     return random.Random(f"{seed}|" + "|".join(tags))
 

@@ -2,6 +2,8 @@
 
 import io
 import json
+import signal
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -96,6 +98,34 @@ def test_usage_errors_exit_two():
     for argv in cases:
         code, _ = run_cli(*argv)
         assert code == 2, argv
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_sample_count_below_one_is_a_usage_error(count, capsys):
+    code, out = run_cli("verify", "sl", "2", "1", "sigma1", "--samples", count)
+    assert code == 2
+    assert out == ""
+    assert "--samples: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m, n", [("1", "0"), ("0", "1")])
+def test_size_one_group_verify_returns_promptly(m, n):
+    """SL(1|0) and SL(0|1) are trivial groups; sampling them must not spin."""
+    def hang(signum, frame):
+        raise TimeoutError("verify did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        start = time.perf_counter()
+        code, out = run_cli("verify", "sl", m, n, "Sigma1")
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    assert "verdict: pass" in out
+    assert elapsed < 1.0
 
 
 def test_failure_exit_code(monkeypatch):

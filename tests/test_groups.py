@@ -107,6 +107,22 @@ def test_fixed_span_agreement_all_descriptors():
                 assert res["algebra_fixed_dimension"] == res["expected_dimension"]
 
 
+def test_size_one_sl_samples_are_the_identity():
+    for kind in (MatrixKind(SL, 1, 0), MatrixKind(SL, 0, 1)):
+        g = sample_sl(kind, SIG1S, rng_for(23, "slsample", kind.display()))
+        assert g == identity_matrix(kind.m, kind.n, SIG1S)
+        assert group_membership_defect(kind, g) is None
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_group_checks_refuse_no_samples(samples):
+    desc = build("sigma1", MatrixKind(SL, 1, 1))
+    with pytest.raises(ValueError):
+        verify_group_structure(desc, SIG1S, samples=samples)
+    with pytest.raises(ValueError):
+        group_commutator_identity(desc.kind, SIG1S, samples=samples)
+
+
 def test_sample_group_dispatch():
     assert group_contains(MatrixKind(SL, 1, 1), sample_group(MatrixKind(SL, 1, 1), SIG1S, rng_for(26, "d1")))
     assert group_contains(MatrixKind(OSP, 1, 2), sample_group(MatrixKind(OSP, 1, 2), SIG1S, rng_for(26, "d2")))

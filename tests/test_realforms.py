@@ -57,6 +57,15 @@ def test_axioms_with_richer_coefficients():
         assert all(c.status == "pass" for c in checks), desc.display()
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_checks_refuse_no_samples(samples):
+    desc = build("sigma3", MatrixKind(SL, 1, 1))
+    with pytest.raises(ValueError):
+        verify_structure(desc, SIG1S, samples=samples)
+    with pytest.raises(ValueError):
+        rebuild_matches(desc, extract_vector_conjugation(desc), SIG1S, samples=samples)
+
+
 def test_strict_xi2_flagged_not_failed():
     strict = build("xi2", MatrixKind(OSP, 2, 2), p=1, strict=True)
     checks = verify_structure(strict, SIG1S, samples=10, seed=12)
