@@ -28,7 +28,8 @@ from typing import Dict, List, Optional, Tuple
 from . import linalg
 from .algebra import AlgebraSignature, EVEN, ODD, SuperNumber
 from .matrices import (
-    SuperMatrix, const_mul, mul_const, osp_form_grid, supertranspose, supertrace,
+    SuperMatrix, const_mul, mul_const, osp_form_grid, supertranspose,
+    supertranspose_grid, supertrace,
 )
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 
@@ -111,24 +112,6 @@ def _grid_from_coords(slots, coords, size) -> Tuple[Tuple[GaussianRational, ...]
     return tuple(tuple(row) for row in grid)
 
 
-def _st_grid(grid, m: int, n: int) -> List[List[GaussianRational]]:
-    """Supertranspose of a constant grid (same block convention as matrices)."""
-    size = m + n
-    out = [[ZERO] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            c = grid[i][j]
-            if c.is_zero():
-                continue
-            if (i < m) == (j < m):
-                out[j][i] = c
-            elif i < m:
-                out[j][i] = c
-            else:
-                out[j][i] = -c
-    return out
-
-
 def _constraint_rows(kind: MatrixKind, slots, parity) -> List[List[GaussianRational]]:
     """Linear conditions on the coordinates in ``slots`` for membership."""
     m, n, size = kind.m, kind.n, kind.size
@@ -151,7 +134,7 @@ def _constraint_rows(kind: MatrixKind, slots, parity) -> List[List[GaussianRatio
     for (i, j) in slots:
         unit = [[ZERO] * size for _ in range(size)]
         unit[i][j] = ONE
-        left = linalg.mat_mul(_st_grid(unit, m, n), form)
+        left = linalg.mat_mul(supertranspose_grid(unit, m), form)
         right = linalg.mat_mul(form, unit)
         total = [[left[a][b] + right[a][b] for b in range(size)] for a in range(size)]
         columns.append([total[a][b] for a in range(size) for b in range(size)])

@@ -1,8 +1,10 @@
 """Exact linear algebra over Q(i).
 
 Everything works on plain ``list[list[GaussianRational]]`` grids and returns
-exact results; there is no pivoting heuristics beyond "first nonzero", which
-keeps every computation deterministic.  Classic Gauss-Jordan costs cubic time
+exact results.  :func:`mat_mul` is the package's one grid product: it takes
+the ring's zero as an argument, and the supermatrix products are calls to it.
+There is no pivoting heuristic beyond "first nonzero", which keeps every
+computation deterministic.  Classic Gauss-Jordan costs cubic time
 in the width, so wide systems should not reach it whole: the fixed-point maps
 on ``g(A)`` have hundreds to thousands of real coordinates, but they split
 into small independent blocks, and :func:`block_nullspace` eliminates block
@@ -34,9 +36,16 @@ def identity(n: int) -> Grid:
     return grid
 
 
-def mat_mul(a: Sequence[Sequence[GaussianRational]], b: Sequence[Sequence[GaussianRational]]) -> Grid:
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero=ZERO) -> list:
+    """The grid product ``a b`` over any ring: the one product kernel.
+
+    Entries need ``is_zero``, ``+`` and the product ``a[i][k] * b[k][j]``;
+    ``zero`` is the ring's zero, so the same loop multiplies grids of
+    Gaussian rationals, of algebra elements, and algebra elements by
+    constants on the right.  Zero entries of either factor are skipped.
+    """
     rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
+    out = [[zero] * cols for _ in range(rows)]
     for i in range(rows):
         arow = a[i]
         orow = out[i]

@@ -107,22 +107,7 @@ class SuperMatrix:
 
     def __mul__(self, other: "SuperMatrix") -> "SuperMatrix":
         self._compat(other)
-        size = self.size
-        zero = SuperNumber.zero(self.sig)
-        out = [[zero] * size for _ in range(size)]
-        for i in range(size):
-            srow = self.rows[i]
-            orow = out[i]
-            for k in range(size):
-                sik = srow[k]
-                if sik.is_zero():
-                    continue
-                trow = other.rows[k]
-                for j in range(size):
-                    tkj = trow[j]
-                    if not tkj.is_zero():
-                        orow[j] = orow[j] + sik * tkj
-        return self._like(out)
+        return self._like(linalg.mat_mul(self.rows, other.rows, SuperNumber.zero(self.sig)))
 
     def _compat(self, other: "SuperMatrix"):
         if not isinstance(other, SuperMatrix):
@@ -191,25 +176,19 @@ def tensor_term(coefficient: SuperNumber, grid: Sequence[Sequence[GaussianRation
 # the structural operators
 # ---------------------------------------------------------------------------
 
+def supertranspose_grid(grid: Sequence[Sequence], m: int) -> list:
+    """Block transpose ``[[A,B],[C,D]] -> [[A^t, -C^t],[B^t, D^t]]`` of a square
+    grid over any ring, with A of size ``m``: only the C block changes sign."""
+    size = len(grid)
+    return [
+        [grid[j][i] if j < m or i >= m else -grid[j][i] for j in range(size)]
+        for i in range(size)
+    ]
+
+
 def supertranspose(x: SuperMatrix) -> SuperMatrix:
-    """Block transpose ``[[A,B],[C,D]] -> [[A^t, -C^t],[B^t, D^t]]`` (order four)."""
-    m, n, size = x.m, x.n, x.size
-    zero = SuperNumber.zero(x.sig)
-    out = [[zero] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            e = x.rows[i][j]
-            if e.is_zero():
-                continue
-            if i < m and j < m:
-                out[j][i] = e
-            elif i >= m and j >= m:
-                out[j][i] = e
-            elif i < m:     # B block -> C slot, sign +
-                out[j][i] = e
-            else:           # C block -> B slot, sign -
-                out[j][i] = -e
-    return SuperMatrix(m, n, x.sig, out, check=False)
+    """The supertranspose of a supermatrix (order four)."""
+    return SuperMatrix(x.m, x.n, x.sig, supertranspose_grid(x.rows, x.m), check=False)
 
 
 def parity_swap(x: SuperMatrix) -> SuperMatrix:
@@ -258,42 +237,19 @@ def supertrace(x: SuperMatrix) -> SuperNumber:
 
 
 def const_mul(grid: Sequence[Sequence[GaussianRational]], x: SuperMatrix) -> SuperMatrix:
-    """Product (constant grid) * (SuperMatrix), without lifting the grid."""
-    size = x.size
-    zero = SuperNumber.zero(x.sig)
-    out = [[zero] * size for _ in range(size)]
-    for i in range(size):
-        grow = grid[i]
-        orow = out[i]
-        for k in range(size):
-            g = grow[k]
-            if g.is_zero():
-                continue
-            xrow = x.rows[k]
-            for j in range(size):
-                e = xrow[j]
-                if not e.is_zero():
-                    orow[j] = orow[j] + e.scaled(g)
-    return SuperMatrix(x.m, x.n, x.sig, out, check=False)
+    """Product (constant grid) * (SuperMatrix), without lifting the grid.
+
+    Constants commute with every algebra element, so ``K x = (x^t K^t)^t``
+    with plain transposes; that keeps the algebra element on the left of
+    each entry product, where it knows how to scale by a constant.
+    """
+    product = linalg.mat_mul(list(zip(*x.rows)), list(zip(*grid)), SuperNumber.zero(x.sig))
+    return SuperMatrix(x.m, x.n, x.sig, list(zip(*product)), check=False)
 
 
 def mul_const(x: SuperMatrix, grid: Sequence[Sequence[GaussianRational]]) -> SuperMatrix:
-    size = x.size
-    zero = SuperNumber.zero(x.sig)
-    out = [[zero] * size for _ in range(size)]
-    for i in range(size):
-        xrow = x.rows[i]
-        orow = out[i]
-        for k in range(size):
-            e = xrow[k]
-            if e.is_zero():
-                continue
-            grow = grid[k]
-            for j in range(size):
-                g = grow[j]
-                if not g.is_zero():
-                    orow[j] = orow[j] + e.scaled(g)
-    return SuperMatrix(x.m, x.n, x.sig, out, check=False)
+    """Product (SuperMatrix) * (constant grid), without lifting the grid."""
+    return SuperMatrix(x.m, x.n, x.sig, linalg.mat_mul(x.rows, grid, SuperNumber.zero(x.sig)), check=False)
 
 
 def commutator(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
@@ -317,31 +273,19 @@ def _series_inverse(rows: List[List[SuperNumber]], sig: AlgebraSignature) -> Lis
     except linalg.SingularMatrix:
         raise NotInvertibleMatrix("matrix body is singular")
     body_inv = [[scalar(sig, c) for c in row] for row in body_inv_c]
-
-    def gmul(a, b):
-        out = [[SuperNumber.zero(sig)] * size for _ in range(size)]
-        for i in range(size):
-            for k in range(size):
-                aik = a[i][k]
-                if aik.is_zero():
-                    continue
-                for j in range(size):
-                    bkj = b[k][j]
-                    if not bkj.is_zero():
-                        out[i][j] = out[i][j] + aik * bkj
-        return out
+    zero = SuperNumber.zero(sig)
 
     soul = [[rows[i][j].soul() for j in range(size)] for i in range(size)]
-    t = gmul(body_inv, soul)                       # nilpotent
-    acc = [[one(sig) if i == j else SuperNumber.zero(sig) for j in range(size)] for i in range(size)]
+    t = linalg.mat_mul(body_inv, soul, zero)       # nilpotent
+    acc = [[one(sig) if i == j else zero for j in range(size)] for i in range(size)]
     power = acc
     while True:
-        power = gmul(power, t)
+        power = linalg.mat_mul(power, t, zero)
         power = [[-e for e in row] for row in power]
         if all(e.is_zero() for row in power for e in row):
             break
         acc = [[a + p for a, p in zip(ra, rp)] for ra, rp in zip(acc, power)]
-    return gmul(acc, body_inv)
+    return linalg.mat_mul(acc, body_inv, zero)
 
 
 def inverse(x: SuperMatrix) -> SuperMatrix:
@@ -392,24 +336,11 @@ def berezinian(x: SuperMatrix) -> SuperNumber:
     """Ber [[P,Q],[R,S]] = det(P - Q S^-1 R) * det(S)^-1 (body of S invertible)."""
     p, q, r, s = x.blocks()
     sig = x.sig
-    s_inv = _series_inverse(s, sig) if x.n else []
-    # schur = P - Q S^-1 R
-    m = x.m
-    schur = [[p[i][j] for j in range(m)] for i in range(m)]
+    schur = p
     if x.n:
-        for i in range(m):
-            for j in range(m):
-                acc = SuperNumber.zero(sig)
-                for k in range(x.n):
-                    qik = q[i][k]
-                    if qik.is_zero():
-                        continue
-                    for l in range(x.n):
-                        skl = s_inv[k][l]
-                        rlj = r[l][j]
-                        if not skl.is_zero() and not rlj.is_zero():
-                            acc = acc + qik * skl * rlj
-                schur[i][j] = schur[i][j] - acc
+        zero = SuperNumber.zero(sig)
+        q_s_inv_r = linalg.mat_mul(q, linalg.mat_mul(_series_inverse(s, sig), r, zero), zero)
+        schur = [[a - b for a, b in zip(prow, qrow)] for prow, qrow in zip(p, q_s_inv_r)]
     det_top = det_even(schur, sig)
     det_bottom = det_even(s, sig) if x.n else one(sig)
     return det_top * det_bottom.inverse()
