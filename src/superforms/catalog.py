@@ -140,7 +140,8 @@ def build(name: str, kind: MatrixKind, p: Optional[int] = None, q: Optional[int]
 
     Parameters default to their maximal values (p = m and q = n style).  The
     ``strict`` flag selects the literal catalog variant where one exists
-    (only xi2); elsewhere it is accepted and recorded as a no-op note.
+    (only xi2), and only that variant has ``Descriptor.strict`` set; elsewhere
+    the flag is accepted and recorded as a no-op note after the permanent one.
     """
     m, n = kind.m, kind.n
     family = kind.family
@@ -173,8 +174,7 @@ def build(name: str, kind: MatrixKind, p: Optional[int] = None, q: Optional[int]
             name, kind, STANDARD,
             (negst_step(), ad_step(label, k_grid), conj_step(), delta_step(I)),
             params=(("p", p), ("q", q)),
-            notes=tuple(notes) + (NOTE_SIGMA1,),
-            strict=strict,
+            notes=(NOTE_SIGMA1,) + tuple(notes),
             lift_form="inverse-neg",
         )
 
@@ -185,21 +185,21 @@ def build(name: str, kind: MatrixKind, p: Optional[int] = None, q: Optional[int]
         return Descriptor(
             name, kind, STANDARD,
             (ad_step(f"diag(J_{m}, J_{n})", k_grid), conj_step()),
-            notes=tuple(notes), strict=strict,
+            notes=tuple(notes),
         )
 
     if name == "sigma3":
         if m != n:
             raise InapplicableDescriptor("sigma3 needs equal block sizes")
         return Descriptor(name, kind, STANDARD, (pi_step(), conj_step()),
-                          notes=tuple(notes), strict=strict)
+                          notes=tuple(notes))
 
     if name == "sigma4":
         if m != n or m % 2:
             raise InapplicableDescriptor("sigma4 needs equal even block sizes")
         return Descriptor(
             name, kind, STANDARD, (negst_step(), pi_step(), conj_step()),
-            notes=tuple(notes), strict=strict, lift_form="inverse-neg",
+            notes=tuple(notes), lift_form="inverse-neg",
         )
 
     if name == "omega1":
@@ -209,7 +209,7 @@ def build(name: str, kind: MatrixKind, p: Optional[int] = None, q: Optional[int]
         return Descriptor(
             name, kind, GRADED,
             (conj_step(), ad_step(f"diag(1_{m}, J_{n})", k_grid)),
-            notes=tuple(notes), strict=strict,
+            notes=tuple(notes),
         )
 
     if name == "omega2":
@@ -223,7 +223,7 @@ def build(name: str, kind: MatrixKind, p: Optional[int] = None, q: Optional[int]
             name, kind, GRADED,
             (negst_step(), conj_step(), ad_step(label, k_grid)),
             params=(("p", p), ("q", q)),
-            notes=tuple(notes), strict=strict, lift_form="inverse-neg",
+            notes=tuple(notes), lift_form="inverse-neg",
         )
 
     if name == "omega3":
@@ -231,7 +231,7 @@ def build(name: str, kind: MatrixKind, p: Optional[int] = None, q: Optional[int]
             raise InapplicableDescriptor("omega3 needs equal block sizes")
         return Descriptor(
             name, kind, GRADED, (conj_step(), pi_step(), delta_step(I)),
-            notes=tuple(notes), strict=strict,
+            notes=tuple(notes),
         )
 
     if name == "xi1":
@@ -242,7 +242,7 @@ def build(name: str, kind: MatrixKind, p: Optional[int] = None, q: Optional[int]
             name, kind, STANDARD,
             (ad_step(f"diag({_sig_label('I', m, p)}, 1_{n})", k_grid), conj_step()),
             params=(("p", p),),
-            notes=tuple(notes), strict=strict,
+            notes=tuple(notes),
         )
 
     if name == "xi2":
@@ -302,7 +302,7 @@ def build(name: str, kind: MatrixKind, p: Optional[int] = None, q: Optional[int]
         return Descriptor(
             name, kind, GRADED,
             (conj_step(), ad_step(f"diag(J_{m}, 1_{n})", k_grid)),
-            notes=tuple(notes), strict=strict,
+            notes=tuple(notes),
         )
 
     raise InapplicableDescriptor(f"unknown descriptor {name!r}")

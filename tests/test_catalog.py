@@ -85,9 +85,19 @@ def test_strict_variant_only_for_xi2():
     strict = build("xi2", MatrixKind(OSP, 2, 2), strict=True)
     assert strict.strict
     assert strict.expected_flagged == frozenset({"antilinearity", "involutivity", "naturality"})
-    other = build("xi1", MatrixKind(OSP, 2, 2), strict=True)
-    assert other.expected_flagged == frozenset()
-    assert any("no strict variant" in note for note in other.notes)
+    assert strict.steps != build("xi2", MatrixKind(OSP, 2, 2)).steps
+    for kind, names in ((MatrixKind(SL, 2, 2), SL_NAMES), (MatrixKind(OSP, 2, 2), OSP_NAMES)):
+        for name in names:
+            if name == "xi2":
+                continue
+            plain = build(name, kind)
+            other = build(name, kind, strict=True)
+            assert not other.strict, name
+            assert other.expected_flagged == frozenset(), name
+            assert other.steps == plain.steps, name
+            # the permanent note, if any, comes first; the no-op note last
+            assert other.notes[:-1] == plain.notes, name
+            assert "no strict variant" in other.notes[-1], name
 
 
 def test_permanent_notes():
