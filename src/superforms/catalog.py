@@ -5,7 +5,7 @@ superalgebra functor: a composable expression (see :mod:`superforms.exprs`),
 the conjugation kind of the coefficient algebras it acts over, parameter data,
 applicability conditions, and how the map lifts to the supergroup.
 
-Names and side conditions (h = half the odd block size for osp):
+The rows of :data:`CATALOG`, one per name (h = half the odd block size for osp):
 
 ========  ======  ==========  =====================================  =======
 name      family  params      conditions                             lift
@@ -31,8 +31,9 @@ antiautomorphism into a multiplicative map on group points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from itertools import product
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .algebra import GRADED, STANDARD
 from .exprs import (
@@ -40,24 +41,13 @@ from .exprs import (
     negst_step, pi_step,
 )
 from .liealg import OSP, SL, MatrixKind
-from .matrices import block_diag_grid, identity_grid, signature_grid, symplectic_grid
-from .scalars import I, MINUS_ONE, ONE, ZERO
+from .matrices import block_diag_grid, signature_grid, symplectic_grid
+from .scalars import I, ZERO
 
 
 class InapplicableDescriptor(ValueError):
     """The named descriptor does not exist for this family/shape/parameters."""
 
-
-SL_NAMES = ("sigma1", "sigma2", "sigma3", "sigma4", "omega1", "omega2", "omega3")
-OSP_NAMES = ("xi1", "xi2", "psi1", "psi2")
-
-# descriptors whose group lift is (negate then invert) rather than the same formula
-INVERSE_NEG = frozenset({"sigma1", "sigma4", "omega2"})
-
-PARAM_ARITY = {
-    "sigma1": 2, "omega2": 2, "psi1": 2,
-    "xi1": 1, "xi2": 1,
-}
 
 NOTE_SIGMA1 = (
     "sigma1: the inner conjugating matrix is diag(I_m^p, I_n^q); "
@@ -110,6 +100,137 @@ class Descriptor:
         return self.steps
 
 
+# ---------------------------------------------------------------------------
+# the catalog table
+# ---------------------------------------------------------------------------
+
+def _sig_label(n: int, p: int) -> str:
+    return f"I_{n}^{p}" if 0 < p < n else ("1_" + str(n) if p == n else f"-1_{n}")
+
+
+Block = Tuple[str, list]
+"""A diagonal block of a conjugating matrix: its label and its grid."""
+
+
+def _signed(size: int, p: int) -> Block:
+    """``I_size^p = diag(1_p, -1_{size-p})``; ``p = size`` gives the unit."""
+    return _sig_label(size, p), signature_grid(size, p)
+
+
+def _symplectic(size: int) -> Block:
+    return f"J_{size}", symplectic_grid(size)
+
+
+def _twist(h: int, p: int) -> Block:
+    """The odd-block twist ``[[0, S], [-S, 0]]`` with ``S = I_h^p`` (xi2, psi1).
+
+    Its label prints the lower-left block without the sign."""
+    label, s = _signed(h, p)
+    grid = [[ZERO] * h + row for row in s] + [[-c for c in row] + [ZERO] * h for row in s]
+    return f"[[0, {label}], [{label}, 0]]", grid
+
+
+def _ad_diag(*blocks: Block) -> Step:
+    """Conjugation by the block-diagonal matrix of ``blocks``."""
+    return ad_step("diag(" + ", ".join(label for label, _ in blocks) + ")",
+                   block_diag_grid(*(grid for _, grid in blocks)))
+
+
+class Variant(NamedTuple):
+    """One form of a structure: ``steps(m, n, h, *params)`` builds its
+    expression; ``note`` is carried by every descriptor of this form, and
+    ``flagged`` names the checks it is expected to fail."""
+
+    steps: Callable[..., Tuple[Step, ...]]
+    note: Optional[str] = None
+    flagged: FrozenSet[str] = frozenset()
+
+
+@dataclass(frozen=True)
+class Entry:
+    """One catalog row.
+
+    ``params`` pairs each parameter name with the size (``m``, ``n`` or
+    ``h = n/2``) that is both its upper bound and its default; every lower
+    bound is 0.  ``condition(m, n)`` decides applicability and ``reason``
+    explains a refusal.  ``strict`` is the literal printed variant, where one
+    exists.
+    """
+
+    family: str
+    conjugation: str
+    form: Variant
+    params: Tuple[Tuple[str, str], ...] = ()
+    condition: Callable[[int, int], bool] = lambda m, n: True
+    reason: str = ""
+    lift_form: str = "direct"
+    strict: Optional[Variant] = None
+
+
+CATALOG: Dict[str, Entry] = {
+    "sigma1": Entry(
+        SL, STANDARD,
+        Variant(lambda m, n, h, p, q: (negst_step(), _ad_diag(_signed(m, p), _signed(n, q)),
+                                       conj_step(), delta_step(I)), NOTE_SIGMA1),
+        params=(("p", "m"), ("q", "n")), lift_form="inverse-neg",
+    ),
+    "sigma2": Entry(
+        SL, STANDARD, Variant(lambda m, n, h: (_ad_diag(_symplectic(m), _symplectic(n)), conj_step())),
+        condition=lambda m, n: m % 2 == 0 and n % 2 == 0,
+        reason="sigma2 needs both block sizes even",
+    ),
+    "sigma3": Entry(
+        SL, STANDARD, Variant(lambda m, n, h: (pi_step(), conj_step())),
+        condition=lambda m, n: m == n, reason="sigma3 needs equal block sizes",
+    ),
+    "sigma4": Entry(
+        SL, STANDARD, Variant(lambda m, n, h: (negst_step(), pi_step(), conj_step())),
+        condition=lambda m, n: m == n and m % 2 == 0,
+        reason="sigma4 needs equal even block sizes", lift_form="inverse-neg",
+    ),
+    "omega1": Entry(
+        SL, GRADED, Variant(lambda m, n, h: (conj_step(), _ad_diag(_signed(m, m), _symplectic(n)))),
+        condition=lambda m, n: n % 2 == 0, reason="omega1 needs an even lower block size",
+    ),
+    "omega2": Entry(
+        SL, GRADED,
+        Variant(lambda m, n, h, p, q: (negst_step(), conj_step(),
+                                       _ad_diag(_signed(m, p), _signed(n, q)))),
+        params=(("p", "m"), ("q", "n")), lift_form="inverse-neg",
+    ),
+    "omega3": Entry(
+        SL, GRADED, Variant(lambda m, n, h: (conj_step(), pi_step(), delta_step(I))),
+        condition=lambda m, n: m == n, reason="omega3 needs equal block sizes",
+    ),
+    "xi1": Entry(
+        OSP, STANDARD, Variant(lambda m, n, h, p: (_ad_diag(_signed(m, p), _signed(n, n)), conj_step())),
+        params=(("p", "m"),),
+    ),
+    "xi2": Entry(
+        OSP, STANDARD,
+        Variant(lambda m, n, h, p: (_ad_diag(_symplectic(m), _twist(h, p)), conj_step()),
+                NOTE_XI2_DEFAULT),
+        params=(("p", "h"),),
+        condition=lambda m, n: m % 2 == 0, reason="xi2 needs an even upper block size",
+        strict=Variant(lambda m, n, h, p: (_ad_diag(_symplectic(m), _signed(h, p), _signed(h, p)),),
+                       NOTE_XI2_STRICT, frozenset({"antilinearity", "involutivity", "naturality"})),
+    ),
+    "psi1": Entry(
+        OSP, GRADED,
+        Variant(lambda m, n, h, p, q: (conj_step(), _ad_diag(_signed(m, p), _twist(h, q))), NOTE_PSI1),
+        params=(("p", "m"), ("q", "h")),
+    ),
+    "psi2": Entry(
+        OSP, GRADED, Variant(lambda m, n, h: (conj_step(), _ad_diag(_symplectic(m), _signed(n, n)))),
+        condition=lambda m, n: m % 2 == 0, reason="psi2 needs an even upper block size",
+    ),
+}
+
+SL_NAMES = tuple(name for name, entry in CATALOG.items() if entry.family == SL)
+OSP_NAMES = tuple(name for name, entry in CATALOG.items() if entry.family == OSP)
+PARAM_ARITY = {name: len(entry.params) for name, entry in CATALOG.items() if entry.params}
+
+
 def names_for(kind: MatrixKind) -> Tuple[str, ...]:
     return SL_NAMES if kind.family == SL else OSP_NAMES
 
@@ -125,13 +246,15 @@ def applicable_names(kind: MatrixKind) -> Tuple[str, ...]:
     return tuple(out)
 
 
-def _sig_label(symbol: str, n: int, p: int) -> str:
-    return f"I_{n}^{p}" if 0 < p < n else ("1_" + str(n) if p == n else f"-1_{n}")
+def _upper(size: str, kind: MatrixKind) -> int:
+    return {"m": kind.m, "n": kind.n, "h": kind.n // 2}[size]
 
 
-def _check_range(name: str, value: int, low: int, high: int, what: str):
-    if not low <= value <= high:
-        raise InapplicableDescriptor(f"{name}: parameter {what}={value} out of range [{low}, {high}]")
+def param_choices(name: str, kind: MatrixKind) -> List[Tuple[Optional[int], Optional[int]]]:
+    """Every parameter choice of ``name`` on ``kind`` as ``(p, q)``, with
+    ``None`` for a parameter the descriptor does not take."""
+    ranges = [range(_upper(size, kind) + 1) for _, size in CATALOG[name].params]
+    return [values + (None,) * (2 - len(values)) for values in product(*ranges)]
 
 
 def build(name: str, kind: MatrixKind, p: Optional[int] = None, q: Optional[int] = None,
@@ -143,169 +266,35 @@ def build(name: str, kind: MatrixKind, p: Optional[int] = None, q: Optional[int]
     (only xi2), and only that variant has ``Descriptor.strict`` set; elsewhere
     the flag is accepted and recorded as a no-op note after the permanent one.
     """
-    m, n = kind.m, kind.n
     family = kind.family
-    if family == SL and name not in SL_NAMES:
-        raise InapplicableDescriptor(f"{name}: not a descriptor of the sl family")
-    if family == OSP and name not in OSP_NAMES:
-        raise InapplicableDescriptor(f"{name}: not a descriptor of the osp family")
     if family not in (SL, OSP):
         raise InapplicableDescriptor(f"descriptors are defined for sl and osp, not {family}")
+    entry = CATALOG.get(name)
+    if entry is None or entry.family != family:
+        raise InapplicableDescriptor(f"{name}: not a descriptor of the {family} family")
+    arity = len(entry.params)
+    if any(value is not None for value in (p, q)[arity:]):
+        raise InapplicableDescriptor(f"{name} takes " + ("no parameters", "a single parameter p")[arity])
+    if not entry.condition(kind.m, kind.n):
+        raise InapplicableDescriptor(entry.reason)
+    params = []
+    for (what, size), value in zip(entry.params, (p, q)):
+        high = _upper(size, kind)
+        value = high if value is None else value
+        if not 0 <= value <= high:
+            raise InapplicableDescriptor(f"{name}: parameter {what}={value} out of range [0, {high}]")
+        params.append((what, value))
 
-    notes = []
-    if strict and name != "xi2":
-        notes.append(f"{name}: no strict variant exists; strict flag has no effect.")
-
-    h = n // 2
-    arity = PARAM_ARITY.get(name, 0)
-    if arity == 0 and (p is not None or q is not None):
-        raise InapplicableDescriptor(f"{name} takes no parameters")
-    if arity == 1 and q is not None:
-        raise InapplicableDescriptor(f"{name} takes a single parameter p")
-
-    if name == "sigma1":
-        p = m if p is None else p
-        q = n if q is None else q
-        _check_range(name, p, 0, m, "p")
-        _check_range(name, q, 0, n, "q")
-        k_grid = block_diag_grid(signature_grid(m, p), signature_grid(n, q))
-        label = f"diag({_sig_label('I', m, p)}, {_sig_label('I', n, q)})"
-        return Descriptor(
-            name, kind, STANDARD,
-            (negst_step(), ad_step(label, k_grid), conj_step(), delta_step(I)),
-            params=(("p", p), ("q", q)),
-            notes=(NOTE_SIGMA1,) + tuple(notes),
-            lift_form="inverse-neg",
-        )
-
-    if name == "sigma2":
-        if m % 2 or n % 2:
-            raise InapplicableDescriptor("sigma2 needs both block sizes even")
-        k_grid = block_diag_grid(symplectic_grid(m), symplectic_grid(n))
-        return Descriptor(
-            name, kind, STANDARD,
-            (ad_step(f"diag(J_{m}, J_{n})", k_grid), conj_step()),
-            notes=tuple(notes),
-        )
-
-    if name == "sigma3":
-        if m != n:
-            raise InapplicableDescriptor("sigma3 needs equal block sizes")
-        return Descriptor(name, kind, STANDARD, (pi_step(), conj_step()),
-                          notes=tuple(notes))
-
-    if name == "sigma4":
-        if m != n or m % 2:
-            raise InapplicableDescriptor("sigma4 needs equal even block sizes")
-        return Descriptor(
-            name, kind, STANDARD, (negst_step(), pi_step(), conj_step()),
-            notes=tuple(notes), lift_form="inverse-neg",
-        )
-
-    if name == "omega1":
-        if n % 2:
-            raise InapplicableDescriptor("omega1 needs an even lower block size")
-        k_grid = block_diag_grid(identity_grid(m), symplectic_grid(n))
-        return Descriptor(
-            name, kind, GRADED,
-            (conj_step(), ad_step(f"diag(1_{m}, J_{n})", k_grid)),
-            notes=tuple(notes),
-        )
-
-    if name == "omega2":
-        p = m if p is None else p
-        q = n if q is None else q
-        _check_range(name, p, 0, m, "p")
-        _check_range(name, q, 0, n, "q")
-        k_grid = block_diag_grid(signature_grid(m, p), signature_grid(n, q))
-        label = f"diag({_sig_label('I', m, p)}, {_sig_label('I', n, q)})"
-        return Descriptor(
-            name, kind, GRADED,
-            (negst_step(), conj_step(), ad_step(label, k_grid)),
-            params=(("p", p), ("q", q)),
-            notes=tuple(notes), lift_form="inverse-neg",
-        )
-
-    if name == "omega3":
-        if m != n:
-            raise InapplicableDescriptor("omega3 needs equal block sizes")
-        return Descriptor(
-            name, kind, GRADED, (conj_step(), pi_step(), delta_step(I)),
-            notes=tuple(notes),
-        )
-
-    if name == "xi1":
-        p = m if p is None else p
-        _check_range(name, p, 0, m, "p")
-        k_grid = block_diag_grid(signature_grid(m, p), identity_grid(n))
-        return Descriptor(
-            name, kind, STANDARD,
-            (ad_step(f"diag({_sig_label('I', m, p)}, 1_{n})", k_grid), conj_step()),
-            params=(("p", p),),
-            notes=tuple(notes),
-        )
-
-    if name == "xi2":
-        if m % 2:
-            raise InapplicableDescriptor("xi2 needs an even upper block size")
-        p = h if p is None else p
-        _check_range(name, p, 0, h, "p")
-        s = signature_grid(h, p)
-        if strict:
-            # literal variant: complex-linear Ad(diag(J_m, I_h^p, I_h^p)), no conj
-            k_grid = block_diag_grid(symplectic_grid(m), s, s)
-            label = f"diag(J_{m}, {_sig_label('I', h, p)}, {_sig_label('I', h, p)})"
-            return Descriptor(
-                name, kind, STANDARD, (ad_step(label, k_grid),),
-                params=(("p", p),),
-                notes=(NOTE_XI2_STRICT,) + tuple(notes),
-                strict=True,
-                expected_flagged=frozenset(
-                    {"antilinearity", "involutivity", "naturality"}
-                ),
-            )
-        twist = [[ZERO] * n for _ in range(n)]
-        for a in range(h):
-            twist[a][h + a] = s[a][a]
-            twist[h + a][a] = MINUS_ONE * s[a][a]
-        k_grid = block_diag_grid(symplectic_grid(m), twist)
-        label = f"diag(J_{m}, [[0, {_sig_label('I', h, p)}], [{_sig_label('-I', h, p)}, 0]])"
-        return Descriptor(
-            name, kind, STANDARD, (ad_step(label, k_grid), conj_step()),
-            params=(("p", p),),
-            notes=(NOTE_XI2_DEFAULT,) + tuple(notes),
-        )
-
-    if name == "psi1":
-        p = m if p is None else p
-        q = h if q is None else q
-        _check_range(name, p, 0, m, "p")
-        _check_range(name, q, 0, h, "q")
-        s = signature_grid(h, q)
-        twist = [[ZERO] * n for _ in range(n)]
-        for a in range(h):
-            twist[a][h + a] = s[a][a]
-            twist[h + a][a] = MINUS_ONE * s[a][a]
-        k_grid = block_diag_grid(signature_grid(m, p), twist)
-        label = (f"diag({_sig_label('I', m, p)}, [[0, {_sig_label('I', h, q)}], "
-                 f"[{_sig_label('-I', h, q)}, 0]])")
-        return Descriptor(
-            name, kind, GRADED, (conj_step(), ad_step(label, k_grid)),
-            params=(("p", p), ("q", q)),
-            notes=(NOTE_PSI1,) + tuple(notes),
-        )
-
-    if name == "psi2":
-        if m % 2:
-            raise InapplicableDescriptor("psi2 needs an even upper block size")
-        k_grid = block_diag_grid(symplectic_grid(m), identity_grid(n))
-        return Descriptor(
-            name, kind, GRADED,
-            (conj_step(), ad_step(f"diag(J_{m}, 1_{n})", k_grid)),
-            notes=tuple(notes),
-        )
-
-    raise InapplicableDescriptor(f"unknown descriptor {name!r}")
+    form = entry.strict if strict and entry.strict is not None else entry.form
+    notes = (form.note,) if form.note else ()
+    if strict and entry.strict is None:
+        notes += (f"{name}: no strict variant exists; strict flag has no effect.",)
+    return Descriptor(
+        name, kind, entry.conjugation,
+        form.steps(kind.m, kind.n, kind.n // 2, *(value for _, value in params)),
+        params=tuple(params), notes=notes, strict=form is entry.strict,
+        expected_flagged=form.flagged, lift_form=entry.lift_form,
+    )
 
 
 def corrupted_sigma1(kind: MatrixKind, p: Optional[int] = None, q: Optional[int] = None) -> Descriptor:

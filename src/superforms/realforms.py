@@ -28,7 +28,7 @@ from .algebra import (
     basis_keys, dual_scale_morphism, include_pairs, kill_pair_projection, one,
     scalar, theta, theta_bar,
 )
-from .catalog import Descriptor, InapplicableDescriptor, build, names_for
+from .catalog import Descriptor, InapplicableDescriptor, build, names_for, param_choices
 from .exprs import apply_expr
 from .liealg import (
     MatrixKind, TensorElement, basis_of, decompose_in_basis, matrix_of,
@@ -640,19 +640,6 @@ def compactness_data(desc: Descriptor) -> Dict:
     }
 
 
-def _param_combos(name: str, kind: MatrixKind):
-    from .catalog import PARAM_ARITY
-    arity = PARAM_ARITY.get(name, 0)
-    if arity == 0:
-        return [(None, None)]
-    h = kind.n // 2
-    if arity == 1:
-        top = kind.m if name == "xi1" else h
-        return [(p, None) for p in range(top + 1)]
-    q_top = kind.n if kind.family == "sl" else h
-    return [(p, q) for p in range(kind.m + 1) for q in range(q_top + 1)]
-
-
 def compact_scan(kind: MatrixKind) -> Dict:
     """Sweep every descriptor and parameter choice; report Gram data per row.
 
@@ -673,7 +660,7 @@ def compact_scan(kind: MatrixKind) -> Dict:
                 "minors": [], "compact": None,
             })
             continue
-        for p, q in _param_combos(name, kind):
+        for p, q in param_choices(name, kind):
             desc = build(name, kind, p, q)
             data = compactness_data(desc)
             row = {

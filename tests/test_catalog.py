@@ -4,8 +4,8 @@ import pytest
 
 from superforms.algebra import GRADED, STANDARD
 from superforms.catalog import (
-    InapplicableDescriptor, OSP_NAMES, SL_NAMES, applicable_names, build,
-    corrupted_sigma1, descriptor_summary, names_for,
+    InapplicableDescriptor, OSP_NAMES, PARAM_ARITY, SL_NAMES, applicable_names, build,
+    corrupted_sigma1, descriptor_summary, names_for, param_choices,
 )
 from superforms.liealg import MatrixKind, OSP, SL
 
@@ -44,6 +44,23 @@ def test_parameter_defaults_and_ranges():
         build("xi2", MatrixKind(OSP, 2, 2), p=2)     # p ranges over half the odd block
     desc = build("xi2", MatrixKind(OSP, 2, 2))
     assert desc.param_dict() == {"p": 1}
+
+
+def test_param_choices_are_exactly_the_accepted_parameters():
+    def accepts(name, kind, p, q):
+        try:
+            build(name, kind, p, q)
+            return True
+        except InapplicableDescriptor:
+            return False
+
+    for kind in (MatrixKind(SL, 2, 1), MatrixKind(SL, 2, 2), MatrixKind(OSP, 1, 2), MatrixKind(OSP, 2, 4)):
+        for name in applicable_names(kind):
+            arity = PARAM_ARITY.get(name, 0)
+            ps = range(-1, 6) if arity >= 1 else (None,)
+            qs = range(-1, 6) if arity == 2 else (None,)
+            accepted = [(p, q) for p in ps for q in qs if accepts(name, kind, p, q)]
+            assert param_choices(name, kind) == accepted, (kind, name)
 
 
 def test_side_conditions():
