@@ -15,7 +15,7 @@ right end of the tuple to the left.  Steps:
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
 from . import linalg
 from .matrices import (
@@ -23,7 +23,7 @@ from .matrices import (
     supertranspose,
 )
 from .algebra import scalar
-from .scalars import GaussianRational
+from .scalars import GaussianRational, format_scalar
 
 Step = Tuple
 
@@ -56,48 +56,45 @@ def ginv_step() -> Step:
     return ("ginv",)
 
 
+class StepRule(NamedTuple):
+    """How one step tag acts on a matrix and how it is displayed."""
+
+    apply: Callable[[SuperMatrix, Step], SuperMatrix]
+    display: Callable[[Step], str]
+    group_only: bool = False
+
+
+STEP_RULES: Dict[str, StepRule] = {
+    "conj": StepRule(lambda x, step: x.conjugate_entries(), lambda step: "ConjugateEntries"),
+    "negst": StepRule(lambda x, step: -supertranspose(x), lambda step: "NegateSupertranspose"),
+    "pi": StepRule(lambda x, step: parity_swap(x), lambda step: "ParitySwap"),
+    "neg": StepRule(lambda x, step: -x, lambda step: "Negate"),
+    "delta": StepRule(lambda x, step: scale_offdiagonal(x, scalar(x.sig, step[1])),
+                      lambda step: f"ScaleOffDiagonal({format_scalar(step[1])})"),
+    "ad": StepRule(lambda x, step: const_mul(step[2], mul_const(x, step[3])),
+                   lambda step: f"Ad({step[1]})"),
+    "ginv": StepRule(lambda x, step: inverse(x), lambda step: "GroupInverse", group_only=True),
+}
+
+
+def step_rule(step: Step) -> StepRule:
+    rule = STEP_RULES.get(step[0])
+    if rule is None:
+        raise ValueError(f"unknown step {step[0]!r}")
+    return rule
+
+
 def apply_expr(steps: Sequence[Step], x: SuperMatrix, allow_inverse: bool = False) -> SuperMatrix:
     for step in reversed(steps):
-        tag = step[0]
-        if tag == "conj":
-            x = x.conjugate_entries()
-        elif tag == "negst":
-            x = -supertranspose(x)
-        elif tag == "pi":
-            x = parity_swap(x)
-        elif tag == "neg":
-            x = -x
-        elif tag == "delta":
-            x = scale_offdiagonal(x, scalar(x.sig, step[1]))
-        elif tag == "ad":
-            x = const_mul(step[2], mul_const(x, step[3]))
-        elif tag == "ginv":
-            if not allow_inverse:
-                raise ValueError("matrix inverse is a group-level step")
-            x = inverse(x)
-        else:
-            raise ValueError(f"unknown step {tag!r}")
+        rule = step_rule(step)
+        if rule.group_only and not allow_inverse:
+            raise ValueError("matrix inverse is a group-level step")
+        x = rule.apply(x, step)
     return x
 
 
 def step_display(step: Step) -> str:
-    tag = step[0]
-    if tag == "conj":
-        return "ConjugateEntries"
-    if tag == "negst":
-        return "NegateSupertranspose"
-    if tag == "pi":
-        return "ParitySwap"
-    if tag == "neg":
-        return "Negate"
-    if tag == "delta":
-        from .scalars import format_scalar
-        return f"ScaleOffDiagonal({format_scalar(step[1])})"
-    if tag == "ad":
-        return f"Ad({step[1]})"
-    if tag == "ginv":
-        return "GroupInverse"
-    return repr(step)
+    return step_rule(step).display(step)
 
 
 def expr_display(steps: Sequence[Step]) -> list:

@@ -136,3 +136,18 @@ def test_summary_is_json_friendly():
     summary = descriptor_summary(desc, group=True)
     text = json.dumps(summary)
     assert "Omega2" in text and "inverse-neg" in text
+
+
+def test_step_table_rejects_unknown_tags_and_algebra_level_inverse():
+    from superforms.algebra import AlgebraSignature
+    from superforms.exprs import apply_expr, expr_display, ginv_step
+    from superforms.matrices import identity_matrix
+
+    x = identity_matrix(1, 1, AlgebraSignature(1, 0, 0, STANDARD))
+    with pytest.raises(ValueError, match="unknown step"):
+        apply_expr([("bogus",)], x)
+    with pytest.raises(ValueError, match="unknown step"):
+        expr_display([("bogus",)])
+    with pytest.raises(ValueError, match="group-level"):
+        apply_expr([ginv_step()], x)
+    assert apply_expr([ginv_step()], x, allow_inverse=True) == x
