@@ -390,6 +390,18 @@ def fixed_vectors(count: int, image: Callable[[int, GaussianRational], Dict[int,
     points are the nullspace of ``M - I``; it is taken block by block
     (:func:`linalg.block_nullspace`), which gives the basis and order of the
     dense nullspace.  Each vector is returned as complex coordinates ``{p: z}``.
+
+    The basis is canonical: it depends only on the fixed space, not on the
+    map.  In a subspace ``U``, the last nonzero indices of the vectors of
+    ``U`` form a set ``F`` of ``dim U`` indices, and for each ``f`` in ``F``
+    exactly one vector of ``U`` is 1 at ``f``, 0 at the rest of ``F`` and 0
+    after ``f`` (the difference of two such vectors would have its last
+    nonzero index outside ``F``).  The nullspace's vector of free column
+    ``f`` is that vector: its free columns are ``F``, and it is 1 at ``f``, 0
+    at the other free columns and, the reduced form having no entry left of
+    a pivot, 0 after ``f``.  Going to complex coordinates is one-to-one.  So
+    two fixed spaces on the same coordinates are equal exactly when their
+    lists of vectors are equal.
     """
     columns = []
     for p in range(count):
@@ -680,22 +692,12 @@ def compact_scan(kind: MatrixKind) -> Dict:
     distinct_actions = len({
         data["_phi"].images for _, data in graded_compact
     })
-    # group graded compact rows by the real span of their even fixed part
-    span_classes: List[List] = []
-    for desc, data in graded_compact:
-        basis = basis_of(kind)
-        even_indices = [v.index for v in basis if v.parity == EVEN]
-        pos = {i: idx for idx, i in enumerate(even_indices)}
-        vecs = [
-            real_coordinates({pos[j]: z for j, z in u.items()}, len(even_indices))
-            for u in data["_even_fixed"]
-        ]
-        for cls in span_classes:
-            if linalg.spans_equal(cls[0], vecs):
-                cls.append(vecs)
-                break
-        else:
-            span_classes.append([vecs])
+    # distinct real spans of the even fixed parts; each is a canonical basis
+    # on the same coordinates (see fixed_vectors), so equal spans are equal lists
+    even_spans: List[List[Dict[int, GaussianRational]]] = []
+    for _, data in graded_compact:
+        if data["_even_fixed"] not in even_spans:
+            even_spans.append(data["_even_fixed"])
 
     if kind.family == "sl" and kind.m == kind.n:
         notes.append(
@@ -714,7 +716,7 @@ def compact_scan(kind: MatrixKind) -> Dict:
             "compact": [r["display"] for r in rows if r.get("compact")],
             "compact_graded": [d.display() for d, _ in graded_compact],
             "distinct_compact_graded_actions": distinct_actions,
-            "distinct_compact_graded_even_spans": len(span_classes),
+            "distinct_compact_graded_even_spans": len(even_spans),
         },
         "notes": notes,
     }

@@ -68,8 +68,11 @@ def test_block_kernel_matches_dense_nullspace(desc):
 ], ids=lambda d: d.display(group=True))
 def test_block_kernel_matches_dense_on_fixed_span_maps(desc):
     layout, group_side, algebra_side = fixed_span_maps(desc, one_pair(desc))
-    for side in (group_side, algebra_side):
-        assert as_real(layout, layout.fixed_vectors(side)) == dense_layout_fixed_vectors(layout, side)
+    spans = [layout.fixed_vectors(side) for side in (group_side, algebra_side)]
+    for side, vectors in zip((group_side, algebra_side), spans):
+        assert as_real(layout, vectors) == dense_layout_fixed_vectors(layout, side)
+    # lie_fixed_span_check compares the canonical bases as lists
+    assert (spans[0] == spans[1]) == linalg.spans_equal(*(as_real(layout, v) for v in spans))
 
 
 def test_real_fixed_elements_and_vectors_match_dense():
@@ -100,6 +103,51 @@ def test_block_nullspace_matches_dense_on_mixed_blocks():
     expected = linalg.nullspace(dense)
     got = linalg.block_nullspace(columns)
     assert [[v.get(c, ZERO) for c in range(5)] for v in got] == expected
+
+
+SPARSE_POOL = [ZERO] * 5 + [ONE, GaussianRational(-1), GaussianRational(2), GaussianRational(0, 1)]
+
+
+def sparse_grid(rng, size):
+    grid = [[rng.choice(SPARSE_POOL) for _ in range(size)] for _ in range(size)]
+    for i in rng.sample(range(size), rng.randrange(size)):      # rank drops, null spaces grow
+        grid[i] = [ZERO] * size
+    return grid
+
+
+def invertible_grid(rng, size):
+    """L U with L unit lower and U upper triangular with a nonzero diagonal."""
+    lower = [[ONE if i == j else (rng.choice(SPARSE_POOL) if j < i else ZERO)
+              for j in range(size)] for i in range(size)]
+    upper = [[rng.choice(SPARSE_POOL[5:]) if i == j else (rng.choice(SPARSE_POOL) if j > i else ZERO)
+              for j in range(size)] for i in range(size)]
+    return linalg.mat_mul(lower, upper)
+
+
+def null_basis(grid):
+    size = len(grid)
+    return linalg.block_nullspace(
+        [{r: grid[r][c] for r in range(size) if not grid[r][c].is_zero()} for c in range(size)])
+
+
+@given(st.integers(1, 6), st.integers(0, 10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_canonical_null_bases_are_equal_exactly_when_spans_are(size, seed):
+    # A and G A have one null space, so their bases must be equal lists; for
+    # an unrelated B (fresh, or A with one row replaced) list equality must
+    # agree with the rank test
+    rng = random.Random(seed)
+    a = sparse_grid(rng, size)
+    basis = null_basis(a)
+    assert null_basis(linalg.mat_mul(invertible_grid(rng, size), a)) == basis
+    if rng.random() < 0.5:
+        b = sparse_grid(rng, size)
+    else:
+        b = [row[:] for row in a]
+        b[rng.randrange(size)] = [rng.choice(SPARSE_POOL) for _ in range(size)]
+    other = null_basis(b)
+    dense = [[[v.get(c, ZERO) for c in range(size)] for v in vs] for vs in (basis, other)]
+    assert (basis == other) == linalg.spans_equal(*dense)
 
 
 KINDS = [
