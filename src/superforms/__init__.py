@@ -63,9 +63,9 @@ from .groups import (
     group_membership_defect, lie_fixed_span_check, sample_group,
     verify_group_structure,
 )
-from .report import CheckOutcome, build_report, render, to_json, to_text
+from .report import TOOL_VERSION, CheckOutcome, build_report, render, to_json, to_text
 
-__version__ = "0.1.0"
+__version__ = TOOL_VERSION
 
 __all__ = [
     "GaussianRational", "HALF", "I", "MINUS_I", "MINUS_ONE", "ONE", "ZERO", "integer",

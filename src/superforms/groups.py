@@ -35,8 +35,8 @@ from .matrices import (
     inverse as matrix_inverse, is_invertible, mul_const, osp_form_grid,
     supertranspose,
 )
-from .realforms import CoordLayout, _Tally, matrix_literal
-from .report import CheckOutcome
+from .realforms import CoordLayout, matrix_literal
+from .report import CheckOutcome, Tally
 from .sampling import (
     random_even, random_invertible_even, random_odd, random_point, require_samples,
     rng_for,
@@ -235,7 +235,7 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
     lift = desc.lift_steps()
     rng = rng_for(seed, "group-verify", desc.display(group=True),
                   f"P{sig.odd_pairs}", f"S{sig.odd_selfreal}", f"E{sig.even_nilpotents}")
-    tallies = {name: _Tally(name, name in desc.expected_flagged) for name in GROUP_CHECK_NAMES}
+    tallies = {name: Tally(name, name in desc.expected_flagged) for name in GROUP_CHECK_NAMES}
 
     ext, include, _, _ = adjoin_dual(sig)
     eps_index = sig.even_nilpotents
@@ -309,7 +309,7 @@ def group_commutator_identity(kind: MatrixKind, sig: AlgebraSignature, samples: 
     e_idx, h_idx = sig.even_nilpotents, sig.even_nilpotents + 1
     rng = rng_for(seed, "commutator", kind.display(),
                   f"P{sig.odd_pairs}", f"E{sig.even_nilpotents}")
-    tally = _Tally("group-commutator", False)
+    tally = Tally("group-commutator", False)
     ident = identity_matrix(kind.m, kind.n, ext2)
     e_gen, h_gen = epsilon(ext2, e_idx), epsilon(ext2, h_idx)
     lift = lambda m: m.map_entries(lambda c: include2.apply(include1.apply(c)), ext2)

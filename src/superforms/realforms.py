@@ -36,7 +36,7 @@ from .liealg import (
 )
 from .literals import format_matrix, format_number
 from .matrices import SuperMatrix, const_matrix, tensor_term
-from .report import CheckOutcome, FAIL, FLAGGED, PASS
+from .report import CheckOutcome, Tally
 from .sampling import (
     random_even, random_point, random_self_conjugate_even, require_samples, rng_for,
 )
@@ -58,32 +58,6 @@ def matrix_literal(x: SuperMatrix) -> str:
 # ---------------------------------------------------------------------------
 # sampled identity checks
 # ---------------------------------------------------------------------------
-
-class _Tally:
-    def __init__(self, name: str, flagged: bool):
-        self.name = name
-        self.flagged_expected = flagged
-        self.samples = 0
-        self.failures = 0
-        self.witness: Optional[Dict[str, str]] = None
-
-    def record(self, ok: bool, witness: Callable[[], Dict[str, str]]):
-        self.samples += 1
-        if not ok:
-            self.failures += 1
-            if self.witness is None:
-                self.witness = witness()
-
-    def outcome(self) -> CheckOutcome:
-        if self.failures == 0:
-            status, note = PASS, None
-        elif self.flagged_expected:
-            status = FLAGGED
-            note = f"{self.failures} failure(s), expected for this variant"
-        else:
-            status, note = FAIL, f"{self.failures} failure(s)"
-        return CheckOutcome(self.name, status, self.samples, self.witness, note)
-
 
 def _diagonal_part(x: SuperMatrix) -> SuperMatrix:
     zero = SuperNumber.zero(x.sig)
@@ -134,7 +108,7 @@ def verify_structure(desc: Descriptor, sig: AlgebraSignature, samples: int = 100
     kind = desc.kind
     rng = rng_for(seed, "verify", desc.display(), f"P{sig.odd_pairs}",
                   f"S{sig.odd_selfreal}", f"E{sig.even_nilpotents}")
-    tallies = {name: _Tally(name, name in desc.expected_flagged) for name in CHECK_NAMES}
+    tallies = {name: Tally(name, name in desc.expected_flagged) for name in CHECK_NAMES}
 
     evaluate = lambda x: apply_expr(desc.steps, x)
 
@@ -349,7 +323,7 @@ def rebuild_matches(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignat
     (``samples`` at least 1)."""
     require_samples(samples)
     rng = rng_for(seed, "rebuild", desc.display(), f"P{sig.odd_pairs}")
-    tally = _Tally("extraction-rebuild", False)
+    tally = Tally("extraction-rebuild", False)
     for _ in range(samples):
         x = random_point(desc.kind, sig, rng)
         lhs = apply_expr(desc.steps, x)

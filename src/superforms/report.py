@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .algebra import AlgebraSignature
 
@@ -36,6 +36,35 @@ class CheckOutcome:
             "witness": self.witness,
             "note": self.note,
         }
+
+
+class Tally:
+    """Counts the samples and failures of one sampled check, keeping the
+    witness of its first failure, and turns them into a CheckOutcome."""
+
+    def __init__(self, name: str, flagged: bool):
+        self.name = name
+        self.flagged_expected = flagged
+        self.samples = 0
+        self.failures = 0
+        self.witness: Optional[Dict[str, str]] = None
+
+    def record(self, ok: bool, witness: Callable[[], Dict[str, str]]):
+        self.samples += 1
+        if not ok:
+            self.failures += 1
+            if self.witness is None:
+                self.witness = witness()
+
+    def outcome(self) -> CheckOutcome:
+        if self.failures == 0:
+            status, note = PASS, None
+        elif self.flagged_expected:
+            status = FLAGGED
+            note = f"{self.failures} failure(s), expected for this variant"
+        else:
+            status, note = FAIL, f"{self.failures} failure(s)"
+        return CheckOutcome(self.name, status, self.samples, self.witness, note)
 
 
 def verdict_of(checks: List[CheckOutcome]) -> str:

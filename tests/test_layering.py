@@ -1,0 +1,61 @@
+"""Layering rules of the package source, checked on its syntax trees.
+
+Modules use only each other's public names, and the runtime imports
+nothing outside the standard library.
+"""
+
+import ast
+import sys
+import tomllib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "superforms").glob("*.py"))
+
+
+def imports():
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield path.name, node
+
+
+def test_sources_found():
+    assert len(SOURCES) > 10
+
+
+def test_no_private_names_from_sibling_modules():
+    offenders = [
+        f"{name}:{node.lineno} imports {alias.name} from {'.' * node.level}{node.module or ''}"
+        for name, node in imports()
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "superforms")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert offenders == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    offenders = []
+    for name, node in imports():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        offenders += [f"{name}:{node.lineno} imports {module}" for module in modules
+                      if module.split(".")[0] not in sys.stdlib_module_names]
+    assert offenders == []
+
+
+def test_single_version_source():
+    import superforms
+    from superforms.report import TOOL_VERSION
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in project["project"]
+    assert project["project"]["dynamic"] == ["version"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "superforms.report.TOOL_VERSION"}
+    assert superforms.__version__ == TOOL_VERSION
