@@ -136,94 +136,62 @@ def _ad_diag(*blocks: Block) -> Step:
                    block_diag_grid(*(grid for _, grid in blocks)))
 
 
-class Variant(NamedTuple):
-    """One form of a structure: ``steps(m, n, h, *params)`` builds its
-    expression; ``note`` is carried by every descriptor of this form, and
-    ``flagged`` names the checks it is expected to fail."""
-
-    steps: Callable[..., Tuple[Step, ...]]
-    note: Optional[str] = None
-    flagged: FrozenSet[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class Entry:
+class Entry(NamedTuple):
     """One catalog row.
 
-    ``params`` pairs each parameter name with the size (``m``, ``n`` or
-    ``h = n/2``) that is both its upper bound and its default; every lower
-    bound is 0.  ``condition(m, n)`` decides applicability and ``reason``
-    explains a refusal.  ``strict`` is the literal printed variant, where one
-    exists.
+    ``steps(m, n, h, *params)`` builds the expression.  ``params`` pairs each
+    parameter with the size (``m``, ``n`` or ``h = n/2``) that is its upper
+    bound and default; lower bounds are 0.  ``applies(m, n)`` decides
+    applicability and ``reason`` explains a refusal.  ``flagged`` names the
+    checks the structure is expected to fail.
     """
 
     family: str
     conjugation: str
-    form: Variant
+    steps: Callable[..., Tuple[Step, ...]]
     params: Tuple[Tuple[str, str], ...] = ()
-    condition: Callable[[int, int], bool] = lambda m, n: True
+    applies: Callable[[int, int], bool] = lambda m, n: True
     reason: str = ""
+    note: Optional[str] = None
     lift_form: str = "direct"
-    strict: Optional[Variant] = None
+    flagged: FrozenSet[str] = frozenset()
 
 
 CATALOG: Dict[str, Entry] = {
-    "sigma1": Entry(
-        SL, STANDARD,
-        Variant(lambda m, n, h, p, q: (negst_step(), _ad_diag(_signed(m, p), _signed(n, q)),
-                                       conj_step(), delta_step(I)), NOTE_SIGMA1),
-        params=(("p", "m"), ("q", "n")), lift_form="inverse-neg",
-    ),
-    "sigma2": Entry(
-        SL, STANDARD, Variant(lambda m, n, h: (_ad_diag(_symplectic(m), _symplectic(n)), conj_step())),
-        condition=lambda m, n: m % 2 == 0 and n % 2 == 0,
-        reason="sigma2 needs both block sizes even",
-    ),
-    "sigma3": Entry(
-        SL, STANDARD, Variant(lambda m, n, h: (pi_step(), conj_step())),
-        condition=lambda m, n: m == n, reason="sigma3 needs equal block sizes",
-    ),
-    "sigma4": Entry(
-        SL, STANDARD, Variant(lambda m, n, h: (negst_step(), pi_step(), conj_step())),
-        condition=lambda m, n: m == n and m % 2 == 0,
-        reason="sigma4 needs equal even block sizes", lift_form="inverse-neg",
-    ),
-    "omega1": Entry(
-        SL, GRADED, Variant(lambda m, n, h: (conj_step(), _ad_diag(_signed(m, m), _symplectic(n)))),
-        condition=lambda m, n: n % 2 == 0, reason="omega1 needs an even lower block size",
-    ),
-    "omega2": Entry(
-        SL, GRADED,
-        Variant(lambda m, n, h, p, q: (negst_step(), conj_step(),
-                                       _ad_diag(_signed(m, p), _signed(n, q)))),
-        params=(("p", "m"), ("q", "n")), lift_form="inverse-neg",
-    ),
-    "omega3": Entry(
-        SL, GRADED, Variant(lambda m, n, h: (conj_step(), pi_step(), delta_step(I))),
-        condition=lambda m, n: m == n, reason="omega3 needs equal block sizes",
-    ),
-    "xi1": Entry(
-        OSP, STANDARD, Variant(lambda m, n, h, p: (_ad_diag(_signed(m, p), _signed(n, n)), conj_step())),
-        params=(("p", "m"),),
-    ),
-    "xi2": Entry(
-        OSP, STANDARD,
-        Variant(lambda m, n, h, p: (_ad_diag(_symplectic(m), _twist(h, p)), conj_step()),
-                NOTE_XI2_DEFAULT),
-        params=(("p", "h"),),
-        condition=lambda m, n: m % 2 == 0, reason="xi2 needs an even upper block size",
-        strict=Variant(lambda m, n, h, p: (_ad_diag(_symplectic(m), _signed(h, p), _signed(h, p)),),
-                       NOTE_XI2_STRICT, frozenset({"antilinearity", "involutivity", "naturality"})),
-    ),
-    "psi1": Entry(
-        OSP, GRADED,
-        Variant(lambda m, n, h, p, q: (conj_step(), _ad_diag(_signed(m, p), _twist(h, q))), NOTE_PSI1),
-        params=(("p", "m"), ("q", "h")),
-    ),
-    "psi2": Entry(
-        OSP, GRADED, Variant(lambda m, n, h: (conj_step(), _ad_diag(_symplectic(m), _signed(n, n)))),
-        condition=lambda m, n: m % 2 == 0, reason="psi2 needs an even upper block size",
-    ),
+    "sigma1": Entry(SL, STANDARD, lambda m, n, h, p, q: (
+        negst_step(), _ad_diag(_signed(m, p), _signed(n, q)), conj_step(), delta_step(I)),
+        params=(("p", "m"), ("q", "n")), note=NOTE_SIGMA1, lift_form="inverse-neg"),
+    "sigma2": Entry(SL, STANDARD, lambda m, n, h: (_ad_diag(_symplectic(m), _symplectic(n)), conj_step()),
+                    applies=lambda m, n: m % 2 == 0 and n % 2 == 0,
+                    reason="sigma2 needs both block sizes even"),
+    "sigma3": Entry(SL, STANDARD, lambda m, n, h: (pi_step(), conj_step()),
+                    applies=lambda m, n: m == n, reason="sigma3 needs equal block sizes"),
+    "sigma4": Entry(SL, STANDARD, lambda m, n, h: (negst_step(), pi_step(), conj_step()),
+                    applies=lambda m, n: m == n and m % 2 == 0,
+                    reason="sigma4 needs equal even block sizes", lift_form="inverse-neg"),
+    "omega1": Entry(SL, GRADED, lambda m, n, h: (conj_step(), _ad_diag(_signed(m, m), _symplectic(n))),
+                    applies=lambda m, n: n % 2 == 0, reason="omega1 needs an even lower block size"),
+    "omega2": Entry(SL, GRADED, lambda m, n, h, p, q: (
+        negst_step(), conj_step(), _ad_diag(_signed(m, p), _signed(n, q))),
+        params=(("p", "m"), ("q", "n")), lift_form="inverse-neg"),
+    "omega3": Entry(SL, GRADED, lambda m, n, h: (conj_step(), pi_step(), delta_step(I)),
+                    applies=lambda m, n: m == n, reason="omega3 needs equal block sizes"),
+    "xi1": Entry(OSP, STANDARD, lambda m, n, h, p: (_ad_diag(_signed(m, p), _signed(n, n)), conj_step()),
+                 params=(("p", "m"),)),
+    "xi2": Entry(OSP, STANDARD, lambda m, n, h, p: (_ad_diag(_symplectic(m), _twist(h, p)), conj_step()),
+                 params=(("p", "h"),), applies=lambda m, n: m % 2 == 0,
+                 reason="xi2 needs an even upper block size", note=NOTE_XI2_DEFAULT),
+    "psi1": Entry(OSP, GRADED, lambda m, n, h, p, q: (conj_step(), _ad_diag(_signed(m, p), _twist(h, q))),
+                  params=(("p", "m"), ("q", "h")), note=NOTE_PSI1),
+    "psi2": Entry(OSP, GRADED, lambda m, n, h: (conj_step(), _ad_diag(_symplectic(m), _signed(n, n))),
+                  applies=lambda m, n: m % 2 == 0, reason="psi2 needs an even upper block size"),
+}
+
+STRICT_VARIANTS: Dict[str, Entry] = {
+    # the literally printed xi2: complex-linear, no conjugation
+    "xi2": CATALOG["xi2"]._replace(
+        steps=lambda m, n, h, p: (_ad_diag(_symplectic(m), _signed(h, p), _signed(h, p)),),
+        note=NOTE_XI2_STRICT, flagged=frozenset({"antilinearity", "involutivity", "naturality"})),
 }
 
 SL_NAMES = tuple(name for name, entry in CATALOG.items() if entry.family == SL)
@@ -275,7 +243,7 @@ def build(name: str, kind: MatrixKind, p: Optional[int] = None, q: Optional[int]
     arity = len(entry.params)
     if any(value is not None for value in (p, q)[arity:]):
         raise InapplicableDescriptor(f"{name} takes " + ("no parameters", "a single parameter p")[arity])
-    if not entry.condition(kind.m, kind.n):
+    if not entry.applies(kind.m, kind.n):
         raise InapplicableDescriptor(entry.reason)
     params = []
     for (what, size), value in zip(entry.params, (p, q)):
@@ -285,15 +253,16 @@ def build(name: str, kind: MatrixKind, p: Optional[int] = None, q: Optional[int]
             raise InapplicableDescriptor(f"{name}: parameter {what}={value} out of range [0, {high}]")
         params.append((what, value))
 
-    form = entry.strict if strict and entry.strict is not None else entry.form
+    variant = STRICT_VARIANTS.get(name) if strict else None
+    form = variant or entry
     notes = (form.note,) if form.note else ()
-    if strict and entry.strict is None:
+    if strict and variant is None:
         notes += (f"{name}: no strict variant exists; strict flag has no effect.",)
     return Descriptor(
-        name, kind, entry.conjugation,
+        name, kind, form.conjugation,
         form.steps(kind.m, kind.n, kind.n // 2, *(value for _, value in params)),
-        params=tuple(params), notes=notes, strict=form is entry.strict,
-        expected_flagged=form.flagged, lift_form=entry.lift_form,
+        params=tuple(params), notes=notes, strict=variant is not None,
+        expected_flagged=form.flagged, lift_form=form.lift_form,
     )
 
 

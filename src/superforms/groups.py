@@ -48,13 +48,6 @@ class SamplingFailed(RuntimeError):
     pass
 
 
-GROUP_FAMILY = {SL: "SL", OSP: "OSp", GL: "GL"}
-
-
-def group_display(kind: MatrixKind) -> str:
-    return f"{GROUP_FAMILY[kind.family]}({kind.m}|{kind.n})"
-
-
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------

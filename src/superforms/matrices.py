@@ -201,14 +201,6 @@ def parity_swap(x: SuperMatrix) -> SuperMatrix:
     return SuperMatrix(x.m, x.n, x.sig, rows, check=False)
 
 
-def negate_offdiagonal(x: SuperMatrix) -> SuperMatrix:
-    m = x.m
-    return SuperMatrix(x.m, x.n, x.sig, [
-        [e if (i < m) == (j < m) else -e for j, e in enumerate(row)]
-        for i, row in enumerate(x.rows)
-    ], check=False)
-
-
 def scale_offdiagonal(x: SuperMatrix, lam: SuperNumber) -> SuperMatrix:
     """B -> lam*B, C -> lam^-1*C.  Equals conjugation by diag(1_m, lam^-1 1_n)."""
     lam_inv = lam.inverse()
@@ -386,10 +378,6 @@ def block_diag_grid(*blocks: Sequence[Sequence[GaussianRational]]) -> List[List[
     return grid
 
 
-def identity_grid(n: int) -> List[List[GaussianRational]]:
-    return linalg.identity(n)
-
-
 def osp_form_grid(m: int, n: int) -> List[List[GaussianRational]]:
     """diag(1_m, J_n): the bilinear form preserved by the orthosymplectic family."""
-    return block_diag_grid(identity_grid(m), symplectic_grid(n))
+    return block_diag_grid(linalg.identity(m), symplectic_grid(n))

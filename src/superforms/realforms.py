@@ -47,10 +47,6 @@ class ExtractionMismatch(ValueError):
     """The functorial map is not of the expected pointwise-conjugation shape."""
 
 
-def apply_structure(desc: Descriptor, x: SuperMatrix) -> SuperMatrix:
-    return apply_expr(desc.steps, x)
-
-
 def matrix_literal(x: SuperMatrix) -> str:
     return format_matrix(x.m, x.n, [list(r) for r in x.rows])
 
@@ -66,24 +62,6 @@ def _diagonal_part(x: SuperMatrix) -> SuperMatrix:
         [e if (i < m) == (j < m) else zero for j, e in enumerate(row)]
         for i, row in enumerate(x.rows)
     ], check=False)
-
-
-def _diag_supported(x: SuperMatrix) -> bool:
-    m = x.m
-    return all(
-        e.is_zero()
-        for i, row in enumerate(x.rows) for j, e in enumerate(row)
-        if (i < m) != (j < m)
-    )
-
-
-def _offdiag_supported(x: SuperMatrix) -> bool:
-    m = x.m
-    return all(
-        e.is_zero()
-        for i, row in enumerate(x.rows) for j, e in enumerate(row)
-        if (i < m) == (j < m)
-    )
 
 
 CHECK_NAMES = ("closure", "antilinearity", "involutivity", "bracket-morphism",
@@ -163,7 +141,7 @@ def verify_structure(desc: Descriptor, sig: AlgebraSignature, samples: int = 100
 
         d = evaluate(_diagonal_part(x))
         tallies["evenness"].record(
-            _diag_supported(d) and _offdiag_supported(fx - d),
+            _diagonal_part(d) == d and _diagonal_part(fx - d).is_zero(),
             lambda: {
                 "input": matrix_literal(x),
                 "image-of-diagonal-part": matrix_literal(d),
@@ -249,7 +227,6 @@ def extract_vector_conjugation(desc: Descriptor) -> VectorConjugation:
     kind = desc.kind
     trivial = AlgebraSignature(0, 0, 0, desc.conjugation)
     pair_sig = AlgebraSignature(1, 0, 0, desc.conjugation)
-    t_key = 1       # monomial key of t1
     tbar_key = 2    # monomial key of t1~
 
     images = []
@@ -257,31 +234,16 @@ def extract_vector_conjugation(desc: Descriptor) -> VectorConjugation:
     for v in basis_of(kind):
         if v.parity == EVEN:
             point = const_matrix(kind.m, kind.n, trivial, v.grid_rows(), check=False)
-            image = apply_expr(desc.steps, point)
-            grid = []
-            for row in image.rows:
-                out_row = []
-                for e in row:
-                    if any(key != 0 for key, _ in e.items()):
-                        raise ExtractionMismatch(
-                            f"{desc.display()}: image of even vector {v.index} is not constant"
-                        )
-                    out_row.append(e.body())
-                grid.append(out_row)
+            key, parity, shape = 0, "even", "constant"
         else:
             point = tensor_term(theta(pair_sig, 0), v.grid_rows(), kind.m, kind.n)
-            image = apply_expr(desc.steps, point)
-            grid = []
-            for row in image.rows:
-                out_row = []
-                for e in row:
-                    if any(key != tbar_key for key, _ in e.items()):
-                        raise ExtractionMismatch(
-                            f"{desc.display()}: image of odd vector {v.index} is not of "
-                            "conjugated-coefficient form"
-                        )
-                    out_row.append(e.coefficient(tbar_key))
-                grid.append(out_row)
+            key, parity, shape = tbar_key, "odd", "of conjugated-coefficient form"
+        image = apply_expr(desc.steps, point)
+        if any(k != key for row in image.rows for e in row for k, _ in e.items()):
+            raise ExtractionMismatch(
+                f"{desc.display()}: image of {parity} vector {v.index} is not {shape}"
+            )
+        grid = [[e.coefficient(key) for e in row] for row in image.rows]
         decomposition = decompose_in_basis(kind, grid, v.parity)
         if decomposition is None:
             raise ExtractionMismatch(

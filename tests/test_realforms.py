@@ -8,7 +8,7 @@ from superforms.algebra import AlgebraSignature, GRADED, STANDARD
 from superforms.catalog import build, corrupted_sigma1
 from superforms.liealg import MatrixKind, OSP, SL
 from superforms.realforms import (
-    compact_scan, compactness_data, extract_vector_conjugation,
+    ExtractionMismatch, compact_scan, compactness_data, extract_vector_conjugation,
     fixed_point_data, rebuild_matches, representability_check, verify_structure,
 )
 from superforms.scalars import I, MINUS_I, MINUS_ONE, ONE, ZERO
@@ -64,6 +64,24 @@ def test_sampled_checks_refuse_no_samples(samples):
         verify_structure(desc, SIG1S, samples=samples)
     with pytest.raises(ValueError):
         rebuild_matches(desc, extract_vector_conjugation(desc), SIG1S, samples=samples)
+
+
+def test_evenness_check_catches_a_block_mixing_map():
+    from superforms.catalog import Descriptor
+    from superforms.exprs import ad_step, conj_step
+
+    swap = [[ONE, ZERO, ZERO], [ZERO, ZERO, ONE], [ZERO, ONE, ZERO]]     # trades an even and an odd index
+    desc = Descriptor("mixing", MatrixKind(SL, 2, 1), STANDARD, (ad_step("swap", swap), conj_step()))
+    statuses = {c.name: c.status for c in verify_structure(desc, SIG1S, samples=3)}
+    assert statuses["evenness"] == "fail"
+    assert statuses["antilinearity"] == "pass"
+
+
+def test_extraction_rejects_a_complex_linear_map():
+    # the printed xi2 keeps t1 where a pointwise conjugation must give t1~
+    strict = build("xi2", MatrixKind(OSP, 2, 2), strict=True)
+    with pytest.raises(ExtractionMismatch, match="odd vector 4 is not of conjugated-coefficient form"):
+        extract_vector_conjugation(strict)
 
 
 def test_strict_xi2_flagged_not_failed():
