@@ -20,7 +20,7 @@ This module houses the substance of the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from . import linalg
 from .algebra import (
@@ -333,9 +333,11 @@ def fixed_vectors(count: int, image: Callable[[int, GaussianRational], Dict[int,
     exactly one vector of ``U`` is 1 at ``f``, 0 at the rest of ``F`` and 0
     after ``f`` (the difference of two such vectors would have its last
     nonzero index outside ``F``).  The nullspace's vector of free column
-    ``f`` is that vector: its free columns are ``F``, and it is 1 at ``f``, 0
-    at the other free columns and, the reduced form having no entry left of
-    a pivot, 0 after ``f``.  Going to complex coordinates is one-to-one.  So
+    ``f`` is that vector: a column is free when it is a combination of the
+    columns before it, that is when some null vector ends there, so the free
+    columns are ``F``; and the vector is 1 at ``f``, 0 at the other free
+    columns and, the reduced form having no entry left of a pivot, 0 after
+    ``f``.  Going to complex coordinates is one-to-one.  So
     two fixed spaces on the same coordinates are equal exactly when their
     lists of vectors are equal.
     """
