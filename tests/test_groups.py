@@ -107,6 +107,25 @@ def test_fixed_span_agreement_all_descriptors():
                 assert res["algebra_fixed_dimension"] == res["expected_dimension"]
 
 
+def test_fixed_span_check_tells_apart_spans_of_equal_dimension(monkeypatch):
+    # -sigma is an antilinear involution too; its fixed points are i times
+    # those of sigma, a different span of the same dimension
+    from superforms import groups
+    from superforms.liealg import TensorElement
+
+    desc = build("sigma1", MatrixKind(SL, 2, 1))
+    layout, _, algebra_side = groups.fixed_span_maps(desc, SIG1S)
+
+    def negated(t):
+        image = algebra_side(t)
+        return TensorElement(image.kind, image.sig, {i: -c for i, c in image.coeffs.items()}, check=False)
+
+    monkeypatch.setattr(groups, "fixed_span_maps", lambda d, s: (layout, negated, algebra_side))
+    res = lie_fixed_span_check(desc, SIG1S)
+    assert res["group_fixed_dimension"] == res["algebra_fixed_dimension"] == res["expected_dimension"]
+    assert res["spans_agree"] is False
+
+
 def test_size_one_sl_samples_are_the_identity():
     for kind in (MatrixKind(SL, 1, 0), MatrixKind(SL, 0, 1)):
         g = sample_sl(kind, SIG1S, rng_for(23, "slsample", kind.display()))
