@@ -24,7 +24,8 @@ odd masks and are cached globally, since they do not depend on the signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from math import gcd
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -105,34 +106,35 @@ def key_parity(key: int) -> int:
     return (key & 0xFF).bit_count() & 1
 
 
-_MUL_CACHE: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
+_KEY_BITS = 12  # a monomial key fits in 8 odd + 4 even bits
+
+_MUL_CACHE: Dict[int, int] = {}
+"""Sign of each nonzero monomial product, keyed by ``k1 << _KEY_BITS | k2``."""
 
 
 def mono_mul(k1: int, k2: int) -> Optional[Tuple[int, int]]:
     """Product of two monomial keys: ``None`` if zero, else ``(key, sign)``.
 
-    The sign is the parity of merging the two ascending odd-generator lists,
-    i.e. the number of pairs (i in k1, j in k2) with i > j.
+    The product vanishes exactly when the keys share a generator; otherwise
+    its key is ``k1 | k2`` and its sign is the parity of merging the two
+    ascending odd-generator lists, i.e. the number of pairs (i in k1, j in k2)
+    with i > j.
     """
-    cached = _MUL_CACHE.get((k1, k2))
-    if cached is not None or (k1, k2) in _MUL_CACHE:
-        return cached
-    o1, o2 = k1 & 0xFF, k2 & 0xFF
-    e1, e2 = k1 >> _ODD_BITS, k2 >> _ODD_BITS
-    if (o1 & o2) or (e1 & e2):
-        result = None
-    else:
+    if k1 & k2:
+        return None
+    pair = k1 << _KEY_BITS | k2
+    sign = _MUL_CACHE.get(pair)
+    if sign is None:
+        o1 = k1 & 0xFF
         inversions = 0
-        rest = o2
+        rest = k2 & 0xFF
         while rest:
             low = rest & -rest
             # bits of o1 strictly above this bit of o2
             inversions += (o1 & ~(low | (low - 1))).bit_count()
             rest ^= low
-        sign = -1 if (inversions & 1) else 1
-        result = (make_key(o1 | o2, e1 | e2), sign)
-    _MUL_CACHE[(k1, k2)] = result
-    return result
+        sign = _MUL_CACHE[pair] = -1 if (inversions & 1) else 1
+    return k1 | k2, sign
 
 
 def _sort_sign(ids: list) -> int:
@@ -193,11 +195,12 @@ class SuperNumber:
     ``epsilon``, ...) or :meth:`from_terms`.
     """
 
-    __slots__ = ("sig", "_terms")
+    __slots__ = ("sig", "_terms", "_form")
 
     def __init__(self, sig: AlgebraSignature, terms: Dict[int, GaussianRational]):
         self.sig = sig
         self._terms = terms
+        self._form = None       # numerator form, filled in by the product kernel
 
     # -- construction --------------------------------------------------------
 
@@ -258,11 +261,12 @@ class SuperNumber:
     # -- arithmetic ------------------------------------------------------------
 
     def _check_sig(self, other: "SuperNumber"):
-        if self.sig != other.sig:
+        if self.sig is not other.sig and self.sig != other.sig:
             raise ValueError("mixing elements of different coefficient algebras")
 
     def __add__(self, other: "SuperNumber") -> "SuperNumber":
-        self._check_sig(other)
+        if self.sig is not other.sig:
+            self._check_sig(other)
         out = dict(self._terms)
         for k, c in other._terms.items():
             cur = out.get(k)
@@ -274,7 +278,8 @@ class SuperNumber:
         return SuperNumber(self.sig, out)
 
     def __sub__(self, other: "SuperNumber") -> "SuperNumber":
-        self._check_sig(other)
+        if self.sig is not other.sig:
+            self._check_sig(other)
         out = dict(self._terms)
         for k, c in other._terms.items():
             cur = out.get(k)
@@ -289,33 +294,19 @@ class SuperNumber:
         return SuperNumber(self.sig, {k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, SuperNumber):
-            self._check_sig(other)
-            out: Dict[int, GaussianRational] = {}
-            for k1, c1 in self._terms.items():
-                for k2, c2 in other._terms.items():
-                    merged = mono_mul(k1, k2)
-                    if merged is None:
-                        continue
-                    key, sign = merged
-                    c = c1 * c2
-                    if sign < 0:
-                        c = -c
-                    cur = out.get(key)
-                    s = c if cur is None else cur + c
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-            return SuperNumber(self.sig, out)
-        if isinstance(other, GaussianRational):
-            return self.scaled(other)
+        if isinstance(other, (SuperNumber, GaussianRational)):
+            return sum_of_products(self.sig, ((self, other),))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, GaussianRational):
-            return self.scaled(other)
+            return sum_of_products(self.sig, ((other, self),))
         return NotImplemented
+
+    def sum_of_products(self, pairs) -> "SuperNumber":
+        """``sum a_k b_k`` over ``pairs`` in this element's algebra (see the
+        module function); any element, its zero say, stands for the ring."""
+        return sum_of_products(self.sig, pairs)
 
     def scaled(self, c: GaussianRational) -> "SuperNumber":
         if c.is_zero():
@@ -323,19 +314,15 @@ class SuperNumber:
         return SuperNumber(self.sig, {k: v * c for k, v in self._terms.items()})
 
     def conjugate(self) -> "SuperNumber":
+        # conjugation permutes the generators, so distinct monomials have
+        # distinct images and no two terms meet
         out: Dict[int, GaussianRational] = {}
         for k, c in self._terms.items():
-            omask, sign = _conj_key(self.sig, odd_mask_of(k))
-            key = make_key(omask, even_mask_of(k))
-            cc = c.conjugate()
-            if sign < 0:
-                cc = -cc
-            cur = out.get(key)
-            s = cc if cur is None else cur + cc
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            omask, sign = _conj_key(self.sig, k & 0xFF)
+            out[omask | (k & ~0xFF)] = (
+                GaussianRational(c.re, -c.im, c.den, True) if sign > 0
+                else GaussianRational(-c.re, c.im, c.den, True)
+            )
         return SuperNumber(self.sig, out)
 
     def inverse(self) -> "SuperNumber":
@@ -345,11 +332,11 @@ class SuperNumber:
             raise NotInvertible("element has zero body")
         binv = b.inverse()
         # self = b (1 + n) with n nilpotent; inverse = b^-1 sum (-n)^k
-        n = self.soul().scaled(binv)
+        minus_n = self.soul().scaled(-binv)
         acc = scalar(self.sig, ONE)
-        power = scalar(self.sig, ONE)
+        power = acc
         while True:
-            power = -(power * n)
+            power = power * minus_n
             if power.is_zero():
                 break
             acc = acc + power
@@ -368,6 +355,132 @@ class SuperNumber:
     def __repr__(self) -> str:
         from .literals import format_number
         return f"<{format_number(self)}>"
+
+
+# ---------------------------------------------------------------------------
+# the fused multiply-accumulate kernel
+# ---------------------------------------------------------------------------
+
+_ZERO_FORM = (1, ())
+_UNIT_FORM = (1, ((0, 1, 0),))
+_MINUS_UNIT_FORM = (1, ((0, -1, 0),))
+
+
+def _numerators(x, sig: AlgebraSignature) -> Tuple[int, tuple]:
+    """``x`` as ``(den, ((key, re, im), ...))``: Gaussian-integer numerators
+    over the least common denominator of its coefficients, zeros left out.
+    A ``GaussianRational`` is a constant term at key 0.  An element is
+    immutable, so its form is computed once and kept on it.  Zero, one and
+    minus one always get the forms ``_ZERO_FORM``, ``_UNIT_FORM`` and
+    ``_MINUS_UNIT_FORM``."""
+    if type(x) is GaussianRational:
+        if x.im or x.den != 1:
+            return x.den, ((0, x.re, x.im),)
+        if x.re == 1 or x.re == -1:
+            return _UNIT_FORM if x.re == 1 else _MINUS_UNIT_FORM
+        return (1, ((0, x.re, 0),)) if x.re else _ZERO_FORM
+    if x.sig is not sig and x.sig != sig:
+        raise ValueError("mixing elements of different coefficient algebras")
+    form = x._form
+    if form is not None:
+        return form
+    terms = x._terms
+    if len(terms) == 1:
+        (key, c), = terms.items()
+        form = (c.den, ((key, c.re, c.im),))
+        if form == _UNIT_FORM:
+            form = _UNIT_FORM
+        elif form == _MINUS_UNIT_FORM:
+            form = _MINUS_UNIT_FORM
+    elif terms:
+        den = 1
+        for c in terms.values():
+            if den % c.den:
+                den = den // gcd(den, c.den) * c.den
+        form = (den, tuple([(k, c.re * (den // c.den), c.im * (den // c.den)) for k, c in terms.items()]))
+    else:
+        form = _ZERO_FORM
+    x._form = form
+    return form
+
+
+def _monomial_products(ta: tuple, tb: tuple, den: int) -> Dict[int, GaussianRational]:
+    """The terms of one product whose factor ``ta`` or ``tb`` is a single
+    monomial: its output keys are distinct, so nothing needs summing."""
+    signs = _MUL_CACHE
+    normalized = den == 1
+    terms = {}
+    for k1, r1, i1 in ta:
+        high = k1 << _KEY_BITS
+        for k2, r2, i2 in tb:
+            if k1 & k2:
+                continue
+            if (signs.get(high | k2) or mono_mul(k1, k2)[1]) > 0:
+                terms[k1 | k2] = GaussianRational(r1 * r2 - i1 * i2, r1 * i2 + i1 * r2, den, normalized)
+            else:
+                terms[k1 | k2] = GaussianRational(i1 * i2 - r1 * r2, -r1 * i2 - i1 * r2, den, normalized)
+    return terms
+
+
+def sum_of_products(sig: AlgebraSignature, pairs: Sequence[tuple]) -> SuperNumber:
+    """``sum a_k b_k`` over ``pairs`` of elements of ``sig``'s algebra, exactly.
+
+    Each factor may also be a ``GaussianRational`` (a constant).  Every
+    factor is read as Gaussian-integer numerators over its own common
+    denominator; the products are scaled to one common denominator and summed
+    as plain ints per output monomial, and one normalised coefficient is
+    built per nonzero output monomial at the end.  Two monomials multiply to
+    zero when they share a generator; otherwise the product's key is their
+    union and its sign comes from ``_MUL_CACHE``, filled by :func:`mono_mul`.
+    A single product by 1 or -1 is the other factor or its negative.
+    """
+    forms = []
+    den = 1
+    for a, b in pairs:
+        fa, fb = _numerators(a, sig), _numerators(b, sig)
+        if fa is _ZERO_FORM or fb is _ZERO_FORM:
+            continue
+        d = fa[0] * fb[0]
+        if den % d:
+            den = den // gcd(den, d) * d
+        forms.append((d, fa[1], fb[1]))
+    if len(forms) <= 1:
+        if not forms:
+            return SuperNumber(sig, {})
+        if len(pairs) == 1:
+            for unit, other in ((fa, b), (fb, a)):
+                if (unit is _UNIT_FORM or unit is _MINUS_UNIT_FORM) and type(other) is SuperNumber:
+                    return other if unit is _UNIT_FORM else -other
+        _, ta, tb = forms[0]
+        if len(ta) == 1 or len(tb) == 1:
+            return SuperNumber(sig, _monomial_products(ta, tb, den))
+    signs = _MUL_CACHE
+    acc: Dict[int, list] = {}
+    for d, ta, tb in forms:
+        if d != den:
+            ta = [(k, re * (den // d), im * (den // d)) for k, re, im in ta]
+        for k1, r1, i1 in ta:
+            high = k1 << _KEY_BITS
+            for k2, r2, i2 in tb:
+                if k1 & k2:
+                    continue
+                key = k1 | k2
+                cell = acc.get(key)
+                if (signs.get(high | k2) or mono_mul(k1, k2)[1]) > 0:
+                    if cell is None:
+                        acc[key] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
+                    else:
+                        cell[0] += r1 * r2 - i1 * i2
+                        cell[1] += r1 * i2 + i1 * r2
+                elif cell is None:
+                    acc[key] = [i1 * i2 - r1 * r2, -r1 * i2 - i1 * r2]
+                else:
+                    cell[0] -= r1 * r2 - i1 * i2
+                    cell[1] -= r1 * i2 + i1 * r2
+    normalized = den == 1       # then no gcd can reduce a coefficient
+    return SuperNumber(sig, {
+        key: GaussianRational(re, im, den, normalized) for key, (re, im) in acc.items() if re or im
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +536,15 @@ def basis_keys(sig: AlgebraSignature, parity: Optional[int] = None) -> list:
     """All monomial keys of the algebra, optionally restricted to one parity.
 
     Keys are listed in increasing numeric order, which makes every
-    coordinate-based computation in the package deterministic.
+    coordinate-based computation in the package deterministic: the odd mask
+    sits below the even one, so the even mask varies slowest.
     """
-    keys = []
-    for emask in range(1 << sig.even_nilpotents):
-        for omask in range(1 << sig.odd_total):
-            key = make_key(omask, emask)
-            if parity is None or key_parity(key) == parity:
-                keys.append(key)
-    keys.sort()
-    return keys
+    return [
+        make_key(omask, emask)
+        for emask in range(1 << sig.even_nilpotents)
+        for omask in range(1 << sig.odd_total)
+        if parity is None or (omask.bit_count() & 1) == parity
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +623,9 @@ class AlgebraMorphism:
         return img
 
     def apply(self, x: SuperNumber) -> SuperNumber:
-        if x.sig != self.src:
+        if x.sig is not self.src and x.sig != self.src:
             raise ValueError("element does not belong to the morphism's source algebra")
-        acc = SuperNumber.zero(self.tgt)
-        for key, c in x.items():
-            acc = acc + self._image_of_key(key).scaled(c)
-        return acc
+        return sum_of_products(self.tgt, [(self._image_of_key(key), c) for key, c in x.items()])
 
 
 def identity_morphism(sig: AlgebraSignature) -> AlgebraMorphism:

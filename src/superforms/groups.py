@@ -104,15 +104,26 @@ def _unit_entry_matrix(m: int, n: int, sig: AlgebraSignature, i: int, j: int,
     return SuperMatrix(m, n, sig, rows, check=False)
 
 
+SL_DRAWS_PER_FACTOR = 64
+
+
 def sample_sl(kind: MatrixKind, sig: AlgebraSignature, rng, factors: int = 4) -> SuperMatrix:
     """Product of elementary and balanced diagonal factors — Berezinian one
-    holds exactly by construction."""
+    holds exactly by construction.
+
+    A draw that yields no factor is retried; after ``SL_DRAWS_PER_FACTOR *
+    factors`` draws the sampler gives up with :class:`SamplingFailed`."""
     m, n, size = kind.m, kind.n, kind.size
     acc = identity_matrix(m, n, sig)
     if size == 1:
         return acc          # SL(1|0) and SL(0|1) are trivial: Ber = u^{+-1} = 1
-    made = 0
+    made = draws = 0
     while made < factors:
+        if draws == SL_DRAWS_PER_FACTOR * factors:
+            raise SamplingFailed(
+                f"no {kind.display()} factor after {draws} draws ({made} of {factors} made)"
+            )
+        draws += 1
         if rng.random() < 0.65 and size > 1:
             i = rng.randrange(size)
             j = rng.randrange(size)

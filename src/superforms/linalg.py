@@ -2,7 +2,10 @@
 
 Everything works on plain ``list[list[GaussianRational]]`` grids and returns
 exact results.  :func:`mat_mul` is the package's one grid product: it takes
-the ring's zero as an argument, and the supermatrix products are calls to it.
+the ring's zero as an argument and hands each output cell's nonzero factor
+pairs to that ring's fused sum of products (``sum_of_products`` on
+``GaussianRational`` and on ``algebra.SuperNumber``), so no partial product
+is built as an element of its own.  The supermatrix products are calls to it.
 There is no pivoting heuristic beyond "first nonzero", which keeps every
 computation deterministic.  Classic Gauss-Jordan costs cubic time
 in the width, so wide systems should not reach it whole: the fixed-point maps
@@ -39,25 +42,28 @@ def identity(n: int) -> Grid:
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero=ZERO) -> list:
     """The grid product ``a b`` over any ring: the one product kernel.
 
-    Entries need ``is_zero``, ``+`` and the product ``a[i][k] * b[k][j]``;
-    ``zero`` is the ring's zero, so the same loop multiplies grids of
-    Gaussian rationals, of algebra elements, and algebra elements by
-    constants on the right.  Zero entries of either factor are skipped.
+    ``zero`` is the ring's zero and supplies its sum of products,
+    ``zero.sum_of_products(pairs)``; each output cell hands it the pairs
+    ``(a[i][k], b[k][j])`` with both factors nonzero, and a cell with none
+    is ``zero``.  So the same loop multiplies grids of Gaussian rationals,
+    of algebra elements, and algebra elements by constants on either side.
     """
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[zero] * cols for _ in range(rows)]
-    for i in range(rows):
-        arow = a[i]
-        orow = out[i]
-        for k in range(inner):
-            aik = arow[k]
-            if aik.is_zero():
+    cols = len(b[0])
+    fused = zero.sum_of_products
+    b_rows = [[(j, e) for j, e in enumerate(brow) if not e.is_zero()] for brow in b]
+    out = []
+    for arow in a:
+        cells = [None] * cols
+        for aik, brow in zip(arow, b_rows):
+            if not brow or aik.is_zero():
                 continue
-            brow = b[k]
-            for j in range(cols):
-                bkj = brow[j]
-                if not bkj.is_zero():
-                    orow[j] = orow[j] + aik * bkj
+            for j, bkj in brow:
+                cell = cells[j]
+                if cell is None:
+                    cells[j] = [(aik, bkj)]
+                else:
+                    cell.append((aik, bkj))
+        out.append([zero if cell is None else fused(cell) for cell in cells])
     return out
 
 

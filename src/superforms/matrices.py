@@ -229,14 +229,8 @@ def supertrace(x: SuperMatrix) -> SuperNumber:
 
 
 def const_mul(grid: Sequence[Sequence[GaussianRational]], x: SuperMatrix) -> SuperMatrix:
-    """Product (constant grid) * (SuperMatrix), without lifting the grid.
-
-    Constants commute with every algebra element, so ``K x = (x^t K^t)^t``
-    with plain transposes; that keeps the algebra element on the left of
-    each entry product, where it knows how to scale by a constant.
-    """
-    product = linalg.mat_mul(list(zip(*x.rows)), list(zip(*grid)), SuperNumber.zero(x.sig))
-    return SuperMatrix(x.m, x.n, x.sig, list(zip(*product)), check=False)
+    """Product (constant grid) * (SuperMatrix), without lifting the grid."""
+    return SuperMatrix(x.m, x.n, x.sig, linalg.mat_mul(grid, x.rows, SuperNumber.zero(x.sig)), check=False)
 
 
 def mul_const(x: SuperMatrix, grid: Sequence[Sequence[GaussianRational]]) -> SuperMatrix:
@@ -268,12 +262,11 @@ def _series_inverse(rows: List[List[SuperNumber]], sig: AlgebraSignature) -> Lis
     zero = SuperNumber.zero(sig)
 
     soul = [[rows[i][j].soul() for j in range(size)] for i in range(size)]
-    t = linalg.mat_mul(body_inv, soul, zero)       # nilpotent
+    minus_t = [[-e for e in row] for row in linalg.mat_mul(body_inv, soul, zero)]   # nilpotent
     acc = [[one(sig) if i == j else zero for j in range(size)] for i in range(size)]
     power = acc
     while True:
-        power = linalg.mat_mul(power, t, zero)
-        power = [[-e for e in row] for row in power]
+        power = linalg.mat_mul(power, minus_t, zero)
         if all(e.is_zero() for row in power for e in row):
             break
         acc = [[a + p for a, p in zip(ra, rp)] for ra, rp in zip(acc, power)]

@@ -6,9 +6,11 @@ Every coefficient in this package is a ``GaussianRational``: the complex number
 floats anywhere, and equality is exact structural equality of the normalized
 triple.
 
-The class is deliberately small and allocation-light (``__slots__``, no
-``__dict__``), because the Grassmann-algebra layer above it multiplies huge
-numbers of these in inner loops.
+The class is small (``__slots__``, no ``__dict__``).  Arithmetic with any
+other type returns ``NotImplemented``, so that type gets its turn: ``c * x``
+for an algebra element ``x`` reaches ``x.__rmul__``.
+:meth:`GaussianRational.sum_of_products` sums many products as integer
+numerators and normalises once.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ class GaussianRational:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
         if self.den == other.den:
             return GaussianRational(self.re + other.re, self.im + other.im, self.den)
         return GaussianRational(
@@ -69,6 +73,8 @@ class GaussianRational:
         )
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
         if self.den == other.den:
             return GaussianRational(self.re - other.re, self.im - other.im, self.den)
         return GaussianRational(
@@ -81,10 +87,14 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im, self.den, _normalized=True)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         return GaussianRational(a * c - b * d, a * d + b * c, self.den * other.den)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
         c, d = other.re, other.im
         norm = c * c + d * d
         if norm == 0:
@@ -96,6 +106,26 @@ class GaussianRational:
             (b * c - a * d) * other.den,
             self.den * norm,
         )
+
+    @staticmethod
+    def sum_of_products(pairs) -> "GaussianRational":
+        """``sum a_k b_k`` over ``pairs`` of Gaussian rationals, summed as
+        integer numerators over a running common denominator and normalised
+        once; it serves ``linalg.mat_mul`` as this ring's fused product."""
+        re = im = 0
+        den = 1
+        for a, b in pairs:
+            ar, ai, br, bi = a.re, a.im, b.re, b.im
+            d = a.den * b.den
+            if d != den:
+                common = den // gcd(den, d) * d
+                re, im = re * (common // den), im * (common // den)
+                scale = common // d
+                ar, ai = ar * scale, ai * scale
+                den = common
+            re += ar * br - ai * bi
+            im += ar * bi + ai * br
+        return GaussianRational(re, im, den)
 
     def inverse(self) -> "GaussianRational":
         return ONE / self

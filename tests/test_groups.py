@@ -6,7 +6,7 @@ import pytest
 from superforms.algebra import AlgebraSignature, GRADED, STANDARD, adjoin_dual, epsilon, one
 from superforms.catalog import applicable_names, build
 from superforms.groups import (
-    SamplingFailed, eps_split, group_contains, group_membership_defect,
+    SL_DRAWS_PER_FACTOR, SamplingFailed, eps_split, group_contains, group_membership_defect,
     group_commutator_identity, kernel_point, lie_fixed_span_check, sample_group,
     sample_invertible, sample_osp, sample_sl, verify_group_structure,
 )
@@ -64,6 +64,27 @@ def test_group_membership_rejections():
 def test_sampling_failed_is_reported():
     with pytest.raises(SamplingFailed):
         sample_osp(MatrixKind(OSP, 2, 2), SIG1S, rng_for(1, "fail"), max_tries=0)
+
+
+class DiagonalDraws:
+    """A stub rng whose elementary factors always land on the diagonal."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return 0.0
+
+    def randrange(self, stop):
+        return 0
+
+
+def test_sl_sampling_gives_up_after_bounded_draws():
+    rng = DiagonalDraws()
+    with pytest.raises(SamplingFailed):
+        sample_sl(MatrixKind(SL, 2, 1), SIG1S, rng, factors=3)
+    assert rng.draws == SL_DRAWS_PER_FACTOR * 3
 
 
 def test_kernel_points_and_eps_split():
