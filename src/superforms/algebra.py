@@ -19,6 +19,15 @@ Internally a monomial is a single int key: the low 8 bits are the odd-generator
 mask (ids ``2k``/``2k+1`` for the k-th pair, then self-real ids), the bits above
 are the even-nilpotent mask.  Reordering signs come from inversion counts of the
 odd masks and are cached globally, since they do not depend on the signature.
+
+Every product goes through one fused, exact multiply-accumulate kernel,
+:func:`sum_of_products`: ``sum a_k b_k`` over pairs of elements (a
+``GaussianRational`` factor is a constant term).  Each factor is read once as
+Gaussian-integer numerators over its common denominator, kept on the element;
+the products are summed as plain ints per output monomial, and one normalised
+coefficient is built per nonzero output monomial at the end.
+``SuperNumber.__mul__`` is the kernel on one pair, and ``linalg.mat_mul``
+hands it the nonzero factor pairs of each cell of a grid product.
 """
 
 from __future__ import annotations
@@ -106,7 +115,7 @@ def key_parity(key: int) -> int:
     return (key & 0xFF).bit_count() & 1
 
 
-_KEY_BITS = 12  # a monomial key fits in 8 odd + 4 even bits
+_KEY_BITS = _ODD_BITS + MAX_EVEN_NILPOTENT     # bits of a monomial key
 
 _MUL_CACHE: Dict[int, int] = {}
 """Sign of each nonzero monomial product, keyed by ``k1 << _KEY_BITS | k2``."""
@@ -261,7 +270,7 @@ class SuperNumber:
     # -- arithmetic ------------------------------------------------------------
 
     def _check_sig(self, other: "SuperNumber"):
-        if self.sig is not other.sig and self.sig != other.sig:
+        if self.sig != other.sig:
             raise ValueError("mixing elements of different coefficient algebras")
 
     def __add__(self, other: "SuperNumber") -> "SuperNumber":
@@ -295,12 +304,12 @@ class SuperNumber:
 
     def __mul__(self, other):
         if isinstance(other, (SuperNumber, GaussianRational)):
-            return sum_of_products(self.sig, ((self, other),))
+            return _product(self.sig, self, other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, GaussianRational):
-            return sum_of_products(self.sig, ((other, self),))
+            return _product(self.sig, other, self)
         return NotImplemented
 
     def sum_of_products(self, pairs) -> "SuperNumber":
@@ -309,9 +318,7 @@ class SuperNumber:
         return sum_of_products(self.sig, pairs)
 
     def scaled(self, c: GaussianRational) -> "SuperNumber":
-        if c.is_zero():
-            return SuperNumber(self.sig, {})
-        return SuperNumber(self.sig, {k: v * c for k, v in self._terms.items()})
+        return _product(self.sig, self, c)
 
     def conjugate(self) -> "SuperNumber":
         # conjugation permutes the generators, so distinct monomials have
@@ -422,43 +429,12 @@ def _monomial_products(ta: tuple, tb: tuple, den: int) -> Dict[int, GaussianRati
     return terms
 
 
-def sum_of_products(sig: AlgebraSignature, pairs: Sequence[tuple]) -> SuperNumber:
-    """``sum a_k b_k`` over ``pairs`` of elements of ``sig``'s algebra, exactly.
-
-    Each factor may also be a ``GaussianRational`` (a constant).  Every
-    factor is read as Gaussian-integer numerators over its own common
-    denominator; the products are scaled to one common denominator and summed
-    as plain ints per output monomial, and one normalised coefficient is
-    built per nonzero output monomial at the end.  Two monomials multiply to
-    zero when they share a generator; otherwise the product's key is their
-    union and its sign comes from ``_MUL_CACHE``, filled by :func:`mono_mul`.
-    A single product by 1 or -1 is the other factor or its negative.
-    """
-    forms = []
-    den = 1
-    for a, b in pairs:
-        fa, fb = _numerators(a, sig), _numerators(b, sig)
-        if fa is _ZERO_FORM or fb is _ZERO_FORM:
-            continue
-        d = fa[0] * fb[0]
-        if den % d:
-            den = den // gcd(den, d) * d
-        forms.append((d, fa[1], fb[1]))
-    if len(forms) <= 1:
-        if not forms:
-            return SuperNumber(sig, {})
-        if len(pairs) == 1:
-            for unit, other in ((fa, b), (fb, a)):
-                if (unit is _UNIT_FORM or unit is _MINUS_UNIT_FORM) and type(other) is SuperNumber:
-                    return other if unit is _UNIT_FORM else -other
-        _, ta, tb = forms[0]
-        if len(ta) == 1 or len(tb) == 1:
-            return SuperNumber(sig, _monomial_products(ta, tb, den))
+def _accumulate(sig: AlgebraSignature, products: Iterable[tuple], den: int) -> SuperNumber:
+    """The sum of the products of the numerator tuples ``(ta, tb)``, all
+    over the common denominator ``den``, summed as ints per output monomial."""
     signs = _MUL_CACHE
     acc: Dict[int, list] = {}
-    for d, ta, tb in forms:
-        if d != den:
-            ta = [(k, re * (den // d), im * (den // d)) for k, re, im in ta]
+    for ta, tb in products:
         for k1, r1, i1 in ta:
             high = k1 << _KEY_BITS
             for k2, r2, i2 in tb:
@@ -481,6 +457,50 @@ def sum_of_products(sig: AlgebraSignature, pairs: Sequence[tuple]) -> SuperNumbe
     return SuperNumber(sig, {
         key: GaussianRational(re, im, den, normalized) for key, (re, im) in acc.items() if re or im
     })
+
+
+def _product(sig: AlgebraSignature, a, b) -> SuperNumber:
+    """The kernel on one pair.  A product by 1 or -1 is the other factor or
+    its negative, and a product with a single-term factor needs no sums."""
+    fa, fb = _numerators(a, sig), _numerators(b, sig)
+    if fa is _UNIT_FORM or fa is _MINUS_UNIT_FORM:
+        if type(b) is SuperNumber:
+            return b if fa is _UNIT_FORM else -b
+    elif fb is _UNIT_FORM or fb is _MINUS_UNIT_FORM:
+        if type(a) is SuperNumber:
+            return a if fb is _UNIT_FORM else -a
+    (da, ta), (db, tb) = fa, fb
+    if len(ta) == 1 or len(tb) == 1:
+        return SuperNumber(sig, _monomial_products(ta, tb, da * db))
+    return _accumulate(sig, ((ta, tb),), da * db)
+
+
+def sum_of_products(sig: AlgebraSignature, pairs: Sequence[tuple]) -> SuperNumber:
+    """``sum a_k b_k`` over ``pairs`` of elements of ``sig``'s algebra, exactly.
+
+    Each factor may also be a ``GaussianRational`` (a constant).  Every
+    factor is read as Gaussian-integer numerators over its own common
+    denominator; the products are scaled to one common denominator and summed
+    as plain ints per output monomial, and one normalised coefficient is
+    built per nonzero output monomial at the end.  Two monomials multiply to
+    zero when they share a generator; otherwise the product's key is their
+    union and its sign comes from ``_MUL_CACHE``, filled by :func:`mono_mul`.
+    """
+    if len(pairs) == 1:
+        return _product(sig, *pairs[0])
+    forms = []
+    den = 1
+    for a, b in pairs:
+        (da, ta), (db, tb) = _numerators(a, sig), _numerators(b, sig)
+        if ta and tb:
+            d = da * db
+            if den % d:
+                den = den // gcd(den, d) * d
+            forms.append((d, ta, tb))
+    return _accumulate(sig, [
+        (ta if d == den else [(k, re * (den // d), im * (den // d)) for k, re, im in ta], tb)
+        for d, ta, tb in forms
+    ], den)
 
 
 # ---------------------------------------------------------------------------

@@ -49,15 +49,20 @@ def reference_mul(x: SuperNumber, y: SuperNumber) -> SuperNumber:
     return SuperNumber(x.sig, out)
 
 
+def reference_scaled(x: SuperNumber, c: GaussianRational) -> SuperNumber:
+    """``c x``: one ``GaussianRational`` product per term."""
+    return SuperNumber.from_terms(x.sig, {k: v * c for k, v in x.items()})
+
+
 def reference_product(a, b):
     """One product of two ring entries: algebra elements or constants."""
     a_const, b_const = isinstance(a, GaussianRational), isinstance(b, GaussianRational)
     if a_const and b_const:
         return a * b
     if a_const:
-        return b.scaled(a)
+        return reference_scaled(b, a)
     if b_const:
-        return a.scaled(b)
+        return reference_scaled(a, b)
     return reference_mul(a, b)
 
 

@@ -7,7 +7,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from product_reference import reference_mat_mul, reference_mul, reference_product, sort_sign
+from product_reference import (
+    reference_mat_mul, reference_mul, reference_product, reference_scaled, sort_sign,
+)
 from superforms import linalg
 from superforms.algebra import (
     GRADED, STANDARD, AlgebraSignature, SuperNumber, basis_keys, mono_mul, odd_mask_of, one,
@@ -71,8 +73,9 @@ def test_product_matches_reference(data):
 def test_constant_factors_scale(data):
     sig = data.draw(signatures())
     x, c, d = data.draw(elements(sig)), data.draw(coefficients), data.draw(coefficients)
-    assert x * c == x.scaled(c) == c * x
-    assert sum_of_products(sig, [(c, x)]) == x.scaled(c) == sum_of_products(sig, [(x, c)])
+    expected = reference_scaled(x, c)
+    assert x * c == x.scaled(c) == c * x == expected
+    assert sum_of_products(sig, [(c, x)]) == expected == sum_of_products(sig, [(x, c)])
     assert sum_of_products(sig, [(c, d)]) == scalar(sig, c * d)
     assert no_zero_terms(x * c)
 

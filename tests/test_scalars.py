@@ -120,3 +120,18 @@ def test_format():
 def test_hash_consistent_with_eq(a):
     b = GaussianRational(a.re * 3, a.im * 3, a.den * 3)
     assert a == b and hash(a) == hash(b)
+
+
+@given(st.lists(st.tuples(scalars, scalars), max_size=6))
+def test_sum_of_products_matches_fraction_oracle(pairs):
+    total = GaussianRational.sum_of_products(pairs)
+    re = sum((as_fractions(a)[0] * as_fractions(b)[0] - as_fractions(a)[1] * as_fractions(b)[1]
+              for a, b in pairs), Fraction(0))
+    im = sum((as_fractions(a)[0] * as_fractions(b)[1] + as_fractions(a)[1] * as_fractions(b)[0]
+              for a, b in pairs), Fraction(0))
+    assert total == from_fractions(re, im)
+
+
+def test_other_operand_types_are_not_implemented():
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        assert getattr(ONE, op)("1") is NotImplemented
