@@ -67,13 +67,15 @@ def test_sampling_failed_is_reported():
 
 
 class DiagonalDraws:
-    """A stub rng whose elementary factors always land on the diagonal."""
+    """A stub rng whose elementary factors always land on the diagonal; it
+    fails the test instead of hanging when the sampler never gives up."""
 
     def __init__(self):
         self.draws = 0
 
     def random(self):
         self.draws += 1
+        assert self.draws < 100_000, "sample_sl draws without bound"
         return 0.0
 
     def randrange(self, stop):
