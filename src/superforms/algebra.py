@@ -26,8 +26,9 @@ Every product goes through one fused, exact multiply-accumulate kernel,
 Gaussian-integer numerators over its common denominator, kept on the element;
 the products are summed as plain ints per output monomial, and one normalised
 coefficient is built per nonzero output monomial at the end.
-``SuperNumber.__mul__`` is the kernel on one pair, and ``linalg.mat_mul``
-hands it the nonzero factor pairs of each cell of a grid product.
+``SuperNumber.__mul__`` is the kernel on one pair (a product by a constant is
+a per-term scaling), and ``linalg.mat_mul`` hands it the nonzero factor pairs
+of each cell of a grid product.
 """
 
 from __future__ import annotations
@@ -318,7 +319,13 @@ class SuperNumber:
         return sum_of_products(self.sig, pairs)
 
     def scaled(self, c: GaussianRational) -> "SuperNumber":
-        return _product(self.sig, self, c)
+        """``c x`` for a constant ``c``: one coefficient product per term, and
+        none at all for 0, 1 and -1."""
+        if c.im or c.den != 1 or not -1 <= c.re <= 1:
+            return SuperNumber(self.sig, {k: v * c for k, v in self._terms.items()})
+        if c.re == 1:
+            return self
+        return -self if c.re else SuperNumber(self.sig, {})
 
     def conjugate(self) -> "SuperNumber":
         # conjugation permutes the generators, so distinct monomials have
@@ -376,16 +383,12 @@ _MINUS_UNIT_FORM = (1, ((0, -1, 0),))
 def _numerators(x, sig: AlgebraSignature) -> Tuple[int, tuple]:
     """``x`` as ``(den, ((key, re, im), ...))``: Gaussian-integer numerators
     over the least common denominator of its coefficients, zeros left out.
-    A ``GaussianRational`` is a constant term at key 0.  An element is
-    immutable, so its form is computed once and kept on it.  Zero, one and
-    minus one always get the forms ``_ZERO_FORM``, ``_UNIT_FORM`` and
-    ``_MINUS_UNIT_FORM``."""
+    A ``GaussianRational`` is a constant term at key 0, and zero gets
+    ``_ZERO_FORM``.  An element is immutable, so its form is computed once
+    and kept on it; the elements 0, 1 and -1 get ``_ZERO_FORM``,
+    ``_UNIT_FORM`` and ``_MINUS_UNIT_FORM``."""
     if type(x) is GaussianRational:
-        if x.im or x.den != 1:
-            return x.den, ((0, x.re, x.im),)
-        if x.re == 1 or x.re == -1:
-            return _UNIT_FORM if x.re == 1 else _MINUS_UNIT_FORM
-        return (1, ((0, x.re, 0),)) if x.re else _ZERO_FORM
+        return (x.den, ((0, x.re, x.im),)) if x.re or x.im else _ZERO_FORM
     if x.sig is not sig and x.sig != sig:
         raise ValueError("mixing elements of different coefficient algebras")
     form = x._form
@@ -460,15 +463,24 @@ def _accumulate(sig: AlgebraSignature, products: Iterable[tuple], den: int) -> S
 
 
 def _product(sig: AlgebraSignature, a, b) -> SuperNumber:
-    """The kernel on one pair.  A product by 1 or -1 is the other factor or
-    its negative, and a product with a single-term factor needs no sums."""
+    """The kernel on one pair.  A product by a constant is a scaling, a
+    product by 1 or -1 is the other factor or its negative, and a product
+    with a single-term factor needs no sums."""
+    if type(a) is GaussianRational:
+        a, b = b, a                     # constants commute
+    if type(b) is GaussianRational:
+        if type(a) is GaussianRational:
+            return scalar(sig, a * b)
+        if a.sig is not sig and a.sig != sig:
+            raise ValueError("mixing elements of different coefficient algebras")
+        return a.scaled(b)
     fa, fb = _numerators(a, sig), _numerators(b, sig)
+    if fa is _ZERO_FORM or fb is _ZERO_FORM:
+        return SuperNumber(sig, {})
     if fa is _UNIT_FORM or fa is _MINUS_UNIT_FORM:
-        if type(b) is SuperNumber:
-            return b if fa is _UNIT_FORM else -b
-    elif fb is _UNIT_FORM or fb is _MINUS_UNIT_FORM:
-        if type(a) is SuperNumber:
-            return a if fb is _UNIT_FORM else -a
+        return b if fa is _UNIT_FORM else -b
+    if fb is _UNIT_FORM or fb is _MINUS_UNIT_FORM:
+        return a if fb is _UNIT_FORM else -a
     (da, ta), (db, tb) = fa, fb
     if len(ta) == 1 or len(tb) == 1:
         return SuperNumber(sig, _monomial_products(ta, tb, da * db))

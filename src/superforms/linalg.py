@@ -50,20 +50,23 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero=ZERO) -> list:
     """
     cols = len(b[0])
     fused = zero.sum_of_products
-    b_rows = [[(j, e) for j, e in enumerate(brow) if not e.is_zero()] for brow in b]
     out = []
     for arow in a:
-        cells = [None] * cols
-        for aik, brow in zip(arow, b_rows):
-            if not brow or aik.is_zero():
+        cells: Dict[int, list] = {}
+        for k, aik in enumerate(arow):
+            if aik.is_zero():
                 continue
-            for j, bkj in brow:
-                cell = cells[j]
-                if cell is None:
-                    cells[j] = [(aik, bkj)]
-                else:
-                    cell.append((aik, bkj))
-        out.append([zero if cell is None else fused(cell) for cell in cells])
+            for j, bkj in enumerate(b[k]):
+                if not bkj.is_zero():
+                    cell = cells.get(j)
+                    if cell is None:
+                        cells[j] = [(aik, bkj)]
+                    else:
+                        cell.append((aik, bkj))
+        orow = [zero] * cols
+        for j, cell in cells.items():
+            orow[j] = fused(cell)
+        out.append(orow)
     return out
 
 

@@ -61,51 +61,49 @@ class GaussianRational:
 
     # -- arithmetic ----------------------------------------------------------
 
+    # Each binary operator reads the other operand's parts first; an operand
+    # without them is another type, which gets its turn via NotImplemented.
+
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        if not isinstance(other, GaussianRational):
+        try:
+            c, d, oden = other.re, other.im, other.den
+        except AttributeError:
             return NotImplemented
-        if self.den == other.den:
-            return GaussianRational(self.re + other.re, self.im + other.im, self.den)
-        return GaussianRational(
-            self.re * other.den + other.re * self.den,
-            self.im * other.den + other.im * self.den,
-            self.den * other.den,
-        )
+        if self.den == oden:
+            return GaussianRational(self.re + c, self.im + d, oden)
+        return GaussianRational(self.re * oden + c * self.den, self.im * oden + d * self.den, self.den * oden)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        if not isinstance(other, GaussianRational):
+        try:
+            c, d, oden = other.re, other.im, other.den
+        except AttributeError:
             return NotImplemented
-        if self.den == other.den:
-            return GaussianRational(self.re - other.re, self.im - other.im, self.den)
-        return GaussianRational(
-            self.re * other.den - other.re * self.den,
-            self.im * other.den - other.im * self.den,
-            self.den * other.den,
-        )
+        if self.den == oden:
+            return GaussianRational(self.re - c, self.im - d, oden)
+        return GaussianRational(self.re * oden - c * self.den, self.im * oden - d * self.den, self.den * oden)
 
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im, self.den, _normalized=True)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        if not isinstance(other, GaussianRational):
+        try:
+            c, d, oden = other.re, other.im, other.den
+        except AttributeError:
             return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational(a * c - b * d, a * d + b * c, self.den * other.den)
+        a, b = self.re, self.im
+        return GaussianRational(a * c - b * d, a * d + b * c, self.den * oden)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        if not isinstance(other, GaussianRational):
+        try:
+            c, d, oden = other.re, other.im, other.den
+        except AttributeError:
             return NotImplemented
-        c, d = other.re, other.im
         norm = c * c + d * d
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         a, b = self.re, self.im
         # (a+bi)/(c+di) = (a+bi)(c-di)/|c+di|^2, denominators folded in.
-        return GaussianRational(
-            (a * c + b * d) * other.den,
-            (b * c - a * d) * other.den,
-            self.den * norm,
-        )
+        return GaussianRational((a * c + b * d) * oden, (b * c - a * d) * oden, self.den * norm)
 
     @staticmethod
     def sum_of_products(pairs) -> "GaussianRational":
