@@ -99,6 +99,8 @@ def test_mixing_algebras_is_refused():
         theta(a, 0) * theta(b, 0)
     with pytest.raises(ValueError):
         sum_of_products(a, [(one(a), one(a)), (one(b), ONE)])
+    with pytest.raises(ValueError):
+        sum_of_products(a, [(theta(b, 0), I)])
 
 
 def test_products_by_signed_units():
