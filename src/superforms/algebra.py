@@ -414,24 +414,6 @@ def _numerators(x, sig: AlgebraSignature) -> Tuple[int, tuple]:
     return form
 
 
-def _monomial_products(ta: tuple, tb: tuple, den: int) -> Dict[int, GaussianRational]:
-    """The terms of one product whose factor ``ta`` or ``tb`` is a single
-    monomial: its output keys are distinct, so nothing needs summing."""
-    signs = _MUL_CACHE
-    normalized = den == 1
-    terms = {}
-    for k1, r1, i1 in ta:
-        high = k1 << _KEY_BITS
-        for k2, r2, i2 in tb:
-            if k1 & k2:
-                continue
-            if (signs.get(high | k2) or mono_mul(k1, k2)[1]) > 0:
-                terms[k1 | k2] = GaussianRational(r1 * r2 - i1 * i2, r1 * i2 + i1 * r2, den, normalized)
-            else:
-                terms[k1 | k2] = GaussianRational(i1 * i2 - r1 * r2, -r1 * i2 - i1 * r2, den, normalized)
-    return terms
-
-
 def _accumulate(sig: AlgebraSignature, products: Iterable[tuple], den: int) -> SuperNumber:
     """The sum of the products of the numerator tuples ``(ta, tb)``, all
     over the common denominator ``den``, summed as ints per output monomial."""
@@ -463,9 +445,8 @@ def _accumulate(sig: AlgebraSignature, products: Iterable[tuple], den: int) -> S
 
 
 def _product(sig: AlgebraSignature, a, b) -> SuperNumber:
-    """The kernel on one pair.  A product by a constant is a scaling, a
-    product by 1 or -1 is the other factor or its negative, and a product
-    with a single-term factor needs no sums."""
+    """The kernel on one pair.  A product by a constant is a scaling, and a
+    product by 1 or -1 is the other factor or its negative."""
     if type(a) is GaussianRational:
         a, b = b, a                     # constants commute
     if type(b) is GaussianRational:
@@ -482,8 +463,6 @@ def _product(sig: AlgebraSignature, a, b) -> SuperNumber:
     if fb is _UNIT_FORM or fb is _MINUS_UNIT_FORM:
         return a if fb is _UNIT_FORM else -a
     (da, ta), (db, tb) = fa, fb
-    if len(ta) == 1 or len(tb) == 1:
-        return SuperNumber(sig, _monomial_products(ta, tb, da * db))
     return _accumulate(sig, ((ta, tb),), da * db)
 
 
