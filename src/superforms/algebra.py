@@ -19,6 +19,10 @@ Internally a monomial is a single int key: the low 8 bits are the odd-generator
 mask (ids ``2k``/``2k+1`` for the k-th pair, then self-real ids), the bits above
 are the even-nilpotent mask.  Reordering signs come from inversion counts of the
 odd masks and are cached globally, since they do not depend on the signature.
+Conjugation permutes the generators up to sign, so it maps each monomial to
+one monomial: a signature's *conjugation table*, built once on first use, is
+a list indexed by the odd mask that holds the image mask and its sign.  The
+signature also keeps its tuples of basis keys, whole and by parity.
 
 Every product goes through one fused, exact multiply-accumulate kernel,
 :func:`sum_of_products`: ``sum a_k b_k`` over pairs of elements (a
@@ -29,11 +33,20 @@ coefficient is built per nonzero output monomial at the end.
 ``SuperNumber.__mul__`` is the kernel on one pair (a product by a constant is
 a per-term scaling), and ``linalg.mat_mul`` hands it the nonzero factor pairs
 of each cell of a grid product.
+
+An :class:`AlgebraMorphism` is *monomial* when every generator image has at
+most one term, as for the pair projections and inclusions, the dual-number
+inclusion and projection, and scaling the dual generator by a constant.  It
+then sends each monomial to at most one monomial, and applying it relabels
+keys and scales coefficients, summing keys that meet and dropping zeros,
+without the kernel.  Other morphisms sum the images of their monomials with
+:func:`sum_of_products`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -94,6 +107,25 @@ class AlgebraSignature:
         return AlgebraSignature(
             self.odd_pairs, self.odd_selfreal, self.even_nilpotents + extra_even, self.conjugation
         )
+
+    @cached_property
+    def conjugation_table(self) -> list:
+        """The conjugation table: entry ``omask`` is the image ``(odd mask,
+        sign)`` of the odd monomial ``omask``; built once per signature."""
+        return [_conj_mask(self, omask) for omask in range(1 << self.odd_total)]
+
+    @cached_property
+    def _keys_by_parity(self) -> Dict[Optional[int], Tuple[int, ...]]:
+        keys = tuple(
+            make_key(omask, emask)
+            for emask in range(1 << self.even_nilpotents)
+            for omask in range(1 << self.odd_total)
+        )
+        return {
+            None: keys,
+            EVEN: tuple(k for k in keys if key_parity(k) == EVEN),
+            ODD: tuple(k for k in keys if key_parity(k) == ODD),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +189,8 @@ def _sort_sign(ids: list) -> int:
     return -1 if (inversions & 1) else 1
 
 
-_CONJ_CACHE: Dict[Tuple[int, int, str, int], Tuple[int, int]] = {}
-
-
-def _conj_key(sig: AlgebraSignature, omask: int) -> Tuple[int, int]:
-    """Image (key-mask, sign) of an odd monomial mask under conjugation."""
-    cache_key = (sig.odd_pairs, sig.odd_selfreal, sig.conjugation, omask)
-    hit = _CONJ_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
+def _conj_mask(sig: AlgebraSignature, omask: int) -> Tuple[int, int]:
+    """Image (odd mask, sign) of an odd monomial mask under conjugation."""
     pair_ids = 2 * sig.odd_pairs
     mapped = []
     sign = 1
@@ -188,9 +213,7 @@ def _conj_key(sig: AlgebraSignature, omask: int) -> Tuple[int, int]:
     out_mask = 0
     for gid in mapped:
         out_mask |= 1 << gid
-    result = (out_mask, sign)
-    _CONJ_CACHE[cache_key] = result
-    return result
+    return out_mask, sign
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +343,15 @@ class SuperNumber:
 
     def scaled(self, c: GaussianRational) -> "SuperNumber":
         """``c x`` for a constant ``c``: one coefficient product per term, and
-        none at all for 0, 1 and -1."""
-        if c.im or c.den != 1 or not -1 <= c.re <= 1:
+        none at all for 0 and the units 1, -1, i and -i."""
+        if c.den != 1 or abs(c.re) + abs(c.im) > 1:
             return SuperNumber(self.sig, {k: v * c for k, v in self._terms.items()})
+        if c.im:
+            # (re + im i) (s i) = -s im + s re i keeps the normal form
+            s = c.im
+            return SuperNumber(self.sig, {
+                k: GaussianRational(-s * v.im, s * v.re, v.den, True) for k, v in self._terms.items()
+            })
         if c.re == 1:
             return self
         return -self if c.re else SuperNumber(self.sig, {})
@@ -330,9 +359,10 @@ class SuperNumber:
     def conjugate(self) -> "SuperNumber":
         # conjugation permutes the generators, so distinct monomials have
         # distinct images and no two terms meet
+        table = self.sig.conjugation_table
         out: Dict[int, GaussianRational] = {}
         for k, c in self._terms.items():
-            omask, sign = _conj_key(self.sig, k & 0xFF)
+            omask, sign = table[k & 0xFF]
             out[omask | (k & ~0xFF)] = (
                 GaussianRational(c.re, -c.im, c.den, True) if sign > 0
                 else GaussianRational(-c.re, c.im, c.den, True)
@@ -543,24 +573,28 @@ def odd_generator(sig: AlgebraSignature, gid: int) -> SuperNumber:
     return SuperNumber(sig, {make_key(1 << gid, 0): ONE})
 
 
-def basis_keys(sig: AlgebraSignature, parity: Optional[int] = None) -> list:
+def basis_keys(sig: AlgebraSignature, parity: Optional[int] = None) -> Tuple[int, ...]:
     """All monomial keys of the algebra, optionally restricted to one parity.
 
     Keys are listed in increasing numeric order, which makes every
     coordinate-based computation in the package deterministic: the odd mask
-    sits below the even one, so the even mask varies slowest.
+    sits below the even one, so the even mask varies slowest.  The tuples
+    are built once per signature.
     """
-    return [
-        make_key(omask, emask)
-        for emask in range(1 << sig.even_nilpotents)
-        for omask in range(1 << sig.odd_total)
-        if parity is None or (omask.bit_count() & 1) == parity
-    ]
+    return sig._keys_by_parity[parity]
 
 
 # ---------------------------------------------------------------------------
 # morphisms
 # ---------------------------------------------------------------------------
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
 
 class AlgebraMorphism:
     """A Q(i)-linear algebra homomorphism determined by generator images.
@@ -569,9 +603,15 @@ class AlgebraMorphism:
     morphism intertwines the conjugations is checked on generators (it then
     propagates to the whole algebra by multiplicativity and antilinearity of
     the conjugations).
+
+    A morphism is *monomial* when every generator image has at most one
+    term; then every monomial goes to at most one monomial, and
+    :meth:`apply` relabels keys and scales coefficients instead of running
+    the product kernel.
     """
 
-    __slots__ = ("src", "tgt", "odd_images", "even_images", "respects_conjugation", "_cache")
+    __slots__ = ("src", "tgt", "odd_images", "even_images", "respects_conjugation", "monomial",
+                 "_cache")
 
     def __init__(
         self,
@@ -597,7 +637,8 @@ class AlgebraMorphism:
                 raise MorphismError("even generator image must be an even element of the target")
             if not (img * img).is_zero():
                 raise MorphismError("even generator image must square to zero")
-        self._cache: Dict[int, SuperNumber] = {}
+        self._cache: Dict[int, object] = {}    # per key: _image_of_key or _term_of_key
+        self.monomial = all(len(img) <= 1 for img in self.odd_images + self.even_images)
         self.respects_conjugation = self._conjugation_ok()
         if require_conjugation and not self.respects_conjugation:
             raise MorphismError("generator images do not intertwine the conjugations")
@@ -615,28 +656,69 @@ class AlgebraMorphism:
                 return False
         return True
 
+    def _factors(self, key: int) -> list:
+        """The generator images whose product, in this order, is the image
+        of the monomial ``key``: odd generators ascending, then even ones."""
+        return ([self.odd_images[gid] for gid in _bits(odd_mask_of(key))]
+                + [self.even_images[j] for j in _bits(even_mask_of(key))])
+
     def _image_of_key(self, key: int) -> SuperNumber:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         img = one(self.tgt)
-        omask = odd_mask_of(key)
-        while omask:
-            low = omask & -omask
-            img = img * self.odd_images[low.bit_length() - 1]
-            omask ^= low
-        emask = even_mask_of(key)
-        while emask:
-            low = emask & -emask
-            img = img * self.even_images[low.bit_length() - 1]
-            emask ^= low
+        for factor in self._factors(key):
+            img = img * factor
         self._cache[key] = img
         return img
+
+    def _term_of_key(self, key: int) -> tuple:
+        """A monomial morphism's image of the monomial ``key``: its one term
+        ``(key', coefficient)``, with a coefficient of 1 as ``ONE`` itself,
+        or ``()`` for zero.  The single terms multiply without the kernel."""
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        out_key, coef = 0, ONE
+        for factor in self._factors(key):
+            if not factor._terms:
+                term = ()
+                break
+            (k, c), = factor._terms.items()
+            merged = mono_mul(out_key, k)
+            if merged is None:
+                term = ()
+                break
+            out_key, sign = merged
+            coef = coef * c if sign > 0 else -(coef * c)
+        else:
+            term = (out_key, ONE if coef == ONE else coef)
+        self._cache[key] = term
+        return term
 
     def apply(self, x: SuperNumber) -> SuperNumber:
         if x.sig is not self.src and x.sig != self.src:
             raise ValueError("element does not belong to the morphism's source algebra")
-        return sum_of_products(self.tgt, [(self._image_of_key(key), c) for key, c in x.items()])
+        if not self.monomial:
+            return sum_of_products(self.tgt, [(self._image_of_key(key), c) for key, c in x.items()])
+        # each key goes to one term or to zero; distinct keys may meet
+        out: Dict[int, GaussianRational] = {}
+        for key, c in x._terms.items():
+            term = self._term_of_key(key)
+            if not term:
+                continue
+            k, coef = term
+            v = c if coef is ONE else c * coef
+            cur = out.get(k)
+            if cur is None:
+                out[k] = v
+            else:
+                v = cur + v
+                if v.is_zero():
+                    del out[k]
+                else:
+                    out[k] = v
+        return SuperNumber(self.tgt, out)
 
 
 def identity_morphism(sig: AlgebraSignature) -> AlgebraMorphism:

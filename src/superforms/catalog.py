@@ -32,13 +32,14 @@ antiautomorphism into a multiplicative map on group points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .algebra import GRADED, STANDARD
 from .exprs import (
-    Step, ad_step, conj_step, delta_step, expr_display, ginv_step, neg_step,
-    negst_step, pi_step,
+    CompiledExpr, Step, ad_step, compile_expr, conj_step, delta_step, expr_display,
+    ginv_step, neg_step, negst_step, pi_step,
 )
 from .liealg import OSP, SL, MatrixKind
 from .matrices import block_diag_grid, signature_grid, symplectic_grid
@@ -98,6 +99,16 @@ class Descriptor:
         if self.lift_form == "inverse-neg":
             return (ginv_step(), neg_step()) + self.steps
         return self.steps
+
+    @cached_property
+    def compiled(self) -> CompiledExpr:
+        """``steps`` compiled for the kind's shape, once per descriptor."""
+        return compile_expr(self.steps, self.kind.m, self.kind.n)
+
+    @cached_property
+    def compiled_lift(self) -> CompiledExpr:
+        """``lift_steps()`` compiled for the kind's shape, once per descriptor."""
+        return compile_expr(self.lift_steps(), self.kind.m, self.kind.n)
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,43 @@ right end of the tuple to the left.  Steps:
 * ``("delta", lam)``            — scale the B block by ``lam``, C by ``lam^-1``;
 * ``("ad", label, K, K_inv)``   — conjugation by a constant invertible grid;
 * ``("ginv",)``                 — matrix inverse (group-level expressions only).
+
+Every step but ``conj`` and ``ginv`` is a constant map on the matrix slots:
+output cell ``(i, j)`` is a fixed combination ``sum c x[r][s]`` of input
+cells with constant ``c``.  Entrywise conjugation passes through such a map
+and conjugates its constants, so a run of algebra-level steps is one
+constant map ``L`` applied after ``k`` entrywise conjugations, ``k`` the
+number of ``conj`` steps in the run.  ``k`` is kept as it is, not reduced
+mod 2, because the graded conjugation squares to the parity sign.
+
+:func:`compile_expr` finds ``L`` once per expression and shape by running
+the step rules on the ``(m+n)^2`` unit matrices, where conjugation fixes the
+unit; the image of unit ``(r, s)`` is column ``(r, s)`` of ``L``.  The steps
+touch coefficients only through constants and conjugation, so the unit
+matrices run sixteen to an evaluation, each tagged with its own even
+monomial of an algebra of four even nilpotents (conjugation fixes those);
+the tag of each output term names its unit.  A :class:`PositionalMap` holds
+``L`` as sparse cells ``((r, s, c), ...)`` and evaluates it without any grid
+product: one term is a scaling, several go through
+``algebra.sum_of_products``.  A group-only step splits the expression into
+runs and is applied by its own rule between them, so an ``inverse-neg``
+lift is ``inverse(-f(x))``.  :func:`apply_expr` evaluates a compiled
+expression, or compiles a step tuple on the spot.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple, Union
 
 from . import linalg
 from .matrices import (
     SuperMatrix, const_mul, inverse, mul_const, parity_swap, scale_offdiagonal,
     supertranspose,
 )
-from .algebra import scalar
-from .scalars import GaussianRational, format_scalar
+from .algebra import (
+    MAX_EVEN_NILPOTENT, AlgebraSignature, SuperNumber, basis_keys, scalar, sum_of_products,
+)
+from .scalars import ONE, GaussianRational, format_scalar
 
 Step = Tuple
 
@@ -62,10 +86,14 @@ class StepRule(NamedTuple):
     apply: Callable[[SuperMatrix, Step], SuperMatrix]
     display: Callable[[Step], str]
     group_only: bool = False
+    conjugates: bool = False
+    """The step is entrywise coefficient conjugation; every other step that
+    is not ``group_only`` is a constant map on the matrix slots."""
 
 
 STEP_RULES: Dict[str, StepRule] = {
-    "conj": StepRule(lambda x, step: x.conjugate_entries(), lambda step: "ConjugateEntries"),
+    "conj": StepRule(lambda x, step: x.conjugate_entries(), lambda step: "ConjugateEntries",
+                     conjugates=True),
     "negst": StepRule(lambda x, step: -supertranspose(x), lambda step: "NegateSupertranspose"),
     "pi": StepRule(lambda x, step: parity_swap(x), lambda step: "ParitySwap"),
     "neg": StepRule(lambda x, step: -x, lambda step: "Negate"),
@@ -84,12 +112,112 @@ def step_rule(step: Step) -> StepRule:
     return rule
 
 
-def apply_expr(steps: Sequence[Step], x: SuperMatrix, allow_inverse: bool = False) -> SuperMatrix:
+class PositionalMap(NamedTuple):
+    """A run of algebra-level steps: ``conjugations`` entrywise conjugations,
+    then the constant map whose output cell ``(i, j)`` is ``sum c x[r][s]``
+    over ``cells[i][j] = ((r, s, c), ...)``."""
+
+    cells: Tuple[Tuple[Tuple[Tuple[int, int, GaussianRational], ...], ...], ...]
+    conjugations: int
+
+    def apply(self, x: SuperMatrix) -> SuperMatrix:
+        sig = x.sig
+        rows = x.rows
+        for _ in range(self.conjugations):
+            rows = [[e if e.is_zero() else e.conjugate() for e in row] for row in rows]
+        zero = SuperNumber.zero(sig)
+        out = []
+        for cell_row in self.cells:
+            out_row = []
+            for cell in cell_row:
+                if not cell:
+                    out_row.append(zero)
+                elif len(cell) == 1:
+                    (r, s, c), = cell
+                    out_row.append(rows[r][s].scaled(c))
+                else:
+                    out_row.append(sum_of_products(sig, [(rows[r][s], c) for r, s, c in cell]))
+            out.append(out_row)
+        return SuperMatrix(x.m, x.n, sig, out, check=False)
+
+
+_PROBE = AlgebraSignature(even_nilpotents=MAX_EVEN_NILPOTENT)
+"""The algebra the unit matrices are tagged in: its even monomials are
+fixed by conjugation and the steps act on each of them separately, so one
+evaluation carries as many unit matrices as it has monomials."""
+
+
+def _compile_run(run: Sequence[Step], m: int, n: int) -> PositionalMap:
+    """The positional map of ``run``, steps listed in the order they apply."""
+    size = m + n
+    tags = basis_keys(_PROBE)
+    slots = [(r, s) for r in range(size) for s in range(size)]
+    zero = SuperNumber.zero(_PROBE)
+    cells = [[[] for _ in range(size)] for _ in range(size)]
+    for start in range(0, len(slots), len(tags)):
+        batch = dict(zip(tags, slots[start:start + len(tags)]))
+        grid = [[zero] * size for _ in range(size)]
+        for tag, (r, s) in batch.items():
+            grid[r][s] = SuperNumber(_PROBE, {tag: ONE})
+        x = SuperMatrix(m, n, _PROBE, grid, check=False)
+        for step in run:
+            x = step_rule(step).apply(x, step)
+        for i, row in enumerate(x.rows):
+            for j, e in enumerate(row):
+                cells[i][j] += [batch[tag] + (c,) for tag, c in e.items()]
+    return PositionalMap(
+        tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells),
+        sum(step_rule(step).conjugates for step in run),
+    )
+
+
+class CompiledExpr(NamedTuple):
+    """An expression compiled for one shape ``m|n``: ``stages`` apply in
+    order, each a :class:`PositionalMap` or a group-only step."""
+
+    m: int
+    n: int
+    stages: Tuple[Union[PositionalMap, Step], ...]
+    group_only: bool
+
+
+def compile_expr(steps: Sequence[Step], m: int, n: int) -> CompiledExpr:
+    """Compile ``steps`` for matrices of shape ``m|n`` (see the module notes).
+
+    Raises ``ValueError`` for an unknown step, or for a step the shape does
+    not admit (a parity swap needs ``m == n``)."""
+    stages = []
+    run = []
+    group_only = False
     for step in reversed(steps):
-        rule = step_rule(step)
-        if rule.group_only and not allow_inverse:
-            raise ValueError("matrix inverse is a group-level step")
-        x = rule.apply(x, step)
+        if step_rule(step).group_only:
+            group_only = True
+            if run:
+                stages.append(_compile_run(run, m, n))
+            stages.append(step)
+            run = []
+        else:
+            run.append(step)
+    if run or not stages:
+        stages.append(_compile_run(run, m, n))
+    return CompiledExpr(m, n, tuple(stages), group_only)
+
+
+def apply_expr(expr: Union[CompiledExpr, Sequence[Step]], x: SuperMatrix,
+               allow_inverse: bool = False) -> SuperMatrix:
+    """Evaluate an expression on ``x``.  A step tuple is compiled for the
+    shape of ``x`` first; pass a :class:`CompiledExpr` to compile once."""
+    if not isinstance(expr, CompiledExpr):
+        expr = compile_expr(expr, x.m, x.n)
+    if (expr.m, expr.n) != (x.m, x.n):
+        raise ValueError(f"expression compiled for shape {expr.m}|{expr.n}, got {x.m}|{x.n}")
+    if expr.group_only and not allow_inverse:
+        raise ValueError("matrix inverse is a group-level step")
+    for stage in expr.stages:
+        if type(stage) is PositionalMap:
+            x = stage.apply(x)
+        else:
+            x = step_rule(stage).apply(x, stage)
     return x
 
 

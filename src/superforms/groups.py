@@ -236,7 +236,6 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
             f"got {sig.conjugation}"
         )
     kind = desc.kind
-    lift = desc.lift_steps()
     rng = rng_for(seed, "group-verify", desc.display(group=True),
                   f"P{sig.odd_pairs}", f"S{sig.odd_selfreal}", f"E{sig.even_nilpotents}")
     tallies = {name: Tally(name, name in desc.expected_flagged) for name in GROUP_CHECK_NAMES}
@@ -244,7 +243,7 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
     ext, include, _, _ = adjoin_dual(sig)
     eps_index = sig.even_nilpotents
 
-    evaluate = lambda g: apply_expr(lift, g, allow_inverse=True)
+    evaluate = lambda g: apply_expr(desc.compiled_lift, g, allow_inverse=True)
 
     for idx in range(samples):
         x = sample_group(kind, sig, rng)
@@ -289,7 +288,7 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
 
         sz = evaluate(z)
         m_ext = m_point.map_entries(include.apply, ext)
-        algebra_image = apply_expr(desc.steps, m_ext)
+        algebra_image = apply_expr(desc.compiled, m_ext)
         expected = identity_matrix(kind.m, kind.n, ext) + algebra_image.scale(epsilon(ext, eps_index))
         tallies["lift-consistency"].record(sz == expected, lambda: {
             "m": matrix_literal(m_point),
@@ -347,11 +346,10 @@ def fixed_span_maps(desc: Descriptor, sig: AlgebraSignature):
     layout = CoordLayout(kind, sig)
     ext, include, _, _ = adjoin_dual(sig)
     eps_index = sig.even_nilpotents
-    lift = desc.lift_steps()
 
     def group_side(t):
         z = kernel_point(matrix_of(t), ext, include, eps_index)
-        sz = apply_expr(lift, z, allow_inverse=True)
+        sz = apply_expr(desc.compiled_lift, z, allow_inverse=True)
         delta = sz - identity_matrix(kind.m, kind.n, ext)
         free, coef = eps_split(delta, sig, eps_index)
         if not free.is_zero():
@@ -359,7 +357,7 @@ def fixed_span_maps(desc: Descriptor, sig: AlgebraSignature):
         return tensor_of(kind, coef)
 
     def algebra_side(t):
-        return tensor_of(kind, apply_expr(desc.steps, matrix_of(t)))
+        return tensor_of(kind, apply_expr(desc.compiled, matrix_of(t)))
 
     return layout, group_side, algebra_side
 

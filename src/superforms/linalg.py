@@ -237,8 +237,29 @@ def determinant(matrix: Sequence[Sequence[GaussianRational]]) -> GaussianRationa
 
 
 def leading_principal_minors(matrix: Sequence[Sequence[GaussianRational]]) -> List[GaussianRational]:
-    """Determinants of the leading k-by-k blocks, k = 1..n."""
-    return [
-        determinant([row[: k + 1] for row in matrix[: k + 1]])
-        for k in range(len(matrix))
-    ]
+    """Determinants of the leading k-by-k blocks, k = 1..n.
+
+    One elimination without row swaps serves every size: it leaves each
+    leading block's determinant unchanged, so minor k is the product of the
+    first k pivots.  From the first zero pivot on, the remaining minors are
+    computed one :func:`determinant` each.
+    """
+    n = len(matrix)
+    grid = [list(row) for row in matrix]
+    minors: List[GaussianRational] = []
+    det = ONE
+    for c in range(n):
+        pivot = grid[c][c]
+        if pivot.is_zero():
+            return minors + [
+                determinant([row[: k + 1] for row in matrix[: k + 1]]) for k in range(c, n)
+            ]
+        det = det * pivot
+        minors.append(det)
+        inv = pivot.inverse()
+        for i in range(c + 1, n):
+            if grid[i][c].is_zero():
+                continue
+            factor = grid[i][c] * inv
+            grid[i] = [a - factor * b for a, b in zip(grid[i], grid[c])]
+    return minors

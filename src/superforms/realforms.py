@@ -88,7 +88,7 @@ def verify_structure(desc: Descriptor, sig: AlgebraSignature, samples: int = 100
                   f"S{sig.odd_selfreal}", f"E{sig.even_nilpotents}")
     tallies = {name: Tally(name, name in desc.expected_flagged) for name in CHECK_NAMES}
 
-    evaluate = lambda x: apply_expr(desc.steps, x)
+    evaluate = lambda x: apply_expr(desc.compiled, x)
 
     # naturality battery, built once
     battery = []
@@ -238,7 +238,7 @@ def extract_vector_conjugation(desc: Descriptor) -> VectorConjugation:
         else:
             point = tensor_term(theta(pair_sig, 0), v.grid_rows(), kind.m, kind.n)
             key, parity, shape = tbar_key, "odd", "of conjugated-coefficient form"
-        image = apply_expr(desc.steps, point)
+        image = apply_expr(desc.compiled, point)
         if any(k != key for row in image.rows for e in row for k, _ in e.items()):
             raise ExtractionMismatch(
                 f"{desc.display()}: image of {parity} vector {v.index} is not {shape}"
@@ -288,7 +288,7 @@ def rebuild_matches(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignat
     tally = Tally("extraction-rebuild", False)
     for _ in range(samples):
         x = random_point(desc.kind, sig, rng)
-        lhs = apply_expr(desc.steps, x)
+        lhs = apply_expr(desc.compiled, x)
         rhs = phi.rebuild(x)
         tally.record(lhs == rhs, lambda: {
             "input": matrix_literal(x),
@@ -426,7 +426,7 @@ def fixed_point_data(desc: Descriptor, sig: AlgebraSignature):
     layout = CoordLayout(desc.kind, sig)
 
     def act(t: TensorElement) -> TensorElement:
-        return tensor_of(desc.kind, apply_expr(desc.steps, matrix_of(t)))
+        return tensor_of(desc.kind, apply_expr(desc.compiled, matrix_of(t)))
 
     points = [matrix_of(layout.tensor_from(v)) for v in layout.fixed_vectors(act)]
     return points, layout, layout.complex_dim
@@ -533,7 +533,7 @@ def representability_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
         coeffs[j] = term if cur is None else cur + term
     witness = TensorElement(desc.kind, sig, coeffs, check=False)
     w_matrix = matrix_of(witness)
-    fixed_ok = apply_expr(desc.steps, w_matrix) == w_matrix
+    fixed_ok = apply_expr(desc.compiled, w_matrix) == w_matrix
     inside = linalg.in_span(product_coords, layout.coords_of(witness))
     result["mode"] = "witness"
     result["witness"] = matrix_literal(w_matrix)
