@@ -28,10 +28,12 @@ matrices run sixteen to an evaluation, each tagged with its own even
 monomial of an algebra of four even nilpotents (conjugation fixes those);
 the tag of each output term names its unit.  A :class:`PositionalMap` holds
 ``L`` as sparse cells ``((r, s, c), ...)`` and evaluates it without any grid
-product: one term is a scaling, several go through
-``algebra.sum_of_products``.  A group-only step splits the expression into
-runs and is applied by its own rule between them, so an ``inverse-neg``
-lift is ``inverse(-f(x))``.  :func:`apply_expr` evaluates a compiled
+product: each cell conjugates only the nonzero entries it reads, one term is
+a scaling, several go through ``algebra.sum_of_products``.  Its ``vanishes``
+tests whether the map sends a point to zero, conjugating nothing; the osp
+membership check and the extraction-rebuild check use it.  A group-only
+step splits the expression into runs and is applied by its own rule between
+them, so an ``inverse-neg`` lift is ``inverse(-f(x))``.  :func:`apply_expr` evaluates a compiled
 expression, or compiles a step tuple on the spot.
 """
 
@@ -123,22 +125,51 @@ class PositionalMap(NamedTuple):
     def apply(self, x: SuperMatrix) -> SuperMatrix:
         sig = x.sig
         rows = x.rows
-        for _ in range(self.conjugations):
-            rows = [[e if e.is_zero() else e.conjugate() for e in row] for row in rows]
+        conjugations = range(self.conjugations)
         zero = SuperNumber.zero(sig)
         out = []
         for cell_row in self.cells:
             out_row = []
             for cell in cell_row:
-                if not cell:
+                # conjugate the entries a cell reads, not the whole grid
+                terms = [(rows[r][s], c) for r, s, c in cell if not rows[r][s].is_zero()]
+                for _ in conjugations:
+                    terms = [(e.conjugate(), c) for e, c in terms]
+                if not terms:
                     out_row.append(zero)
-                elif len(cell) == 1:
-                    (r, s, c), = cell
-                    out_row.append(rows[r][s].scaled(c))
+                elif len(terms) == 1:
+                    (e, c), = terms
+                    out_row.append(e.scaled(c))
                 else:
-                    out_row.append(sum_of_products(sig, [(rows[r][s], c) for r, s, c in cell]))
+                    out_row.append(sum_of_products(sig, terms))
             out.append(out_row)
         return SuperMatrix(x.m, x.n, sig, out, check=False)
+
+    def vanishes(self, x: SuperMatrix) -> bool:
+        """Whether the map sends ``x`` to zero, conjugating no entry.
+
+        Conjugation is additive, injective and conjugates constants, so
+        ``sum c conj^k(x)`` vanishes exactly when ``sum c' x`` does, ``c'``
+        being ``c`` conjugated ``k`` times.  A cell with one nonzero term does
+        not vanish, and one with two, ``c1 x1 + c2 x2``, vanishes exactly when
+        ``c1 x1 == -c2 x2``, that is ``x1 == x2`` when ``c1 == -c2``."""
+        rows = x.rows
+        flip = self.conjugations & 1
+        for cell_row in self.cells:
+            for cell in cell_row:
+                terms = [(rows[r][s], c.conjugate() if flip else c)
+                         for r, s, c in cell if not rows[r][s].is_zero()]
+                if not terms:
+                    continue
+                if len(terms) == 1:
+                    return False
+                if len(terms) == 2:
+                    (a, c1), (b, c2) = terms
+                    if not (a == b if c1 == -c2 else a.scaled(c1) == b.scaled(-c2)):
+                        return False
+                elif not sum_of_products(x.sig, terms).is_zero():
+                    return False
+        return True
 
 
 _PROBE = AlgebraSignature(even_nilpotents=MAX_EVEN_NILPOTENT)

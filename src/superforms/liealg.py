@@ -23,14 +23,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .algebra import AlgebraSignature, EVEN, ODD, SuperNumber
-from .matrices import (
-    SuperMatrix, const_mul, mul_const, osp_form_grid, supertranspose,
-    supertranspose_grid, supertrace,
-)
+from .exprs import PositionalMap
+from .matrices import SuperMatrix, osp_form_grid, supertranspose_grid, supertrace
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 
 GL, SL, OSP = "gl", "sl", "osp"
@@ -62,6 +61,21 @@ class MatrixKind:
 
     def display(self) -> str:
         return f"{self.family}({self.m}|{self.n})"
+
+    @cached_property
+    def _osp_defect_map(self) -> PositionalMap:
+        """The map ``X -> st(X) F + F X`` as a positional map, built once per
+        kind from the unit grids."""
+        size = self.size
+        cells = [[[] for _ in range(size)] for _ in range(size)]
+        for r in range(size):
+            for s in range(size):
+                total = _osp_defect_of_unit(self.m, self.n, r, s)
+                for a in range(size):
+                    for b in range(size):
+                        if not total[a][b].is_zero():
+                            cells[a][b].append((r, s, total[a][b]))
+        return PositionalMap(tuple(tuple(tuple(cell) for cell in row) for row in cells), 0)
 
 
 Cell = Tuple[int, int]
@@ -112,6 +126,17 @@ def _grid_from_coords(slots, coords, size) -> Tuple[Tuple[GaussianRational, ...]
     return tuple(tuple(row) for row in grid)
 
 
+def _osp_defect_of_unit(m: int, n: int, i: int, j: int) -> List[List[GaussianRational]]:
+    """``st(U) F + F U`` for the unit grid ``U`` at ``(i, j)``."""
+    size = m + n
+    form = osp_form_grid(m, n)
+    unit = [[ZERO] * size for _ in range(size)]
+    unit[i][j] = ONE
+    left = linalg.mat_mul(supertranspose_grid(unit, m), form)
+    right = linalg.mat_mul(form, unit)
+    return [[left[a][b] + right[a][b] for b in range(size)] for a in range(size)]
+
+
 def _constraint_rows(kind: MatrixKind, slots, parity) -> List[List[GaussianRational]]:
     """Linear conditions on the coordinates in ``slots`` for membership."""
     m, n, size = kind.m, kind.n, kind.size
@@ -129,14 +154,9 @@ def _constraint_rows(kind: MatrixKind, slots, parity) -> List[List[GaussianRatio
                 row.append(ONE if i < m else MINUS_ONE)
         return [row]
     # osp: st(U) F + F U = 0 entrywise, one column per unit grid
-    form = osp_form_grid(m, n)
     columns = []
     for (i, j) in slots:
-        unit = [[ZERO] * size for _ in range(size)]
-        unit[i][j] = ONE
-        left = linalg.mat_mul(supertranspose_grid(unit, m), form)
-        right = linalg.mat_mul(form, unit)
-        total = [[left[a][b] + right[a][b] for b in range(size)] for a in range(size)]
+        total = _osp_defect_of_unit(m, n, i, j)
         columns.append([total[a][b] for a in range(size) for b in range(size)])
     return [[columns[c][r] for c in range(count)] for r in range(size * size)]
 
@@ -213,9 +233,7 @@ def membership_defect(kind: MatrixKind, x: SuperMatrix) -> Optional[str]:
         if not tr.is_zero():
             return "supertrace is nonzero"
     elif kind.family == OSP:
-        form = osp_form_grid(kind.m, kind.n)
-        defect = mul_const(supertranspose(x), form) + const_mul(form, x)
-        if not defect.is_zero():
+        if not kind._osp_defect_map.vanishes(x):
             return "does not infinitesimally preserve the orthosymplectic form"
     return None
 

@@ -156,6 +156,22 @@ def block_nullspace(columns: Sequence[Dict[int, GaussianRational]]) -> List[Dict
 
     vectors = []
     for members in blocks.values():
+        if len(members) == 1:           # a 1x1 block: null exactly when its entry is 0
+            k = members[0]
+            if columns[k].get(k, ZERO).is_zero():
+                vectors.append({k: ONE})
+            continue
+        if len(members) == 2:           # a 2x2 block [[a, b], [c, d]], never zero
+            k0, k1 = members
+            a, c = columns[k0].get(k0, ZERO), columns[k0].get(k1, ZERO)
+            b, d = columns[k1].get(k0, ZERO), columns[k1].get(k1, ZERO)
+            if (a * d - b * c).is_zero():
+                if a.is_zero() and c.is_zero():     # column k0 is free, k1 a pivot
+                    vectors.append({k0: ONE})
+                else:                               # k0 a pivot, k1 free
+                    ratio = b / a if not a.is_zero() else d / c
+                    vectors.append({k1: ONE} if ratio.is_zero() else {k0: -ratio, k1: ONE})
+            continue
         local = {k: pos for pos, k in enumerate(members)}
         sub = zeros(len(members), len(members))
         for pos, c in enumerate(members):

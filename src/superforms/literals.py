@@ -30,7 +30,7 @@ from typing import List, Tuple
 from .algebra import (
     AlgebraSignature, SuperNumber, even_mask_of, odd_mask_of, one, scalar,
 )
-from .scalars import GaussianRational
+from .scalars import GaussianRational, format_scalar
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([a-z]+)|([()\[\],+\-*/|~]))")
 
@@ -168,12 +168,10 @@ def _gen_name(sig: AlgebraSignature, gid: int) -> str:
 
 
 def format_number(x: SuperNumber) -> str:
-    from .scalars import format_scalar
     if x.is_zero():
         return "(0)"
     parts = []
-    for key in sorted(dict(x.items())):
-        coeff = x.coefficient(key)
+    for key, coeff in sorted(x.items()):
         piece = f"({format_scalar(coeff)})"
         omask = odd_mask_of(key)
         gid = 0
@@ -235,5 +233,6 @@ def _parse_number_inline(s: _Scanner, sig: AlgebraSignature) -> SuperNumber:
 
 
 def format_matrix(m: int, n: int, rows) -> str:
-    body = ", ".join("[" + ", ".join(format_number(x) for x in row) + "]" for row in rows)
+    body = ", ".join("[" + ", ".join("(0)" if x.is_zero() else format_number(x) for x in row) + "]"
+                     for row in rows)
     return f"shape {m}|{n} [{body}]"

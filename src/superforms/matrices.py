@@ -45,10 +45,13 @@ class SuperMatrix:
 
     def _check_evenness(self):
         m = self.m
+        sig = self.sig
         for i, row in enumerate(self.rows):
             for j, entry in enumerate(row):
-                if entry.sig != self.sig:
+                if entry.sig is not sig and entry.sig != sig:
                     raise ValueError("entry from a different coefficient algebra")
+                if entry.is_zero():         # zero is both even and odd
+                    continue
                 diagonal_block = (i < m) == (j < m)
                 if diagonal_block:
                     if not entry.is_even():

@@ -20,22 +20,23 @@ This module houses the substance of the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import linalg
 from .algebra import (
-    EVEN, GRADED, ODD, STANDARD, AlgebraSignature, SuperNumber, adjoin_dual,
-    basis_keys, dual_scale_morphism, include_pairs, kill_pair_projection, one,
-    scalar, theta, theta_bar,
+    EVEN, GRADED, MAX_EVEN_NILPOTENT, ODD, STANDARD, AlgebraSignature, SuperNumber,
+    adjoin_dual, basis_keys, dual_scale_morphism, even_mask_of, include_pairs,
+    kill_pair_projection, make_key, odd_mask_of, one, scalar, theta, theta_bar,
 )
 from .catalog import Descriptor, InapplicableDescriptor, build, names_for, param_choices
-from .exprs import apply_expr
+from .exprs import PositionalMap, apply_expr
 from .liealg import (
     MatrixKind, TensorElement, basis_of, decompose_in_basis, matrix_of,
-    membership_defect, tensor_of,
+    membership_defect, require_member, tensor_of,
 )
 from .literals import format_matrix, format_number
-from .matrices import SuperMatrix, const_matrix, tensor_term
+from .matrices import SuperMatrix
 from .report import CheckOutcome, Tally
 from .sampling import (
     random_even, random_point, random_self_conjugate_even, require_samples, rng_for,
@@ -208,8 +209,29 @@ class VectorConjugation:
         return TensorElement(self.kind, t.sig, out, check=False)
 
     def rebuild(self, x: SuperMatrix) -> SuperMatrix:
-        """The functorial map reconstituted as conj-coefficients + vector map."""
-        return matrix_of(self.apply_to_tensor(tensor_of(self.kind, x)))
+        """The functorial map reconstituted as conj-coefficients + vector map:
+        ``matrix_of(apply_to_tensor(tensor_of(kind, x)))``, evaluated as one
+        positional map."""
+        require_member(self.kind, x)
+        return self._rebuild_map.apply(x)
+
+    @cached_property
+    def _rebuild_map(self) -> PositionalMap:
+        """The coefficient of ``v_i`` sits at its slot; conjugated, it goes to
+        ``sum_j p_ij v_j``.  So output cell ``(a, b)`` is ``sum_i conj(x[slot_i])
+        sum_j p_ij v_j[a][b]``."""
+        basis = basis_of(self.kind)
+        size = self.kind.size
+        cells = [[[] for _ in range(size)] for _ in range(size)]
+        for v in basis:
+            image: Dict[Tuple[int, int], GaussianRational] = {}
+            for j, p in self.coords[v.index]:
+                for cell, value in basis[j].support:
+                    image[cell] = image.get(cell, ZERO) + p * value
+            for (a, b), c in image.items():
+                if not c.is_zero():
+                    cells[a][b].append((*v.slot, c))
+        return PositionalMap(tuple(tuple(tuple(cell) for cell in row) for row in cells), 1)
 
     def square_sign(self, parity: int) -> int:
         return -1 if (self.conjugation == GRADED and parity == ODD) else 1
@@ -219,31 +241,56 @@ def extract_vector_conjugation(desc: Descriptor) -> VectorConjugation:
     """Evaluate the descriptor on constant and one-odd-coefficient points to
     recover its action on the defining space, validating the expected shape.
 
-    Even basis vectors are probed over the trivial coefficient algebra; odd
-    ones over a single conjugate pair, where the image of ``t1 (x) v`` must be
-    exactly ``t1~ (x) (image vector)`` — any other monomial in the image means
-    the map is not a pointwise conjugation, and ExtractionMismatch is raised.
+    Even basis vectors are probed with constant coefficients; odd ones with
+    the first generator ``t1`` of a conjugate pair, where the image of
+    ``t1 (x) v`` must be exactly ``t1~ (x) (image vector)`` — any other
+    monomial in the image means the map is not a pointwise conjugation, and
+    ExtractionMismatch is raised.
+
+    The vectors of one parity are probed sixteen to an evaluation, each
+    tagged with its own monomial of four even nilpotents, as in
+    :func:`superforms.exprs.compile_expr`: the map is additive and fixes the
+    tags, so the tag of each image term names its vector.
     """
     kind = desc.kind
-    trivial = AlgebraSignature(0, 0, 0, desc.conjugation)
-    pair_sig = AlgebraSignature(1, 0, 0, desc.conjugation)
-    tbar_key = 2    # monomial key of t1~
+    size = kind.size
+    basis = basis_of(kind)
+    tags = 1 << MAX_EVEN_NILPOTENT
+    found = {}      # vector index -> (image grid, whether another monomial appeared)
+    for parity, odd_pairs, probe_mask, image_mask in ((EVEN, 0, 0, 0), (ODD, 1, 1, 2)):
+        sig = AlgebraSignature(odd_pairs, 0, MAX_EVEN_NILPOTENT, desc.conjugation)
+        vectors = [v for v in basis if v.parity == parity]
+        for start in range(0, len(vectors), tags):
+            batch = vectors[start:start + tags]
+            terms = [[{} for _ in range(size)] for _ in range(size)]
+            for tag, v in enumerate(batch):
+                for (a, b), c in v.support:
+                    terms[a][b][make_key(probe_mask, tag)] = c
+            point = SuperMatrix(kind.m, kind.n, sig, [[SuperNumber(sig, t) for t in row] for row in terms],
+                                check=False)
+            grids = [[[ZERO] * size for _ in range(size)] for _ in batch]
+            other = [False] * len(batch)
+            for a, row in enumerate(apply_expr(desc.compiled, point).rows):
+                for b, e in enumerate(row):
+                    for key, c in e.items():
+                        tag = even_mask_of(key)
+                        if odd_mask_of(key) == image_mask:
+                            grids[tag][a][b] = c
+                        else:
+                            other[tag] = True
+            for v, grid, bad in zip(batch, grids, other):
+                found[v.index] = (grid, bad)
 
     images = []
     coords = []
-    for v in basis_of(kind):
-        if v.parity == EVEN:
-            point = const_matrix(kind.m, kind.n, trivial, v.grid_rows(), check=False)
-            key, parity, shape = 0, "even", "constant"
-        else:
-            point = tensor_term(theta(pair_sig, 0), v.grid_rows(), kind.m, kind.n)
-            key, parity, shape = tbar_key, "odd", "of conjugated-coefficient form"
-        image = apply_expr(desc.compiled, point)
-        if any(k != key for row in image.rows for e in row for k, _ in e.items()):
+    for v in basis:
+        grid, bad = found[v.index]
+        if bad:
+            parity, shape = (("even", "constant") if v.parity == EVEN
+                             else ("odd", "of conjugated-coefficient form"))
             raise ExtractionMismatch(
                 f"{desc.display()}: image of {parity} vector {v.index} is not {shape}"
             )
-        grid = [[e.coefficient(key) for e in row] for row in image.rows]
         decomposition = decompose_in_basis(kind, grid, v.parity)
         if decomposition is None:
             raise ExtractionMismatch(
@@ -282,20 +329,56 @@ def _validate_square(phi: VectorConjugation):
 def rebuild_matches(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignature,
                     samples: int = 100, seed: int = 0) -> CheckOutcome:
     """Sampled equality of the descriptor's map and conj-coefficients + phi
-    (``samples`` at least 1)."""
+    (``samples`` at least 1).
+
+    Both maps are a constant map after one conjugation, so a sample passes
+    when their difference (:func:`_difference_map`) vanishes on it; the two
+    sides are evaluated in full only for the witness.  The conjugation is
+    folded into the constants (see :meth:`PositionalMap.vanishes`), so no
+    entry is conjugated.
+    """
     require_samples(samples)
     rng = rng_for(seed, "rebuild", desc.display(), f"P{sig.odd_pairs}")
     tally = Tally("extraction-rebuild", False)
+    difference = _difference_map(desc.compiled.stages, phi._rebuild_map)
+    if difference is not None:
+        difference = PositionalMap(tuple(tuple(tuple((r, s, c.conjugate()) for r, s, c in cell)
+                                               for cell in row) for row in difference.cells),
+                                   difference.conjugations - 1)
     for _ in range(samples):
         x = random_point(desc.kind, sig, rng)
-        lhs = apply_expr(desc.compiled, x)
-        rhs = phi.rebuild(x)
-        tally.record(lhs == rhs, lambda: {
+        if difference is not None:
+            equal = difference.vanishes(x)
+        else:
+            equal = apply_expr(desc.compiled, x) == phi.rebuild(x)
+        tally.record(equal, lambda: {
             "input": matrix_literal(x),
-            "functorial": matrix_literal(lhs),
-            "rebuilt": matrix_literal(rhs),
+            "functorial": matrix_literal(apply_expr(desc.compiled, x)),
+            "rebuilt": matrix_literal(phi.rebuild(x)),
         })
     return tally.outcome()
+
+
+def _difference_map(stages, rebuilt: PositionalMap) -> Optional[PositionalMap]:
+    """The descriptor's map minus the rebuilt one as one positional map, or
+    ``None`` unless the descriptor is one positional map that conjugates
+    once, like the rebuilt map.  The two maps agree on a point exactly when
+    the difference sends it to zero."""
+    own = stages[0] if len(stages) == 1 else None
+    if type(own) is not PositionalMap or own.conjugations != rebuilt.conjugations:
+        return None
+    cells = []
+    for own_row, rebuilt_row in zip(own.cells, rebuilt.cells):
+        row = []
+        for own_cell, rebuilt_cell in zip(own_row, rebuilt_row):
+            acc: Dict[Tuple[int, int], GaussianRational] = {}
+            for r, s, c in own_cell:
+                acc[r, s] = acc.get((r, s), ZERO) + c
+            for r, s, c in rebuilt_cell:
+                acc[r, s] = acc.get((r, s), ZERO) - c
+            row.append(tuple((r, s, c) for (r, s), c in acc.items() if not c.is_zero()))
+        cells.append(tuple(row))
+    return PositionalMap(tuple(cells), rebuilt.conjugations)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +505,47 @@ def fixed_point_data(desc: Descriptor, sig: AlgebraSignature):
     matrices spanning the fixed set over the rationals and ``expected_count``
     is the complex dimension of ``g(A)`` (an antilinear involution always has
     a real fixed form of exactly that real dimension).
+
+    The structure map is a constant map after ``k`` entrywise conjugations
+    (see :mod:`superforms.exprs`), and ``k`` conjugations send a monomial
+    ``t`` to ``c t'`` with ``c = +-1``.  So the image of ``u t (x) v_i`` is
+    the image of ``u t0 (x) v_i``, for any monomial ``t0`` of the same
+    parity, with ``c0 t0'`` read as ``c t'``: each basis vector and unit
+    ``u`` in {1, i} is evaluated once, on the first monomial of its parity,
+    and the other monomials relabel its coordinates.  Membership of that one
+    image is checked; the others differ from it by a monomial factor.
     """
-    layout = CoordLayout(desc.kind, sig)
+    kind = desc.kind
+    layout = CoordLayout(kind, sig)
+    conjugations = desc.compiled.stages[0].conjugations   # one positional map
 
-    def act(t: TensorElement) -> TensorElement:
-        return tensor_of(desc.kind, apply_expr(desc.compiled, matrix_of(t)))
+    def conj_power(key: int) -> Tuple[int, GaussianRational]:
+        t = SuperNumber(sig, {key: ONE})
+        for _ in range(conjugations):
+            t = t.conjugate()
+        (image_key, c), = t.items()
+        return image_key, c
 
-    points = [matrix_of(layout.tensor_from(v)) for v in layout.fixed_vectors(act)]
+    images = {}
+    for v in basis_of(kind):
+        keys = basis_keys(sig, v.parity)
+        if not keys:
+            continue
+        probe_key, probe_c = conj_power(keys[0])
+        for unit in (ONE, I):
+            point = TensorElement(kind, sig, {v.index: SuperNumber(sig, {keys[0]: unit})}, check=False)
+            image = tensor_of(kind, apply_expr(desc.compiled, matrix_of(point)))
+            images[v.index, unit] = [(j, c.coefficient(probe_key) * probe_c) for j, c in image.coeffs.items()]
+    relabel = {}
+
+    def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
+        i, key = layout.entries[p]
+        if key not in relabel:
+            relabel[key] = conj_power(key)
+        image_key, c = relabel[key]
+        return {layout.pos[(j, image_key)]: z * c for j, z in images[i, unit]}
+
+    points = [matrix_of(layout.tensor_from(v)) for v in fixed_vectors(layout.complex_dim, image)]
     return points, layout, layout.complex_dim
 
 
@@ -552,11 +669,8 @@ def _vector_grid(phi: VectorConjugation, coords: Dict[int, GaussianRational]):
     size = phi.kind.size
     grid = [[ZERO] * size for _ in range(size)]
     for j, c in coords.items():
-        rows = basis[j].grid_rows()
-        for a in range(size):
-            for b in range(size):
-                if not rows[a][b].is_zero():
-                    grid[a][b] = grid[a][b] + c * rows[a][b]
+        for (a, b), value in basis[j].support:
+            grid[a][b] = grid[a][b] + c * value
     return grid
 
 
@@ -565,20 +679,20 @@ def compactness_data(desc: Descriptor) -> Dict:
     phi = extract_vector_conjugation(desc)
     even_fixed = real_fixed_vectors(phi, EVEN)
     grids = [_vector_grid(phi, u) for u in even_fixed]
-    size = desc.kind.size
+    supports = [[(a, b, x) for a, row in enumerate(grid) for b, x in enumerate(row) if not x.is_zero()]
+                for grid in grids]
     dim = len(grids)
-    gram = []
+    # tr(XY) = tr(YX) for constant grids, so the Gram matrix is symmetric
+    gram = [[ZERO] * dim for _ in range(dim)]
     for r in range(dim):
-        row = []
-        for s in range(dim):
+        for s in range(r, dim):
+            other = grids[s]
             trace = ZERO
-            for a in range(size):
-                for b in range(size):
-                    x, y = grids[r][a][b], grids[s][b][a]
-                    if not x.is_zero() and not y.is_zero():
-                        trace = trace + x * y
-            row.append(GaussianRational(-trace.re, 0, trace.den))
-        gram.append(row)
+            for a, b, x in supports[r]:
+                y = other[b][a]
+                if not y.is_zero():
+                    trace = trace + x * y
+            gram[r][s] = gram[s][r] = GaussianRational(-trace.re, 0, trace.den)
     minors = linalg.leading_principal_minors(gram) if dim else []
     compact = all(minor.re > 0 for minor in minors)
     return {

@@ -1,5 +1,9 @@
 """The fast paths against their dense references (``dense_reference.py``):
-block-by-block fixed points, slot-read coordinates, in-place matrix assembly."""
+block-by-block fixed points, slot-read coordinates, in-place matrix assembly;
+and against the routes they replace: fixed-point images relabelled across
+monomials, the rebuild as one positional map, the rebuild check through the
+difference map, the osp membership check read off compiled cells, and the
+zero test of a positional map without conjugating."""
 
 import random
 
@@ -17,14 +21,17 @@ from superforms.exprs import apply_expr
 from superforms.groups import fixed_span_maps
 from superforms.liealg import (
     GL, OSP, SL, MatrixKind, MembershipError, basis_of, decompose_in_basis, matrix_of,
-    tensor_of,
+    membership_defect, tensor_of,
 )
-from superforms.matrices import identity_matrix
+from superforms.matrices import (
+    SuperMatrix, const_mul, identity_matrix, mul_const, osp_form_grid, supertranspose,
+)
 from superforms.realforms import (
-    CoordLayout, extract_vector_conjugation, fixed_point_data, real_coordinates,
-    real_fixed_elements, real_fixed_vectors,
+    CoordLayout, VectorConjugation, extract_vector_conjugation, fixed_point_data,
+    _difference_map, matrix_literal, real_coordinates, real_fixed_elements, real_fixed_vectors,
+    rebuild_matches,
 )
-from superforms.sampling import random_point, random_tensor
+from superforms.sampling import random_point, random_tensor, rng_for
 from superforms.scalars import GaussianRational, ONE, ZERO
 
 SHAPES = [(SL, 1, 1), (SL, 2, 1), (SL, 2, 2), (OSP, 1, 2), (OSP, 2, 2)]
@@ -206,3 +213,116 @@ def test_matrix_and_tensor_conversion_match_references(kind, sig, seed):
             tensor_of(kind, bad)
     else:
         assert tensor_of(kind, bad) == expected
+
+
+@pytest.mark.parametrize("sig", [AlgebraSignature(0, 0, 0, STANDARD), AlgebraSignature(2, 0, 1, STANDARD),
+                                 AlgebraSignature(0, 0, 1, GRADED), AlgebraSignature(2, 0, 0, GRADED)],
+                         ids=str)
+def test_fixed_point_data_relabels_like_per_monomial_images(sig):
+    # fixed_point_data evaluates one monomial per basis vector and unit; the
+    # generic layout path evaluates every monomial
+    for desc in catalog_descriptors():
+        if desc.conjugation != sig.conjugation or desc.kind.size > 3:
+            continue
+        layout = CoordLayout(desc.kind, sig)
+
+        def act(t):
+            return tensor_of(desc.kind, apply_expr(desc.steps, matrix_of(t)))
+
+        points, _, _ = fixed_point_data(desc, sig)
+        assert points == [matrix_of(layout.tensor_from(v)) for v in layout.fixed_vectors(act)]
+
+
+def test_rebuild_map_matches_the_tensor_route():
+    for desc in catalog_descriptors():
+        if desc.strict:
+            continue
+        phi = extract_vector_conjugation(desc)
+        sig = AlgebraSignature(2, 0, 1, desc.conjugation)
+        rng = random.Random(desc.display())
+        for _ in range(5):
+            x = random_point(desc.kind, sig, rng)
+            assert phi.rebuild(x) == matrix_of(phi.apply_to_tensor(tensor_of(desc.kind, x)))
+
+
+def direct_rebuild_outcome(desc, phi, sig, samples, seed):
+    """rebuild_matches as it was: both maps evaluated on every sample."""
+    rng = rng_for(seed, "rebuild", desc.display(), f"P{sig.odd_pairs}")
+    failures, witness = 0, None
+    for _ in range(samples):
+        x = random_point(desc.kind, sig, rng)
+        lhs = apply_expr(desc.compiled, x)
+        rhs = matrix_of(phi.apply_to_tensor(tensor_of(desc.kind, x)))
+        if lhs != rhs:
+            failures += 1
+            if witness is None:
+                witness = {"input": matrix_literal(x), "functorial": matrix_literal(lhs),
+                           "rebuilt": matrix_literal(rhs)}
+    return failures, witness
+
+
+def test_rebuild_difference_map_counts_like_direct_comparison():
+    # a vector map with one image doubled fails on the samples that read it
+    for fam, m, n, name in ((SL, 2, 1, "sigma1"), (OSP, 1, 2, "psi1"), (SL, 2, 2, "omega2")):
+        desc = build(name, MatrixKind(fam, m, n))
+        phi = extract_vector_conjugation(desc)
+        coords = list(phi.coords)
+        coords[-1] = tuple((j, c * GaussianRational(2)) for j, c in coords[-1])
+        bad = VectorConjugation(phi.kind, phi.conjugation, phi.images, tuple(coords))
+        sig = one_pair(desc)
+        for vectors, expect_failures in ((phi, False), (bad, True)):
+            outcome = rebuild_matches(desc, vectors, sig, samples=30, seed=7)
+            failures, witness = direct_rebuild_outcome(desc, vectors, sig, 30, 7)
+            assert outcome.samples == 30
+            assert (outcome.status == "fail", outcome.witness) == (failures > 0, witness)
+            assert bool(failures) == expect_failures
+
+
+@given(st.sampled_from([(1, 2), (2, 2), (3, 2), (1, 4)]), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_osp_membership_matches_the_form_product(shape, seed):
+    kind = MatrixKind(OSP, *shape)
+    sig = AlgebraSignature(1, 0, 1, STANDARD)
+    rng = random.Random(seed)
+    x = random_point(kind, sig, rng)
+    size = kind.size
+    i, j = rng.randrange(size), rng.randrange(size)
+    bump = random_point(MatrixKind(GL, *shape), sig, rng).rows[i][j]
+    rows = [list(r) for r in x.rows]
+    rows[i][j] = rows[i][j] + bump
+    form = osp_form_grid(*shape)
+    for point in (x, SuperMatrix(x.m, x.n, sig, rows)):
+        defect = mul_const(supertranspose(point), form) + const_mul(form, point)
+        assert (membership_defect(kind, point) is None) == defect.is_zero()
+
+
+def test_vanishes_matches_applying_the_map():
+    # difference maps conjugate once and vanish on members only; the osp
+    # defect map conjugates nothing
+    for desc in catalog_descriptors():
+        if desc.strict:
+            continue
+        kind = desc.kind
+        maps = [_difference_map(desc.compiled.stages, extract_vector_conjugation(desc)._rebuild_map)]
+        if kind.family == OSP:
+            maps.append(kind._osp_defect_map)
+        sig = AlgebraSignature(2, 0, 1, desc.conjugation)
+        rng = random.Random(desc.display())
+        points = [random_point(kind, sig, rng) for _ in range(3)]
+        points += [random_point(MatrixKind(GL, kind.m, kind.n), sig, rng) for _ in range(3)]
+        results = [(f.vanishes(x), f.apply(x).is_zero()) for f in maps for x in points]
+        assert all(fast == slow for fast, slow in results)
+        assert {slow for _, slow in results} == {True, False}
+
+
+@given(st.lists(st.sampled_from([ZERO, ONE, GaussianRational(-1), GaussianRational(0, 1),
+                                 GaussianRational(1, 0, 2), GaussianRational(2, -1, 3)]),
+                min_size=8, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_block_nullspace_small_blocks_match_dense(entries):
+    # two 2x2 blocks on {0, 2} and {1, 3} (or smaller ones when entries vanish)
+    a, b, c, d, e, f, g, h = entries
+    dense = [[a, ZERO, b, ZERO], [ZERO, e, ZERO, f], [c, ZERO, d, ZERO], [ZERO, g, ZERO, h]]
+    columns = [{r: dense[r][col] for r in range(4) if not dense[r][col].is_zero()} for col in range(4)]
+    expected = [{k: x for k, x in enumerate(vec) if not x.is_zero()} for vec in linalg.nullspace(dense)]
+    assert linalg.block_nullspace(columns) == expected
