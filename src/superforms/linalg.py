@@ -11,13 +11,13 @@ computation deterministic.  Classic Gauss-Jordan costs cubic time
 in the width, so wide systems should not reach it whole: the fixed-point maps
 on ``g(A)`` have hundreds to thousands of real coordinates, but they split
 into small independent blocks, and :func:`block_nullspace` eliminates block
-by block.  The span comparisons of representability still run dense rrefs as
-wide as twice the complex dimension of ``g(A)``.
+by block.  Spans of sparse vectors are compared through their canonical bases
+(:func:`span_basis`), which sparse elimination builds without any grid.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 
@@ -93,12 +93,6 @@ def rref(matrix: Sequence[Sequence[GaussianRational]]) -> Tuple[Grid, List[int]]
         if r == rows:
             break
     return grid, pivots
-
-
-def rank(matrix: Sequence[Sequence[GaussianRational]]) -> int:
-    if not matrix:
-        return 0
-    return len(rref(matrix)[1])
 
 
 def nullspace(matrix: Sequence[Sequence[GaussianRational]]) -> List[List[GaussianRational]]:
@@ -183,39 +177,51 @@ def block_nullspace(columns: Sequence[Dict[int, GaussianRational]]) -> List[Dict
     return vectors
 
 
-def solve(matrix: Sequence[Sequence[GaussianRational]], rhs: Sequence[GaussianRational]) -> Optional[List[GaussianRational]]:
-    """One solution of ``matrix @ x = rhs`` or ``None`` if inconsistent."""
-    rows = len(matrix)
-    if rows == 0:
-        return [] if all(b.is_zero() for b in rhs) else None
-    cols = len(matrix[0])
-    augmented = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
-    reduced, pivots = rref(augmented)
-    if cols in pivots:
-        return None
-    x = [ZERO] * cols
-    for row_idx, pivot_col in enumerate(pivots):
-        x[pivot_col] = reduced[row_idx][cols]
-    return x
+def span_basis(vectors: Iterable[Dict[int, GaussianRational]]) -> List[Dict[int, GaussianRational]]:
+    """Canonical basis of the span of sparse vectors ``{index: value}``.
+
+    Each vector is reduced at its last nonzero index by the vector kept for
+    that index, until it vanishes or ends at an index nothing is kept for; it
+    is then kept, scaled to 1 there.  In increasing order, each kept vector is
+    then cleared at the other kept indices below its own, by the vectors
+    already cleared (they are 0 at every other kept index, so no cleared entry
+    comes back).  The result, ordered by last nonzero index, is the canonical
+    basis of :func:`superforms.realforms.fixed_vectors`: the kept indices are
+    the last nonzero indices ``F`` of the span, and for each ``f`` in ``F`` the
+    vector is the one in the span that is 1 at ``f``, 0 at the rest of ``F``
+    and 0 after ``f``.  So the length is the dimension, two spans are equal
+    exactly when their bases are equal lists, and a vector is in the span
+    exactly when adding it does not lengthen the basis.
+    """
+    kept: Dict[int, Dict[int, GaussianRational]] = {}
+    for vector in vectors:
+        vec = {k: x for k, x in vector.items() if not x.is_zero()}
+        while vec:
+            last = max(vec)
+            row = kept.get(last)
+            if row is None:
+                inv = vec[last].inverse()
+                kept[last] = {k: x * inv for k, x in vec.items()}
+                break
+            _subtract(vec, vec[last], row)
+    basis = []
+    for f in sorted(kept):
+        vec = kept[f]
+        for g in [g for g in vec if g != f and g in kept]:
+            _subtract(vec, vec[g], kept[g])
+        basis.append(vec)
+    return basis
 
 
-def in_span(vectors: Sequence[Sequence[GaussianRational]], target: Sequence[GaussianRational]) -> bool:
-    if all(t.is_zero() for t in target):
-        return True
-    if not vectors:
-        return False
-    columns = [[vec[i] for vec in vectors] for i in range(len(target))]
-    return solve(columns, list(target)) is not None
-
-
-def spans_equal(a: Sequence[Sequence[GaussianRational]], b: Sequence[Sequence[GaussianRational]]) -> bool:
-    """Exact equality of the spans of two vector lists."""
-    ra = rank(list(a)) if a else 0
-    rb = rank(list(b)) if b else 0
-    if ra != rb:
-        return False
-    combined = list(a) + list(b)
-    return (rank(combined) if combined else 0) == ra
+def _subtract(vec: Dict[int, GaussianRational], factor: GaussianRational,
+              row: Dict[int, GaussianRational]):
+    """``vec -= factor * row`` in place, dropping the entries that vanish."""
+    for k, x in row.items():
+        y = vec.get(k, ZERO) - factor * x
+        if y.is_zero():
+            vec.pop(k, None)
+        else:
+            vec[k] = y
 
 
 def invert(matrix: Sequence[Sequence[GaussianRational]]) -> Grid:

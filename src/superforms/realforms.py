@@ -385,17 +385,26 @@ def _difference_map(stages, rebuilt: PositionalMap) -> Optional[PositionalMap]:
 # coordinates, fixed points
 # ---------------------------------------------------------------------------
 
-def _real_parts(z: GaussianRational) -> Tuple[GaussianRational, GaussianRational]:
-    return GaussianRational(z.re, 0, z.den), GaussianRational(z.im, 0, z.den)
-
-
-def real_coordinates(coords: Dict[int, GaussianRational], count: int) -> List[GaussianRational]:
-    """Dense real coordinates (real part at ``2p``, imaginary part at ``2p+1``)
-    of a sparse complex coordinate dict on ``count`` complex coordinates."""
-    vec = [ZERO] * (2 * count)
+def to_real(coords: Dict[int, GaussianRational]) -> Dict[int, GaussianRational]:
+    """Sparse real coordinates (real part at ``2p``, imaginary part at
+    ``2p+1``) of a sparse complex coordinate dict."""
+    vec = {}
     for p, z in coords.items():
-        vec[2 * p], vec[2 * p + 1] = _real_parts(z)
+        if z.re:
+            vec[2 * p] = GaussianRational(z.re, 0, z.den)
+        if z.im:
+            vec[2 * p + 1] = GaussianRational(z.im, 0, z.den)
     return vec
+
+
+def from_real(vec: Dict[int, GaussianRational]) -> Dict[int, GaussianRational]:
+    """The complex coordinate dict of sparse real coordinates (inverse of
+    :func:`to_real`)."""
+    coords: Dict[int, GaussianRational] = {}
+    for c, x in vec.items():
+        p = c // 2
+        coords[p] = coords.get(p, ZERO) + (x * I if c & 1 else x)
+    return coords
 
 
 def fixed_vectors(count: int, image: Callable[[int, GaussianRational], Dict[int, GaussianRational]]
@@ -427,13 +436,7 @@ def fixed_vectors(count: int, image: Callable[[int, GaussianRational], Dict[int,
     columns = []
     for p in range(count):
         for part, unit in enumerate((ONE, I)):
-            column: Dict[int, GaussianRational] = {}
-            for q, z in image(p, unit).items():
-                re_part, im_part = _real_parts(z)
-                if not re_part.is_zero():
-                    column[2 * q] = re_part
-                if not im_part.is_zero():
-                    column[2 * q + 1] = im_part
+            column = to_real(image(p, unit))
             c = 2 * p + part
             diagonal = column.get(c, ZERO) - ONE
             if diagonal.is_zero():
@@ -441,14 +444,7 @@ def fixed_vectors(count: int, image: Callable[[int, GaussianRational], Dict[int,
             else:
                 column[c] = diagonal
             columns.append(column)
-    out = []
-    for vec in linalg.block_nullspace(columns):
-        coords: Dict[int, GaussianRational] = {}
-        for c, x in vec.items():
-            p = c // 2
-            coords[p] = coords.get(p, ZERO) + (x * I if c & 1 else x)
-        out.append(coords)
-    return out
+    return [from_real(vec) for vec in linalg.block_nullspace(columns)]
 
 
 class CoordLayout:
@@ -473,10 +469,6 @@ class CoordLayout:
 
     def complex_coords(self, t: TensorElement) -> Dict[int, GaussianRational]:
         return {self.pos[(i, key)]: z for i, c in t.coeffs.items() for key, z in c.items()}
-
-    def coords_of(self, t: TensorElement) -> List[GaussianRational]:
-        """Dense real coordinates of a tensor element."""
-        return real_coordinates(self.complex_coords(t), self.complex_dim)
 
     def tensor_from(self, coords: Dict[int, GaussianRational]) -> TensorElement:
         coeffs: Dict[int, SuperNumber] = {}
@@ -504,7 +496,19 @@ def fixed_point_data(desc: Descriptor, sig: AlgebraSignature):
     Returns ``(points, layout, expected_count)`` where ``points`` are
     matrices spanning the fixed set over the rationals and ``expected_count``
     is the complex dimension of ``g(A)`` (an antilinear involution always has
-    a real fixed form of exactly that real dimension).
+    a real fixed form of exactly that real dimension).  The points are the
+    vectors of :func:`fixed_point_coords`, as matrices.
+    """
+    vectors, layout = fixed_point_coords(desc, sig)
+    points = [matrix_of(layout.tensor_from(v)) for v in vectors]
+    return points, layout, layout.complex_dim
+
+
+def fixed_point_coords(desc: Descriptor, sig: AlgebraSignature
+                       ) -> Tuple[List[Dict[int, GaussianRational]], CoordLayout]:
+    """The canonical real basis of the fixed points of the structure over
+    ``A`` (see :func:`fixed_vectors`), as complex coordinate dicts on the
+    returned layout of ``g(A)``.
 
     The structure map is a constant map after ``k`` entrywise conjugations
     (see :mod:`superforms.exprs`), and ``k`` conjugations send a monomial
@@ -545,8 +549,7 @@ def fixed_point_data(desc: Descriptor, sig: AlgebraSignature):
         image_key, c = relabel[key]
         return {layout.pos[(j, image_key)]: z * c for j, z in images[i, unit]}
 
-    points = [matrix_of(layout.tensor_from(v)) for v in fixed_vectors(layout.complex_dim, image)]
-    return points, layout, layout.complex_dim
+    return fixed_vectors(layout.complex_dim, image), layout
 
 
 # ---------------------------------------------------------------------------
@@ -587,59 +590,59 @@ def real_fixed_vectors(phi: VectorConjugation, parity: int) -> List[Dict[int, Ga
     ]
 
 
-def _product_span_coords(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignature,
-                         layout: CoordLayout) -> List[List[GaussianRational]]:
-    """Coordinates of all products (real fixed coefficient) * (fixed vector)."""
-    coords = []
+def _product_span(phi: VectorConjugation, sig: AlgebraSignature,
+                  layout: CoordLayout) -> List[Dict[int, GaussianRational]]:
+    """Canonical basis (:func:`linalg.span_basis`), in sparse real coordinates
+    on ``layout``, of the span of all products (real fixed coefficient) *
+    (fixed vector).  Conjugation sends each monomial to plus or minus one
+    monomial, so each product has only a few nonzero coordinates."""
+    products = []
     for parity in (EVEN, ODD):
-        reals = real_fixed_elements(sig, parity)
         vectors = real_fixed_vectors(phi, parity)
-        for r in reals:
+        for r in real_fixed_elements(sig, parity):
             for u in vectors:
-                tensor = TensorElement(
-                    desc.kind, sig,
-                    {j: r.scaled(c) for j, c in u.items()},
-                    check=False,
-                )
-                coords.append(layout.coords_of(tensor))
-    return coords
+                products.append(to_real({
+                    layout.pos[j, key]: z * c for j, c in u.items() for key, z in r.items()
+                }))
+    return linalg.span_basis(products)
 
 
 def representability_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
     """The dichotomy: span equality for standard, verified witness for graded.
 
     Standard: the fixed set of the structure over A equals the span of
-    (conjugation-fixed coefficients) x (phi-fixed vectors), compared exactly.
+    (conjugation-fixed coefficients) x (phi-fixed vectors).  Both are
+    canonical bases on the same real coordinates, so the spans are equal
+    exactly when the lists are.
 
     Graded: the element ``t1 (x) v + t1~ (x) phi(v)`` (v any odd basis vector)
     is fixed by the structure but lies outside that span, because the graded
-    conjugation has no fixed odd coefficients; both facts are verified.
+    conjugation has no fixed odd coefficients; both facts are verified.  It
+    needs an odd pair in ``A`` and an odd vector, which are checked first.
     """
+    odd_vectors = [v for v in basis_of(desc.kind) if v.parity == ODD]
+    if desc.conjugation == GRADED:
+        if sig.odd_pairs < 1:
+            raise ValueError("a graded witness needs a coefficient algebra with an odd pair")
+        if not odd_vectors:
+            raise ValueError("the defining space has no odd vectors")
     phi = extract_vector_conjugation(desc)
-    points, layout, expected = fixed_point_data(desc, sig)
-    fixed_coords = [layout.coords_of(tensor_of(desc.kind, pt)) for pt in points]
-    product_coords = _product_span_coords(desc, phi, sig, layout)
+    fixed, layout = fixed_point_coords(desc, sig)
+    span = _product_span(phi, sig, layout)
 
     result: Dict = {
         "descriptor": desc.display(),
         "conjugation": desc.conjugation,
-        "fixed_dimension": len(points),
-        "expected_fixed_dimension": expected,
-        "product_span_rank": linalg.rank(product_coords) if product_coords else 0,
+        "fixed_dimension": len(fixed),
+        "expected_fixed_dimension": layout.complex_dim,
+        "product_span_rank": len(span),
     }
 
     if desc.conjugation == STANDARD:
-        equal = linalg.spans_equal(fixed_coords, product_coords)
         result["mode"] = "span-comparison"
-        result["representable"] = equal
+        result["representable"] = [to_real(u) for u in fixed] == span
         return result
 
-    # graded: exhibit a witness (needs at least one odd pair in A)
-    if sig.odd_pairs < 1:
-        raise ValueError("a graded witness needs a coefficient algebra with an odd pair")
-    odd_vectors = [v for v in basis_of(desc.kind) if v.parity == ODD]
-    if not odd_vectors:
-        raise ValueError("the defining space has no odd vectors")
     v = odd_vectors[0]
     t1 = theta(sig, 0)
     t1bar = theta_bar(sig, 0)
@@ -651,7 +654,7 @@ def representability_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
     witness = TensorElement(desc.kind, sig, coeffs, check=False)
     w_matrix = matrix_of(witness)
     fixed_ok = apply_expr(desc.compiled, w_matrix) == w_matrix
-    inside = linalg.in_span(product_coords, layout.coords_of(witness))
+    inside = len(linalg.span_basis(span + [to_real(layout.complex_coords(witness))])) == len(span)
     result["mode"] = "witness"
     result["witness"] = matrix_literal(w_matrix)
     result["witness_fixed"] = fixed_ok

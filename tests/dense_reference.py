@@ -1,25 +1,92 @@
 """Slow reference implementations kept as test oracles for the fast paths.
 
 These are the dense, solve-based routines the package used before it read
-coordinates off reading slots and took fixed points block by block:
+coordinates off reading slots, took fixed points block by block and
+compared spans through sparse canonical bases:
 
 * the fixed points of a real-linear map as the nullspace of one dense
   ``M - I`` over all real coordinates;
 * ``decompose_in_basis`` / ``tensor_of`` by one linear solve per monomial;
-* ``matrix_of`` as the sum of one full ``tensor_term`` matrix per basis vector.
+* ``matrix_of`` as the sum of one full ``tensor_term`` matrix per basis vector;
+* the dense span routines ``rank``, ``solve``, ``in_span`` and
+  ``spans_equal`` (Gauss-Jordan on whole grids), against which
+  ``linalg.span_basis`` is checked, with the dense real coordinates
+  ``real_coordinates`` / ``layout_coords`` they take;
+* ``dense_representability``: the representability dichotomy on dense real
+  coordinates of the fixed points and of every product (real fixed
+  coefficient) x (fixed vector), decided by ``rank``, ``spans_equal`` and
+  ``in_span``.
 
 The tests require the package to agree with them exactly, vector for vector
 and in the same order.
 """
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from superforms import linalg
-from superforms.algebra import SuperNumber, basis_keys, key_parity
-from superforms.liealg import MembershipError, TensorElement, basis_of, require_member
+from superforms.algebra import EVEN, ODD, STANDARD, SuperNumber, basis_keys, key_parity, theta, theta_bar
+from superforms.exprs import apply_expr
+from superforms.liealg import MembershipError, TensorElement, basis_of, matrix_of, require_member, tensor_of
 from superforms.matrices import tensor_term, zero_matrix
-from superforms.realforms import CoordLayout
+from superforms.realforms import (
+    CoordLayout, extract_vector_conjugation, fixed_point_data, matrix_literal,
+    real_fixed_elements, real_fixed_vectors,
+)
 from superforms.scalars import GaussianRational, I, ONE, ZERO
+
+
+def rank(matrix) -> int:
+    if not matrix:
+        return 0
+    return len(linalg.rref(matrix)[1])
+
+
+def solve(matrix, rhs) -> Optional[List[GaussianRational]]:
+    """One solution of ``matrix @ x = rhs`` or ``None`` if inconsistent."""
+    rows = len(matrix)
+    if rows == 0:
+        return [] if all(b.is_zero() for b in rhs) else None
+    cols = len(matrix[0])
+    augmented = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
+    reduced, pivots = linalg.rref(augmented)
+    if cols in pivots:
+        return None
+    x = [ZERO] * cols
+    for row_idx, pivot_col in enumerate(pivots):
+        x[pivot_col] = reduced[row_idx][cols]
+    return x
+
+
+def in_span(vectors, target) -> bool:
+    if all(t.is_zero() for t in target):
+        return True
+    if not vectors:
+        return False
+    columns = [[vec[i] for vec in vectors] for i in range(len(target))]
+    return solve(columns, list(target)) is not None
+
+
+def spans_equal(a, b) -> bool:
+    """Exact equality of the spans of two vector lists."""
+    ra = rank(list(a))
+    if ra != rank(list(b)):
+        return False
+    return rank(list(a) + list(b)) == ra
+
+
+def real_coordinates(coords: Dict[int, GaussianRational], count: int) -> List[GaussianRational]:
+    """Dense real coordinates (real part at ``2p``, imaginary part at ``2p+1``)
+    of a sparse complex coordinate dict on ``count`` complex coordinates."""
+    vec = [ZERO] * (2 * count)
+    for p, z in coords.items():
+        vec[2 * p] = GaussianRational(z.re, 0, z.den)
+        vec[2 * p + 1] = GaussianRational(z.im, 0, z.den)
+    return vec
+
+
+def layout_coords(layout: CoordLayout, t: TensorElement) -> List[GaussianRational]:
+    """Dense real coordinates of a tensor element on a layout."""
+    return real_coordinates(layout.complex_coords(t), layout.complex_dim)
 
 
 def dense_fixed_vectors(matrix) -> List[List[GaussianRational]]:
@@ -41,7 +108,7 @@ def dense_layout_fixed_vectors(layout: CoordLayout, func) -> List[List[GaussianR
     for i, key in layout.entries:
         for value in (ONE, I):
             unit = TensorElement(layout.kind, layout.sig, {i: SuperNumber(layout.sig, {key: value})}, check=False)
-            columns.append(layout.coords_of(func(unit)))
+            columns.append(layout_coords(layout, func(unit)))
     matrix = [[columns[c][r] for c in range(dim)] for r in range(dim)]
     return dense_fixed_vectors(matrix)
 
@@ -114,7 +181,7 @@ def solve_decompose(kind, grid, parity):
         return None if any(not c.is_zero() for c in flatten(grid)) else []
     columns = [flatten(v.grid) for v in basis]
     matrix = [[columns[c][r] for c in range(len(basis))] for r in range(len(columns[0]))]
-    solution = linalg.solve(matrix, flatten(grid))
+    solution = solve(matrix, flatten(grid))
     if solution is None:
         return None
     return [(basis[c].index, coeff) for c, coeff in enumerate(solution) if not coeff.is_zero()]
@@ -144,3 +211,50 @@ def summed_matrix_of(t: TensorElement):
     for i, c in t.coeffs.items():
         acc = acc + tensor_term(c, basis[i].grid_rows(), t.kind.m, t.kind.n)
     return acc
+
+
+def dense_representability(desc, sig) -> Dict:
+    """The representability dichotomy on dense real coordinates: the rank of
+    the product span, span equality for standard structures, and for graded
+    ones the witness ``t1 (x) v + t1~ (x) phi(v)`` tested with ``in_span``."""
+    phi = extract_vector_conjugation(desc)
+    points, layout, expected = fixed_point_data(desc, sig)
+    fixed_coords = [layout_coords(layout, tensor_of(desc.kind, pt)) for pt in points]
+    product_coords = []
+    for parity in (EVEN, ODD):
+        vectors = real_fixed_vectors(phi, parity)
+        for r in real_fixed_elements(sig, parity):
+            for u in vectors:
+                tensor = TensorElement(desc.kind, sig, {j: r.scaled(c) for j, c in u.items()}, check=False)
+                product_coords.append(layout_coords(layout, tensor))
+    result: Dict = {
+        "descriptor": desc.display(),
+        "conjugation": desc.conjugation,
+        "fixed_dimension": len(points),
+        "expected_fixed_dimension": expected,
+        "product_span_rank": rank(product_coords),
+    }
+    if desc.conjugation == STANDARD:
+        result["mode"] = "span-comparison"
+        result["representable"] = spans_equal(fixed_coords, product_coords)
+        return result
+    if sig.odd_pairs < 1:
+        raise ValueError("a graded witness needs a coefficient algebra with an odd pair")
+    odd_vectors = [v for v in basis_of(desc.kind) if v.parity == ODD]
+    if not odd_vectors:
+        raise ValueError("the defining space has no odd vectors")
+    v = odd_vectors[0]
+    coeffs: Dict[int, SuperNumber] = {v.index: theta(sig, 0)}
+    for j, c in phi.coords[v.index]:
+        term = theta_bar(sig, 0).scaled(c)
+        coeffs[j] = coeffs[j] + term if j in coeffs else term
+    witness = TensorElement(desc.kind, sig, coeffs, check=False)
+    w_matrix = matrix_of(witness)
+    fixed_ok = apply_expr(desc.compiled, w_matrix) == w_matrix
+    inside = in_span(product_coords, layout_coords(layout, witness))
+    result["mode"] = "witness"
+    result["witness"] = matrix_literal(w_matrix)
+    result["witness_fixed"] = fixed_ok
+    result["witness_in_product_span"] = inside
+    result["representable"] = not (fixed_ok and not inside)
+    return result

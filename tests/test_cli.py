@@ -94,6 +94,8 @@ def test_usage_errors_exit_two():
         ("witness", "sl", "1", "1", "Sigma3"),                 # group level not meaningful
         ("fixed-basis", "sl", "1", "1", "Omega2"),
         ("verify", "sl", "2", "1", "sigma1", "--p", "9"),
+        ("witness", "sl", "1", "1", "omega2", "--odd-pairs", "0"),  # graded needs an odd pair
+        ("witness", "sl", "2", "0", "omega2"),                 # ... and an odd vector
     ]
     for argv in cases:
         code, _ = run_cli(*argv)
@@ -147,6 +149,32 @@ def test_witness_text_report():
     assert code == 0
     assert "witness_data:" in out
     assert "witness_fixed: True" in out
+
+
+def test_witness_at_four_odd_pairs():
+    code, out = run_cli("witness", "sl", "2", "2", "sigma1", "--odd-pairs", "4", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["summary"]["verdict"] == "pass"
+    assert report["witness_data"]["product_span_rank"] == 1920
+
+
+def test_witness_eliminates_only_small_blocks(monkeypatch):
+    # the product span is reduced sparsely; the only grids eliminated are the
+    # fixed-point blocks, not the whole real coordinate space (512 wide here)
+    from superforms import linalg
+
+    widths = []
+    rref = linalg.rref
+
+    def recording(matrix):
+        widths.append(len(matrix[0]) if matrix else 0)
+        return rref(matrix)
+
+    monkeypatch.setattr(linalg, "rref", recording)
+    code, _ = run_cli("witness", "sl", "2", "1", "omega2", "--odd-pairs", "3")
+    assert code == 0
+    assert widths and max(widths) <= 16
 
 
 def test_fixed_basis_counts():

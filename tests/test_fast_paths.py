@@ -1,5 +1,6 @@
 """The fast paths against their dense references (``dense_reference.py``):
-block-by-block fixed points, slot-read coordinates, in-place matrix assembly;
+block-by-block fixed points, slot-read coordinates, in-place matrix assembly,
+sparse canonical span bases and the representability dichotomy built on them;
 and against the routes they replace: fixed-point images relabelled across
 monomials, the rebuild as one positional map, the rebuild check through the
 difference map, the osp membership check read off compiled cells, and the
@@ -12,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from dense_reference import (
     dense_layout_fixed_vectors, dense_real_fixed_elements, dense_real_fixed_vectors,
-    solve_decompose, solve_tensor_of, summed_matrix_of,
+    dense_representability, in_span, rank, real_coordinates, solve_decompose, solve_tensor_of,
+    spans_equal, summed_matrix_of,
 )
 from superforms import linalg
-from superforms.algebra import EVEN, GRADED, ODD, STANDARD, AlgebraSignature
-from superforms.catalog import applicable_names, build
+from superforms.algebra import EVEN, GRADED, ODD, STANDARD, AlgebraSignature, SuperNumber, basis_keys
+from superforms.catalog import applicable_names, build, param_choices
 from superforms.exprs import apply_expr
 from superforms.groups import fixed_span_maps
 from superforms.liealg import (
@@ -27,12 +29,12 @@ from superforms.matrices import (
     SuperMatrix, const_mul, identity_matrix, mul_const, osp_form_grid, supertranspose,
 )
 from superforms.realforms import (
-    CoordLayout, VectorConjugation, extract_vector_conjugation, fixed_point_data,
-    _difference_map, matrix_literal, real_coordinates, real_fixed_elements, real_fixed_vectors,
-    rebuild_matches,
+    CoordLayout, VectorConjugation, extract_vector_conjugation, fixed_point_coords,
+    fixed_point_data, _difference_map, matrix_literal, real_fixed_elements, real_fixed_vectors,
+    rebuild_matches, representability_check, to_real,
 )
 from superforms.sampling import random_point, random_tensor, rng_for
-from superforms.scalars import GaussianRational, ONE, ZERO
+from superforms.scalars import GaussianRational, I, ONE, ZERO
 
 SHAPES = [(SL, 1, 1), (SL, 2, 1), (SL, 2, 2), (OSP, 1, 2), (OSP, 2, 2)]
 
@@ -79,7 +81,7 @@ def test_block_kernel_matches_dense_on_fixed_span_maps(desc):
     for side, vectors in zip((group_side, algebra_side), spans):
         assert as_real(layout, vectors) == dense_layout_fixed_vectors(layout, side)
     # lie_fixed_span_check compares the canonical bases as lists
-    assert (spans[0] == spans[1]) == linalg.spans_equal(*(as_real(layout, v) for v in spans))
+    assert (spans[0] == spans[1]) == spans_equal(*(as_real(layout, v) for v in spans))
 
 
 def test_real_fixed_elements_and_vectors_match_dense():
@@ -93,6 +95,158 @@ def test_real_fixed_elements_and_vectors_match_dense():
         phi = extract_vector_conjugation(desc)
         for parity in (EVEN, ODD):
             assert real_fixed_vectors(phi, parity) == dense_real_fixed_vectors(phi, parity)
+
+
+def representability_cases():
+    """Every catalog descriptor and parameter choice at one pair; every
+    default descriptor with a self-real odd generator (standard) and with an
+    even nilpotent; two pairs on sl(2|2); and the degenerate shapes, where
+    sl(1|0) has an empty product span and the graded descriptors of the
+    purely even shapes have no odd vector."""
+    for fam, m, n in SHAPES:
+        kind = MatrixKind(fam, m, n)
+        for name in applicable_names(kind):
+            for p, q in param_choices(name, kind):
+                desc = build(name, kind, p, q)
+                yield desc, one_pair(desc)
+            desc = build(name, kind)
+            if desc.conjugation == STANDARD:
+                yield desc, AlgebraSignature(1, 1, 0, STANDARD)
+            yield desc, AlgebraSignature(1, 0, 1, desc.conjugation)
+    yield build("xi2", MatrixKind(OSP, 2, 2), strict=True), AlgebraSignature(1, 0, 0, GRADED)
+    for name in ("sigma1", "omega2"):
+        desc = build(name, MatrixKind(SL, 2, 2))
+        yield desc, AlgebraSignature(2, 0, 0, desc.conjugation)
+    for fam, m, n in [(SL, 1, 0), (SL, 2, 0), (SL, 0, 2), (OSP, 2, 0), (OSP, 0, 2)]:
+        kind = MatrixKind(fam, m, n)
+        for name in applicable_names(kind):
+            desc = build(name, kind)
+            yield desc, one_pair(desc)
+
+
+def outcome(check, desc, sig):
+    try:
+        return check(desc, sig)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+REPRESENTABILITY_CASES = list(representability_cases())
+
+
+@pytest.mark.parametrize("desc, sig", REPRESENTABILITY_CASES, ids=[
+    f"{d.display()}{' strict' if d.strict else ''} P{s.odd_pairs}S{s.odd_selfreal}E{s.even_nilpotents}"
+    for d, s in REPRESENTABILITY_CASES])
+def test_representability_matches_dense(desc, sig):
+    assert outcome(representability_check, desc, sig) == outcome(dense_representability, desc, sig)
+
+
+def test_representability_rejects_a_product_span_of_the_right_rank(monkeypatch):
+    # i times the fixed vectors spans the anti-fixed vectors: the product
+    # span keeps its rank but misses the fixed points, so only a comparison
+    # of the spans themselves says "not representable"
+    import dense_reference
+    from superforms import realforms
+
+    def rotated(phi, parity):
+        return [{j: z * I for j, z in u.items()} for u in real_fixed_vectors(phi, parity)]
+
+    monkeypatch.setattr(realforms, "real_fixed_vectors", rotated)
+    monkeypatch.setattr(dense_reference, "real_fixed_vectors", rotated)
+    desc = build("sigma1", MatrixKind(SL, 2, 1))
+    result = representability_check(desc, one_pair(desc))
+    assert result["product_span_rank"] == result["fixed_dimension"] > 0
+    assert result["representable"] is False
+    assert result == dense_representability(desc, one_pair(desc))
+
+
+def test_witness_inside_an_enlarged_product_span(monkeypatch):
+    # with every odd monomial times every odd vector and i times it, the
+    # product span holds all of the odd part, the witness included
+    import dense_reference
+    from superforms import realforms
+
+    def vectors(phi, parity):
+        if parity == EVEN:
+            return real_fixed_vectors(phi, parity)
+        return [{v.index: unit} for v in basis_of(phi.kind) if v.parity == ODD for unit in (ONE, I)]
+
+    def coefficients(sig, parity):
+        if parity == EVEN:
+            return real_fixed_elements(sig, parity)
+        return [SuperNumber(sig, {key: ONE}) for key in basis_keys(sig, ODD)]
+
+    for module in (realforms, dense_reference):
+        monkeypatch.setattr(module, "real_fixed_vectors", vectors)
+        monkeypatch.setattr(module, "real_fixed_elements", coefficients)
+    desc = build("omega2", MatrixKind(SL, 2, 1))
+    result = representability_check(desc, one_pair(desc))
+    assert result["witness_fixed"] is True and result["witness_in_product_span"] is True
+    assert result == dense_representability(desc, one_pair(desc))
+
+
+def sparse_vectors(rng, width, count):
+    """Random sparse vectors with zero vectors, duplicates and combinations
+    of earlier ones mixed in."""
+    vectors = []
+    for _ in range(count):
+        roll = rng.random()
+        if vectors and roll < 0.2:
+            vectors.append(dict(rng.choice(vectors)))
+        elif vectors and roll < 0.45:
+            acc = {}
+            for vec in rng.sample(vectors, min(len(vectors), 3)):
+                factor = rng.choice(SPARSE_POOL[5:])
+                for k, x in vec.items():
+                    acc[k] = acc.get(k, ZERO) + factor * x
+            vectors.append({k: x for k, x in acc.items() if not x.is_zero()})
+        elif roll < 0.55:
+            vectors.append({})
+        else:
+            vectors.append({k: x for k in range(width) if not (x := rng.choice(SPARSE_POOL)).is_zero()})
+    return vectors
+
+
+@given(st.integers(1, 7), st.integers(0, 8), st.integers(0, 10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_span_basis_matches_dense_rank_spans_and_membership(width, count, seed):
+    rng = random.Random(seed)
+    dense = lambda vs: [[v.get(c, ZERO) for c in range(width)] for v in vs]
+    vectors = sparse_vectors(rng, width, count)
+    basis = linalg.span_basis(vectors)
+    assert len(basis) == rank(dense(vectors))
+    assert spans_equal(dense(basis), dense(vectors))
+    lasts = [max(v) for v in basis]
+    assert lasts == sorted(set(lasts))
+    for f, v in zip(lasts, basis):
+        assert v[f] == ONE and not any(g in v for g in lasts if g != f)
+    assert linalg.span_basis(basis) == basis
+    # equality of spans is equality of lists
+    if rng.random() < 0.5:
+        others = sparse_vectors(rng, width, rng.randrange(count + 2))
+    else:                                   # the same span, other generators
+        others = [{k: x * SPARSE_POOL[-1] for k, x in v.items()} for v in reversed(vectors)] + [{}]
+    assert (linalg.span_basis(others) == basis) == spans_equal(dense(others), dense(vectors))
+    # membership: adding a vector in the span does not lengthen the basis
+    if rng.random() < 0.5:
+        target = sparse_vectors(rng, width, 1)[0]
+    else:
+        target = {}
+        for v in vectors[:2]:
+            for k, x in v.items():
+                target[k] = target.get(k, ZERO) + SPARSE_POOL[7] * x
+    grows = len(linalg.span_basis(basis + [target])) > len(basis)
+    assert grows == (not in_span(dense(vectors), dense([target])[0]))
+
+
+@pytest.mark.parametrize("desc", list(catalog_descriptors()),
+                         ids=lambda d: d.display() + (" strict" if d.strict else ""))
+def test_span_basis_keeps_fixed_vectors(desc):
+    # fixed_vectors already returns the canonical basis of its span
+    vectors, _ = fixed_point_coords(desc, one_pair(desc))
+    real = [to_real(v) for v in vectors]
+    assert linalg.span_basis(real) == real
+    assert linalg.span_basis(reversed(real)) == real
 
 
 def test_block_nullspace_matches_dense_on_mixed_blocks():
@@ -154,7 +308,7 @@ def test_canonical_null_bases_are_equal_exactly_when_spans_are(size, seed):
         b[rng.randrange(size)] = [rng.choice(SPARSE_POOL) for _ in range(size)]
     other = null_basis(b)
     dense = [[[v.get(c, ZERO) for c in range(size)] for v in vs] for vs in (basis, other)]
-    assert (basis == other) == linalg.spans_equal(*dense)
+    assert (basis == other) == spans_equal(*dense)
 
 
 KINDS = [

@@ -170,10 +170,20 @@ def test_representability_dichotomy():
             assert result["representable"] is False
 
 
-def test_graded_witness_needs_an_odd_pair():
+def test_graded_witness_needs_an_odd_pair(monkeypatch):
+    # the preconditions are checked before any extraction or fixed point
+    from superforms import realforms
+
+    def forbidden(*args):
+        raise AssertionError("work done before the graded preconditions")
+
+    monkeypatch.setattr(realforms, "extract_vector_conjugation", forbidden)
+    monkeypatch.setattr(realforms, "fixed_point_coords", forbidden)
     desc = build("omega3", MatrixKind(SL, 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="odd pair"):
         representability_check(desc, AlgebraSignature(0, 0, 0, GRADED))
+    with pytest.raises(ValueError, match="no odd vectors"):
+        representability_check(build("omega2", MatrixKind(SL, 2, 0)), SIG1G)
 
 
 def test_compactness_signature_dependence():
