@@ -600,9 +600,9 @@ class AlgebraMorphism:
     """A Q(i)-linear algebra homomorphism determined by generator images.
 
     Images must preserve parity and the square-zero relations; whether the
-    morphism intertwines the conjugations is checked on generators (it then
-    propagates to the whole algebra by multiplicativity and antilinearity of
-    the conjugations).
+    morphism intertwines the conjugations (:attr:`respects_conjugation`) is
+    checked on generators when first asked (it then propagates to the whole
+    algebra by multiplicativity and antilinearity of the conjugations).
 
     A morphism is *monomial* when every generator image has at most one
     term; then every monomial goes to at most one monomial, and
@@ -610,8 +610,7 @@ class AlgebraMorphism:
     the product kernel.
     """
 
-    __slots__ = ("src", "tgt", "odd_images", "even_images", "respects_conjugation", "monomial",
-                 "_cache")
+    __slots__ = ("src", "tgt", "odd_images", "even_images", "monomial", "_cache", "_respects")
 
     def __init__(
         self,
@@ -619,7 +618,6 @@ class AlgebraMorphism:
         tgt: AlgebraSignature,
         odd_images: Iterable[SuperNumber],
         even_images: Iterable[SuperNumber],
-        require_conjugation: bool = False,
     ):
         self.src = src
         self.tgt = tgt
@@ -639,9 +637,15 @@ class AlgebraMorphism:
                 raise MorphismError("even generator image must square to zero")
         self._cache: Dict[int, object] = {}    # per key: _image_of_key or _term_of_key
         self.monomial = all(len(img) <= 1 for img in self.odd_images + self.even_images)
-        self.respects_conjugation = self._conjugation_ok()
-        if require_conjugation and not self.respects_conjugation:
-            raise MorphismError("generator images do not intertwine the conjugations")
+        self._respects: Optional[bool] = None
+
+    @property
+    def respects_conjugation(self) -> bool:
+        """Whether the morphism intertwines the conjugations, computed on
+        first use."""
+        if self._respects is None:
+            self._respects = self._conjugation_ok()
+        return self._respects
 
     def _conjugation_ok(self) -> bool:
         if self.src.conjugation != self.tgt.conjugation:

@@ -119,9 +119,11 @@ def _odd_slots(m: int, n: int) -> List[Tuple[int, int]]:
     return slots
 
 
-def _grid_from_coords(slots, coords, size) -> Tuple[Tuple[GaussianRational, ...], ...]:
+def _grid_from_coords(slots, coords: Dict[int, GaussianRational],
+                      size) -> Tuple[Tuple[GaussianRational, ...], ...]:
     grid = [[ZERO] * size for _ in range(size)]
-    for (i, j), c in zip(slots, coords):
+    for p, c in coords.items():
+        i, j = slots[p]
         grid[i][j] = c
     return tuple(tuple(row) for row in grid)
 
@@ -137,28 +139,21 @@ def _osp_defect_of_unit(m: int, n: int, i: int, j: int) -> List[List[GaussianRat
     return [[left[a][b] + right[a][b] for b in range(size)] for a in range(size)]
 
 
-def _constraint_rows(kind: MatrixKind, slots, parity) -> List[List[GaussianRational]]:
-    """Linear conditions on the coordinates in ``slots`` for membership."""
+def _constraint_columns(kind: MatrixKind, slots, parity) -> List[Dict[int, GaussianRational]]:
+    """Linear conditions on the coordinates in ``slots`` for membership, one
+    sparse column ``{condition: value}`` per slot."""
     m, n, size = kind.m, kind.n, kind.size
-    count = len(slots)
-    if kind.family == GL:
-        return [[ZERO] * count]
-    if kind.family == SL:
-        if parity == ODD:
-            return [[ZERO] * count]
-        row = []
-        for (i, j) in slots:
-            if i != j:
-                row.append(ZERO)
-            else:
-                row.append(ONE if i < m else MINUS_ONE)
-        return [row]
+    if kind.family == GL or (kind.family == SL and parity == ODD):
+        return [{} for _ in slots]
+    if kind.family == SL:                       # the supertrace
+        return [{} if i != j else {0: ONE if i < m else MINUS_ONE} for (i, j) in slots]
     # osp: st(U) F + F U = 0 entrywise, one column per unit grid
     columns = []
     for (i, j) in slots:
         total = _osp_defect_of_unit(m, n, i, j)
-        columns.append([total[a][b] for a in range(size) for b in range(size)])
-    return [[columns[c][r] for c in range(count)] for r in range(size * size)]
+        columns.append({a * size + b: x for a, row in enumerate(total) for b, x in enumerate(row)
+                        if not x.is_zero()})
+    return columns
 
 
 _BASIS_CACHE: Dict[MatrixKind, List[BasisVector]] = {}
@@ -182,7 +177,7 @@ def basis_of(kind: MatrixKind) -> List[BasisVector]:
     for parity, slots in ((EVEN, _even_slots(kind.m, kind.n)), (ODD, _odd_slots(kind.m, kind.n))):
         if not slots:
             continue
-        for coords in linalg.nullspace(_constraint_rows(kind, slots, parity)):
+        for coords in linalg.nullspace(_constraint_columns(kind, slots, parity)):
             grids.append((parity, _grid_from_coords(slots, coords, size)))
     expected = _expected_dims(kind)
     got = (sum(1 for p, _ in grids if p == EVEN), sum(1 for p, _ in grids if p == ODD))

@@ -1,23 +1,30 @@
 """Exact linear algebra over Q(i).
 
-Everything works on plain ``list[list[GaussianRational]]`` grids and returns
-exact results.  :func:`mat_mul` is the package's one grid product: it takes
-the ring's zero as an argument and hands each output cell's nonzero factor
-pairs to that ring's fused sum of products (``sum_of_products`` on
-``GaussianRational`` and on ``algebra.SuperNumber``), so no partial product
-is built as an element of its own.  The supermatrix products are calls to it.
-There is no pivoting heuristic beyond "first nonzero", which keeps every
-computation deterministic.  Classic Gauss-Jordan costs cubic time
-in the width, so wide systems should not reach it whole: the fixed-point maps
-on ``g(A)`` have hundreds to thousands of real coordinates, but they split
-into small independent blocks, and :func:`block_nullspace` eliminates block
-by block.  Spans of sparse vectors are compared through their canonical bases
-(:func:`span_basis`), which sparse elimination builds without any grid.
+Everything works on plain ``list[list[GaussianRational]]`` grids or on sparse
+vectors ``{index: value}`` and returns exact results.  There are two kernels.
+
+* :func:`mat_mul` is the package's one grid product: it takes the ring's zero
+  as an argument and hands each output cell's nonzero factor pairs to that
+  ring's fused sum of products (``sum_of_products`` on ``GaussianRational``
+  and on ``algebra.SuperNumber``), so no partial product is built as an
+  element of its own.  The supermatrix products are calls to it.
+* :func:`span_basis` is the package's one Gauss-Jordan elimination: it
+  reduces sparse vectors to the canonical basis of their span.  Null spaces
+  (:func:`nullspace`) and inverses (:func:`invert`) are read off the
+  canonical basis of a matrix's graph, so the fixed-point maps on ``g(A)``,
+  hundreds to thousands of real coordinates wide but made of small
+  independent blocks, are eliminated without any grid and fill in only
+  inside their blocks.
+
+:func:`determinant` and :func:`leading_principal_minors` eliminate grids of
+their own, because they need the product of the pivots, which the canonical
+basis normalises away.  There is no pivoting heuristic beyond "first
+nonzero", which keeps every computation deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 
@@ -28,15 +35,8 @@ class SingularMatrix(ValueError):
     pass
 
 
-def zeros(rows: int, cols: int) -> Grid:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
 def identity(n: int) -> Grid:
-    grid = zeros(n, n)
-    for k in range(n):
-        grid[k][k] = ONE
-    return grid
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero=ZERO) -> list:
@@ -70,122 +70,15 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero=ZERO) -> list:
     return out
 
 
-def rref(matrix: Sequence[Sequence[GaussianRational]]) -> Tuple[Grid, List[int]]:
-    """Reduced row echelon form; returns ``(R, pivot_columns)``."""
-    grid = [list(row) for row in matrix]
-    rows = len(grid)
-    cols = len(grid[0]) if rows else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if not grid[i][c].is_zero()), None)
-        if pivot_row is None:
-            continue
-        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-        inv = grid[r][c].inverse()
-        grid[r] = [x * inv for x in grid[r]]
-        for i in range(rows):
-            if i != r and not grid[i][c].is_zero():
-                factor = grid[i][c]
-                grid[i] = [a - factor * b for a, b in zip(grid[i], grid[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return grid, pivots
-
-
-def nullspace(matrix: Sequence[Sequence[GaussianRational]]) -> List[List[GaussianRational]]:
-    """Basis of the right nullspace (free variable set to 1, pivots solved)."""
-    if not matrix:
-        return []
-    cols = len(matrix[0])
-    reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * cols
-        vec[free] = ONE
-        for row_idx, pivot_col in enumerate(pivots):
-            vec[pivot_col] = MINUS_ONE * reduced[row_idx][free]
-        basis.append(vec)
-    return basis
-
-
-def block_nullspace(columns: Sequence[Dict[int, GaussianRational]]) -> List[Dict[int, GaussianRational]]:
-    """Right nullspace of a sparse square matrix, one connected block at a time.
-
-    ``columns[c]`` maps row indices to the nonzero entries of column ``c``.
-    Indices joined by a nonzero entry are in one block, so the matrix is block
-    diagonal up to a permutation; each block's nullspace comes from
-    :func:`nullspace` on its own rows and columns, in increasing order, and is
-    extended by zero.  Vectors are sparse ``{index: value}`` dicts.
-
-    The result equals :func:`nullspace` of the dense matrix, vector for vector
-    and in the same order.  A column is a pivot exactly when it is not in the
-    span of the columns before it, and columns of other blocks cannot help to
-    span it.  So the free columns are the same; the vector of free column
-    ``f`` is the unique null vector that is 1 at ``f`` and 0 at every other
-    free column; and, since the reduced form has no entry left of a pivot,
-    ``f`` is its last nonzero index, which orders the vectors.
-    """
-    parent = list(range(len(columns)))
-
-    def root(k: int) -> int:
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for c, column in enumerate(columns):
-        for r in column:
-            a, b = root(r), root(c)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    blocks: Dict[int, List[int]] = {}
-    for k in range(len(columns)):
-        blocks.setdefault(root(k), []).append(k)
-
-    vectors = []
-    for members in blocks.values():
-        if len(members) == 1:           # a 1x1 block: null exactly when its entry is 0
-            k = members[0]
-            if columns[k].get(k, ZERO).is_zero():
-                vectors.append({k: ONE})
-            continue
-        if len(members) == 2:           # a 2x2 block [[a, b], [c, d]], never zero
-            k0, k1 = members
-            a, c = columns[k0].get(k0, ZERO), columns[k0].get(k1, ZERO)
-            b, d = columns[k1].get(k0, ZERO), columns[k1].get(k1, ZERO)
-            if (a * d - b * c).is_zero():
-                if a.is_zero() and c.is_zero():     # column k0 is free, k1 a pivot
-                    vectors.append({k0: ONE})
-                else:                               # k0 a pivot, k1 free
-                    ratio = b / a if not a.is_zero() else d / c
-                    vectors.append({k1: ONE} if ratio.is_zero() else {k0: -ratio, k1: ONE})
-            continue
-        local = {k: pos for pos, k in enumerate(members)}
-        sub = zeros(len(members), len(members))
-        for pos, c in enumerate(members):
-            for r, value in columns[c].items():
-                sub[local[r]][pos] = value
-        for vec in nullspace(sub):
-            vectors.append({members[pos]: x for pos, x in enumerate(vec) if not x.is_zero()})
-    vectors.sort(key=max)
-    return vectors
-
-
 def span_basis(vectors: Iterable[Dict[int, GaussianRational]]) -> List[Dict[int, GaussianRational]]:
     """Canonical basis of the span of sparse vectors ``{index: value}``.
 
     Each vector is reduced at its last nonzero index by the vector kept for
     that index, until it vanishes or ends at an index nothing is kept for; it
-    is then kept, scaled to 1 there.  In increasing order, each kept vector is
-    then cleared at the other kept indices below its own, by the vectors
-    already cleared (they are 0 at every other kept index, so no cleared entry
-    comes back).  The result, ordered by last nonzero index, is the canonical
+    is then kept, scaled to 1 there (unless it is 1 already).  In increasing
+    order, each kept vector is then cleared at the other kept indices below
+    its own, by the vectors already cleared (they are 0 at every other kept
+    index, so no cleared entry comes back).  The result, ordered by last nonzero index, is the canonical
     basis of :func:`superforms.realforms.fixed_vectors`: the kept indices are
     the last nonzero indices ``F`` of the span, and for each ``f`` in ``F`` the
     vector is the one in the span that is 1 at ``f``, 0 at the rest of ``F``
@@ -200,8 +93,11 @@ def span_basis(vectors: Iterable[Dict[int, GaussianRational]]) -> List[Dict[int,
             last = max(vec)
             row = kept.get(last)
             if row is None:
-                inv = vec[last].inverse()
-                kept[last] = {k: x * inv for k, x in vec.items()}
+                pivot = vec[last]
+                if not pivot.is_one():
+                    inv = pivot.inverse()
+                    vec = {k: x * inv for k, x in vec.items()}
+                kept[last] = vec
                 break
             _subtract(vec, vec[last], row)
     basis = []
@@ -224,14 +120,54 @@ def _subtract(vec: Dict[int, GaussianRational], factor: GaussianRational,
             vec[k] = y
 
 
+def _graph(columns: Sequence[Dict[int, GaussianRational]]) -> List[Dict[int, GaussianRational]]:
+    """The graph of the matrix with sparse ``columns`` ``{row: value}``: for
+    each column ``c``, the unit vector at ``c`` joined to the column shifted
+    to the indices ``n + row``, with ``n = len(columns)``."""
+    n = len(columns)
+    graph = []
+    for c, column in enumerate(columns):
+        vec = {c: ONE}
+        for r, x in column.items():
+            vec[n + r] = x
+        graph.append(vec)
+    return graph
+
+
+def nullspace(columns: Sequence[Dict[int, GaussianRational]]) -> List[Dict[int, GaussianRational]]:
+    """Canonical basis of the right null space of the matrix with sparse
+    ``columns`` ``{row: value}``, as sparse vectors in increasing order of
+    their last nonzero index.
+
+    The graph vectors ``(e_c, A e_c)`` span the pairs ``(x, A x)``.  A vector
+    of their canonical basis (:func:`span_basis`) that ends at ``f < n`` is
+    0 at every index from ``n`` on, so it is ``(x, 0)`` with ``A x = 0``;
+    and every null vector ``x`` gives ``(x, 0)`` in the span, which ends
+    below ``n``.  So the vectors ending below ``n`` lie in the null space
+    and their last indices are all of its last nonzero indices; each is 1
+    at its own, 0 at the others and 0 after its own, which is the one null
+    vector with these properties.  They are the canonical null basis: the
+    dense nullspace with its free columns set to 1, vector for vector.
+    """
+    n = len(columns)
+    return [vec for vec in span_basis(_graph(columns)) if max(vec) < n]
+
+
 def invert(matrix: Sequence[Sequence[GaussianRational]]) -> Grid:
-    """Inverse of a square grid over Q(i) (Gauss-Jordan)."""
+    """Inverse of a square grid over Q(i), read off the canonical basis of
+    its graph (see :func:`nullspace`).
+
+    A basis vector ending below ``n`` is a null vector, and then the matrix
+    is singular.  Otherwise all ``n`` vectors end at ``n + j`` for
+    ``j < n``, and the one ending at ``n + j`` is ``(x, e_j)`` with
+    ``A x = e_j``: its low part is column ``j`` of the inverse.
+    """
     n = len(matrix)
-    augmented = [list(matrix[i]) + list(identity(n)[i]) for i in range(n)]
-    reduced, pivots = rref(augmented)
-    if pivots != list(range(n)):
+    columns = [{r: matrix[r][c] for r in range(n) if not matrix[r][c].is_zero()} for c in range(n)]
+    basis = span_basis(_graph(columns))
+    if any(max(vec) < n for vec in basis):
         raise SingularMatrix("matrix is singular")
-    return [row[n:] for row in reduced]
+    return [[vec.get(i, ZERO) for vec in basis] for i in range(n)]
 
 
 def determinant(matrix: Sequence[Sequence[GaussianRational]]) -> GaussianRational:

@@ -258,10 +258,9 @@ def _series_inverse(rows: List[List[SuperNumber]], sig: AlgebraSignature) -> Lis
     size = len(rows)
     body = [[e.body() for e in row] for row in rows]
     try:
-        body_inv_c = linalg.invert(body)
+        body_inv = linalg.invert(body)      # constants, which mat_mul multiplies by elements
     except linalg.SingularMatrix:
         raise NotInvertibleMatrix("matrix body is singular")
-    body_inv = [[scalar(sig, c) for c in row] for row in body_inv_c]
     zero = SuperNumber.zero(sig)
 
     soul = [[rows[i][j].soul() for j in range(size)] for i in range(size)]

@@ -100,7 +100,8 @@ def verify_structure(desc: Descriptor, sig: AlgebraSignature, samples: int = 100
         battery.append(("pair-inclusion", inc))
     ext, ext_include, _, _ = adjoin_dual(sig)
     battery.append(("dual-scale-real", None))
-    battery.append(("dual-scale-imaginary", None))
+    battery.append(("dual-scale-imaginary", (dual_scale_morphism(ext, scalar(ext, I)),
+                                             dual_scale_morphism(ext, scalar(ext, I.conjugate())))))
 
     i_const = scalar(sig, I)
 
@@ -167,8 +168,7 @@ def verify_structure(desc: Descriptor, sig: AlgebraSignature, samples: int = 100
                 lhs_n = evaluate(xe.map_entries(va.apply))
                 rhs_n = fxe.map_entries(va.apply)
             else:
-                vi = dual_scale_morphism(ext, scalar(ext, I))
-                vi_conj = dual_scale_morphism(ext, scalar(ext, I.conjugate()))
+                vi, vi_conj = morph
                 lhs_n = evaluate(xe.map_entries(vi.apply))
                 rhs_n = fxe.map_entries(vi_conj.apply)
         tallies["naturality"].record(lhs_n == rhs_n, lambda: {
@@ -415,23 +415,21 @@ def fixed_vectors(count: int, image: Callable[[int, GaussianRational], Dict[int,
     ``image(p, u)`` returns the complex coordinates ``{q: z}`` of the image of
     ``u`` times the ``p``-th unit vector, for ``u`` = 1 and ``u`` = i.  On the
     real coordinates (real part ``2p``, imaginary part ``2p+1``) the fixed
-    points are the nullspace of ``M - I``; it is taken block by block
-    (:func:`linalg.block_nullspace`), which gives the basis and order of the
-    dense nullspace.  Each vector is returned as complex coordinates ``{p: z}``.
+    points are the null space of ``M - I``, given to :func:`linalg.nullspace`
+    as sparse columns: its elimination (:func:`linalg.span_basis`, the one
+    Gauss-Jordan of the package) meets only the nonzero entries, so the map's
+    small independent blocks fill in only inside themselves.  Each vector is
+    returned as complex coordinates ``{p: z}``.
 
     The basis is canonical: it depends only on the fixed space, not on the
     map.  In a subspace ``U``, the last nonzero indices of the vectors of
     ``U`` form a set ``F`` of ``dim U`` indices, and for each ``f`` in ``F``
     exactly one vector of ``U`` is 1 at ``f``, 0 at the rest of ``F`` and 0
     after ``f`` (the difference of two such vectors would have its last
-    nonzero index outside ``F``).  The nullspace's vector of free column
-    ``f`` is that vector: a column is free when it is a combination of the
-    columns before it, that is when some null vector ends there, so the free
-    columns are ``F``; and the vector is 1 at ``f``, 0 at the other free
-    columns and, the reduced form having no entry left of a pivot, 0 after
-    ``f``.  Going to complex coordinates is one-to-one.  So
-    two fixed spaces on the same coordinates are equal exactly when their
-    lists of vectors are equal.
+    nonzero index outside ``F``).  :func:`linalg.nullspace` returns these
+    vectors, in increasing order of ``f``, and going to complex coordinates
+    is one-to-one.  So two fixed spaces on the same coordinates are equal
+    exactly when their lists of vectors are equal.
     """
     columns = []
     for p in range(count):
@@ -444,7 +442,7 @@ def fixed_vectors(count: int, image: Callable[[int, GaussianRational], Dict[int,
             else:
                 column[c] = diagonal
             columns.append(column)
-    return [from_real(vec) for vec in linalg.block_nullspace(columns)]
+    return [from_real(vec) for vec in linalg.nullspace(columns)]
 
 
 class CoordLayout:

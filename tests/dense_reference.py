@@ -1,9 +1,11 @@
 """Slow reference implementations kept as test oracles for the fast paths.
 
 These are the dense, solve-based routines the package used before it read
-coordinates off reading slots, took fixed points block by block and
-compared spans through sparse canonical bases:
+coordinates off reading slots, took fixed points and inverses from sparse
+canonical bases and compared spans through them:
 
+* dense Gauss-Jordan ``rref`` and the grid ``nullspace`` built on it, against
+  which ``linalg.nullspace`` and ``linalg.invert`` are checked;
 * the fixed points of a real-linear map as the nullspace of one dense
   ``M - I`` over all real coordinates;
 * ``decompose_in_basis`` / ``tensor_of`` by one linear solve per monomial;
@@ -21,9 +23,8 @@ The tests require the package to agree with them exactly, vector for vector
 and in the same order.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from superforms import linalg
 from superforms.algebra import EVEN, ODD, STANDARD, SuperNumber, basis_keys, key_parity, theta, theta_bar
 from superforms.exprs import apply_expr
 from superforms.liealg import MembershipError, TensorElement, basis_of, matrix_of, require_member, tensor_of
@@ -32,13 +33,57 @@ from superforms.realforms import (
     CoordLayout, extract_vector_conjugation, fixed_point_data, matrix_literal,
     real_fixed_elements, real_fixed_vectors,
 )
-from superforms.scalars import GaussianRational, I, ONE, ZERO
+from superforms.scalars import GaussianRational, I, MINUS_ONE, ONE, ZERO
+
+
+def rref(matrix) -> Tuple[List[List[GaussianRational]], List[int]]:
+    """Reduced row echelon form; returns ``(R, pivot_columns)``."""
+    grid = [list(row) for row in matrix]
+    rows = len(grid)
+    cols = len(grid[0]) if rows else 0
+    pivots: List[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if not grid[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
+        inv = grid[r][c].inverse()
+        grid[r] = [x * inv for x in grid[r]]
+        for i in range(rows):
+            if i != r and not grid[i][c].is_zero():
+                factor = grid[i][c]
+                grid[i] = [a - factor * b for a, b in zip(grid[i], grid[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return grid, pivots
+
+
+def nullspace(matrix) -> List[List[GaussianRational]]:
+    """Basis of the right nullspace (free variable set to 1, pivots solved)."""
+    if not matrix:
+        return []
+    cols = len(matrix[0])
+    reduced, pivots = rref(matrix)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        vec = [ZERO] * cols
+        vec[free] = ONE
+        for row_idx, pivot_col in enumerate(pivots):
+            vec[pivot_col] = MINUS_ONE * reduced[row_idx][free]
+        basis.append(vec)
+    return basis
 
 
 def rank(matrix) -> int:
     if not matrix:
         return 0
-    return len(linalg.rref(matrix)[1])
+    return len(rref(matrix)[1])
 
 
 def solve(matrix, rhs) -> Optional[List[GaussianRational]]:
@@ -48,7 +93,7 @@ def solve(matrix, rhs) -> Optional[List[GaussianRational]]:
         return [] if all(b.is_zero() for b in rhs) else None
     cols = len(matrix[0])
     augmented = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
-    reduced, pivots = linalg.rref(augmented)
+    reduced, pivots = rref(augmented)
     if cols in pivots:
         return None
     x = [ZERO] * cols
@@ -96,7 +141,7 @@ def dense_fixed_vectors(matrix) -> List[List[GaussianRational]]:
         [matrix[r][c] - (ONE if r == c else ZERO) for c in range(dim)]
         for r in range(dim)
     ]
-    return linalg.nullspace(delta)
+    return nullspace(delta)
 
 
 def dense_layout_fixed_vectors(layout: CoordLayout, func) -> List[List[GaussianRational]]:

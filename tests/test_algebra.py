@@ -165,6 +165,19 @@ def test_dual_scale_morphism():
         dual_scale_morphism(ext, inc.apply(theta(STD2, 0)))  # odd scaling is not allowed
 
 
+def test_dual_scale_morphism_applies_nothing_until_asked(monkeypatch):
+    from superforms.algebra import AlgebraMorphism
+    ext, inc, _, _ = adjoin_dual(STD2)
+    a = inc.apply(one(STD2).scaled(I))
+    calls = []
+    apply = AlgebraMorphism.apply
+    monkeypatch.setattr(AlgebraMorphism, "apply", lambda self, x: calls.append(x) or apply(self, x))
+    v = dual_scale_morphism(ext, a)
+    assert calls == []
+    # the conjugation check runs on first use: conj(a) != a here
+    assert not v.respects_conjugation and calls
+
+
 def test_morphism_rejects_parity_violation():
     from superforms.algebra import AlgebraMorphism
     with pytest.raises(MorphismError):

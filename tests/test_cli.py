@@ -160,21 +160,26 @@ def test_witness_at_four_odd_pairs():
 
 
 def test_witness_eliminates_only_small_blocks(monkeypatch):
-    # the product span is reduced sparsely; the only grids eliminated are the
-    # fixed-point blocks, not the whole real coordinate space (512 wide here)
+    # the product span and the fixed points are reduced sparsely: no vector
+    # handed to or returned by the elimination comes near the 512 real
+    # coordinates of the whole space here
     from superforms import linalg
 
-    widths = []
-    rref = linalg.rref
+    sizes = []
 
-    def recording(matrix):
-        widths.append(len(matrix[0]) if matrix else 0)
-        return rref(matrix)
+    def recording(kernel):
+        def wrapped(vectors):
+            vectors = list(vectors)
+            result = kernel(vectors)
+            sizes.extend(len(v) for v in vectors + result)
+            return result
+        return wrapped
 
-    monkeypatch.setattr(linalg, "rref", recording)
+    for name in ("nullspace", "span_basis"):
+        monkeypatch.setattr(linalg, name, recording(getattr(linalg, name)))
     code, _ = run_cli("witness", "sl", "2", "1", "omega2", "--odd-pairs", "3")
     assert code == 0
-    assert widths and max(widths) <= 16
+    assert sizes and max(sizes) <= 16
 
 
 def test_fixed_basis_counts():

@@ -1,6 +1,7 @@
 """The fast paths against their dense references (``dense_reference.py``):
-block-by-block fixed points, slot-read coordinates, in-place matrix assembly,
-sparse canonical span bases and the representability dichotomy built on them;
+null spaces, fixed points and inverses read off sparse canonical bases,
+slot-read coordinates, in-place matrix assembly, sparse canonical span bases
+and the representability dichotomy built on them;
 and against the routes they replace: fixed-point images relabelled across
 monomials, the rebuild as one positional map, the rebuild check through the
 difference map, the osp membership check read off compiled cells, and the
@@ -13,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from dense_reference import (
     dense_layout_fixed_vectors, dense_real_fixed_elements, dense_real_fixed_vectors,
-    dense_representability, in_span, rank, real_coordinates, solve_decompose, solve_tensor_of,
-    spans_equal, summed_matrix_of,
+    dense_representability, in_span, nullspace, rank, real_coordinates, rref, solve_decompose,
+    solve_tensor_of, spans_equal, summed_matrix_of,
 )
 from superforms import linalg
 from superforms.algebra import EVEN, GRADED, ODD, STANDARD, AlgebraSignature, SuperNumber, basis_keys
@@ -261,8 +262,8 @@ def test_block_nullspace_matches_dense_on_mixed_blocks():
         [ZERO, ZERO, ZERO, ZERO, ZERO],
     ]
     columns = [{r: dense[r][c] for r in range(5) if not dense[r][c].is_zero()} for c in range(5)]
-    expected = linalg.nullspace(dense)
-    got = linalg.block_nullspace(columns)
+    expected = nullspace(dense)
+    got = linalg.nullspace(columns)
     assert [[v.get(c, ZERO) for c in range(5)] for v in got] == expected
 
 
@@ -287,7 +288,7 @@ def invertible_grid(rng, size):
 
 def null_basis(grid):
     size = len(grid)
-    return linalg.block_nullspace(
+    return linalg.nullspace(
         [{r: grid[r][c] for r in range(size) if not grid[r][c].is_zero()} for c in range(size)])
 
 
@@ -309,6 +310,30 @@ def test_canonical_null_bases_are_equal_exactly_when_spans_are(size, seed):
     other = null_basis(b)
     dense = [[[v.get(c, ZERO) for c in range(size)] for v in vs] for vs in (basis, other)]
     assert (basis == other) == spans_equal(*dense)
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_nullspace_and_invert_match_dense(rows, cols, seed):
+    # rectangular grids, zero columns and singular squares included
+    rng = random.Random(seed)
+    grid = [[rng.choice(SPARSE_POOL) for _ in range(cols)] for _ in range(rows)]
+    for c in rng.sample(range(cols), rng.randrange(cols)):
+        for row in grid:
+            row[c] = ZERO
+    columns = [{r: grid[r][c] for r in range(rows) if not grid[r][c].is_zero()} for c in range(cols)]
+    expected = [{k: x for k, x in enumerate(vec) if not x.is_zero()} for vec in nullspace(grid)]
+    assert linalg.nullspace(columns) == expected
+    n = cols
+    for square in [invertible_grid(rng, n)] + ([grid] if rows == n else []):
+        if rank(square) < n:
+            with pytest.raises(linalg.SingularMatrix):
+                linalg.invert(square)
+            continue
+        reduced, _ = rref([row + unit for row, unit in zip(square, linalg.identity(n))])
+        inverse = linalg.invert(square)
+        assert inverse == [row[n:] for row in reduced]
+        assert linalg.mat_mul(square, inverse) == linalg.identity(n)
 
 
 KINDS = [
@@ -478,5 +503,5 @@ def test_block_nullspace_small_blocks_match_dense(entries):
     a, b, c, d, e, f, g, h = entries
     dense = [[a, ZERO, b, ZERO], [ZERO, e, ZERO, f], [c, ZERO, d, ZERO], [ZERO, g, ZERO, h]]
     columns = [{r: dense[r][col] for r in range(4) if not dense[r][col].is_zero()} for col in range(4)]
-    expected = [{k: x for k, x in enumerate(vec) if not x.is_zero()} for vec in linalg.nullspace(dense)]
-    assert linalg.block_nullspace(columns) == expected
+    expected = [{k: x for k, x in enumerate(vec) if not x.is_zero()} for vec in nullspace(dense)]
+    assert linalg.nullspace(columns) == expected

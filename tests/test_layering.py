@@ -6,8 +6,12 @@ nothing outside the standard library.
 
 import ast
 import sys
-import tomllib
 from pathlib import Path
+
+try:
+    import tomllib
+except ModuleNotFoundError:         # Python 3.10: the backport, from the test extra
+    import tomli as tomllib
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "superforms").glob("*.py"))
