@@ -264,9 +264,6 @@ class SuperNumber:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_constant(self) -> bool:
-        return all(k == 0 for k in self._terms)
-
     def is_even(self) -> bool:
         return all(key_parity(k) == EVEN for k in self._terms)
 

@@ -31,10 +31,16 @@ the tag of each output term names its unit.  A :class:`PositionalMap` holds
 product: each cell conjugates only the nonzero entries it reads, one term is
 a scaling, several go through ``algebra.sum_of_products``.  Its ``vanishes``
 tests whether the map sends a point to zero, conjugating nothing; the osp
-membership check and the extraction-rebuild check use it.  A group-only
-step splits the expression into runs and is applied by its own rule between
-them, so an ``inverse-neg`` lift is ``inverse(-f(x))``.  :func:`apply_expr` evaluates a compiled
-expression, or compiles a step tuple on the spot.
+membership check and the extraction-rebuild check use it.  Its
+``apply_constant`` applies it to a constant grid, where the ``k``
+conjugations are one or none; :mod:`superforms.realforms` reads each
+structure's action on the defining space off it, so the tagging above is the
+package's only probe evaluation.  A group-only step splits the expression
+into runs and is applied by its own rule between them, so an
+``inverse-neg`` lift is ``inverse(-f(x))``; ``CompiledExpr.algebra_map``
+refuses such an expression wherever one positional map is needed.
+:func:`apply_expr` evaluates a compiled expression, or compiles a step tuple
+on the spot.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from .matrices import (
 from .algebra import (
     MAX_EVEN_NILPOTENT, AlgebraSignature, SuperNumber, basis_keys, scalar, sum_of_products,
 )
-from .scalars import ONE, GaussianRational, format_scalar
+from .scalars import ONE, ZERO, GaussianRational, format_scalar
 
 Step = Tuple
 
@@ -171,6 +177,23 @@ class PositionalMap(NamedTuple):
                     return False
         return True
 
+    def apply_constant(self, grid) -> list:
+        """The map on a constant grid.  Conjugation conjugates a constant, so
+        the ``k`` conjugations are one when ``k`` is odd and none otherwise."""
+        flip = self.conjugations & 1
+        out = []
+        for cell_row in self.cells:
+            out_row = []
+            for cell in cell_row:
+                acc = ZERO
+                for r, s, c in cell:
+                    x = grid[r][s]
+                    if not x.is_zero():
+                        acc = acc + c * (x.conjugate() if flip else x)
+                out_row.append(acc)
+            out.append(out_row)
+        return out
+
 
 _PROBE = AlgebraSignature(even_nilpotents=MAX_EVEN_NILPOTENT)
 """The algebra the unit matrices are tagged in: its even monomials are
@@ -211,6 +234,14 @@ class CompiledExpr(NamedTuple):
     stages: Tuple[Union[PositionalMap, Step], ...]
     group_only: bool
 
+    @property
+    def algebra_map(self) -> PositionalMap:
+        """The one positional map of an algebra-level expression; raises
+        ``ValueError`` when a group-only step splits the expression."""
+        if self.group_only:
+            raise ValueError("matrix inverse is a group-level step")
+        return self.stages[0]
+
 
 def compile_expr(steps: Sequence[Step], m: int, n: int) -> CompiledExpr:
     """Compile ``steps`` for matrices of shape ``m|n`` (see the module notes).
@@ -242,9 +273,7 @@ def apply_expr(expr: Union[CompiledExpr, Sequence[Step]], x: SuperMatrix,
         expr = compile_expr(expr, x.m, x.n)
     if (expr.m, expr.n) != (x.m, x.n):
         raise ValueError(f"expression compiled for shape {expr.m}|{expr.n}, got {x.m}|{x.n}")
-    if expr.group_only and not allow_inverse:
-        raise ValueError("matrix inverse is a group-level step")
-    for stage in expr.stages:
+    for stage in expr.stages if allow_inverse else (expr.algebra_map,):
         if type(stage) is PositionalMap:
             x = stage.apply(x)
         else:

@@ -28,14 +28,14 @@ from .algebra import (
 )
 from .catalog import Descriptor
 from .exprs import apply_expr
-from .liealg import GL, OSP, SL, MatrixKind
+from .liealg import GL, OSP, SL, MatrixKind, matrix_of, tensor_of
 from .literals import format_number
 from .matrices import (
-    SuperMatrix, berezinian, const_matrix, identity_matrix,
+    NotInvertibleMatrix, SuperMatrix, berezinian, const_matrix, identity_matrix,
     inverse as matrix_inverse, is_invertible, mul_const, osp_form_grid,
     supertranspose,
 )
-from .realforms import CoordLayout, matrix_literal
+from .realforms import CoordLayout, fixed_point_coords, matrix_literal
 from .report import CheckOutcome, Tally
 from .sampling import (
     random_even, random_invertible_even, random_odd, random_point, require_samples,
@@ -165,10 +165,11 @@ def sample_osp(kind: MatrixKind, sig: AlgebraSignature, rng, max_tries: int = 25
     ident = identity_matrix(kind.m, kind.n, sig)
     for _ in range(max_tries):
         x = random_point(kind, sig, rng)
-        plus = ident + x
-        if not is_invertible(plus):
+        try:
+            denominator = matrix_inverse(ident + x)
+        except NotInvertibleMatrix:
             continue
-        return (ident - x) * matrix_inverse(plus)
+        return (ident - x) * denominator
     raise SamplingFailed(
         f"no invertible Cayley denominator for {kind.display()} after {max_tries} tries"
     )
@@ -336,12 +337,9 @@ def group_commutator_identity(kind: MatrixKind, sig: AlgebraSignature, samples: 
 # ---------------------------------------------------------------------------
 
 def fixed_span_maps(desc: Descriptor, sig: AlgebraSignature):
-    """The two real-linear maps on ``g(A)`` whose fixed spans
-    :func:`lie_fixed_span_check` compares: the lifted structure read on the
-    dual-number kernel ``Id + eps M``, and the algebra-level structure.
-    Returns ``(layout, group_side, algebra_side)``."""
-    from .liealg import matrix_of, tensor_of
-
+    """The group side of :func:`lie_fixed_span_check`: the lifted structure
+    read on the dual-number kernel ``Id + eps M``, as a real-linear map on
+    ``g(A)``, evaluated generically.  Returns ``(layout, group_side)``."""
     kind = desc.kind
     layout = CoordLayout(kind, sig)
     ext, include, _, _ = adjoin_dual(sig)
@@ -356,25 +354,24 @@ def fixed_span_maps(desc: Descriptor, sig: AlgebraSignature):
             raise AssertionError("lifted image of a kernel point left the kernel")
         return tensor_of(kind, coef)
 
-    def algebra_side(t):
-        return tensor_of(kind, apply_expr(desc.compiled, matrix_of(t)))
-
-    return layout, group_side, algebra_side
+    return layout, group_side
 
 
 def lie_fixed_span_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
     """Compare the fixed span of the lifted structure on the dual-number
     kernel with the fixed span of the algebra-level structure, exactly.
 
-    Both sides are computed as fixed vectors of real-linear maps on the same
-    coordinate system; the result records both dimensions and whether the
-    spans agree as Q-subspaces.  Each side is the canonical basis of its span
-    (see :func:`superforms.realforms.fixed_vectors`), so the spans agree
-    exactly when the two lists of vectors are equal.
+    Both sides are fixed vectors of real-linear maps on the same coordinate
+    system: the group side of :func:`fixed_span_maps`, and the algebra side
+    from :func:`superforms.realforms.fixed_point_coords`.  The result records
+    both dimensions and whether the spans agree as Q-subspaces.  Each side is
+    the canonical basis of its span (see
+    :func:`superforms.realforms.fixed_vectors`), so the spans agree exactly
+    when the two lists of vectors are equal.
     """
-    layout, group_side, algebra_side = fixed_span_maps(desc, sig)
+    layout, group_side = fixed_span_maps(desc, sig)
     group_span = layout.fixed_vectors(group_side)
-    algebra_span = layout.fixed_vectors(algebra_side)
+    algebra_span, _ = fixed_point_coords(desc, sig)
     return {
         "descriptor": desc.display(group=True),
         "group_fixed_dimension": len(group_span),

@@ -250,30 +250,36 @@ def require_member(kind: MatrixKind, x: SuperMatrix):
 _STRUCTURE_CACHE: Dict[MatrixKind, Dict[Tuple[int, int], List[Tuple[int, GaussianRational]]]] = {}
 
 
+def combination_cells(kind: MatrixKind, coeffs) -> Dict[Cell, GaussianRational]:
+    """The nonzero cells of the constant grid ``sum c_j v_j``, summed from the
+    sparse supports of the basis vectors, for ``coeffs = [(j, c_j), ...]``."""
+    basis = basis_of(kind)
+    cells: Dict[Cell, GaussianRational] = {}
+    for j, c in coeffs:
+        for cell, value in basis[j].support:
+            cells[cell] = cells.get(cell, ZERO) + c * value
+    return {cell: x for cell, x in cells.items() if not x.is_zero()}
+
+
 def decompose_in_basis(kind: MatrixKind, grid, parity) -> Optional[List[Tuple[int, GaussianRational]]]:
     """Write a constant grid in the basis vectors of one parity, or ``None``.
 
     Returns ``[(basis_index, coefficient), ...]`` with zero coefficients
     dropped; ``None`` means the grid is not in the span (i.e. not a member).
     Each coefficient is read from its vector's slot; the combination is then
-    rebuilt and compared with the grid cell by cell, exactly.
+    rebuilt (:func:`combination_cells`) and compared exactly with the
+    grid's nonzero cells.
     """
     out = []
-    rebuilt: Dict[Cell, GaussianRational] = {}
     for v in basis_of(kind):
         if v.parity != parity:
             continue
         i, j = v.slot
         coeff = grid[i][j]
-        if coeff.is_zero():
-            continue
-        out.append((v.index, coeff))
-        for cell, c in v.support:
-            rebuilt[cell] = rebuilt.get(cell, ZERO) + coeff * c
-    size = kind.size
-    if any(grid[i][j] != rebuilt.get((i, j), ZERO) for i in range(size) for j in range(size)):
-        return None
-    return out
+        if not coeff.is_zero():
+            out.append((v.index, coeff))
+    nonzero = {(i, j): x for i, row in enumerate(grid) for j, x in enumerate(row) if not x.is_zero()}
+    return out if nonzero == combination_cells(kind, out) else None
 
 
 def vector_bracket(kind: MatrixKind, i: int, j: int) -> List[Tuple[int, GaussianRational]]:

@@ -8,13 +8,21 @@ This module houses the substance of the package:
 * :func:`extract_vector_conjugation` — recover the underlying antilinear map
   on the defining space from the functorial data, and rebuild the functorial
   map from it;
-* :func:`fixed_point_data` — exact basis of the fixed-point set over a given
-  coefficient algebra;
+* :func:`fixed_point_data` / :func:`fixed_point_coords` — exact basis of the
+  fixed-point set over a given coefficient algebra;
 * :func:`representability_check` — the standard/graded dichotomy: standard
   structures have fixed sets spanned by real-coefficient combinations of
   fixed vectors; graded ones admit an explicit fixed point outside that span;
 * :func:`compactness_data` / :func:`compact_scan` — positive definiteness of
   the -Re tr(XY) form on the even fixed part, by exact leading minors.
+
+Extraction and fixed points evaluate no supermatrix.  A descriptor's map is
+``k`` entrywise conjugations followed by one constant map ``L`` (its
+compiled :class:`~superforms.exprs.PositionalMap`), so both read one table,
+the *vector action*: ``L(v)`` for each basis vector ``v`` (``v`` conjugated
+when ``k`` is odd), applied to ``v``'s constant grid and written in the basis
+vectors of its parity.  The coefficients only pick up ``conj^k``, which sends
+a monomial to plus or minus one monomial.
 """
 
 from __future__ import annotations
@@ -25,15 +33,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import linalg
 from .algebra import (
-    EVEN, GRADED, MAX_EVEN_NILPOTENT, ODD, STANDARD, AlgebraSignature, SuperNumber,
-    adjoin_dual, basis_keys, dual_scale_morphism, even_mask_of, include_pairs,
-    kill_pair_projection, make_key, odd_mask_of, one, scalar, theta, theta_bar,
+    EVEN, GRADED, ODD, STANDARD, AlgebraSignature, SuperNumber, adjoin_dual, basis_keys,
+    dual_scale_morphism, include_pairs, kill_pair_projection, one, scalar, theta, theta_bar,
 )
 from .catalog import Descriptor, InapplicableDescriptor, build, names_for, param_choices
 from .exprs import PositionalMap, apply_expr
 from .liealg import (
-    MatrixKind, TensorElement, basis_of, decompose_in_basis, matrix_of,
-    membership_defect, require_member, tensor_of,
+    MatrixKind, MembershipError, TensorElement, basis_of, combination_cells,
+    decompose_in_basis, matrix_of, membership_defect, require_member,
 )
 from .literals import format_matrix, format_number
 from .matrices import SuperMatrix
@@ -220,82 +227,74 @@ class VectorConjugation:
         """The coefficient of ``v_i`` sits at its slot; conjugated, it goes to
         ``sum_j p_ij v_j``.  So output cell ``(a, b)`` is ``sum_i conj(x[slot_i])
         sum_j p_ij v_j[a][b]``."""
-        basis = basis_of(self.kind)
         size = self.kind.size
         cells = [[[] for _ in range(size)] for _ in range(size)]
-        for v in basis:
-            image: Dict[Tuple[int, int], GaussianRational] = {}
-            for j, p in self.coords[v.index]:
-                for cell, value in basis[j].support:
-                    image[cell] = image.get(cell, ZERO) + p * value
-            for (a, b), c in image.items():
-                if not c.is_zero():
-                    cells[a][b].append((*v.slot, c))
+        for v in basis_of(self.kind):
+            for (a, b), c in combination_cells(self.kind, self.coords[v.index]).items():
+                cells[a][b].append((*v.slot, c))
         return PositionalMap(tuple(tuple(tuple(cell) for cell in row) for row in cells), 1)
 
     def square_sign(self, parity: int) -> int:
         return -1 if (self.conjugation == GRADED and parity == ODD) else 1
 
 
+def _conj_power(sig: AlgebraSignature, key: int, conjugations: int) -> Tuple[int, GaussianRational]:
+    """``conj^k`` of the monomial ``key``, ``k = conjugations``: conjugation
+    sends a monomial to plus or minus one monomial, returned as ``(key, sign)``."""
+    t = SuperNumber(sig, {key: ONE})
+    for _ in range(conjugations):
+        t = t.conjugate()
+    (image_key, c), = t.items()
+    return image_key, c
+
+
+def _vector_action(desc: Descriptor) -> Tuple[int, List[Optional[List[Tuple[int, GaussianRational]]]]]:
+    """The descriptor's action on the defining space, read off its compiled
+    map: ``k`` entrywise conjugations, then the constant map ``L``.
+
+    Returns ``k`` and one entry per basis vector: entry ``i`` decomposes
+    ``L(v_i)``, ``v_i`` conjugated when ``k`` is odd, in the basis vectors of
+    ``v_i``'s parity, or is ``None`` when that image leaves the algebra.  A
+    group-only step raises ``ValueError``."""
+    run = desc.compiled.algebra_map
+    return run.conjugations, [decompose_in_basis(desc.kind, run.apply_constant(v.grid), v.parity)
+                              for v in basis_of(desc.kind)]
+
+
 def extract_vector_conjugation(desc: Descriptor) -> VectorConjugation:
-    """Evaluate the descriptor on constant and one-odd-coefficient points to
-    recover its action on the defining space, validating the expected shape.
+    """Recover the descriptor's action on the defining space from its vector
+    action (:func:`_vector_action`), validating the expected shape.
 
-    Even basis vectors are probed with constant coefficients; odd ones with
-    the first generator ``t1`` of a conjugate pair, where the image of
-    ``t1 (x) v`` must be exactly ``t1~ (x) (image vector)`` — any other
-    monomial in the image means the map is not a pointwise conjugation, and
-    ExtractionMismatch is raised.
-
-    The vectors of one parity are probed sixteen to an evaluation, each
-    tagged with its own monomial of four even nilpotents, as in
-    :func:`superforms.exprs.compile_expr`: the map is additive and fixes the
-    tags, so the tag of each image term names its vector.
+    An even vector maps to its action entry.  An odd vector ``v`` is carried
+    by the first generator ``t1`` of a conjugate pair: the image of
+    ``t1 (x) v`` is ``conj^k(t1) (x) L(v)``, and it must be
+    ``t1~ (x) (image vector)``.  So when ``conj^k(t1) = s t1~`` the image
+    vector is ``s`` times the action entry; when ``k`` is even,
+    ``conj^k(t1)`` is ``+-t1``, the map is not a pointwise conjugation, and
+    ExtractionMismatch is raised on the first odd vector.
     """
     kind = desc.kind
     size = kind.size
-    basis = basis_of(kind)
-    tags = 1 << MAX_EVEN_NILPOTENT
-    found = {}      # vector index -> (image grid, whether another monomial appeared)
-    for parity, odd_pairs, probe_mask, image_mask in ((EVEN, 0, 0, 0), (ODD, 1, 1, 2)):
-        sig = AlgebraSignature(odd_pairs, 0, MAX_EVEN_NILPOTENT, desc.conjugation)
-        vectors = [v for v in basis if v.parity == parity]
-        for start in range(0, len(vectors), tags):
-            batch = vectors[start:start + tags]
-            terms = [[{} for _ in range(size)] for _ in range(size)]
-            for tag, v in enumerate(batch):
-                for (a, b), c in v.support:
-                    terms[a][b][make_key(probe_mask, tag)] = c
-            point = SuperMatrix(kind.m, kind.n, sig, [[SuperNumber(sig, t) for t in row] for row in terms],
-                                check=False)
-            grids = [[[ZERO] * size for _ in range(size)] for _ in batch]
-            other = [False] * len(batch)
-            for a, row in enumerate(apply_expr(desc.compiled, point).rows):
-                for b, e in enumerate(row):
-                    for key, c in e.items():
-                        tag = even_mask_of(key)
-                        if odd_mask_of(key) == image_mask:
-                            grids[tag][a][b] = c
-                        else:
-                            other[tag] = True
-            for v, grid, bad in zip(batch, grids, other):
-                found[v.index] = (grid, bad)
-
+    conjugations, action = _vector_action(desc)
+    sig = AlgebraSignature(1, 0, 0, desc.conjugation)
+    t1, t1bar = basis_keys(sig, ODD)
+    image_key, sign = _conj_power(sig, t1, conjugations)
     images = []
     coords = []
-    for v in basis:
-        grid, bad = found[v.index]
-        if bad:
-            parity, shape = (("even", "constant") if v.parity == EVEN
-                             else ("odd", "of conjugated-coefficient form"))
+    for v, decomposition in zip(basis_of(kind), action):
+        if v.parity == ODD and image_key != t1bar:
             raise ExtractionMismatch(
-                f"{desc.display()}: image of {parity} vector {v.index} is not {shape}"
+                f"{desc.display()}: image of odd vector {v.index} is not of conjugated-coefficient form"
             )
-        decomposition = decompose_in_basis(kind, grid, v.parity)
         if decomposition is None:
             raise ExtractionMismatch(
                 f"{desc.display()}: image of vector {v.index} left the algebra"
             )
+        if v.parity == ODD:
+            decomposition = [(j, c * sign) for j, c in decomposition]
+        grid = [[ZERO] * size for _ in range(size)]
+        for (a, b), x in combination_cells(kind, decomposition).items():
+            grid[a][b] = x
         images.append(tuple(tuple(row) for row in grid))
         coords.append(tuple(decomposition))
 
@@ -508,44 +507,30 @@ def fixed_point_coords(desc: Descriptor, sig: AlgebraSignature
     ``A`` (see :func:`fixed_vectors`), as complex coordinate dicts on the
     returned layout of ``g(A)``.
 
-    The structure map is a constant map after ``k`` entrywise conjugations
-    (see :mod:`superforms.exprs`), and ``k`` conjugations send a monomial
-    ``t`` to ``c t'`` with ``c = +-1``.  So the image of ``u t (x) v_i`` is
-    the image of ``u t0 (x) v_i``, for any monomial ``t0`` of the same
-    parity, with ``c0 t0'`` read as ``c t'``: each basis vector and unit
-    ``u`` in {1, i} is evaluated once, on the first monomial of its parity,
-    and the other monomials relabel its coordinates.  Membership of that one
-    image is checked; the others differ from it by a monomial factor.
+    The structure map is a constant map ``L`` after ``k`` entrywise
+    conjugations (see :mod:`superforms.exprs`), and ``k`` conjugations send a
+    monomial ``t`` to ``c t'`` with ``c = +-1``.  So the image of
+    ``u t (x) v_i`` is ``c t' (x) u' L(v_i')``, where ``u'`` and ``v_i'`` are
+    ``u`` and ``v_i``, conjugated when ``k`` is odd: ``u'`` times the vector
+    action entry of ``v_i`` (:func:`_vector_action`), relabelled from ``t``
+    to ``t'`` with the sign ``c``.  No matrix is evaluated.  An action entry
+    of ``None`` means the image left ``g(A)`` and raises MembershipError.
     """
     kind = desc.kind
     layout = CoordLayout(kind, sig)
-    conjugations = desc.compiled.stages[0].conjugations   # one positional map
-
-    def conj_power(key: int) -> Tuple[int, GaussianRational]:
-        t = SuperNumber(sig, {key: ONE})
-        for _ in range(conjugations):
-            t = t.conjugate()
-        (image_key, c), = t.items()
-        return image_key, c
-
-    images = {}
-    for v in basis_of(kind):
-        keys = basis_keys(sig, v.parity)
-        if not keys:
-            continue
-        probe_key, probe_c = conj_power(keys[0])
-        for unit in (ONE, I):
-            point = TensorElement(kind, sig, {v.index: SuperNumber(sig, {keys[0]: unit})}, check=False)
-            image = tensor_of(kind, apply_expr(desc.compiled, matrix_of(point)))
-            images[v.index, unit] = [(j, c.coefficient(probe_key) * probe_c) for j, c in image.coeffs.items()]
+    conjugations, action = _vector_action(desc)
     relabel = {}
 
     def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
         i, key = layout.entries[p]
-        if key not in relabel:
-            relabel[key] = conj_power(key)
-        image_key, c = relabel[key]
-        return {layout.pos[(j, image_key)]: z * c for j, z in images[i, unit]}
+        decomposition = action[i]
+        if decomposition is None:
+            raise MembershipError(f"not a point of {kind.display()}: image of basis vector {i} left the algebra")
+        if (key, unit) not in relabel:
+            image_key, c = _conj_power(sig, key, conjugations)
+            relabel[key, unit] = image_key, (unit.conjugate() if conjugations & 1 else unit) * c
+        image_key, scale = relabel[key, unit]
+        return {layout.pos[(j, image_key)]: z * scale for j, z in decomposition}
 
     return fixed_vectors(layout.complex_dim, image), layout
 
@@ -665,33 +650,21 @@ def representability_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
 # compactness
 # ---------------------------------------------------------------------------
 
-def _vector_grid(phi: VectorConjugation, coords: Dict[int, GaussianRational]):
-    basis = basis_of(phi.kind)
-    size = phi.kind.size
-    grid = [[ZERO] * size for _ in range(size)]
-    for j, c in coords.items():
-        for (a, b), value in basis[j].support:
-            grid[a][b] = grid[a][b] + c * value
-    return grid
-
-
 def compactness_data(desc: Descriptor) -> Dict:
     """Gram data of -Re tr(XY) on the even fixed part of the defining space."""
     phi = extract_vector_conjugation(desc)
     even_fixed = real_fixed_vectors(phi, EVEN)
-    grids = [_vector_grid(phi, u) for u in even_fixed]
-    supports = [[(a, b, x) for a, row in enumerate(grid) for b, x in enumerate(row) if not x.is_zero()]
-                for grid in grids]
-    dim = len(grids)
+    cells = [combination_cells(phi.kind, u.items()) for u in even_fixed]
+    dim = len(cells)
     # tr(XY) = tr(YX) for constant grids, so the Gram matrix is symmetric
     gram = [[ZERO] * dim for _ in range(dim)]
     for r in range(dim):
         for s in range(r, dim):
-            other = grids[s]
+            other = cells[s]
             trace = ZERO
-            for a, b, x in supports[r]:
-                y = other[b][a]
-                if not y.is_zero():
+            for (a, b), x in cells[r].items():
+                y = other.get((b, a))
+                if y is not None:
                     trace = trace + x * y
             gram[r][s] = gram[s][r] = GaussianRational(-trace.re, 0, trace.den)
     minors = linalg.leading_principal_minors(gram) if dim else []

@@ -42,12 +42,6 @@ class GaussianRational:
         self.im = im
         self.den = den
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_rational(num: int, den: int = 1) -> "GaussianRational":
-        return GaussianRational(num, 0, den)
-
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:

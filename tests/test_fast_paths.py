@@ -5,7 +5,9 @@ and the representability dichotomy built on them;
 and against the routes they replace: fixed-point images relabelled across
 monomials, the rebuild as one positional map, the rebuild check through the
 difference map, the osp membership check read off compiled cells, and the
-zero test of a positional map without conjugating."""
+zero test of a positional map without conjugating; and against the probe
+evaluations (``probe_reference.py``) that extraction and fixed points made
+before they read the vector action off the compiled map."""
 
 import random
 
@@ -17,6 +19,7 @@ from dense_reference import (
     dense_representability, in_span, nullspace, rank, real_coordinates, rref, solve_decompose,
     solve_tensor_of, spans_equal, summed_matrix_of,
 )
+from probe_reference import evaluated_fixed_point_coords, probe_extract_vector_conjugation
 from superforms import linalg
 from superforms.algebra import EVEN, GRADED, ODD, STANDARD, AlgebraSignature, SuperNumber, basis_keys
 from superforms.catalog import applicable_names, build, param_choices
@@ -77,7 +80,11 @@ def test_block_kernel_matches_dense_nullspace(desc):
     for fam, m, n in SHAPES for name in applicable_names(MatrixKind(fam, m, n))
 ], ids=lambda d: d.display(group=True))
 def test_block_kernel_matches_dense_on_fixed_span_maps(desc):
-    layout, group_side, algebra_side = fixed_span_maps(desc, one_pair(desc))
+    layout, group_side = fixed_span_maps(desc, one_pair(desc))
+
+    def algebra_side(t):
+        return tensor_of(desc.kind, apply_expr(desc.steps, matrix_of(t)))
+
     spans = [layout.fixed_vectors(side) for side in (group_side, algebra_side)]
     for side, vectors in zip((group_side, algebra_side), spans):
         assert as_real(layout, vectors) == dense_layout_fixed_vectors(layout, side)
@@ -505,3 +512,49 @@ def test_block_nullspace_small_blocks_match_dense(entries):
     columns = [{r: dense[r][col] for r in range(4) if not dense[r][col].is_zero()} for col in range(4)]
     expected = [{k: x for k, x in enumerate(vec) if not x.is_zero()} for vec in nullspace(dense)]
     assert linalg.nullspace(columns) == expected
+
+
+def vector_action_cases():
+    """Every descriptor and parameter choice of seven shapes, strict variants
+    included.  The catalog conjugates once or never, so sl(2|1) and osp(1|2)
+    add each default descriptor with one and with two more conjugations
+    (``conj^k(t1)`` is then ``+-t1``, and ``-t1~`` for the graded ``k = 3``),
+    and a map that trades an even and an odd index, whose images leave the
+    algebra."""
+    from dataclasses import replace
+    from superforms.catalog import Descriptor
+    from superforms.exprs import ad_step, conj_step
+
+    for fam, m, n in SHAPES + [(SL, 3, 1), (OSP, 2, 4)]:
+        kind = MatrixKind(fam, m, n)
+        for name in applicable_names(kind):
+            for p, q in param_choices(name, kind):
+                for strict in (False, True):
+                    desc = build(name, kind, p, q, strict)
+                    if desc.strict == strict:
+                        yield desc.display() + " strict" * strict, desc
+            if (fam, m, n) in ((SL, 2, 1), (OSP, 1, 2)):
+                desc = build(name, kind)
+                for extra in (1, 2):
+                    yield f"{desc.display()} conj+{extra}", replace(desc, steps=(conj_step(),) * extra + desc.steps)
+    swap = [[ONE, ZERO, ZERO], [ZERO, ZERO, ONE], [ZERO, ONE, ZERO]]
+    yield "mixing", Descriptor("mixing", MatrixKind(SL, 2, 1), STANDARD, (ad_step("swap", swap), conj_step()))
+
+
+VECTOR_ACTION_CASES = list(vector_action_cases())
+
+
+@pytest.mark.parametrize("desc", [d for _, d in VECTOR_ACTION_CASES], ids=[i for i, _ in VECTOR_ACTION_CASES])
+def test_vector_action_matches_probe_evaluations(desc):
+    new, old = (outcome(lambda d, _: extract(d), desc, None)
+                for extract in (extract_vector_conjugation, probe_extract_vector_conjugation))
+    if isinstance(old, VectorConjugation):
+        assert (new.images, new.coords) == (old.images, old.coords)
+    else:
+        assert new == old and old[0] == "ExtractionMismatch"
+    for sig in (AlgebraSignature(1, 0, 1, STANDARD), AlgebraSignature(1, 0, 1, GRADED)):
+        new, old = (outcome(fixed, desc, sig) for fixed in (fixed_point_coords, evaluated_fixed_point_coords))
+        if old[0] == "MembershipError":
+            assert new[0] == "MembershipError"      # the messages name different defects
+        else:
+            assert new[0] == old[0]

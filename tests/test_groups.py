@@ -134,16 +134,17 @@ def test_fixed_span_check_tells_apart_spans_of_equal_dimension(monkeypatch):
     # -sigma is an antilinear involution too; its fixed points are i times
     # those of sigma, a different span of the same dimension
     from superforms import groups
-    from superforms.liealg import TensorElement
+    from superforms.exprs import apply_expr
+    from superforms.liealg import TensorElement, matrix_of, tensor_of
 
     desc = build("sigma1", MatrixKind(SL, 2, 1))
-    layout, _, algebra_side = groups.fixed_span_maps(desc, SIG1S)
+    layout, _ = groups.fixed_span_maps(desc, SIG1S)
 
     def negated(t):
-        image = algebra_side(t)
+        image = tensor_of(desc.kind, apply_expr(desc.compiled, matrix_of(t)))
         return TensorElement(image.kind, image.sig, {i: -c for i, c in image.coeffs.items()}, check=False)
 
-    monkeypatch.setattr(groups, "fixed_span_maps", lambda d, s: (layout, negated, algebra_side))
+    monkeypatch.setattr(groups, "fixed_span_maps", lambda d, s: (layout, negated))
     res = lie_fixed_span_check(desc, SIG1S)
     assert res["group_fixed_dimension"] == res["algebra_fixed_dimension"] == res["expected_dimension"]
     assert res["spans_agree"] is False

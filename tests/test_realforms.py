@@ -84,6 +84,22 @@ def test_extraction_rejects_a_complex_linear_map():
         extract_vector_conjugation(strict)
 
 
+def test_group_only_descriptor_is_refused_everywhere():
+    # one guard on the compiled map gives every algebra-level route the same error
+    from superforms.catalog import Descriptor
+    from superforms.exprs import conj_step, ginv_step
+    from superforms.groups import lie_fixed_span_check
+    from superforms.realforms import fixed_point_coords
+
+    desc = Descriptor("x", MatrixKind(SL, 1, 1), STANDARD, (conj_step(), ginv_step()))
+    for check in (extract_vector_conjugation, compactness_data,
+                  lambda d: fixed_point_coords(d, SIG1S), lambda d: fixed_point_data(d, SIG1S),
+                  lambda d: representability_check(d, SIG1S), lambda d: lie_fixed_span_check(d, SIG1S),
+                  lambda d: verify_structure(d, SIG1S, samples=1)):
+        with pytest.raises(ValueError, match="^matrix inverse is a group-level step$"):
+            check(desc)
+
+
 def test_strict_xi2_flagged_not_failed():
     strict = build("xi2", MatrixKind(OSP, 2, 2), p=1, strict=True)
     checks = verify_structure(strict, SIG1S, samples=10, seed=12)
