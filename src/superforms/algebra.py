@@ -19,10 +19,20 @@ Internally a monomial is a single int key: the low 8 bits are the odd-generator
 mask (ids ``2k``/``2k+1`` for the k-th pair, then self-real ids), the bits above
 are the even-nilpotent mask.  Reordering signs come from inversion counts of the
 odd masks and are cached globally, since they do not depend on the signature.
-Conjugation permutes the generators up to sign, so it maps each monomial to
-one monomial: a signature's *conjugation table*, built once on first use, is
-a list indexed by the odd mask that holds the image mask and its sign.  The
+This module owns the key layout: other modules walk a key with :func:`bits`
+and build keys only through the functions here.
+
+A map that sends each generator to one term sends each monomial to one term,
+the ordered product of its generators' terms (:func:`monomial_image`, the one
+monomial rule).  Conjugation permutes the generators up to sign, so a
+signature's *conjugation table*, built by that rule once on first use, is a
+list indexed by the odd mask that holds the image mask and its sign;
+:func:`conjugate_monomial` reads it ``k`` times for ``conj^k``.  The
 signature also keeps its tuples of basis keys, whole and by parity.
+
+The dual numbers ``A(eps)`` of :func:`adjoin_dual` put ``eps`` last among
+the even generators.  :func:`dual_scale_morphism` scales that generator and
+:func:`split_dual` splits an element of ``A(eps)`` as ``a + b eps``.
 
 Every product goes through one fused, exact multiply-accumulate kernel,
 :func:`sum_of_products`: ``sum a_k b_k`` over pairs of elements (a
@@ -37,10 +47,10 @@ of each cell of a grid product.
 An :class:`AlgebraMorphism` is *monomial* when every generator image has at
 most one term, as for the pair projections and inclusions, the dual-number
 inclusion and projection, and scaling the dual generator by a constant.  It
-then sends each monomial to at most one monomial, and applying it relabels
-keys and scales coefficients, summing keys that meet and dropping zeros,
-without the kernel.  Other morphisms sum the images of their monomials with
-:func:`sum_of_products`.
+then sends each monomial to at most one monomial by the monomial rule, and
+applying it relabels keys and scales coefficients, summing keys that meet and
+dropping zeros, without the kernel.  Other morphisms sum the images of their
+monomials with :func:`sum_of_products`.
 """
 
 from __future__ import annotations
@@ -111,8 +121,16 @@ class AlgebraSignature:
     @cached_property
     def conjugation_table(self) -> list:
         """The conjugation table: entry ``omask`` is the image ``(odd mask,
-        sign)`` of the odd monomial ``omask``; built once per signature."""
-        return [_conj_mask(self, omask) for omask in range(1 << self.odd_total)]
+        sign)`` of the odd monomial ``omask``, built once per signature by
+        :func:`monomial_image` from the generators' images.  Both kinds send
+        the pair member ``2k`` or ``2k+1`` to the other one, ``gid ^ 1``, with
+        sign ``-`` only for graded ``t_k~ -> -t_k``; self-real generators are
+        fixed."""
+        pairs = 2 * self.odd_pairs
+        graded = self.conjugation == GRADED
+        images = [(1 << (gid ^ 1), -1 if graded and gid & 1 else 1) if gid < pairs else (1 << gid, 1)
+                  for gid in range(self.odd_total)]
+        return [monomial_image(omask, images, (), 1) for omask in range(1 << self.odd_total)]
 
     @cached_property
     def _keys_by_parity(self) -> Dict[Optional[int], Tuple[int, ...]]:
@@ -179,41 +197,59 @@ def mono_mul(k1: int, k2: int) -> Optional[Tuple[int, int]]:
     return k1 | k2, sign
 
 
-def _sort_sign(ids: list) -> int:
-    """Parity sign for sorting a list of distinct odd-generator ids ascending."""
-    inversions = 0
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            if ids[a] > ids[b]:
-                inversions += 1
-    return -1 if (inversions & 1) else 1
+def bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _conj_mask(sig: AlgebraSignature, omask: int) -> Tuple[int, int]:
-    """Image (odd mask, sign) of an odd monomial mask under conjugation."""
-    pair_ids = 2 * sig.odd_pairs
-    mapped = []
-    sign = 1
-    rest = omask
-    while rest:
-        low = rest & -rest
-        gid = low.bit_length() - 1
-        rest ^= low
-        if gid >= pair_ids:           # self-real: fixed (standard conjugation only)
-            mapped.append(gid)
-        elif sig.conjugation == STANDARD:
-            mapped.append(gid ^ 1)    # swap t_k <-> t_k~
-        else:                         # graded: t -> t~, t~ -> -t
-            if gid & 1:
-                mapped.append(gid - 1)
-                sign = -sign
-            else:
-                mapped.append(gid + 1)
-    sign *= _sort_sign(mapped)
-    out_mask = 0
-    for gid in mapped:
-        out_mask |= 1 << gid
-    return out_mask, sign
+def monomial_image(key: int, odd_terms: Sequence[tuple], even_terms: Sequence[tuple], unit):
+    """The image of the monomial ``key`` under a map that sends each
+    generator to one term or to zero: ``odd_terms[gid]`` and
+    ``even_terms[j]`` are ``(key', coefficient)``, or ``()`` for zero.
+
+    The image is the product of the generators' terms in the monomial's
+    order, odd generators ascending, then even ones: the keys merge with the
+    :func:`mono_mul` signs and the coefficients multiply, starting from
+    ``unit``.  Returns ``(key', coefficient)``, or ``()`` when it vanishes.
+    """
+    out_key, coef = 0, unit
+    factors = [odd_terms[g] for g in bits(key & 0xFF)] + [even_terms[j] for j in bits(key >> _ODD_BITS)]
+    for term in factors:
+        merged = mono_mul(out_key, term[0]) if term else None
+        if merged is None:
+            return ()
+        out_key, sign = merged
+        coef = coef * term[1] if sign > 0 else -(coef * term[1])
+    return out_key, coef
+
+
+def conjugate_monomial(sig: AlgebraSignature, key: int, times: int) -> Tuple[int, int]:
+    """``conj^times`` of the monomial ``key`` as ``(key', sign)``, read off
+    the conjugation table ``times`` times; even generators are fixed."""
+    table = sig.conjugation_table
+    omask, sign = key & 0xFF, 1
+    for _ in range(times):
+        omask, s = table[omask]
+        sign *= s
+    return omask | (key & ~0xFF), sign
+
+
+def split_dual(x: "SuperNumber", base: AlgebraSignature) -> Tuple["SuperNumber", "SuperNumber"]:
+    """``x`` in ``A(eps)`` as ``(a, b)`` over ``base = A``, ``x = a + b eps``.
+    ``eps`` is the last even generator, the one :func:`adjoin_dual` adds; it
+    is even, so ``b eps`` keeps the keys of ``b`` with its bit set."""
+    bit = 1 << (_ODD_BITS + x.sig.even_nilpotents - 1)
+    free: Dict[int, GaussianRational] = {}
+    coef: Dict[int, GaussianRational] = {}
+    for key, c in x._terms.items():
+        if key & bit:
+            coef[key ^ bit] = c
+        else:
+            free[key] = c
+    return SuperNumber(base, free), SuperNumber(base, coef)
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +621,6 @@ def basis_keys(sig: AlgebraSignature, parity: Optional[int] = None) -> Tuple[int
 # morphisms
 # ---------------------------------------------------------------------------
 
-def _bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class AlgebraMorphism:
     """A Q(i)-linear algebra homomorphism determined by generator images.
 
@@ -607,7 +635,8 @@ class AlgebraMorphism:
     the product kernel.
     """
 
-    __slots__ = ("src", "tgt", "odd_images", "even_images", "monomial", "_cache", "_respects")
+    __slots__ = ("src", "tgt", "odd_images", "even_images", "monomial", "_generator_terms", "_cache",
+                 "_respects")
 
     def __init__(
         self,
@@ -634,6 +663,10 @@ class AlgebraMorphism:
                 raise MorphismError("even generator image must square to zero")
         self._cache: Dict[int, object] = {}    # per key: _image_of_key or _term_of_key
         self.monomial = all(len(img) <= 1 for img in self.odd_images + self.even_images)
+        self._generator_terms = tuple(
+            [next(iter(img._terms.items()), ()) for img in images]
+            for images in (self.odd_images, self.even_images)
+        ) if self.monomial else None
         self._respects: Optional[bool] = None
 
     @property
@@ -645,23 +678,15 @@ class AlgebraMorphism:
         return self._respects
 
     def _conjugation_ok(self) -> bool:
-        if self.src.conjugation != self.tgt.conjugation:
-            return False
-        for gid in range(self.src.odd_total):
-            g = odd_generator(self.src, gid)
-            if self.apply(g.conjugate()) != self.apply(g).conjugate():
-                return False
-        for j in range(self.src.even_nilpotents):
-            e = epsilon(self.src, j)
-            if self.apply(e.conjugate()) != self.apply(e).conjugate():
-                return False
-        return True
+        odd, even = generators(self.src)
+        return self.src.conjugation == self.tgt.conjugation and all(
+            self.apply(g.conjugate()) == self.apply(g).conjugate() for g in odd + even)
 
     def _factors(self, key: int) -> list:
         """The generator images whose product, in this order, is the image
         of the monomial ``key``: odd generators ascending, then even ones."""
-        return ([self.odd_images[gid] for gid in _bits(odd_mask_of(key))]
-                + [self.even_images[j] for j in _bits(even_mask_of(key))])
+        return ([self.odd_images[gid] for gid in bits(odd_mask_of(key))]
+                + [self.even_images[j] for j in bits(even_mask_of(key))])
 
     def _image_of_key(self, key: int) -> SuperNumber:
         hit = self._cache.get(key)
@@ -674,26 +699,15 @@ class AlgebraMorphism:
         return img
 
     def _term_of_key(self, key: int) -> tuple:
-        """A monomial morphism's image of the monomial ``key``: its one term
-        ``(key', coefficient)``, with a coefficient of 1 as ``ONE`` itself,
-        or ``()`` for zero.  The single terms multiply without the kernel."""
+        """A monomial morphism's image of the monomial ``key`` by
+        :func:`monomial_image`: its one term ``(key', coefficient)``, with a
+        coefficient of 1 as ``ONE`` itself, or ``()`` for zero."""
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        out_key, coef = 0, ONE
-        for factor in self._factors(key):
-            if not factor._terms:
-                term = ()
-                break
-            (k, c), = factor._terms.items()
-            merged = mono_mul(out_key, k)
-            if merged is None:
-                term = ()
-                break
-            out_key, sign = merged
-            coef = coef * c if sign > 0 else -(coef * c)
-        else:
-            term = (out_key, ONE if coef == ONE else coef)
+        term = monomial_image(key, *self._generator_terms, ONE)
+        if term and term[1] == ONE:
+            term = (term[0], ONE)
         self._cache[key] = term
         return term
 
@@ -722,12 +736,14 @@ class AlgebraMorphism:
         return SuperNumber(self.tgt, out)
 
 
+def generators(sig: AlgebraSignature) -> Tuple[list, list]:
+    """The odd generators by raw id and the even ones by index."""
+    return ([odd_generator(sig, g) for g in range(sig.odd_total)],
+            [epsilon(sig, j) for j in range(sig.even_nilpotents)])
+
+
 def identity_morphism(sig: AlgebraSignature) -> AlgebraMorphism:
-    return AlgebraMorphism(
-        sig, sig,
-        [odd_generator(sig, g) for g in range(sig.odd_total)],
-        [epsilon(sig, j) for j in range(sig.even_nilpotents)],
-    )
+    return AlgebraMorphism(sig, sig, *generators(sig))
 
 
 def adjoin_dual(sig: AlgebraSignature):
@@ -735,74 +751,47 @@ def adjoin_dual(sig: AlgebraSignature):
 
     Returns ``(ext, include, project, eps)`` where ``include: A -> A(eps)`` is
     the inclusion, ``project: A(eps) -> A`` kills the new generator, and ``eps``
-    is the new generator as an element of the extension.  Both morphisms
-    intertwine the conjugations (the new generator is self-conjugate).
+    is the new generator, the last even one, as an element of the extension.
+    Both morphisms intertwine the conjugations (the new generator is
+    self-conjugate).
     """
     ext = sig.extended(1)
-    new_index = sig.even_nilpotents
-    include = AlgebraMorphism(
-        sig, ext,
-        [odd_generator(ext, g) for g in range(sig.odd_total)],
-        [epsilon(ext, j) for j in range(sig.even_nilpotents)],
-    )
-    project = AlgebraMorphism(
-        ext, sig,
-        [odd_generator(sig, g) for g in range(sig.odd_total)],
-        [epsilon(sig, j) for j in range(sig.even_nilpotents)] + [SuperNumber.zero(sig)],
-    )
-    return ext, include, project, epsilon(ext, new_index)
+    odd_ext, even_ext = generators(ext)
+    odd, even = generators(sig)
+    include = AlgebraMorphism(sig, ext, odd_ext, even_ext[:-1])
+    project = AlgebraMorphism(ext, sig, odd, even + [SuperNumber.zero(sig)])
+    return ext, include, project, even_ext[-1]
 
 
-def dual_scale_morphism(sig: AlgebraSignature, a: SuperNumber, eps_index: Optional[int] = None) -> AlgebraMorphism:
+def dual_scale_morphism(sig: AlgebraSignature, a: SuperNumber) -> AlgebraMorphism:
     """The endomorphism of ``A(eps)`` fixing every generator except ``eps -> a*eps``.
 
-    ``sig`` is the extended signature; ``a`` may live in it (its coefficient on
-    monomials involving the scaled generator must vanish) and must be even.
-    The morphism intertwines conjugation exactly when ``conj(a) == a``.
+    ``sig`` is the extended signature, whose last even generator is ``eps``
+    (see :func:`adjoin_dual`); ``a`` lives in it (its coefficient on
+    monomials involving ``eps`` must vanish) and must be even.  The morphism
+    intertwines conjugation exactly when ``conj(a) == a``.
     """
-    if eps_index is None:
-        eps_index = sig.even_nilpotents - 1
     if a.sig != sig:
         raise ValueError("scaling element must live in the extended algebra")
     if not a.is_even():
         raise MorphismError("scaling element must be even")
-    eps = epsilon(sig, eps_index)
-    even_images = [
-        a * eps if j == eps_index else epsilon(sig, j)
-        for j in range(sig.even_nilpotents)
-    ]
-    return AlgebraMorphism(
-        sig, sig,
-        [odd_generator(sig, g) for g in range(sig.odd_total)],
-        even_images,
-    )
+    odd, even = generators(sig)
+    return AlgebraMorphism(sig, sig, odd, even[:-1] + [a * even[-1]])
 
 
 def kill_pair_projection(sig: AlgebraSignature, pair: int) -> AlgebraMorphism:
     """Project onto the algebra with one fewer odd pair (the last-index pair
     re-labelled), sending both members of the given pair to zero.
 
-    The target keeps all other generators; the map intertwines conjugation
-    because conjugation permutes each pair separately.
+    The target keeps all other generators, the later ones two ids down; the
+    map intertwines conjugation because conjugation permutes each pair
+    separately.
     """
     if not 0 <= pair < sig.odd_pairs:
         raise IndexError("pair index out of range")
     tgt = AlgebraSignature(sig.odd_pairs - 1, sig.odd_selfreal, sig.even_nilpotents, sig.conjugation)
-    odd_images = []
-    for gid in range(sig.odd_total):
-        k, member = divmod(gid, 2)
-        if gid >= 2 * sig.odd_pairs:  # self-real block shifts down one pair
-            odd_images.append(odd_generator(tgt, gid - 2))
-        elif k == pair:
-            odd_images.append(SuperNumber.zero(tgt))
-        elif k > pair:
-            odd_images.append(odd_generator(tgt, 2 * (k - 1) + member))
-        else:
-            odd_images.append(odd_generator(tgt, gid))
-    return AlgebraMorphism(
-        sig, tgt, odd_images,
-        [epsilon(tgt, j) for j in range(sig.even_nilpotents)],
-    )
+    odd, even = generators(tgt)
+    return AlgebraMorphism(sig, tgt, odd[:2 * pair] + [SuperNumber.zero(tgt)] * 2 + odd[2 * pair:], even)
 
 
 def include_pairs(src: AlgebraSignature, tgt: AlgebraSignature) -> AlgebraMorphism:
@@ -811,13 +800,7 @@ def include_pairs(src: AlgebraSignature, tgt: AlgebraSignature) -> AlgebraMorphi
     if (src.conjugation != tgt.conjugation or src.odd_pairs > tgt.odd_pairs
             or src.odd_selfreal > tgt.odd_selfreal or src.even_nilpotents > tgt.even_nilpotents):
         raise MorphismError("source signature does not embed in target")
-    odd_images = []
-    for gid in range(src.odd_total):
-        if gid < 2 * src.odd_pairs:
-            odd_images.append(odd_generator(tgt, gid))
-        else:
-            odd_images.append(odd_generator(tgt, 2 * tgt.odd_pairs + (gid - 2 * src.odd_pairs)))
-    return AlgebraMorphism(
-        src, tgt, odd_images,
-        [epsilon(tgt, j) for j in range(src.even_nilpotents)],
-    )
+    odd, even = generators(tgt)
+    selfreal = 2 * tgt.odd_pairs
+    return AlgebraMorphism(src, tgt, odd[:2 * src.odd_pairs] + odd[selfreal:selfreal + src.odd_selfreal],
+                           even[:src.even_nilpotents])

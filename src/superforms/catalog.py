@@ -95,6 +95,13 @@ class Descriptor:
     def param_dict(self) -> Dict[str, int]:
         return dict(self.params)
 
+    def require_conjugation(self, sig) -> None:
+        """Raise ``ValueError`` unless the coefficient algebra ``sig`` has
+        this descriptor's conjugation kind."""
+        if sig.conjugation != self.conjugation:
+            raise ValueError(f"descriptor {self.name} needs {self.conjugation} conjugation, "
+                             f"got {sig.conjugation}")
+
     def lift_steps(self) -> Tuple[Step, ...]:
         if self.lift_form == "inverse-neg":
             return (ginv_step(), neg_step()) + self.steps

@@ -30,8 +30,9 @@ the tag of each output term names its unit.  A :class:`PositionalMap` holds
 ``L`` as sparse cells ``((r, s, c), ...)`` and evaluates it without any grid
 product: each cell conjugates only the nonzero entries it reads, one term is
 a scaling, several go through ``algebra.sum_of_products``.  Its ``vanishes``
-tests whether the map sends a point to zero, conjugating nothing; the osp
-membership check and the extraction-rebuild check use it.  Its
+tests whether the map sends a point to zero, conjugating nothing; the
+membership check (``liealg.MatrixKind.conditions``) and the
+extraction-rebuild check use it.  Its
 ``apply_constant`` applies it to a constant grid, where the ``k``
 conjugations are one or none; :mod:`superforms.realforms` reads each
 structure's action on the defining space off it, so the tagging above is the

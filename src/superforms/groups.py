@@ -15,6 +15,11 @@ closure, multiplicativity, involutivity, equivariance under dual-number
 scalings, consistency with the algebra-level map on the dual-number kernel,
 the group-commutator recovery of the bracket, and exact agreement of the two
 fixed-point pictures.
+
+A kernel point ``Id + eps M`` lives over the dual numbers ``A(eps)`` of
+:func:`~superforms.algebra.adjoin_dual`, where ``eps`` is the last even
+generator; :func:`kernel_point` takes the inclusion and the generator that
+function returns, and :func:`eps_split` reads ``M`` back entry by entry.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .algebra import (
-    AlgebraSignature, SuperNumber, adjoin_dual, dual_scale_morphism, epsilon,
-    even_mask_of, make_key, odd_mask_of, one, scalar,
+    AlgebraMorphism, AlgebraSignature, SuperNumber, adjoin_dual, dual_scale_morphism, one, scalar,
+    split_dual,
 )
 from .catalog import Descriptor
 from .exprs import apply_expr
@@ -95,12 +100,11 @@ def sample_invertible(m: int, n: int, sig: AlgebraSignature, rng) -> SuperMatrix
     return x
 
 
-def _unit_entry_matrix(m: int, n: int, sig: AlgebraSignature, i: int, j: int,
-                       c: SuperNumber) -> SuperMatrix:
-    size = m + n
-    zero = SuperNumber.zero(sig)
-    rows = [[zero] * size for _ in range(size)]
-    rows[i][j] = c
+def _edited_identity(m: int, n: int, sig: AlgebraSignature, entries) -> SuperMatrix:
+    """The identity matrix with the entries ``((i, j), value)`` replaced."""
+    rows = [list(r) for r in identity_matrix(m, n, sig).rows]
+    for (i, j), value in entries:
+        rows[i][j] = value
     return SuperMatrix(m, n, sig, rows, check=False)
 
 
@@ -133,14 +137,14 @@ def sample_sl(kind: MatrixKind, sig: AlgebraSignature, rng, factors: int = 4) ->
             c = random_odd(sig, rng) if cross else random_even(sig, rng)
             if c.is_zero():
                 continue
-            factor = identity_matrix(m, n, sig) + _unit_entry_matrix(m, n, sig, i, j, c)
+            factor = _edited_identity(m, n, sig, (((i, j), c),))
         else:
             u = random_invertible_even(sig, rng)
             u_inv = u.inverse()
             if m and n and rng.random() < 0.5:
                 i = rng.randrange(m)
                 j = m + rng.randrange(n)
-                pairs = ((i, u), (j, u))           # Ber contribution u / u = 1
+                entries = (((i, i), u), ((j, j), u))     # Ber contribution u / u = 1
             else:
                 block = 0 if (m > 1 or n <= 1) else 1
                 span = m if block == 0 else n
@@ -149,12 +153,9 @@ def sample_sl(kind: MatrixKind, sig: AlgebraSignature, rng, factors: int = 4) ->
                 i = rng.randrange(span)
                 j = (i + 1 + rng.randrange(span - 1)) % span
                 offset = 0 if block == 0 else m
-                pairs = ((offset + i, u), (offset + j, u_inv))
-            factor = identity_matrix(m, n, sig)
-            rows = [list(r) for r in factor.rows]
-            for pos, val in pairs:
-                rows[pos][pos] = val
-            factor = SuperMatrix(m, n, sig, rows, check=False)
+                i, j = offset + i, offset + j
+                entries = (((i, i), u), ((j, j), u_inv))
+            factor = _edited_identity(m, n, sig, entries)
         acc = acc * factor
         made += 1
     return acc
@@ -187,35 +188,19 @@ def sample_group(kind: MatrixKind, sig: AlgebraSignature, rng) -> SuperMatrix:
 # dual-number helpers
 # ---------------------------------------------------------------------------
 
-def eps_split(x: SuperMatrix, base: AlgebraSignature, eps_index: int) -> Tuple[SuperMatrix, SuperMatrix]:
+def eps_split(x: SuperMatrix, base: AlgebraSignature) -> Tuple[SuperMatrix, SuperMatrix]:
     """Split a matrix over ``A(eps)`` as ``(eps-free part, eps-coefficient)``,
-    both over the base algebra."""
-    bit = 1 << eps_index
-    free_rows, coef_rows = [], []
-    for row in x.rows:
-        free_row, coef_row = [], []
-        for e in row:
-            free_terms, coef_terms = {}, {}
-            for key, c in e.items():
-                emask = even_mask_of(key)
-                stripped = make_key(odd_mask_of(key), emask & ~bit)
-                if emask & bit:
-                    coef_terms[stripped] = c
-                else:
-                    free_terms[stripped] = c
-            free_row.append(SuperNumber.from_terms(base, free_terms))
-            coef_row.append(SuperNumber.from_terms(base, coef_terms))
-        free_rows.append(free_row)
-        coef_rows.append(coef_row)
-    return (SuperMatrix(x.m, x.n, base, free_rows, check=False),
-            SuperMatrix(x.m, x.n, base, coef_rows, check=False))
+    both over the base algebra, entry by entry (:func:`algebra.split_dual`)."""
+    split = [[split_dual(e, base) for e in row] for row in x.rows]
+    return tuple(SuperMatrix(x.m, x.n, base, [[pair[part] for pair in row] for row in split], check=False)
+                 for part in (0, 1))
 
 
-def kernel_point(m_point: SuperMatrix, ext: AlgebraSignature, include, eps_index: int) -> SuperMatrix:
-    """``Id + eps * M`` over the extended algebra."""
-    m_ext = m_point.map_entries(include.apply, ext)
-    eps = epsilon(ext, eps_index)
-    return identity_matrix(m_point.m, m_point.n, ext) + m_ext.scale(eps)
+def kernel_point(m_point: SuperMatrix, include: AlgebraMorphism, eps: SuperNumber) -> SuperMatrix:
+    """``Id + eps * M`` over the extended algebra, ``include`` and ``eps``
+    as :func:`algebra.adjoin_dual` returns them."""
+    ext = eps.sig
+    return identity_matrix(m_point.m, m_point.n, ext) + m_point.map_entries(include.apply, ext).scale(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +216,13 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
     """Group axioms for the lifted structure, on ``samples`` (at least 1)
     deterministic samples."""
     require_samples(samples)
-    if sig.conjugation != desc.conjugation:
-        raise ValueError(
-            f"descriptor {desc.name} needs {desc.conjugation} conjugation, "
-            f"got {sig.conjugation}"
-        )
+    desc.require_conjugation(sig)
     kind = desc.kind
     rng = rng_for(seed, "group-verify", desc.display(group=True),
                   f"P{sig.odd_pairs}", f"S{sig.odd_selfreal}", f"E{sig.even_nilpotents}")
     tallies = {name: Tally(name, name in desc.expected_flagged) for name in GROUP_CHECK_NAMES}
 
-    ext, include, _, _ = adjoin_dual(sig)
-    eps_index = sig.even_nilpotents
+    ext, include, _, eps = adjoin_dual(sig)
 
     evaluate = lambda g: apply_expr(desc.compiled_lift, g, allow_inverse=True)
 
@@ -272,14 +252,14 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
 
         # kernel element Id + eps*M of the dual-number projection
         m_point = random_point(kind, sig, rng)
-        z = kernel_point(m_point, ext, include, eps_index)
+        z = kernel_point(m_point, include, eps)
 
         if idx == 0:
             a = scalar(ext, I)
         else:
             a = include.apply(random_even(sig, rng))
-        va = dual_scale_morphism(ext, a, eps_index)
-        va_conj = dual_scale_morphism(ext, a.conjugate(), eps_index)
+        va = dual_scale_morphism(ext, a)
+        va_conj = dual_scale_morphism(ext, a.conjugate())
         lhs_e = evaluate(z.map_entries(va.apply))
         rhs_e = evaluate(z).map_entries(va_conj.apply)
         tallies["dual-equivariance"].record(lhs_e == rhs_e, lambda: {
@@ -290,7 +270,7 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
         sz = evaluate(z)
         m_ext = m_point.map_entries(include.apply, ext)
         algebra_image = apply_expr(desc.compiled, m_ext)
-        expected = identity_matrix(kind.m, kind.n, ext) + algebra_image.scale(epsilon(ext, eps_index))
+        expected = identity_matrix(kind.m, kind.n, ext) + algebra_image.scale(eps)
         tallies["lift-consistency"].record(sz == expected, lambda: {
             "m": matrix_literal(m_point),
             "group-image": matrix_literal(sz), "expected": matrix_literal(expected),
@@ -308,14 +288,13 @@ def group_commutator_identity(kind: MatrixKind, sig: AlgebraSignature, samples: 
     """``(Id+eM)(Id+hN)(Id-eM)(Id-hN) == Id + eh[M,N]`` over ``A(e,h)``, exactly,
     on ``samples`` (at least 1) samples."""
     require_samples(samples)
-    ext1, include1, _, _ = adjoin_dual(sig)
-    ext2, include2, _, _ = adjoin_dual(ext1)
-    e_idx, h_idx = sig.even_nilpotents, sig.even_nilpotents + 1
+    ext1, include1, _, e_gen = adjoin_dual(sig)
+    ext2, include2, _, h_gen = adjoin_dual(ext1)
+    e_gen = include2.apply(e_gen)
     rng = rng_for(seed, "commutator", kind.display(),
                   f"P{sig.odd_pairs}", f"E{sig.even_nilpotents}")
     tally = Tally("group-commutator", False)
     ident = identity_matrix(kind.m, kind.n, ext2)
-    e_gen, h_gen = epsilon(ext2, e_idx), epsilon(ext2, h_idx)
     lift = lambda m: m.map_entries(lambda c: include2.apply(include1.apply(c)), ext2)
     for _ in range(samples):
         m_point = random_point(kind, sig, rng)
@@ -340,16 +319,16 @@ def fixed_span_maps(desc: Descriptor, sig: AlgebraSignature):
     """The group side of :func:`lie_fixed_span_check`: the lifted structure
     read on the dual-number kernel ``Id + eps M``, as a real-linear map on
     ``g(A)``, evaluated generically.  Returns ``(layout, group_side)``."""
+    desc.require_conjugation(sig)
     kind = desc.kind
     layout = CoordLayout(kind, sig)
-    ext, include, _, _ = adjoin_dual(sig)
-    eps_index = sig.even_nilpotents
+    ext, include, _, eps = adjoin_dual(sig)
 
     def group_side(t):
-        z = kernel_point(matrix_of(t), ext, include, eps_index)
+        z = kernel_point(matrix_of(t), include, eps)
         sz = apply_expr(desc.compiled_lift, z, allow_inverse=True)
         delta = sz - identity_matrix(kind.m, kind.n, ext)
-        free, coef = eps_split(delta, sig, eps_index)
+        free, coef = eps_split(delta, sig)
         if not free.is_zero():
             raise AssertionError("lifted image of a kernel point left the kernel")
         return tensor_of(kind, coef)

@@ -8,6 +8,9 @@ linear conditions:
 * ``sl(m|n)``: supertrace zero;
 * ``osp(m|n)`` (n even): ``st(X) F + F X = 0`` with ``F = diag(1_m, J_n)``.
 
+:attr:`MatrixKind.conditions` states them once, as one positional map;
+membership tests that it vanishes, and the basis is its null space.
+
 The bracket of points is the plain matrix commutator.  The underlying complex
 vector space V has a distinguished homogeneous basis (computed once per family
 by exact nullspace, even vectors first), and elements of ``g(A)`` can be moved
@@ -29,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from . import linalg
 from .algebra import AlgebraSignature, EVEN, ODD, SuperNumber
 from .exprs import PositionalMap
-from .matrices import SuperMatrix, osp_form_grid, supertranspose_grid, supertrace
+from .matrices import SuperMatrix, osp_form_grid, supertranspose_grid
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 
 GL, SL, OSP = "gl", "sl", "osp"
@@ -63,18 +66,29 @@ class MatrixKind:
         return f"{self.family}({self.m}|{self.n})"
 
     @cached_property
-    def _osp_defect_map(self) -> PositionalMap:
-        """The map ``X -> st(X) F + F X`` as a positional map, built once per
-        kind from the unit grids."""
-        size = self.size
+    def conditions(self) -> Optional[PositionalMap]:
+        """The family's linear conditions as one positional map that sends
+        exactly the points of ``g`` to zero, built once per kind: the
+        supertrace in cell ``(0, 0)`` for sl, ``st(X) F + F X`` for osp
+        (read off the unit grids), and ``None`` for gl."""
+        if self.family == GL:
+            return None
+        size, m = self.size, self.m
         cells = [[[] for _ in range(size)] for _ in range(size)]
-        for r in range(size):
-            for s in range(size):
-                total = _osp_defect_of_unit(self.m, self.n, r, s)
-                for a in range(size):
-                    for b in range(size):
-                        if not total[a][b].is_zero():
-                            cells[a][b].append((r, s, total[a][b]))
+        if self.family == SL:
+            cells[0][0] = [(i, i, ONE if i < m else MINUS_ONE) for i in range(size)]
+        else:
+            form = osp_form_grid(m, self.n)
+            for r in range(size):
+                for s in range(size):
+                    unit = [[ONE if (a, b) == (r, s) else ZERO for b in range(size)] for a in range(size)]
+                    left = linalg.mat_mul(supertranspose_grid(unit, m), form)
+                    right = linalg.mat_mul(form, unit)
+                    for a in range(size):
+                        for b in range(size):
+                            x = left[a][b] + right[a][b]
+                            if not x.is_zero():
+                                cells[a][b].append((r, s, x))
         return PositionalMap(tuple(tuple(tuple(cell) for cell in row) for row in cells), 0)
 
 
@@ -128,32 +142,18 @@ def _grid_from_coords(slots, coords: Dict[int, GaussianRational],
     return tuple(tuple(row) for row in grid)
 
 
-def _osp_defect_of_unit(m: int, n: int, i: int, j: int) -> List[List[GaussianRational]]:
-    """``st(U) F + F U`` for the unit grid ``U`` at ``(i, j)``."""
-    size = m + n
-    form = osp_form_grid(m, n)
-    unit = [[ZERO] * size for _ in range(size)]
-    unit[i][j] = ONE
-    left = linalg.mat_mul(supertranspose_grid(unit, m), form)
-    right = linalg.mat_mul(form, unit)
-    return [[left[a][b] + right[a][b] for b in range(size)] for a in range(size)]
-
-
-def _constraint_columns(kind: MatrixKind, slots, parity) -> List[Dict[int, GaussianRational]]:
-    """Linear conditions on the coordinates in ``slots`` for membership, one
-    sparse column ``{condition: value}`` per slot."""
-    m, n, size = kind.m, kind.n, kind.size
-    if kind.family == GL or (kind.family == SL and parity == ODD):
-        return [{} for _ in slots]
-    if kind.family == SL:                       # the supertrace
-        return [{} if i != j else {0: ONE if i < m else MINUS_ONE} for (i, j) in slots]
-    # osp: st(U) F + F U = 0 entrywise, one column per unit grid
-    columns = []
-    for (i, j) in slots:
-        total = _osp_defect_of_unit(m, n, i, j)
-        columns.append({a * size + b: x for a, row in enumerate(total) for b, x in enumerate(row)
-                        if not x.is_zero()})
-    return columns
+def _constraint_columns(kind: MatrixKind, slots) -> List[Dict[int, GaussianRational]]:
+    """The columns of :attr:`MatrixKind.conditions` at ``slots``: one sparse
+    column ``{a * size + b: value}`` per slot, listing the conditions that
+    read it."""
+    columns = {slot: {} for slot in slots}
+    conditions = kind.conditions
+    for a, row in enumerate(conditions.cells if conditions else ()):
+        for b, cell in enumerate(row):
+            for r, s, c in cell:
+                if (r, s) in columns:
+                    columns[r, s][a * kind.size + b] = c
+    return list(columns.values())
 
 
 _BASIS_CACHE: Dict[MatrixKind, List[BasisVector]] = {}
@@ -177,7 +177,7 @@ def basis_of(kind: MatrixKind) -> List[BasisVector]:
     for parity, slots in ((EVEN, _even_slots(kind.m, kind.n)), (ODD, _odd_slots(kind.m, kind.n))):
         if not slots:
             continue
-        for coords in linalg.nullspace(_constraint_columns(kind, slots, parity)):
+        for coords in linalg.nullspace(_constraint_columns(kind, slots)):
             grids.append((parity, _grid_from_coords(slots, coords, size)))
     expected = _expected_dims(kind)
     got = (sum(1 for p, _ in grids if p == EVEN), sum(1 for p, _ in grids if p == ODD))
@@ -223,14 +223,16 @@ def membership_defect(kind: MatrixKind, x: SuperMatrix) -> Optional[str]:
         return "shape mismatch"
     if not x.is_even_matrix():
         return "matrix is not even"
-    if kind.family == SL:
-        tr = supertrace(x)
-        if not tr.is_zero():
-            return "supertrace is nonzero"
-    elif kind.family == OSP:
-        if not kind._osp_defect_map.vanishes(x):
-            return "does not infinitesimally preserve the orthosymplectic form"
+    conditions = kind.conditions
+    if conditions is not None and not conditions.vanishes(x):
+        return _CONDITION_DEFECTS[kind.family]
     return None
+
+
+_CONDITION_DEFECTS = {
+    SL: "supertrace is nonzero",
+    OSP: "does not infinitesimally preserve the orthosymplectic form",
+}
 
 
 def contains(kind: MatrixKind, x: SuperMatrix) -> bool:

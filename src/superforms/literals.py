@@ -28,7 +28,7 @@ import re
 from typing import List, Tuple
 
 from .algebra import (
-    AlgebraSignature, SuperNumber, even_mask_of, odd_mask_of, one, scalar,
+    AlgebraSignature, SuperNumber, bits, even_mask_of, odd_mask_of, one, scalar,
 )
 from .scalars import GaussianRational, format_scalar
 
@@ -173,20 +173,8 @@ def format_number(x: SuperNumber) -> str:
     parts = []
     for key, coeff in sorted(x.items()):
         piece = f"({format_scalar(coeff)})"
-        omask = odd_mask_of(key)
-        gid = 0
-        while omask:
-            if omask & 1:
-                piece += f"*{_gen_name(x.sig, gid)}"
-            omask >>= 1
-            gid += 1
-        emask = even_mask_of(key)
-        j = 0
-        while emask:
-            if emask & 1:
-                piece += f"*e{j + 1}"
-            emask >>= 1
-            j += 1
+        piece += "".join(f"*{_gen_name(x.sig, gid)}" for gid in bits(odd_mask_of(key)))
+        piece += "".join(f"*e{j + 1}" for j in bits(even_mask_of(key)))
         parts.append(piece)
     return " + ".join(parts)
 

@@ -22,7 +22,9 @@ compiled :class:`~superforms.exprs.PositionalMap`), so both read one table,
 the *vector action*: ``L(v)`` for each basis vector ``v`` (``v`` conjugated
 when ``k`` is odd), applied to ``v``'s constant grid and written in the basis
 vectors of its parity.  The coefficients only pick up ``conj^k``, which sends
-a monomial to plus or minus one monomial.
+a monomial to plus or minus one monomial (:func:`algebra.conjugate_monomial`).
+Every check over a coefficient algebra refuses one whose conjugation kind is
+not the descriptor's (:meth:`Descriptor.require_conjugation`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import linalg
 from .algebra import (
     EVEN, GRADED, ODD, STANDARD, AlgebraSignature, SuperNumber, adjoin_dual, basis_keys,
-    dual_scale_morphism, include_pairs, kill_pair_projection, one, scalar, theta, theta_bar,
+    conjugate_monomial, dual_scale_morphism, include_pairs, kill_pair_projection, one, scalar,
+    theta, theta_bar,
 )
 from .catalog import Descriptor, InapplicableDescriptor, build, names_for, param_choices
 from .exprs import PositionalMap, apply_expr
@@ -86,11 +89,7 @@ def verify_structure(desc: Descriptor, sig: AlgebraSignature, samples: int = 100
     imaginary dual scaling) sample by sample.  ``samples`` must be at least 1.
     """
     require_samples(samples)
-    if sig.conjugation != desc.conjugation:
-        raise ValueError(
-            f"descriptor {desc.name} needs {desc.conjugation} conjugation, "
-            f"got {sig.conjugation}"
-        )
+    desc.require_conjugation(sig)
     kind = desc.kind
     rng = rng_for(seed, "verify", desc.display(), f"P{sig.odd_pairs}",
                   f"S{sig.odd_selfreal}", f"E{sig.even_nilpotents}")
@@ -238,16 +237,6 @@ class VectorConjugation:
         return -1 if (self.conjugation == GRADED and parity == ODD) else 1
 
 
-def _conj_power(sig: AlgebraSignature, key: int, conjugations: int) -> Tuple[int, GaussianRational]:
-    """``conj^k`` of the monomial ``key``, ``k = conjugations``: conjugation
-    sends a monomial to plus or minus one monomial, returned as ``(key, sign)``."""
-    t = SuperNumber(sig, {key: ONE})
-    for _ in range(conjugations):
-        t = t.conjugate()
-    (image_key, c), = t.items()
-    return image_key, c
-
-
 def _vector_action(desc: Descriptor) -> Tuple[int, List[Optional[List[Tuple[int, GaussianRational]]]]]:
     """The descriptor's action on the defining space, read off its compiled
     map: ``k`` entrywise conjugations, then the constant map ``L``.
@@ -278,7 +267,7 @@ def extract_vector_conjugation(desc: Descriptor) -> VectorConjugation:
     conjugations, action = _vector_action(desc)
     sig = AlgebraSignature(1, 0, 0, desc.conjugation)
     t1, t1bar = basis_keys(sig, ODD)
-    image_key, sign = _conj_power(sig, t1, conjugations)
+    image_key, sign = conjugate_monomial(sig, t1, conjugations)
     images = []
     coords = []
     for v, decomposition in zip(basis_of(kind), action):
@@ -291,7 +280,7 @@ def extract_vector_conjugation(desc: Descriptor) -> VectorConjugation:
                 f"{desc.display()}: image of vector {v.index} left the algebra"
             )
         if v.parity == ODD:
-            decomposition = [(j, c * sign) for j, c in decomposition]
+            decomposition = [(j, c if sign > 0 else -c) for j, c in decomposition]
         grid = [[ZERO] * size for _ in range(size)]
         for (a, b), x in combination_cells(kind, decomposition).items():
             grid[a][b] = x
@@ -337,6 +326,7 @@ def rebuild_matches(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignat
     entry is conjugated.
     """
     require_samples(samples)
+    desc.require_conjugation(sig)
     rng = rng_for(seed, "rebuild", desc.display(), f"P{sig.odd_pairs}")
     tally = Tally("extraction-rebuild", False)
     difference = _difference_map(desc.compiled.stages, phi._rebuild_map)
@@ -516,6 +506,7 @@ def fixed_point_coords(desc: Descriptor, sig: AlgebraSignature
     to ``t'`` with the sign ``c``.  No matrix is evaluated.  An action entry
     of ``None`` means the image left ``g(A)`` and raises MembershipError.
     """
+    desc.require_conjugation(sig)
     kind = desc.kind
     layout = CoordLayout(kind, sig)
     conjugations, action = _vector_action(desc)
@@ -527,8 +518,9 @@ def fixed_point_coords(desc: Descriptor, sig: AlgebraSignature
         if decomposition is None:
             raise MembershipError(f"not a point of {kind.display()}: image of basis vector {i} left the algebra")
         if (key, unit) not in relabel:
-            image_key, c = _conj_power(sig, key, conjugations)
-            relabel[key, unit] = image_key, (unit.conjugate() if conjugations & 1 else unit) * c
+            image_key, sign = conjugate_monomial(sig, key, conjugations)
+            scale = unit.conjugate() if conjugations & 1 else unit
+            relabel[key, unit] = image_key, scale if sign > 0 else -scale
         image_key, scale = relabel[key, unit]
         return {layout.pos[(j, image_key)]: z * scale for j, z in decomposition}
 

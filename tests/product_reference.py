@@ -7,12 +7,15 @@ as integer numerators (``algebra.sum_of_products``):
   per pair of terms, with the reordering sign found by counting the
   inversions of the two odd-generator lists;
 * the grid product as the triple loop that adds one ``a[i][k] * b[k][j]``
-  at a time.
+  at a time;
+* the conjugation of an odd monomial as the list of its generators' images,
+  with the sign of sorting that list, from before the conjugation table was
+  built by the monomial rule (``algebra.monomial_image``).
 
 The tests require the package to agree with them exactly.
 """
 
-from superforms.algebra import SuperNumber, even_mask_of, odd_mask_of
+from superforms.algebra import STANDARD, SuperNumber, even_mask_of, odd_mask_of
 from superforms.scalars import GaussianRational
 
 
@@ -80,3 +83,23 @@ def reference_mat_mul(a, b, zero):
                 if not bkj.is_zero():
                     out[i][j] = out[i][j] + reference_product(aik, bkj)
     return out
+
+
+def reference_conj_mask(sig, omask: int):
+    """Image ``(odd mask, sign)`` of the odd monomial ``omask`` under
+    conjugation: standard swaps ``t_k <-> t_k~``, graded sends ``t_k -> t_k~``
+    and ``t_k~ -> -t_k``, self-real generators are fixed."""
+    pair_ids = 2 * sig.odd_pairs
+    mapped = []
+    sign = 1
+    for gid in [g for g in range(8) if omask >> g & 1]:
+        if gid >= pair_ids:
+            mapped.append(gid)
+        elif sig.conjugation == STANDARD:
+            mapped.append(gid ^ 1)
+        elif gid & 1:
+            mapped.append(gid - 1)
+            sign = -sign
+        else:
+            mapped.append(gid + 1)
+    return sum(1 << gid for gid in mapped), sign * sort_sign(mapped)

@@ -165,6 +165,16 @@ def test_dual_scale_morphism():
         dual_scale_morphism(ext, inc.apply(theta(STD2, 0)))  # odd scaling is not allowed
 
 
+def test_dual_scale_morphism_scales_the_generator_adjoin_dual_adds():
+    # STD21 has an even nilpotent of its own, so eps is even generator 1
+    ext, inc, _, eps = adjoin_dual(STD21)
+    assert eps == epsilon(ext, 1)
+    a = inc.apply(one(STD21).scaled(I) + epsilon(STD21, 0))
+    v = dual_scale_morphism(ext, a)
+    assert v.apply(epsilon(ext, 0)) == epsilon(ext, 0)
+    assert v.apply(eps) == a * eps
+
+
 def test_dual_scale_morphism_applies_nothing_until_asked(monkeypatch):
     from superforms.algebra import AlgebraMorphism
     ext, inc, _, _ = adjoin_dual(STD2)

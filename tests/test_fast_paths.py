@@ -4,7 +4,7 @@ slot-read coordinates, in-place matrix assembly, sparse canonical span bases
 and the representability dichotomy built on them;
 and against the routes they replace: fixed-point images relabelled across
 monomials, the rebuild as one positional map, the rebuild check through the
-difference map, the osp membership check read off compiled cells, and the
+difference map, the sl and osp membership checks read off compiled cells, and the
 zero test of a positional map without conjugating; and against the probe
 evaluations (``probe_reference.py``) that extraction and fixed points made
 before they read the vector action off the compiled map."""
@@ -30,7 +30,7 @@ from superforms.liealg import (
     membership_defect, tensor_of,
 )
 from superforms.matrices import (
-    SuperMatrix, const_mul, identity_matrix, mul_const, osp_form_grid, supertranspose,
+    SuperMatrix, const_mul, identity_matrix, mul_const, osp_form_grid, supertrace, supertranspose,
 )
 from superforms.realforms import (
     CoordLayout, VectorConjugation, extract_vector_conjugation, fixed_point_coords,
@@ -479,7 +479,29 @@ def test_osp_membership_matches_the_form_product(shape, seed):
     form = osp_form_grid(*shape)
     for point in (x, SuperMatrix(x.m, x.n, sig, rows)):
         defect = mul_const(supertranspose(point), form) + const_mul(form, point)
+        assert kind.conditions.apply(point) == defect
         assert (membership_defect(kind, point) is None) == defect.is_zero()
+
+
+@given(st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1), (1, 0)]), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_sl_membership_matches_the_supertrace(shape, seed):
+    kind = MatrixKind(SL, *shape)
+    sig = AlgebraSignature(1, 0, 1, STANDARD)
+    rng = random.Random(seed)
+    x = random_point(kind, sig, rng)
+    i = rng.randrange(kind.size)
+    j = i if rng.random() < 0.5 else rng.randrange(kind.size)
+    bump = random_point(MatrixKind(GL, *shape), sig, rng).rows[i][j]
+    rows = [list(r) for r in x.rows]
+    rows[i][j] = rows[i][j] + bump
+    for point in (x, SuperMatrix(x.m, x.n, sig, rows)):
+        trace = supertrace(point)
+        expected = [[trace if (a, b) == (0, 0) else SuperNumber.zero(sig) for b in range(kind.size)]
+                    for a in range(kind.size)]
+        assert kind.conditions.apply(point) == SuperMatrix(x.m, x.n, sig, expected)
+        assert (membership_defect(kind, point) is None) == trace.is_zero()
+    assert MatrixKind(GL, *shape).conditions is None
 
 
 def test_vanishes_matches_applying_the_map():
@@ -491,7 +513,7 @@ def test_vanishes_matches_applying_the_map():
         kind = desc.kind
         maps = [_difference_map(desc.compiled.stages, extract_vector_conjugation(desc)._rebuild_map)]
         if kind.family == OSP:
-            maps.append(kind._osp_defect_map)
+            maps.append(kind.conditions)
         sig = AlgebraSignature(2, 0, 1, desc.conjugation)
         rng = random.Random(desc.display())
         points = [random_point(kind, sig, rng) for _ in range(3)]
@@ -553,6 +575,10 @@ def test_vector_action_matches_probe_evaluations(desc):
     else:
         assert new == old and old[0] == "ExtractionMismatch"
     for sig in (AlgebraSignature(1, 0, 1, STANDARD), AlgebraSignature(1, 0, 1, GRADED)):
+        if sig.conjugation != desc.conjugation:     # the other conjugation is refused
+            with pytest.raises(ValueError, match=f"needs {desc.conjugation} conjugation"):
+                fixed_point_coords(desc, sig)
+            continue
         new, old = (outcome(fixed, desc, sig) for fixed in (fixed_point_coords, evaluated_fixed_point_coords))
         if old[0] == "MembershipError":
             assert new[0] == "MembershipError"      # the messages name different defects

@@ -3,7 +3,7 @@ group-commutator bracket identity, fixed-span agreement."""
 
 import pytest
 
-from superforms.algebra import AlgebraSignature, GRADED, STANDARD, adjoin_dual, epsilon, one
+from superforms.algebra import AlgebraSignature, GRADED, STANDARD, adjoin_dual, epsilon, even_mask_of, one
 from superforms.catalog import applicable_names, build
 from superforms.groups import (
     SL_DRAWS_PER_FACTOR, SamplingFailed, eps_split, group_contains, group_membership_defect,
@@ -91,15 +91,41 @@ def test_sl_sampling_gives_up_after_bounded_draws():
 
 def test_kernel_points_and_eps_split():
     sig = SIG1S
-    ext, include, _, _ = adjoin_dual(sig)
+    ext, include, _, eps = adjoin_dual(sig)
     kind = MatrixKind(SL, 2, 1)
     m_pt = random_point(kind, sig, rng_for(23, "kernel"))
-    z = kernel_point(m_pt, ext, include, sig.even_nilpotents)
-    free, coef = eps_split(z - identity_matrix(2, 1, ext), sig, sig.even_nilpotents)
+    z = kernel_point(m_pt, include, eps)
+    free, coef = eps_split(z - identity_matrix(2, 1, ext), sig)
     assert free.is_zero()
     assert coef == m_pt
     # group membership of the kernel point: Ber(Id + eps M) = 1 + eps str M = 1
     assert group_membership_defect(kind, z) is None
+
+
+def test_kernel_points_and_eps_split_over_an_even_nilpotent():
+    # the base has an even nilpotent e1, so eps is even generator 1, not 0
+    sig = AlgebraSignature(1, 0, 1, STANDARD)
+    ext, include, _, eps = adjoin_dual(sig)
+    assert eps == epsilon(ext, 1)
+    kind = MatrixKind(SL, 2, 1)
+    m_pt = random_point(kind, sig, rng_for(23, "kernel-e1"))
+    assert any(even_mask_of(key) for row in m_pt.rows for e in row for key, _ in e.items())
+    z = kernel_point(m_pt, include, eps)
+    free, coef = eps_split(z - identity_matrix(2, 1, ext), sig)
+    assert free.is_zero()
+    assert coef == m_pt
+    assert group_membership_defect(kind, z) is None
+
+
+@pytest.mark.parametrize("name", ["sigma1", "omega2"])
+def test_group_checks_over_an_even_nilpotent(name):
+    desc = build(name, MatrixKind(SL, 2, 1))
+    sig = AlgebraSignature(1, 0, 1, desc.conjugation)
+    res = lie_fixed_span_check(desc, sig)
+    assert res["spans_agree"] is True
+    assert res["group_fixed_dimension"] == res["algebra_fixed_dimension"] == res["expected_dimension"]
+    checks = verify_group_structure(desc, sig, samples=3, seed=27)
+    assert {c.status for c in checks} == {"pass"}
 
 
 def test_all_group_lifts_pass():

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from product_reference import (
-    reference_mat_mul, reference_mul, reference_product, reference_scaled, sort_sign,
+    reference_conj_mask, reference_mat_mul, reference_mul, reference_product, reference_scaled,
+    sort_sign,
 )
 from superforms import linalg
 from superforms.algebra import (
-    GRADED, STANDARD, AlgebraSignature, SuperNumber, basis_keys, mono_mul, odd_mask_of, one,
-    scalar, sum_of_products, theta,
+    GRADED, MAX_ODD, STANDARD, AlgebraSignature, SuperNumber, basis_keys, conjugate_monomial,
+    mono_mul, odd_mask_of, one, scalar, sum_of_products, theta,
 )
 from superforms.groups import sample_invertible
 from superforms.liealg import GL, MatrixKind
@@ -123,6 +124,29 @@ def test_mono_mul_signs_match_sorting():
             ids = [g for g in range(8) if odd_mask_of(k1) >> g & 1] + \
                   [g for g in range(8) if odd_mask_of(k2) >> g & 1]
             assert merged == (k1 | k2, sort_sign(ids))
+
+
+def test_conjugation_table_matches_the_generator_images():
+    # every signature the algebra accepts: 0-4 pairs, self-real generators
+    # up to MAX_ODD (standard only), both conjugations
+    signatures = [AlgebraSignature(pairs, selfreal, 0, conjugation)
+                  for conjugation in (STANDARD, GRADED)
+                  for pairs in range(MAX_ODD // 2 + 1)
+                  for selfreal in (range(MAX_ODD - 2 * pairs + 1) if conjugation == STANDARD else (0,))]
+    assert len(signatures) == 30
+    for sig in signatures:
+        table = sig.conjugation_table
+        assert table == [reference_conj_mask(sig, omask) for omask in range(1 << sig.odd_total)], sig
+
+
+@pytest.mark.parametrize("sig", [AlgebraSignature(2, 1, 1, STANDARD), AlgebraSignature(2, 0, 1, GRADED)])
+def test_conjugate_monomial_is_repeated_conjugation(sig):
+    for key in basis_keys(sig):
+        x = SuperNumber(sig, {key: ONE})
+        for times in range(5):
+            image_key, sign = conjugate_monomial(sig, key, times)
+            assert SuperNumber(sig, {image_key: ONE if sign > 0 else MINUS_ONE}) == x, (key, times)
+            x = x.conjugate()
 
 
 def grids(rows: int, cols: int, zero, entries):

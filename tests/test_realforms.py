@@ -6,10 +6,12 @@ import pytest
 
 from superforms.algebra import AlgebraSignature, GRADED, STANDARD
 from superforms.catalog import build, corrupted_sigma1
+from superforms.groups import lie_fixed_span_check, verify_group_structure
 from superforms.liealg import MatrixKind, OSP, SL
 from superforms.realforms import (
     ExtractionMismatch, compact_scan, compactness_data, extract_vector_conjugation,
-    fixed_point_data, rebuild_matches, representability_check, verify_structure,
+    fixed_point_coords, fixed_point_data, rebuild_matches, representability_check,
+    verify_structure,
 )
 from superforms.scalars import I, MINUS_I, MINUS_ONE, ONE, ZERO
 
@@ -200,6 +202,28 @@ def test_graded_witness_needs_an_odd_pair(monkeypatch):
         representability_check(desc, AlgebraSignature(0, 0, 0, GRADED))
     with pytest.raises(ValueError, match="no odd vectors"):
         representability_check(build("omega2", MatrixKind(SL, 2, 0)), SIG1G)
+
+
+OTHER_CONJUGATION_CHECKS = {
+    "verify_structure": lambda d, s: verify_structure(d, s, samples=1),
+    "verify_group_structure": lambda d, s: verify_group_structure(d, s, samples=1),
+    "rebuild_matches": lambda d, s: rebuild_matches(d, extract_vector_conjugation(d), s, samples=1),
+    "fixed_point_coords": fixed_point_coords,
+    "fixed_point_data": fixed_point_data,
+    "representability_check": representability_check,
+    "lie_fixed_span_check": lie_fixed_span_check,
+}
+
+
+@pytest.mark.parametrize("check", OTHER_CONJUGATION_CHECKS.values(), ids=OTHER_CONJUGATION_CHECKS.keys())
+@pytest.mark.parametrize("name", ["sigma1", "omega2"])
+def test_a_coefficient_algebra_of_the_other_conjugation_is_refused(check, name):
+    # the graded omega2 over a standard algebra used to give 8 fixed points
+    # of 16 and still report agreeing spans and representability
+    desc = build(name, MatrixKind(SL, 2, 1))
+    other = GRADED if desc.conjugation == STANDARD else STANDARD
+    with pytest.raises(ValueError, match=f"needs {desc.conjugation} conjugation, got {other}"):
+        check(desc, AlgebraSignature(1, 0, 0, other))
 
 
 def test_compactness_signature_dependence():
