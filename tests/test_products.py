@@ -135,8 +135,8 @@ def test_conjugation_table_matches_the_generator_images():
                   for selfreal in (range(MAX_ODD - 2 * pairs + 1) if conjugation == STANDARD else (0,))]
     assert len(signatures) == 30
     for sig in signatures:
-        table = sig.conjugation_table
-        assert table == [reference_conj_mask(sig, omask) for omask in range(1 << sig.odd_total)], sig
+        expected = [reference_conj_mask(sig, omask) for omask in range(1 << sig.odd_total)]
+        assert sig.conjugation_table == expected, sig
 
 
 @pytest.mark.parametrize("sig", [AlgebraSignature(2, 1, 1, STANDARD), AlgebraSignature(2, 0, 1, GRADED)])
