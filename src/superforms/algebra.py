@@ -315,9 +315,6 @@ class SuperNumber:
             return None
         return parities.pop()
 
-    def parity_part(self, parity: int) -> "SuperNumber":
-        return SuperNumber(self.sig, {k: c for k, c in self._terms.items() if key_parity(k) == parity})
-
     def is_invertible(self) -> bool:
         return not self.body().is_zero()
 

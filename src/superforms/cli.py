@@ -29,7 +29,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .algebra import AlgebraSignature
+from .algebra import MAX_EVEN_NILPOTENT, AlgebraSignature
 from .catalog import Descriptor, InapplicableDescriptor, build, names_for
 from .groups import (
     SamplingFailed, group_commutator_identity, lie_fixed_span_check,
@@ -120,6 +120,10 @@ def _emit(report: dict, fmt: str) -> int:
 def _cmd_verify(args) -> int:
     desc, group = _descriptor(args)
     sig = _signature(args, desc.conjugation)
+    duals = 2 if group else 1       # naturality adjoins one, the commutator identity two
+    if sig.even_nilpotents + duals > MAX_EVEN_NILPOTENT:
+        raise UsageError(f"verify adjoins {duals} dual generator(s) to at most {MAX_EVEN_NILPOTENT} even "
+                         f"nilpotent generators: use --even-nil {MAX_EVEN_NILPOTENT - duals} or less")
     if group:
         checks = verify_group_structure(desc, sig, samples=args.samples, seed=args.seed)
         checks.append(group_commutator_identity(desc.kind, sig, samples=args.samples, seed=args.seed))

@@ -29,11 +29,13 @@ monomial of an algebra of four even nilpotents (conjugation fixes those);
 the tag of each output term names its unit.  A :class:`PositionalMap` holds
 ``L`` as sparse cells ``((r, s, c), ...)`` and evaluates it without any grid
 product: each cell conjugates only the nonzero entries it reads, one term is
-a scaling, several go through ``algebra.sum_of_products``.  Its ``vanishes``
-tests whether the map sends a point to zero, conjugating nothing; the
-membership check (``liealg.MatrixKind.conditions``) and the
-extraction-rebuild check use it.  Its
-``apply_constant`` applies it to a constant grid, where the ``k``
+a scaling, several go through ``algebra.sum_of_products``.  Two maps that
+conjugate equally often subtract, ``a - b``, into one positional map: the osp
+conditions (``liealg.MatrixKind.conditions``) are the identity minus the
+involution whose fixed points are osp, and the extraction-rebuild check
+subtracts the rebuilt map from the descriptor's.  Its ``vanishes`` tests
+whether the map sends a point to zero, conjugating nothing; both of those
+use it.  Its ``apply_constant`` applies it to a constant grid, where the ``k``
 conjugations are one or none; :mod:`superforms.realforms` reads each
 structure's action on the defining space off it, so the tagging above is the
 package's only probe evaluation.  A group-only step splits the expression
@@ -177,6 +179,24 @@ class PositionalMap(NamedTuple):
                 elif not sum_of_products(x.sig, terms).is_zero():
                     return False
         return True
+
+    def __sub__(self, other: "PositionalMap") -> "PositionalMap":
+        """The map ``x -> self(x) - other(x)``: both maps conjugate ``x`` the
+        same number of times, so the difference is one positional map, its
+        cells the two maps' terms per input cell, cancelled terms dropped.
+        Raises ``ValueError`` for another shape or conjugation count."""
+        if len(self.cells) != len(other.cells) or self.conjugations != other.conjugations:
+            raise ValueError("positional maps of different shapes or conjugation counts")
+        cells = []
+        for row, other_row in zip(self.cells, other.cells):
+            out_row = []
+            for cell, other_cell in zip(row, other_row):
+                acc: Dict[Tuple[int, int], GaussianRational] = {}
+                for r, s, c in cell + tuple((r, s, -c) for r, s, c in other_cell):
+                    acc[r, s] = acc.get((r, s), ZERO) + c
+                out_row.append(tuple((r, s, c) for (r, s), c in acc.items() if not c.is_zero()))
+            cells.append(tuple(out_row))
+        return PositionalMap(tuple(cells), self.conjugations)
 
     def apply_constant(self, grid) -> list:
         """The map on a constant grid.  Conjugation conjugates a constant, so

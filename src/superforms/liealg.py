@@ -9,7 +9,9 @@ linear conditions:
 * ``osp(m|n)`` (n even): ``st(X) F + F X = 0`` with ``F = diag(1_m, J_n)``.
 
 :attr:`MatrixKind.conditions` states them once, as one positional map;
-membership tests that it vanishes, and the basis is its null space.
+membership tests that it vanishes, and the basis is its null space.  osp is
+the fixed-point set of the involution ``sigma(X) = -F^-1 st(X) F``, so its map
+is the compiled identity minus the compiled ``sigma``.
 
 The bracket of points is the plain matrix commutator.  The underlying complex
 vector space V has a distinguished homogeneous basis (computed once per family
@@ -31,8 +33,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .algebra import AlgebraSignature, EVEN, ODD, SuperNumber
-from .exprs import PositionalMap
-from .matrices import SuperMatrix, osp_form_grid, supertranspose_grid
+from .exprs import PositionalMap, ad_step, compile_expr, negst_step
+from .matrices import SuperMatrix, osp_form_grid
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 
 GL, SL, OSP = "gl", "sl", "osp"
@@ -69,27 +71,19 @@ class MatrixKind:
     def conditions(self) -> Optional[PositionalMap]:
         """The family's linear conditions as one positional map that sends
         exactly the points of ``g`` to zero, built once per kind: the
-        supertrace in cell ``(0, 0)`` for sl, ``st(X) F + F X`` for osp
-        (read off the unit grids), and ``None`` for gl."""
+        supertrace in cell ``(0, 0)`` for sl, ``None`` for gl, and for osp
+        ``id - sigma``, osp being the fixed-point set of the involution
+        ``sigma(X) = -F^-1 st(X) F``.  ``F`` is invertible and
+        ``F (X - sigma(X)) = st(X) F + F X``, so the null space is the same."""
         if self.family == GL:
             return None
-        size, m = self.size, self.m
-        cells = [[[] for _ in range(size)] for _ in range(size)]
-        if self.family == SL:
-            cells[0][0] = [(i, i, ONE if i < m else MINUS_ONE) for i in range(size)]
-        else:
-            form = osp_form_grid(m, self.n)
-            for r in range(size):
-                for s in range(size):
-                    unit = [[ONE if (a, b) == (r, s) else ZERO for b in range(size)] for a in range(size)]
-                    left = linalg.mat_mul(supertranspose_grid(unit, m), form)
-                    right = linalg.mat_mul(form, unit)
-                    for a in range(size):
-                        for b in range(size):
-                            x = left[a][b] + right[a][b]
-                            if not x.is_zero():
-                                cells[a][b].append((r, s, x))
-        return PositionalMap(tuple(tuple(tuple(cell) for cell in row) for row in cells), 0)
+        m, n = self.m, self.n
+        if self.family == OSP:
+            sigma = (ad_step("F^-1", linalg.invert(osp_form_grid(m, n))), negst_step())
+            return compile_expr((), m, n).algebra_map - compile_expr(sigma, m, n).algebra_map
+        cells = [[()] * self.size for _ in range(self.size)]
+        cells[0][0] = tuple((i, i, ONE if i < m else MINUS_ONE) for i in range(self.size))
+        return PositionalMap(tuple(tuple(row) for row in cells), 0)
 
 
 Cell = Tuple[int, int]

@@ -28,7 +28,8 @@ import re
 from typing import List, Tuple
 
 from .algebra import (
-    AlgebraSignature, SuperNumber, bits, even_mask_of, odd_mask_of, one, scalar,
+    AlgebraSignature, SuperNumber, bits, epsilon, even_mask_of, odd_generator, odd_mask_of, one,
+    scalar,
 )
 from .scalars import GaussianRational, format_scalar
 
@@ -135,7 +136,6 @@ def _parse_gen(s: _Scanner, sig: AlgebraSignature) -> SuperNumber:
         s.next()
         tilde = True
     is_odd, gid = _generator_id(sig, name, int(num_tok), tilde)
-    from .algebra import epsilon, odd_generator
     return odd_generator(sig, gid) if is_odd else epsilon(sig, gid)
 
 
@@ -152,10 +152,7 @@ def _parse_term(s: _Scanner, sig: AlgebraSignature) -> SuperNumber:
 
 def parse_number(text: str, sig: AlgebraSignature) -> SuperNumber:
     s = _Scanner(text)
-    acc = _parse_term(s, sig)
-    while s.peek() == "+":
-        s.next()
-        acc = acc + _parse_term(s, sig)
+    acc = _parse_number_inline(s, sig)
     if not s.done():
         raise LiteralError(f"trailing input near {s.peek()!r}")
     return acc

@@ -168,13 +168,6 @@ def const_matrix(m: int, n: int, sig: AlgebraSignature, grid: Sequence[Sequence[
     return SuperMatrix(m, n, sig, rows, check=check)
 
 
-def tensor_term(coefficient: SuperNumber, grid: Sequence[Sequence[GaussianRational]], m: int, n: int) -> SuperMatrix:
-    """The matrix ``coefficient * grid`` (a single "a tensor v" term)."""
-    sig = coefficient.sig
-    rows = [[coefficient.scaled(c) for c in row] for row in grid]
-    return SuperMatrix(m, n, sig, rows, check=False)
-
-
 # ---------------------------------------------------------------------------
 # the structural operators
 # ---------------------------------------------------------------------------

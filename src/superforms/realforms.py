@@ -37,13 +37,13 @@ from . import linalg
 from .algebra import (
     EVEN, GRADED, ODD, STANDARD, AlgebraSignature, SuperNumber, adjoin_dual, basis_keys,
     conjugate_monomial, dual_scale_morphism, include_pairs, kill_pair_projection, one, scalar,
-    theta, theta_bar,
+    theta,
 )
 from .catalog import Descriptor, InapplicableDescriptor, build, names_for, param_choices
 from .exprs import PositionalMap, apply_expr
 from .liealg import (
     MatrixKind, MembershipError, TensorElement, basis_of, combination_cells,
-    decompose_in_basis, matrix_of, membership_defect, require_member,
+    decompose_in_basis, matrix_of, membership_defect, require_member, tensor_of,
 )
 from .literals import format_matrix, format_number
 from .matrices import SuperMatrix
@@ -193,31 +193,21 @@ def verify_structure(desc: Descriptor, sig: AlgebraSignature, samples: int = 100
 class VectorConjugation:
     """The antilinear map on the defining space induced by a descriptor.
 
-    ``images[i]`` is the constant grid of the image of basis vector ``i``;
-    ``coords[i]`` is its decomposition ``[(j, c), ...]`` over the basis.  For
-    standard descriptors the map squares to the identity; for graded ones it
-    squares to the parity sign (+1 on even vectors, -1 on odd ones).
+    ``coords[i]`` is the image of basis vector ``i``, decomposed
+    ``[(j, c), ...]`` over the basis; its grid is
+    ``liealg.combination_cells(kind, coords[i])``.  For standard descriptors
+    the map squares to the identity; for graded ones it squares to the parity
+    sign (+1 on even vectors, -1 on odd ones).
     """
 
     kind: MatrixKind
     conjugation: str
-    images: Tuple[Tuple[Tuple[GaussianRational, ...], ...], ...]
     coords: Tuple[Tuple[Tuple[int, GaussianRational], ...], ...]
-
-    def apply_to_tensor(self, t: TensorElement) -> TensorElement:
-        out: Dict[int, SuperNumber] = {}
-        for i, c in t.coeffs.items():
-            cc = c.conjugate()
-            for j, p in self.coords[i]:
-                term = cc.scaled(p)
-                cur = out.get(j)
-                out[j] = term if cur is None else cur + term
-        return TensorElement(self.kind, t.sig, out, check=False)
 
     def rebuild(self, x: SuperMatrix) -> SuperMatrix:
         """The functorial map reconstituted as conj-coefficients + vector map:
-        ``matrix_of(apply_to_tensor(tensor_of(kind, x)))``, evaluated as one
-        positional map."""
+        each tensor-form term ``c (x) v_i`` of ``x`` goes to
+        ``conj(c) (x) phi(v_i)``, evaluated as one positional map."""
         require_member(self.kind, x)
         return self._rebuild_map.apply(x)
 
@@ -263,12 +253,10 @@ def extract_vector_conjugation(desc: Descriptor) -> VectorConjugation:
     ExtractionMismatch is raised on the first odd vector.
     """
     kind = desc.kind
-    size = kind.size
     conjugations, action = _vector_action(desc)
     sig = AlgebraSignature(1, 0, 0, desc.conjugation)
     t1, t1bar = basis_keys(sig, ODD)
     image_key, sign = conjugate_monomial(sig, t1, conjugations)
-    images = []
     coords = []
     for v, decomposition in zip(basis_of(kind), action):
         if v.parity == ODD and image_key != t1bar:
@@ -281,13 +269,9 @@ def extract_vector_conjugation(desc: Descriptor) -> VectorConjugation:
             )
         if v.parity == ODD:
             decomposition = [(j, c if sign > 0 else -c) for j, c in decomposition]
-        grid = [[ZERO] * size for _ in range(size)]
-        for (a, b), x in combination_cells(kind, decomposition).items():
-            grid[a][b] = x
-        images.append(tuple(tuple(row) for row in grid))
         coords.append(tuple(decomposition))
 
-    result = VectorConjugation(kind, desc.conjugation, tuple(images), tuple(coords))
+    result = VectorConjugation(kind, desc.conjugation, tuple(coords))
     _validate_square(result)
     return result
 
@@ -319,21 +303,20 @@ def rebuild_matches(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignat
     """Sampled equality of the descriptor's map and conj-coefficients + phi
     (``samples`` at least 1).
 
-    Both maps are a constant map after one conjugation, so a sample passes
-    when their difference (:func:`_difference_map`) vanishes on it; the two
-    sides are evaluated in full only for the witness.  The conjugation is
-    folded into the constants (see :meth:`PositionalMap.vanishes`), so no
-    entry is conjugated.
+    When the descriptor's map ``own`` is one positional map that conjugates
+    once, like the rebuilt map, a sample passes when ``own - rebuilt``
+    vanishes on it, which folds the conjugation into the constants (see
+    :meth:`PositionalMap.vanishes`); otherwise both sides are evaluated.
+    Either way the two sides are evaluated in full for the witness.
     """
     require_samples(samples)
     desc.require_conjugation(sig)
     rng = rng_for(seed, "rebuild", desc.display(), f"P{sig.odd_pairs}")
     tally = Tally("extraction-rebuild", False)
-    difference = _difference_map(desc.compiled.stages, phi._rebuild_map)
-    if difference is not None:
-        difference = PositionalMap(tuple(tuple(tuple((r, s, c.conjugate()) for r, s, c in cell)
-                                               for cell in row) for row in difference.cells),
-                                   difference.conjugations - 1)
+    try:
+        difference = desc.compiled.algebra_map - phi._rebuild_map
+    except ValueError:          # a group-only step, or another conjugation count
+        difference = None
     for _ in range(samples):
         x = random_point(desc.kind, sig, rng)
         if difference is not None:
@@ -346,28 +329,6 @@ def rebuild_matches(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignat
             "rebuilt": matrix_literal(phi.rebuild(x)),
         })
     return tally.outcome()
-
-
-def _difference_map(stages, rebuilt: PositionalMap) -> Optional[PositionalMap]:
-    """The descriptor's map minus the rebuilt one as one positional map, or
-    ``None`` unless the descriptor is one positional map that conjugates
-    once, like the rebuilt map.  The two maps agree on a point exactly when
-    the difference sends it to zero."""
-    own = stages[0] if len(stages) == 1 else None
-    if type(own) is not PositionalMap or own.conjugations != rebuilt.conjugations:
-        return None
-    cells = []
-    for own_row, rebuilt_row in zip(own.cells, rebuilt.cells):
-        row = []
-        for own_cell, rebuilt_cell in zip(own_row, rebuilt_row):
-            acc: Dict[Tuple[int, int], GaussianRational] = {}
-            for r, s, c in own_cell:
-                acc[r, s] = acc.get((r, s), ZERO) + c
-            for r, s, c in rebuilt_cell:
-                acc[r, s] = acc.get((r, s), ZERO) - c
-            row.append(tuple((r, s, c) for (r, s), c in acc.items() if not c.is_zero()))
-        cells.append(tuple(row))
-    return PositionalMap(tuple(cells), rebuilt.conjugations)
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +410,6 @@ class CoordLayout:
     @property
     def complex_dim(self) -> int:
         return len(self.entries)
-
-    @property
-    def real_dim(self) -> int:
-        return 2 * len(self.entries)
 
     def complex_coords(self, t: TensorElement) -> Dict[int, GaussianRational]:
         return {self.pos[(i, key)]: z for i, c in t.coeffs.items() for key, z in c.items()}
@@ -590,8 +547,9 @@ def representability_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
     canonical bases on the same real coordinates, so the spans are equal
     exactly when the lists are.
 
-    Graded: the element ``t1 (x) v + t1~ (x) phi(v)`` (v any odd basis vector)
-    is fixed by the structure but lies outside that span, because the graded
+    Graded: the element ``x + phi.rebuild(x)`` with ``x = t1 (x) v`` (v the
+    first odd basis vector), that is ``t1 (x) v + t1~ (x) phi(v)``, is fixed
+    by the structure but lies outside that span, because the graded
     conjugation has no fixed odd coefficients; both facts are verified.  It
     needs an odd pair in ``A`` and an odd vector, which are checked first.
     """
@@ -618,18 +576,11 @@ def representability_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
         result["representable"] = [to_real(u) for u in fixed] == span
         return result
 
-    v = odd_vectors[0]
-    t1 = theta(sig, 0)
-    t1bar = theta_bar(sig, 0)
-    coeffs: Dict[int, SuperNumber] = {v.index: t1}
-    for j, c in phi.coords[v.index]:
-        term = t1bar.scaled(c)
-        cur = coeffs.get(j)
-        coeffs[j] = term if cur is None else cur + term
-    witness = TensorElement(desc.kind, sig, coeffs, check=False)
-    w_matrix = matrix_of(witness)
+    x = matrix_of(TensorElement(desc.kind, sig, {odd_vectors[0].index: theta(sig, 0)}))
+    w_matrix = x + phi.rebuild(x)
     fixed_ok = apply_expr(desc.compiled, w_matrix) == w_matrix
-    inside = len(linalg.span_basis(span + [to_real(layout.complex_coords(witness))])) == len(span)
+    witness = to_real(layout.complex_coords(tensor_of(desc.kind, w_matrix)))
+    inside = len(linalg.span_basis(span + [witness])) == len(span)
     result["mode"] = "witness"
     result["witness"] = matrix_literal(w_matrix)
     result["witness_fixed"] = fixed_ok
@@ -708,7 +659,7 @@ def compact_scan(kind: MatrixKind) -> Dict:
                 graded_compact.append((desc, data))
 
     distinct_actions = len({
-        data["_phi"].images for _, data in graded_compact
+        data["_phi"].coords for _, data in graded_compact
     })
     # distinct real spans of the even fixed parts; each is a canonical basis
     # on the same coordinates (see fixed_vectors), so equal spans are equal lists

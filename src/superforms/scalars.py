@@ -47,9 +47,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def is_one(self) -> bool:
         return self.re == 1 and self.im == 0 and self.den == 1
 

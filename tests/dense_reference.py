@@ -6,10 +6,14 @@ canonical bases and compared spans through them:
 
 * dense Gauss-Jordan ``rref`` and the grid ``nullspace`` built on it, against
   which ``linalg.nullspace`` and ``linalg.invert`` are checked;
+* the osp basis as the dense null space of ``st(X) F + F X`` on unit grids,
+  the form the package's conditions had before they became ``id - sigma``;
 * the fixed points of a real-linear map as the nullspace of one dense
   ``M - I`` over all real coordinates;
 * ``decompose_in_basis`` / ``tensor_of`` by one linear solve per monomial;
 * ``matrix_of`` as the sum of one full ``tensor_term`` matrix per basis vector;
+* the rebuild of an extracted vector map in tensor form, ``apply_to_tensor``,
+  against which its positional map ``VectorConjugation.rebuild`` is checked;
 * the dense span routines ``rank``, ``solve``, ``in_span`` and
   ``spans_equal`` (Gauss-Jordan on whole grids), against which
   ``linalg.span_basis`` is checked, with the dense real coordinates
@@ -25,10 +29,11 @@ and in the same order.
 
 from typing import Dict, List, Optional, Tuple
 
+from superforms import linalg
 from superforms.algebra import EVEN, ODD, STANDARD, SuperNumber, basis_keys, key_parity, theta, theta_bar
 from superforms.exprs import apply_expr
 from superforms.liealg import MembershipError, TensorElement, basis_of, matrix_of, require_member, tensor_of
-from superforms.matrices import tensor_term, zero_matrix
+from superforms.matrices import SuperMatrix, osp_form_grid, supertranspose_grid, zero_matrix
 from superforms.realforms import (
     CoordLayout, extract_vector_conjugation, fixed_point_data, matrix_literal,
     real_fixed_elements, real_fixed_vectors,
@@ -78,6 +83,32 @@ def nullspace(matrix) -> List[List[GaussianRational]]:
             vec[pivot_col] = MINUS_ONE * reduced[row_idx][free]
         basis.append(vec)
     return basis
+
+
+def osp_basis_grids(m: int, n: int) -> List[Tuple[int, List[List[GaussianRational]]]]:
+    """``(parity, grid)`` for each vector of the osp(m|n) basis: per parity,
+    the dense null space of ``X -> st(X) F + F X`` on that parity's slots
+    (diagonal blocks row-major, then the upper-right and lower-left blocks),
+    even vectors first."""
+    size = m + n
+    form = osp_form_grid(m, n)
+    even = [(i, j) for i in range(size) for j in range(size) if (i < m) == (j < m)]
+    odd = [(i, m + j) for i in range(m) for j in range(n)] + [(m + i, j) for i in range(n) for j in range(m)]
+    out = []
+    for parity, slots in ((EVEN, even), (ODD, odd)):
+        columns = []
+        for r, s in slots:
+            unit = [[ONE if (a, b) == (r, s) else ZERO for b in range(size)] for a in range(size)]
+            left = linalg.mat_mul(supertranspose_grid(unit, m), form)
+            right = linalg.mat_mul(form, unit)
+            columns.append([left[a][b] + right[a][b] for a in range(size) for b in range(size)])
+        matrix = [[column[row] for column in columns] for row in range(size * size)]
+        for vec in nullspace(matrix) if slots else []:
+            grid = [[ZERO] * size for _ in range(size)]
+            for (r, s), x in zip(slots, vec):
+                grid[r][s] = x
+            out.append((parity, grid))
+    return out
 
 
 def rank(matrix) -> int:
@@ -148,7 +179,7 @@ def dense_layout_fixed_vectors(layout: CoordLayout, func) -> List[List[GaussianR
     """Fixed points of a real-linear map on ``g(A)``: the dense matrix over
     the layout's real coordinates (columns = images of unit vectors), then
     its dense nullspace of ``M - I``."""
-    dim = layout.real_dim
+    dim = 2 * layout.complex_dim
     columns = []
     for i, key in layout.entries:
         for value in (ONE, I):
@@ -247,6 +278,24 @@ def solve_tensor_of(kind, x) -> TensorElement:
             cur = coeffs.get(index)
             coeffs[index] = term if cur is None else cur + term
     return TensorElement(kind, x.sig, coeffs)
+
+
+def tensor_term(coefficient: SuperNumber, grid, m: int, n: int) -> SuperMatrix:
+    """The matrix ``coefficient * grid`` (a single "a tensor v" term)."""
+    return SuperMatrix(m, n, coefficient.sig, [[coefficient.scaled(c) for c in row] for row in grid],
+                       check=False)
+
+
+def apply_to_tensor(phi, t: TensorElement) -> TensorElement:
+    """The rebuild of ``phi`` in tensor form: ``c (x) v_i`` goes to
+    ``conj(c) (x) sum_j p_ij v_j`` for ``phi.coords[i] = [(j, p_ij), ...]``."""
+    out: Dict[int, SuperNumber] = {}
+    for i, c in t.coeffs.items():
+        cc = c.conjugate()
+        for j, p in phi.coords[i]:
+            term = cc.scaled(p)
+            out[j] = out[j] + term if j in out else term
+    return TensorElement(phi.kind, t.sig, out, check=False)
 
 
 def summed_matrix_of(t: TensorElement):

@@ -59,7 +59,6 @@ def probe_extract_vector_conjugation(desc) -> VectorConjugation:
             for v, grid, bad in zip(batch, grids, other):
                 found[v.index] = (grid, bad)
 
-    images = []
     coords = []
     for v in basis:
         grid, bad = found[v.index]
@@ -74,9 +73,8 @@ def probe_extract_vector_conjugation(desc) -> VectorConjugation:
             raise ExtractionMismatch(
                 f"{desc.display()}: image of vector {v.index} left the algebra"
             )
-        images.append(tuple(tuple(row) for row in grid))
         coords.append(tuple(decomposition))
-    result = VectorConjugation(kind, desc.conjugation, tuple(images), tuple(coords))
+    result = VectorConjugation(kind, desc.conjugation, tuple(coords))
     _validate_square(result)
     return result
 

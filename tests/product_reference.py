@@ -12,11 +12,19 @@ as integer numerators (``algebra.sum_of_products``):
   with the sign of sorting that list, from before the conjugation table was
   built by the monomial rule (``algebra.monomial_image``).
 
+``parity_part`` gives the homogeneous parts that the supercommutativity and
+graded conjugation laws are stated on.
+
 The tests require the package to agree with them exactly.
 """
 
-from superforms.algebra import STANDARD, SuperNumber, even_mask_of, odd_mask_of
+from superforms.algebra import STANDARD, SuperNumber, even_mask_of, key_parity, odd_mask_of
 from superforms.scalars import GaussianRational
+
+
+def parity_part(x: SuperNumber, parity: int) -> SuperNumber:
+    """The terms of ``x`` of one parity."""
+    return SuperNumber(x.sig, {k: c for k, c in x.items() if key_parity(k) == parity})
 
 
 def _odd_ids(key: int) -> list:

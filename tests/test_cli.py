@@ -102,6 +102,16 @@ def test_usage_errors_exit_two():
         assert code == 2, argv
 
 
+@pytest.mark.parametrize("name, even_nil", [("sigma1", "4"), ("Sigma1", "3")])
+def test_verify_refuses_even_nilpotents_that_leave_no_room_for_dual_generators(name, even_nil, capsys):
+    # verify adjoins one dual generator at the algebra level and two at the
+    # group level, and an algebra has at most four even nilpotent generators
+    code, out = run_cli("verify", "sl", "1", "1", name, "--even-nil", even_nil)
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert "dual generator" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_sample_count_below_one_is_a_usage_error(count, capsys):
     code, out = run_cli("verify", "sl", "2", "1", "sigma1", "--samples", count)

@@ -1,29 +1,32 @@
 """The fast paths against their dense references (``dense_reference.py``):
-null spaces, fixed points and inverses read off sparse canonical bases,
+null spaces, fixed points and inverses read off sparse canonical bases, the
+osp basis as the null space of ``id - sigma``,
 slot-read coordinates, in-place matrix assembly, sparse canonical span bases
 and the representability dichotomy built on them;
 and against the routes they replace: fixed-point images relabelled across
 monomials, the rebuild as one positional map, the rebuild check through the
-difference map, the sl and osp membership checks read off compiled cells, and the
-zero test of a positional map without conjugating; and against the probe
+difference map, the sl and osp membership checks read off compiled cells, the
+difference of two positional maps, and the zero test of a positional map
+without conjugating; and against the probe
 evaluations (``probe_reference.py``) that extraction and fixed points made
 before they read the vector action off the compiled map."""
 
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_reference import (
-    dense_layout_fixed_vectors, dense_real_fixed_elements, dense_real_fixed_vectors,
-    dense_representability, in_span, nullspace, rank, real_coordinates, rref, solve_decompose,
-    solve_tensor_of, spans_equal, summed_matrix_of,
+    apply_to_tensor, dense_layout_fixed_vectors, dense_real_fixed_elements, dense_real_fixed_vectors,
+    dense_representability, in_span, nullspace, osp_basis_grids, rank, real_coordinates, rref,
+    solve_decompose, solve_tensor_of, spans_equal, summed_matrix_of,
 )
 from probe_reference import evaluated_fixed_point_coords, probe_extract_vector_conjugation
 from superforms import linalg
 from superforms.algebra import EVEN, GRADED, ODD, STANDARD, AlgebraSignature, SuperNumber, basis_keys
 from superforms.catalog import applicable_names, build, param_choices
-from superforms.exprs import apply_expr
+from superforms.exprs import PositionalMap, apply_expr, compile_expr
 from superforms.groups import fixed_span_maps
 from superforms.liealg import (
     GL, OSP, SL, MatrixKind, MembershipError, basis_of, decompose_in_basis, matrix_of,
@@ -34,7 +37,7 @@ from superforms.matrices import (
 )
 from superforms.realforms import (
     CoordLayout, VectorConjugation, extract_vector_conjugation, fixed_point_coords,
-    fixed_point_data, _difference_map, matrix_literal, real_fixed_elements, real_fixed_vectors,
+    fixed_point_data, matrix_literal, real_fixed_elements, real_fixed_vectors,
     rebuild_matches, representability_check, to_real,
 )
 from superforms.sampling import random_point, random_tensor, rng_for
@@ -428,7 +431,7 @@ def test_rebuild_map_matches_the_tensor_route():
         rng = random.Random(desc.display())
         for _ in range(5):
             x = random_point(desc.kind, sig, rng)
-            assert phi.rebuild(x) == matrix_of(phi.apply_to_tensor(tensor_of(desc.kind, x)))
+            assert phi.rebuild(x) == matrix_of(apply_to_tensor(phi, tensor_of(desc.kind, x)))
 
 
 def direct_rebuild_outcome(desc, phi, sig, samples, seed):
@@ -438,7 +441,7 @@ def direct_rebuild_outcome(desc, phi, sig, samples, seed):
     for _ in range(samples):
         x = random_point(desc.kind, sig, rng)
         lhs = apply_expr(desc.compiled, x)
-        rhs = matrix_of(phi.apply_to_tensor(tensor_of(desc.kind, x)))
+        rhs = matrix_of(apply_to_tensor(phi, tensor_of(desc.kind, x)))
         if lhs != rhs:
             failures += 1
             if witness is None:
@@ -454,7 +457,7 @@ def test_rebuild_difference_map_counts_like_direct_comparison():
         phi = extract_vector_conjugation(desc)
         coords = list(phi.coords)
         coords[-1] = tuple((j, c * GaussianRational(2)) for j, c in coords[-1])
-        bad = VectorConjugation(phi.kind, phi.conjugation, phi.images, tuple(coords))
+        bad = VectorConjugation(phi.kind, phi.conjugation, tuple(coords))
         sig = one_pair(desc)
         for vectors, expect_failures in ((phi, False), (bad, True)):
             outcome = rebuild_matches(desc, vectors, sig, samples=30, seed=7)
@@ -479,8 +482,52 @@ def test_osp_membership_matches_the_form_product(shape, seed):
     form = osp_form_grid(*shape)
     for point in (x, SuperMatrix(x.m, x.n, sig, rows)):
         defect = mul_const(supertranspose(point), form) + const_mul(form, point)
-        assert kind.conditions.apply(point) == defect
+        assert const_mul(form, kind.conditions.apply(point)) == defect
         assert (membership_defect(kind, point) is None) == defect.is_zero()
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 2), (3, 2), (2, 0), (0, 2), (0, 4), (2, 4)], ids=str)
+def test_osp_basis_is_the_null_space_of_the_form_product(shape):
+    basis = basis_of(MatrixKind(OSP, *shape))
+    assert [(v.parity, v.grid_rows()) for v in basis] == osp_basis_grids(*shape)
+
+
+@functools.lru_cache(maxsize=None)
+def maps_by_shape():
+    """Positional maps per shape ``(m, n)``: the identity, every catalog
+    descriptor's, the rebuilt map of each extraction and the osp conditions."""
+    maps = {}
+    for desc in catalog_descriptors():
+        kind = desc.kind
+        found = maps.setdefault((kind.m, kind.n), [compile_expr((), kind.m, kind.n).algebra_map])
+        found.append(desc.compiled.algebra_map)
+        if not desc.strict:
+            found.append(extract_vector_conjugation(desc)._rebuild_map)
+        if kind.family == OSP:
+            found.append(kind.conditions)
+    return maps
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_map_difference_applies_as_the_difference_of_the_maps(data):
+    maps = maps_by_shape()
+    shape = data.draw(st.sampled_from(sorted(maps)))
+    a, b = (data.draw(st.sampled_from(maps[shape])) for _ in range(2))
+    sig = AlgebraSignature(2, 0, 1, data.draw(st.sampled_from([STANDARD, GRADED])))
+    x = random_point(MatrixKind(GL, *shape), sig, random.Random(data.draw(st.integers(0, 10 ** 6))))
+    if a.conjugations != b.conjugations:
+        with pytest.raises(ValueError, match="conjugation counts"):
+            a - b
+        b = PositionalMap(b.cells, a.conjugations)
+    assert (a - b).apply(x) == a.apply(x) - b.apply(x)
+
+
+def test_map_difference_drops_cancelled_terms_and_refuses_other_shapes():
+    own = build("sigma1", MatrixKind(SL, 2, 1)).compiled.algebra_map
+    assert own - own == PositionalMap(tuple(((),) * 3 for _ in range(3)), own.conjugations)
+    with pytest.raises(ValueError, match="shapes"):
+        own - build("sigma1", MatrixKind(SL, 2, 2)).compiled.algebra_map
 
 
 @given(st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1), (1, 0)]), st.integers(0, 10 ** 6))
@@ -511,7 +558,7 @@ def test_vanishes_matches_applying_the_map():
         if desc.strict:
             continue
         kind = desc.kind
-        maps = [_difference_map(desc.compiled.stages, extract_vector_conjugation(desc)._rebuild_map)]
+        maps = [desc.compiled.algebra_map - extract_vector_conjugation(desc)._rebuild_map]
         if kind.family == OSP:
             maps.append(kind.conditions)
         sig = AlgebraSignature(2, 0, 1, desc.conjugation)
@@ -571,7 +618,7 @@ def test_vector_action_matches_probe_evaluations(desc):
     new, old = (outcome(lambda d, _: extract(d), desc, None)
                 for extract in (extract_vector_conjugation, probe_extract_vector_conjugation))
     if isinstance(old, VectorConjugation):
-        assert (new.images, new.coords) == (old.images, old.coords)
+        assert new == old
     else:
         assert new == old and old[0] == "ExtractionMismatch"
     for sig in (AlgebraSignature(1, 0, 1, STANDARD), AlgebraSignature(1, 0, 1, GRADED)):

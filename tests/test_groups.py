@@ -197,3 +197,19 @@ def test_sample_group_dispatch():
     assert group_contains(MatrixKind(OSP, 1, 2), sample_group(MatrixKind(OSP, 1, 2), SIG1S, rng_for(26, "d2")))
     g = sample_group(MatrixKind(GL, 2, 1), SIG1S, rng_for(26, "d3"))
     assert group_membership_defect(MatrixKind(GL, 2, 1), g) is None
+
+
+def test_group_checks_refuse_an_algebra_without_room_for_the_dual_generators(monkeypatch):
+    # the group checks adjoin one even generator, the commutator identity two
+    from superforms import groups
+
+    def no_sample(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(groups, "random_point", no_sample)
+    monkeypatch.setattr(groups, "sample_group", no_sample)
+    desc = build("sigma1", MatrixKind(SL, 1, 1))
+    with pytest.raises(ValueError, match="at most 4 even nilpotent"):
+        group_commutator_identity(desc.kind, AlgebraSignature(1, 0, 3, STANDARD))
+    with pytest.raises(ValueError, match="at most 4 even nilpotent"):
+        verify_group_structure(desc, AlgebraSignature(1, 0, 4, STANDARD))

@@ -7,7 +7,7 @@ import pytest
 from superforms.algebra import AlgebraSignature, GRADED, STANDARD
 from superforms.catalog import build, corrupted_sigma1
 from superforms.groups import lie_fixed_span_check, verify_group_structure
-from superforms.liealg import MatrixKind, OSP, SL
+from superforms.liealg import MatrixKind, OSP, SL, combination_cells
 from superforms.realforms import (
     ExtractionMismatch, compact_scan, compactness_data, extract_vector_conjugation,
     fixed_point_coords, fixed_point_data, rebuild_matches, representability_check,
@@ -128,7 +128,8 @@ def test_corrupted_control_fails_bracket_with_witness():
 
 
 def grid_of(phi, index):
-    return [[c for c in row] for row in phi.images[index]]
+    cells = combination_cells(phi.kind, phi.coords[index])
+    return [[cells.get((a, b), ZERO) for b in range(phi.kind.size)] for a in range(phi.kind.size)]
 
 
 def test_extraction_oracle_sigma3_sl11():
@@ -250,3 +251,15 @@ def test_compact_scan_summary():
     inapplicable = [r for r in scan["rows"] if not r["applicable"]]
     assert {r["descriptor"] for r in inapplicable} == {"sigma2", "sigma3", "sigma4", "omega1", "omega3"}
     assert all(r["reason"] for r in inapplicable)
+
+
+def test_verify_refuses_an_algebra_without_room_for_the_dual_generator(monkeypatch):
+    # the naturality battery adjoins one even generator; four are the most
+    from superforms import realforms
+
+    def no_sample(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(realforms, "random_point", no_sample)
+    with pytest.raises(ValueError, match="at most 4 even nilpotent"):
+        verify_structure(build("sigma1", MatrixKind(SL, 1, 1)), AlgebraSignature(1, 0, 4, STANDARD))
