@@ -197,6 +197,13 @@ def mono_mul(k1: int, k2: int) -> Optional[Tuple[int, int]]:
     return k1 | k2, sign
 
 
+def products_vanish(keys1: Iterable[int], keys2: Sequence[int]) -> bool:
+    """Whether every product of a monomial of ``keys1`` by one of ``keys2``
+    is zero, that is every pair of keys shares a generator (:func:`mono_mul`),
+    so any sum of such products is zero term by term."""
+    return all(k1 & k2 for k1 in keys1 for k2 in keys2)
+
+
 def bits(mask: int) -> Iterator[int]:
     """The indices of the set bits of ``mask``, ascending."""
     while mask:
@@ -400,16 +407,17 @@ class SuperNumber:
         return SuperNumber(self.sig, out)
 
     def inverse(self) -> "SuperNumber":
-        """Exact inverse via the geometric series of the nilpotent part."""
+        """Exact inverse via the geometric series of the nilpotent part,
+        which stops once the next power is zero (:func:`products_vanish`)."""
         b = self.body()
         if b.is_zero():
             raise NotInvertible("element has zero body")
         binv = b.inverse()
         # self = b (1 + n) with n nilpotent; inverse = b^-1 sum (-n)^k
         minus_n = self.soul().scaled(-binv)
-        acc = scalar(self.sig, ONE)
-        power = acc
-        while True:
+        acc, power = scalar(self.sig, ONE) + minus_n, minus_n
+        keys = tuple(minus_n._terms)
+        while not products_vanish(power._terms, keys):
             power = power * minus_n
             if power.is_zero():
                 break
@@ -621,10 +629,9 @@ def basis_keys(sig: AlgebraSignature, parity: Optional[int] = None) -> Tuple[int
 class AlgebraMorphism:
     """A Q(i)-linear algebra homomorphism determined by generator images.
 
-    Images must preserve parity and the square-zero relations; whether the
-    morphism intertwines the conjugations (:attr:`respects_conjugation`) is
-    checked on generators when first asked (it then propagates to the whole
-    algebra by multiplicativity and antilinearity of the conjugations).
+    Images must preserve parity and the square-zero relations.  Whether a
+    morphism intertwines the conjugations is not checked; the constructors
+    below say which of theirs do.
 
     A morphism is *monomial* when every generator image has at most one
     term; then every monomial goes to at most one monomial, and
@@ -632,8 +639,7 @@ class AlgebraMorphism:
     the product kernel.
     """
 
-    __slots__ = ("src", "tgt", "odd_images", "even_images", "monomial", "_generator_terms", "_cache",
-                 "_respects")
+    __slots__ = ("src", "tgt", "odd_images", "even_images", "monomial", "_generator_terms", "_cache")
 
     def __init__(
         self,
@@ -664,20 +670,6 @@ class AlgebraMorphism:
             [next(iter(img._terms.items()), ()) for img in images]
             for images in (self.odd_images, self.even_images)
         ) if self.monomial else None
-        self._respects: Optional[bool] = None
-
-    @property
-    def respects_conjugation(self) -> bool:
-        """Whether the morphism intertwines the conjugations, computed on
-        first use."""
-        if self._respects is None:
-            self._respects = self._conjugation_ok()
-        return self._respects
-
-    def _conjugation_ok(self) -> bool:
-        odd, even = generators(self.src)
-        return self.src.conjugation == self.tgt.conjugation and all(
-            self.apply(g.conjugate()) == self.apply(g).conjugate() for g in odd + even)
 
     def _factors(self, key: int) -> list:
         """The generator images whose product, in this order, is the image

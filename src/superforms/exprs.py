@@ -33,9 +33,10 @@ a scaling, several go through ``algebra.sum_of_products``.  Two maps that
 conjugate equally often subtract, ``a - b``, into one positional map: the osp
 conditions (``liealg.MatrixKind.conditions``) are the identity minus the
 involution whose fixed points are osp, and the extraction-rebuild check
-subtracts the rebuilt map from the descriptor's.  Its ``vanishes`` tests
-whether the map sends a point to zero, conjugating nothing; both of those
-use it.  Its ``apply_constant`` applies it to a constant grid, where the ``k``
+subtracts the rebuilt map from the descriptor's.  ``folded`` gives a map
+with the same zeros that conjugates nothing, and ``vanishes`` tests whether
+such a map sends a point to zero; both of those use them.  Its
+``apply_constant`` applies a map to a constant grid, where the ``k``
 conjugations are one or none; :mod:`superforms.realforms` reads each
 structure's action on the defining space off it, so the tagging above is the
 package's only probe evaluation.  A group-only step splits the expression
@@ -154,20 +155,25 @@ class PositionalMap(NamedTuple):
             out.append(out_row)
         return SuperMatrix(x.m, x.n, sig, out, check=False)
 
-    def vanishes(self, x: SuperMatrix) -> bool:
-        """Whether the map sends ``x`` to zero, conjugating no entry.
-
-        Conjugation is additive, injective and conjugates constants, so
-        ``sum c conj^k(x)`` vanishes exactly when ``sum c' x`` does, ``c'``
-        being ``c`` conjugated ``k`` times.  A cell with one nonzero term does
-        not vanish, and one with two, ``c1 x1 + c2 x2``, vanishes exactly when
-        ``c1 x1 == -c2 x2``, that is ``x1 == x2`` when ``c1 == -c2``."""
-        rows = x.rows
+    def folded(self) -> "PositionalMap":
+        """The map ``x -> sum c' x`` on the same cells, ``c'`` being ``c``
+        conjugated ``k`` times: conjugation is additive, injective and
+        conjugates constants, so it vanishes exactly where this map does."""
         flip = self.conjugations & 1
+        return PositionalMap(tuple(tuple(tuple((r, s, c.conjugate() if flip else c) for r, s, c in cell)
+                                         for cell in row) for row in self.cells), 0)
+
+    def vanishes(self, x: SuperMatrix) -> bool:
+        """Whether a map that conjugates nothing (see :meth:`folded`) sends
+        ``x`` to zero; raises ``ValueError`` for one that conjugates.  A cell
+        with one nonzero term does not vanish, and ``c1 x1 + c2 x2`` vanishes
+        exactly when ``c1 x1 == -c2 x2``, that is ``x1 == x2`` if ``c1 == -c2``."""
+        if self.conjugations:
+            raise ValueError("fold the conjugations of a positional map before testing for zero")
+        rows = x.rows
         for cell_row in self.cells:
             for cell in cell_row:
-                terms = [(rows[r][s], c.conjugate() if flip else c)
-                         for r, s, c in cell if not rows[r][s].is_zero()]
+                terms = [(rows[r][s], c) for r, s, c in cell if not rows[r][s].is_zero()]
                 if not terms:
                     continue
                 if len(terms) == 1:

@@ -162,7 +162,9 @@ def sample_sl(kind: MatrixKind, sig: AlgebraSignature, rng, factors: int = 4) ->
 
 
 def sample_osp(kind: MatrixKind, sig: AlgebraSignature, rng, max_tries: int = 25) -> SuperMatrix:
-    """Cayley transform ``(Id - X)(Id + X)^{-1}`` of a random algebra point."""
+    """Cayley transform ``(Id - X)(Id + X)^{-1}`` of a random algebra point,
+    computed as ``2 D - Id`` with ``D = (Id + X)^{-1}``: ``Id - X`` is
+    ``2 Id - (Id + X)``, so the product ``(Id - X) D`` is not needed."""
     ident = identity_matrix(kind.m, kind.n, sig)
     for _ in range(max_tries):
         x = random_point(kind, sig, rng)
@@ -170,7 +172,7 @@ def sample_osp(kind: MatrixKind, sig: AlgebraSignature, rng, max_tries: int = 25
             denominator = matrix_inverse(ident + x)
         except NotInvertibleMatrix:
             continue
-        return (ident - x) * denominator
+        return denominator.scale(scalar(sig, integer(2))) - ident
     raise SamplingFailed(
         f"no invertible Cayley denominator for {kind.display()} after {max_tries} tries"
     )
@@ -253,6 +255,7 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
         # kernel element Id + eps*M of the dual-number projection
         m_point = random_point(kind, sig, rng)
         z = kernel_point(m_point, include, eps)
+        sz = evaluate(z)
 
         if idx == 0:
             a = scalar(ext, I)
@@ -261,13 +264,12 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
         va = dual_scale_morphism(ext, a)
         va_conj = dual_scale_morphism(ext, a.conjugate())
         lhs_e = evaluate(z.map_entries(va.apply))
-        rhs_e = evaluate(z).map_entries(va_conj.apply)
+        rhs_e = sz.map_entries(va_conj.apply)
         tallies["dual-equivariance"].record(lhs_e == rhs_e, lambda: {
             "a": format_number(a), "kernel-point": matrix_literal(z),
             "lhs": matrix_literal(lhs_e), "rhs": matrix_literal(rhs_e),
         })
 
-        sz = evaluate(z)
         m_ext = m_point.map_entries(include.apply, ext)
         algebra_image = apply_expr(desc.compiled, m_ext)
         expected = identity_matrix(kind.m, kind.n, ext) + algebra_image.scale(eps)

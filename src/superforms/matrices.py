@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from . import linalg
-from .algebra import AlgebraSignature, SuperNumber, one, scalar
+from .algebra import AlgebraSignature, SuperNumber, mono_mul, one, products_vanish, scalar
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 
 
@@ -119,8 +119,16 @@ class SuperMatrix:
             raise ValueError("shape or coefficient algebra mismatch")
 
     def scale(self, a: SuperNumber) -> "SuperMatrix":
-        """Entrywise multiplication by an even central element."""
-        return self._like([[a * e for e in row] for row in self.rows])
+        """Entrywise multiplication by an even central element.  By a monomial
+        ``c t`` no product kernel runs: each entry's keys are relabelled
+        through :func:`mono_mul`, with its sign, and scaled by ``c``; distinct
+        keys stay distinct, so no two terms meet."""
+        if len(a) != 1:
+            return self._like([[a * e for e in row] for row in self.rows])
+        (key, c), = a.items()
+        return self.map_entries(lambda e: SuperNumber(self.sig, {
+            m[0]: v if m[1] > 0 else -v for k, v in e.items() if (m := mono_mul(key, k))
+        }).scaled(c))
 
     def map_entries(self, f: Callable[[SuperNumber], SuperNumber], sig: Optional[AlgebraSignature] = None) -> "SuperMatrix":
         target = sig if sig is not None else self.sig
@@ -245,8 +253,14 @@ def commutator(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
 def _series_inverse(rows: List[List[SuperNumber]], sig: AlgebraSignature) -> List[List[SuperNumber]]:
     """Invert a square grid of algebra elements whose body grid is invertible.
 
-    Splits ``M = M0 (I + M0^{-1} N)`` with ``M0`` the constant body and ``N``
-    the nilpotent remainder, then sums the finite geometric series.
+    Splits ``M = M0 (I + T)``, ``T = M0^-1 N``, with ``M0`` the constant body
+    and ``N`` the nilpotent rest, and sums ``I - T + T^2 - ...`` from ``I - T``.
+    The next power is zero term by term, and is not computed, once every key
+    of the last power shares a generator with every key of ``T``
+    (:func:`algebra.products_vanish`); a computed zero power also ends it.
+    Only zero terms are dropped, so the sum is exact.  On a kernel point's
+    lift ``c + eps N'`` every key of ``T`` holds ``eps``: the sum is
+    ``I - T`` and the inverse ``c^-1 - eps c^-1 N' c^-1``.
     """
     size = len(rows)
     body = [[e.body() for e in row] for row in rows]
@@ -257,10 +271,11 @@ def _series_inverse(rows: List[List[SuperNumber]], sig: AlgebraSignature) -> Lis
     zero = SuperNumber.zero(sig)
 
     soul = [[rows[i][j].soul() for j in range(size)] for i in range(size)]
-    minus_t = [[-e for e in row] for row in linalg.mat_mul(body_inv, soul, zero)]   # nilpotent
-    acc = [[one(sig) if i == j else zero for j in range(size)] for i in range(size)]
-    power = acc
-    while True:
+    minus_t = linalg.mat_mul([[-c for c in row] for row in body_inv], soul, zero)   # nilpotent
+    keys = tuple({k for row in minus_t for e in row for k, _ in e.items()})
+    acc = [[one(sig) + e if i == j else e for j, e in enumerate(row)] for i, row in enumerate(minus_t)]
+    power = minus_t
+    while not products_vanish({k for row in power for e in row for k, _ in e.items()}, keys):
         power = linalg.mat_mul(power, minus_t, zero)
         if all(e.is_zero() for row in power for e in row):
             break

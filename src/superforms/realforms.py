@@ -305,8 +305,8 @@ def rebuild_matches(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignat
 
     When the descriptor's map ``own`` is one positional map that conjugates
     once, like the rebuilt map, a sample passes when ``own - rebuilt``
-    vanishes on it, which folds the conjugation into the constants (see
-    :meth:`PositionalMap.vanishes`); otherwise both sides are evaluated.
+    vanishes on it, its conjugation folded into its constants once (see
+    :meth:`PositionalMap.folded`); otherwise both sides are evaluated.
     Either way the two sides are evaluated in full for the witness.
     """
     require_samples(samples)
@@ -314,7 +314,7 @@ def rebuild_matches(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignat
     rng = rng_for(seed, "rebuild", desc.display(), f"P{sig.odd_pairs}")
     tally = Tally("extraction-rebuild", False)
     try:
-        difference = desc.compiled.algebra_map - phi._rebuild_map
+        difference = (desc.compiled.algebra_map - phi._rebuild_map).folded()
     except ValueError:          # a group-only step, or another conjugation count
         difference = None
     for _ in range(samples):

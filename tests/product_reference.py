@@ -10,7 +10,17 @@ as integer numerators (``algebra.sum_of_products``):
   at a time;
 * the conjugation of an odd monomial as the list of its generators' images,
   with the sign of sorting that list, from before the conjugation table was
-  built by the monomial rule (``algebra.monomial_image``).
+  built by the monomial rule (``algebra.monomial_image``);
+* the inverses of an element and of a supermatrix as the geometric series
+  started at the identity and stopped at the first computed power that is
+  zero, the Cayley sample as the product ``(Id - X)(Id + X)^-1``, and the
+  scaling of a supermatrix by an element as one kernel product per entry,
+  from before the series skipped products known to vanish, the sample took
+  ``2 D - Id`` and a monomial scaling relabelled keys.
+
+``respects_conjugation`` checks on generators whether a morphism intertwines
+the conjugations (it then does on the whole algebra, by multiplicativity and
+antilinearity); the package itself never asks.
 
 ``parity_part`` gives the homogeneous parts that the supercommutativity and
 graded conjugation laws are stated on.
@@ -18,7 +28,12 @@ graded conjugation laws are stated on.
 The tests require the package to agree with them exactly.
 """
 
-from superforms.algebra import STANDARD, SuperNumber, even_mask_of, key_parity, odd_mask_of
+from superforms import linalg
+from superforms.algebra import (
+    STANDARD, SuperNumber, even_mask_of, generators, key_parity, odd_mask_of, one,
+)
+from superforms.matrices import NotInvertibleMatrix, SuperMatrix, identity_matrix
+from superforms.sampling import random_point
 from superforms.scalars import GaussianRational
 
 
@@ -111,3 +126,66 @@ def reference_conj_mask(sig, omask: int):
         else:
             mapped.append(gid + 1)
     return sum(1 << gid for gid in mapped), sign * sort_sign(mapped)
+
+
+def respects_conjugation(morphism) -> bool:
+    """Whether ``morphism`` intertwines the conjugations of its source and
+    target, checked on the generators."""
+    odd, even = generators(morphism.src)
+    return morphism.src.conjugation == morphism.tgt.conjugation and all(
+        morphism.apply(g.conjugate()) == morphism.apply(g).conjugate() for g in odd + even)
+
+
+def reference_element_inverse(x: SuperNumber) -> SuperNumber:
+    """``x^-1`` as ``b^-1 sum (-n)^k``, ``x = b (1 + n)``: the powers are
+    multiplied from 1 on and summed until one comes out zero."""
+    binv = x.body().inverse()
+    minus_n = x.soul().scaled(-binv)
+    acc = power = one(x.sig)
+    while True:
+        power = power * minus_n
+        if power.is_zero():
+            return acc.scaled(binv)
+        acc = acc + power
+
+
+def reference_series_inverse(x: SuperMatrix) -> SuperMatrix:
+    """``x^-1`` as ``(I + T)^-1 M0^-1``, ``M0`` the body grid and ``T =
+    M0^-1 (x - M0)``: the powers of ``-T`` are multiplied from the identity
+    on and summed until one comes out zero."""
+    sig, size = x.sig, x.size
+    zero = SuperNumber.zero(sig)
+    try:
+        body_inv = linalg.invert(x.body_grid())
+    except linalg.SingularMatrix:
+        raise NotInvertibleMatrix("matrix body is singular")
+    soul = [[e.soul() for e in row] for row in x.rows]
+    minus_t = [[-e for e in row] for row in linalg.mat_mul(body_inv, soul, zero)]
+    acc = [[one(sig) if i == j else zero for j in range(size)] for i in range(size)]
+    power = acc
+    while True:
+        power = linalg.mat_mul(power, minus_t, zero)
+        if all(e.is_zero() for row in power for e in row):
+            break
+        acc = [[a + p for a, p in zip(ra, rp)] for ra, rp in zip(acc, power)]
+    return SuperMatrix(x.m, x.n, sig, linalg.mat_mul(acc, body_inv, zero), check=False)
+
+
+def reference_cayley(kind, sig, rng, max_tries: int = 25):
+    """``(Id - X)(Id + X)^-1`` of the first random algebra point whose
+    denominator is invertible, drawing as ``groups.sample_osp`` does; ``None``
+    after ``max_tries`` draws."""
+    ident = identity_matrix(kind.m, kind.n, sig)
+    for _ in range(max_tries):
+        x = random_point(kind, sig, rng)
+        try:
+            denominator = reference_series_inverse(ident + x)
+        except NotInvertibleMatrix:
+            continue
+        return (ident - x) * denominator
+    return None
+
+
+def reference_scale(x: SuperMatrix, a: SuperNumber) -> SuperMatrix:
+    """``a`` times every entry of ``x``, one kernel product per entry."""
+    return SuperMatrix(x.m, x.n, x.sig, [[a * e for e in row] for row in x.rows], check=False)

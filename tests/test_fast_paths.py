@@ -552,7 +552,8 @@ def test_sl_membership_matches_the_supertrace(shape, seed):
 
 
 def test_vanishes_matches_applying_the_map():
-    # difference maps conjugate once and vanish on members only; the osp
+    # difference maps conjugate once and vanish on members only, and their
+    # folded maps conjugate nothing and vanish on the same points; the osp
     # defect map conjugates nothing
     for desc in catalog_descriptors():
         if desc.strict:
@@ -565,8 +566,10 @@ def test_vanishes_matches_applying_the_map():
         rng = random.Random(desc.display())
         points = [random_point(kind, sig, rng) for _ in range(3)]
         points += [random_point(MatrixKind(GL, kind.m, kind.n), sig, rng) for _ in range(3)]
-        results = [(f.vanishes(x), f.apply(x).is_zero()) for f in maps for x in points]
+        results = [(f.folded().vanishes(x), f.apply(x).is_zero()) for f in maps for x in points]
         assert all(fast == slow for fast, slow in results)
+        with pytest.raises(ValueError):
+            maps[0].vanishes(points[0])         # it conjugates: fold it first
         assert {slow for _, slow in results} == {True, False}
 
 

@@ -1,6 +1,9 @@
 """The fused product kernel against the per-term reference (``product_reference.py``):
 Grassmann products, sums of products, constant factors, grid products and
-the amount of coefficient work one product does."""
+the amount of coefficient work one product does.  The group layer's short
+cuts against their references too: the inverse series that skip products
+known to vanish, the Cayley sample ``2 D - Id`` and the scaling by a
+monomial that relabels keys."""
 
 import random
 
@@ -8,17 +11,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from product_reference import (
-    reference_conj_mask, reference_mat_mul, reference_mul, reference_product, reference_scaled,
+    reference_cayley, reference_conj_mask, reference_element_inverse, reference_mat_mul,
+    reference_mul, reference_product, reference_scale, reference_scaled, reference_series_inverse,
     sort_sign,
 )
 from superforms import linalg
 from superforms.algebra import (
-    GRADED, MAX_ODD, STANDARD, AlgebraSignature, SuperNumber, basis_keys, conjugate_monomial,
-    mono_mul, odd_mask_of, one, scalar, sum_of_products, theta,
+    EVEN, GRADED, MAX_ODD, STANDARD, AlgebraSignature, SuperNumber, adjoin_dual, basis_keys,
+    conjugate_monomial, mono_mul, odd_mask_of, one, scalar, sum_of_products, theta,
 )
-from superforms.groups import sample_invertible
-from superforms.liealg import GL, MatrixKind
-from superforms.matrices import const_mul, identity_matrix, inverse, mul_const
+from superforms.catalog import applicable_names, build, param_choices
+from superforms.exprs import PositionalMap
+from superforms.groups import eps_split, kernel_point, sample_invertible, sample_osp
+from superforms.liealg import GL, OSP, SL, MatrixKind
+from superforms.matrices import (
+    const_matrix, const_mul, identity_matrix, inverse, mul_const,
+)
 from superforms.sampling import random_point
 from superforms.scalars import GaussianRational, I, MINUS_ONE, ONE, ZERO
 
@@ -234,3 +242,139 @@ def test_rmul_and_reflected_scalars():
         ONE - x
     with pytest.raises(TypeError):
         ONE / x
+
+
+# ---------------------------------------------------------------------------
+# the group layer's inverses, Cayley samples and monomial scalings
+# ---------------------------------------------------------------------------
+
+GROUP_SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]      # of sl and osp kinds
+
+
+def entry_terms(x):
+    """Every entry's terms in their order: equal values built the same way."""
+    return [[list(e.items()) for e in row] for row in x.rows]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_element_inverse_matches_the_series_from_one(data):
+    sig = data.draw(signatures())
+    x = data.draw(elements(sig))
+    if x.body().is_zero():
+        x = x + one(sig)
+    inv = x.inverse()
+    assert list(inv.items()) == list(reference_element_inverse(x).items())
+    assert inv * x == one(sig)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_series_inverse_matches_the_series_from_the_identity(data):
+    # both conjugations, self-real odd generators and up to two even nilpotents
+    sig = data.draw(signatures(max_generators=5))
+    m, n = data.draw(st.sampled_from(GROUP_SHAPES))
+    x = sample_invertible(m, n, sig, random.Random(data.draw(st.integers(0, 10 ** 6))))
+    inv = inverse(x)
+    assert entry_terms(inv) == entry_terms(reference_series_inverse(x))
+    assert x * inv == identity_matrix(m, n, sig)
+
+
+def catalog_lifts():
+    for family, m, n in [(SL, 1, 1), (SL, 2, 1), (SL, 2, 2), (SL, 3, 1), (OSP, 1, 2), (OSP, 2, 2), (OSP, 3, 2)]:
+        kind = MatrixKind(family, m, n)
+        for name in applicable_names(kind):
+            for p, q in param_choices(name, kind):
+                yield build(name, kind, p, q)
+
+
+def lift_stages(desc, z, invert):
+    """The lift of ``desc`` on ``z``, its group inverses taken by ``invert``;
+    returns the image and the matrices that were inverted."""
+    inverted = []
+    for stage in desc.compiled_lift.stages:
+        if type(stage) is PositionalMap:
+            z = stage.apply(z)
+        else:
+            inverted.append(z)
+            z = invert(z)
+    return z, inverted
+
+
+@pytest.mark.parametrize("conjugation,selfreal,even", [(STANDARD, 1, 1), (GRADED, 0, 2)])
+def test_kernel_point_lifts_match_the_series_and_the_closed_form(conjugation, selfreal, even):
+    sig = AlgebraSignature(1, selfreal, even, conjugation)
+    ext, include, _, eps = adjoin_dual(sig)
+    lifts = 0
+    for desc in catalog_lifts():
+        if desc.conjugation != conjugation:
+            continue
+        rng = random.Random(desc.display(group=True))
+        for _ in range(2):
+            z = kernel_point(random_point(desc.kind, sig, rng), include, eps)
+            image, inverted = lift_stages(desc, z, inverse)
+            assert entry_terms(image) == entry_terms(lift_stages(desc, z, reference_series_inverse)[0])
+            for y in inverted:
+                # (c + eps N)^-1 = c^-1 - eps c^-1 N c^-1
+                c, n_part = eps_split(y, sig)
+                c_inv = linalg.invert(c.body_grid())
+                n_ext = n_part.map_entries(include.apply, ext)
+                closed = (const_matrix(y.m, y.n, ext, c_inv, check=False)
+                          - mul_const(const_mul(c_inv, n_ext), c_inv).scale(eps))
+                assert c == const_matrix(y.m, y.n, sig, c.body_grid(), check=False)
+                assert inverse(y) == closed
+            lifts += bool(inverted)
+    assert lifts >= 20
+
+
+def test_a_kernel_point_lift_inverse_makes_no_element_grid_product(monkeypatch):
+    """A work count: the series from the identity multiplies two grids of
+    algebra elements per kernel-point inverse; the stop rule multiplies none,
+    only grids of elements by constant grids."""
+    sig = AlgebraSignature(1, 1, 1, STANDARD)
+    ext, include, _, eps = adjoin_dual(sig)
+    element_products = 0
+    mat_mul = linalg.mat_mul
+
+    def counting(a, b, zero=ZERO):
+        nonlocal element_products
+        element_products += isinstance(a[0][0], SuperNumber) and isinstance(b[0][0], SuperNumber)
+        return mat_mul(a, b, zero)
+
+    for desc in catalog_lifts():
+        if desc.lift_form != "inverse-neg" or desc.conjugation != STANDARD:
+            continue
+        z = kernel_point(random_point(desc.kind, sig, random.Random(desc.display())), include, eps)
+        y = lift_stages(desc, z, lambda x: x)[1][0]
+        monkeypatch.setattr(linalg, "mat_mul", counting)
+        element_products = 0
+        inverse(y)
+        assert element_products == 0, desc.display(group=True)
+        reference_series_inverse(y)
+        assert element_products == 2, desc.display(group=True)
+        monkeypatch.setattr(linalg, "mat_mul", mat_mul)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cayley_sample_matches_the_product_form(data):
+    sig = data.draw(signatures(max_generators=4))
+    m, n = data.draw(st.sampled_from([(1, 2), (2, 2), (3, 2)]))
+    kind = MatrixKind(OSP, m, n)
+    seed = data.draw(st.integers(0, 10 ** 6))
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    assert sample_osp(kind, sig, rng) == reference_cayley(kind, sig, reference_rng)
+    assert rng.getstate() == reference_rng.getstate()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_scaling_by_an_even_monomial_matches_the_kernel(data):
+    # eps is always there: the dual generator of the kernel points
+    ext = adjoin_dual(data.draw(signatures(max_generators=4)))[0]
+    key = data.draw(st.sampled_from(basis_keys(ext, EVEN)))
+    c = data.draw(st.sampled_from([ONE, MINUS_ONE, I, GaussianRational(3, 0, 2)]))
+    a = SuperNumber(ext, {key: c})
+    m, n = data.draw(st.sampled_from(GROUP_SHAPES))
+    x = random_point(MatrixKind(GL, m, n), ext, random.Random(data.draw(st.integers(0, 10 ** 6))))
+    assert entry_terms(x.scale(a)) == entry_terms(reference_scale(x, a))
