@@ -18,8 +18,9 @@ fixed-point pictures.
 
 A kernel point ``Id + eps M`` lives over the dual numbers ``A(eps)`` of
 :func:`~superforms.algebra.adjoin_dual`, where ``eps`` is the last even
-generator; :func:`kernel_point` takes the inclusion and the generator that
-function returns, and :func:`eps_split` reads ``M`` back entry by entry.
+generator; :func:`kernel_point` takes ``M`` already mapped through the
+inclusion that function returns, and :func:`eps_split` reads ``M`` back
+entry by entry.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .algebra import (
-    AlgebraMorphism, AlgebraSignature, SuperNumber, adjoin_dual, dual_scale_morphism, one, scalar,
+    AlgebraSignature, SuperNumber, adjoin_dual, dual_scale_morphism, one, scalar,
     split_dual,
 )
 from .catalog import Descriptor
@@ -198,11 +199,11 @@ def eps_split(x: SuperMatrix, base: AlgebraSignature) -> Tuple[SuperMatrix, Supe
                  for part in (0, 1))
 
 
-def kernel_point(m_point: SuperMatrix, include: AlgebraMorphism, eps: SuperNumber) -> SuperMatrix:
-    """``Id + eps * M`` over the extended algebra, ``include`` and ``eps``
-    as :func:`algebra.adjoin_dual` returns them."""
-    ext = eps.sig
-    return identity_matrix(m_point.m, m_point.n, ext) + m_point.map_entries(include.apply, ext).scale(eps)
+def kernel_point(m_ext: SuperMatrix, eps: SuperNumber) -> SuperMatrix:
+    """``Id + eps * M`` over the extended algebra, with ``M`` already mapped
+    into it (``m_ext``) and ``eps`` as :func:`algebra.adjoin_dual` returns
+    them."""
+    return identity_matrix(m_ext.m, m_ext.n, eps.sig) + m_ext.scale(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +255,8 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
 
         # kernel element Id + eps*M of the dual-number projection
         m_point = random_point(kind, sig, rng)
-        z = kernel_point(m_point, include, eps)
+        m_ext = m_point.map_entries(include.apply, ext)
+        z = kernel_point(m_ext, eps)
         sz = evaluate(z)
 
         if idx == 0:
@@ -270,9 +272,7 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
             "lhs": matrix_literal(lhs_e), "rhs": matrix_literal(rhs_e),
         })
 
-        m_ext = m_point.map_entries(include.apply, ext)
-        algebra_image = apply_expr(desc.compiled, m_ext)
-        expected = identity_matrix(kind.m, kind.n, ext) + algebra_image.scale(eps)
+        expected = kernel_point(apply_expr(desc.compiled, m_ext), eps)
         tallies["lift-consistency"].record(sz == expected, lambda: {
             "m": matrix_literal(m_point),
             "group-image": matrix_literal(sz), "expected": matrix_literal(expected),
@@ -327,7 +327,7 @@ def fixed_span_maps(desc: Descriptor, sig: AlgebraSignature):
     ext, include, _, eps = adjoin_dual(sig)
 
     def group_side(t):
-        z = kernel_point(matrix_of(t), include, eps)
+        z = kernel_point(matrix_of(t).map_entries(include.apply, ext), eps)
         sz = apply_expr(desc.compiled_lift, z, allow_inverse=True)
         delta = sz - identity_matrix(kind.m, kind.n, ext)
         free, coef = eps_split(delta, sig)

@@ -94,7 +94,7 @@ def test_kernel_points_and_eps_split():
     ext, include, _, eps = adjoin_dual(sig)
     kind = MatrixKind(SL, 2, 1)
     m_pt = random_point(kind, sig, rng_for(23, "kernel"))
-    z = kernel_point(m_pt, include, eps)
+    z = kernel_point(m_pt.map_entries(include.apply, ext), eps)
     free, coef = eps_split(z - identity_matrix(2, 1, ext), sig)
     assert free.is_zero()
     assert coef == m_pt
@@ -110,7 +110,7 @@ def test_kernel_points_and_eps_split_over_an_even_nilpotent():
     kind = MatrixKind(SL, 2, 1)
     m_pt = random_point(kind, sig, rng_for(23, "kernel-e1"))
     assert any(even_mask_of(key) for row in m_pt.rows for e in row for key, _ in e.items())
-    z = kernel_point(m_pt, include, eps)
+    z = kernel_point(m_pt.map_entries(include.apply, ext), eps)
     free, coef = eps_split(z - identity_matrix(2, 1, ext), sig)
     assert free.is_zero()
     assert coef == m_pt
