@@ -49,8 +49,10 @@ most one term, as for the pair projections and inclusions, the dual-number
 inclusion and projection, and scaling the dual generator by a constant.  It
 then sends each monomial to at most one monomial by the monomial rule, and
 applying it relabels keys and scales coefficients, summing keys that meet and
-dropping zeros, without the kernel.  Other morphisms sum the images of their
-monomials with :func:`sum_of_products`.
+dropping zeros, without the kernel.  A monomial morphism that sends every
+generator to the generator of the same key, as the dual-number inclusion does,
+*keeps keys*: it hands each element's terms to the target unchanged.  Other
+morphisms sum the images of their monomials with :func:`sum_of_products`.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from functools import cached_property
 from math import gcd
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 
 STANDARD = "standard"
 GRADED = "graded"
@@ -393,6 +395,25 @@ class SuperNumber:
             return self
         return -self if c.re else SuperNumber(self.sig, {})
 
+    def monomial_multiple(self, key: int, c: GaussianRational) -> "SuperNumber":
+        """``(c t) x`` for the even monomial ``t`` of ``key``, without the
+        product kernel: each key is relabelled through :func:`mono_mul`, with
+        its sign, and each coefficient scaled by ``c``.  Distinct keys stay
+        distinct, so no two terms meet.  A monomial of even generators alone
+        has no odd generator to pass, so every sign is +1."""
+        terms = self._terms
+        if not terms:
+            return self
+        if key & 0xFF:
+            out = {m[0]: v if m[1] > 0 else -v for k, v in terms.items() if (m := mono_mul(key, k))}
+        elif c == ONE:
+            return SuperNumber(self.sig, {k | key: v for k, v in terms.items() if not k & key})
+        elif c == MINUS_ONE:
+            return SuperNumber(self.sig, {k | key: -v for k, v in terms.items() if not k & key})
+        else:
+            out = {k | key: v for k, v in terms.items() if not k & key}
+        return SuperNumber(self.sig, out).scaled(c)
+
     def conjugate(self) -> "SuperNumber":
         # conjugation permutes the generators, so distinct monomials have
         # distinct images and no two terms meet
@@ -636,10 +657,13 @@ class AlgebraMorphism:
     A morphism is *monomial* when every generator image has at most one
     term; then every monomial goes to at most one monomial, and
     :meth:`apply` relabels keys and scales coefficients instead of running
-    the product kernel.
+    the product kernel.  It *keeps keys* when every generator goes to the
+    generator of the same key with coefficient 1; then :meth:`apply` only
+    moves the terms into the target algebra.
     """
 
-    __slots__ = ("src", "tgt", "odd_images", "even_images", "monomial", "_generator_terms", "_cache")
+    __slots__ = ("src", "tgt", "odd_images", "even_images", "monomial", "keeps_keys", "_generator_terms",
+                 "_cache")
 
     def __init__(
         self,
@@ -670,6 +694,10 @@ class AlgebraMorphism:
             [next(iter(img._terms.items()), ()) for img in images]
             for images in (self.odd_images, self.even_images)
         ) if self.monomial else None
+        self.keeps_keys = self.monomial and self._generator_terms == (
+            [(make_key(1 << gid, 0), ONE) for gid in range(src.odd_total)],
+            [(make_key(0, 1 << j), ONE) for j in range(src.even_nilpotents)],
+        )
 
     def _factors(self, key: int) -> list:
         """The generator images whose product, in this order, is the image
@@ -703,6 +731,10 @@ class AlgebraMorphism:
     def apply(self, x: SuperNumber) -> SuperNumber:
         if x.sig is not self.src and x.sig != self.src:
             raise ValueError("element does not belong to the morphism's source algebra")
+        if self.keeps_keys:
+            image = SuperNumber(self.tgt, x._terms)     # elements are immutable: the terms are shared
+            image._form = x._form
+            return image
         if not self.monomial:
             return sum_of_products(self.tgt, [(self._image_of_key(key), c) for key, c in x.items()])
         # each key goes to one term or to zero; distinct keys may meet

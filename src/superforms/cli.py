@@ -21,23 +21,12 @@ passing), 1 when some check failed, 2 on usage or applicability errors.
 All output is deterministic for a fixed command line: samples are drawn from
 a seeded generator and reports carry no timestamps, so ``--format json`` is
 byte-reproducible.
-
-A group-level ``verify`` runs three independent parts: the group axioms,
-then the commutator identity and the fixed-span check.  Where ``os.fork``
-exists, this process may use at least two CPUs and no other thread runs,
-the last two parts run in one forked worker while the group axioms run
-here; otherwise all three run here, one after another.  Reports and exit
-statuses are the same either way, and the worker is always reaped before
-the command returns (killed first if this side fails), so no process
-outlives it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import threading
 from typing import List, Optional
 
 from .algebra import MAX_EVEN_NILPOTENT, AlgebraSignature
@@ -58,10 +47,6 @@ from .report import (
 
 class UsageError(ValueError):
     pass
-
-
-class WorkerFailed(RuntimeError):
-    """The forked verify worker ended without sending back its result."""
 
 
 def _matrix_kind(family: str, m: int, n: int) -> MatrixKind:
@@ -132,88 +117,6 @@ def _emit(report: dict, fmt: str) -> int:
     return 0 if report["summary"]["verdict"] == PASS else 1
 
 
-def _worker_pays_off() -> bool:
-    """Whether a forked worker can run beside this process: ``os.fork``
-    exists, this process may use at least two CPUs, and no other thread
-    runs (forking a threaded process is unsafe)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return False
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return cpus > 1
-
-
-def _overlapped(parent_work, worker_work) -> tuple:
-    """``(parent_work(), worker_work())``, with ``worker_work`` run in a
-    forked worker while this process runs ``parent_work``, when
-    :func:`_worker_pays_off`; one after the other here otherwise.
-
-    The worker pickles its result, or the exception it raised, onto a pipe
-    and leaves through ``os._exit``, so it flushes none of this process's
-    buffers.  The worker is always reaped, and killed first when
-    ``parent_work`` raises or is interrupted.  Exceptions follow the
-    sequential order: one from ``parent_work`` comes first, and one from
-    ``worker_work`` is re-raised as it was raised.  A worker that ends
-    without sending its result raises :class:`WorkerFailed`.
-    """
-    if not _worker_pays_off():
-        return parent_work(), worker_work()
-    import pickle                   # here, so that commands which never fork do not load them
-    import signal
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:                 # no room for another process: run here
-        os.close(read_end)
-        os.close(write_end)
-        return parent_work(), worker_work()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            try:
-                payload = (True, worker_work())
-            except Exception as exc:
-                payload = (False, exc)
-            with open(write_end, "wb") as pipe:
-                pickle.dump(payload, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    with open(read_end, "rb") as pipe:
-        try:
-            first = parent_work()
-            data = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise WorkerFailed(f"the verify worker {how} before sending its result ({len(data)} bytes read)")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return first, value
-
-
-def _commutator_and_span(desc: Descriptor, sig: AlgebraSignature, samples: int, seed: int) -> list:
-    """The group commutator identity and the fixed-span agreement, as checks."""
-    commutator = group_commutator_identity(desc.kind, sig, samples=samples, seed=seed)
-    span = lie_fixed_span_check(desc, sig)
-    ok = span["spans_agree"] and span["group_fixed_dimension"] == span["expected_dimension"]
-    return [commutator, CheckOutcome(
-        "fixed-span-agreement", PASS if ok else FAIL, 1,
-        None if ok else {k: str(v) for k, v in span.items()},
-        f"group and algebra fixed spans over the dual-number kernel, "
-        f"dimension {span['group_fixed_dimension']} (expected {span['expected_dimension']})",
-    )]
-
-
 def _cmd_verify(args) -> int:
     desc, group = _descriptor(args)
     sig = _signature(args, desc.conjugation)
@@ -222,11 +125,16 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"verify adjoins {duals} dual generator(s) to at most {MAX_EVEN_NILPOTENT} even "
                          f"nilpotent generators: use --even-nil {MAX_EVEN_NILPOTENT - duals} or less")
     if group:
-        checks, rest = _overlapped(
-            lambda: verify_group_structure(desc, sig, samples=args.samples, seed=args.seed),
-            lambda: _commutator_and_span(desc, sig, args.samples, args.seed),
-        )
-        checks += rest
+        checks = verify_group_structure(desc, sig, samples=args.samples, seed=args.seed)
+        checks.append(group_commutator_identity(desc.kind, sig, samples=args.samples, seed=args.seed))
+        span = lie_fixed_span_check(desc, sig)
+        ok = span["spans_agree"] and span["group_fixed_dimension"] == span["expected_dimension"]
+        checks.append(CheckOutcome(
+            "fixed-span-agreement", PASS if ok else FAIL, 1,
+            None if ok else {k: str(v) for k, v in span.items()},
+            f"group and algebra fixed spans over the dual-number kernel, "
+            f"dimension {span['group_fixed_dimension']} (expected {span['expected_dimension']})",
+        ))
     else:
         checks = verify_structure(desc, sig, samples=args.samples, seed=args.seed)
     report = build_report(
@@ -399,9 +307,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except SamplingFailed as exc:
         print(f"superforms: sampling failed: {exc}", file=sys.stderr)
-        return 1
-    except WorkerFailed as exc:
-        print(f"superforms: error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -101,14 +101,6 @@ def sample_invertible(m: int, n: int, sig: AlgebraSignature, rng) -> SuperMatrix
     return x
 
 
-def _edited_identity(m: int, n: int, sig: AlgebraSignature, entries) -> SuperMatrix:
-    """The identity matrix with the entries ``((i, j), value)`` replaced."""
-    rows = [list(r) for r in identity_matrix(m, n, sig).rows]
-    for (i, j), value in entries:
-        rows[i][j] = value
-    return SuperMatrix(m, n, sig, rows, check=False)
-
-
 SL_DRAWS_PER_FACTOR = 64
 
 
@@ -116,12 +108,17 @@ def sample_sl(kind: MatrixKind, sig: AlgebraSignature, rng, factors: int = 4) ->
     """Product of elementary and balanced diagonal factors — Berezinian one
     holds exactly by construction.
 
+    Each factor multiplies the product so far on the right, as the column
+    operation it stands for: an elementary factor ``Id + c E_ij`` adds
+    column ``i`` times ``c`` to column ``j``, and a diagonal one scales two
+    columns, so only the changed entries are computed.
+
     A draw that yields no factor is retried; after ``SL_DRAWS_PER_FACTOR *
     factors`` draws the sampler gives up with :class:`SamplingFailed`."""
     m, n, size = kind.m, kind.n, kind.size
-    acc = identity_matrix(m, n, sig)
+    rows = [list(r) for r in identity_matrix(m, n, sig).rows]
     if size == 1:
-        return acc          # SL(1|0) and SL(0|1) are trivial: Ber = u^{+-1} = 1
+        return SuperMatrix(m, n, sig, rows, check=False)    # SL(1|0), SL(0|1): Ber = u^{+-1} = 1
     made = draws = 0
     while made < factors:
         if draws == SL_DRAWS_PER_FACTOR * factors:
@@ -138,14 +135,16 @@ def sample_sl(kind: MatrixKind, sig: AlgebraSignature, rng, factors: int = 4) ->
             c = random_odd(sig, rng) if cross else random_even(sig, rng)
             if c.is_zero():
                 continue
-            factor = _edited_identity(m, n, sig, (((i, j), c),))
+            for row in rows:
+                if not row[i].is_zero():
+                    row[j] = row[j] + row[i] * c
         else:
             u = random_invertible_even(sig, rng)
             u_inv = u.inverse()
             if m and n and rng.random() < 0.5:
                 i = rng.randrange(m)
                 j = m + rng.randrange(n)
-                entries = (((i, i), u), ((j, j), u))     # Ber contribution u / u = 1
+                scales = ((i, u), (j, u))               # Ber contribution u / u = 1
             else:
                 block = 0 if (m > 1 or n <= 1) else 1
                 span = m if block == 0 else n
@@ -154,12 +153,12 @@ def sample_sl(kind: MatrixKind, sig: AlgebraSignature, rng, factors: int = 4) ->
                 i = rng.randrange(span)
                 j = (i + 1 + rng.randrange(span - 1)) % span
                 offset = 0 if block == 0 else m
-                i, j = offset + i, offset + j
-                entries = (((i, i), u), ((j, j), u_inv))
-            factor = _edited_identity(m, n, sig, entries)
-        acc = acc * factor
+                scales = ((offset + i, u), (offset + j, u_inv))
+            for row in rows:
+                for k, v in scales:
+                    row[k] = row[k] * v
         made += 1
-    return acc
+    return SuperMatrix(m, n, sig, rows, check=False)
 
 
 def sample_osp(kind: MatrixKind, sig: AlgebraSignature, rng, max_tries: int = 25) -> SuperMatrix:
@@ -201,9 +200,14 @@ def eps_split(x: SuperMatrix, base: AlgebraSignature) -> Tuple[SuperMatrix, Supe
 
 def kernel_point(m_ext: SuperMatrix, eps: SuperNumber) -> SuperMatrix:
     """``Id + eps * M`` over the extended algebra, with ``M`` already mapped
-    into it (``m_ext``) and ``eps`` as :func:`algebra.adjoin_dual` returns
-    them."""
-    return identity_matrix(m_ext.m, m_ext.n, eps.sig) + m_ext.scale(eps)
+    into it (``m_ext``) and ``eps`` an even monomial of it, such as the
+    generator :func:`algebra.adjoin_dual` returns.  The scaling relabels
+    keys (:meth:`SuperMatrix.scale`) and only the diagonal gains the 1."""
+    rows = [list(row) for row in m_ext.scale(eps).rows]
+    unit = one(eps.sig)
+    for i, row in enumerate(rows):
+        row[i] = row[i] + unit
+    return SuperMatrix(m_ext.m, m_ext.n, eps.sig, rows, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +300,14 @@ def group_commutator_identity(kind: MatrixKind, sig: AlgebraSignature, samples: 
     rng = rng_for(seed, "commutator", kind.display(),
                   f"P{sig.odd_pairs}", f"E{sig.even_nilpotents}")
     tally = Tally("group-commutator", False)
-    ident = identity_matrix(kind.m, kind.n, ext2)
     lift = lambda m: m.map_entries(lambda c: include2.apply(include1.apply(c)), ext2)
     for _ in range(samples):
         m_point = random_point(kind, sig, rng)
         n_point = random_point(kind, sig, rng)
-        em = lift(m_point).scale(e_gen)
-        hn = lift(n_point).scale(h_gen)
-        product = (ident + em) * (ident + hn) * (ident - em) * (ident - hn)
-        bracket = lift(m_point * n_point - n_point * m_point)
-        expected = ident + bracket.scale(e_gen * h_gen)
+        m_ext, n_ext = lift(m_point), lift(n_point)
+        product = (kernel_point(m_ext, e_gen) * kernel_point(n_ext, h_gen)
+                   * kernel_point(m_ext, -e_gen) * kernel_point(n_ext, -h_gen))
+        expected = kernel_point(lift(m_point * n_point - n_point * m_point), e_gen * h_gen)
         tally.record(product == expected, lambda: {
             "m": matrix_literal(m_point), "n": matrix_literal(n_point),
             "product": matrix_literal(product), "expected": matrix_literal(expected),

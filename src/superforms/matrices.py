@@ -14,10 +14,11 @@ elements for every scalar.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence
 
 from . import linalg
-from .algebra import AlgebraSignature, SuperNumber, mono_mul, one, products_vanish, scalar
+from .algebra import AlgebraSignature, SuperNumber, one, products_vanish, scalar
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 
 
@@ -120,15 +121,11 @@ class SuperMatrix:
 
     def scale(self, a: SuperNumber) -> "SuperMatrix":
         """Entrywise multiplication by an even central element.  By a monomial
-        ``c t`` no product kernel runs: each entry's keys are relabelled
-        through :func:`mono_mul`, with its sign, and scaled by ``c``; distinct
-        keys stay distinct, so no two terms meet."""
+        ``c t`` no product kernel runs (:meth:`SuperNumber.monomial_multiple`)."""
         if len(a) != 1:
             return self._like([[a * e for e in row] for row in self.rows])
         (key, c), = a.items()
-        return self.map_entries(lambda e: SuperNumber(self.sig, {
-            m[0]: v if m[1] > 0 else -v for k, v in e.items() if (m := mono_mul(key, k))
-        }).scaled(c))
+        return self._like([[e.monomial_multiple(key, c) for e in row] for row in self.rows])
 
     def map_entries(self, f: Callable[[SuperNumber], SuperNumber], sig: Optional[AlgebraSignature] = None) -> "SuperMatrix":
         target = sig if sig is not None else self.sig
@@ -250,6 +247,19 @@ def commutator(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
 # inversion, determinant of even blocks, Berezinian
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _body_inverse(body: tuple) -> tuple:
+    """``(B^-1, -B^-1)`` for a constant body grid ``B``, as tuples of rows:
+    the constants :func:`_series_inverse` multiplies by elements.  Recent
+    bodies are kept, because a structure's lift sends every kernel point
+    ``Id + eps M`` to a matrix of the same body ``L(Id)``."""
+    try:
+        inv = linalg.invert(body)
+    except linalg.SingularMatrix:
+        raise NotInvertibleMatrix("matrix body is singular")
+    return tuple(map(tuple, inv)), tuple(tuple(-c for c in row) for row in inv)
+
+
 def _series_inverse(rows: List[List[SuperNumber]], sig: AlgebraSignature) -> List[List[SuperNumber]]:
     """Invert a square grid of algebra elements whose body grid is invertible.
 
@@ -260,18 +270,17 @@ def _series_inverse(rows: List[List[SuperNumber]], sig: AlgebraSignature) -> Lis
     (:func:`algebra.products_vanish`); a computed zero power also ends it.
     Only zero terms are dropped, so the sum is exact.  On a kernel point's
     lift ``c + eps N'`` every key of ``T`` holds ``eps``: the sum is
-    ``I - T`` and the inverse ``c^-1 - eps c^-1 N' c^-1``.
+    ``I - T`` and the inverse ``c^-1 - eps c^-1 N' c^-1``.  A grid of
+    constants (``N = 0``) has the inverse ``M0^-1`` and needs no product.
     """
     size = len(rows)
-    body = [[e.body() for e in row] for row in rows]
-    try:
-        body_inv = linalg.invert(body)      # constants, which mat_mul multiplies by elements
-    except linalg.SingularMatrix:
-        raise NotInvertibleMatrix("matrix body is singular")
+    body_inv, minus_body_inv = _body_inverse(tuple(tuple(e.body() for e in row) for row in rows))
     zero = SuperNumber.zero(sig)
 
     soul = [[rows[i][j].soul() for j in range(size)] for i in range(size)]
-    minus_t = linalg.mat_mul([[-c for c in row] for row in body_inv], soul, zero)   # nilpotent
+    if all(e.is_zero() for row in soul for e in row):
+        return [[scalar(sig, c) for c in row] for row in body_inv]
+    minus_t = linalg.mat_mul(minus_body_inv, soul, zero)    # nilpotent
     keys = tuple({k for row in minus_t for e in row for k, _ in e.items()})
     acc = [[one(sig) + e if i == j else e for j, e in enumerate(row)] for i, row in enumerate(minus_t)]
     power = minus_t

@@ -16,7 +16,9 @@ as integer numerators (``algebra.sum_of_products``):
   zero, the Cayley sample as the product ``(Id - X)(Id + X)^-1``, and the
   scaling of a supermatrix by an element as one kernel product per entry,
   from before the series skipped products known to vanish, the sample took
-  ``2 D - Id`` and a monomial scaling relabelled keys.
+  ``2 D - Id`` and a monomial scaling relabelled keys;
+* the ``SL`` sample as the product of its factor matrices, from before each
+  factor became the column operation it stands for.
 
 ``respects_conjugation`` checks on generators whether a morphism intertwines
 the conjugations (it then does on the whole algebra, by multiplicativity and
@@ -33,7 +35,7 @@ from superforms.algebra import (
     STANDARD, SuperNumber, even_mask_of, generators, key_parity, odd_mask_of, one,
 )
 from superforms.matrices import NotInvertibleMatrix, SuperMatrix, identity_matrix
-from superforms.sampling import random_point
+from superforms.sampling import random_even, random_invertible_even, random_odd, random_point
 from superforms.scalars import GaussianRational
 
 
@@ -189,3 +191,52 @@ def reference_cayley(kind, sig, rng, max_tries: int = 25):
 def reference_scale(x: SuperMatrix, a: SuperNumber) -> SuperMatrix:
     """``a`` times every entry of ``x``, one kernel product per entry."""
     return SuperMatrix(x.m, x.n, x.sig, [[a * e for e in row] for row in x.rows], check=False)
+
+
+def _edited_identity(m, n, sig, entries) -> SuperMatrix:
+    rows = [list(r) for r in identity_matrix(m, n, sig).rows]
+    for (i, j), value in entries:
+        rows[i][j] = value
+    return SuperMatrix(m, n, sig, rows, check=False)
+
+
+def reference_sample_sl(kind, sig, rng, factors: int = 4):
+    """The product of ``factors`` elementary and balanced diagonal factor
+    matrices, drawn as ``groups.sample_sl`` draws them, each multiplied onto
+    the product so far by a grid product; ``None`` where the sampler gives up."""
+    m, n, size = kind.m, kind.n, kind.size
+    acc = identity_matrix(m, n, sig)
+    if size == 1:
+        return acc
+    made = draws = 0
+    while made < factors:
+        if draws == 64 * factors:
+            return None
+        draws += 1
+        if rng.random() < 0.65:
+            i, j = rng.randrange(size), rng.randrange(size)
+            if i == j:
+                continue
+            c = random_odd(sig, rng) if (i < m) != (j < m) else random_even(sig, rng)
+            if c.is_zero():
+                continue
+            factor = _edited_identity(m, n, sig, (((i, j), c),))
+        else:
+            u = random_invertible_even(sig, rng)
+            u_inv = u.inverse()
+            if m and n and rng.random() < 0.5:
+                i, j = rng.randrange(m), m + rng.randrange(n)
+                entries = (((i, i), u), ((j, j), u))
+            else:
+                block = 0 if (m > 1 or n <= 1) else 1
+                span = m if block == 0 else n
+                if span < 2:
+                    continue
+                i = rng.randrange(span)
+                j = (i + 1 + rng.randrange(span - 1)) % span
+                offset = 0 if block == 0 else m
+                entries = (((offset + i, offset + i), u), ((offset + j, offset + j), u_inv))
+            factor = _edited_identity(m, n, sig, entries)
+        acc = acc * factor
+        made += 1
+    return acc

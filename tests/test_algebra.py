@@ -4,7 +4,7 @@ import pytest
 
 from product_reference import parity_part, respects_conjugation
 from superforms.algebra import (
-    AlgebraSignature, GRADED, MorphismError, NotInvertible, STANDARD, SuperNumber,
+    AlgebraMorphism, AlgebraSignature, GRADED, MorphismError, NotInvertible, STANDARD, SuperNumber,
     adjoin_dual, dual_scale_morphism, epsilon, identity_morphism, include_pairs,
     kill_pair_projection, odd_generator, one, scalar, theta, theta_bar,
     theta_selfreal,
@@ -153,6 +153,24 @@ def test_adjoin_dual():
     assert proj.apply(inc.apply(x)) == x
     assert proj.apply(eps).is_zero()
     assert respects_conjugation(inc) and respects_conjugation(proj)
+
+
+def test_inclusions_that_keep_keys_share_the_terms():
+    ext, inc, proj, eps = adjoin_dual(STD21)
+    assert inc.keeps_keys and identity_morphism(STD21).keeps_keys
+    assert include_pairs(AlgebraSignature(1, 0, 0, STANDARD), STD2).keeps_keys
+    # the self-real generator moves from id 1 to id 3
+    assert not include_pairs(AlgebraSignature(0, 1, 0, STANDARD), AlgebraSignature(1, 1, 0, STANDARD)).keeps_keys
+    assert not proj.keeps_keys and not kill_pair_projection(STD21, 0).keeps_keys
+    assert not dual_scale_morphism(ext, scalar(ext, MINUS_ONE)).keeps_keys
+    x = (theta(STD21, 0) * theta_selfreal(STD21, 0) * epsilon(STD21, 0)
+         + theta_bar(STD21, 1).scaled(HALF) + one(STD21).scaled(I))
+    monomial = AlgebraMorphism(STD21, ext, inc.odd_images, inc.even_images)
+    monomial.keeps_keys = False          # the relabelling rule on the same images
+    image = inc.apply(x)
+    assert image.sig == ext and list(image.items()) == list(x.items())
+    assert image == monomial.apply(x)
+    assert proj.apply(image) == x and proj.apply(eps * image).is_zero()
 
 
 def test_dual_scale_morphism():

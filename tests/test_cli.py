@@ -2,7 +2,6 @@
 
 import io
 import json
-import os
 import signal
 import time
 from contextlib import redirect_stdout
@@ -11,10 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from superforms import cli as cli_module
 from superforms.cli import main
-from superforms.groups import SamplingFailed
-from superforms.report import FAIL, CheckOutcome
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "superforms" / "report_schema.json").read_text()
@@ -209,161 +205,3 @@ def test_compact_scan_text():
     assert code == 0
     assert "scan:" in out
     assert "compact_graded" in out
-
-
-# ---------------------------------------------------------------------------
-# the forked worker of a group-level verify
-# ---------------------------------------------------------------------------
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
-BOTH_PATHS = [pytest.param(True, id="worker", marks=needs_fork), pytest.param(False, id="inline")]
-
-
-def counted_forks(monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counting():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting)
-    return forks
-
-
-@needs_fork
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("argv", [
-    ("verify", "sl", "2", "1", "Sigma1", "--samples", "4"),      # inverse-neg lift
-    ("verify", "osp", "2", "2", "Xi2", "--samples", "3"),        # Cayley-sampled group
-])
-def test_worker_and_inline_reports_are_byte_identical(argv, fmt, monkeypatch):
-    forks = counted_forks(monkeypatch)
-    monkeypatch.setattr(cli_module, "_worker_pays_off", lambda: True)
-    code, forked = run_cli(*argv, "--format", fmt)
-    assert (code, len(forks)) == (0, 1)
-    monkeypatch.setattr(cli_module, "_worker_pays_off", lambda: False)
-    assert run_cli(*argv, "--format", fmt) == (0, forked)
-    assert len(forks) == 1
-
-
-@pytest.mark.parametrize("pays_off", BOTH_PATHS)
-def test_a_failing_worker_check_fails_the_verdict(pays_off, monkeypatch):
-    def failing(kind, sig, samples=50, seed=0):
-        return CheckOutcome("group-commutator", FAIL, samples, {"m": "x"}, "1 failure(s)")
-
-    monkeypatch.setattr(cli_module, "_worker_pays_off", lambda: pays_off)
-    monkeypatch.setattr(cli_module, "group_commutator_identity", failing)
-    code, out = run_cli("verify", "sl", "1", "1", "Omega2", "--samples", "2")
-    assert code == 1
-    assert "[FAIL] group-commutator" in out
-    assert "verdict: fail" in out
-
-
-@pytest.mark.parametrize("pays_off", BOTH_PATHS)
-def test_a_worker_exception_surfaces_as_it_does_inline(pays_off, monkeypatch):
-    def raising(kind, sig, samples=50, seed=0):
-        raise ValueError(f"no commutator on {kind.display()}")
-
-    monkeypatch.setattr(cli_module, "_worker_pays_off", lambda: pays_off)
-    monkeypatch.setattr(cli_module, "group_commutator_identity", raising)
-    with pytest.raises(ValueError) as caught:
-        run_cli("verify", "sl", "1", "1", "Omega2", "--samples", "2")
-    assert type(caught.value) is ValueError
-    assert caught.value.args == ("no commutator on sl(1|1)",)
-
-
-@needs_fork
-def test_a_parent_failure_kills_and_reaps_the_worker(monkeypatch, capsys):
-    def sleeping(kind, sig, samples=50, seed=0):
-        time.sleep(60)
-
-    def failing(desc, sig, samples=50, seed=0):
-        time.sleep(0.2)             # the worker is asleep by now
-        raise SamplingFailed("no group point")
-
-    def hang(signum, frame):
-        raise TimeoutError("verify did not return")
-
-    monkeypatch.setattr(cli_module, "_worker_pays_off", lambda: True)
-    monkeypatch.setattr(cli_module, "group_commutator_identity", sleeping)
-    monkeypatch.setattr(cli_module, "verify_group_structure", failing)
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.setitimer(signal.ITIMER_REAL, 10)
-    try:
-        start = time.perf_counter()
-        code, out = run_cli("verify", "sl", "1", "1", "Omega2", "--samples", "2")
-        elapsed = time.perf_counter() - start
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    assert (code, out) == (1, "")
-    assert "sampling failed: no group point" in capsys.readouterr().err
-    assert elapsed < 5.0
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@needs_fork
-def test_a_parent_exception_comes_before_a_worker_exception(monkeypatch):
-    def parent():
-        raise SamplingFailed("parent")
-
-    def worker():
-        raise ValueError("worker")
-
-    monkeypatch.setattr(cli_module, "_worker_pays_off", lambda: True)
-    with pytest.raises(SamplingFailed, match="parent"):
-        cli_module._overlapped(parent, worker)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@needs_fork
-def test_a_killed_worker_is_a_clear_error(monkeypatch, capsys):
-    def killed(kind, sig, samples=50, seed=0):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    monkeypatch.setattr(cli_module, "_worker_pays_off", lambda: True)
-    monkeypatch.setattr(cli_module, "group_commutator_identity", killed)
-    code, out = run_cli("verify", "sl", "1", "1", "Omega2", "--samples", "2")
-    assert (code, out) == (1, "")
-    err = capsys.readouterr().err
-    assert f"the verify worker was killed by signal {int(signal.SIGKILL)} before sending its result" in err
-    assert "Traceback" not in err
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_a_failed_fork_runs_the_checks_here(monkeypatch):
-    def no_room():
-        raise BlockingIOError("fork: resource temporarily unavailable")
-
-    argv = ("verify", "sl", "1", "1", "Omega2", "--samples", "2")
-    monkeypatch.setattr(cli_module, "_worker_pays_off", lambda: False)
-    inline = run_cli(*argv)
-    monkeypatch.setattr(cli_module, "_worker_pays_off", lambda: True)
-    monkeypatch.setattr(os, "fork", no_room, raising=False)
-    assert run_cli(*argv) == inline
-    assert inline[0] == 0
-
-
-def test_the_worker_needs_fork_two_cpus_and_one_thread(monkeypatch):
-    import threading
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(threading, "active_count", lambda: 1)
-    assert cli_module._worker_pays_off() is hasattr(os, "fork")
-    monkeypatch.setattr(threading, "active_count", lambda: 2)
-    assert cli_module._worker_pays_off() is False
-    monkeypatch.setattr(threading, "active_count", lambda: 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert cli_module._worker_pays_off() is False
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert cli_module._worker_pays_off() is hasattr(os, "fork")
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert cli_module._worker_pays_off() is False
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.delattr(os, "fork", raising=False)
-    assert cli_module._worker_pays_off() is False

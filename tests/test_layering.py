@@ -1,8 +1,7 @@
 """Layering rules of the package source, checked on its syntax trees.
 
-Modules use only each other's public names, the runtime imports nothing
-outside the standard library, and only the command line starts processes
-or threads.
+Modules use only each other's public names, and the runtime imports
+nothing outside the standard library.
 """
 
 import ast
@@ -52,30 +51,6 @@ def test_runtime_imports_only_the_standard_library():
             continue
         offenders += [f"{name}:{node.lineno} imports {module}" for module in modules
                       if module.split(".")[0] not in sys.stdlib_module_names]
-    assert offenders == []
-
-
-CONCURRENCY = {"subprocess", "multiprocessing", "threading", "concurrent"}
-
-
-def test_only_the_command_line_starts_processes_or_threads():
-    """A library call never starts a process or a thread: only ``cli.py``
-    imports the modules that do, or forks."""
-    offenders = []
-    for path in SOURCES:
-        if path.name == "cli.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                used = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                used = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                used = [f"{node.value.id}.{node.attr}"]
-            else:
-                continue
-            offenders += [f"{path.name}:{node.lineno} uses {name}" for name in used
-                          if name.split(".")[0] in CONCURRENCY or name.startswith("os.fork")]
     assert offenders == []
 
 

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from product_reference import (
     reference_cayley, reference_conj_mask, reference_element_inverse, reference_mat_mul,
-    reference_mul, reference_product, reference_scale, reference_scaled, reference_series_inverse,
-    sort_sign,
+    reference_mul, reference_product, reference_sample_sl, reference_scale, reference_scaled,
+    reference_series_inverse, sort_sign,
 )
 from superforms import linalg
 from superforms.algebra import (
@@ -22,7 +22,8 @@ from superforms.algebra import (
 )
 from superforms.catalog import applicable_names, build, param_choices
 from superforms.exprs import PositionalMap
-from superforms.groups import eps_split, kernel_point, sample_invertible, sample_osp
+from superforms import matrices
+from superforms.groups import eps_split, kernel_point, sample_invertible, sample_osp, sample_sl
 from superforms.liealg import GL, OSP, SL, MatrixKind
 from superforms.matrices import (
     const_matrix, const_mul, identity_matrix, inverse, mul_const,
@@ -354,6 +355,57 @@ def test_a_kernel_point_lift_inverse_makes_no_element_grid_product(monkeypatch):
         reference_series_inverse(y)
         assert element_products == 2, desc.display(group=True)
         monkeypatch.setattr(linalg, "mat_mul", mat_mul)
+
+
+def test_a_descriptor_inverts_its_kernel_point_body_once(monkeypatch):
+    """Every kernel-point lift of one descriptor has the body ``c = L(Id)``:
+    its inverse is computed for the first and kept for the rest."""
+    sig = AlgebraSignature(1, 1, 1, STANDARD)
+    ext, include, _, eps = adjoin_dual(sig)
+    invert = linalg.invert
+    inverted = []
+    monkeypatch.setattr(linalg, "invert", lambda grid: inverted.append(grid) or invert(grid))
+    descriptors = 0
+    for desc in catalog_lifts():
+        if desc.lift_form != "inverse-neg" or desc.conjugation != STANDARD:
+            continue
+        matrices._body_inverse.cache_clear()
+        inverted.clear()
+        rng = random.Random(desc.display())
+        for _ in range(5):
+            z = kernel_point(random_point(desc.kind, sig, rng).map_entries(include.apply, ext), eps)
+            image = lift_stages(desc, z, inverse)[0]
+            assert image == lift_stages(desc, z, reference_series_inverse)[0]
+        assert len(inverted) == 1 + 5, desc.display(group=True)     # the references invert each time
+        descriptors += 1
+    assert descriptors >= 5
+
+
+def test_a_constant_grid_inverts_without_a_product(monkeypatch):
+    sig = AlgebraSignature(1)
+    rng = random.Random("constant inverse")
+    mat_mul = linalg.mat_mul
+    products = []
+    for m, n in GROUP_SHAPES:
+        x = sample_invertible(m, n, AlgebraSignature(0), rng)
+        grid = const_matrix(m, n, sig, x.body_grid())
+        monkeypatch.setattr(linalg, "mat_mul", lambda *args: products.append(args) or mat_mul(*args))
+        inv = inverse(grid)
+        monkeypatch.setattr(linalg, "mat_mul", mat_mul)
+        assert products == []
+        assert entry_terms(inv) == entry_terms(reference_series_inverse(grid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sl_sample_matches_the_product_of_its_factors(data):
+    sig = data.draw(signatures(max_generators=4))
+    m, n = data.draw(st.sampled_from(GROUP_SHAPES + [(1, 0), (0, 2), (3, 0)]))
+    kind = MatrixKind(SL, m, n)
+    seed = data.draw(st.integers(0, 10 ** 6))
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    assert sample_sl(kind, sig, rng) == reference_sample_sl(kind, sig, reference_rng)
+    assert rng.getstate() == reference_rng.getstate()
 
 
 @settings(max_examples=40, deadline=None)
