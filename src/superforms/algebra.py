@@ -27,22 +27,30 @@ the ordered product of its generators' terms (:func:`monomial_image`, the one
 monomial rule).  Conjugation permutes the generators up to sign, so a
 signature's *conjugation table*, built by that rule once on first use, is a
 list indexed by the odd mask that holds the image mask and its sign;
-:func:`conjugate_monomial` reads it ``k`` times for ``conj^k``.  The
-signature also keeps its tuples of basis keys, whole and by parity.
+the table of ``conj^k`` reads it ``k`` times from each mask and is kept per
+``k`` (:meth:`AlgebraSignature.conjugation_power`), so
+:func:`conjugate_monomial` and ``SuperNumber.conjugated`` read one entry
+per key.  The signature also keeps its tuples of basis keys, whole and by
+parity.
 
 The dual numbers ``A(eps)`` of :func:`adjoin_dual` put ``eps`` last among
-the even generators.  :func:`dual_scale_morphism` scales that generator and
-:func:`split_dual` splits an element of ``A(eps)`` as ``a + b eps``.
+the even generators.  :func:`dual_scale_morphism` scales that generator,
+:func:`split_dual` splits an element of ``A(eps)`` as ``a + b eps``, and
+:func:`dual_scale` applies the scaling in closed form from that split.
 
 Every product goes through one fused, exact multiply-accumulate kernel,
-:func:`sum_of_products`: ``sum a_k b_k`` over pairs of elements (a
-``GaussianRational`` factor is a constant term).  Each factor is read once as
-Gaussian-integer numerators over its common denominator, kept on the element;
-the products are summed as plain ints per output monomial, and one normalised
+:func:`sum_of_products`: ``sum a_k b_k - sum c_k d_k`` over pairs and minus
+pairs of elements (a ``GaussianRational`` factor is a constant term).  Each
+factor is read once as Gaussian-integer numerators over its common
+denominator, kept on the element.  The first factor of each pair is
+rescaled to the common denominator, and negated in a minus pair; the
+products are summed as plain ints per output monomial, and one normalised
 coefficient is built per nonzero output monomial at the end.
-``SuperNumber.__mul__`` is the kernel on one pair (a product by a constant is
-a per-term scaling), and ``linalg.mat_mul`` hands it the nonzero factor pairs
-of each cell of a grid product.
+``SuperNumber.__mul__`` is the kernel
+on one pair (a product by a constant is a per-term scaling), and
+``linalg.mat_mul`` hands it the nonzero factor pairs of each cell of a grid
+product, and of a commutator as minus pairs, so no cell is built twice.
+``SuperNumber.conjugated`` gives ``c conj^k(x)`` in one pass over the terms.
 
 An :class:`AlgebraMorphism` is *monomial* when every generator image has at
 most one term, as for the pair projections and inclusions, the dual-number
@@ -133,6 +141,29 @@ class AlgebraSignature:
         images = [(1 << (gid ^ 1), -1 if graded and gid & 1 else 1) if gid < pairs else (1 << gid, 1)
                   for gid in range(self.odd_total)]
         return [monomial_image(omask, images, (), 1) for omask in range(1 << self.odd_total)]
+
+    @cached_property
+    def _conjugation_powers(self) -> Dict[int, list]:
+        return {1: self.conjugation_table}
+
+    def conjugation_power(self, times: int) -> list:
+        """The table of ``conj^times`` in the form of the conjugation table:
+        each entry is the conjugation table read ``times`` times from its odd
+        mask, with the product of the signs.  Built once per ``times``;
+        ``times`` 0 gives the identity."""
+        powers = self._conjugation_powers
+        table = powers.get(times)
+        if table is None:
+            base = self.conjugation_table
+            table = []
+            for omask in range(len(base)):
+                sign = 1
+                for _ in range(times):
+                    omask, s = base[omask]
+                    sign *= s
+                table.append((omask, sign))
+            powers[times] = table
+        return table
 
     @cached_property
     def _keys_by_parity(self) -> Dict[Optional[int], Tuple[int, ...]]:
@@ -237,12 +268,8 @@ def monomial_image(key: int, odd_terms: Sequence[tuple], even_terms: Sequence[tu
 
 def conjugate_monomial(sig: AlgebraSignature, key: int, times: int) -> Tuple[int, int]:
     """``conj^times`` of the monomial ``key`` as ``(key', sign)``, read off
-    the conjugation table ``times`` times; even generators are fixed."""
-    table = sig.conjugation_table
-    omask, sign = key & 0xFF, 1
-    for _ in range(times):
-        omask, s = table[omask]
-        sign *= s
+    the table of ``conj^times``; even generators are fixed."""
+    omask, sign = sig.conjugation_power(times)[key & 0xFF]
     return omask | (key & ~0xFF), sign
 
 
@@ -375,10 +402,11 @@ class SuperNumber:
             return _product(self.sig, other, self)
         return NotImplemented
 
-    def sum_of_products(self, pairs) -> "SuperNumber":
-        """``sum a_k b_k`` over ``pairs`` in this element's algebra (see the
-        module function); any element, its zero say, stands for the ring."""
-        return sum_of_products(self.sig, pairs)
+    def sum_of_products(self, pairs, minus=()) -> "SuperNumber":
+        """``sum a_k b_k - sum c_k d_k`` over ``pairs`` and ``minus`` pairs in
+        this element's algebra (see the module function); any element, its
+        zero say, stands for the ring."""
+        return sum_of_products(self.sig, pairs, minus)
 
     def scaled(self, c: GaussianRational) -> "SuperNumber":
         """``c x`` for a constant ``c``: one coefficient product per term, and
@@ -415,16 +443,38 @@ class SuperNumber:
         return SuperNumber(self.sig, out).scaled(c)
 
     def conjugate(self) -> "SuperNumber":
-        # conjugation permutes the generators, so distinct monomials have
-        # distinct images and no two terms meet
-        table = self.sig.conjugation_table
+        return self.conjugated(1)
+
+    def conjugated(self, times: int, c: GaussianRational = ONE) -> "SuperNumber":
+        """``c conj^times(x)`` in one pass over the terms.  Each key is read
+        off the table of ``conj^times``
+        (:meth:`AlgebraSignature.conjugation_power`): conjugation permutes
+        the generators, so distinct monomials have distinct images and no two
+        terms meet.  Each coefficient is conjugated when ``times`` is odd and
+        multiplied by the table's sign and by ``c``, which for ``c`` in
+        {1, -1, i, -i} only swaps or negates its parts.  With ``times`` 0
+        this is :meth:`scaled`."""
+        if not times:
+            return self.scaled(c)
+        if c.is_zero():
+            return SuperNumber(self.sig, {})
+        table = self.sig.conjugation_power(times)
+        flip = times & 1
+        unit = c.den == 1 and abs(c.re) + abs(c.im) == 1
+        cr, ci = c.re, c.im
         out: Dict[int, GaussianRational] = {}
-        for k, c in self._terms.items():
+        for k, v in self._terms.items():
             omask, sign = table[k & 0xFF]
-            out[omask | (k & ~0xFF)] = (
-                GaussianRational(c.re, -c.im, c.den, True) if sign > 0
-                else GaussianRational(-c.re, c.im, c.den, True)
-            )
+            re, im = (v.re, -v.im) if flip else (v.re, v.im)
+            if sign < 0:
+                re, im = -re, -im
+            key = omask | (k & ~0xFF)
+            if not unit:
+                out[key] = GaussianRational(re, im, v.den, True) * c
+            elif ci:                    # (re + im i) ci i = -ci im + ci re i
+                out[key] = GaussianRational(-ci * im, ci * re, v.den, True)
+            else:
+                out[key] = GaussianRational(cr * re, cr * im, v.den, True)
         return SuperNumber(self.sig, out)
 
     def inverse(self) -> "SuperNumber":
@@ -555,32 +605,35 @@ def _product(sig: AlgebraSignature, a, b) -> SuperNumber:
     return _accumulate(sig, ((ta, tb),), da * db)
 
 
-def sum_of_products(sig: AlgebraSignature, pairs: Sequence[tuple]) -> SuperNumber:
-    """``sum a_k b_k`` over ``pairs`` of elements of ``sig``'s algebra, exactly.
+def sum_of_products(sig: AlgebraSignature, pairs: Sequence[tuple], minus: Sequence[tuple] = ()) -> SuperNumber:
+    """``sum a_k b_k - sum c_k d_k`` over ``pairs`` ``(a_k, b_k)`` and
+    ``minus`` pairs ``(c_k, d_k)`` of elements of ``sig``'s algebra, exactly.
 
     Each factor may also be a ``GaussianRational`` (a constant).  Every
     factor is read as Gaussian-integer numerators over its own common
-    denominator; the products are scaled to one common denominator and summed
-    as plain ints per output monomial, and one normalised coefficient is
-    built per nonzero output monomial at the end.  Two monomials multiply to
-    zero when they share a generator; otherwise the product's key is their
-    union and its sign comes from ``_MUL_CACHE``, filled by :func:`mono_mul`.
+    denominator; the products are scaled to one common denominator, negated
+    for a minus pair, and summed as plain ints per output monomial, and one
+    normalised coefficient is built per nonzero output monomial at the end.  Two monomials multiply to zero when they share a
+    generator; otherwise the product's key is their union and its sign comes
+    from ``_MUL_CACHE``, filled by :func:`mono_mul`.
     """
-    if len(pairs) == 1:
+    if not minus and len(pairs) == 1:
         return _product(sig, *pairs[0])
     forms = []
     den = 1
-    for a, b in pairs:
-        (da, ta), (db, tb) = _numerators(a, sig), _numerators(b, sig)
-        if ta and tb:
-            d = da * db
-            if den % d:
-                den = den // gcd(den, d) * d
-            forms.append((d, ta, tb))
-    return _accumulate(sig, [
-        (ta if d == den else [(k, re * (den // d), im * (den // d)) for k, re, im in ta], tb)
-        for d, ta, tb in forms
-    ], den)
+    for sign, group in ((1, pairs), (-1, minus)):
+        for a, b in group:
+            (da, ta), (db, tb) = _numerators(a, sig), _numerators(b, sig)
+            if ta and tb:
+                d = da * db
+                if den % d:
+                    den = den // gcd(den, d) * d
+                forms.append((sign, d, ta, tb))
+    products = []
+    for sign, d, ta, tb in forms:
+        scale = sign * (den // d)
+        products.append((ta if scale == 1 else [(k, re * scale, im * scale) for k, re, im in ta], tb))
+    return _accumulate(sig, products, den)
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +851,21 @@ def dual_scale_morphism(sig: AlgebraSignature, a: SuperNumber) -> AlgebraMorphis
         raise MorphismError("scaling element must be even")
     odd, even = generators(sig)
     return AlgebraMorphism(sig, sig, odd, even[:-1] + [a * even[-1]])
+
+
+def dual_scale(x: SuperNumber, a: SuperNumber) -> SuperNumber:
+    """The image of ``x`` under ``dual_scale_morphism(x.sig, a)``, in closed
+    form: ``x = u + v eps`` (:func:`split_dual`) goes to ``u + (a v) eps``.
+    ``eps`` is the last even generator, so ``(a v) eps`` keeps the keys of
+    ``a v`` with its bit set and no sign (a term of ``a v`` that holds
+    ``eps`` vanishes); those keys hold ``eps`` and the keys of ``u`` do not,
+    so no two terms meet."""
+    u, v = split_dual(x, x.sig)
+    if v.is_zero():
+        return x
+    terms = dict(u._terms)
+    terms.update((a * v).monomial_multiple(make_key(0, 1 << (x.sig.even_nilpotents - 1)), ONE)._terms)
+    return SuperNumber(x.sig, terms)
 
 
 def kill_pair_projection(sig: AlgebraSignature, pair: int) -> AlgebraMorphism:

@@ -28,14 +28,19 @@ matrices run sixteen to an evaluation, each tagged with its own even
 monomial of an algebra of four even nilpotents (conjugation fixes those);
 the tag of each output term names its unit.  A :class:`PositionalMap` holds
 ``L`` as sparse cells ``((r, s, c), ...)`` and evaluates it without any grid
-product: each cell conjugates only the nonzero entries it reads, one term is
-a scaling, several go through ``algebra.sum_of_products``.  Two maps that
-conjugate equally often subtract, ``a - b``, into one positional map: the osp
-conditions (``liealg.MatrixKind.conditions``) are the identity minus the
-involution whose fixed points are osp, and the extraction-rebuild check
-subtracts the rebuilt map from the descriptor's.  ``folded`` gives a map
-with the same zeros that conjugates nothing, and ``vanishes`` tests whether
-such a map sends a point to zero; both of those use them.  Its
+product: each cell reads only the nonzero entries it needs.  A cell of one
+term ``c x[r][s]``, as every cell of the catalog's maps is, is
+``c conj^k(x[r][s])`` built in one pass over the entry's terms
+(``SuperNumber.conjugated``: one read of the table of ``conj^k`` per key,
+and for ``c`` in {1, -1, i, -i} the parts swapped or negated), with no
+conjugated copy of the entry; the entries of a cell of several terms are
+conjugated one pass each and summed by ``algebra.sum_of_products``.  Two
+maps that conjugate equally often subtract, ``a - b``, into one positional
+map: the osp conditions (``liealg.MatrixKind.conditions``) are the identity
+minus the involution whose fixed points are osp, and the extraction-rebuild
+check subtracts the rebuilt map from the descriptor's.  ``folded`` gives a
+map with the same zeros that conjugates nothing, and ``vanishes`` tests
+whether such a map sends a point to zero; both of those use them.  Its
 ``apply_constant`` applies a map to a constant grid, where the ``k``
 conjugations are one or none; :mod:`superforms.realforms` reads each
 structure's action on the defining space off it, so the tagging above is the
@@ -135,7 +140,7 @@ class PositionalMap(NamedTuple):
     def apply(self, x: SuperMatrix) -> SuperMatrix:
         sig = x.sig
         rows = x.rows
-        conjugations = range(self.conjugations)
+        k = self.conjugations
         zero = SuperNumber.zero(sig)
         out = []
         for cell_row in self.cells:
@@ -143,14 +148,14 @@ class PositionalMap(NamedTuple):
             for cell in cell_row:
                 # conjugate the entries a cell reads, not the whole grid
                 terms = [(rows[r][s], c) for r, s, c in cell if not rows[r][s].is_zero()]
-                for _ in conjugations:
-                    terms = [(e.conjugate(), c) for e, c in terms]
                 if not terms:
                     out_row.append(zero)
                 elif len(terms) == 1:
                     (e, c), = terms
-                    out_row.append(e.scaled(c))
+                    out_row.append(e.conjugated(k, c))
                 else:
+                    if k:
+                        terms = [(e.conjugated(k), c) for e, c in terms]
                     out_row.append(sum_of_products(sig, terms))
             out.append(out_row)
         return SuperMatrix(x.m, x.n, sig, out, check=False)

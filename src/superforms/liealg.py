@@ -32,9 +32,9 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .algebra import AlgebraSignature, EVEN, ODD, SuperNumber
+from .algebra import AlgebraSignature, EVEN, ODD, SuperNumber, sum_of_products
 from .exprs import PositionalMap, ad_step, compile_expr, negst_step
-from .matrices import SuperMatrix, osp_form_grid
+from .matrices import SuperMatrix, commutator, osp_form_grid
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 
 GL, SL, OSP = "gl", "sl", "osp"
@@ -383,26 +383,29 @@ def even_rules_bracket(t1: TensorElement, t2: TensorElement) -> TensorElement:
 
     With parity-homogeneous coefficients (|b| = |w|), the sign only depends on
     the basis parities.  Agreement of this formula with the matrix commutator
-    is exactly the sign-rule consistency the test suite checks.
+    is exactly the sign-rule consistency the test suite checks.  A pair of
+    basis vectors whose bracket is zero is skipped before its coefficients
+    are multiplied, and each output coordinate is one fused sum of the
+    products ``a_i b_j`` times the signed structure constants.
     """
     if t1.kind != t2.kind or t1.sig != t2.sig:
         raise ValueError("mixing tensor elements of different types")
     kind, sig = t1.kind, t1.sig
     basis = basis_of(kind)
-    out: Dict[int, SuperNumber] = {}
+    pairs: Dict[int, list] = {}
     for i, a in t1.coeffs.items():
         pi = basis[i].parity
         for j, b in t2.coeffs.items():
-            pj = basis[j].parity
+            constants = vector_bracket(kind, i, j)
+            if not constants:
+                continue
             ab = a * b
             if ab.is_zero():
                 continue
-            if pi and pj:
-                ab = -ab
-            for k, coeff in vector_bracket(kind, i, j):
-                term = ab.scaled(coeff)
-                cur = out.get(k)
-                out[k] = term if cur is None else cur + term
+            odd_odd = pi and basis[j].parity
+            for k, coeff in constants:
+                pairs.setdefault(k, []).append((ab, -coeff if odd_odd else coeff))
+    out = {k: sum_of_products(sig, terms) for k, terms in pairs.items()}
     return TensorElement(kind, sig, out, check=False)
 
 
@@ -410,6 +413,6 @@ def bracket(kind: MatrixKind, x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
     """Commutator of two points (checked to stay in the family)."""
     require_member(kind, x)
     require_member(kind, y)
-    z = x * y - y * x
+    z = commutator(x, y)
     require_member(MatrixKind(GL, kind.m, kind.n) if kind.family == GL else kind, z)
     return z

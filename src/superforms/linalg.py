@@ -7,7 +7,10 @@ vectors ``{index: value}`` and returns exact results.  There are two kernels.
   as an argument and hands each output cell's nonzero factor pairs to that
   ring's fused sum of products (``sum_of_products`` on ``GaussianRational``
   and on ``algebra.SuperNumber``), so no partial product is built as an
-  element of its own.  The supermatrix products are calls to it.
+  element of its own.  Given a second pair of grids, it subtracts their
+  product in the same pass: their factor pairs go to the kernel as minus
+  pairs, so ``a b - c d``, the commutator say, is one signed sum per cell.
+  The supermatrix products and commutators are calls to it.
 * :func:`span_basis` is the package's one Gauss-Jordan elimination: it
   reduces sparse vectors to the canonical basis of their span.  Null spaces
   (:func:`nullspace`) and inverses (:func:`invert`) are read off the
@@ -24,7 +27,7 @@ nonzero", which keeps every computation deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 
@@ -39,33 +42,45 @@ def identity(n: int) -> Grid:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero=ZERO) -> list:
-    """The grid product ``a b`` over any ring: the one product kernel.
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero=ZERO, minus: Optional[tuple] = None) -> list:
+    """The grid product ``a b`` over any ring, or ``a b - c d`` for
+    ``minus = (c, d)``: the one product kernel.
 
     ``zero`` is the ring's zero and supplies its sum of products,
-    ``zero.sum_of_products(pairs)``; each output cell hands it the pairs
-    ``(a[i][k], b[k][j])`` with both factors nonzero, and a cell with none
-    is ``zero``.  So the same loop multiplies grids of Gaussian rationals,
-    of algebra elements, and algebra elements by constants on either side.
+    ``zero.sum_of_products(pairs, minus_pairs)``; each output cell hands it
+    the pairs ``(a[i][k], b[k][j])`` and the minus pairs ``(c[i][k],
+    d[k][j])`` with both factors nonzero, and a cell with none is ``zero``.
+    So the same loop multiplies grids of Gaussian rationals, of algebra
+    elements, and algebra elements by constants on either side, and a
+    commutator builds each cell once, as one signed sum.
     """
     cols = len(b[0])
     fused = zero.sum_of_products
+    products = ((a, b),) if minus is None else ((a, b), minus)
     out = []
-    for arow in a:
-        cells: Dict[int, list] = {}
-        for k, aik in enumerate(arow):
-            if aik.is_zero():
-                continue
-            for j, bkj in enumerate(b[k]):
-                if not bkj.is_zero():
-                    cell = cells.get(j)
-                    if cell is None:
-                        cells[j] = [(aik, bkj)]
-                    else:
-                        cell.append((aik, bkj))
+    for i in range(len(a)):
+        sides = []                          # per product: {j: pairs}
+        for p, q in products:
+            cells: Dict[int, list] = {}
+            for k, pik in enumerate(p[i]):
+                if pik.is_zero():
+                    continue
+                for j, qkj in enumerate(q[k]):
+                    if not qkj.is_zero():
+                        cell = cells.get(j)
+                        if cell is None:
+                            cells[j] = [(pik, qkj)]
+                        else:
+                            cell.append((pik, qkj))
+            sides.append(cells)
         orow = [zero] * cols
-        for j, cell in cells.items():
-            orow[j] = fused(cell)
+        if minus is None:
+            for j, cell in sides[0].items():
+                orow[j] = fused(cell)
+        else:
+            plus, subtracted = sides
+            for j in plus.keys() | subtracted.keys():
+                orow[j] = fused(plus.get(j, ()), subtracted.get(j, ()))
         out.append(orow)
     return out
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Callable, List, Optional, Sequence
 
 from . import linalg
-from .algebra import AlgebraSignature, SuperNumber, one, products_vanish, scalar
+from .algebra import AlgebraSignature, SuperNumber, one, products_vanish, scalar, sum_of_products
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 
 
@@ -240,7 +240,19 @@ def mul_const(x: SuperMatrix, grid: Sequence[Sequence[GaussianRational]]) -> Sup
 
 
 def commutator(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
-    return x * y - y * x
+    """``x y - y x``, each cell built once as the signed sum ``sum x_ik y_kj
+    - sum y_ik x_kj`` (:func:`linalg.mat_mul` with minus pairs), with no
+    intermediate product matrices."""
+    x._compat(y)
+    return x._like(linalg.mat_mul(x.rows, y.rows, SuperNumber.zero(x.sig), minus=(y.rows, x.rows)))
+
+
+def linear_combination(a: SuperNumber, x: SuperMatrix, b: SuperNumber, y: SuperMatrix) -> SuperMatrix:
+    """``a x + b y`` for even central elements ``a`` and ``b``, each cell one
+    fused sum of products ``a x_ij + b y_ij``, with no scaled matrices."""
+    x._compat(y)
+    return x._like([[sum_of_products(x.sig, ((a, e), (b, f))) for e, f in zip(rx, ry)]
+                    for rx, ry in zip(x.rows, y.rows)])
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def random_invertible_even(sig: AlgebraSignature, rng: random.Random) -> SuperNu
 def random_self_conjugate_even(sig: AlgebraSignature, rng: random.Random) -> SuperNumber:
     """A random even element fixed by the conjugation (b + conj(b) form)."""
     b = random_even(sig, rng)
-    return b + b.conjugate()
+    return b + b.conjugated(1)
 
 
 def random_tensor(kind: MatrixKind, sig: AlgebraSignature, rng: random.Random) -> TensorElement:

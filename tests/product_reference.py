@@ -18,7 +18,14 @@ as integer numerators (``algebra.sum_of_products``):
   from before the series skipped products known to vanish, the sample took
   ``2 D - Id`` and a monomial scaling relabelled keys;
 * the ``SL`` sample as the product of its factor matrices, from before each
-  factor became the column operation it stands for.
+  factor became the column operation it stands for;
+* the algebra-level evaluations from before each output cell was built in
+  one pass: the commutator as two grid products and a difference, the
+  combination ``a x + b y`` as two scaled matrices and a sum, a positional
+  map's cell as ``k`` conjugated copies of each entry followed by a scaling,
+  the tensor-form bracket as a negate, scale and add per term over every
+  pair of coefficients, and the dual scaling applied through its generator
+  images (``eps -> a eps``), with no closed form.
 
 ``respects_conjugation`` checks on generators whether a morphism intertwines
 the conjugations (it then does on the whole algebra, by multiplicativity and
@@ -32,8 +39,10 @@ The tests require the package to agree with them exactly.
 
 from superforms import linalg
 from superforms.algebra import (
-    STANDARD, SuperNumber, even_mask_of, generators, key_parity, odd_mask_of, one,
+    STANDARD, AlgebraMorphism, SuperNumber, even_mask_of, generators, key_parity, make_key,
+    odd_mask_of, one, sum_of_products,
 )
+from superforms.liealg import TensorElement, basis_of, vector_bracket
 from superforms.matrices import NotInvertibleMatrix, SuperMatrix, identity_matrix
 from superforms.sampling import random_even, random_invertible_even, random_odd, random_point
 from superforms.scalars import GaussianRational
@@ -240,3 +249,86 @@ def reference_sample_sl(kind, sig, rng, factors: int = 4):
         acc = acc * factor
         made += 1
     return acc
+
+
+def reference_commutator(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
+    """``x y - y x`` as two grid products and an entrywise difference."""
+    return x * y - y * x
+
+
+def reference_linear_combination(a: SuperNumber, x: SuperMatrix, b: SuperNumber, y: SuperMatrix) -> SuperMatrix:
+    """``a x + b y`` as two scaled matrices and an entrywise sum."""
+    return x.scale(a) + y.scale(b)
+
+
+def reference_conjugate(x: SuperNumber) -> SuperNumber:
+    """``conj(x)`` term by term, each odd mask mapped by
+    :func:`reference_conj_mask` and each coefficient conjugated."""
+    out = {}
+    for k, c in x.items():
+        omask, sign = reference_conj_mask(x.sig, odd_mask_of(k))
+        out[make_key(omask, even_mask_of(k))] = c.conjugate() if sign > 0 else -c.conjugate()
+    return SuperNumber(x.sig, out)
+
+
+def reference_conjugated(x: SuperNumber, times: int, c: GaussianRational) -> SuperNumber:
+    """``c conj^times(x)``: ``times`` conjugated copies, then a scaling."""
+    for _ in range(times):
+        x = reference_conjugate(x)
+    return reference_scaled(x, c)
+
+
+def reference_positional_apply(pmap, x: SuperMatrix) -> SuperMatrix:
+    """A positional map cell by cell: the nonzero entries a cell reads,
+    conjugated ``k`` times one copy at a time, then scaled and summed."""
+    zero = SuperNumber.zero(x.sig)
+    out = []
+    for cell_row in pmap.cells:
+        out_row = []
+        for cell in cell_row:
+            acc = zero
+            for r, s, c in cell:
+                if not x.rows[r][s].is_zero():
+                    acc = acc + reference_conjugated(x.rows[r][s], pmap.conjugations, c)
+            out_row.append(acc)
+        out.append(out_row)
+    return SuperMatrix(x.m, x.n, x.sig, out, check=False)
+
+
+def reference_even_rules_bracket(t1: TensorElement, t2: TensorElement) -> TensorElement:
+    """``[a (x) v, b (x) w] = (-1)^{|v||b|} ab (x) [v, w]`` summed over every
+    pair of coefficients, one negate, scale and add per term."""
+    kind, sig = t1.kind, t1.sig
+    basis = basis_of(kind)
+    out = {}
+    for i, a in t1.coeffs.items():
+        for j, b in t2.coeffs.items():
+            ab = a * b
+            if ab.is_zero():
+                continue
+            if basis[i].parity and basis[j].parity:
+                ab = -ab
+            for k, coeff in vector_bracket(kind, i, j):
+                term = ab.scaled(coeff)
+                out[k] = term if k not in out else out[k] + term
+    return TensorElement(kind, sig, out, check=False)
+
+
+def reference_dual_scale(x: SuperNumber, a: SuperNumber) -> SuperNumber:
+    """The dual scaling ``eps -> a eps`` of ``A(eps) = x.sig`` applied through
+    its generator images: each monomial's image is the product of its
+    generators' images, and the images are summed against the coefficients."""
+    sig = x.sig
+    odd, even = generators(sig)
+    morphism = AlgebraMorphism(sig, sig, odd, even[:-1] + [a * even[-1]])
+    pairs = []
+    for key, c in x.items():
+        image = one(sig)
+        for gid in range(8):
+            if odd_mask_of(key) >> gid & 1:
+                image = image * morphism.odd_images[gid]
+        for j in range(4):
+            if even_mask_of(key) >> j & 1:
+                image = image * morphism.even_images[j]
+        pairs.append((image, c))
+    return sum_of_products(sig, pairs)

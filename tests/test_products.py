@@ -3,33 +3,42 @@ Grassmann products, sums of products, constant factors, grid products and
 the amount of coefficient work one product does.  The group layer's short
 cuts against their references too: the inverse series that skip products
 known to vanish, the Cayley sample ``2 D - Id`` and the scaling by a
-monomial that relabels keys."""
+monomial that relabels keys.  And the algebra-level evaluations that build
+each output cell once: the commutator and ``a x + b y`` as signed sums, a
+positional map's cell as one conjugating pass, the tensor-form bracket that
+skips empty brackets, and the dual scaling in closed form."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from product_reference import (
-    reference_cayley, reference_conj_mask, reference_element_inverse, reference_mat_mul,
-    reference_mul, reference_product, reference_sample_sl, reference_scale, reference_scaled,
-    reference_series_inverse, sort_sign,
+    reference_cayley, reference_commutator, reference_conj_mask, reference_conjugate,
+    reference_conjugated, reference_dual_scale, reference_element_inverse,
+    reference_even_rules_bracket, reference_linear_combination, reference_mat_mul, reference_mul,
+    reference_positional_apply, reference_product, reference_sample_sl, reference_scale,
+    reference_scaled, reference_series_inverse, sort_sign,
 )
 from superforms import linalg
 from superforms.algebra import (
     EVEN, GRADED, MAX_ODD, STANDARD, AlgebraSignature, SuperNumber, adjoin_dual, basis_keys,
-    conjugate_monomial, mono_mul, odd_mask_of, one, scalar, sum_of_products, theta,
+    conjugate_monomial, dual_scale, dual_scale_morphism, mono_mul, odd_mask_of, one, scalar,
+    sum_of_products, theta,
 )
 from superforms.catalog import applicable_names, build, param_choices
 from superforms.exprs import PositionalMap
 from superforms import matrices
 from superforms.groups import eps_split, kernel_point, sample_invertible, sample_osp, sample_sl
-from superforms.liealg import GL, OSP, SL, MatrixKind
+from superforms.liealg import GL, OSP, SL, MatrixKind, basis_of, even_rules_bracket, vector_bracket
 from superforms.matrices import (
-    const_matrix, const_mul, identity_matrix, inverse, mul_const,
+    SuperMatrix, commutator, const_matrix, const_mul, identity_matrix, inverse, linear_combination,
+    mul_const,
 )
-from superforms.sampling import random_point
-from superforms.scalars import GaussianRational, I, MINUS_ONE, ONE, ZERO
+from superforms.realforms import verify_structure
+from superforms.sampling import random_point, random_tensor
+from superforms.scalars import GaussianRational, I, MINUS_I, MINUS_ONE, ONE, ZERO
 
 
 @st.composite
@@ -431,3 +440,226 @@ def test_scaling_by_an_even_monomial_matches_the_kernel(data):
     m, n = data.draw(st.sampled_from(GROUP_SHAPES))
     x = random_point(MatrixKind(GL, m, n), ext, random.Random(data.draw(st.integers(0, 10 ** 6))))
     assert entry_terms(x.scale(a)) == entry_terms(reference_scale(x, a))
+
+
+# ---------------------------------------------------------------------------
+# algebra-level evaluations, one output cell at a time
+# ---------------------------------------------------------------------------
+
+def even_elements(sig: AlgebraSignature):
+    return st.dictionaries(st.sampled_from(basis_keys(sig, EVEN)), coefficients).map(
+        lambda terms: SuperNumber.from_terms(sig, terms))
+
+
+def supermatrices(sig: AlgebraSignature, m: int, n: int):
+    """Grids of arbitrary elements (no evenness), about half their entries zero."""
+    size = m + n
+    return grids(size, size, SuperNumber.zero(sig), elements(sig)).map(
+        lambda rows: SuperMatrix(m, n, sig, rows, check=False))
+
+
+def no_zero_entry_terms(x: SuperMatrix) -> bool:
+    return all(no_zero_terms(e) for row in x.rows for e in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_minus_pairs_subtract_their_products(data):
+    sig = data.draw(signatures())
+    pairs = data.draw(st.lists(st.tuples(factors(sig), factors(sig)), max_size=4))
+    minus = data.draw(st.lists(st.tuples(factors(sig), factors(sig)), max_size=4))
+    expected = SuperNumber.zero(sig)
+    for a, b in pairs:
+        expected = expected + lift(sig, reference_product(a, b))
+    for a, b in minus:
+        expected = expected - lift(sig, reference_product(a, b))
+    total = sum_of_products(sig, pairs, minus)
+    assert total == expected and no_zero_terms(total)
+    assert sum_of_products(sig, pairs, pairs).is_zero()
+    constants = data.draw(st.lists(st.tuples(coefficients, coefficients), max_size=4))
+    subtracted = data.draw(st.lists(st.tuples(coefficients, coefficients), max_size=4))
+    difference = sum((a * b for a, b in constants), ZERO) - sum((a * b for a, b in subtracted), ZERO)
+    assert GaussianRational.sum_of_products(constants, subtracted) == difference
+
+
+def test_minus_pairs_are_rescaled_to_the_common_denominator():
+    sig = AlgebraSignature(1, 1, 1)
+    half, third = GaussianRational(1, 0, 2), GaussianRational(0, 1, 3)
+    x = theta(sig, 0).scaled(half) + scalar(sig, third)
+    y = theta(sig, 0) + scalar(sig, GaussianRational(2))
+    # x and y commute (their odd parts are multiples of one generator), so
+    # the signed sum cancels to the ring zero across denominators 6 and 1
+    assert sum_of_products(sig, [(x, y)], [(y, x)]) == reference_mul(x, y) - reference_mul(y, x)
+    assert sum_of_products(sig, [(x, y)], [(y, x)]).is_zero()
+    assert sum_of_products(sig, [(x, half)], [(y, ONE)]) == reference_scaled(x, half) - y
+    assert GaussianRational.sum_of_products([(half, half)], [(third, ONE)]) == half * half - third
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_commutator_matches_the_two_products(data):
+    sig = data.draw(signatures(max_generators=4))
+    m, n = data.draw(st.sampled_from(SHAPES))
+    x, y = data.draw(supermatrices(sig, m, n)), data.draw(supermatrices(sig, m, n))
+    bracket = commutator(x, y)
+    assert bracket == reference_commutator(x, y)
+    assert no_zero_entry_terms(bracket)
+    size = m + n
+    a, b = data.draw(grids(size, size, ZERO, coefficients)), data.draw(grids(size, size, ZERO, coefficients))
+    expected = [[p - q for p, q in zip(rp, rq)]
+                for rp, rq in zip(reference_mat_mul(a, b, ZERO), reference_mat_mul(b, a, ZERO))]
+    assert linalg.mat_mul(a, b, ZERO, minus=(b, a)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_commuting_inputs_cancel_to_the_ring_zero(data):
+    sig = data.draw(signatures(max_generators=4))
+    m, n = data.draw(st.sampled_from(SHAPES))
+    x = data.draw(supermatrices(sig, m, n))
+    a = data.draw(even_elements(sig))
+    for y in (x, x * x, identity_matrix(m, n, sig).scale(a) if not a.is_zero() else x):
+        bracket = commutator(x, y)
+        assert bracket == reference_commutator(x, y)
+        assert all(e.is_zero() and len(e) == 0 for row in bracket.rows for e in row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_linear_combination_matches_the_scaled_sum(data):
+    sig = data.draw(signatures(max_generators=4))
+    m, n = data.draw(st.sampled_from(SHAPES))
+    x, y = data.draw(supermatrices(sig, m, n)), data.draw(supermatrices(sig, m, n))
+    a, b = data.draw(even_elements(sig)), data.draw(even_elements(sig))
+    combined = linear_combination(a, x, b, y)
+    assert combined == reference_linear_combination(a, x, b, y)
+    assert no_zero_entry_terms(combined)
+
+
+CELL_CONSTANTS = (ONE, MINUS_ONE, I, MINUS_I, GaussianRational(1, 2, 2))
+
+
+@pytest.mark.parametrize("c", CELL_CONSTANTS, ids=str)
+@pytest.mark.parametrize("times", [0, 1, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_conjugated_matches_conjugated_copies_then_scaling(times, c, data):
+    sig = data.draw(signatures())
+    x = data.draw(elements(sig))
+    once = x.conjugated(times, c)
+    assert once == reference_conjugated(x, times, c)
+    assert no_zero_terms(once)
+    assert x.conjugate() == reference_conjugate(x)
+
+
+@st.composite
+def positional_maps(draw, size: int):
+    """Cells of up to three distinct slots with unit and non-unit constants,
+    conjugating 0 to 3 times."""
+    slot = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    cell = st.lists(st.tuples(slot, st.sampled_from(CELL_CONSTANTS + (GaussianRational(-3, 0, 2),))),
+                    max_size=3, unique_by=lambda term: term[0])
+    cells = tuple(tuple(tuple(sorted((r, s, c) for (r, s), c in draw(cell))) for _ in range(size))
+                  for _ in range(size))
+    return PositionalMap(cells, draw(st.integers(0, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_positional_map_matches_conjugate_then_scale(data):
+    sig = data.draw(signatures(max_generators=4))
+    m, n = data.draw(st.sampled_from(SHAPES))
+    pmap = data.draw(positional_maps(m + n))
+    x = data.draw(supermatrices(sig, m, n))
+    image = pmap.apply(x)
+    assert image == reference_positional_apply(pmap, x)
+    assert no_zero_entry_terms(image)
+
+
+def catalog_descriptors():
+    for kind in (MatrixKind(SL, 2, 2), MatrixKind(OSP, 2, 2)):
+        for name in applicable_names(kind):
+            for p, q in param_choices(name, kind):
+                yield build(name, kind, p, q)
+
+
+@pytest.mark.parametrize("desc", list(catalog_descriptors()), ids=lambda desc: desc.display())
+def test_catalog_maps_match_conjugate_then_scale(desc):
+    rng = random.Random("cells " + desc.display())
+    sigs = ([AlgebraSignature(1, 1, 1, STANDARD), AlgebraSignature(2, 0, 0, STANDARD)]
+            if desc.conjugation == STANDARD else [AlgebraSignature(1, 0, 1, GRADED), AlgebraSignature(2, 0, 0, GRADED)])
+    stages = [s for s in desc.compiled.stages + desc.compiled_lift.stages if isinstance(s, PositionalMap)]
+    for sig in sigs:
+        for _ in range(3):
+            x = random_point(desc.kind, sig, rng)
+            for stage in stages:
+                assert stage.apply(x) == reference_positional_apply(stage, x)
+
+
+@pytest.mark.parametrize("kind", [MatrixKind(SL, 2, 2), MatrixKind(OSP, 2, 2), MatrixKind(GL, 2, 1)],
+                         ids=MatrixKind.display)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_even_rules_bracket_matches_the_term_by_term_loop(kind, data):
+    sig = data.draw(st.sampled_from([AlgebraSignature(1, 1, 1, STANDARD), AlgebraSignature(2, 0, 0, GRADED),
+                                     AlgebraSignature(1, 0, 1, GRADED)]))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    t1, t2 = random_tensor(kind, sig, rng), random_tensor(kind, sig, rng)
+    assert even_rules_bracket(t1, t2) == reference_even_rules_bracket(t1, t2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_dual_scale_matches_the_generator_images(data):
+    sig = data.draw(signatures(max_generators=4))
+    ext, include, _, _ = adjoin_dual(sig)
+    a = include.apply(data.draw(even_elements(sig)))
+    x = data.draw(elements(ext))
+    image = dual_scale(x, a)
+    assert image == reference_dual_scale(x, a) == dual_scale_morphism(ext, a).apply(x)
+    assert no_zero_terms(image)
+
+
+def counting(monkeypatch, targets):
+    """Wrap each ``(owner, name)`` to count its calls; returns the counter."""
+    calls = Counter()
+    for owner, name in targets:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _real=real, _name=name, **kwargs:
+                            calls.update([_name]) or _real(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("desc,sig", [
+    (build("sigma1", MatrixKind(SL, 2, 2)), AlgebraSignature(1, 1, 1, STANDARD)),
+    (build("psi1", MatrixKind(OSP, 2, 2)), AlgebraSignature(2, 0, 1, GRADED)),
+], ids=["sigma1", "psi1"])
+def test_verify_structure_builds_no_difference_scaling_or_conjugated_copy(monkeypatch, desc, sig):
+    """A work count: the bracket sides are commutators, the antilinearity
+    sides one fused sum per cell, the evenness check compares diagonal parts,
+    and the compiled map conjugates inside its one pass per cell."""
+    desc.compiled        # compiling runs the steps on unit matrices, before counting
+    calls = counting(monkeypatch, [(SuperMatrix, "__sub__"), (SuperMatrix, "scale"),
+                                   (SuperNumber, "conjugate")])
+    conjugated = counting(monkeypatch, [(SuperNumber, "conjugated")])
+    outcomes = verify_structure(desc, sig, samples=8)
+    assert [o.status for o in outcomes] == ["pass"] * 6
+    assert calls == Counter()
+    assert conjugated["conjugated"] > 0
+
+
+def test_even_rules_bracket_multiplies_only_pairs_with_a_bracket(monkeypatch):
+    kind = MatrixKind(SL, 2, 2)
+    dim = len(basis_of(kind))
+    empty = {(i, j) for i in range(dim) for j in range(dim) if not vector_bracket(kind, i, j)}
+    assert (len(empty), dim * dim) == (113, 225)
+    sig = AlgebraSignature(1, 1, 1, STANDARD)
+    rng = random.Random(7)
+    t1, t2 = random_tensor(kind, sig, rng), random_tensor(kind, sig, rng)
+    bracketed = sum(1 for i in t1.coeffs for j in t2.coeffs if (i, j) not in empty)
+    assert bracketed < len(t1.coeffs) * len(t2.coeffs)
+    calls = counting(monkeypatch, [(SuperNumber, "__mul__")])
+    bracket = even_rules_bracket(t1, t2)
+    monkeypatch.undo()
+    assert calls["__mul__"] == bracketed
+    assert bracket == reference_even_rules_bracket(t1, t2)
