@@ -18,7 +18,8 @@ products as algebra homomorphisms (``conj(ab) = conj(a) conj(b)``):
 Internally a monomial is a single int key: the low 8 bits are the odd-generator
 mask (ids ``2k``/``2k+1`` for the k-th pair, then self-real ids), the bits above
 are the even-nilpotent mask.  Reordering signs come from inversion counts of the
-odd masks and are cached globally, since they do not depend on the signature.
+odd masks; the product kernel reads them from one flat table per odd-generator
+count (:func:`_product_signs`), since they do not depend on anything else.
 This module owns the key layout: other modules walk a key with :func:`bits`
 and build keys only through the functions here.
 
@@ -38,14 +39,17 @@ the even generators.  :func:`dual_scale_morphism` scales that generator,
 :func:`split_dual` splits an element of ``A(eps)`` as ``a + b eps``, and
 :func:`dual_scale` applies the scaling in closed form from that split.
 
-Every product goes through one fused, exact multiply-accumulate kernel,
-:func:`sum_of_products`: ``sum a_k b_k - sum c_k d_k`` over pairs and minus
-pairs of elements (a ``GaussianRational`` factor is a constant term).  Each
-factor is read once as Gaussian-integer numerators over its common
-denominator, kept on the element.  The first factor of each pair is
-rescaled to the common denominator, and negated in a minus pair; the
-products are summed as plain ints per output monomial, and one normalised
-coefficient is built per nonzero output monomial at the end.
+An element is stored as Gaussian-integer numerators over one denominator,
+in a unique normal form (see :class:`SuperNumber`), so equality and hashing
+compare ints.  Every product goes through one fused, exact multiply-accumulate
+kernel, :func:`sum_of_products`: ``sum a_k b_k - sum c_k d_k`` over pairs and
+minus pairs of elements (a ``GaussianRational`` factor is a constant term).
+Each factor's numerators are read as the element keeps them.  The first
+factor of each pair is rescaled to the common denominator, and negated in a
+minus pair; the products are summed as plain ints per output monomial, and
+the sums are reduced by one gcd over the whole result when the denominator is
+not 1.  No ``GaussianRational`` is built on the way: one is built only where a
+caller asks for a coefficient (``items``, ``coefficient``, ``body``).
 ``SuperNumber.__mul__`` is the kernel
 on one pair (a product by a constant is a per-term scaling), and
 ``linalg.mat_mul`` hands it the nonzero factor pairs of each cell of a grid
@@ -56,21 +60,23 @@ An :class:`AlgebraMorphism` is *monomial* when every generator image has at
 most one term, as for the pair projections and inclusions, the dual-number
 inclusion and projection, and scaling the dual generator by a constant.  It
 then sends each monomial to at most one monomial by the monomial rule, and
-applying it relabels keys and scales coefficients, summing keys that meet and
+applying it relabels keys and scales numerators, summing keys that meet and
 dropping zeros, without the kernel.  A monomial morphism that sends every
 generator to the generator of the same key, as the dual-number inclusion does,
-*keeps keys*: it hands each element's terms to the target unchanged.  Other
-morphisms sum the images of their monomials with :func:`sum_of_products`.
+*keeps keys*: it hands each element's numerators to the target unchanged.
+Other morphisms sum the images of their monomials, times the element's
+numerators, in the product kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 from math import gcd
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
+from .scalars import GaussianRational, ONE, ZERO
 
 STANDARD = "standard"
 GRADED = "graded"
@@ -143,6 +149,13 @@ class AlgebraSignature:
         return [monomial_image(omask, images, (), 1) for omask in range(1 << self.odd_total)]
 
     @cached_property
+    def product_signs(self) -> Tuple[int, Tuple[int, ...]]:
+        """``(odd_total, table)``: the product sign table of this signature's
+        odd-generator count (:func:`_product_signs`), shared by every
+        signature with that count and looked up once per signature."""
+        return self.odd_total, _product_signs(self.odd_total)
+
+    @cached_property
     def _conjugation_powers(self) -> Dict[int, list]:
         return {1: self.conjugation_table}
 
@@ -199,12 +212,6 @@ def key_parity(key: int) -> int:
     return (key & 0xFF).bit_count() & 1
 
 
-_KEY_BITS = _ODD_BITS + MAX_EVEN_NILPOTENT     # bits of a monomial key
-
-_MUL_CACHE: Dict[int, int] = {}
-"""Sign of each nonzero monomial product, keyed by ``k1 << _KEY_BITS | k2``."""
-
-
 def mono_mul(k1: int, k2: int) -> Optional[Tuple[int, int]]:
     """Product of two monomial keys: ``None`` if zero, else ``(key, sign)``.
 
@@ -215,19 +222,32 @@ def mono_mul(k1: int, k2: int) -> Optional[Tuple[int, int]]:
     """
     if k1 & k2:
         return None
-    pair = k1 << _KEY_BITS | k2
-    sign = _MUL_CACHE.get(pair)
-    if sign is None:
-        o1 = k1 & 0xFF
-        inversions = 0
-        rest = k2 & 0xFF
-        while rest:
-            low = rest & -rest
-            # bits of o1 strictly above this bit of o2
-            inversions += (o1 & ~(low | (low - 1))).bit_count()
-            rest ^= low
-        sign = _MUL_CACHE[pair] = -1 if (inversions & 1) else 1
-    return k1 | k2, sign
+    o1 = k1 & 0xFF
+    inversions = 0
+    rest = k2 & 0xFF
+    while rest:
+        low = rest & -rest
+        # bits of o1 strictly above this bit of o2
+        inversions += (o1 & ~(low | (low - 1))).bit_count()
+        rest ^= low
+    return k1 | k2, -1 if (inversions & 1) else 1
+
+
+@cache
+def _product_signs(odd_total: int) -> Tuple[int, ...]:
+    """The :func:`mono_mul` signs of the odd masks below ``1 << odd_total``,
+    flat: entry ``o1 << odd_total | o2`` is the sign of ``o1 o2`` (and
+    meaningless where they share a generator).  One table per odd-generator
+    count, at most ``2 ** (2 * MAX_ODD)`` entries.  A row is built from the
+    row of ``o1`` without its lowest generator, which passes the generators
+    of ``o2`` below it."""
+    size = 1 << odd_total
+    rows = [[1] * size]
+    for o1 in range(1, size):
+        low = o1 & -o1
+        below = low - 1
+        rows.append([-s if (o2 & below).bit_count() & 1 else s for o2, s in enumerate(rows[o1 ^ low])])
+    return tuple(chain.from_iterable(rows))
 
 
 def products_vanish(keys1: Iterable[int], keys2: Sequence[int]) -> bool:
@@ -278,84 +298,161 @@ def split_dual(x: "SuperNumber", base: AlgebraSignature) -> Tuple["SuperNumber",
     ``eps`` is the last even generator, the one :func:`adjoin_dual` adds; it
     is even, so ``b eps`` keeps the keys of ``b`` with its bit set."""
     bit = 1 << (_ODD_BITS + x.sig.even_nilpotents - 1)
-    free: Dict[int, GaussianRational] = {}
-    coef: Dict[int, GaussianRational] = {}
-    for key, c in x._terms.items():
+    free: Dict[int, tuple] = {}
+    coef: Dict[int, tuple] = {}
+    for key, v in x._num.items():
         if key & bit:
-            coef[key ^ bit] = c
+            coef[key ^ bit] = v
         else:
-            free[key] = c
-    return SuperNumber(base, free), SuperNumber(base, coef)
+            free[key] = v
+    return _normal(base, x.den, free), _normal(base, x.den, coef)
 
 
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
 
-class SuperNumber:
-    """An element of a coefficient algebra: monomial-key -> Q(i) coefficient.
+_new = object.__new__
 
-    Instances are treated as immutable; the term dict never contains zero
-    coefficients.  Construct with the module helpers (``scalar``, ``theta``,
-    ``epsilon``, ...) or :meth:`from_terms`.
+
+def _element(sig: AlgebraSignature, den: int, num: Dict[int, tuple]) -> "SuperNumber":
+    """The element with numerators ``num`` over ``den``, already in the
+    normal form; the package's hot paths build elements through it."""
+    x = _new(SuperNumber)
+    x.sig = sig
+    x.den = den
+    x._num = num
+    return x
+
+
+def _normal(sig: AlgebraSignature, den: int, num: Dict[int, tuple]) -> "SuperNumber":
+    """The element ``num / den`` for nonzero numerators ``num`` and ``den >
+    0``, reduced by the gcd of ``den`` and every numerator part: none when
+    ``den`` is 1, and the scan stops at the first part that leaves 1."""
+    if den != 1:
+        g = den
+        for re, im in num.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                break
+        else:
+            den //= g
+            num = {k: (re // g, im // g) for k, (re, im) in num.items()}
+    x = _new(SuperNumber)           # as _element does, without a second call on the hot path
+    x.sig = sig
+    x.den = den
+    x._num = num
+    return x
+
+
+class SuperNumber:
+    """An element of a coefficient algebra: ``sum (re_k + im_k i) / den``
+    times the monomial ``k``.
+
+    It is stored as one int ``den > 0`` and a dict ``{key: (re, im)}`` of
+    Gaussian-integer numerators, in a unique normal form: no entry is
+    ``(0, 0)``, and ``gcd(den, every re, every im) == 1`` (so zero has
+    ``den == 1``).  Equal elements therefore have equal storage, and ``==``
+    and ``hash`` compare it directly.  Instances are treated as immutable.
+
+    Construct with the module helpers (``scalar``, ``theta``, ``epsilon``,
+    ...), or from Gaussian-rational coefficients as ``SuperNumber(sig,
+    {key: c})`` or :meth:`from_terms`; zero coefficients are dropped.
+    ``items``, ``coefficient`` and ``body`` hand coefficients out as
+    ``GaussianRational``; the arithmetic works on the numerators.
     """
 
-    __slots__ = ("sig", "_terms", "_form")
+    __slots__ = ("sig", "den", "_num")
 
     def __init__(self, sig: AlgebraSignature, terms: Dict[int, GaussianRational]):
+        # the least common denominator of coefficients in lowest terms leaves
+        # no common factor in the rescaled numerators
+        den = 1
+        for c in terms.values():
+            if den % c.den:
+                den = den // gcd(den, c.den) * c.den
+        num = {}
+        for k, c in terms.items():
+            if c.re or c.im:
+                scale = den // c.den
+                num[k] = (c.re * scale, c.im * scale)
         self.sig = sig
-        self._terms = terms
-        self._form = None       # numerator form, filled in by the product kernel
+        self.den = den
+        self._num = num
 
     # -- construction --------------------------------------------------------
 
     @staticmethod
     def from_terms(sig: AlgebraSignature, terms: Dict[int, GaussianRational]) -> "SuperNumber":
-        return SuperNumber(sig, {k: c for k, c in terms.items() if not c.is_zero()})
+        return SuperNumber(sig, terms)
+
+    _from_numerators = staticmethod(_normal)      # the private constructor from numerators
 
     @staticmethod
     def zero(sig: AlgebraSignature) -> "SuperNumber":
-        return SuperNumber(sig, {})
+        return _element(sig, 1, {})
 
     # -- inspection -----------------------------------------------------------
 
     def items(self) -> Iterator[Tuple[int, GaussianRational]]:
-        return iter(self._terms.items())
+        den = self.den
+        if den == 1:
+            return iter([(k, GaussianRational(re, im, 1, True)) for k, (re, im) in self._num.items()])
+        return iter([(k, GaussianRational(re, im, den)) for k, (re, im) in self._num.items()])
+
+    def keys(self) -> Iterable[int]:
+        """The monomial keys of the nonzero terms, without their coefficients."""
+        return self._num.keys()
+
+    def numerators(self) -> Iterable[Tuple[int, Tuple[int, int]]]:
+        """The stored ``(key, (re, im))`` pairs: the coefficient of ``key``
+        is ``(re + im i) / den``, not reduced term by term."""
+        return self._num.items()
 
     def coefficient(self, key: int) -> GaussianRational:
-        return self._terms.get(key, ZERO)
+        v = self._num.get(key)
+        if v is None:
+            return ZERO
+        return GaussianRational(v[0], v[1], self.den, self.den == 1)
 
     def body(self) -> GaussianRational:
         """The constant (degree-zero) coefficient."""
-        return self._terms.get(0, ZERO)
+        v = self._num.get(0)
+        if v is None:
+            return ZERO
+        return GaussianRational(v[0], v[1], self.den, self.den == 1)
 
     def soul(self) -> "SuperNumber":
         """The nilpotent part: everything except the constant term."""
-        return SuperNumber(self.sig, {k: c for k, c in self._terms.items() if k != 0})
+        if 0 not in self._num:
+            return self
+        num = dict(self._num)
+        del num[0]
+        return _normal(self.sig, self.den, num)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_even(self) -> bool:
-        return all(key_parity(k) == EVEN for k in self._terms)
+        return all(key_parity(k) == EVEN for k in self._num)
 
     def is_odd(self) -> bool:
-        return all(key_parity(k) == ODD for k in self._terms)
+        return all(key_parity(k) == ODD for k in self._num)
 
     def parity(self) -> Optional[int]:
         """EVEN, ODD, or ``None`` for mixed.  The zero element counts as even."""
-        if not self._terms:
+        if not self._num:
             return EVEN
-        parities = {key_parity(k) for k in self._terms}
+        parities = {key_parity(k) for k in self._num}
         if len(parities) > 1:
             return None
         return parities.pop()
 
     def is_invertible(self) -> bool:
-        return not self.body().is_zero()
+        return 0 in self._num
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -364,33 +461,40 @@ class SuperNumber:
             raise ValueError("mixing elements of different coefficient algebras")
 
     def __add__(self, other: "SuperNumber") -> "SuperNumber":
-        if self.sig is not other.sig:
-            self._check_sig(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            cur = out.get(k)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return SuperNumber(self.sig, out)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "SuperNumber") -> "SuperNumber":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "SuperNumber", sign: int) -> "SuperNumber":
+        """``self + sign other`` over the least common denominator; a key
+        whose sum cancels is dropped where it cancels."""
         if self.sig is not other.sig:
             self._check_sig(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
+        if not other._num:
+            return self
+        da, db = self.den, other.den
+        if da == db:
+            den, sa, sb = da, 1, sign
+        else:
+            den = da // gcd(da, db) * db
+            sa, sb = den // da, sign * (den // db)
+        out = dict(self._num) if sa == 1 else {k: (re * sa, im * sa) for k, (re, im) in self._num.items()}
+        for k, v in other._num.items():
             cur = out.get(k)
-            s = -c if cur is None else cur - c
-            if s.is_zero():
-                out.pop(k, None)
+            re, im = v
+            if cur is None:
+                out[k] = v if sb == 1 else (re * sb, im * sb)
             else:
-                out[k] = s
-        return SuperNumber(self.sig, out)
+                re, im = cur[0] + re * sb, cur[1] + im * sb
+                if re or im:
+                    out[k] = (re, im)
+                else:
+                    del out[k]
+        return _normal(self.sig, den, out)
 
     def __neg__(self) -> "SuperNumber":
-        return SuperNumber(self.sig, {k: -c for k, c in self._terms.items()})
+        return _element(self.sig, self.den, {k: (-re, -im) for k, (re, im) in self._num.items()})
 
     def __mul__(self, other):
         if isinstance(other, (SuperNumber, GaussianRational)):
@@ -409,38 +513,41 @@ class SuperNumber:
         return sum_of_products(self.sig, pairs, minus)
 
     def scaled(self, c: GaussianRational) -> "SuperNumber":
-        """``c x`` for a constant ``c``: one coefficient product per term, and
-        none at all for 0 and the units 1, -1, i and -i."""
-        if c.den != 1 or abs(c.re) + abs(c.im) > 1:
-            return SuperNumber(self.sig, {k: v * c for k, v in self._terms.items()})
-        if c.im:
-            # (re + im i) (s i) = -s im + s re i keeps the normal form
-            s = c.im
-            return SuperNumber(self.sig, {
-                k: GaussianRational(-s * v.im, s * v.re, v.den, True) for k, v in self._terms.items()
-            })
-        if c.re == 1:
-            return self
-        return -self if c.re else SuperNumber(self.sig, {})
+        """``c x`` for a constant ``c``: one product of numerators per term,
+        and none at all for 0 and the units 1, -1, i and -i."""
+        return self._times(c.re, c.im, c.den)
+
+    def _times(self, cr: int, ci: int, cd: int) -> "SuperNumber":
+        """``(cr + ci i) / cd`` times ``x``, for any ints with ``cd > 0``."""
+        if cd == 1 and abs(cr) + abs(ci) <= 1:
+            if ci:
+                # (re + im i) (s i) = -s im + s re i keeps the normal form
+                return _element(self.sig, self.den, {k: (-ci * im, ci * re) for k, (re, im) in self._num.items()})
+            if cr == 1:
+                return self
+            return -self if cr else _element(self.sig, 1, {})
+        return _normal(self.sig, self.den * cd,
+                       {k: (re * cr - im * ci, re * ci + im * cr) for k, (re, im) in self._num.items()})
 
     def monomial_multiple(self, key: int, c: GaussianRational) -> "SuperNumber":
         """``(c t) x`` for the even monomial ``t`` of ``key``, without the
-        product kernel: each key is relabelled through :func:`mono_mul`, with
-        its sign, and each coefficient scaled by ``c``.  Distinct keys stay
+        product kernel: each key is relabelled with its sign from the product
+        sign table, and the result scaled by ``c``.  Distinct keys stay
         distinct, so no two terms meet.  A monomial of even generators alone
         has no odd generator to pass, so every sign is +1."""
-        terms = self._terms
-        if not terms:
+        num = self._num
+        if not num:
             return self
         if key & 0xFF:
-            out = {m[0]: v if m[1] > 0 else -v for k, v in terms.items() if (m := mono_mul(key, k))}
-        elif c == ONE:
-            return SuperNumber(self.sig, {k | key: v for k, v in terms.items() if not k & key})
-        elif c == MINUS_ONE:
-            return SuperNumber(self.sig, {k | key: -v for k, v in terms.items() if not k & key})
+            shift, signs = self.sig.product_signs
+            row = (key & 0xFF) << shift
+            out = {k | key: v if signs[row | (k & 0xFF)] > 0 else (-v[0], -v[1])
+                   for k, v in num.items() if not k & key}
         else:
-            out = {k | key: v for k, v in terms.items() if not k & key}
-        return SuperNumber(self.sig, out).scaled(c)
+            out = {k | key: v for k, v in num.items() if not k & key}
+        # dropping terms can leave a common factor
+        x = _element(self.sig, self.den, out) if len(out) == len(num) else _normal(self.sig, self.den, out)
+        return x.scaled(c)
 
     def conjugate(self) -> "SuperNumber":
         return self.conjugated(1)
@@ -450,60 +557,60 @@ class SuperNumber:
         off the table of ``conj^times``
         (:meth:`AlgebraSignature.conjugation_power`): conjugation permutes
         the generators, so distinct monomials have distinct images and no two
-        terms meet.  Each coefficient is conjugated when ``times`` is odd and
-        multiplied by the table's sign and by ``c``, which for ``c`` in
-        {1, -1, i, -i} only swaps or negates its parts.  With ``times`` 0
-        this is :meth:`scaled`."""
+        terms meet.  Each numerator is conjugated when ``times`` is odd and
+        multiplied by the table's sign and by ``c``; for ``c`` in
+        {1, -1, i, -i} the denominator and the normal form stay.  With
+        ``times`` 0 this is :meth:`scaled`."""
         if not times:
             return self.scaled(c)
-        if c.is_zero():
-            return SuperNumber(self.sig, {})
+        cr, ci, cd = c.re, c.im, c.den
+        if not (cr or ci):
+            return _element(self.sig, 1, {})
         table = self.sig.conjugation_power(times)
         flip = times & 1
-        unit = c.den == 1 and abs(c.re) + abs(c.im) == 1
-        cr, ci = c.re, c.im
-        out: Dict[int, GaussianRational] = {}
-        for k, v in self._terms.items():
+        out: Dict[int, tuple] = {}
+        for k, (re, im) in self._num.items():
             omask, sign = table[k & 0xFF]
-            re, im = (v.re, -v.im) if flip else (v.re, v.im)
+            if flip:
+                im = -im
             if sign < 0:
                 re, im = -re, -im
-            key = omask | (k & ~0xFF)
-            if not unit:
-                out[key] = GaussianRational(re, im, v.den, True) * c
-            elif ci:                    # (re + im i) ci i = -ci im + ci re i
-                out[key] = GaussianRational(-ci * im, ci * re, v.den, True)
-            else:
-                out[key] = GaussianRational(cr * re, cr * im, v.den, True)
-        return SuperNumber(self.sig, out)
+            out[omask | (k & ~0xFF)] = (re * cr - im * ci, re * ci + im * cr)
+        if cd == 1 and abs(cr) + abs(ci) == 1:
+            return _element(self.sig, self.den, out)
+        return _normal(self.sig, self.den * cd, out)
 
     def inverse(self) -> "SuperNumber":
         """Exact inverse via the geometric series of the nilpotent part,
-        which stops once the next power is zero (:func:`products_vanish`)."""
-        b = self.body()
-        if b.is_zero():
+        which stops once the next power is zero (:func:`products_vanish`).
+        The body ``(br + bi i) / d`` has the inverse ``d (br - bi i) /
+        (br^2 + bi^2)``."""
+        body = self._num.get(0)
+        if body is None:
             raise NotInvertible("element has zero body")
-        binv = b.inverse()
+        br, bi = body
+        d, norm = self.den, br * br + bi * bi
         # self = b (1 + n) with n nilpotent; inverse = b^-1 sum (-n)^k
-        minus_n = self.soul().scaled(-binv)
-        acc, power = scalar(self.sig, ONE) + minus_n, minus_n
-        keys = tuple(minus_n._terms)
-        while not products_vanish(power._terms, keys):
+        minus_n = self.soul()._times(-br * d, bi * d, norm)
+        acc, power = one(self.sig) + minus_n, minus_n
+        keys = tuple(minus_n._num)
+        while not products_vanish(power._num, keys):
             power = power * minus_n
             if power.is_zero():
                 break
             acc = acc + power
-        return acc.scaled(binv)
+        return acc._times(br * d, -bi * d, norm)
 
     # -- comparison / display ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SuperNumber):
             return NotImplemented
-        return self.sig == other.sig and self._terms == other._terms
+        return (self.den == other.den and self._num == other._num
+                and (self.sig is other.sig or self.sig == other.sig))
 
     def __hash__(self):
-        return hash((self.sig, frozenset(self._terms.items())))
+        return hash((self.sig, self.den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
         from .literals import format_number
@@ -514,59 +621,25 @@ class SuperNumber:
 # the fused multiply-accumulate kernel
 # ---------------------------------------------------------------------------
 
-_ZERO_FORM = (1, ())
-_UNIT_FORM = (1, ((0, 1, 0),))
-_MINUS_UNIT_FORM = (1, ((0, -1, 0),))
-
-
-def _numerators(x, sig: AlgebraSignature) -> Tuple[int, tuple]:
-    """``x`` as ``(den, ((key, re, im), ...))``: Gaussian-integer numerators
-    over the least common denominator of its coefficients, zeros left out.
-    A ``GaussianRational`` is a constant term at key 0, and zero gets
-    ``_ZERO_FORM``.  An element is immutable, so its form is computed once
-    and kept on it; the elements 0, 1 and -1 get ``_ZERO_FORM``,
-    ``_UNIT_FORM`` and ``_MINUS_UNIT_FORM``."""
-    if type(x) is GaussianRational:
-        return (x.den, ((0, x.re, x.im),)) if x.re or x.im else _ZERO_FORM
-    if x.sig is not sig and x.sig != sig:
-        raise ValueError("mixing elements of different coefficient algebras")
-    form = x._form
-    if form is not None:
-        return form
-    terms = x._terms
-    if len(terms) == 1:
-        (key, c), = terms.items()
-        form = (c.den, ((key, c.re, c.im),))
-        if form == _UNIT_FORM:
-            form = _UNIT_FORM
-        elif form == _MINUS_UNIT_FORM:
-            form = _MINUS_UNIT_FORM
-    elif terms:
-        den = 1
-        for c in terms.values():
-            if den % c.den:
-                den = den // gcd(den, c.den) * c.den
-        form = (den, tuple([(k, c.re * (den // c.den), c.im * (den // c.den)) for k, c in terms.items()]))
-    else:
-        form = _ZERO_FORM
-    x._form = form
-    return form
-
-
 def _accumulate(sig: AlgebraSignature, products: Iterable[tuple], den: int) -> SuperNumber:
-    """The sum of the products of the numerator tuples ``(ta, tb)``, all
-    over the common denominator ``den``, summed as ints per output monomial."""
-    signs = _MUL_CACHE
+    """The sum of the products ``(scale, ta, tb)`` of numerator dicts, the
+    first factor multiplied by the int ``scale``, all over the common
+    denominator ``den``: summed as ints per output monomial, with the signs
+    read from the product sign table of ``sig``'s odd-generator count, and
+    reduced once at the end."""
+    shift, signs = sig.product_signs
     acc: Dict[int, list] = {}
-    for ta, tb in products:
-        for k1, r1, i1 in ta:
-            high = k1 << _KEY_BITS
-            for k2, r2, i2 in tb:
+    for scale, ta, tb in products:
+        for k1, (r1, i1) in ta.items():
+            if scale != 1:
+                r1, i1 = r1 * scale, i1 * scale
+            row = (k1 & 0xFF) << shift
+            for k2, (r2, i2) in tb.items():
                 if k1 & k2:
                     continue
                 key = k1 | k2
                 cell = acc.get(key)
-                if (signs.get(high | k2) or mono_mul(k1, k2)[1]) > 0:
+                if signs[row | (k2 & 0xFF)] > 0:
                     if cell is None:
                         acc[key] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
                     else:
@@ -577,10 +650,20 @@ def _accumulate(sig: AlgebraSignature, products: Iterable[tuple], den: int) -> S
                 else:
                     cell[0] -= r1 * r2 - i1 * i2
                     cell[1] -= r1 * i2 + i1 * r2
-    normalized = den == 1       # then no gcd can reduce a coefficient
-    return SuperNumber(sig, {
-        key: GaussianRational(re, im, den, normalized) for key, (re, im) in acc.items() if re or im
-    })
+    return _normal(sig, den, {key: (re, im) for key, (re, im) in acc.items() if re or im})
+
+
+def _operand(x, sig: AlgebraSignature) -> Tuple[int, Dict[int, tuple]]:
+    """A kernel factor as ``(den, numerators)``: an element's own, or a
+    ``GaussianRational`` as a constant term at key 0."""
+    if type(x) is GaussianRational:
+        return x.den, ({0: (x.re, x.im)} if x.re or x.im else {})
+    if x.sig is not sig and x.sig != sig:
+        raise ValueError("mixing elements of different coefficient algebras")
+    return x.den, x._num
+
+
+_SIGNED_UNITS = ((1, 0), (-1, 0))
 
 
 def _product(sig: AlgebraSignature, a, b) -> SuperNumber:
@@ -590,19 +673,21 @@ def _product(sig: AlgebraSignature, a, b) -> SuperNumber:
         a, b = b, a                     # constants commute
     if type(b) is GaussianRational:
         if type(a) is GaussianRational:
-            return scalar(sig, a * b)
+            (da, ta), (db, tb) = _operand(a, sig), _operand(b, sig)
+            return _accumulate(sig, ((1, ta, tb),), da * db)
         if a.sig is not sig and a.sig != sig:
             raise ValueError("mixing elements of different coefficient algebras")
         return a.scaled(b)
-    fa, fb = _numerators(a, sig), _numerators(b, sig)
-    if fa is _ZERO_FORM or fb is _ZERO_FORM:
-        return SuperNumber(sig, {})
-    if fa is _UNIT_FORM or fa is _MINUS_UNIT_FORM:
-        return b if fa is _UNIT_FORM else -b
-    if fb is _UNIT_FORM or fb is _MINUS_UNIT_FORM:
-        return a if fb is _UNIT_FORM else -a
-    (da, ta), (db, tb) = fa, fb
-    return _accumulate(sig, ((ta, tb),), da * db)
+    if a.sig is not sig and a.sig != sig or b.sig is not sig and b.sig != sig:
+        raise ValueError("mixing elements of different coefficient algebras")
+    da, ta, db, tb = a.den, a._num, b.den, b._num
+    if not ta or not tb:
+        return _element(sig, 1, {})
+    if da == 1 and len(ta) == 1 and ta.get(0) in _SIGNED_UNITS:
+        return b if ta[0][0] > 0 else -b
+    if db == 1 and len(tb) == 1 and tb.get(0) in _SIGNED_UNITS:
+        return a if tb[0][0] > 0 else -a
+    return _accumulate(sig, ((1, ta, tb),), da * db)
 
 
 def sum_of_products(sig: AlgebraSignature, pairs: Sequence[tuple], minus: Sequence[tuple] = ()) -> SuperNumber:
@@ -610,12 +695,12 @@ def sum_of_products(sig: AlgebraSignature, pairs: Sequence[tuple], minus: Sequen
     ``minus`` pairs ``(c_k, d_k)`` of elements of ``sig``'s algebra, exactly.
 
     Each factor may also be a ``GaussianRational`` (a constant).  Every
-    factor is read as Gaussian-integer numerators over its own common
-    denominator; the products are scaled to one common denominator, negated
-    for a minus pair, and summed as plain ints per output monomial, and one
-    normalised coefficient is built per nonzero output monomial at the end.  Two monomials multiply to zero when they share a
-    generator; otherwise the product's key is their union and its sign comes
-    from ``_MUL_CACHE``, filled by :func:`mono_mul`.
+    factor's numerators are read as stored, over its own denominator; the
+    products are scaled to one common denominator, negated for a minus pair,
+    and summed as plain ints per output monomial by :func:`_accumulate`,
+    which reduces the sums once.  Two monomials multiply to zero when they
+    share a generator; otherwise the product's key is their union and its
+    sign is read from :func:`_product_signs`.
     """
     if not minus and len(pairs) == 1:
         return _product(sig, *pairs[0])
@@ -623,17 +708,14 @@ def sum_of_products(sig: AlgebraSignature, pairs: Sequence[tuple], minus: Sequen
     den = 1
     for sign, group in ((1, pairs), (-1, minus)):
         for a, b in group:
-            (da, ta), (db, tb) = _numerators(a, sig), _numerators(b, sig)
+            da, ta = (a.den, a._num) if type(a) is SuperNumber and a.sig is sig else _operand(a, sig)
+            db, tb = (b.den, b._num) if type(b) is SuperNumber and b.sig is sig else _operand(b, sig)
             if ta and tb:
                 d = da * db
                 if den % d:
                     den = den // gcd(den, d) * d
                 forms.append((sign, d, ta, tb))
-    products = []
-    for sign, d, ta, tb in forms:
-        scale = sign * (den // d)
-        products.append((ta if scale == 1 else [(k, re * scale, im * scale) for k, re, im in ta], tb))
-    return _accumulate(sig, products, den)
+    return _accumulate(sig, [(sign * (den // d), ta, tb) for sign, d, ta, tb in forms], den)
 
 
 # ---------------------------------------------------------------------------
@@ -642,47 +724,51 @@ def sum_of_products(sig: AlgebraSignature, pairs: Sequence[tuple], minus: Sequen
 
 def scalar(sig: AlgebraSignature, value: GaussianRational) -> SuperNumber:
     if value.is_zero():
-        return SuperNumber(sig, {})
-    return SuperNumber(sig, {0: value})
+        return _element(sig, 1, {})
+    return _element(sig, value.den, {0: (value.re, value.im)})
 
 
 def one(sig: AlgebraSignature) -> SuperNumber:
-    return scalar(sig, ONE)
+    return _element(sig, 1, {0: (1, 0)})
+
+
+def _generator(sig: AlgebraSignature, key: int) -> SuperNumber:
+    return _element(sig, 1, {key: (1, 0)})
 
 
 def theta(sig: AlgebraSignature, pair: int) -> SuperNumber:
     """The first member ``t_{pair+1}`` of an odd conjugate pair (0-indexed)."""
     if not 0 <= pair < sig.odd_pairs:
         raise IndexError("pair index out of range")
-    return SuperNumber(sig, {make_key(1 << (2 * pair), 0): ONE})
+    return _generator(sig, make_key(1 << (2 * pair), 0))
 
 
 def theta_bar(sig: AlgebraSignature, pair: int) -> SuperNumber:
     """The second member ``t_{pair+1}~`` of an odd conjugate pair (0-indexed)."""
     if not 0 <= pair < sig.odd_pairs:
         raise IndexError("pair index out of range")
-    return SuperNumber(sig, {make_key(1 << (2 * pair + 1), 0): ONE})
+    return _generator(sig, make_key(1 << (2 * pair + 1), 0))
 
 
 def theta_selfreal(sig: AlgebraSignature, index: int) -> SuperNumber:
     """The ``index``-th self-conjugate odd generator (0-indexed)."""
     if not 0 <= index < sig.odd_selfreal:
         raise IndexError("self-real index out of range")
-    return SuperNumber(sig, {make_key(1 << (2 * sig.odd_pairs + index), 0): ONE})
+    return _generator(sig, make_key(1 << (2 * sig.odd_pairs + index), 0))
 
 
 def epsilon(sig: AlgebraSignature, index: int = 0) -> SuperNumber:
     """The ``index``-th even square-zero generator (0-indexed)."""
     if not 0 <= index < sig.even_nilpotents:
         raise IndexError("even nilpotent index out of range")
-    return SuperNumber(sig, {make_key(0, 1 << index): ONE})
+    return _generator(sig, make_key(0, 1 << index))
 
 
 def odd_generator(sig: AlgebraSignature, gid: int) -> SuperNumber:
     """Odd generator by raw id (pairs first at ``2k``/``2k+1``, then self-real)."""
     if not 0 <= gid < sig.odd_total:
         raise IndexError("odd generator id out of range")
-    return SuperNumber(sig, {make_key(1 << gid, 0): ONE})
+    return _generator(sig, make_key(1 << gid, 0))
 
 
 def basis_keys(sig: AlgebraSignature, parity: Optional[int] = None) -> Tuple[int, ...]:
@@ -709,14 +795,16 @@ class AlgebraMorphism:
 
     A morphism is *monomial* when every generator image has at most one
     term; then every monomial goes to at most one monomial, and
-    :meth:`apply` relabels keys and scales coefficients instead of running
-    the product kernel.  It *keeps keys* when every generator goes to the
-    generator of the same key with coefficient 1; then :meth:`apply` only
-    moves the terms into the target algebra.
+    :meth:`apply` relabels keys and scales numerators instead of running
+    the product kernel.  A monomial's coefficient is a product of distinct
+    generator coefficients, so it is kept as numerators over the product
+    of their denominators.  It *keeps keys* when every generator goes to
+    the generator of the same key with coefficient 1; then :meth:`apply`
+    only moves the numerators into the target algebra.
     """
 
     __slots__ = ("src", "tgt", "odd_images", "even_images", "monomial", "keeps_keys", "_generator_terms",
-                 "_cache")
+                 "_den", "_cache")
 
     def __init__(
         self,
@@ -744,9 +832,12 @@ class AlgebraMorphism:
         self._cache: Dict[int, object] = {}    # per key: _image_of_key or _term_of_key
         self.monomial = all(len(img) <= 1 for img in self.odd_images + self.even_images)
         self._generator_terms = tuple(
-            [next(iter(img._terms.items()), ()) for img in images]
+            [next(img.items(), ()) for img in images]
             for images in (self.odd_images, self.even_images)
         ) if self.monomial else None
+        self._den = 1           # the denominator of every monomial coefficient
+        for img in self.odd_images + self.even_images:
+            self._den *= img.den
         self.keeps_keys = self.monomial and self._generator_terms == (
             [(make_key(1 << gid, 0), ONE) for gid in range(src.odd_total)],
             [(make_key(0, 1 << j), ONE) for j in range(src.even_nilpotents)],
@@ -770,14 +861,16 @@ class AlgebraMorphism:
 
     def _term_of_key(self, key: int) -> tuple:
         """A monomial morphism's image of the monomial ``key`` by
-        :func:`monomial_image`: its one term ``(key', coefficient)``, with a
-        coefficient of 1 as ``ONE`` itself, or ``()`` for zero."""
+        :func:`monomial_image`: its one term as ``(key', re, im)``, the
+        coefficient's numerators over the morphism's denominator, or ``()``
+        for zero."""
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         term = monomial_image(key, *self._generator_terms, ONE)
-        if term and term[1] == ONE:
-            term = (term[0], ONE)
+        if term:
+            k, c = term
+            term = (k, c.re * (self._den // c.den), c.im * (self._den // c.den))
         self._cache[key] = term
         return term
 
@@ -785,29 +878,34 @@ class AlgebraMorphism:
         if x.sig is not self.src and x.sig != self.src:
             raise ValueError("element does not belong to the morphism's source algebra")
         if self.keeps_keys:
-            image = SuperNumber(self.tgt, x._terms)     # elements are immutable: the terms are shared
-            image._form = x._form
-            return image
+            return _element(self.tgt, x.den, x._num)    # elements are immutable: the numerators are shared
         if not self.monomial:
-            return sum_of_products(self.tgt, [(self._image_of_key(key), c) for key, c in x.items()])
+            # sum over keys of image(key) (re + im i), over x.den times the
+            # images' common denominator
+            images = [(self._image_of_key(key), v) for key, v in x._num.items()]
+            den = 1
+            for img, _ in images:
+                if den % img.den:
+                    den = den // gcd(den, img.den) * img.den
+            return _accumulate(self.tgt, [(den // img.den, img._num, {0: v}) for img, v in images], x.den * den)
         # each key goes to one term or to zero; distinct keys may meet
-        out: Dict[int, GaussianRational] = {}
-        for key, c in x._terms.items():
+        out: Dict[int, tuple] = {}
+        for key, (re, im) in x._num.items():
             term = self._term_of_key(key)
             if not term:
                 continue
-            k, coef = term
-            v = c if coef is ONE else c * coef
+            k, cr, ci = term
+            re, im = re * cr - im * ci, re * ci + im * cr
             cur = out.get(k)
             if cur is None:
-                out[k] = v
+                out[k] = (re, im)
             else:
-                v = cur + v
-                if v.is_zero():
-                    del out[k]
+                re, im = cur[0] + re, cur[1] + im
+                if re or im:
+                    out[k] = (re, im)
                 else:
-                    out[k] = v
-        return SuperNumber(self.tgt, out)
+                    del out[k]
+        return _normal(self.tgt, x.den * self._den, out)
 
 
 def generators(sig: AlgebraSignature) -> Tuple[list, list]:
@@ -863,9 +961,12 @@ def dual_scale(x: SuperNumber, a: SuperNumber) -> SuperNumber:
     u, v = split_dual(x, x.sig)
     if v.is_zero():
         return x
-    terms = dict(u._terms)
-    terms.update((a * v).monomial_multiple(make_key(0, 1 << (x.sig.even_nilpotents - 1)), ONE)._terms)
-    return SuperNumber(x.sig, terms)
+    w = (a * v).monomial_multiple(make_key(0, 1 << (x.sig.even_nilpotents - 1)), ONE)
+    den = u.den // gcd(u.den, w.den) * w.den
+    su, sw = den // u.den, den // w.den
+    num = {k: (re * su, im * su) for k, (re, im) in u._num.items()}
+    num.update((k, (re * sw, im * sw)) for k, (re, im) in w._num.items())
+    return _normal(x.sig, den, num)
 
 
 def kill_pair_projection(sig: AlgebraSignature, pair: int) -> AlgebraMorphism:

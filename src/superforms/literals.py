@@ -31,7 +31,7 @@ from .algebra import (
     AlgebraSignature, SuperNumber, bits, epsilon, even_mask_of, odd_generator, odd_mask_of, one,
     scalar,
 )
-from .scalars import GaussianRational, format_scalar
+from .scalars import GaussianRational, format_parts
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([a-z]+)|([()\[\],+\-*/|~]))")
 
@@ -168,8 +168,8 @@ def format_number(x: SuperNumber) -> str:
     if x.is_zero():
         return "(0)"
     parts = []
-    for key, coeff in sorted(x.items()):
-        piece = f"({format_scalar(coeff)})"
+    for key, (re, im) in sorted(x.numerators()):
+        piece = f"({format_parts(re, im, x.den)})"
         piece += "".join(f"*{_gen_name(x.sig, gid)}" for gid in bits(odd_mask_of(key)))
         piece += "".join(f"*e{j + 1}" for j in bits(even_mask_of(key)))
         parts.append(piece)

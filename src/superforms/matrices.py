@@ -293,10 +293,10 @@ def _series_inverse(rows: List[List[SuperNumber]], sig: AlgebraSignature) -> Lis
     if all(e.is_zero() for row in soul for e in row):
         return [[scalar(sig, c) for c in row] for row in body_inv]
     minus_t = linalg.mat_mul(minus_body_inv, soul, zero)    # nilpotent
-    keys = tuple({k for row in minus_t for e in row for k, _ in e.items()})
+    keys = tuple({k for row in minus_t for e in row for k in e.keys()})
     acc = [[one(sig) + e if i == j else e for j, e in enumerate(row)] for i, row in enumerate(minus_t)]
     power = minus_t
-    while not products_vanish({k for row in power for e in row for k, _ in e.items()}, keys):
+    while not products_vanish({k for row in power for e in row for k in e.keys()}, keys):
         power = linalg.mat_mul(power, minus_t, zero)
         if all(e.is_zero() for row in power for e in row):
             break

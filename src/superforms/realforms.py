@@ -410,12 +410,11 @@ class CoordLayout:
         return {self.pos[(i, key)]: z for i, c in t.coeffs.items() for key, z in c.items()}
 
     def tensor_from(self, coords: Dict[int, GaussianRational]) -> TensorElement:
-        coeffs: Dict[int, SuperNumber] = {}
+        terms: Dict[int, Dict[int, GaussianRational]] = {}
         for p, z in coords.items():
             i, key = self.entries[p]
-            term = SuperNumber(self.sig, {key: z})
-            cur = coeffs.get(i)
-            coeffs[i] = term if cur is None else cur + term
+            terms.setdefault(i, {})[key] = z
+        coeffs = {i: SuperNumber(self.sig, t) for i, t in terms.items()}
         return TensorElement(self.kind, self.sig, coeffs, check=False)
 
     def fixed_vectors(self, func: Callable[[TensorElement], TensorElement]) -> List[Dict[int, GaussianRational]]:

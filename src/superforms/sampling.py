@@ -25,6 +25,10 @@ MINUS_HALF = GaussianRational(-1, 0, 2)
 # zero is deliberately over-weighted
 _POOL = (ZERO, ZERO, ZERO, ZERO, ONE, MINUS_ONE, I, MINUS_I, HALF, MINUS_HALF)
 _NONZERO_POOL = (ONE, MINUS_ONE, I, MINUS_I, HALF, MINUS_HALF)
+_POOL_HALVES = tuple((2 * c.re // c.den, 2 * c.im // c.den) for c in _POOL)
+"""``_POOL`` entry by entry as Gaussian-integer numerators over 2: ``choice``
+reads only the length of what it picks from, so it draws the same
+coefficients from either."""
 
 
 def require_samples(samples: int):
@@ -47,12 +51,15 @@ def random_nonzero_scalar(rng: random.Random) -> GaussianRational:
 
 
 def random_element(sig: AlgebraSignature, rng: random.Random, parity: Optional[int] = None) -> SuperNumber:
-    terms = {}
+    """One ``random_scalar`` draw per basis key of ``parity``, in key order,
+    drawn straight into numerators over 2."""
+    choice = rng.choice
+    num = {}
     for key in basis_keys(sig, parity):
-        c = random_scalar(rng)
-        if not c.is_zero():
-            terms[key] = c
-    return SuperNumber.from_terms(sig, terms)
+        v = choice(_POOL_HALVES)
+        if v[0] or v[1]:
+            num[key] = v
+    return SuperNumber._from_numerators(sig, 2, num)
 
 
 def random_even(sig: AlgebraSignature, rng: random.Random) -> SuperNumber:
@@ -65,7 +72,7 @@ def random_odd(sig: AlgebraSignature, rng: random.Random) -> SuperNumber:
 
 def random_invertible_even(sig: AlgebraSignature, rng: random.Random) -> SuperNumber:
     x = random_even(sig, rng)
-    if x.body().is_zero():
+    if not x.is_invertible():
         x = x + scalar(sig, random_nonzero_scalar(rng))
     return x
 

@@ -1,10 +1,13 @@
 """Exact scalar arithmetic over the Gaussian rationals Q(i).
 
-Every coefficient in this package is a ``GaussianRational``: the complex number
-``(re + im*i) / den`` stored as three integers with ``den > 0`` and
-``gcd(re, im, den) == 1``.  This is the whole numeric tower — there are no
-floats anywhere, and equality is exact structural equality of the normalized
-triple.
+Every coefficient this package hands out or takes in is a ``GaussianRational``:
+the complex number ``(re + im*i) / den`` stored as three integers with
+``den > 0`` and ``gcd(re, im, den) == 1``.  This is the whole numeric tower —
+there are no floats anywhere, and equality is exact structural equality of
+the normalized triple.  An algebra element keeps its coefficients as
+Gaussian-integer numerators over one shared denominator instead
+(``algebra.SuperNumber``), and builds a ``GaussianRational`` only when a
+caller reads a coefficient.
 
 The class is small (``__slots__``, no ``__dict__``).  Arithmetic with any
 other type returns ``NotImplemented``, so that type gets its turn: ``c * x``
@@ -156,16 +159,22 @@ def format_scalar(z: GaussianRational) -> str:
     renders as ``re+im i`` / ``re-im i`` with both parts explicit, e.g.
     ``0+1i``, ``3/2-1/2i``.
     """
+    return format_parts(z.re, z.im, z.den)
+
+
+def format_parts(re: int, im: int, den: int) -> str:
+    """:func:`format_scalar` of ``(re + im i) / den`` for any ints with
+    ``den > 0``, in lowest terms or not: each part is reduced for display."""
     def rat(num: int, den: int) -> str:
         return f"{num}/{den}" if den != 1 else str(num)
 
-    if z.im == 0:
-        return rat(z.re, z.den)
-    # normalize each part separately for display
-    gre = gcd(z.re, z.den) or 1
-    gim = gcd(z.im, z.den) or 1
-    re_s = rat(z.re // gre, z.den // gre) if z.re else "0"
-    im_num, im_den = z.im // gim, z.den // gim
+    if im == 0:
+        g = gcd(re, den)
+        return rat(re // g, den // g)
+    gre = gcd(re, den) or 1
+    gim = gcd(im, den) or 1
+    re_s = rat(re // gre, den // gre) if re else "0"
+    im_num, im_den = im // gim, den // gim
     sign = "+" if im_num >= 0 else "-"
     return f"{re_s}{sign}{rat(abs(im_num), im_den)}i"
 

@@ -1,8 +1,14 @@
 """Reference products kept as test oracles for the fused product kernel.
 
 These are the per-term routines the package used before it summed products
-as integer numerators (``algebra.sum_of_products``):
+as integer numerators (``algebra.sum_of_products``) and stored elements as
+numerators over one denominator:
 
+* the element arithmetic on ``{key: GaussianRational}`` terms
+  (:class:`PerTerm`): sums, differences, negatives, products, sums of
+  products with minus pairs, scalings, monomial multiples, conjugated
+  copies, inverses, the dual split and scaling, and morphism images as sums
+  of products of generator images, one coefficient operation per term;
 * the Grassmann product as one ``GaussianRational`` product, sign and sum
   per pair of terms, with the reordering sign found by counting the
   inversions of the two odd-generator lists;
@@ -45,7 +51,7 @@ from superforms.algebra import (
 from superforms.liealg import TensorElement, basis_of, vector_bracket
 from superforms.matrices import NotInvertibleMatrix, SuperMatrix, identity_matrix
 from superforms.sampling import random_even, random_invertible_even, random_odd, random_point
-from superforms.scalars import GaussianRational
+from superforms.scalars import ONE, GaussianRational
 
 
 def parity_part(x: SuperNumber, parity: int) -> SuperNumber:
@@ -64,31 +70,158 @@ def sort_sign(ids: list) -> int:
     return -1 if inversions % 2 else 1
 
 
-def reference_mul(x: SuperNumber, y: SuperNumber) -> SuperNumber:
-    """``x y`` term by term: monomials sharing a generator vanish, the rest
-    merge with the sign of sorting the concatenated odd generators."""
-    if x.sig != y.sig:
-        raise ValueError("mixing elements of different coefficient algebras")
-    out = {}
-    for k1, c1 in x.items():
-        for k2, c2 in y.items():
-            if odd_mask_of(k1) & odd_mask_of(k2) or even_mask_of(k1) & even_mask_of(k2):
-                continue
-            c = c1 * c2
-            if sort_sign(_odd_ids(k1) + _odd_ids(k2)) < 0:
-                c = -c
-            key = k1 | k2
-            s = c if key not in out else out[key] + c
+class PerTerm:
+    """An algebra element as its ``{key: GaussianRational}`` terms, zeros
+    left out, with one coefficient operation per term.  ``PerTerm.of(x)``
+    reads a ``SuperNumber`` through ``items``; a test compares
+    ``dict(result.items())`` with the oracle's ``terms``."""
+
+    def __init__(self, sig, terms):
+        self.sig = sig
+        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+
+    @staticmethod
+    def of(x) -> "PerTerm":
+        return x if isinstance(x, PerTerm) else PerTerm(x.sig, dict(x.items()))
+
+    def _merge(self, other, sign: int) -> "PerTerm":
+        if self.sig != other.sig:
+            raise ValueError("mixing elements of different coefficient algebras")
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            c = c if sign > 0 else -c
+            s = c if k not in out else out[k] + c
             if s.is_zero():
-                out.pop(key, None)
+                out.pop(k, None)
             else:
-                out[key] = s
-    return SuperNumber(x.sig, out)
+                out[k] = s
+        return PerTerm(self.sig, out)
+
+    def __add__(self, other: "PerTerm") -> "PerTerm":
+        return self._merge(other, 1)
+
+    def __sub__(self, other: "PerTerm") -> "PerTerm":
+        return self._merge(other, -1)
+
+    def __neg__(self) -> "PerTerm":
+        return PerTerm(self.sig, {k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other) -> "PerTerm":
+        """``x y`` term by term: monomials sharing a generator vanish, the
+        rest merge with the sign of sorting the concatenated odd generators;
+        a ``GaussianRational`` scales."""
+        if isinstance(other, GaussianRational):
+            return self.scaled(other)
+        if self.sig != other.sig:
+            raise ValueError("mixing elements of different coefficient algebras")
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                if odd_mask_of(k1) & odd_mask_of(k2) or even_mask_of(k1) & even_mask_of(k2):
+                    continue
+                c = c1 * c2
+                if sort_sign(_odd_ids(k1) + _odd_ids(k2)) < 0:
+                    c = -c
+                key = k1 | k2
+                s = c if key not in out else out[key] + c
+                if s.is_zero():
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+        return PerTerm(self.sig, out)
+
+    def scaled(self, c: GaussianRational) -> "PerTerm":
+        return PerTerm(self.sig, {k: v * c for k, v in self.terms.items()})
+
+    def monomial_multiple(self, key: int, c: GaussianRational) -> "PerTerm":
+        """``(c t) x`` for the monomial ``t`` of ``key``, as a product."""
+        return PerTerm(self.sig, {key: c}) * self
+
+    def conjugated(self, times: int, c: GaussianRational) -> "PerTerm":
+        """``c conj^times(x)``: ``times`` conjugated copies, each odd mask
+        mapped by :func:`reference_conj_mask`, then a scaling."""
+        x = self
+        for _ in range(times):
+            out = {}
+            for k, v in x.terms.items():
+                omask, sign = reference_conj_mask(x.sig, odd_mask_of(k))
+                out[make_key(omask, even_mask_of(k))] = v.conjugate() if sign > 0 else -v.conjugate()
+            x = PerTerm(x.sig, out)
+        return x.scaled(c)
+
+    def body(self) -> GaussianRational:
+        return self.terms.get(0, GaussianRational())
+
+    def soul(self) -> "PerTerm":
+        return PerTerm(self.sig, {k: c for k, c in self.terms.items() if k != 0})
+
+    def inverse(self) -> "PerTerm":
+        """``b^-1 sum (-n)^k`` for ``x = b (1 + n)``, the powers multiplied
+        from 1 on until one comes out zero."""
+        binv = self.body().inverse()
+        minus_n = self.soul().scaled(-binv)
+        acc = power = PerTerm(self.sig, {0: ONE})
+        while True:
+            power = power * minus_n
+            if not power.terms:
+                return acc.scaled(binv)
+            acc = acc + power
+
+
+def per_term_sum_of_products(sig, pairs, minus=()) -> PerTerm:
+    """``sum a_k b_k - sum c_k d_k`` one product and one sum at a time; a
+    ``GaussianRational`` factor is a constant term."""
+    def lift(z):
+        return PerTerm(sig, {0: z}) if isinstance(z, GaussianRational) else PerTerm.of(z)
+
+    acc = PerTerm(sig, {})
+    for sign, group in ((1, pairs), (-1, minus)):
+        for a, b in group:
+            acc = acc._merge(lift(a) * lift(b), sign)
+    return acc
+
+
+def per_term_apply(morphism: AlgebraMorphism, x) -> PerTerm:
+    """A morphism's image of ``x``: each monomial's image is the product of
+    its generators' images in order, odd ones ascending then even ones,
+    summed against the coefficients."""
+    odd = [PerTerm.of(img) for img in morphism.odd_images]
+    even = [PerTerm.of(img) for img in morphism.even_images]
+    acc = PerTerm(morphism.tgt, {})
+    for key, c in PerTerm.of(x).terms.items():
+        image = PerTerm(morphism.tgt, {0: ONE})
+        for gid in _odd_ids(key):
+            image = image * odd[gid]
+        for j in range(4):
+            if even_mask_of(key) >> j & 1:
+                image = image * even[j]
+        acc = acc + image.scaled(c)
+    return acc
+
+
+def per_term_split_dual(x, base) -> tuple:
+    """``x = a + b eps`` as ``(a, b)``, ``eps`` the last even generator."""
+    bit = make_key(0, 1 << (x.sig.even_nilpotents - 1))
+    terms = PerTerm.of(x).terms
+    return (PerTerm(base, {k: c for k, c in terms.items() if not k & bit}),
+            PerTerm(base, {k ^ bit: c for k, c in terms.items() if k & bit}))
+
+
+def per_term_dual_scale(x, a) -> PerTerm:
+    """``u + v eps -> u + (a v) eps`` with per-term products."""
+    u, v = per_term_split_dual(x, x.sig)
+    eps = PerTerm(x.sig, {make_key(0, 1 << (x.sig.even_nilpotents - 1)): ONE})
+    return u + PerTerm.of(a) * v * eps
+
+
+def reference_mul(x: SuperNumber, y: SuperNumber) -> SuperNumber:
+    """``x y`` term by term (:class:`PerTerm`)."""
+    return SuperNumber(x.sig, (PerTerm.of(x) * PerTerm.of(y)).terms)
 
 
 def reference_scaled(x: SuperNumber, c: GaussianRational) -> SuperNumber:
     """``c x``: one ``GaussianRational`` product per term."""
-    return SuperNumber.from_terms(x.sig, {k: v * c for k, v in x.items()})
+    return SuperNumber(x.sig, PerTerm.of(x).scaled(c).terms)
 
 
 def reference_product(a, b):
@@ -262,20 +395,13 @@ def reference_linear_combination(a: SuperNumber, x: SuperMatrix, b: SuperNumber,
 
 
 def reference_conjugate(x: SuperNumber) -> SuperNumber:
-    """``conj(x)`` term by term, each odd mask mapped by
-    :func:`reference_conj_mask` and each coefficient conjugated."""
-    out = {}
-    for k, c in x.items():
-        omask, sign = reference_conj_mask(x.sig, odd_mask_of(k))
-        out[make_key(omask, even_mask_of(k))] = c.conjugate() if sign > 0 else -c.conjugate()
-    return SuperNumber(x.sig, out)
+    """``conj(x)`` term by term (:meth:`PerTerm.conjugated`)."""
+    return reference_conjugated(x, 1, ONE)
 
 
 def reference_conjugated(x: SuperNumber, times: int, c: GaussianRational) -> SuperNumber:
     """``c conj^times(x)``: ``times`` conjugated copies, then a scaling."""
-    for _ in range(times):
-        x = reference_conjugate(x)
-    return reference_scaled(x, c)
+    return SuperNumber(x.sig, PerTerm.of(x).conjugated(times, c).terms)
 
 
 def reference_positional_apply(pmap, x: SuperMatrix) -> SuperMatrix:

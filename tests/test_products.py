@@ -6,26 +6,31 @@ known to vanish, the Cayley sample ``2 D - Id`` and the scaling by a
 monomial that relabels keys.  And the algebra-level evaluations that build
 each output cell once: the commutator and ``a x + b y`` as signed sums, a
 positional map's cell as one conjugating pass, the tensor-form bracket that
-skips empty brackets, and the dual scaling in closed form."""
+skips empty brackets, and the dual scaling in closed form.  And the element
+arithmetic on stored numerators against the per-term oracle (``PerTerm``),
+with the normal form it keeps and the coefficients it does not build."""
 
 import random
+import sys
 from collections import Counter
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from product_reference import (
+    PerTerm, per_term_apply, per_term_dual_scale, per_term_split_dual, per_term_sum_of_products,
     reference_cayley, reference_commutator, reference_conj_mask, reference_conjugate,
     reference_conjugated, reference_dual_scale, reference_element_inverse,
     reference_even_rules_bracket, reference_linear_combination, reference_mat_mul, reference_mul,
     reference_positional_apply, reference_product, reference_sample_sl, reference_scale,
     reference_scaled, reference_series_inverse, sort_sign,
 )
-from superforms import linalg
+from superforms import algebra, linalg
 from superforms.algebra import (
-    EVEN, GRADED, MAX_ODD, STANDARD, AlgebraSignature, SuperNumber, adjoin_dual, basis_keys,
-    conjugate_monomial, dual_scale, dual_scale_morphism, mono_mul, odd_mask_of, one, scalar,
-    sum_of_products, theta,
+    EVEN, GRADED, MAX_ODD, ODD, STANDARD, AlgebraMorphism, AlgebraSignature, SuperNumber, adjoin_dual,
+    basis_keys, conjugate_monomial, dual_scale, dual_scale_morphism, generators, kill_pair_projection,
+    mono_mul, odd_mask_of, one, scalar, split_dual, sum_of_products, theta,
 )
 from superforms.catalog import applicable_names, build, param_choices
 from superforms.exprs import PositionalMap
@@ -37,7 +42,7 @@ from superforms.matrices import (
     mul_const,
 )
 from superforms.realforms import verify_structure
-from superforms.sampling import random_point, random_tensor
+from superforms.sampling import random_element, random_point, random_scalar, random_tensor, rng_for
 from superforms.scalars import GaussianRational, I, MINUS_I, MINUS_ONE, ONE, ZERO
 
 
@@ -218,11 +223,10 @@ def dense(sig: AlgebraSignature, offset: int) -> SuperNumber:
     })
 
 
-def test_product_builds_one_coefficient_per_output_monomial(monkeypatch):
+def test_product_builds_no_coefficient(monkeypatch):
     """A work count, independent of wall time: the per-term product built
     about two coefficients per pair of terms (1,639 for these dense 3-pair
-    elements); the kernel builds one per output monomial.  Reading the
-    factors may cost at most one coefficient per factor term."""
+    elements); the kernel reads and writes numerators and builds none."""
     sig = AlgebraSignature(3)
     x, y = dense(sig, 0), dense(sig, 3)
     built = 0
@@ -237,7 +241,7 @@ def test_product_builds_one_coefficient_per_output_monomial(monkeypatch):
     product = x * y
     monkeypatch.setattr(GaussianRational, "__init__", original)
     assert len(x) == len(y) == 64
-    assert built <= len(product) + len(x) + len(y)
+    assert built == 0
     assert product == reference_mul(x, y)
 
 
@@ -663,3 +667,149 @@ def test_even_rules_bracket_multiplies_only_pairs_with_a_bracket(monkeypatch):
     monkeypatch.undo()
     assert calls["__mul__"] == bracketed
     assert bracket == reference_even_rules_bracket(t1, t2)
+
+
+# ---------------------------------------------------------------------------
+# numerator storage against the per-term oracle
+# ---------------------------------------------------------------------------
+
+def in_normal_form(x: SuperNumber) -> bool:
+    """No zero numerator, and no factor common to the denominator and every
+    numerator part (so zero has denominator 1)."""
+    parts = [part for v in x._num.values() for part in v]
+    return x.den > 0 and (0, 0) not in x._num.values() and gcd(x.den, *parts) == 1
+
+
+def matches(result: SuperNumber, oracle: PerTerm) -> bool:
+    return dict(result.items()) == oracle.terms and in_normal_form(result)
+
+
+UNITS = (ONE, MINUS_ONE, I, MINUS_I)
+constants = st.one_of(coefficients, st.sampled_from(UNITS))
+
+
+def odd_elements(sig: AlgebraSignature):
+    return st.dictionaries(st.sampled_from(basis_keys(sig, ODD)), coefficients).map(
+        lambda terms: SuperNumber.from_terms(sig, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_element_arithmetic_matches_the_per_term_oracle(data):
+    sig = data.draw(signatures())
+    x, z = data.draw(elements(sig)), data.draw(elements(sig))
+    # y cancels x on some of its keys, so sums meet zero across denominators
+    cancelled = data.draw(st.sets(st.sampled_from(sorted(dict(x.items())))) if len(x) else st.just(set()))
+    y_terms = {k: c for k, c in z.items() if k not in cancelled}
+    y_terms.update((k, -x.coefficient(k)) for k in cancelled)
+    y = SuperNumber(sig, y_terms)
+    px, py = PerTerm.of(x), PerTerm.of(y)
+    assert list(x.keys()) == [k for k, _ in x.items()] == list(px.terms)
+    assert matches(x + y, px + py) and matches(y + x, py + px)
+    assert matches(x - y, px - py) and matches(x - x, px - px)
+    assert matches(-x, -px) and matches(x * y, px * py)
+    pairs = data.draw(st.lists(st.tuples(factors(sig), factors(sig)), max_size=4))
+    minus = data.draw(st.lists(st.tuples(factors(sig), factors(sig)), max_size=4))
+    pairs, minus = pairs + [(x, ONE), (y, z)], minus + [(y, MINUS_ONE), (y, z)]
+    assert matches(sum_of_products(sig, pairs, minus), per_term_sum_of_products(sig, pairs, minus))
+    # equal values built by different routes are stored alike
+    for other in ((x + y) - y, -(-x), SuperNumber(sig, dict(x.items())), sum_of_products(sig, [(x, ONE), (y, z)], [(y, z)])):
+        assert other == x and hash(other) == hash(x)
+
+
+@pytest.mark.parametrize("times", [0, 1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scalings_match_the_per_term_oracle(times, data):
+    sig = data.draw(signatures())
+    x, c = data.draw(elements(sig)), data.draw(constants)
+    key = data.draw(st.sampled_from(basis_keys(sig, EVEN)))
+    px = PerTerm.of(x)
+    assert matches(x.scaled(c), px.scaled(c))
+    assert matches(x.monomial_multiple(key, c), px.monomial_multiple(key, c))
+    assert matches(x.conjugated(times, c), px.conjugated(times, c))
+    if not c.is_zero():
+        back = x.scaled(c).scaled(c.inverse())
+        assert back == x and hash(back) == hash(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_inverse_and_dual_maps_match_the_per_term_oracle(data):
+    sig = data.draw(signatures(max_generators=5))
+    x = data.draw(elements(sig))
+    if not x.is_invertible():
+        x = x + scalar(sig, data.draw(coefficients.filter(lambda c: not c.is_zero())))
+    assert matches(x.inverse(), PerTerm.of(x).inverse())
+    ext, include, _, _ = adjoin_dual(sig)
+    e, a = data.draw(elements(ext)), include.apply(data.draw(even_elements(sig)))
+    for part, oracle in zip(split_dual(e, sig), per_term_split_dual(e, sig)):
+        assert part.sig == sig and matches(part, oracle)
+    assert matches(dual_scale(e, a), per_term_dual_scale(e, a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_morphism_images_match_the_per_term_oracle(data):
+    sig = data.draw(signatures(max_generators=5))
+    ext, include, project, _ = adjoin_dual(sig)
+    key, c = data.draw(st.sampled_from(basis_keys(sig, EVEN))), data.draw(coefficients)
+    monomial = [include, project, dual_scale_morphism(ext, include.apply(SuperNumber(sig, {key: c})))]
+    if sig.odd_pairs:
+        monomial.append(kill_pair_projection(ext, 0))
+    odd, even = generators(ext)
+    general = [dual_scale_morphism(ext, include.apply(data.draw(even_elements(sig)))),
+               AlgebraMorphism(ext, ext, [data.draw(odd_elements(ext)) for _ in odd], even)]
+    assert all(m.monomial for m in monomial)
+    inputs = {sig: data.draw(elements(sig)), ext: data.draw(elements(ext))}
+    for morphism in monomial + general:
+        x = inputs[morphism.src]
+        assert matches(morphism.apply(x), per_term_apply(morphism, x))
+
+
+@pytest.mark.parametrize("parity", [None, EVEN, ODD])
+@pytest.mark.parametrize("sig", [AlgebraSignature(2, 1, 1, STANDARD), AlgebraSignature(2, 0, 1, GRADED),
+                                 AlgebraSignature(0)], ids=str)
+def test_random_element_draws_what_the_scalar_pool_draws(sig, parity):
+    for seed in range(20):
+        rng, reference = rng_for(seed, "element"), rng_for(seed, "element")
+        x = random_element(sig, rng, parity)
+        expected = SuperNumber.from_terms(sig, {key: random_scalar(reference) for key in basis_keys(sig, parity)})
+        assert x == expected and list(x.items()) == list(expected.items())
+        assert in_normal_form(x)
+        assert rng.getstate() == reference.getstate()
+
+
+def test_the_kernel_builds_no_coefficient_in_a_verify_run(monkeypatch):
+    """A work count: inside ``sum_of_products``, wherever the package calls
+    it by name, no ``GaussianRational`` is built in a verify run; before,
+    the kernel built one per output monomial."""
+    desc, sig = build("sigma1", MatrixKind(SL, 2, 2)), AlgebraSignature(1, 1, 1, STANDARD)
+    desc.compiled        # compiling runs the steps on unit matrices, before counting
+    depth = calls = built = 0
+    init, kernel = GaussianRational.__init__, algebra.sum_of_products
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += depth > 0
+        init(self, *args, **kwargs)
+
+    def counted_kernel(*args, **kwargs):
+        nonlocal depth, calls
+        depth, calls = depth + 1, calls + 1
+        try:
+            return kernel(*args, **kwargs)
+        finally:
+            depth -= 1
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("superforms") and getattr(module, "sum_of_products", None) is kernel:
+            monkeypatch.setattr(module, "sum_of_products", counted_kernel)
+    monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+    x, y = dense(AlgebraSignature(3), 0), dense(AlgebraSignature(3), 3)
+    product = algebra.sum_of_products(x.sig, [(x, y)])
+    assert (calls, built) == (1, 0) and len(product) > 0
+    outcomes = verify_structure(desc, sig, samples=8)
+    monkeypatch.undo()
+    assert [o.status for o in outcomes] == ["pass"] * 6
+    assert calls > 100 and built == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from superforms.scalars import (
-    GaussianRational, HALF, I, MINUS_I, MINUS_ONE, ONE, ZERO, format_scalar, integer,
+    GaussianRational, HALF, I, MINUS_I, MINUS_ONE, ONE, ZERO, format_parts, format_scalar, integer,
 )
 
 
@@ -114,6 +114,11 @@ def test_format():
     assert format_scalar(MINUS_I) == "0-1i"
     assert format_scalar(GaussianRational(3, -1, 2)) == "3/2-1/2i"
     assert format_scalar(GaussianRational(0, 3, 4)) == "0+3/4i"
+
+
+@given(scalars, st.integers(min_value=1, max_value=6))
+def test_format_parts_reads_any_multiple_of_the_lowest_terms(z, k):
+    assert format_parts(z.re * k, z.im * k, z.den * k) == format_scalar(z)
 
 
 @given(scalars)
