@@ -359,7 +359,8 @@ class SuperNumber:
     ...), or from Gaussian-rational coefficients as ``SuperNumber(sig,
     {key: c})`` or :meth:`from_terms`; zero coefficients are dropped.
     ``items``, ``coefficient`` and ``body`` hand coefficients out as
-    ``GaussianRational``; the arithmetic works on the numerators.
+    ``GaussianRational``; ``numerators`` and ``body_parts`` hand out ints,
+    and the arithmetic works on the numerators.
     """
 
     __slots__ = ("sig", "den", "_num")
@@ -421,6 +422,17 @@ class SuperNumber:
         if v is None:
             return ZERO
         return GaussianRational(v[0], v[1], self.den, self.den == 1)
+
+    def body_parts(self) -> Tuple[int, int, int]:
+        """The constant coefficient as ``(re, im, den)`` in lowest terms: the
+        parts of :meth:`body`, without building it."""
+        re, im = self._num.get(0, (0, 0))
+        den = self.den
+        if den != 1:
+            g = gcd(gcd(re, im), den)
+            if g > 1:
+                re, im, den = re // g, im // g, den // g
+        return re, im, den
 
     def soul(self) -> "SuperNumber":
         """The nilpotent part: everything except the constant term."""

@@ -40,14 +40,16 @@ map: the osp conditions (``liealg.MatrixKind.conditions``) are the identity
 minus the involution whose fixed points are osp, and the extraction-rebuild
 check subtracts the rebuilt map from the descriptor's.  ``folded`` gives a
 map with the same zeros that conjugates nothing, and ``vanishes`` tests
-whether such a map sends a point to zero; both of those use them.  Its
-``apply_constant`` applies a map to a constant grid, where the ``k``
+whether such a map sends a point to zero, as the osp membership check does.
+Its ``apply_constant`` applies a map to a constant grid, where the ``k``
 conjugations are one or none; :mod:`superforms.realforms` reads each
-structure's action on the defining space off it, so the tagging above is the
-package's only probe evaluation.  A group-only step splits the expression
-into runs and is applied by its own rule between them, so an
-``inverse-neg`` lift is ``inverse(-f(x))``; ``CompiledExpr.algebra_map``
-refuses such an expression wherever one positional map is needed.
+structure's action on the defining space off it, and decides the rebuild
+check by applying the folded difference to each basis vector, so the
+tagging above is the package's only probe evaluation.  A group-only step
+splits the expression into runs and is applied by its own rule between
+them, so an ``inverse-neg`` lift is ``inverse(-f(x))``;
+``CompiledExpr.algebra_map`` refuses such an expression wherever one
+positional map is needed.
 :func:`apply_expr` evaluates a compiled expression, or compiles a step tuple
 on the spot.
 """

@@ -261,12 +261,14 @@ def linear_combination(a: SuperNumber, x: SuperMatrix, b: SuperNumber, y: SuperM
 
 @lru_cache(maxsize=64)
 def _body_inverse(body: tuple) -> tuple:
-    """``(B^-1, -B^-1)`` for a constant body grid ``B``, as tuples of rows:
-    the constants :func:`_series_inverse` multiplies by elements.  Recent
-    bodies are kept, because a structure's lift sends every kernel point
-    ``Id + eps M`` to a matrix of the same body ``L(Id)``."""
+    """``(B^-1, -B^-1)`` for a constant body grid ``B``, given as rows of
+    ``(re, im, den)`` in lowest terms (:meth:`SuperNumber.body_parts`), as
+    tuples of rows: the constants :func:`_series_inverse` multiplies by
+    elements.  Recent bodies are kept, because a structure's lift sends
+    every kernel point ``Id + eps M`` to a matrix of the same body
+    ``L(Id)``; so the constants of ``B`` are built only on a miss."""
     try:
-        inv = linalg.invert(body)
+        inv = linalg.invert([[GaussianRational(*parts, True) for parts in row] for row in body])
     except linalg.SingularMatrix:
         raise NotInvertibleMatrix("matrix body is singular")
     return tuple(map(tuple, inv)), tuple(tuple(-c for c in row) for row in inv)
@@ -286,7 +288,7 @@ def _series_inverse(rows: List[List[SuperNumber]], sig: AlgebraSignature) -> Lis
     constants (``N = 0``) has the inverse ``M0^-1`` and needs no product.
     """
     size = len(rows)
-    body_inv, minus_body_inv = _body_inverse(tuple(tuple(e.body() for e in row) for row in rows))
+    body_inv, minus_body_inv = _body_inverse(tuple(tuple(e.body_parts() for e in row) for row in rows))
     zero = SuperNumber.zero(sig)
 
     soul = [[rows[i][j].soul() for j in range(size)] for i in range(size)]

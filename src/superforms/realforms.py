@@ -6,8 +6,10 @@ This module houses the substance of the package:
   defines a functorial antilinear involution (closure, antilinearity,
   involutivity, bracket morphism, evenness, naturality);
 * :func:`extract_vector_conjugation` — recover the underlying antilinear map
-  on the defining space from the functorial data, and rebuild the functorial
-  map from it;
+  on the defining space from the functorial data; :func:`rebuild_matches`
+  checks that the functorial map is conj-coefficients + that map on all of
+  ``g(A)``, decided exactly on a basis of ``g`` (its docstring has the
+  lemma);
 * :func:`fixed_point_data` / :func:`fixed_point_coords` — exact basis of the
   fixed-point set over a given coefficient algebra;
 * :func:`representability_check` — the standard/graded dichotomy: standard
@@ -16,12 +18,13 @@ This module houses the substance of the package:
 * :func:`compactness_data` / :func:`compact_scan` — positive definiteness of
   the -Re tr(XY) form on the even fixed part, by exact leading minors.
 
-Extraction and fixed points evaluate no supermatrix.  A descriptor's map is
-``k`` entrywise conjugations followed by one constant map ``L`` (its
-compiled :class:`~superforms.exprs.PositionalMap`), so both read one table,
-the *vector action*: ``L(v)`` for each basis vector ``v`` (``v`` conjugated
-when ``k`` is odd), applied to ``v``'s constant grid and written in the basis
-vectors of its parity.  The coefficients only pick up ``conj^k``, which sends
+Extraction, fixed points and a passing rebuild check evaluate no
+supermatrix.  A descriptor's map is ``k`` entrywise conjugations followed by
+one constant map ``L`` (its compiled :class:`~superforms.exprs.PositionalMap`),
+so extraction and fixed points read one table, the *vector action*:
+``L(v)`` for each basis vector ``v`` (``v`` conjugated when ``k`` is odd),
+applied to ``v``'s constant grid and written in the basis vectors of its
+parity.  The coefficients only pick up ``conj^k``, which sends
 a monomial to plus or minus one monomial (:func:`algebra.conjugate_monomial`).
 Every check over a coefficient algebra refuses one whose conjugation kind is
 not the descriptor's (:meth:`Descriptor.require_conjugation`).
@@ -37,6 +40,7 @@ from . import linalg
 from .algebra import (
     EVEN, GRADED, ODD, STANDARD, AlgebraSignature, SuperNumber, adjoin_dual, basis_keys,
     conjugate_monomial, dual_scale, include_pairs, kill_pair_projection, one, scalar, theta,
+    theta_selfreal,
 )
 from .catalog import Descriptor, InapplicableDescriptor, build, names_for, param_choices
 from .exprs import PositionalMap, apply_expr
@@ -295,35 +299,70 @@ def _validate_square(phi: VectorConjugation):
 
 def rebuild_matches(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignature,
                     samples: int = 100, seed: int = 0) -> CheckOutcome:
-    """Sampled equality of the descriptor's map and conj-coefficients + phi
-    (``samples`` at least 1).
+    """Whether the descriptor's map ``own`` equals conj-coefficients + phi
+    (``rebuilt``, see :meth:`VectorConjugation.rebuild`) on all of ``g(A)``,
+    decided on a basis of ``g``.
 
-    When the descriptor's map ``own`` is one positional map that conjugates
-    once, like the rebuilt map, a sample passes when ``own - rebuilt``
-    vanishes on it, its conjugation folded into its constants once (see
-    :meth:`PositionalMap.folded`); otherwise both sides are evaluated.
-    Either way the two sides are evaluated in full for the witness.
+    Lemma.  Let ``D`` be ``own - rebuilt`` with its conjugation folded into
+    its constants (:meth:`PositionalMap.folded`); it vanishes exactly where
+    ``own - rebuilt`` does.  ``D`` conjugates nothing and its cells are
+    constant, so it is A-linear: ``D(a v) = a D(v)`` for ``a`` in ``A`` and
+    ``v`` in ``g``, where ``D(v)`` is the constant grid
+    ``D.apply_constant(v.grid)``.  A point of ``g(A)`` is ``sum_v a_v v``
+    over the basis vectors ``v``, with ``a_v`` of ``v``'s parity, and the
+    coefficient of a monomial ``u`` in its image is ``sum_v a_v[u] D(v)``.
+    Distinct monomials are independent, so ``D`` vanishes on ``g(A)``
+    exactly when ``D(v)`` is the zero grid for every ``v`` of a parity that
+    ``A`` has: every even ``v`` (``A`` has ``1``), and every odd ``v`` when
+    ``A`` has an odd generator.
+
+    The outcome counts the basis vectors decided as its samples.  A failing
+    ``v`` is lifted to the point ``t v``, ``t`` being ``1`` for an even
+    ``v`` and otherwise the first odd generator; its image under ``D`` is
+    ``t D(v)``, not zero, and both maps are evaluated on it for the witness,
+    which must show them different.
+
+    When the two maps conjugate a different number of times, or a group-only
+    step splits the descriptor, the difference cannot be formed: then
+    ``samples`` random points are compared instead.  ``samples`` must be at
+    least 1 either way.
     """
     require_samples(samples)
     desc.require_conjugation(sig)
-    rng = rng_for(seed, "rebuild", desc.display(), f"P{sig.odd_pairs}")
     tally = Tally("extraction-rebuild", False)
+
+    def witness(x: SuperMatrix) -> Dict[str, str]:
+        own, rebuilt = apply_expr(desc.compiled, x), phi.rebuild(x)
+        if own == rebuilt:
+            raise AssertionError(f"{desc.display()}: no mismatch at the witness {matrix_literal(x)}")
+        return {"input": matrix_literal(x), "functorial": matrix_literal(own),
+                "rebuilt": matrix_literal(rebuilt)}
+
     try:
         difference = (desc.compiled.algebra_map - phi._rebuild_map).folded()
     except ValueError:          # a group-only step, or another conjugation count
         difference = None
-    for _ in range(samples):
-        x = random_point(desc.kind, sig, rng)
-        if difference is not None:
-            equal = difference.vanishes(x)
-        else:
-            equal = apply_expr(desc.compiled, x) == phi.rebuild(x)
-        tally.record(equal, lambda: {
-            "input": matrix_literal(x),
-            "functorial": matrix_literal(apply_expr(desc.compiled, x)),
-            "rebuilt": matrix_literal(phi.rebuild(x)),
-        })
-    return tally.outcome()
+    if difference is None:
+        rng = rng_for(seed, "rebuild", desc.display(), f"P{sig.odd_pairs}")
+        for _ in range(samples):
+            x = random_point(desc.kind, sig, rng)
+            tally.record(apply_expr(desc.compiled, x) == phi.rebuild(x), lambda: witness(x))
+        return tally.outcome()
+
+    units = {EVEN: one(sig)}
+    if sig.odd_pairs or sig.odd_selfreal:
+        units[ODD] = theta(sig, 0) if sig.odd_pairs else theta_selfreal(sig, 0)
+    for v in basis_of(desc.kind):
+        unit = units.get(v.parity)
+        if unit is None:
+            continue
+        image = difference.apply_constant(v.grid)
+        tally.record(all(c.is_zero() for row in image for c in row),
+                     lambda: witness(matrix_of(TensorElement(desc.kind, sig, {v.index: unit}))))
+    outcome = tally.outcome()
+    certified = f"certified on a basis of {outcome.samples}"
+    outcome.note = f"{outcome.note}, {certified}" if outcome.note else certified
+    return outcome
 
 
 # ---------------------------------------------------------------------------

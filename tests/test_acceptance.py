@@ -126,15 +126,17 @@ def test_criterion_2_real_structure_suite():
 
 def test_criterion_3_extraction():
     """The vector-level conjugation satisfies its square law on every basis
-    vector and rebuilds the structure on 100 samples."""
+    vector and rebuilds the structure on all of g(A), certified on a basis
+    of g."""
     count = 0
     for desc in representative_descriptors():
         phi = extract_vector_conjugation(desc)      # validates the square law
         out = rebuild_matches(desc, phi, SIG1[desc.conjugation], samples=100, seed=300)
         assert out.status == "pass", desc.display()
+        assert out.note == f"certified on a basis of {len(phi.coords)}", desc.display()
         count += 1
     announce(3, True,
-             f"square law + rebuild on 100 samples for {count} descriptor instances")
+             f"square law + rebuild certified on a basis of g for {count} descriptor instances")
 
 
 def test_criterion_4_representability_dichotomy():

@@ -4,10 +4,10 @@ osp basis as the null space of ``id - sigma``,
 slot-read coordinates, in-place matrix assembly, sparse canonical span bases
 and the representability dichotomy built on them;
 and against the routes they replace: fixed-point images relabelled across
-monomials, the rebuild as one positional map, the rebuild check through the
-difference map, the sl and osp membership checks read off compiled cells, the
-difference of two positional maps, and the zero test of a positional map
-without conjugating; and against the probe
+monomials, the rebuild as one positional map, the rebuild check decided on a
+basis of g against sampled direct comparison, the sl and osp membership
+checks read off compiled cells, the difference of two positional maps, and
+the zero test of a positional map without conjugating; and against the probe
 evaluations (``probe_reference.py``) that extraction and fixed points made
 before they read the vector action off the compiled map."""
 
@@ -24,14 +24,17 @@ from dense_reference import (
 )
 from probe_reference import evaluated_fixed_point_coords, probe_extract_vector_conjugation
 from superforms import linalg
-from superforms.algebra import EVEN, GRADED, ODD, STANDARD, AlgebraSignature, SuperNumber, basis_keys
+from superforms.algebra import (
+    EVEN, GRADED, ODD, STANDARD, AlgebraSignature, SuperNumber, basis_keys, one, theta, theta_selfreal,
+)
 from superforms.catalog import applicable_names, build, param_choices
 from superforms.exprs import PositionalMap, apply_expr, compile_expr
 from superforms.groups import fixed_span_maps
 from superforms.liealg import (
-    GL, OSP, SL, MatrixKind, MembershipError, basis_of, decompose_in_basis, matrix_of,
+    GL, OSP, SL, MatrixKind, MembershipError, TensorElement, basis_of, decompose_in_basis, matrix_of,
     membership_defect, tensor_of,
 )
+from superforms.literals import parse_matrix
 from superforms.matrices import (
     SuperMatrix, const_mul, identity_matrix, mul_const, osp_form_grid, supertrace, supertranspose,
 )
@@ -450,21 +453,149 @@ def direct_rebuild_outcome(desc, phi, sig, samples, seed):
     return failures, witness
 
 
+def planted(phi, index):
+    """``phi`` with the image of basis vector ``index`` doubled: the rebuilt
+    map reads that vector's coefficient at its slot, so it is wrong on that
+    vector alone."""
+    coords = list(phi.coords)
+    coords[index] = tuple((j, c * GaussianRational(2)) for j, c in coords[index])
+    return VectorConjugation(phi.kind, phi.conjugation, tuple(coords))
+
+
+def assert_exact_witness(desc, phi, sig, outcome):
+    """A failure names a point of ``g(A)`` on which the evaluator finds the
+    two maps different, as the witness prints them; a pass names none."""
+    if outcome.status == "pass":
+        assert outcome.witness is None
+        return
+    m, n, rows = parse_matrix(outcome.witness["input"], sig)
+    x = SuperMatrix(m, n, sig, rows)
+    assert membership_defect(desc.kind, x) is None
+    own, rebuilt = apply_expr(desc.compiled, x), phi.rebuild(x)
+    assert own != rebuilt
+    assert outcome.witness == {"input": matrix_literal(x), "functorial": matrix_literal(own),
+                               "rebuilt": matrix_literal(rebuilt)}
+
+
 def test_rebuild_difference_map_counts_like_direct_comparison():
-    # a vector map with one image doubled fails on the samples that read it
+    # a vector map with one image doubled fails the exact check exactly when
+    # the sampled direct comparison fails, with a witness the evaluator confirms
     for fam, m, n, name in ((SL, 2, 1, "sigma1"), (OSP, 1, 2, "psi1"), (SL, 2, 2, "omega2")):
         desc = build(name, MatrixKind(fam, m, n))
         phi = extract_vector_conjugation(desc)
-        coords = list(phi.coords)
-        coords[-1] = tuple((j, c * GaussianRational(2)) for j, c in coords[-1])
-        bad = VectorConjugation(phi.kind, phi.conjugation, tuple(coords))
+        bad = planted(phi, len(phi.coords) - 1)
         sig = one_pair(desc)
         for vectors, expect_failures in ((phi, False), (bad, True)):
             outcome = rebuild_matches(desc, vectors, sig, samples=30, seed=7)
-            failures, witness = direct_rebuild_outcome(desc, vectors, sig, 30, 7)
-            assert outcome.samples == 30
-            assert (outcome.status == "fail", outcome.witness) == (failures > 0, witness)
+            failures, _ = direct_rebuild_outcome(desc, vectors, sig, 30, 7)
+            assert outcome.samples == len(basis_of(desc.kind))      # one pair: both parities count
+            assert outcome.status == ("fail" if failures else "pass")
             assert bool(failures) == expect_failures
+            assert_exact_witness(desc, vectors, sig, outcome)
+
+
+@pytest.mark.parametrize("fam, m, n, name", [(SL, 2, 1, "sigma1"), (OSP, 1, 2, "psi1"), (SL, 2, 2, "omega2")],
+                         ids=str)
+def test_a_map_wrong_on_one_basis_vector_fails_at_that_vector(fam, m, n, name):
+    desc = build(name, MatrixKind(fam, m, n))
+    phi = extract_vector_conjugation(desc)
+    sig = one_pair(desc)
+    units = {EVEN: one(sig), ODD: theta(sig, 0)}
+    for v in basis_of(desc.kind):
+        bad = planted(phi, v.index)
+        outcome = rebuild_matches(desc, bad, sig)
+        assert (outcome.status, outcome.note) == ("fail", f"1 failure(s), certified on a basis of {outcome.samples}")
+        lifted = matrix_of(TensorElement(desc.kind, sig, {v.index: units[v.parity]}))
+        assert outcome.witness["input"] == matrix_literal(lifted)
+        assert_exact_witness(desc, bad, sig, outcome)
+
+
+def test_an_odd_only_defect_needs_an_odd_generator():
+    desc = build("sigma1", MatrixKind(SL, 2, 1))
+    phi = extract_vector_conjugation(desc)
+    v = next(v for v in basis_of(desc.kind) if v.parity == ODD)
+    bad = planted(phi, v.index)
+    evens = sum(u.parity == EVEN for u in basis_of(desc.kind))
+    for sig, status, samples in ((AlgebraSignature(0, 0, 1, STANDARD), "pass", evens),
+                                 (AlgebraSignature(0, 1, 0, STANDARD), "fail", len(phi.coords))):
+        outcome = rebuild_matches(desc, bad, sig, samples=30, seed=5)
+        failures, _ = direct_rebuild_outcome(desc, bad, sig, 30, 5)
+        assert (outcome.status, outcome.samples) == (status, samples)
+        assert outcome.status == ("fail" if failures else "pass")
+        assert_exact_witness(desc, bad, sig, outcome)
+        if status == "fail":
+            lifted = matrix_of(TensorElement(desc.kind, sig, {v.index: theta_selfreal(sig, 0)}))
+            assert outcome.witness["input"] == matrix_literal(lifted)
+
+
+def catalog_instances():
+    """Every descriptor and parameter choice of the test shapes."""
+    for fam, m, n in SHAPES:
+        kind = MatrixKind(fam, m, n)
+        for name in applicable_names(kind):
+            for p, q in param_choices(name, kind):
+                yield build(name, kind, p, q)
+
+
+REBUILD_SIGNATURES = {
+    STANDARD: [AlgebraSignature(0, 0, 1, STANDARD), AlgebraSignature(2, 0, 0, STANDARD),
+               AlgebraSignature(0, 1, 0, STANDARD)],
+    GRADED: [AlgebraSignature(0, 0, 1, GRADED), AlgebraSignature(2, 0, 0, GRADED)],
+}
+
+
+def test_exact_rebuild_agrees_with_sampling_on_the_catalog():
+    # each catalog descriptor with its own vector map and with one planted on
+    # its last (odd, where there is one) vector, over an even nilpotent, two
+    # pairs and a self-real generator
+    statuses = []
+    for desc in catalog_instances():
+        phi = extract_vector_conjugation(desc)
+        for vectors in (phi, planted(phi, len(phi.coords) - 1)):
+            for sig in REBUILD_SIGNATURES[desc.conjugation]:
+                outcome = rebuild_matches(desc, vectors, sig, samples=10, seed=3)
+                failures, _ = direct_rebuild_outcome(desc, vectors, sig, 10, 3)
+                assert outcome.status == ("fail" if failures else "pass"), (desc.display(), sig)
+                assert outcome.note.endswith(f"certified on a basis of {outcome.samples}")
+                assert_exact_witness(desc, vectors, sig, outcome)
+                statuses.append(outcome.status)
+    assert len(statuses) >= 300 and set(statuses) == {"pass", "fail"}
+
+
+def test_another_conjugation_count_keeps_the_sampled_check():
+    # three conjugations square like one under the graded conjugation, so the
+    # vector map extracts, but the difference with the rebuilt map (one
+    # conjugation) cannot be formed
+    from dataclasses import replace
+    from superforms.exprs import conj_step
+
+    for name, kind in (("omega2", MatrixKind(SL, 2, 1)), ("psi1", MatrixKind(OSP, 1, 2))):
+        base = build(name, kind)
+        desc = replace(base, steps=(conj_step(),) * 2 + base.steps)
+        phi = extract_vector_conjugation(desc)
+        sig = one_pair(desc)
+        outcome = rebuild_matches(desc, phi, sig, samples=12, seed=9)
+        failures, witness = direct_rebuild_outcome(desc, phi, sig, 12, 9)
+        assert outcome.samples == 12 and "certified" not in (outcome.note or "")
+        assert (outcome.status == "fail", outcome.witness) == (failures > 0, witness)
+
+
+def test_a_passing_rebuild_check_draws_and_evaluates_nothing(monkeypatch):
+    from superforms import exprs, realforms, sampling
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sampled or evaluated a point")
+
+    for module, name in ((sampling, "random_point"), (realforms, "random_point"),
+                         (exprs, "apply_expr"), (realforms, "apply_expr")):
+        monkeypatch.setattr(module, name, forbidden)
+    checked = 0
+    for desc in catalog_instances():
+        phi = extract_vector_conjugation(desc)
+        outcome = rebuild_matches(desc, phi, AlgebraSignature(1, 0, 1, desc.conjugation))
+        assert (outcome.status, outcome.samples) == ("pass", len(phi.coords)), desc.display()
+        checked += 1
+    assert checked >= 60
 
 
 @given(st.sampled_from([(1, 2), (2, 2), (3, 2), (1, 4)]), st.integers(0, 10 ** 6))

@@ -394,6 +394,48 @@ def test_a_descriptor_inverts_its_kernel_point_body_once(monkeypatch):
     assert descriptors >= 5
 
 
+def test_a_cached_body_inverse_builds_no_coefficient(monkeypatch):
+    """The body-inverse cache is keyed by the bodies' numerators
+    (``SuperNumber.body_parts``): a kernel-point lift whose body is cached
+    inverts without building a coefficient (it built one per nonzero body
+    entry to key the cache).  The key is in lowest terms, so equal bodies of
+    elements with other denominators share it."""
+    sig = AlgebraSignature(1, 1, 1, STANDARD)
+    ext, include, _, eps = adjoin_dual(sig)
+    original = GaussianRational.__init__
+    built = 0
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        original(self, *args, **kwargs)
+
+    descriptors = 0
+    for desc in catalog_lifts():
+        if desc.lift_form != "inverse-neg" or desc.conjugation != STANDARD:
+            continue
+        rng = random.Random(desc.display())
+        lifts = []
+        for _ in range(3):
+            z = kernel_point(random_point(desc.kind, sig, rng).map_entries(include.apply, ext), eps)
+            lifts.append(lift_stages(desc, z, lambda x: x)[1][0])
+        matrices._body_inverse.cache_clear()
+        first = inverse(lifts[0])
+        monkeypatch.setattr(GaussianRational, "__init__", counting)
+        built = 0
+        rest = [inverse(y) for y in lifts[1:]]
+        monkeypatch.setattr(GaussianRational, "__init__", original)
+        assert built == 0, desc.display(group=True)
+        assert matrices._body_inverse.cache_info().hits == 2
+        assert [first] + rest == [reference_series_inverse(y) for y in lifts]
+        descriptors += 1
+    assert descriptors >= 5
+    half = scalar(sig, GaussianRational(1, 0, 2)) + theta(sig, 0).scaled(GaussianRational(1, 0, 3))
+    assert half.body_parts() == (1, 0, 2) and half.den == 6
+    assert scalar(sig, GaussianRational(0, -2, 4)).body_parts() == (0, -1, 2)
+    assert SuperNumber.zero(sig).body_parts() == (0, 0, 1)
+
+
 def test_a_constant_grid_inverts_without_a_product(monkeypatch):
     sig = AlgebraSignature(1)
     rng = random.Random("constant inverse")
