@@ -26,6 +26,7 @@ byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional
 
@@ -229,7 +230,10 @@ def positive_int(text: str) -> int:
     return count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="superforms",
         description="exact verification of real structures on matrix Lie "

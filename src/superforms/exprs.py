@@ -20,16 +20,26 @@ constant map ``L`` applied after ``k`` entrywise conjugations, ``k`` the
 number of ``conj`` steps in the run.  ``k`` is kept as it is, not reduced
 mod 2, because the graded conjugation squares to the parity sign.
 
-:func:`compile_expr` finds ``L`` once per expression and shape by running
-the step rules on the ``(m+n)^2`` unit matrices, where conjugation fixes the
-unit; the image of unit ``(r, s)`` is column ``(r, s)`` of ``L``.  The steps
-touch coefficients only through constants and conjugation, so the unit
-matrices run sixteen to an evaluation, each tagged with its own even
-monomial of an algebra of four even nilpotents (conjugation fixes those);
-the tag of each output term names its unit.  A :class:`PositionalMap` holds
-``L`` as sparse cells ``((r, s, c), ...)`` and evaluates it without any grid
-product: each cell reads only the nonzero entries it needs.  A cell of one
-term ``c x[r][s]``, as every cell of the catalog's maps is, is
+:func:`compile_expr` finds ``L`` once per expression and shape by composing
+per-step maps, with no matrix evaluated.  Each step rule that is not
+``group_only`` gives its constant map on the ``(m+n)^2`` slots
+(``StepRule.constant``): ``neg`` negates every cell; ``negst`` reads cell
+``(j, i)`` into ``(i, j)`` negated, except where it reads the C block, which
+keeps its sign; ``pi`` swaps both block rows and block columns; ``delta``
+scales the B block by ``lam`` and the C block by ``lam^-1``; ``ad`` writes
+cell ``(i, j)`` of ``K x K^-1`` as ``sum K[i][a] K^-1[b][j] x[a][b]`` over the
+nonzero entries of row ``i`` of ``K`` and column ``j`` of ``K^-1``.  The map
+of a ``conj`` step is the identity after one conjugation.  A run folds these
+maps in the order the steps apply (:meth:`PositionalMap.compose`), and
+composition moves conjugation inward past the maps composed so far:
+``conj(L(conj^k x)) = conj(L)(conj^(k+1) x)``, ``conj(L)`` being ``L`` with its
+constants conjugated.  So a ``conj`` step conjugates the constants composed
+so far and adds one to ``k``.  ``pi`` on ``m != n`` raises ``ValueError``.
+
+A :class:`PositionalMap` holds ``L`` as sparse cells ``((r, s, c), ...)``
+and evaluates it without any grid product: each cell reads only the nonzero
+entries it needs.  A cell of one term ``c x[r][s]``, as every cell of the
+catalog's maps is, is
 ``c conj^k(x[r][s])`` built in one pass over the entry's terms
 (``SuperNumber.conjugated``: one read of the table of ``conj^k`` per key,
 and for ``c`` in {1, -1, i, -i} the parts swapped or negated), with no
@@ -41,13 +51,15 @@ minus the involution whose fixed points are osp, and the extraction-rebuild
 check subtracts the rebuilt map from the descriptor's.  ``folded`` gives a
 map with the same zeros that conjugates nothing, and ``vanishes`` tests
 whether such a map sends a point to zero, as the osp membership check does.
-Its ``apply_constant`` applies a map to a constant grid, where the ``k``
-conjugations are one or none; :mod:`superforms.realforms` reads each
-structure's action on the defining space off it, and decides the rebuild
-check by applying the folded difference to each basis vector, so the
-tagging above is the package's only probe evaluation.  A group-only step
-splits the expression into runs and is applied by its own rule between
-them, so an ``inverse-neg`` lift is ``inverse(-f(x))``;
+On a constant grid the ``k`` conjugations are one or none.
+``apply_support`` applies a map to the sparse support of such a grid (a
+basis vector's ``support``) through the map's source index, which lists for
+each input slot the output cells that read it, so it costs the support and
+not the grid: :mod:`superforms.realforms` reads each structure's action on
+the defining space this way, and decides the rebuild check by applying the
+folded difference to each basis vector.  A group-only step splits the
+expression into runs and is applied by its own rule between them, so an
+``inverse-neg`` lift is ``inverse(-f(x))``;
 ``CompiledExpr.algebra_map`` refuses such an expression wherever one
 positional map is needed.
 :func:`apply_expr` evaluates a compiled expression, or compiles a step tuple
@@ -56,19 +68,20 @@ on the spot.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Sequence, Tuple, Union
+from functools import reduce
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .matrices import (
     SuperMatrix, const_mul, inverse, mul_const, parity_swap, scale_offdiagonal,
     supertranspose,
 )
-from .algebra import (
-    MAX_EVEN_NILPOTENT, AlgebraSignature, SuperNumber, basis_keys, scalar, sum_of_products,
-)
-from .scalars import ONE, ZERO, GaussianRational, format_scalar
+from .algebra import SuperNumber, scalar, sum_of_products
+from .scalars import MINUS_ONE, ONE, ZERO, GaussianRational, format_scalar
 
 Step = Tuple
+Cell = Tuple[int, int]
+Term = Tuple[int, int, GaussianRational]
 
 
 def ad_step(label: str, grid) -> Step:
@@ -99,28 +112,66 @@ def ginv_step() -> Step:
     return ("ginv",)
 
 
+def _slot_map(m: int, n: int, terms: Callable[[int, int], Sequence[Term]],
+              conjugations: int = 0) -> "PositionalMap":
+    """The positional map whose output cell ``(i, j)`` is ``terms(i, j)``."""
+    size = m + n
+    return PositionalMap(tuple(tuple(tuple(terms(i, j)) for j in range(size)) for i in range(size)),
+                         conjugations)
+
+
+def _parity_swap_map(step: Step, m: int, n: int) -> "PositionalMap":
+    if m != n:
+        raise ValueError("parity swap needs equal block sizes")
+    size = m + n
+    return _slot_map(m, n, lambda i, j: (((i + m) % size, (j + m) % size, ONE),))
+
+
+def _scale_offdiagonal_map(step: Step, m: int, n: int) -> "PositionalMap":
+    lam = step[1]
+    factors = {(True, False): lam, (False, True): lam.inverse()}     # keyed (i < m, j < m): B, C
+    return _slot_map(m, n, lambda i, j: ((i, j, factors.get((i < m, j < m), ONE)),))
+
+
+def _ad_map(step: Step, m: int, n: int) -> "PositionalMap":
+    """``K x K^-1``: cell ``(i, j)`` reads ``x[a][b]`` with ``K[i][a] K^-1[b][j]``."""
+    grid, grid_inv = step[2], step[3]
+    rows = [[(a, c) for a, c in enumerate(row) if not c.is_zero()] for row in grid]
+    cols = [[(b, row[j]) for b, row in enumerate(grid_inv) if not row[j].is_zero()]
+            for j in range(m + n)]
+    return _slot_map(m, n, lambda i, j: [(a, b, c * d) for a, c in rows[i] for b, d in cols[j]])
+
+
 class StepRule(NamedTuple):
-    """How one step tag acts on a matrix and how it is displayed."""
+    """How one step tag acts on a matrix and how it is displayed.
+
+    ``constant`` gives the step as a positional map for a shape ``m|n``
+    (see the module notes); ``apply`` evaluates it on a whole matrix, and is
+    the only rule of a group-only step, which has no ``constant``."""
 
     apply: Callable[[SuperMatrix, Step], SuperMatrix]
     display: Callable[[Step], str]
-    group_only: bool = False
-    conjugates: bool = False
-    """The step is entrywise coefficient conjugation; every other step that
-    is not ``group_only`` is a constant map on the matrix slots."""
+    constant: Optional[Callable[[Step, int, int], "PositionalMap"]] = None
+
+    @property
+    def group_only(self) -> bool:
+        return self.constant is None
 
 
 STEP_RULES: Dict[str, StepRule] = {
     "conj": StepRule(lambda x, step: x.conjugate_entries(), lambda step: "ConjugateEntries",
-                     conjugates=True),
-    "negst": StepRule(lambda x, step: -supertranspose(x), lambda step: "NegateSupertranspose"),
-    "pi": StepRule(lambda x, step: parity_swap(x), lambda step: "ParitySwap"),
-    "neg": StepRule(lambda x, step: -x, lambda step: "Negate"),
+                     lambda step, m, n: _slot_map(m, n, lambda i, j: ((i, j, ONE),), 1)),
+    "negst": StepRule(lambda x, step: -supertranspose(x), lambda step: "NegateSupertranspose",
+                      lambda step, m, n: _slot_map(m, n, lambda i, j: (
+                          (j, i, ONE if j >= m > i else MINUS_ONE),))),
+    "pi": StepRule(lambda x, step: parity_swap(x), lambda step: "ParitySwap", _parity_swap_map),
+    "neg": StepRule(lambda x, step: -x, lambda step: "Negate",
+                    lambda step, m, n: _slot_map(m, n, lambda i, j: ((i, j, MINUS_ONE),))),
     "delta": StepRule(lambda x, step: scale_offdiagonal(x, scalar(x.sig, step[1])),
-                      lambda step: f"ScaleOffDiagonal({format_scalar(step[1])})"),
+                      lambda step: f"ScaleOffDiagonal({format_scalar(step[1])})", _scale_offdiagonal_map),
     "ad": StepRule(lambda x, step: const_mul(step[2], mul_const(x, step[3])),
-                   lambda step: f"Ad({step[1]})"),
-    "ginv": StepRule(lambda x, step: inverse(x), lambda step: "GroupInverse", group_only=True),
+                   lambda step: f"Ad({step[1]})", _ad_map),
+    "ginv": StepRule(lambda x, step: inverse(x), lambda step: "GroupInverse"),
 }
 
 
@@ -211,52 +262,62 @@ class PositionalMap(NamedTuple):
             cells.append(tuple(out_row))
         return PositionalMap(tuple(cells), self.conjugations)
 
-    def apply_constant(self, grid) -> list:
-        """The map on a constant grid.  Conjugation conjugates a constant, so
-        the ``k`` conjugations are one when ``k`` is odd and none otherwise."""
+    def compose(self, inner: "PositionalMap") -> "PositionalMap":
+        """The map ``x -> self(inner(x))``.  ``self`` conjugates ``inner(x)``
+        ``k`` times, and conjugation passes through ``inner`` conjugating its
+        constants, so the result conjugates ``x`` as often as both maps do
+        together, and its cell ``(i, j)`` sums ``c d'`` over the terms
+        ``(a, b, c)`` of ``self``'s cell and ``(r, s, d)`` of ``inner``'s cell
+        ``(a, b)``, ``d'`` being ``d`` conjugated ``k`` times.  Terms are
+        merged per input slot, zeros dropped and slots sorted.  Raises
+        ``ValueError`` for another shape."""
+        if len(self.cells) != len(inner.cells):
+            raise ValueError("positional maps of different shapes")
         flip = self.conjugations & 1
-        out = []
-        for cell_row in self.cells:
+        cells = []
+        for row in self.cells:
             out_row = []
-            for cell in cell_row:
-                acc = ZERO
+            for cell in row:
+                acc: Dict[Cell, GaussianRational] = {}
+                for a, b, c in cell:
+                    for r, s, d in inner.cells[a][b]:
+                        acc[r, s] = acc.get((r, s), ZERO) + c * (d.conjugate() if flip else d)
+                out_row.append(tuple((r, s, c) for (r, s), c in sorted(acc.items()) if not c.is_zero()))
+            cells.append(tuple(out_row))
+        return PositionalMap(tuple(cells), self.conjugations + inner.conjugations)
+
+    def source_index(self) -> Dict[Cell, List[Term]]:
+        """Input slot ``(r, s)`` -> the output cells ``(i, j, c)`` whose sums
+        read it with constant ``c``: the map read by columns, for
+        :meth:`apply_support`.  Build it once per map and pass it to every call."""
+        index: Dict[Cell, List[Term]] = {}
+        for i, row in enumerate(self.cells):
+            for j, cell in enumerate(row):
                 for r, s, c in cell:
-                    x = grid[r][s]
-                    if not x.is_zero():
-                        acc = acc + c * (x.conjugate() if flip else x)
-                out_row.append(acc)
-            out.append(out_row)
-        return out
+                    index.setdefault((r, s), []).append((i, j, c))
+        return index
 
-
-_PROBE = AlgebraSignature(even_nilpotents=MAX_EVEN_NILPOTENT)
-"""The algebra the unit matrices are tagged in: its even monomials are
-fixed by conjugation and the steps act on each of them separately, so one
-evaluation carries as many unit matrices as it has monomials."""
+    def apply_support(self, support, index) -> Dict[Cell, GaussianRational]:
+        """The map on the constant grid whose nonzero cells are ``support``
+        (``((r, s), x), ...``, as :attr:`liealg.BasisVector.support`), as its
+        nonzero output cells ``{(i, j): y}``; ``index`` is this map's
+        :meth:`source_index`.  Conjugation conjugates a constant, so the
+        ``k`` conjugations are one when ``k`` is odd and none otherwise."""
+        flip = self.conjugations & 1
+        out: Dict[Cell, GaussianRational] = {}
+        for slot, x in support:
+            if flip:
+                x = x.conjugate()
+            for i, j, c in index.get(slot, ()):
+                out[i, j] = out.get((i, j), ZERO) + c * x
+        return {cell: y for cell, y in out.items() if not y.is_zero()}
 
 
 def _compile_run(run: Sequence[Step], m: int, n: int) -> PositionalMap:
-    """The positional map of ``run``, steps listed in the order they apply."""
-    size = m + n
-    tags = basis_keys(_PROBE)
-    slots = [(r, s) for r in range(size) for s in range(size)]
-    zero = SuperNumber.zero(_PROBE)
-    cells = [[[] for _ in range(size)] for _ in range(size)]
-    for start in range(0, len(slots), len(tags)):
-        batch = dict(zip(tags, slots[start:start + len(tags)]))
-        grid = [[zero] * size for _ in range(size)]
-        for tag, (r, s) in batch.items():
-            grid[r][s] = SuperNumber(_PROBE, {tag: ONE})
-        x = SuperMatrix(m, n, _PROBE, grid, check=False)
-        for step in run:
-            x = step_rule(step).apply(x, step)
-        for i, row in enumerate(x.rows):
-            for j, e in enumerate(row):
-                cells[i][j] += [batch[tag] + (c,) for tag, c in e.items()]
-    return PositionalMap(
-        tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells),
-        sum(step_rule(step).conjugates for step in run),
-    )
+    """The positional map of ``run``, steps listed in the order they apply:
+    each step's constant map composed after those of the steps before it."""
+    identity = _slot_map(m, n, lambda i, j: ((i, j, ONE),))
+    return reduce(lambda inner, step: step_rule(step).constant(step, m, n).compose(inner), run, identity)
 
 
 class CompiledExpr(NamedTuple):

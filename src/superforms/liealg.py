@@ -192,6 +192,17 @@ def basis_of(kind: MatrixKind) -> List[BasisVector]:
     return vectors
 
 
+_SLOT_OWNERS: Dict[MatrixKind, Dict[Cell, BasisVector]] = {}
+
+
+def _slot_owners(kind: MatrixKind) -> Dict[Cell, BasisVector]:
+    """Each basis vector keyed by its reading slot, built once per kind."""
+    owners = _SLOT_OWNERS.get(kind)
+    if owners is None:
+        owners = _SLOT_OWNERS[kind] = {v.slot: v for v in basis_of(kind)}
+    return owners
+
+
 def _expected_dims(kind: MatrixKind) -> Tuple[int, int]:
     m, n = kind.m, kind.n
     if kind.family == GL:
@@ -262,20 +273,23 @@ def decompose_in_basis(kind: MatrixKind, grid, parity) -> Optional[List[Tuple[in
 
     Returns ``[(basis_index, coefficient), ...]`` with zero coefficients
     dropped; ``None`` means the grid is not in the span (i.e. not a member).
-    Each coefficient is read from its vector's slot; the combination is then
-    rebuilt (:func:`combination_cells`) and compared exactly with the
-    grid's nonzero cells.
+    The grid's nonzero cells are decomposed by :func:`decompose_cells`.
     """
-    out = []
-    for v in basis_of(kind):
-        if v.parity != parity:
-            continue
-        i, j = v.slot
-        coeff = grid[i][j]
-        if not coeff.is_zero():
-            out.append((v.index, coeff))
-    nonzero = {(i, j): x for i, row in enumerate(grid) for j, x in enumerate(row) if not x.is_zero()}
-    return out if nonzero == combination_cells(kind, out) else None
+    cells = {(i, j): x for i, row in enumerate(grid) for j, x in enumerate(row) if not x.is_zero()}
+    return decompose_cells(kind, cells, parity)
+
+
+def decompose_cells(kind: MatrixKind, cells: Dict[Cell, GaussianRational],
+                    parity) -> Optional[List[Tuple[int, GaussianRational]]]:
+    """:func:`decompose_in_basis` for the grid whose nonzero cells are
+    ``cells``.  Each coefficient is read from its vector's slot, found by
+    looking up the cells among the slots of the vectors of ``parity``; the
+    combination is then rebuilt (:func:`combination_cells`) and compared
+    exactly with ``cells``."""
+    owners = _slot_owners(kind)
+    out = sorted((v.index, x) for cell, x in cells.items()
+                 if (v := owners.get(cell)) is not None and v.parity == parity)
+    return out if cells == combination_cells(kind, out) else None
 
 
 def vector_bracket(kind: MatrixKind, i: int, j: int) -> List[Tuple[int, GaussianRational]]:

@@ -23,9 +23,10 @@ supermatrix.  A descriptor's map is ``k`` entrywise conjugations followed by
 one constant map ``L`` (its compiled :class:`~superforms.exprs.PositionalMap`),
 so extraction and fixed points read one table, the *vector action*:
 ``L(v)`` for each basis vector ``v`` (``v`` conjugated when ``k`` is odd),
-applied to ``v``'s constant grid and written in the basis vectors of its
-parity.  The coefficients only pick up ``conj^k``, which sends
-a monomial to plus or minus one monomial (:func:`algebra.conjugate_monomial`).
+read from ``v``'s sparse support through the source index of ``L`` and
+written in the basis vectors of its parity.  The coefficients only pick up
+``conj^k``, which sends a monomial to plus or minus one monomial
+(:func:`algebra.conjugate_monomial`).
 Every check over a coefficient algebra refuses one whose conjugation kind is
 not the descriptor's (:meth:`Descriptor.require_conjugation`).
 """
@@ -46,7 +47,7 @@ from .catalog import Descriptor, InapplicableDescriptor, build, names_for, param
 from .exprs import PositionalMap, apply_expr
 from .liealg import (
     MatrixKind, MembershipError, TensorElement, basis_of, combination_cells,
-    decompose_in_basis, matrix_of, membership_defect, require_member, tensor_of,
+    decompose_cells, matrix_of, membership_defect, require_member, tensor_of,
 )
 from .literals import format_matrix, format_number
 from .matrices import SuperMatrix, commutator, linear_combination
@@ -232,10 +233,13 @@ def _vector_action(desc: Descriptor) -> Tuple[int, List[Optional[List[Tuple[int,
 
     Returns ``k`` and one entry per basis vector: entry ``i`` decomposes
     ``L(v_i)``, ``v_i`` conjugated when ``k`` is odd, in the basis vectors of
-    ``v_i``'s parity, or is ``None`` when that image leaves the algebra.  A
-    group-only step raises ``ValueError``."""
+    ``v_i``'s parity, or is ``None`` when that image leaves the algebra.
+    Each image is read from ``v_i``'s sparse support through the map's source
+    index (:meth:`PositionalMap.apply_support`).  A group-only step raises
+    ``ValueError``."""
     run = desc.compiled.algebra_map
-    return run.conjugations, [decompose_in_basis(desc.kind, run.apply_constant(v.grid), v.parity)
+    index = run.source_index()
+    return run.conjugations, [decompose_cells(desc.kind, run.apply_support(v.support, index), v.parity)
                               for v in basis_of(desc.kind)]
 
 
@@ -307,11 +311,11 @@ def rebuild_matches(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignat
     its constants (:meth:`PositionalMap.folded`); it vanishes exactly where
     ``own - rebuilt`` does.  ``D`` conjugates nothing and its cells are
     constant, so it is A-linear: ``D(a v) = a D(v)`` for ``a`` in ``A`` and
-    ``v`` in ``g``, where ``D(v)`` is the constant grid
-    ``D.apply_constant(v.grid)``.  A point of ``g(A)`` is ``sum_v a_v v``
-    over the basis vectors ``v``, with ``a_v`` of ``v``'s parity, and the
-    coefficient of a monomial ``u`` in its image is ``sum_v a_v[u] D(v)``.
-    Distinct monomials are independent, so ``D`` vanishes on ``g(A)``
+    ``v`` in ``g``, where ``D(v)`` is the constant grid of ``D`` applied to
+    ``v``'s support (:meth:`PositionalMap.apply_support`).  A point of
+    ``g(A)`` is ``sum_v a_v v`` over the basis vectors ``v``, with ``a_v`` of
+    ``v``'s parity, and the coefficient of a monomial ``u`` in its image is
+    ``sum_v a_v[u] D(v)``.  Distinct monomials are independent, so ``D`` vanishes on ``g(A)``
     exactly when ``D(v)`` is the zero grid for every ``v`` of a parity that
     ``A`` has: every even ``v`` (``A`` has ``1``), and every odd ``v`` when
     ``A`` has an odd generator.
@@ -352,12 +356,12 @@ def rebuild_matches(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignat
     units = {EVEN: one(sig)}
     if sig.odd_pairs or sig.odd_selfreal:
         units[ODD] = theta(sig, 0) if sig.odd_pairs else theta_selfreal(sig, 0)
+    index = difference.source_index()
     for v in basis_of(desc.kind):
         unit = units.get(v.parity)
         if unit is None:
             continue
-        image = difference.apply_constant(v.grid)
-        tally.record(all(c.is_zero() for row in image for c in row),
+        tally.record(not difference.apply_support(v.support, index),
                      lambda: witness(matrix_of(TensorElement(desc.kind, sig, {v.index: unit}))))
     outcome = tally.outcome()
     certified = f"certified on a basis of {outcome.samples}"

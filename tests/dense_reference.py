@@ -11,6 +11,12 @@ canonical bases and compared spans through them:
 * the fixed points of a real-linear map as the nullspace of one dense
   ``M - I`` over all real coordinates;
 * ``decompose_in_basis`` / ``tensor_of`` by one linear solve per monomial;
+* a compiled map applied to a whole constant grid, ``apply_constant``, and
+  ``scan_decompose``, which reads every slot of a grid and compares whole
+  grids; with them ``dense_vector_action`` and ``dense_rebuild_matches``,
+  the vector action and the exact rebuild check as they were before they
+  read sparse supports through a source index
+  (``PositionalMap.apply_support``, ``liealg.decompose_cells``);
 * ``matrix_of`` as the sum of one full ``tensor_term`` matrix per basis vector;
 * the rebuild of an extracted vector map in tensor form, ``apply_to_tensor``,
   against which its positional map ``VectorConjugation.rebuild`` is checked;
@@ -30,14 +36,19 @@ and in the same order.
 from typing import Dict, List, Optional, Tuple
 
 from superforms import linalg
-from superforms.algebra import EVEN, ODD, STANDARD, SuperNumber, basis_keys, key_parity, theta, theta_bar
+from superforms.algebra import (
+    EVEN, ODD, STANDARD, SuperNumber, basis_keys, key_parity, one, theta, theta_bar, theta_selfreal,
+)
 from superforms.exprs import apply_expr
-from superforms.liealg import MembershipError, TensorElement, basis_of, matrix_of, require_member, tensor_of
+from superforms.liealg import (
+    MembershipError, TensorElement, basis_of, combination_cells, matrix_of, require_member, tensor_of,
+)
 from superforms.matrices import SuperMatrix, osp_form_grid, supertranspose_grid, zero_matrix
 from superforms.realforms import (
     CoordLayout, extract_vector_conjugation, fixed_point_data, matrix_literal,
     real_fixed_elements, real_fixed_vectors,
 )
+from superforms.report import CheckOutcome, Tally
 from superforms.scalars import GaussianRational, I, MINUS_ONE, ONE, ZERO
 
 
@@ -278,6 +289,73 @@ def solve_tensor_of(kind, x) -> TensorElement:
             cur = coeffs.get(index)
             coeffs[index] = term if cur is None else cur + term
     return TensorElement(kind, x.sig, coeffs)
+
+
+def apply_constant(positional_map, grid) -> list:
+    """A compiled positional map on a constant grid, cell by cell.
+    Conjugation conjugates a constant, so the ``k`` conjugations are one when
+    ``k`` is odd and none otherwise."""
+    flip = positional_map.conjugations & 1
+    out = []
+    for cell_row in positional_map.cells:
+        out_row = []
+        for cell in cell_row:
+            acc = ZERO
+            for r, s, c in cell:
+                x = grid[r][s]
+                if not x.is_zero():
+                    acc = acc + c * (x.conjugate() if flip else x)
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def scan_decompose(kind, grid, parity):
+    """``decompose_in_basis`` by reading the slot of every basis vector of
+    ``parity`` and comparing the rebuilt combination with every cell."""
+    out = []
+    for v in basis_of(kind):
+        if v.parity == parity:
+            i, j = v.slot
+            if not grid[i][j].is_zero():
+                out.append((v.index, grid[i][j]))
+    nonzero = {(i, j): x for i, row in enumerate(grid) for j, x in enumerate(row) if not x.is_zero()}
+    return out if nonzero == combination_cells(kind, out) else None
+
+
+def dense_vector_action(desc):
+    """``realforms._vector_action`` on whole grids: the compiled map applied
+    to each basis vector's grid, decomposed by a scan."""
+    run = desc.compiled.algebra_map
+    return run.conjugations, [scan_decompose(desc.kind, apply_constant(run, v.grid), v.parity)
+                              for v in basis_of(desc.kind)]
+
+
+def dense_rebuild_matches(desc, phi, sig) -> CheckOutcome:
+    """The exact branch of ``realforms.rebuild_matches`` on whole grids: the
+    folded difference applied to each basis vector's grid, which must be
+    zero, a failure lifted to ``t v`` as the witness."""
+    difference = (desc.compiled.algebra_map - phi._rebuild_map).folded()
+    tally = Tally("extraction-rebuild", False)
+    units = {EVEN: one(sig)}
+    if sig.odd_pairs or sig.odd_selfreal:
+        units[ODD] = theta(sig, 0) if sig.odd_pairs else theta_selfreal(sig, 0)
+
+    def witness(x):
+        own, rebuilt = apply_expr(desc.compiled, x), phi.rebuild(x)
+        return {"input": matrix_literal(x), "functorial": matrix_literal(own),
+                "rebuilt": matrix_literal(rebuilt)}
+
+    for v in basis_of(desc.kind):
+        unit = units.get(v.parity)
+        if unit is not None:
+            image = apply_constant(difference, v.grid)
+            tally.record(all(c.is_zero() for row in image for c in row),
+                         lambda: witness(matrix_of(TensorElement(desc.kind, sig, {v.index: unit}))))
+    outcome = tally.outcome()
+    certified = f"certified on a basis of {outcome.samples}"
+    outcome.note = f"{outcome.note}, {certified}" if outcome.note else certified
+    return outcome
 
 
 def tensor_term(coefficient: SuperNumber, grid, m: int, n: int) -> SuperMatrix:

@@ -1,7 +1,12 @@
-"""The probe-evaluation routes the package used before it read each
-structure's action on the defining space off its compiled map, kept as test
-oracles:
+"""The probe-evaluation routes the package used before it composed per-step
+maps and read each structure's action on the defining space off its compiled
+map, kept as test oracles:
 
+* ``probe_compile_expr`` compiles an expression by running the step rules on
+  the ``(m+n)^2`` unit matrices, sixteen to an evaluation, each tagged with
+  its own even monomial of an algebra of four even nilpotents (conjugation
+  fixes those); the tag of each output term names its unit, and the image of
+  unit ``(r, s)`` is column ``(r, s)`` of the map;
 * ``probe_extract_vector_conjugation`` evaluates the descriptor on
   supermatrices whose basis vectors are tagged sixteen at a time with even
   nilpotent monomials (constants for even vectors, ``t1`` times a tag for odd
@@ -19,13 +24,58 @@ from superforms.algebra import (
     EVEN, MAX_EVEN_NILPOTENT, ODD, AlgebraSignature, SuperNumber, basis_keys, even_mask_of,
     make_key, odd_mask_of,
 )
-from superforms.exprs import apply_expr
+from superforms.exprs import CompiledExpr, PositionalMap, apply_expr, step_rule
 from superforms.liealg import TensorElement, basis_of, decompose_in_basis, matrix_of, tensor_of
 from superforms.matrices import SuperMatrix
 from superforms.realforms import (
     CoordLayout, ExtractionMismatch, VectorConjugation, _validate_square, fixed_vectors,
 )
 from superforms.scalars import GaussianRational, I, ONE, ZERO
+
+
+_PROBE = AlgebraSignature(even_nilpotents=MAX_EVEN_NILPOTENT)
+
+
+def probe_compile_run(run, m: int, n: int) -> PositionalMap:
+    """The positional map of ``run``, steps listed in the order they apply,
+    from tagged evaluations of the unit matrices."""
+    size = m + n
+    tags = basis_keys(_PROBE)
+    slots = [(r, s) for r in range(size) for s in range(size)]
+    zero = SuperNumber.zero(_PROBE)
+    cells = [[[] for _ in range(size)] for _ in range(size)]
+    for start in range(0, len(slots), len(tags)):
+        batch = dict(zip(tags, slots[start:start + len(tags)]))
+        grid = [[zero] * size for _ in range(size)]
+        for tag, (r, s) in batch.items():
+            grid[r][s] = SuperNumber(_PROBE, {tag: ONE})
+        x = SuperMatrix(m, n, _PROBE, grid, check=False)
+        for step in run:
+            x = step_rule(step).apply(x, step)
+        for i, row in enumerate(x.rows):
+            for j, e in enumerate(row):
+                cells[i][j] += [batch[tag] + (c,) for tag, c in e.items()]
+    return PositionalMap(
+        tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells),
+        sum(step[0] == "conj" for step in run),
+    )
+
+
+def probe_compile_expr(steps, m: int, n: int) -> CompiledExpr:
+    """``exprs.compile_expr`` with each run compiled by :func:`probe_compile_run`."""
+    stages, run, group_only = [], [], False
+    for step in reversed(steps):
+        if step_rule(step).group_only:
+            group_only = True
+            if run:
+                stages.append(probe_compile_run(run, m, n))
+            stages.append(step)
+            run = []
+        else:
+            run.append(step)
+    if run or not stages:
+        stages.append(probe_compile_run(run, m, n))
+    return CompiledExpr(m, n, tuple(stages), group_only)
 
 
 def probe_extract_vector_conjugation(desc) -> VectorConjugation:

@@ -205,3 +205,37 @@ def test_compact_scan_text():
     assert code == 0
     assert "scan:" in out
     assert "compact_graded" in out
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_repeated_calls_print_identical_bytes():
+    argv = ("verify", "sl", "2", "1", "omega2", "--samples", "4", "--format", "json")
+    first, second = run_cli(*argv), run_cli(*argv)
+    assert first[0] == 0 and first == second
+
+
+def test_a_usage_error_leaves_the_parser_usable(capsys):
+    assert main(["verify", "sl", "2", "1", "sigma1", "--samples", "0"]) == 2
+    assert main(["verify", "sl", "2", "1", "nosuch"]) == 2
+    capsys.readouterr()
+    code, out = run_cli("fixed-basis", "sl", "1", "1", "sigma1", "--format", "json")
+    assert code == 0 and json.loads(out)["fixed_point_basis"]["dimension"] == 6
+
+
+def test_later_calls_construct_no_parser(monkeypatch):
+    import argparse
+
+    run_cli("compact-scan", "sl", "1", "1")
+    constructed = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        constructed.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code, _ = run_cli("compact-scan", "sl", "1", "1")
+    assert code == 0 and constructed == []

@@ -1,9 +1,13 @@
 """Compiled structure maps against their step-by-step references.
 
 Descriptors evaluate through positional maps compiled once per descriptor
-(``exprs.compile_expr``), monomial morphisms relabel keys instead of running
-the product kernel, and leading minors come from one elimination.  Each
-fast path must agree exactly with the slow one it replaced.
+(``exprs.compile_expr``) by composing per-step maps, which must equal the
+maps found by tagged probe evaluations (``probe_reference.py``); each
+structure's vector action reads basis vectors' sparse supports through a
+source index, which must agree with whole grids (``dense_reference.py``);
+monomial morphisms relabel keys instead of running the product kernel, and
+leading minors come from one elimination.  Each fast path must agree
+exactly with the slow one it replaced.
 """
 
 import random
@@ -12,7 +16,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_reference import apply_constant, dense_vector_action
 from expr_reference import reference_apply_expr
+from probe_reference import probe_compile_expr
 from product_reference import respects_conjugation
 from superforms import catalog, exprs, linalg
 from superforms.algebra import (
@@ -20,11 +26,13 @@ from superforms.algebra import (
     even_mask_of, include_pairs, kill_pair_projection, odd_mask_of, one, scalar,
     sum_of_products, theta, theta_bar,
 )
-from superforms.catalog import applicable_names, build, corrupted_sigma1, param_choices
-from superforms.exprs import apply_expr, compile_expr, conj_step, negst_step
+from superforms.catalog import Descriptor, applicable_names, build, corrupted_sigma1, param_choices
+from superforms.exprs import (
+    ad_step, apply_expr, compile_expr, conj_step, delta_step, neg_step, negst_step, pi_step,
+)
 from superforms.groups import sample_group
 from superforms.liealg import OSP, SL, MatrixKind
-from superforms.realforms import verify_structure
+from superforms.realforms import _vector_action, verify_structure
 from superforms.sampling import random_element, random_even, random_point
 from superforms.scalars import GaussianRational, I, ONE, ZERO
 
@@ -53,6 +61,112 @@ def signatures(conjugation):
     if conjugation == STANDARD:
         sigs.append(AlgebraSignature(1, 1, 0, STANDARD))
     return sigs
+
+
+def permutation_grid(size, swap):
+    """The identity grid with rows ``swap[0]`` and ``swap[1]`` exchanged."""
+    grid = [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
+    a, b = swap
+    grid[a], grid[b] = grid[b], grid[a]
+    return grid
+
+
+def oracle_descriptors():
+    """Every descriptor of :data:`SHAPES`, every parameter choice of
+    sl(4|2) and osp(2|4), the first and last choice of each sl(8|8) name,
+    a map whose input slots each feed several output cells (conjugation by
+    a grid that is not monomial), and two maps whose images leave the
+    algebra: conjugation by a grid that swaps an even and an odd index."""
+    yield from every_descriptor()
+    for fam, m, n in ((SL, 4, 2), (OSP, 2, 4)):
+        kind = MatrixKind(fam, m, n)
+        for name in applicable_names(kind):
+            for p, q in param_choices(name, kind):
+                yield build(name, kind, p, q)
+    kind = MatrixKind(SL, 8, 8)
+    for name in applicable_names(kind):
+        choices = list(param_choices(name, kind))
+        for p, q in dict.fromkeys((choices[0], choices[-1])):
+            yield build(name, kind, p, q)
+    shear = [[ONE, GaussianRational(1, 1), ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, GaussianRational(2)]]
+    yield Descriptor("shear", MatrixKind(SL, 2, 1), STANDARD, (ad_step("K", shear), conj_step()))
+    for m, n in ((2, 1), (8, 8)):
+        swap = ad_step("swap", permutation_grid(m + n, (m - 1, m)))
+        yield Descriptor("mixing", MatrixKind(SL, m, n), STANDARD, (swap, conj_step()))
+
+
+ORACLE_DESCRIPTORS = list(oracle_descriptors())
+
+
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS, ids=label)
+def test_composed_compile_matches_probe_compile(desc):
+    m, n = desc.kind.m, desc.kind.n
+    for steps in (desc.steps, desc.lift_steps()):
+        assert compile_expr(steps, m, n) == probe_compile_expr(steps, m, n)
+
+
+def test_compile_evaluates_no_matrix(monkeypatch):
+    from superforms.matrices import SuperMatrix
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a supermatrix")
+
+    monkeypatch.setattr(SuperMatrix, "__init__", forbidden)
+    for fam, m, n in ((SL, 2, 2), (OSP, 2, 2), (SL, 3, 1)):
+        kind = MatrixKind(fam, m, n)
+        for name in applicable_names(kind):
+            for p, q in param_choices(name, kind):
+                desc = build(name, kind, p, q)
+                compile_expr(desc.steps, m, n)
+                compile_expr(desc.lift_steps(), m, n)
+
+
+def random_invertible(size, rng):
+    """A lower unitriangular grid times an upper triangular one with nonzero
+    diagonal, over small Gaussian rationals: invertible, and dense enough
+    that most slots feed several output cells."""
+    pool = [ZERO, ONE, GaussianRational(-1), I, GaussianRational(1, -2, 3)]
+    lower = [[ONE if i == j else rng.choice(pool) if j < i else ZERO for j in range(size)] for i in range(size)]
+    upper = [[rng.choice(pool[1:]) if i == j else rng.choice(pool) if j > i else ZERO for j in range(size)]
+             for i in range(size)]
+    return linalg.mat_mul(lower, upper)
+
+
+@given(st.sampled_from([(2, 1), (1, 2), (2, 2), (3, 0), (0, 2), (1, 1)]), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_composed_compile_matches_probe_compile_on_random_runs(shape, seed):
+    # complex constants before and after conj steps, so a conj that left the
+    # constants composed so far unconjugated would show; pi on m != n is
+    # refused by both compiles
+    m, n = shape
+    rng = random.Random(seed)
+    scales = [GaussianRational(0, 2), GaussianRational(1, 1), GaussianRational(-3, 0, 2)]
+    makers = [conj_step, conj_step, negst_step, neg_step, pi_step,
+              lambda: delta_step(rng.choice(scales)), lambda: ad_step("K", random_invertible(m + n, rng))]
+    steps = tuple(rng.choice(makers)() for _ in range(rng.randint(0, 5)))
+    if any(step[0] == "pi" for step in steps) and m != n:
+        for compile_ in (compile_expr, probe_compile_expr):
+            with pytest.raises(ValueError, match="parity swap"):
+                compile_(steps, m, n)
+        return
+    compiled = compile_expr(steps, m, n)
+    assert compiled == probe_compile_expr(steps, m, n)
+    run = compiled.algebra_map
+    index = run.source_index()
+    for _ in range(3):
+        grid = [[rng.choice([ZERO, ZERO, ONE, I, GaussianRational(2, -1)]) for _ in range(m + n)]
+                for _ in range(m + n)]
+        support = [((i, j), x) for i, row in enumerate(grid) for j, x in enumerate(row) if not x.is_zero()]
+        dense = apply_constant(run, grid)
+        expected = {(i, j): y for i, row in enumerate(dense) for j, y in enumerate(row) if not y.is_zero()}
+        assert run.apply_support(support, index) == expected
+
+
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS, ids=label)
+def test_vector_action_reads_supports_like_dense_grids(desc):
+    action = _vector_action(desc)
+    assert action == dense_vector_action(desc)
+    assert (None in action[1]) == (desc.name == "mixing")
 
 
 @pytest.mark.parametrize("desc", list(every_descriptor()), ids=label)

@@ -5,7 +5,7 @@ slot-read coordinates, in-place matrix assembly, sparse canonical span bases
 and the representability dichotomy built on them;
 and against the routes they replace: fixed-point images relabelled across
 monomials, the rebuild as one positional map, the rebuild check decided on a
-basis of g against sampled direct comparison, the sl and osp membership
+basis of g against sampled direct comparison and against whole grids, the sl and osp membership
 checks read off compiled cells, the difference of two positional maps, and
 the zero test of a positional map without conjugating; and against the probe
 evaluations (``probe_reference.py``) that extraction and fixed points made
@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from dense_reference import (
     apply_to_tensor, dense_layout_fixed_vectors, dense_real_fixed_elements, dense_real_fixed_vectors,
-    dense_representability, in_span, nullspace, osp_basis_grids, rank, real_coordinates, rref,
+    dense_rebuild_matches, dense_representability, in_span, nullspace, osp_basis_grids, rank, real_coordinates, rref,
     solve_decompose, solve_tensor_of, spans_equal, summed_matrix_of,
 )
 from probe_reference import evaluated_fixed_point_coords, probe_extract_vector_conjugation
@@ -560,6 +560,29 @@ def test_exact_rebuild_agrees_with_sampling_on_the_catalog():
                 assert_exact_witness(desc, vectors, sig, outcome)
                 statuses.append(outcome.status)
     assert len(statuses) >= 300 and set(statuses) == {"pass", "fail"}
+
+
+def test_exact_rebuild_matches_the_dense_check_on_planted_maps():
+    # the check reads each basis vector's support through the difference
+    # map's source index; on whole grids it must give the same outcome,
+    # witness and note, for the descriptor's own map and for maps planted
+    # wrong on one even, one odd or every vector
+    statuses = []
+    for desc in list(catalog_instances()) + [build(name, MatrixKind(SL, 4, 2))
+                                             for name in applicable_names(MatrixKind(SL, 4, 2))]:
+        phi = extract_vector_conjugation(desc)
+        basis = basis_of(desc.kind)
+        wrong = {next(v.index for v in basis if v.parity == parity) for parity in (EVEN, ODD)
+                 if any(v.parity == parity for v in basis)}
+        maps = [phi] + [planted(phi, i) for i in sorted(wrong)]
+        maps.append(VectorConjugation(phi.kind, phi.conjugation,
+                                      tuple(tuple((j, -c) for j, c in row) for row in phi.coords)))
+        for vectors in maps:
+            for sig in REBUILD_SIGNATURES[desc.conjugation]:
+                outcome = rebuild_matches(desc, vectors, sig)
+                assert outcome == dense_rebuild_matches(desc, vectors, sig), (desc.display(), sig)
+                statuses.append(outcome.status)
+    assert len(statuses) >= 500 and set(statuses) == {"pass", "fail"}
 
 
 def test_another_conjugation_count_keeps_the_sampled_check():

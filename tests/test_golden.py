@@ -3,8 +3,8 @@
 Every command runs in both output formats, and the sha256 of its stdout must
 equal the entry in ``golden_digests.json``.  The list covers every
 subcommand on both families, every catalog name, the group level, a graded
-witness and the ``--strict-printed`` flag, at sizes that run in about two
-seconds in all.  A change meant to alter reports regenerates the file with
+witness and the ``--strict-printed`` flag, and compact scans up to sl(5|3),
+at sizes that run in a few seconds in all.  A change meant to alter reports regenerates the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and names the entries it
 changed.
 """
@@ -60,6 +60,9 @@ COMMANDS = (
     "compact-scan sl 2 2",
     "compact-scan osp 1 2",
     "compact-scan osp 2 2",
+    "compact-scan sl 4 2",
+    "compact-scan osp 2 4",
+    "compact-scan sl 5 3",
 )
 
 
