@@ -37,7 +37,11 @@ parity.
 The dual numbers ``A(eps)`` of :func:`adjoin_dual` put ``eps`` last among
 the even generators.  :func:`dual_scale_morphism` scales that generator,
 :func:`split_dual` splits an element of ``A(eps)`` as ``a + b eps``, and
-:func:`dual_scale` applies the scaling in closed form from that split.
+:func:`dual_scale` applies the scaling in closed form, as one kernel call on
+the terms of ``x`` without and with ``eps``.  :func:`identity_plus_multiple`
+builds the grid ``Id + t M`` of a dual-number kernel point in one pass per
+entry, for ``t`` one of ``eps``, ``-eps`` or ``e h``: such a monomial only
+sets bits on the keys of ``M``.
 
 An element is stored as Gaussian-integer numerators over one denominator,
 in a unique normal form (see :class:`SuperNumber`), so equality and hashing
@@ -581,6 +585,13 @@ class SuperNumber:
         table = self.sig.conjugation_power(times)
         flip = times & 1
         out: Dict[int, tuple] = {}
+        if cd == 1 and cr == 1 and not ci:
+            # c is 1: only the table's sign and the conjugation touch the parts
+            isign = -1 if flip else 1
+            for k, (re, im) in self._num.items():
+                omask, sign = table[k & 0xFF]
+                out[omask | (k & ~0xFF)] = (re, im * isign) if sign > 0 else (-re, -im * isign)
+            return _element(self.sig, self.den, out)
         for k, (re, im) in self._num.items():
             omask, sign = table[k & 0xFF]
             if flip:
@@ -963,22 +974,67 @@ def dual_scale_morphism(sig: AlgebraSignature, a: SuperNumber) -> AlgebraMorphis
     return AlgebraMorphism(sig, sig, odd, even[:-1] + [a * even[-1]])
 
 
+_UNIT_TERMS = {0: (1, 0)}
+
+
 def dual_scale(x: SuperNumber, a: SuperNumber) -> SuperNumber:
     """The image of ``x`` under ``dual_scale_morphism(x.sig, a)``, in closed
-    form: ``x = u + v eps`` (:func:`split_dual`) goes to ``u + (a v) eps``.
-    ``eps`` is the last even generator, so ``(a v) eps`` keeps the keys of
-    ``a v`` with its bit set and no sign (a term of ``a v`` that holds
-    ``eps`` vanishes); those keys hold ``eps`` and the keys of ``u`` do not,
-    so no two terms meet."""
-    u, v = split_dual(x, x.sig)
-    if v.is_zero():
+    form: ``x = u + v eps`` goes to ``u + a (v eps)``, one kernel call on the
+    pairs ``(u, 1)`` and ``(a, v eps)``, ``u`` and ``v eps`` being the terms of
+    ``x`` without and with the bit of ``eps``, the last even generator.  A
+    term of ``a`` that holds ``eps`` shares that bit with every term of ``v
+    eps``, so it vanishes by the kernel's rule; the keys of ``a (v eps)``
+    hold ``eps`` and those of ``u`` do not, so no two terms meet."""
+    bit = 1 << (_ODD_BITS + x.sig.even_nilpotents - 1)
+    free: Dict[int, tuple] = {}
+    held: Dict[int, tuple] = {}
+    for key, v in x._num.items():
+        if key & bit:
+            held[key] = v
+        else:
+            free[key] = v
+    if not held:
         return x
-    w = (a * v).monomial_multiple(make_key(0, 1 << (x.sig.even_nilpotents - 1)), ONE)
-    den = u.den // gcd(u.den, w.den) * w.den
-    su, sw = den // u.den, den // w.den
-    num = {k: (re * su, im * su) for k, (re, im) in u._num.items()}
-    num.update((k, (re * sw, im * sw)) for k, (re, im) in w._num.items())
-    return _normal(x.sig, den, num)
+    if a.sig is not x.sig:
+        x._check_sig(a)
+    return _accumulate(x.sig, ((a.den, free, _UNIT_TERMS), (1, a._num, held)), a.den * x.den)
+
+
+def identity_plus_multiple(rows: Sequence[Sequence[SuperNumber]], t: SuperNumber) -> Optional[list]:
+    """The rows of ``Id + t M`` for the square grid ``rows`` of ``M``, in one
+    pass per entry, when ``t`` is 1 or -1 times a monomial of even
+    generators alone (``eps``, ``-eps``, ``e h``); ``None`` for any other
+    ``t``.  Such a monomial is central and passes no odd generator, so each
+    key of ``M_ij`` gains its bits with no sign, a key that already holds one
+    of them vanishes, and the numerators are kept or negated; dropping terms
+    can leave a common factor, which is reduced.  The diagonal then gains
+    the unit, at key 0, which no key of ``t M`` is."""
+    num = t._num
+    if t.den != 1 or len(num) != 1:
+        return None
+    (key, (cr, ci)), = num.items()
+    if ci or cr not in (1, -1) or not key or key & 0xFF:
+        return None
+    sig = t.sig
+    out = []
+    for i, row in enumerate(rows):
+        out_row = []
+        for j, x in enumerate(row):
+            if x.sig is not sig:
+                x._check_sig(t)
+            src, den = x._num, x.den
+            if cr > 0:
+                terms = {k | key: v for k, v in src.items() if not k & key}
+            else:
+                terms = {k | key: (-v[0], -v[1]) for k, v in src.items() if not k & key}
+            if len(terms) != len(src):
+                y = _normal(sig, den, terms)
+                den, terms = y.den, y._num
+            if i == j:
+                terms[0] = (den, 0)
+            out_row.append(_element(sig, den, terms))
+        out.append(out_row)
+    return out
 
 
 def kill_pair_projection(sig: AlgebraSignature, pair: int) -> AlgebraMorphism:

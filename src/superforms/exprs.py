@@ -30,8 +30,10 @@ scales the B block by ``lam`` and the C block by ``lam^-1``; ``ad`` writes
 cell ``(i, j)`` of ``K x K^-1`` as ``sum K[i][a] K^-1[b][j] x[a][b]`` over the
 nonzero entries of row ``i`` of ``K`` and column ``j`` of ``K^-1``.  The map
 of a ``conj`` step is the identity after one conjugation.  A run folds these
-maps in the order the steps apply (:meth:`PositionalMap.compose`), and
-composition moves conjugation inward past the maps composed so far:
+maps in the order the steps apply (:meth:`PositionalMap.compose`), from
+the first step's map, and composition multiplies constants only where
+neither is 1 or -1.  Composition moves conjugation inward past the maps
+composed so far:
 ``conj(L(conj^k x)) = conj(L)(conj^(k+1) x)``, ``conj(L)`` being ``L`` with its
 constants conjugated.  So a ``conj`` step conjugates the constants composed
 so far and adds one to ``k``.  ``pi`` on ``m != n`` raises ``ValueError``.
@@ -43,7 +45,10 @@ catalog's maps is, is
 ``c conj^k(x[r][s])`` built in one pass over the entry's terms
 (``SuperNumber.conjugated``: one read of the table of ``conj^k`` per key,
 and for ``c`` in {1, -1, i, -i} the parts swapped or negated), with no
-conjugated copy of the entry; the entries of a cell of several terms are
+conjugated copy of the entry.  A map whose cells each read at most one
+slot is applied from its flat :attr:`~PositionalMap.plan`, one ``(r, s,
+c)`` per output cell, derived once per map; the entries of a cell of
+several terms (``ad`` by a grid that is not monomial, a planted map) are
 conjugated one pass each and summed by ``algebra.sum_of_products``.  Two
 maps that conjugate equally often subtract, ``a - b``, into one positional
 map: the osp conditions (``liealg.MatrixKind.conditions``) are the identity
@@ -68,7 +73,7 @@ on the spot.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import linalg
@@ -182,18 +187,40 @@ def step_rule(step: Step) -> StepRule:
     return rule
 
 
-class PositionalMap(NamedTuple):
-    """A run of algebra-level steps: ``conjugations`` entrywise conjugations,
-    then the constant map whose output cell ``(i, j)`` is ``sum c x[r][s]``
-    over ``cells[i][j] = ((r, s, c), ...)``."""
-
+class _MapFields(NamedTuple):
     cells: Tuple[Tuple[Tuple[Tuple[int, int, GaussianRational], ...], ...], ...]
     conjugations: int
+
+
+class PositionalMap(_MapFields):
+    """A run of algebra-level steps: ``conjugations`` entrywise conjugations,
+    then the constant map whose output cell ``(i, j)`` is ``sum c x[r][s]``
+    over ``cells[i][j] = ((r, s, c), ...)``.  Maps are tuples and compare as
+    such; each keeps the :attr:`plan` it derives from its cells."""
+
+    @cached_property
+    def plan(self) -> Optional[Tuple[Term, ...]]:
+        """The cells row by row as one flat tuple of ``(r, s, c)``, an empty
+        cell as ``(0, 0, ZERO)``, which reads zero, when every cell reads at
+        most one slot; ``None`` when some cell reads several."""
+        plan = []
+        for row in self.cells:
+            for cell in row:
+                if len(cell) > 1:
+                    return None
+                plan.append(cell[0] if cell else (0, 0, ZERO))
+        return tuple(plan)
 
     def apply(self, x: SuperMatrix) -> SuperMatrix:
         sig = x.sig
         rows = x.rows
         k = self.conjugations
+        plan = self.plan
+        if plan is not None:
+            flat = [rows[r][s].conjugated(k, c) for r, s, c in plan]
+            size = len(rows)
+            return SuperMatrix(x.m, x.n, sig, [flat[i:i + size] for i in range(0, len(flat), size)],
+                               check=False)
         zero = SuperNumber.zero(sig)
         out = []
         for cell_row in self.cells:
@@ -281,7 +308,9 @@ class PositionalMap(NamedTuple):
                 acc: Dict[Cell, GaussianRational] = {}
                 for a, b, c in cell:
                     for r, s, d in inner.cells[a][b]:
-                        acc[r, s] = acc.get((r, s), ZERO) + c * (d.conjugate() if flip else d)
+                        term = _times(c, d.conjugate() if flip else d)
+                        prev = acc.get((r, s))
+                        acc[r, s] = term if prev is None else prev + term
                 out_row.append(tuple((r, s, c) for (r, s), c in sorted(acc.items()) if not c.is_zero()))
             cells.append(tuple(out_row))
         return PositionalMap(tuple(cells), self.conjugations + inner.conjugations)
@@ -313,11 +342,26 @@ class PositionalMap(NamedTuple):
         return {cell: y for cell, y in out.items() if not y.is_zero()}
 
 
+def _times(c: GaussianRational, d: GaussianRational) -> GaussianRational:
+    """``c d``, with no product built when either factor is 1 or -1."""
+    if d.den == 1 and not d.im and d.re in (1, -1):
+        return c if d.re == 1 else -c
+    if c.den == 1 and not c.im and c.re in (1, -1):
+        return d if c.re == 1 else -d
+    return c * d
+
+
 def _compile_run(run: Sequence[Step], m: int, n: int) -> PositionalMap:
     """The positional map of ``run``, steps listed in the order they apply:
-    each step's constant map composed after those of the steps before it."""
-    identity = _slot_map(m, n, lambda i, j: ((i, j, ONE),))
-    return reduce(lambda inner, step: step_rule(step).constant(step, m, n).compose(inner), run, identity)
+    each step's constant map composed after those of the steps before it,
+    starting from the first step's map, so a run of ``k`` steps composes
+    ``k - 1`` times.  A step's map already has its cells' slots sorted and
+    merged and no zero constant, as a composition leaves them; an empty run
+    is the identity."""
+    maps = [step_rule(step).constant(step, m, n) for step in run]
+    if not maps:
+        return _slot_map(m, n, lambda i, j: ((i, j, ONE),))
+    return reduce(lambda inner, outer: outer.compose(inner), maps)
 
 
 class CompiledExpr(NamedTuple):

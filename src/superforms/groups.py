@@ -20,7 +20,10 @@ A kernel point ``Id + eps M`` lives over the dual numbers ``A(eps)`` of
 :func:`~superforms.algebra.adjoin_dual`, where ``eps`` is the last even
 generator; :func:`kernel_point` takes ``M`` already mapped through the
 inclusion that function returns, and :func:`eps_split` reads ``M`` back
-entry by entry.
+entry by entry.  For ``eps``, ``-eps`` and the ``e h`` of the commutator
+identity, a kernel point is built in one pass per entry
+(:func:`~superforms.algebra.identity_plus_multiple`): multiplying by such
+a monomial only sets its bits on the keys of ``M``.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .algebra import (
-    AlgebraSignature, SuperNumber, adjoin_dual, dual_scale, one, scalar,
-    split_dual,
+    AlgebraSignature, SuperNumber, adjoin_dual, dual_scale, identity_plus_multiple, one,
+    scalar, split_dual,
 )
 from .catalog import Descriptor
 from .exprs import apply_expr
@@ -201,12 +204,16 @@ def eps_split(x: SuperMatrix, base: AlgebraSignature) -> Tuple[SuperMatrix, Supe
 def kernel_point(m_ext: SuperMatrix, eps: SuperNumber) -> SuperMatrix:
     """``Id + eps * M`` over the extended algebra, with ``M`` already mapped
     into it (``m_ext``) and ``eps`` an even monomial of it, such as the
-    generator :func:`algebra.adjoin_dual` returns.  The scaling relabels
-    keys (:meth:`SuperMatrix.scale`) and only the diagonal gains the 1."""
-    rows = [list(row) for row in m_ext.scale(eps).rows]
-    unit = one(eps.sig)
-    for i, row in enumerate(rows):
-        row[i] = row[i] + unit
+    generator :func:`algebra.adjoin_dual` returns.  For ``eps``, ``-eps`` or
+    a product of even generators, each entry is built in one pass
+    (:func:`algebra.identity_plus_multiple`); any other ``eps`` is a
+    scaling (:meth:`SuperMatrix.scale`) after which the diagonal gains the 1."""
+    rows = identity_plus_multiple(m_ext.rows, eps)
+    if rows is None:
+        rows = [list(row) for row in m_ext.scale(eps).rows]
+        unit = one(eps.sig)
+        for i, row in enumerate(rows):
+            row[i] = row[i] + unit
     return SuperMatrix(m_ext.m, m_ext.n, eps.sig, rows, check=False)
 
 

@@ -16,7 +16,8 @@ This module houses the substance of the package:
   structures have fixed sets spanned by real-coefficient combinations of
   fixed vectors; graded ones admit an explicit fixed point outside that span;
 * :func:`compactness_data` / :func:`compact_scan` — positive definiteness of
-  the -Re tr(XY) form on the even fixed part, by exact leading minors.
+  the -Re tr(XY) form on the even fixed part, by exact leading minors of its
+  Gram matrix (:func:`gram_matrix`, one fused sum per entry).
 
 Extraction, fixed points and a passing rebuild check evaluate no
 supermatrix.  A descriptor's map is ``k`` entrywise conjugations followed by
@@ -630,23 +631,39 @@ def representability_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
 # compactness
 # ---------------------------------------------------------------------------
 
+def gram_matrix(cells: List[Dict[Tuple[int, int], GaussianRational]]) -> List[List[GaussianRational]]:
+    """The Gram matrix of -Re tr(XY) on constant grids given by their nonzero
+    cells ``{(a, b): x}``.  ``tr(X Y)`` sums ``X[a][b] Y[b][a]``, so each grid
+    is transposed once into one index, ``(b, a)`` -> the grids ``s`` with
+    ``y`` at ``(a, b)``, and each nonzero entry is one
+    ``GaussianRational.sum_of_products`` over the cells two grids share; an
+    entry with none is zero.  ``tr(XY) = tr(YX)`` for constant grids, so the
+    matrix is symmetric and only its upper triangle is summed."""
+    transposed: Dict[Tuple[int, int], List[Tuple[int, GaussianRational]]] = {}
+    for s, grid in enumerate(cells):
+        for (a, b), y in grid.items():
+            transposed.setdefault((b, a), []).append((s, y))
+    dim = len(cells)
+    gram = [[ZERO] * dim for _ in range(dim)]
+    for r, grid in enumerate(cells):
+        shared: Dict[int, list] = {}
+        for cell, x in grid.items():
+            for s, y in transposed.get(cell, ()):
+                if s >= r:
+                    shared.setdefault(s, []).append((x, y))
+        for s, pairs in shared.items():
+            trace = GaussianRational.sum_of_products(pairs)
+            gram[r][s] = gram[s][r] = GaussianRational(-trace.re, 0, trace.den)
+    return gram
+
+
 def compactness_data(desc: Descriptor) -> Dict:
     """Gram data of -Re tr(XY) on the even fixed part of the defining space."""
     phi = extract_vector_conjugation(desc)
     even_fixed = real_fixed_vectors(phi, EVEN)
     cells = [combination_cells(phi.kind, u.items()) for u in even_fixed]
     dim = len(cells)
-    # tr(XY) = tr(YX) for constant grids, so the Gram matrix is symmetric
-    gram = [[ZERO] * dim for _ in range(dim)]
-    for r in range(dim):
-        for s in range(r, dim):
-            other = cells[s]
-            trace = ZERO
-            for (a, b), x in cells[r].items():
-                y = other.get((b, a))
-                if y is not None:
-                    trace = trace + x * y
-            gram[r][s] = gram[s][r] = GaussianRational(-trace.re, 0, trace.den)
+    gram = gram_matrix(cells)
     minors = linalg.leading_principal_minors(gram) if dim else []
     compact = all(minor.re > 0 for minor in minors)
     return {

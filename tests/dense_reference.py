@@ -24,6 +24,10 @@ canonical bases and compared spans through them:
   ``spans_equal`` (Gauss-Jordan on whole grids), against which
   ``linalg.span_basis`` is checked, with the dense real coordinates
   ``real_coordinates`` / ``layout_coords`` they take;
+* ``loop_gram``: the Gram matrix of -Re tr(XY) on even fixed grids as a
+  double loop over pairs of grids, one transposed cell lookup and one
+  ``GaussianRational`` product and sum per shared cell, from before
+  ``realforms.gram_matrix`` transposed each grid once and fused each entry;
 * ``dense_representability``: the representability dichotomy on dense real
   coordinates of the fixed points and of every product (real fixed
   coefficient) x (fixed vector), decided by ``rank``, ``spans_equal`` and
@@ -430,3 +434,21 @@ def dense_representability(desc, sig) -> Dict:
     result["witness_in_product_span"] = inside
     result["representable"] = not (fixed_ok and not inside)
     return result
+
+
+def loop_gram(cells) -> List[List[GaussianRational]]:
+    """``realforms.gram_matrix`` as a double loop: for each pair of grids,
+    each cell ``(a, b)`` of the first looks up ``(b, a)`` in the second and
+    adds the product to a running ``GaussianRational`` trace."""
+    dim = len(cells)
+    gram = [[ZERO] * dim for _ in range(dim)]
+    for r in range(dim):
+        for s in range(r, dim):
+            other = cells[s]
+            trace = ZERO
+            for (a, b), x in cells[r].items():
+                y = other.get((b, a))
+                if y is not None:
+                    trace = trace + x * y
+            gram[r][s] = gram[s][r] = GaussianRational(-trace.re, 0, trace.den)
+    return gram

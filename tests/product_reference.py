@@ -31,7 +31,15 @@ numerators over one denominator:
   map's cell as ``k`` conjugated copies of each entry followed by a scaling,
   the tensor-form bracket as a negate, scale and add per term over every
   pair of coefficients, and the dual scaling applied through its generator
-  images (``eps -> a eps``), with no closed form.
+  images (``eps -> a eps``), with no closed form;
+* the one-pass short cuts of the group layer as they were before it: a
+  kernel point ``Id + t M`` as a scaling by ``t`` and a sum with the unit on
+  the diagonal (``scale_plus_unit``), the dual scaling as two
+  ``split_dual`` normalisations, a product, a relabelling and a merge
+  (``split_dual_scale``), and a positional map applied by its general cell
+  loop, which lists the terms of every cell (``loop_positional_apply``).
+  These must match the package's storage exactly: denominator, numerators
+  and key order.
 
 ``respects_conjugation`` checks on generators whether a morphism intertwines
 the conjugations (it then does on the whole algebra, by multiplicativity and
@@ -43,10 +51,12 @@ graded conjugation laws are stated on.
 The tests require the package to agree with them exactly.
 """
 
+from math import gcd
+
 from superforms import linalg
 from superforms.algebra import (
     STANDARD, AlgebraMorphism, SuperNumber, even_mask_of, generators, key_parity, make_key,
-    odd_mask_of, one, sum_of_products,
+    odd_mask_of, one, split_dual, sum_of_products,
 )
 from superforms.liealg import TensorElement, basis_of, vector_bracket
 from superforms.matrices import NotInvertibleMatrix, SuperMatrix, identity_matrix
@@ -458,3 +468,53 @@ def reference_dual_scale(x: SuperNumber, a: SuperNumber) -> SuperNumber:
                 image = image * morphism.even_images[j]
         pairs.append((image, c))
     return sum_of_products(sig, pairs)
+
+
+def scale_plus_unit(m_ext: SuperMatrix, t: SuperNumber) -> SuperMatrix:
+    """``Id + t M``: every entry scaled by ``t`` (``SuperMatrix.scale``), then
+    the unit added to each diagonal entry."""
+    rows = [list(row) for row in m_ext.scale(t).rows]
+    unit = one(t.sig)
+    for i, row in enumerate(rows):
+        row[i] = row[i] + unit
+    return SuperMatrix(m_ext.m, m_ext.n, t.sig, rows, check=False)
+
+
+def split_dual_scale(x: SuperNumber, a: SuperNumber) -> SuperNumber:
+    """The dual scaling ``u + v eps -> u + (a v) eps`` from the split
+    ``split_dual(x) = (u, v)``: the product ``a v`` relabelled by
+    ``monomial_multiple`` (a term of it that holds ``eps`` vanishes), then
+    merged with ``u`` over the common denominator."""
+    u, v = split_dual(x, x.sig)
+    if v.is_zero():
+        return x
+    w = (a * v).monomial_multiple(make_key(0, 1 << (x.sig.even_nilpotents - 1)), ONE)
+    den = u.den // gcd(u.den, w.den) * w.den
+    su, sw = den // u.den, den // w.den
+    terms = {k: (re * su, im * su) for k, (re, im) in u.numerators()}
+    terms.update((k, (re * sw, im * sw)) for k, (re, im) in w.numerators())
+    return SuperNumber._from_numerators(x.sig, den, terms)
+
+
+def loop_positional_apply(pmap, x: SuperMatrix) -> SuperMatrix:
+    """A positional map by its general cell loop: the nonzero entries each
+    cell reads, one conjugating pass for a single term, a fused sum of
+    conjugated entries for several."""
+    sig, rows, k = x.sig, x.rows, pmap.conjugations
+    zero = SuperNumber.zero(sig)
+    out = []
+    for cell_row in pmap.cells:
+        out_row = []
+        for cell in cell_row:
+            terms = [(rows[r][s], c) for r, s, c in cell if not rows[r][s].is_zero()]
+            if not terms:
+                out_row.append(zero)
+            elif len(terms) == 1:
+                (e, c), = terms
+                out_row.append(e.conjugated(k, c))
+            else:
+                if k:
+                    terms = [(e.conjugated(k), c) for e, c in terms]
+                out_row.append(sum_of_products(sig, terms))
+        out.append(out_row)
+    return SuperMatrix(x.m, x.n, sig, out, check=False)

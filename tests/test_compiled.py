@@ -5,9 +5,12 @@ Descriptors evaluate through positional maps compiled once per descriptor
 maps found by tagged probe evaluations (``probe_reference.py``); each
 structure's vector action reads basis vectors' sparse supports through a
 source index, which must agree with whole grids (``dense_reference.py``);
-monomial morphisms relabel keys instead of running the product kernel, and
-leading minors come from one elimination.  Each fast path must agree
-exactly with the slow one it replaced.
+maps that read one slot per cell are applied from a flat plan, which must
+keep the storage of the general cell loop (``product_reference.py``);
+monomial morphisms relabel keys instead of running the product kernel,
+Gram matrices fuse each entry over transposed cells, and leading minors
+come from one elimination.  Each fast path must agree exactly with the slow
+one it replaced.
 """
 
 import random
@@ -16,10 +19,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import apply_constant, dense_vector_action
+from dense_reference import apply_constant, dense_vector_action, loop_gram
 from expr_reference import reference_apply_expr
 from probe_reference import probe_compile_expr
-from product_reference import respects_conjugation
+from product_reference import loop_positional_apply, respects_conjugation
 from superforms import catalog, exprs, linalg
 from superforms.algebra import (
     GRADED, STANDARD, AlgebraSignature, SuperNumber, adjoin_dual, dual_scale_morphism,
@@ -31,8 +34,8 @@ from superforms.exprs import (
     ad_step, apply_expr, compile_expr, conj_step, delta_step, neg_step, negst_step, pi_step,
 )
 from superforms.groups import sample_group
-from superforms.liealg import OSP, SL, MatrixKind
-from superforms.realforms import _vector_action, verify_structure
+from superforms.liealg import OSP, SL, MatrixKind, combination_cells
+from superforms.realforms import _vector_action, compactness_data, gram_matrix, verify_structure
 from superforms.sampling import random_element, random_even, random_point
 from superforms.scalars import GaussianRational, I, ONE, ZERO
 
@@ -190,6 +193,81 @@ def test_compiled_lift_matches_step_by_step(desc):
     assert apply_expr(desc.compiled_lift, g, allow_inverse=True) == expected
     assert (len(desc.compiled_lift.stages), desc.compiled_lift.group_only) == (
         (2, True) if desc.lift_form == "inverse-neg" else (1, False))
+
+
+def grid_storage(x):
+    """Every entry as stored: denominator and numerators in key order."""
+    return [[(e.den, list(e.numerators())) for e in row] for row in x.rows]
+
+
+@pytest.mark.parametrize("desc", list(every_descriptor()), ids=label)
+def test_flat_plan_matches_the_cell_loop(desc):
+    stages = [stage for stage in desc.compiled.stages + desc.compiled_lift.stages
+              if type(stage) is exprs.PositionalMap]
+    # every catalog map reads one slot per cell, so each is applied from its plan
+    assert stages and all(stage.plan is not None for stage in stages)
+    rng = random.Random("plan " + label(desc))
+    for conjugation in (STANDARD, GRADED):
+        for sig in signatures(conjugation):
+            ext = adjoin_dual(sig)[0]
+            for x in (random_point(desc.kind, sig, rng), random_point(desc.kind, ext, rng)):
+                for stage in stages:
+                    assert grid_storage(stage.apply(x)) == grid_storage(loop_positional_apply(stage, x))
+
+
+def test_maps_with_several_terms_per_cell_keep_the_cell_loop():
+    shear = next(desc for desc in ORACLE_DESCRIPTORS if desc.name == "shear")
+    run = shear.compiled.algebra_map
+    assert run.plan is None
+    x = random_point(shear.kind, AlgebraSignature(1, 1, 1, STANDARD), random.Random(3))
+    assert grid_storage(run.apply(x)) == grid_storage(loop_positional_apply(run, x))
+    # an empty cell in a plan reads nothing
+    empty = exprs.PositionalMap(((((0, 0, ONE),), ()), ((), ((1, 1, I),))), 1)
+    assert empty.plan == ((0, 0, ONE), (0, 0, ZERO), (0, 0, ZERO), (1, 1, I))
+    y = random_point(MatrixKind(SL, 1, 1), AlgebraSignature(1, 0, 1, GRADED), random.Random(4))
+    assert grid_storage(empty.apply(y)) == grid_storage(loop_positional_apply(empty, y))
+    assert empty.apply(y).rows[0][1].is_zero()
+
+
+def test_a_run_of_k_steps_composes_k_minus_1_times(monkeypatch):
+    compose = exprs.PositionalMap.compose
+    calls = []
+    monkeypatch.setattr(exprs.PositionalMap, "compose",
+                        lambda self, inner: calls.append(1) or compose(self, inner))
+    kind = MatrixKind(SL, 2, 2)
+    runs = [(), (conj_step(),), (negst_step(), conj_step()),
+            build("sigma1", kind).steps, build("omega2", kind).steps,
+            (neg_step(), delta_step(I), conj_step(), pi_step(), negst_step())]
+    for run in runs:
+        calls.clear()
+        compiled = compile_expr(run, kind.m, kind.n)
+        assert len(compiled.stages) == 1
+        assert len(calls) == max(len(run) - 1, 0), run
+        assert compiled == probe_compile_expr(run, kind.m, kind.n)
+
+
+def compact_descriptors():
+    """Every descriptor of the shapes whose compact rows the benchmark pins,
+    and the first and last choice of each sl(8|8) name."""
+    for fam, m, n in ((SL, 2, 1), (SL, 3, 1), (OSP, 1, 2), (OSP, 2, 2), (SL, 4, 2), (OSP, 2, 4)):
+        kind = MatrixKind(fam, m, n)
+        for name in applicable_names(kind):
+            for p, q in param_choices(name, kind):
+                yield build(name, kind, p, q)
+    kind = MatrixKind(SL, 8, 8)
+    for name in applicable_names(kind):
+        choices = list(param_choices(name, kind))
+        for p, q in dict.fromkeys((choices[0], choices[-1])):
+            yield build(name, kind, p, q)
+
+
+@pytest.mark.parametrize("desc", list(compact_descriptors()), ids=label)
+def test_gram_matrix_matches_the_double_loop(desc):
+    data = compactness_data(desc)
+    cells = [combination_cells(desc.kind, u.items()) for u in data["_even_fixed"]]
+    gram = loop_gram(cells)
+    assert gram_matrix(cells) == gram
+    assert data["minors"] == [str(minor) for minor in (linalg.leading_principal_minors(gram) if gram else [])]
 
 
 def test_conjugation_count_is_not_reduced():

@@ -6,7 +6,10 @@ known to vanish, the Cayley sample ``2 D - Id`` and the scaling by a
 monomial that relabels keys.  And the algebra-level evaluations that build
 each output cell once: the commutator and ``a x + b y`` as signed sums, a
 positional map's cell as one conjugating pass, the tensor-form bracket that
-skips empty brackets, and the dual scaling in closed form.  And the element
+skips empty brackets, and the dual scaling in closed form.  The one-pass
+builds of the group layer keep the exact storage of the routes they
+replaced (``product_reference.py``), key order included: kernel points
+``Id + t M`` and the dual scaling as one kernel call.  And the element
 arithmetic on stored numerators against the per-term oracle (``PerTerm``),
 with the normal form it keeps and the coefficients it does not build."""
 
@@ -24,13 +27,14 @@ from product_reference import (
     reference_conjugated, reference_dual_scale, reference_element_inverse,
     reference_even_rules_bracket, reference_linear_combination, reference_mat_mul, reference_mul,
     reference_positional_apply, reference_product, reference_sample_sl, reference_scale,
-    reference_scaled, reference_series_inverse, sort_sign,
+    reference_scaled, reference_series_inverse, scale_plus_unit, sort_sign, split_dual_scale,
 )
 from superforms import algebra, linalg
 from superforms.algebra import (
     EVEN, GRADED, MAX_ODD, ODD, STANDARD, AlgebraMorphism, AlgebraSignature, SuperNumber, adjoin_dual,
-    basis_keys, conjugate_monomial, dual_scale, dual_scale_morphism, generators, kill_pair_projection,
-    mono_mul, odd_mask_of, one, scalar, split_dual, sum_of_products, theta,
+    basis_keys, conjugate_monomial, dual_scale, dual_scale_morphism, epsilon, generators,
+    identity_plus_multiple, kill_pair_projection, mono_mul, odd_mask_of, one, scalar, split_dual,
+    sum_of_products, theta, theta_bar,
 )
 from superforms.catalog import applicable_names, build, param_choices
 from superforms.exprs import PositionalMap
@@ -664,6 +668,120 @@ def test_dual_scale_matches_the_generator_images(data):
     image = dual_scale(x, a)
     assert image == reference_dual_scale(x, a) == dual_scale_morphism(ext, a).apply(x)
     assert no_zero_terms(image)
+
+
+# ---------------------------------------------------------------------------
+# one-pass kernel points and dual scalings, storage for storage
+# ---------------------------------------------------------------------------
+
+# both conjugations, a self-real generator, and the even nilpotent of --even-nil 1
+ONE_PASS_SIGNATURES = [AlgebraSignature(1, 1, 1, STANDARD), AlgebraSignature(1, 0, 1, GRADED),
+                       AlgebraSignature(1, 1, 0, STANDARD), AlgebraSignature(2, 0, 0, GRADED)]
+
+
+def storage(x: SuperNumber):
+    """An element as stored: its denominator and its numerators in key order."""
+    return x.den, list(x.numerators())
+
+
+def grid_storage(x: SuperMatrix):
+    return [[storage(e) for e in row] for row in x.rows]
+
+
+def kernel_monomials(sig: AlgebraSignature):
+    """``(name, algebra, t)`` for each ``t`` that :func:`identity_plus_multiple`
+    builds in one pass: ``eps`` and ``-eps`` over ``A(eps)``, ``e h`` over
+    ``A(e, h)``, and the base's own even generator when it has one."""
+    ext, _, _, eps = adjoin_dual(sig)
+    ext2, include2, _, h = adjoin_dual(ext)
+    yield "eps", ext, eps
+    yield "-eps", ext, -eps
+    yield "e*h", ext2, include2.apply(eps) * h
+    if sig.even_nilpotents:
+        yield "e1", ext, epsilon(ext, 0)
+
+
+def general_multipliers(ext: AlgebraSignature, eps: SuperNumber):
+    """Multipliers that keep the general route: a non-unit coefficient, a
+    unit that is not real, two terms, a monomial with odd generators, and 1."""
+    yield GaussianRational(2) * eps
+    yield I * eps
+    yield eps + epsilon(ext, 0) if ext.even_nilpotents > 1 else eps.scaled(GaussianRational(1, 0, 2))
+    if ext.odd_pairs:
+        yield theta(ext, 0) * theta_bar(ext, 0) * eps
+    yield one(ext)
+
+
+def holding(t: SuperNumber, x: SuperNumber) -> SuperNumber:
+    """``x`` plus ``t x``: an entry some of whose keys hold ``t``'s bits."""
+    return x + t * x
+
+
+@pytest.mark.parametrize("sig", ONE_PASS_SIGNATURES, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_one_pass_kernel_points_keep_the_scaled_storage(sig, data):
+    m, n = data.draw(st.sampled_from(SHAPES))
+    for name, ext, t in kernel_monomials(sig):
+        x = data.draw(supermatrices(ext, m, n))
+        if data.draw(st.booleans()):
+            x = x.map_entries(lambda e: holding(t, e))
+        point = kernel_point(x, t)
+        assert grid_storage(point) == grid_storage(scale_plus_unit(x, t)), name
+        assert all(in_normal_form(e) for row in point.rows for e in row)
+
+
+@pytest.mark.parametrize("sig", ONE_PASS_SIGNATURES, ids=str)
+def test_other_multipliers_keep_the_general_route(sig):
+    rng = random.Random(str(sig))
+    ext, _, _, eps = adjoin_dual(sig)
+    x = random_point(MatrixKind(GL, 2, 1), ext, rng)
+    for t in general_multipliers(ext, eps):
+        assert identity_plus_multiple(x.rows, t) is None, t
+        assert grid_storage(kernel_point(x, t)) == grid_storage(scale_plus_unit(x, t))
+
+
+def test_a_kernel_point_drops_the_keys_that_hold_eps():
+    sig = AlgebraSignature(1, 1, 1, STANDARD)
+    ext, include, _, eps = adjoin_dual(sig)
+    c = include.apply(theta(sig, 0) * theta_bar(sig, 0) + scalar(sig, GaussianRational(2, 0, 3)))
+    rows = [[eps * c, c], [eps, eps * c + c]]
+    x = SuperMatrix(1, 1, ext, rows, check=False)
+    for t in (eps, -eps):
+        point = kernel_point(x, t)
+        # every key of the (0, 0) entry holds eps: only the unit is left
+        assert storage(point.rows[0][0]) == (1, [(0, (1, 0))])
+        assert point.rows[1][0].is_zero()
+        assert grid_storage(point) == grid_storage(scale_plus_unit(x, t))
+    assert kernel_point(x, -eps).rows[0][1] == -(eps * c)
+
+
+@pytest.mark.parametrize("sig", ONE_PASS_SIGNATURES, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dual_scale_keeps_the_split_storage(sig, data):
+    ext, _, _, eps = adjoin_dual(sig)
+    x = data.draw(elements(ext))
+    a = data.draw(even_elements(ext))
+    if data.draw(st.booleans()):
+        x = holding(eps, x)
+    image = dual_scale(x, a)
+    assert storage(image) == storage(split_dual_scale(x, a))
+    assert image == reference_dual_scale(x, a)
+    assert in_normal_form(image)
+
+
+def test_dual_scale_drops_the_eps_terms_of_the_scale():
+    sig = AlgebraSignature(1, 1, 1, STANDARD)
+    ext, include, _, eps = adjoin_dual(sig)
+    u = include.apply(theta(sig, 0) + scalar(sig, GaussianRational(1, 1, 2)))
+    v = include.apply(theta_bar(sig, 0) * theta(sig, 0) + scalar(sig, GaussianRational(3)))
+    x = u + eps * v
+    # a term of a that holds eps multiplies v eps to zero
+    assert dual_scale(x, eps) == u
+    a = include.apply(scalar(sig, I)) + eps * include.apply(theta(sig, 0) * theta_bar(sig, 0))
+    assert storage(dual_scale(x, a)) == storage(split_dual_scale(x, a))
+    assert dual_scale(x, a) == u + eps * include.apply(scalar(sig, I)) * v
 
 
 def counting(monkeypatch, targets):
