@@ -11,12 +11,15 @@ Layers
 ``algebra``    finite Grassmann coefficient algebras with a chosen
                conjugation (standard or graded), and their morphisms.
 ``literals``   a plain-text format for algebra elements and matrices.
+``linalg``     exact linear algebra: ``mat_mul`` and the one sparse reduction.
 ``matrices``   supermatrices over a coefficient algebra: supertranspose,
                parity swap, supertrace, Berezinian, inversion.
 ``liealg``     the matrix families gl / sl / osp as functors of points, with
                canonical homogeneous bases and both bracket descriptions.
 ``catalog``    the named antilinear structure descriptors on sl(m|n) and
                osp(m|2n), with parameters and group lift forms.
+``exprs``      structure expressions as step sequences, compiled to maps.
+``sampling``   deterministic, string-seeded sampling of elements and points.
 ``realforms``  sampled and exact verification: structure axioms, underlying
                vector-level conjugations, fixed-point bases, the
                representability dichotomy, compactness scans.

@@ -20,10 +20,10 @@ A kernel point ``Id + eps M`` lives over the dual numbers ``A(eps)`` of
 :func:`~superforms.algebra.adjoin_dual`, where ``eps`` is the last even
 generator; :func:`kernel_point` takes ``M`` already mapped through the
 inclusion that function returns, and :func:`eps_split` reads ``M`` back
-entry by entry.  For ``eps``, ``-eps`` and the ``e h`` of the commutator
-identity, a kernel point is built in one pass per entry
-(:func:`~superforms.algebra.identity_plus_multiple`): multiplying by such
-a monomial only sets its bits on the keys of ``M``.
+entry by entry.  A kernel point is built in one pass per entry
+(:func:`~superforms.algebra.identity_plus_multiple`): multiplying by
+``eps``, ``-eps`` or the ``e h`` of the commutator identity only sets the
+monomial's bits on the keys of ``M``.
 """
 
 from __future__ import annotations
@@ -203,17 +203,13 @@ def eps_split(x: SuperMatrix, base: AlgebraSignature) -> Tuple[SuperMatrix, Supe
 
 def kernel_point(m_ext: SuperMatrix, eps: SuperNumber) -> SuperMatrix:
     """``Id + eps * M`` over the extended algebra, with ``M`` already mapped
-    into it (``m_ext``) and ``eps`` an even monomial of it, such as the
-    generator :func:`algebra.adjoin_dual` returns.  For ``eps``, ``-eps`` or
-    a product of even generators, each entry is built in one pass
-    (:func:`algebra.identity_plus_multiple`); any other ``eps`` is a
-    scaling (:meth:`SuperMatrix.scale`) after which the diagonal gains the 1."""
+    into it (``m_ext``) and ``eps`` 1 or -1 times a monomial of even
+    generators, such as :func:`algebra.adjoin_dual`'s: each entry is built
+    in one pass (:func:`algebra.identity_plus_multiple`); any other ``eps``
+    raises ``ValueError``."""
     rows = identity_plus_multiple(m_ext.rows, eps)
     if rows is None:
-        rows = [list(row) for row in m_ext.scale(eps).rows]
-        unit = one(eps.sig)
-        for i, row in enumerate(rows):
-            row[i] = row[i] + unit
+        raise ValueError("a kernel point needs eps to be 1 or -1 times a monomial of even generators")
     return SuperMatrix(m_ext.m, m_ext.n, eps.sig, rows, check=False)
 
 

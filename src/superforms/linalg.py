@@ -11,27 +11,27 @@ vectors ``{index: value}`` and returns exact results.  There are two kernels.
   product in the same pass: their factor pairs go to the kernel as minus
   pairs, so ``a b - c d``, the commutator say, is one signed sum per cell.
   The supermatrix products and commutators are calls to it.
-* :func:`span_basis` is the package's one Gauss-Jordan elimination: it
-  reduces sparse vectors to the canonical basis of their span.  Null spaces
+* :func:`span_basis` is the package's one exact elimination: it reduces
+  sparse vectors to the canonical basis of their span.  Null spaces
   (:func:`nullspace`) and inverses (:func:`invert`) are read off the
   canonical basis of a matrix's graph, so the fixed-point maps on ``g(A)``,
   hundreds to thousands of real coordinates wide but made of small
   independent blocks, are eliminated without any grid and fill in only
-  inside their blocks.
-
-:func:`determinant` and :func:`leading_principal_minors` eliminate grids of
-their own, because they need the product of the pivots, which the canonical
-basis normalises away.  There is no pivoting heuristic beyond "first
-nonzero", which keeps every computation deterministic.
+  inside their blocks.  Its forward phase, :func:`_reduce`, also returns
+  each vector's pivot before scaling, and :func:`determinant` and
+  :func:`leading_principal_minors` are products of those pivots.  Pivots
+  sit at last nonzero indices, which keeps every computation deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from itertools import combinations
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
+from .scalars import GaussianRational, ONE, ZERO
 
 Grid = List[List[GaussianRational]]
+Vector = Dict[int, GaussianRational]
 
 
 class SingularMatrix(ValueError):
@@ -85,25 +85,19 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero=ZERO, minus: Opti
     return out
 
 
-def span_basis(vectors: Iterable[Dict[int, GaussianRational]]) -> List[Dict[int, GaussianRational]]:
-    """Canonical basis of the span of sparse vectors ``{index: value}``.
+def _reduce(vectors: Iterable[Vector]) -> Tuple[Dict[int, Vector], List[Optional[Tuple[int, GaussianRational]]]]:
+    """The forward phase of :func:`span_basis`: ``(kept, pivots)``.
 
     Each vector is reduced at its last nonzero index by the vector kept for
-    that index, until it vanishes or ends at an index nothing is kept for; it
-    is then kept, scaled to 1 there (unless it is 1 already).  In increasing
-    order, each kept vector is then cleared at the other kept indices below
-    its own, by the vectors already cleared (they are 0 at every other kept
-    index, so no cleared entry comes back).  The result, ordered by last nonzero index, is the canonical
-    basis of :func:`superforms.realforms.fixed_vectors`: the kept indices are
-    the last nonzero indices ``F`` of the span, and for each ``f`` in ``F`` the
-    vector is the one in the span that is 1 at ``f``, 0 at the rest of ``F``
-    and 0 after ``f``.  So the length is the dimension, two spans are equal
-    exactly when their bases are equal lists, and a vector is in the span
-    exactly when adding it does not lengthen the basis.
+    that index, until it vanishes or ends at an index nothing is kept for;
+    it is then kept there (``kept[index]``), scaled to 1.  ``pivots`` holds,
+    per vector, ``(index, its value there before scaling)`` or ``None``.
     """
-    kept: Dict[int, Dict[int, GaussianRational]] = {}
+    kept: Dict[int, Vector] = {}
+    pivots = []
     for vector in vectors:
         vec = {k: x for k, x in vector.items() if not x.is_zero()}
+        found = None
         while vec:
             last = max(vec)
             row = kept.get(last)
@@ -113,8 +107,28 @@ def span_basis(vectors: Iterable[Dict[int, GaussianRational]]) -> List[Dict[int,
                     inv = pivot.inverse()
                     vec = {k: x * inv for k, x in vec.items()}
                 kept[last] = vec
+                found = (last, pivot)
                 break
             _subtract(vec, vec[last], row)
+        pivots.append(found)
+    return kept, pivots
+
+
+def span_basis(vectors: Iterable[Vector]) -> List[Vector]:
+    """Canonical basis of the span of sparse vectors ``{index: value}``.
+
+    After :func:`_reduce`, in increasing order, each kept vector is cleared
+    at the other kept indices below its own by the vectors already cleared
+    (they are 0 at every other kept index, so no cleared entry comes back).
+    The result, ordered by last nonzero index, is the canonical basis of
+    :func:`superforms.realforms.fixed_vectors`: the kept indices are the
+    last nonzero indices ``F`` of the span, and for each ``f`` in ``F`` the
+    vector is the one in the span that is 1 at ``f``, 0 at the rest of
+    ``F`` and 0 after ``f``.  So the length is the dimension, two spans are
+    equal exactly when their bases are equal lists, and a vector is in the
+    span exactly when adding it does not lengthen the basis.
+    """
+    kept = _reduce(vectors)[0]
     basis = []
     for f in sorted(kept):
         vec = kept[f]
@@ -124,8 +138,7 @@ def span_basis(vectors: Iterable[Dict[int, GaussianRational]]) -> List[Dict[int,
     return basis
 
 
-def _subtract(vec: Dict[int, GaussianRational], factor: GaussianRational,
-              row: Dict[int, GaussianRational]):
+def _subtract(vec: Vector, factor: GaussianRational, row: Vector):
     """``vec -= factor * row`` in place, dropping the entries that vanish."""
     for k, x in row.items():
         y = vec.get(k, ZERO) - factor * x
@@ -135,7 +148,7 @@ def _subtract(vec: Dict[int, GaussianRational], factor: GaussianRational,
             vec[k] = y
 
 
-def _graph(columns: Sequence[Dict[int, GaussianRational]]) -> List[Dict[int, GaussianRational]]:
+def _graph(columns: Sequence[Vector]) -> List[Vector]:
     """The graph of the matrix with sparse ``columns`` ``{row: value}``: for
     each column ``c``, the unit vector at ``c`` joined to the column shifted
     to the indices ``n + row``, with ``n = len(columns)``."""
@@ -149,7 +162,7 @@ def _graph(columns: Sequence[Dict[int, GaussianRational]]) -> List[Dict[int, Gau
     return graph
 
 
-def nullspace(columns: Sequence[Dict[int, GaussianRational]]) -> List[Dict[int, GaussianRational]]:
+def nullspace(columns: Sequence[Vector]) -> List[Vector]:
     """Canonical basis of the right null space of the matrix with sparse
     ``columns`` ``{row: value}``, as sparse vectors in increasing order of
     their last nonzero index.
@@ -186,53 +199,40 @@ def invert(matrix: Sequence[Sequence[GaussianRational]]) -> Grid:
 
 
 def determinant(matrix: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
-    """Exact determinant over Q(i) by elimination with row-swap sign tracking."""
-    n = len(matrix)
-    grid = [list(row) for row in matrix]
-    sign = 1
+    """Exact determinant over Q(i), from the rows' reduction (:func:`_reduce`).
+
+    Reducing a row by rows kept before it leaves the determinant unchanged,
+    so a row that vanishes makes it 0.  Otherwise row ``i`` ends at column
+    ``p(i)``; put in the order of ``p``, the reduced rows are lower
+    triangular, so the determinant is the pivots' product times sign(p).
+    """
+    pivots = _reduce(dict(enumerate(row)) for row in matrix)[1]
+    if None in pivots:
+        return ZERO
     det = ONE
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if not grid[i][c].is_zero()), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            grid[c], grid[pivot_row] = grid[pivot_row], grid[c]
-            sign = -sign
-        pivot = grid[c][c]
+    for _, pivot in pivots:
         det = det * pivot
-        inv = pivot.inverse()
-        for i in range(c + 1, n):
-            if grid[i][c].is_zero():
-                continue
-            factor = grid[i][c] * inv
-            grid[i] = [a - factor * b for a, b in zip(grid[i], grid[c])]
-    return det if sign > 0 else MINUS_ONE * det
+    inversions = sum(a > b for (a, _), (b, _) in combinations(pivots, 2))
+    return -det if inversions % 2 else det
 
 
 def leading_principal_minors(matrix: Sequence[Sequence[GaussianRational]]) -> List[GaussianRational]:
     """Determinants of the leading k-by-k blocks, k = 1..n.
 
-    One elimination without row swaps serves every size: it leaves each
-    leading block's determinant unchanged, so minor k is the product of the
-    first k pivots.  From the first zero pivot on, the remaining minors are
-    computed one :func:`determinant` each.
+    The rows are reduced (:func:`_reduce`) with their columns numbered from
+    the right, so row ``k`` is reduced at its first nonzero column: it is
+    eliminated by rows ``0..k-1`` without row swaps, which leaves each
+    leading block's determinant unchanged.  While row ``k`` keeps its pivot
+    in column ``k``, minor ``k+1`` is the product of the first ``k+1``
+    pivots; from the first row that does not, one :func:`determinant` each.
     """
     n = len(matrix)
-    grid = [list(row) for row in matrix]
+    pivots = _reduce({n - 1 - c: x for c, x in enumerate(row)} for row in matrix)[1]
     minors: List[GaussianRational] = []
     det = ONE
-    for c in range(n):
-        pivot = grid[c][c]
-        if pivot.is_zero():
-            return minors + [
-                determinant([row[: k + 1] for row in matrix[: k + 1]]) for k in range(c, n)
-            ]
-        det = det * pivot
+    for k, found in enumerate(pivots):
+        if found is None or found[0] != n - 1 - k:
+            return minors + [determinant([row[: j + 1] for row in matrix[: j + 1]]) for j in range(k, n)]
+        det = det * found[1]
         minors.append(det)
-        inv = pivot.inverse()
-        for i in range(c + 1, n):
-            if grid[i][c].is_zero():
-                continue
-            factor = grid[i][c] * inv
-            grid[i] = [a - factor * b for a, b in zip(grid[i], grid[c])]
     return minors

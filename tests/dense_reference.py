@@ -32,12 +32,16 @@ canonical bases and compared spans through them:
   coordinates of the fixed points and of every product (real fixed
   coefficient) x (fixed vector), decided by ``rank``, ``spans_equal`` and
   ``in_span``.
+* ``dense_determinant`` and ``dense_leading_minors``: elimination on whole
+  grids, the first with row swaps and the second without, from before
+  ``linalg.determinant`` and ``linalg.leading_principal_minors`` read their
+  pivots off the sparse reduction under ``linalg.span_basis``.
 
 The tests require the package to agree with them exactly, vector for vector
 and in the same order.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from superforms import linalg
 from superforms.algebra import (
@@ -452,3 +456,56 @@ def loop_gram(cells) -> List[List[GaussianRational]]:
                     trace = trace + x * y
             gram[r][s] = gram[s][r] = GaussianRational(-trace.re, 0, trace.den)
     return gram
+
+
+def dense_determinant(matrix: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
+    """Exact determinant over Q(i) by elimination with row-swap sign tracking."""
+    n = len(matrix)
+    grid = [list(row) for row in matrix]
+    sign = 1
+    det = ONE
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if not grid[i][c].is_zero()), None)
+        if pivot_row is None:
+            return ZERO
+        if pivot_row != c:
+            grid[c], grid[pivot_row] = grid[pivot_row], grid[c]
+            sign = -sign
+        pivot = grid[c][c]
+        det = det * pivot
+        inv = pivot.inverse()
+        for i in range(c + 1, n):
+            if grid[i][c].is_zero():
+                continue
+            factor = grid[i][c] * inv
+            grid[i] = [a - factor * b for a, b in zip(grid[i], grid[c])]
+    return det if sign > 0 else MINUS_ONE * det
+
+
+def dense_leading_minors(matrix: Sequence[Sequence[GaussianRational]]) -> List[GaussianRational]:
+    """Determinants of the leading k-by-k blocks, k = 1..n.
+
+    One elimination without row swaps serves every size: it leaves each
+    leading block's determinant unchanged, so minor k is the product of the
+    first k pivots.  From the first zero pivot on, the remaining minors are
+    computed one :func:`dense_determinant` each.
+    """
+    n = len(matrix)
+    grid = [list(row) for row in matrix]
+    minors: List[GaussianRational] = []
+    det = ONE
+    for c in range(n):
+        pivot = grid[c][c]
+        if pivot.is_zero():
+            return minors + [
+                dense_determinant([row[: k + 1] for row in matrix[: k + 1]]) for k in range(c, n)
+            ]
+        det = det * pivot
+        minors.append(det)
+        inv = pivot.inverse()
+        for i in range(c + 1, n):
+            if grid[i][c].is_zero():
+                continue
+            factor = grid[i][c] * inv
+            grid[i] = [a - factor * b for a, b in zip(grid[i], grid[c])]
+    return minors
