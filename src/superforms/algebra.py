@@ -46,18 +46,21 @@ sets bits on the keys of ``M``.
 An element is stored as Gaussian-integer numerators over one denominator,
 in a unique normal form (see :class:`SuperNumber`), so equality and hashing
 compare ints.  Every product goes through one fused, exact multiply-accumulate
-kernel, :func:`sum_of_products`: ``sum a_k b_k - sum c_k d_k`` over pairs and
-minus pairs of elements (a ``GaussianRational`` factor is a constant term).
-Each factor's numerators are read as the element keeps them.  The first
-factor of each pair is rescaled to the common denominator, and negated in a
-minus pair; the products are summed as plain ints per output monomial, and
-the sums are reduced by one gcd over the whole result when the denominator is
-not 1.  No ``GaussianRational`` is built on the way: one is built only where a
-caller asks for a coefficient (``items``, ``coefficient``, ``body``).
-``SuperNumber.__mul__`` is the kernel
-on one pair (a product by a constant is a per-term scaling), and
-``linalg.mat_mul`` hands it the nonzero factor pairs of each cell of a grid
-product, and of a commutator as minus pairs, so no cell is built twice.
+kernel, :func:`sums_of_products`: it takes a batch of output cells and
+returns one element per cell, ``sum a_k b_k - sum c_k d_k`` over the cell's
+pairs and minus pairs of elements (a ``GaussianRational`` factor is a
+constant term).  The sign table is read once per batch.  Each factor's
+numerators are read as the element keeps them.  The first factor of each
+pair is rescaled to its cell's common denominator, and negated in a minus
+pair; the products are summed as plain ints per output monomial, and each
+cell's sums are reduced by one gcd when its denominator is not 1.  A cell of
+one pair keeps the short cuts for 1, -1 and constant factors.  No
+``GaussianRational`` is built on the way: one is built only where a caller
+asks for a coefficient (``items``, ``coefficient``, ``body``).
+:func:`sum_of_products` and ``SuperNumber.__mul__`` are the kernel on one
+cell; ``linalg.mat_mul`` hands it every cell of a grid product, and of a
+commutator with minus pairs, in one call, as ``matrices.linear_combination``
+and ``liealg.even_rules_bracket`` do theirs.
 ``SuperNumber.conjugated`` gives ``c conj^k(x)`` in one pass over the terms.
 
 An :class:`AlgebraMorphism` is *monomial* when every generator image has at
@@ -301,15 +304,19 @@ def split_dual(x: "SuperNumber", base: AlgebraSignature) -> Tuple["SuperNumber",
     """``x`` in ``A(eps)`` as ``(a, b)`` over ``base = A``, ``x = a + b eps``.
     ``eps`` is the last even generator, the one :func:`adjoin_dual` adds; it
     is even, so ``b eps`` keeps the keys of ``b`` with its bit set."""
+    bit, free, held = _split_dual_bit(x)
+    return _normal(base, x.den, free), _normal(base, x.den, {key ^ bit: v for key, v in held.items()})
+
+
+def _split_dual_bit(x: "SuperNumber") -> Tuple[int, Dict[int, tuple], Dict[int, tuple]]:
+    """``(bit, free, held)``: the bit of ``eps``, the last even generator, and
+    the numerators of ``x`` at the keys without and with it."""
     bit = 1 << (_ODD_BITS + x.sig.even_nilpotents - 1)
     free: Dict[int, tuple] = {}
-    coef: Dict[int, tuple] = {}
+    held: Dict[int, tuple] = {}
     for key, v in x._num.items():
-        if key & bit:
-            coef[key ^ bit] = v
-        else:
-            free[key] = v
-    return _normal(base, x.den, free), _normal(base, x.den, coef)
+        (held if key & bit else free)[key] = v
+    return bit, free, held
 
 
 # ---------------------------------------------------------------------------
@@ -514,19 +521,23 @@ class SuperNumber:
 
     def __mul__(self, other):
         if isinstance(other, (SuperNumber, GaussianRational)):
-            return _product(self.sig, self, other)
+            hit = _shortcut(self.sig, self, other)
+            if hit is not None:
+                return hit
+            den = self.den * other.den
+            return _accumulate(self.sig, ((den, ((1, den, self._num, other._num),)),))[0]
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, GaussianRational):
-            return _product(self.sig, other, self)
+            return self.scaled(other)           # constants commute
         return NotImplemented
 
-    def sum_of_products(self, pairs, minus=()) -> "SuperNumber":
-        """``sum a_k b_k - sum c_k d_k`` over ``pairs`` and ``minus`` pairs in
-        this element's algebra (see the module function); any element, its
-        zero say, stands for the ring."""
-        return sum_of_products(self.sig, pairs, minus)
+    def sums_of_products(self, cells) -> list:
+        """One element per cell ``(pairs, minus)`` of this element's algebra,
+        in one kernel call (see the module function); any element, its zero
+        say, stands for the ring."""
+        return sums_of_products(self.sig, cells)
 
     def scaled(self, c: GaussianRational) -> "SuperNumber":
         """``c x`` for a constant ``c``: one product of numerators per term,
@@ -644,36 +655,40 @@ class SuperNumber:
 # the fused multiply-accumulate kernel
 # ---------------------------------------------------------------------------
 
-def _accumulate(sig: AlgebraSignature, products: Iterable[tuple], den: int) -> SuperNumber:
-    """The sum of the products ``(scale, ta, tb)`` of numerator dicts, the
-    first factor multiplied by the int ``scale``, all over the common
-    denominator ``den``: summed as ints per output monomial, with the signs
-    read from the product sign table of ``sig``'s odd-generator count, and
-    reduced once at the end."""
+def _accumulate(sig: AlgebraSignature, cells: Iterable[tuple]) -> list:
+    """The kernel loop: per cell ``(den, forms)``, the sum over the forms
+    ``(sign, d, ta, tb)`` of ``sign ta tb / d``, numerator dicts over a
+    divisor ``d`` of the cell's denominator ``den``, summed as ints per output
+    monomial with the signs of the product sign table, read once per batch;
+    each cell is reduced once at the end."""
     shift, signs = sig.product_signs
-    acc: Dict[int, list] = {}
-    for scale, ta, tb in products:
-        for k1, (r1, i1) in ta.items():
-            if scale != 1:
-                r1, i1 = r1 * scale, i1 * scale
-            row = (k1 & 0xFF) << shift
-            for k2, (r2, i2) in tb.items():
-                if k1 & k2:
-                    continue
-                key = k1 | k2
-                cell = acc.get(key)
-                if signs[row | (k2 & 0xFF)] > 0:
-                    if cell is None:
-                        acc[key] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
+    out = []
+    for den, forms in cells:
+        acc: Dict[int, list] = {}
+        for sign, d, ta, tb in forms:
+            scale = sign * (den // d)
+            for k1, (r1, i1) in ta.items():
+                if scale != 1:
+                    r1, i1 = r1 * scale, i1 * scale
+                row = (k1 & 0xFF) << shift
+                for k2, (r2, i2) in tb.items():
+                    if k1 & k2:
+                        continue
+                    key = k1 | k2
+                    cell = acc.get(key)
+                    if signs[row | (k2 & 0xFF)] > 0:
+                        if cell is None:
+                            acc[key] = [r1 * r2 - i1 * i2, r1 * i2 + i1 * r2]
+                        else:
+                            cell[0] += r1 * r2 - i1 * i2
+                            cell[1] += r1 * i2 + i1 * r2
+                    elif cell is None:
+                        acc[key] = [i1 * i2 - r1 * r2, -r1 * i2 - i1 * r2]
                     else:
-                        cell[0] += r1 * r2 - i1 * i2
-                        cell[1] += r1 * i2 + i1 * r2
-                elif cell is None:
-                    acc[key] = [i1 * i2 - r1 * r2, -r1 * i2 - i1 * r2]
-                else:
-                    cell[0] -= r1 * r2 - i1 * i2
-                    cell[1] -= r1 * i2 + i1 * r2
-    return _normal(sig, den, {key: (re, im) for key, (re, im) in acc.items() if re or im})
+                        cell[0] -= r1 * r2 - i1 * i2
+                        cell[1] -= r1 * i2 + i1 * r2
+        out.append(_normal(sig, den, {key: (re, im) for key, (re, im) in acc.items() if re or im}))
+    return out
 
 
 def _operand(x, sig: AlgebraSignature) -> Tuple[int, Dict[int, tuple]]:
@@ -689,56 +704,72 @@ def _operand(x, sig: AlgebraSignature) -> Tuple[int, Dict[int, tuple]]:
 _SIGNED_UNITS = ((1, 0), (-1, 0))
 
 
-def _product(sig: AlgebraSignature, a, b) -> SuperNumber:
-    """The kernel on one pair.  A product by a constant is a scaling, and a
-    product by 1 or -1 is the other factor or its negative."""
+def _shortcut(sig: AlgebraSignature, a, b) -> Optional[SuperNumber]:
+    """The product ``a b`` where it needs no kernel loop, else ``None``, and
+    then both are elements: a product by a constant is a scaling, a product
+    by 1 or -1 is the other factor or its negative, and by zero is zero."""
     if type(a) is GaussianRational:
         a, b = b, a                     # constants commute
     if type(b) is GaussianRational:
         if type(a) is GaussianRational:
-            (da, ta), (db, tb) = _operand(a, sig), _operand(b, sig)
-            return _accumulate(sig, ((1, ta, tb),), da * db)
+            return scalar(sig, a * b)
         if a.sig is not sig and a.sig != sig:
             raise ValueError("mixing elements of different coefficient algebras")
         return a.scaled(b)
     if a.sig is not sig and a.sig != sig or b.sig is not sig and b.sig != sig:
         raise ValueError("mixing elements of different coefficient algebras")
-    da, ta, db, tb = a.den, a._num, b.den, b._num
+    ta, tb = a._num, b._num
     if not ta or not tb:
         return _element(sig, 1, {})
-    if da == 1 and len(ta) == 1 and ta.get(0) in _SIGNED_UNITS:
+    if a.den == 1 and len(ta) == 1 and ta.get(0) in _SIGNED_UNITS:
         return b if ta[0][0] > 0 else -b
-    if db == 1 and len(tb) == 1 and tb.get(0) in _SIGNED_UNITS:
+    if b.den == 1 and len(tb) == 1 and tb.get(0) in _SIGNED_UNITS:
         return a if tb[0][0] > 0 else -a
-    return _accumulate(sig, ((1, ta, tb),), da * db)
+    return None
+
+
+def sums_of_products(sig: AlgebraSignature, cells: Iterable[tuple]) -> list:
+    """One element per cell ``(pairs, minus)``: ``sum a_k b_k - sum c_k d_k``
+    over its ``pairs`` ``(a_k, b_k)`` and ``minus`` pairs ``(c_k, d_k)`` of
+    elements of ``sig``'s algebra or constants, exactly, in one call of the
+    kernel loop, :func:`_accumulate`.  A cell of one pair that needs no loop
+    is built by :func:`_shortcut`; in the others each pair's first factor is
+    rescaled to the cell's common denominator, and negated in a minus pair.
+    """
+    out, work = [], []                  # the short cuts' elements, None for the cells the loop sums
+    for pairs, minus in cells:
+        if not minus and len(pairs) == 1:
+            a, b = pairs[0]
+            hit = _shortcut(sig, a, b)
+            out.append(hit)
+            if hit is None:                 # one pair of elements, over the product of their denominators
+                work.append((a.den * b.den, ((1, a.den * b.den, a._num, b._num),)))
+            continue
+        out.append(None)
+        forms = []
+        den = 1
+        for sign, group in ((1, pairs), (-1, minus)):
+            for a, b in group:
+                da, ta = (a.den, a._num) if type(a) is SuperNumber and a.sig is sig else _operand(a, sig)
+                db, tb = (b.den, b._num) if type(b) is SuperNumber and b.sig is sig else _operand(b, sig)
+                if ta and tb:
+                    d = da * db
+                    if den % d:
+                        den = den // gcd(den, d) * d
+                    forms.append((sign, d, ta, tb))
+        work.append((den, forms))
+    if not work:
+        return out
+    if len(work) == len(out):
+        return _accumulate(sig, work)
+    sums = iter(_accumulate(sig, work))
+    return [next(sums) if x is None else x for x in out]
 
 
 def sum_of_products(sig: AlgebraSignature, pairs: Sequence[tuple], minus: Sequence[tuple] = ()) -> SuperNumber:
-    """``sum a_k b_k - sum c_k d_k`` over ``pairs`` ``(a_k, b_k)`` and
-    ``minus`` pairs ``(c_k, d_k)`` of elements of ``sig``'s algebra, exactly.
-
-    Each factor may also be a ``GaussianRational`` (a constant).  Every
-    factor's numerators are read as stored, over its own denominator; the
-    products are scaled to one common denominator, negated for a minus pair,
-    and summed as plain ints per output monomial by :func:`_accumulate`,
-    which reduces the sums once.  Two monomials multiply to zero when they
-    share a generator; otherwise the product's key is their union and its
-    sign is read from :func:`_product_signs`.
-    """
-    if not minus and len(pairs) == 1:
-        return _product(sig, *pairs[0])
-    forms = []
-    den = 1
-    for sign, group in ((1, pairs), (-1, minus)):
-        for a, b in group:
-            da, ta = (a.den, a._num) if type(a) is SuperNumber and a.sig is sig else _operand(a, sig)
-            db, tb = (b.den, b._num) if type(b) is SuperNumber and b.sig is sig else _operand(b, sig)
-            if ta and tb:
-                d = da * db
-                if den % d:
-                    den = den // gcd(den, d) * d
-                forms.append((sign, d, ta, tb))
-    return _accumulate(sig, [(sign * (den // d), ta, tb) for sign, d, ta, tb in forms], den)
+    """``sum a_k b_k - sum c_k d_k`` over ``pairs`` and ``minus`` pairs: the
+    one-cell case of :func:`sums_of_products`."""
+    return sums_of_products(sig, ((pairs, minus),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -866,18 +897,15 @@ class AlgebraMorphism:
             [(make_key(0, 1 << j), ONE) for j in range(src.even_nilpotents)],
         )
 
-    def _factors(self, key: int) -> list:
-        """The generator images whose product, in this order, is the image
-        of the monomial ``key``: odd generators ascending, then even ones."""
-        return ([self.odd_images[gid] for gid in bits(odd_mask_of(key))]
-                + [self.even_images[j] for j in bits(even_mask_of(key))])
-
     def _image_of_key(self, key: int) -> SuperNumber:
+        """The image of the monomial ``key``: the product of its generators'
+        images, odd generators ascending, then even ones."""
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         img = one(self.tgt)
-        for factor in self._factors(key):
+        for factor in ([self.odd_images[gid] for gid in bits(odd_mask_of(key))]
+                       + [self.even_images[j] for j in bits(even_mask_of(key))]):
             img = img * factor
         self._cache[key] = img
         return img
@@ -903,14 +931,10 @@ class AlgebraMorphism:
         if self.keeps_keys:
             return _element(self.tgt, x.den, x._num)    # elements are immutable: the numerators are shared
         if not self.monomial:
-            # sum over keys of image(key) (re + im i), over x.den times the
-            # images' common denominator
-            images = [(self._image_of_key(key), v) for key, v in x._num.items()]
-            den = 1
-            for img, _ in images:
-                if den % img.den:
-                    den = den // gcd(den, img.den) * img.den
-            return _accumulate(self.tgt, [(den // img.den, img._num, {0: v}) for img, v in images], x.den * den)
+            # sum over keys of image(key) times (re + im i) / x.den, the kernel's
+            # constant factor kept as numerators (not reduced: the kernel needs no normal form)
+            return sum_of_products(self.tgt, [(self._image_of_key(key), _element(self.tgt, x.den, {0: v}))
+                                              for key, v in x._num.items()])
         # each key goes to one term or to zero; distinct keys may meet
         out: Dict[int, tuple] = {}
         for key, (re, im) in x._num.items():
@@ -985,19 +1009,13 @@ def dual_scale(x: SuperNumber, a: SuperNumber) -> SuperNumber:
     term of ``a`` that holds ``eps`` shares that bit with every term of ``v
     eps``, so it vanishes by the kernel's rule; the keys of ``a (v eps)``
     hold ``eps`` and those of ``u`` do not, so no two terms meet."""
-    bit = 1 << (_ODD_BITS + x.sig.even_nilpotents - 1)
-    free: Dict[int, tuple] = {}
-    held: Dict[int, tuple] = {}
-    for key, v in x._num.items():
-        if key & bit:
-            held[key] = v
-        else:
-            free[key] = v
+    _, free, held = _split_dual_bit(x)
     if not held:
         return x
     if a.sig is not x.sig:
         x._check_sig(a)
-    return _accumulate(x.sig, ((a.den, free, _UNIT_TERMS), (1, a._num, held)), a.den * x.den)
+    d = a.den * x.den
+    return _accumulate(x.sig, ((d, ((1, x.den, free, _UNIT_TERMS), (1, d, a._num, held))),))[0]
 
 
 def identity_plus_multiple(rows: Sequence[Sequence[SuperNumber]], t: SuperNumber) -> Optional[list]:

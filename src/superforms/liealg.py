@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .algebra import AlgebraSignature, EVEN, ODD, SuperNumber, sum_of_products
+from .algebra import AlgebraSignature, EVEN, ODD, SuperNumber, sums_of_products
 from .exprs import PositionalMap, ad_step, compile_expr, negst_step
 from .matrices import SuperMatrix, commutator, osp_form_grid
 from .scalars import GaussianRational, MINUS_ONE, ONE, ZERO
@@ -306,13 +306,10 @@ def vector_bracket(kind: MatrixKind, i: int, j: int) -> List[Tuple[int, Gaussian
         return hit
     basis = basis_of(kind)
     vi, vj = basis[i], basis[j]
-    left = linalg.mat_mul(vi.grid_rows(), vj.grid_rows())
-    right = linalg.mat_mul(vj.grid_rows(), vi.grid_rows())
-    sign = MINUS_ONE if (vi.parity and vj.parity) else ONE
-    combined = [
-        [sign * left[a][b] - right[a][b] for b in range(kind.size)]
-        for a in range(kind.size)
-    ]
+    left = vi.grid_rows()
+    if vi.parity and vj.parity:
+        left = [[-x for x in row] for row in left]
+    combined = linalg.mat_mul(left, vj.grid_rows(), minus=(vj.grid_rows(), vi.grid_rows()))
     parity = (vi.parity + vj.parity) & 1
     decomposition = decompose_in_basis(kind, combined, parity)
     if decomposition is None:
@@ -397,30 +394,33 @@ def even_rules_bracket(t1: TensorElement, t2: TensorElement) -> TensorElement:
 
     With parity-homogeneous coefficients (|b| = |w|), the sign only depends on
     the basis parities.  Agreement of this formula with the matrix commutator
-    is exactly the sign-rule consistency the test suite checks.  A pair of
-    basis vectors whose bracket is zero is skipped before its coefficients
-    are multiplied, and each output coordinate is one fused sum of the
-    products ``a_i b_j`` times the signed structure constants.
+    is exactly the sign-rule consistency the test suite checks.  Output
+    coordinate ``k`` is one fused sum of the products ``(c a_i) b_j`` over
+    the pairs whose bracket has the signed structure constant ``c`` at
+    ``k``, so a pair whose bracket is zero is never multiplied, and no
+    product ``a_i b_j`` is built on its own.  Each ``a_i`` is scaled once
+    per distinct constant, and all coordinates are summed in one kernel
+    call; a coordinate that cancels is dropped.
     """
     if t1.kind != t2.kind or t1.sig != t2.sig:
         raise ValueError("mixing tensor elements of different types")
     kind, sig = t1.kind, t1.sig
     basis = basis_of(kind)
-    pairs: Dict[int, list] = {}
+    cells: Dict[int, list] = {}
     for i, a in t1.coeffs.items():
         pi = basis[i].parity
+        scaled: Dict[GaussianRational, SuperNumber] = {}      # c -> c a_i
         for j, b in t2.coeffs.items():
-            constants = vector_bracket(kind, i, j)
-            if not constants:
-                continue
-            ab = a * b
-            if ab.is_zero():
-                continue
             odd_odd = pi and basis[j].parity
-            for k, coeff in constants:
-                pairs.setdefault(k, []).append((ab, -coeff if odd_odd else coeff))
-    out = {k: sum_of_products(sig, terms) for k, terms in pairs.items()}
-    return TensorElement(kind, sig, out, check=False)
+            for k, c in vector_bracket(kind, i, j):
+                if odd_odd:
+                    c = -c
+                ca = scaled.get(c)
+                if ca is None:
+                    scaled[c] = ca = a.scaled(c)
+                cells.setdefault(k, []).append((ca, b))
+    sums = sums_of_products(sig, [(pairs, ()) for pairs in cells.values()])
+    return TensorElement(kind, sig, dict(zip(cells, sums)), check=False)
 
 
 def bracket(kind: MatrixKind, x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:

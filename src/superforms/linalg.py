@@ -4,13 +4,16 @@ Everything works on plain ``list[list[GaussianRational]]`` grids or on sparse
 vectors ``{index: value}`` and returns exact results.  There are two kernels.
 
 * :func:`mat_mul` is the package's one grid product: it takes the ring's zero
-  as an argument and hands each output cell's nonzero factor pairs to that
-  ring's fused sum of products (``sum_of_products`` on ``GaussianRational``
-  and on ``algebra.SuperNumber``), so no partial product is built as an
-  element of its own.  Given a second pair of grids, it subtracts their
-  product in the same pass: their factor pairs go to the kernel as minus
-  pairs, so ``a b - c d``, the commutator say, is one signed sum per cell.
-  The supermatrix products and commutators are calls to it.
+  as an argument, gathers every output cell's nonzero factor pairs, and
+  hands them to that ring's batch of fused sums of products
+  (``sums_of_products`` on ``GaussianRational`` and on
+  ``algebra.SuperNumber``) in one call per grid, so no partial product is
+  built as an element of its own.  Given a second pair of grids, it
+  subtracts their product in the same pass: their factor pairs go to the
+  kernel as minus pairs, so ``a b - c d``, the commutator say, is one
+  signed sum per cell.  The supermatrix products and commutators, the
+  products by constant grids, the inverse series and the Berezinian are
+  calls to it.
 * :func:`span_basis` is the package's one exact elimination: it reduces
   sparse vectors to the canonical basis of their span.  Null spaces
   (:func:`nullspace`) and inverses (:func:`invert`) are read off the
@@ -26,7 +29,7 @@ vectors ``{index: value}`` and returns exact results.  There are two kernels.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -46,22 +49,19 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero=ZERO, minus: Opti
     """The grid product ``a b`` over any ring, or ``a b - c d`` for
     ``minus = (c, d)``: the one product kernel.
 
-    ``zero`` is the ring's zero and supplies its sum of products,
-    ``zero.sum_of_products(pairs, minus_pairs)``; each output cell hands it
-    the pairs ``(a[i][k], b[k][j])`` and the minus pairs ``(c[i][k],
-    d[k][j])`` with both factors nonzero, and a cell with none is ``zero``.
-    So the same loop multiplies grids of Gaussian rationals, of algebra
-    elements, and algebra elements by constants on either side, and a
-    commutator builds each cell once, as one signed sum.
+    ``zero`` is the ring's zero and supplies its batch kernel,
+    ``zero.sums_of_products(cells)``, called once per grid with one cell
+    ``(pairs, minus_pairs)`` per output cell that has a pair ``(a[i][k],
+    b[k][j])`` or minus pair ``(c[i][k], d[k][j])`` of nonzero factors, in
+    the order of ``k``; any other cell is ``zero``.  So one loop serves
+    grids of Gaussian rationals, of algebra elements, and of both.
     """
     cols = len(b[0])
-    fused = zero.sum_of_products
-    products = ((a, b),) if minus is None else ((a, b), minus)
-    out = []
+    sides = ((a, b),) if minus is None else ((a, b), minus)
+    grid, batch = [], []                        # per output row {j: (pairs, minus pairs)}; all cells
     for i in range(len(a)):
-        sides = []                          # per product: {j: pairs}
-        for p, q in products:
-            cells: Dict[int, list] = {}
+        cells: Dict[int, tuple] = {}
+        for side, (p, q) in enumerate(sides):
             for k, pik in enumerate(p[i]):
                 if pik.is_zero():
                     continue
@@ -69,32 +69,28 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], zero=ZERO, minus: Opti
                     if not qkj.is_zero():
                         cell = cells.get(j)
                         if cell is None:
-                            cells[j] = [(pik, qkj)]
-                        else:
-                            cell.append((pik, qkj))
-            sides.append(cells)
+                            cells[j] = cell = ([], [])
+                        cell[side].append((pik, qkj))
+        grid.append(cells)
+        batch += cells.values()
+    sums = iter(zero.sums_of_products(batch))
+    out = []
+    for cells in grid:
         orow = [zero] * cols
-        if minus is None:
-            for j, cell in sides[0].items():
-                orow[j] = fused(cell)
-        else:
-            plus, subtracted = sides
-            for j in plus.keys() | subtracted.keys():
-                orow[j] = fused(plus.get(j, ()), subtracted.get(j, ()))
+        for j in cells:
+            orow[j] = next(sums)
         out.append(orow)
     return out
 
 
-def _reduce(vectors: Iterable[Vector]) -> Tuple[Dict[int, Vector], List[Optional[Tuple[int, GaussianRational]]]]:
-    """The forward phase of :func:`span_basis`: ``(kept, pivots)``.
-
-    Each vector is reduced at its last nonzero index by the vector kept for
-    that index, until it vanishes or ends at an index nothing is kept for;
-    it is then kept there (``kept[index]``), scaled to 1.  ``pivots`` holds,
-    per vector, ``(index, its value there before scaling)`` or ``None``.
-    """
+def _reduce(vectors: Iterable[Vector]) -> Iterator[Optional[Tuple[int, GaussianRational, Vector]]]:
+    """The forward phase of :func:`span_basis`, one vector at a time: each
+    vector is reduced at its last nonzero index by the vector kept for that
+    index, until it vanishes or ends at an index nothing is kept for, and is
+    then kept there, scaled to 1.  Yields, per vector, ``(index, its value
+    there before scaling, the kept vector)`` or ``None``, before the next
+    vector is drawn."""
     kept: Dict[int, Vector] = {}
-    pivots = []
     for vector in vectors:
         vec = {k: x for k, x in vector.items() if not x.is_zero()}
         found = None
@@ -107,11 +103,10 @@ def _reduce(vectors: Iterable[Vector]) -> Tuple[Dict[int, Vector], List[Optional
                     inv = pivot.inverse()
                     vec = {k: x * inv for k, x in vec.items()}
                 kept[last] = vec
-                found = (last, pivot)
+                found = (last, pivot, vec)
                 break
             _subtract(vec, vec[last], row)
-        pivots.append(found)
-    return kept, pivots
+        yield found
 
 
 def span_basis(vectors: Iterable[Vector]) -> List[Vector]:
@@ -128,7 +123,7 @@ def span_basis(vectors: Iterable[Vector]) -> List[Vector]:
     equal exactly when their bases are equal lists, and a vector is in the
     span exactly when adding it does not lengthen the basis.
     """
-    kept = _reduce(vectors)[0]
+    kept = {found[0]: found[2] for found in _reduce(vectors) if found}
     basis = []
     for f in sorted(kept):
         vec = kept[f]
@@ -202,17 +197,18 @@ def determinant(matrix: Sequence[Sequence[GaussianRational]]) -> GaussianRationa
     """Exact determinant over Q(i), from the rows' reduction (:func:`_reduce`).
 
     Reducing a row by rows kept before it leaves the determinant unchanged,
-    so a row that vanishes makes it 0.  Otherwise row ``i`` ends at column
-    ``p(i)``; put in the order of ``p``, the reduced rows are lower
-    triangular, so the determinant is the pivots' product times sign(p).
+    so a row that vanishes makes it 0, and the rows after it are not drawn.
+    Otherwise row ``i`` ends at column ``p(i)``; put in the order of ``p``,
+    the reduced rows are lower triangular, so the determinant is the pivots'
+    product times sign(p).
     """
-    pivots = _reduce(dict(enumerate(row)) for row in matrix)[1]
-    if None in pivots:
-        return ZERO
-    det = ONE
-    for _, pivot in pivots:
-        det = det * pivot
-    inversions = sum(a > b for (a, _), (b, _) in combinations(pivots, 2))
+    det, columns = ONE, []
+    for found in _reduce(dict(enumerate(row)) for row in matrix):
+        if found is None:
+            return ZERO
+        det = det * found[1]
+        columns.append(found[0])
+    inversions = sum(a > b for a, b in combinations(columns, 2))
     return -det if inversions % 2 else det
 
 
@@ -227,7 +223,7 @@ def leading_principal_minors(matrix: Sequence[Sequence[GaussianRational]]) -> Li
     pivots; from the first row that does not, one :func:`determinant` each.
     """
     n = len(matrix)
-    pivots = _reduce({n - 1 - c: x for c, x in enumerate(row)} for row in matrix)[1]
+    pivots = _reduce({n - 1 - c: x for c, x in enumerate(row)} for row in matrix)
     minors: List[GaussianRational] = []
     det = ONE
     for k, found in enumerate(pivots):

@@ -12,8 +12,9 @@ caller reads a coefficient.
 The class is small (``__slots__``, no ``__dict__``).  Arithmetic with any
 other type returns ``NotImplemented``, so that type gets its turn: ``c * x``
 for an algebra element ``x`` reaches ``x.__rmul__``.
-:meth:`GaussianRational.sum_of_products` sums many products, less the
-products of its minus pairs, as integer numerators and normalises once.
+:meth:`GaussianRational.sums_of_products` sums many products, less the
+products of its minus pairs, as integer numerators and normalises once per
+cell of a batch.
 """
 
 from __future__ import annotations
@@ -100,29 +101,35 @@ class GaussianRational:
         return GaussianRational((a * c + b * d) * oden, (b * c - a * d) * oden, self.den * norm)
 
     @staticmethod
+    def sums_of_products(cells) -> list:
+        """One ``sum a_k b_k - sum c_k d_k`` per cell ``(pairs, minus)``, summed
+        as integer numerators over a running common denominator and normalised
+        once: ``linalg.mat_mul``'s fused product for this ring.  The running
+        sum is negated before each group, and once more at the end of two."""
+        out = []
+        for pairs, minus in cells:
+            re = im = 0
+            den = 1
+            for group in (pairs, minus) if minus else (pairs,):
+                re, im = -re, -im
+                for a, b in group:
+                    ar, ai, br, bi = a.re, a.im, b.re, b.im
+                    d = a.den * b.den
+                    if d != den:
+                        common = den // gcd(den, d) * d
+                        re, im = re * (common // den), im * (common // den)
+                        scale = common // d
+                        ar, ai = ar * scale, ai * scale
+                        den = common
+                    re += ar * br - ai * bi
+                    im += ar * bi + ai * br
+            out.append(GaussianRational(-re, -im, den) if minus else GaussianRational(re, im, den))
+        return out
+
+    @staticmethod
     def sum_of_products(pairs, minus=()) -> "GaussianRational":
-        """``sum a_k b_k - sum c_k d_k`` over ``pairs`` ``(a_k, b_k)`` and
-        ``minus`` pairs ``(c_k, d_k)`` of Gaussian rationals, summed as integer
-        numerators over a running common denominator and normalised once; it
-        serves ``linalg.mat_mul`` as this ring's fused product.  The running
-        sum is negated before each group, so both groups add, and once more
-        at the end when there are two."""
-        re = im = 0
-        den = 1
-        for group in (pairs, minus) if minus else (pairs,):
-            re, im = -re, -im
-            for a, b in group:
-                ar, ai, br, bi = a.re, a.im, b.re, b.im
-                d = a.den * b.den
-                if d != den:
-                    common = den // gcd(den, d) * d
-                    re, im = re * (common // den), im * (common // den)
-                    scale = common // d
-                    ar, ai = ar * scale, ai * scale
-                    den = common
-                re += ar * br - ai * bi
-                im += ar * bi + ai * br
-        return GaussianRational(-re, -im, den) if minus else GaussianRational(re, im, den)
+        """The one-cell case of :meth:`sums_of_products`."""
+        return GaussianRational.sums_of_products(((pairs, minus),))[0]
 
     def inverse(self) -> "GaussianRational":
         return ONE / self

@@ -477,6 +477,22 @@ def test_determinant_matches_the_dense_and_leibniz_expansions(size, seed):
         assert det == leibniz_determinant(grid)
 
 
+def test_determinant_stops_at_the_first_row_that_vanishes():
+    """A work count: the second row repeats the first, so it vanishes in the
+    reduction and the determinant is 0; no row after it is drawn."""
+    grid = [[GaussianRational(1 + i + 2 * j, j - i) for j in range(5)] for i in range(5)]
+    grid[1] = list(grid[0])
+    drawn = []
+
+    def rows():
+        for i, row in enumerate(grid):
+            drawn.append(i)
+            yield row
+
+    assert linalg.determinant(rows()) == ZERO == dense_determinant(grid)
+    assert drawn == [0, 1]
+
+
 def test_leading_minors_after_a_zero_pivot():
     g = GaussianRational
     grid = [[ZERO, ONE, g(2)], [ONE, ZERO, ONE], [g(3), ONE, ZERO]]

@@ -13,8 +13,8 @@ replaced (``product_reference.py``), key order included: kernel points
 arithmetic on stored numerators against the per-term oracle (``PerTerm``),
 with the normal form it keeps and the coefficients it does not build."""
 
+import itertools
 import random
-import sys
 from collections import Counter
 from math import gcd
 
@@ -23,13 +23,13 @@ from hypothesis import given, settings, strategies as st
 
 from product_reference import (
     PerTerm, per_term_apply, per_term_dual_scale, per_term_split_dual, per_term_sum_of_products,
-    reference_cayley, reference_commutator, reference_conj_mask, reference_conjugate,
+    reference_cayley, reference_commutator, reference_conj_mask, reference_conjugate, reference_det_even,
     reference_conjugated, reference_dual_scale, reference_element_inverse,
     reference_even_rules_bracket, reference_linear_combination, reference_mat_mul, reference_mul,
     reference_positional_apply, reference_product, reference_sample_sl, reference_scale,
     reference_scaled, reference_series_inverse, scale_plus_unit, sort_sign, split_dual_scale,
 )
-from superforms import algebra, linalg
+from superforms import algebra, liealg, linalg
 from superforms.algebra import (
     EVEN, GRADED, MAX_ODD, ODD, STANDARD, AlgebraMorphism, AlgebraSignature, SuperNumber, adjoin_dual,
     basis_keys, conjugate_monomial, dual_scale, dual_scale_morphism, epsilon, generators,
@@ -40,7 +40,9 @@ from superforms.catalog import applicable_names, build, param_choices
 from superforms.exprs import PositionalMap
 from superforms import matrices
 from superforms.groups import eps_split, kernel_point, sample_invertible, sample_osp, sample_sl
-from superforms.liealg import GL, OSP, SL, MatrixKind, basis_of, even_rules_bracket, vector_bracket
+from superforms.liealg import (
+    GL, OSP, SL, MatrixKind, TensorElement, basis_of, even_rules_bracket, vector_bracket,
+)
 from superforms.matrices import (
     SuperMatrix, commutator, const_matrix, const_mul, identity_matrix, inverse, linear_combination,
     mul_const,
@@ -545,6 +547,95 @@ def test_minus_pairs_are_rescaled_to_the_common_denominator():
     assert GaussianRational.sum_of_products([(half, half)], [(third, ONE)]) == half * half - third
 
 
+# denominators 1, 2, 3 and 5: the odd ones come from sample_invertible and Cayley points
+batch_coefficients = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
+BATCH_CONSTANTS = (ONE, MINUS_ONE, I, GaussianRational(-1, 0, 2), GaussianRational(2, 1, 3), GaussianRational(3, -1, 5))
+
+
+def batch_factors(sig: AlgebraSignature):
+    """Elements over denominators 1, 2, 3 and 5 (products of them too), the
+    lone units 1 and -1 as elements and as constants, other constants, and
+    zero."""
+    keys = basis_keys(sig)
+    terms = st.dictionaries(st.sampled_from(keys), batch_coefficients, max_size=len(keys))
+    return st.one_of(terms.map(lambda t: SuperNumber.from_terms(sig, t)), st.sampled_from(BATCH_CONSTANTS),
+                     st.sampled_from([one(sig), -one(sig), SuperNumber.zero(sig)]))
+
+
+def cell_pairs(grid_a, grid_b, i, j):
+    """The pairs ``(a[i][k], b[k][j])`` with both factors nonzero, in the order of ``k``."""
+    return [(x, grid_b[k][j]) for k, x in enumerate(grid_a[i]) if not x.is_zero() and not grid_b[k][j].is_zero()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_batched_call_matches_the_per_cell_references(data):
+    """One call of the batch kernel against the per-term oracle cell by cell,
+    and against the kernel on each cell alone in storage, term order
+    included: cells of one batch do not share a denominator or a term."""
+    sig = data.draw(signatures(max_generators=5))
+    pair = st.tuples(batch_factors(sig), batch_factors(sig))
+    cell = st.one_of(st.tuples(st.lists(pair, min_size=1, max_size=1), st.just([])),     # a lone pair
+                     st.tuples(st.lists(pair, max_size=3), st.lists(pair, max_size=3)))
+    cells = data.draw(st.lists(cell, max_size=6))
+    cells.insert(data.draw(st.integers(0, len(cells))), ([], []))                         # an empty cell
+    batch = algebra.sums_of_products(sig, cells)
+    assert len(batch) == len(cells)
+    for (pairs, minus), x in zip(cells, batch):
+        assert dict(x.items()) == per_term_sum_of_products(sig, pairs, minus).terms
+        assert in_normal_form(x)
+        assert storage(x) == storage(sum_of_products(sig, pairs, minus))
+    # a grid product with minus pairs mixes all of these in one batch
+    size = data.draw(st.integers(1, 3))
+    a, b, c, d = (data.draw(grids(size, size, ZERO, batch_factors(sig))) for _ in range(4))
+    zero = SuperNumber.zero(sig)
+    product = linalg.mat_mul(a, b, zero, minus=(c, d))
+    for i in range(size):
+        for j in range(size):
+            pairs, minus = cell_pairs(a, b, i, j), cell_pairs(c, d, i, j)
+            if not (pairs or minus):
+                assert product[i][j] is zero
+                continue
+            assert dict(product[i][j].items()) == per_term_sum_of_products(sig, pairs, minus).terms
+            assert storage(product[i][j]) == storage(sum_of_products(sig, pairs, minus))
+    # the constant ring's batch
+    grid = data.draw(grids(size, size, ZERO, batch_coefficients))
+    constants = linalg.mat_mul(grid, grid, ZERO, minus=(grid, grid))
+    assert all(x == ZERO for row in constants for x in row)
+    rational_cells = [(cell_pairs(grid, grid, i, j), cell_pairs(grid, grid, j, i))
+                      for i in range(size) for j in range(size)]
+    for (pairs, minus), x in zip(rational_cells, GaussianRational.sums_of_products(rational_cells)):
+        assert x == sum((p * q for p, q in pairs), ZERO) - sum((p * q for p, q in minus), ZERO)
+
+
+@pytest.mark.parametrize("kind,sig", [(MatrixKind(SL, 2, 2), AlgebraSignature(2, 0, 1, STANDARD)),
+                                      (MatrixKind(OSP, 2, 2), AlgebraSignature(2, 0, 0, GRADED))],
+                         ids=["sl", "osp"])
+def test_each_built_object_is_one_kernel_call(monkeypatch, kind, sig):
+    """A work count, in the style of the compile counts: a commutator, a
+    supermatrix product, a linear combination and a tensor-form bracket each
+    run the kernel loop ``algebra._accumulate`` once, for every cell."""
+    rng = random.Random("one call " + kind.display())
+    x, y = random_point(kind, sig, rng), random_point(kind, sig, rng)
+    a, b = random_element(sig, rng, EVEN), random_element(sig, rng, EVEN)
+    t1, t2 = random_tensor(kind, sig, rng), random_tensor(kind, sig, rng)
+    zero = SuperNumber.zero(sig)
+    even_rules_bracket(t1, t2)          # the structure constants are cached on first use
+    cases = [
+        ("commutator", lambda: commutator(x, y), lambda: reference_commutator(x, y)),
+        ("product", lambda: (x * y).rows, lambda: tuple(map(tuple, reference_mat_mul(x.rows, y.rows, zero)))),
+        ("linear_combination", lambda: linear_combination(a, x, b, y),
+         lambda: reference_linear_combination(a, x, b, y)),
+        ("even_rules_bracket", lambda: even_rules_bracket(t1, t2), lambda: reference_even_rules_bracket(t1, t2)),
+    ]
+    for name, run, reference in cases:
+        calls = counting(monkeypatch, [(algebra, "_accumulate")])
+        result = run()
+        monkeypatch.undo()
+        assert calls == Counter({"_accumulate": 1}), name
+        assert result == reference(), name
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_commutator_matches_the_two_products(data):
@@ -646,16 +737,65 @@ def test_catalog_maps_match_conjugate_then_scale(desc):
                 assert stage.apply(x) == reference_positional_apply(stage, x)
 
 
-@pytest.mark.parametrize("kind", [MatrixKind(SL, 2, 2), MatrixKind(OSP, 2, 2), MatrixKind(GL, 2, 1)],
-                         ids=MatrixKind.display)
+@pytest.mark.parametrize("kind", [MatrixKind(SL, 2, 2), MatrixKind(OSP, 2, 2), MatrixKind(GL, 2, 1),
+                                  MatrixKind(OSP, 1, 2)], ids=MatrixKind.display)
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_even_rules_bracket_matches_the_term_by_term_loop(kind, data):
+    if kind.family == OSP:      # structure constants 2 or -2 too, so a_i is scaled by more than one constant
+        dim = len(basis_of(kind))
+        assert {c for i in range(dim) for j in range(dim) for _, c in vector_bracket(kind, i, j)} - {ONE, MINUS_ONE}
     sig = data.draw(st.sampled_from([AlgebraSignature(1, 1, 1, STANDARD), AlgebraSignature(2, 0, 0, GRADED),
-                                     AlgebraSignature(1, 0, 1, GRADED)]))
+                                     AlgebraSignature(1, 0, 1, GRADED), AlgebraSignature(3, 0, 0, STANDARD),
+                                     AlgebraSignature(3, 0, 0, GRADED)]))
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
     t1, t2 = random_tensor(kind, sig, rng), random_tensor(kind, sig, rng)
     assert even_rules_bracket(t1, t2) == reference_even_rules_bracket(t1, t2)
+
+
+def test_a_coordinate_that_cancels_is_absent_from_the_bracket():
+    """``t1 = a (x) v_i`` and ``t2 = c2 b (x) v_j + (-c1 b) (x) v_l``, where
+    ``[v_i, v_j]`` and ``[v_i, v_l]`` hold the constants ``c1`` and ``c2`` at
+    coordinate ``k``: both pairs are multiplied, and their terms at ``k``
+    cancel, so ``k`` has no coefficient."""
+    kind, sig = MatrixKind(SL, 2, 2), AlgebraSignature(2, 0, 0, STANDARD)
+    basis = basis_of(kind)
+    dim = len(basis)
+    found = next((i, j, l, k, dict(vector_bracket(kind, i, j))[k], c2)
+                 for i, j, l in itertools.product(range(dim), repeat=3) if j != l and basis[j].parity == basis[l].parity
+                 for k, c2 in vector_bracket(kind, i, l) if k in dict(vector_bracket(kind, i, j)))
+    i, j, l, k, c1, c2 = found
+    rng = random.Random("cancel " + kind.display())
+    a = random_element(sig, rng, basis[i].parity)
+    b = random_element(sig, rng, basis[j].parity)
+    assert not (a * b).is_zero()
+    t1 = TensorElement(kind, sig, {i: a})
+    t2 = TensorElement(kind, sig, {j: b.scaled(c2), l: b.scaled(-c1)})
+    bracket = even_rules_bracket(t1, t2)
+    assert k not in bracket.coeffs
+    assert bracket == reference_even_rules_bracket(t1, t2)
+
+
+@pytest.mark.parametrize("kind", [MatrixKind(SL, 2, 2), MatrixKind(OSP, 2, 2), MatrixKind(OSP, 1, 2)],
+                         ids=MatrixKind.display)
+def test_the_bracket_of_a_point_with_itself_has_no_coefficient(kind):
+    """``[x, x] = 0`` for an even point: the pairs ``(i, j)`` and ``(j, i)``
+    cancel at every coordinate, and no zero coefficient is kept."""
+    sig = AlgebraSignature(2, 0, 0, GRADED)
+    t = random_tensor(kind, sig, random.Random("self " + kind.display()))
+    assert any(vector_bracket(kind, i, j) for i in t.coeffs for j in t.coeffs)
+    assert even_rules_bracket(t, t).coeffs == {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_det_even_matches_the_term_by_term_programme(data):
+    """One kernel call per row against one product and one sum per step;
+    size 0 gives 1."""
+    sig = data.draw(signatures(max_generators=4))
+    size = data.draw(st.integers(0, 4))
+    rows = data.draw(grids(size, size, SuperNumber.zero(sig), even_elements(sig)))
+    assert matrices.det_even(rows, sig) == reference_det_even(rows, sig)
 
 
 @settings(max_examples=100, deadline=None)
@@ -822,12 +962,27 @@ def test_even_rules_bracket_multiplies_only_pairs_with_a_bracket(monkeypatch):
     sig = AlgebraSignature(1, 1, 1, STANDARD)
     rng = random.Random(7)
     t1, t2 = random_tensor(kind, sig, rng), random_tensor(kind, sig, rng)
-    bracketed = sum(1 for i in t1.coeffs for j in t2.coeffs if (i, j) not in empty)
-    assert bracketed < len(t1.coeffs) * len(t2.coeffs)
-    calls = counting(monkeypatch, [(SuperNumber, "__mul__")])
+    bracketed = [(i, j) for i in t1.coeffs for j in t2.coeffs if (i, j) not in empty]
+    assert len(bracketed) < len(t1.coeffs) * len(t2.coeffs)
+    batches = []
+    real = liealg.sums_of_products
+
+    def recording(sig, cells):
+        batches.append(list(cells))
+        return real(sig, batches[-1])
+
+    calls = counting(monkeypatch, [(SuperNumber, "__mul__"), (SuperNumber, "scaled")])
+    monkeypatch.setattr(liealg, "sums_of_products", recording)
     bracket = even_rules_bracket(t1, t2)
     monkeypatch.undo()
-    assert calls["__mul__"] == bracketed
+    # one batch; one pair (c a_i, b_j) per structure constant of a pair with a bracket
+    assert len(batches) == 1
+    handed = [pair for pairs, minus in batches[0] for pair in pairs]
+    assert len(handed) == sum(len(vector_bracket(kind, i, j)) for i, j in bracketed)
+    # no product a_i b_j of its own, and each a_i scaled once per distinct signed constant
+    signed = {(i, c if not (basis_of(kind)[i].parity and basis_of(kind)[j].parity) else -c)
+              for i, j in bracketed for _, c in vector_bracket(kind, i, j)}
+    assert calls == Counter({"scaled": len(signed)})
     assert bracket == reference_even_rules_bracket(t1, t2)
 
 
@@ -943,13 +1098,14 @@ def test_random_element_draws_what_the_scalar_pool_draws(sig, parity):
 
 
 def test_the_kernel_builds_no_coefficient_in_a_verify_run(monkeypatch):
-    """A work count: inside ``sum_of_products``, wherever the package calls
-    it by name, no ``GaussianRational`` is built in a verify run; before,
-    the kernel built one per output monomial."""
+    """A work count: inside the kernel loop ``algebra._accumulate``, which
+    every product and batch of sums of products runs, no
+    ``GaussianRational`` is built in a verify run; before, the kernel built
+    one per output monomial."""
     desc, sig = build("sigma1", MatrixKind(SL, 2, 2)), AlgebraSignature(1, 1, 1, STANDARD)
     desc.compiled        # compiling runs the steps on unit matrices, before counting
     depth = calls = built = 0
-    init, kernel = GaussianRational.__init__, algebra.sum_of_products
+    init, kernel = GaussianRational.__init__, algebra._accumulate
 
     def counting_init(self, *args, **kwargs):
         nonlocal built
@@ -964,9 +1120,7 @@ def test_the_kernel_builds_no_coefficient_in_a_verify_run(monkeypatch):
         finally:
             depth -= 1
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("superforms") and getattr(module, "sum_of_products", None) is kernel:
-            monkeypatch.setattr(module, "sum_of_products", counted_kernel)
+    monkeypatch.setattr(algebra, "_accumulate", counted_kernel)
     monkeypatch.setattr(GaussianRational, "__init__", counting_init)
     x, y = dense(AlgebraSignature(3), 0), dense(AlgebraSignature(3), 3)
     product = algebra.sum_of_products(x.sig, [(x, y)])
