@@ -598,6 +598,9 @@ def test_one_batched_call_matches_the_per_cell_references(data):
                 continue
             assert dict(product[i][j].items()) == per_term_sum_of_products(sig, pairs, minus).terms
             assert storage(product[i][j]) == storage(sum_of_products(sig, pairs, minus))
+    # against the triple loop, where no cell multiplies two constants
+    b_elements = [[lift(sig, x) for x in row] for row in b]
+    assert linalg.mat_mul(a, b_elements, zero) == reference_mat_mul(a, b_elements, zero)
     # the constant ring's batch
     grid = data.draw(grids(size, size, ZERO, batch_coefficients))
     constants = linalg.mat_mul(grid, grid, ZERO, minus=(grid, grid))
