@@ -304,19 +304,15 @@ def split_dual(x: "SuperNumber", base: AlgebraSignature) -> Tuple["SuperNumber",
     """``x`` in ``A(eps)`` as ``(a, b)`` over ``base = A``, ``x = a + b eps``.
     ``eps`` is the last even generator, the one :func:`adjoin_dual` adds; it
     is even, so ``b eps`` keeps the keys of ``b`` with its bit set."""
-    bit, free, held = _split_dual_bit(x)
-    return _normal(base, x.den, free), _normal(base, x.den, {key ^ bit: v for key, v in held.items()})
-
-
-def _split_dual_bit(x: "SuperNumber") -> Tuple[int, Dict[int, tuple], Dict[int, tuple]]:
-    """``(bit, free, held)``: the bit of ``eps``, the last even generator, and
-    the numerators of ``x`` at the keys without and with it."""
     bit = 1 << (_ODD_BITS + x.sig.even_nilpotents - 1)
     free: Dict[int, tuple] = {}
-    held: Dict[int, tuple] = {}
+    coef: Dict[int, tuple] = {}
     for key, v in x._num.items():
-        (held if key & bit else free)[key] = v
-    return bit, free, held
+        if key & bit:
+            coef[key ^ bit] = v
+        else:
+            free[key] = v
+    return _normal(base, x.den, free), _normal(base, x.den, coef)
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +517,8 @@ class SuperNumber:
 
     def __mul__(self, other):
         if isinstance(other, (SuperNumber, GaussianRational)):
-            hit = _shortcut(self.sig, self, other)
-            if hit is not None:
-                return hit
-            den = self.den * other.den
-            return _accumulate(self.sig, ((den, ((1, den, self._num, other._num),)),))[0]
+            hit = _pair(self.sig, self, other)
+            return _accumulate(self.sig, (hit,))[0] if type(hit) is tuple else hit
         return NotImplemented
 
     def __rmul__(self, other):
@@ -704,15 +697,18 @@ def _operand(x, sig: AlgebraSignature) -> Tuple[int, Dict[int, tuple]]:
 _SIGNED_UNITS = ((1, 0), (-1, 0))
 
 
-def _shortcut(sig: AlgebraSignature, a, b) -> Optional[SuperNumber]:
-    """The product ``a b`` where it needs no kernel loop, else ``None``, and
-    then both are elements: a product by a constant is a scaling, a product
-    by 1 or -1 is the other factor or its negative, and by zero is zero."""
+def _pair(sig: AlgebraSignature, a, b):
+    """The product ``a b`` of one pair as an element where it needs no kernel
+    loop: a product by a constant is a scaling, a product by 1 or -1 is the
+    other factor or its negative, and by zero is zero.  Otherwise its cell
+    ``(den, forms)`` for :func:`_accumulate`, over the product of the
+    denominators; two constants are one constant term each, as numerators."""
     if type(a) is GaussianRational:
         a, b = b, a                     # constants commute
     if type(b) is GaussianRational:
         if type(a) is GaussianRational:
-            return scalar(sig, a * b)
+            (da, ta), (db, tb) = _operand(a, sig), _operand(b, sig)
+            return da * db, ((1, da * db, ta, tb),)
         if a.sig is not sig and a.sig != sig:
             raise ValueError("mixing elements of different coefficient algebras")
         return a.scaled(b)
@@ -725,44 +721,41 @@ def _shortcut(sig: AlgebraSignature, a, b) -> Optional[SuperNumber]:
         return b if ta[0][0] > 0 else -b
     if b.den == 1 and len(tb) == 1 and tb.get(0) in _SIGNED_UNITS:
         return a if tb[0][0] > 0 else -a
-    return None
+    return a.den * b.den, ((1, a.den * b.den, ta, tb),)
 
 
 def sums_of_products(sig: AlgebraSignature, cells: Iterable[tuple]) -> list:
     """One element per cell ``(pairs, minus)``: ``sum a_k b_k - sum c_k d_k``
     over its ``pairs`` ``(a_k, b_k)`` and ``minus`` pairs ``(c_k, d_k)`` of
     elements of ``sig``'s algebra or constants, exactly, in one call of the
-    kernel loop, :func:`_accumulate`.  A cell of one pair that needs no loop
-    is built by :func:`_shortcut`; in the others each pair's first factor is
-    rescaled to the cell's common denominator, and negated in a minus pair.
+    kernel loop, :func:`_accumulate`.  A cell of one pair goes through
+    :func:`_pair`, as a product does; in the others each pair's first factor
+    is rescaled to the cell's common denominator, and negated in a minus pair.
     """
-    out, work = [], []                  # the short cuts' elements, None for the cells the loop sums
+    out, work = [], []                  # per cell its element, or None where the loop sums it; the loop's cells
     for pairs, minus in cells:
         if not minus and len(pairs) == 1:
             a, b = pairs[0]
-            hit = _shortcut(sig, a, b)
-            out.append(hit)
-            if hit is None:                 # one pair of elements, over the product of their denominators
-                work.append((a.den * b.den, ((1, a.den * b.den, a._num, b._num),)))
-            continue
+            hit = _pair(sig, a, b)
+            if type(hit) is not tuple:
+                out.append(hit)
+                continue
+            work.append(hit)
+        else:
+            forms = []
+            den = 1
+            for sign, group in ((1, pairs), (-1, minus)):
+                for a, b in group:
+                    da, ta = (a.den, a._num) if type(a) is SuperNumber and a.sig is sig else _operand(a, sig)
+                    db, tb = (b.den, b._num) if type(b) is SuperNumber and b.sig is sig else _operand(b, sig)
+                    if ta and tb:
+                        d = da * db
+                        if den % d:
+                            den = den // gcd(den, d) * d
+                        forms.append((sign, d, ta, tb))
+            work.append((den, forms))
         out.append(None)
-        forms = []
-        den = 1
-        for sign, group in ((1, pairs), (-1, minus)):
-            for a, b in group:
-                da, ta = (a.den, a._num) if type(a) is SuperNumber and a.sig is sig else _operand(a, sig)
-                db, tb = (b.den, b._num) if type(b) is SuperNumber and b.sig is sig else _operand(b, sig)
-                if ta and tb:
-                    d = da * db
-                    if den % d:
-                        den = den // gcd(den, d) * d
-                    forms.append((sign, d, ta, tb))
-        work.append((den, forms))
-    if not work:
-        return out
-    if len(work) == len(out):
-        return _accumulate(sig, work)
-    sums = iter(_accumulate(sig, work))
+    sums = iter(_accumulate(sig, work) if work else ())     # no loop call when every cell took a short cut
     return [next(sums) if x is None else x for x in out]
 
 
@@ -897,15 +890,18 @@ class AlgebraMorphism:
             [(make_key(0, 1 << j), ONE) for j in range(src.even_nilpotents)],
         )
 
+    def _factors(self, key: int) -> list:
+        """The generator images whose product, in this order, is the image
+        of the monomial ``key``: odd generators ascending, then even ones."""
+        return ([self.odd_images[gid] for gid in bits(odd_mask_of(key))]
+                + [self.even_images[j] for j in bits(even_mask_of(key))])
+
     def _image_of_key(self, key: int) -> SuperNumber:
-        """The image of the monomial ``key``: the product of its generators'
-        images, odd generators ascending, then even ones."""
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         img = one(self.tgt)
-        for factor in ([self.odd_images[gid] for gid in bits(odd_mask_of(key))]
-                       + [self.even_images[j] for j in bits(even_mask_of(key))]):
+        for factor in self._factors(key):
             img = img * factor
         self._cache[key] = img
         return img
@@ -931,10 +927,15 @@ class AlgebraMorphism:
         if self.keeps_keys:
             return _element(self.tgt, x.den, x._num)    # elements are immutable: the numerators are shared
         if not self.monomial:
-            # sum over keys of image(key) times (re + im i) / x.den, the kernel's
-            # constant factor kept as numerators (not reduced: the kernel needs no normal form)
-            return sum_of_products(self.tgt, [(self._image_of_key(key), _element(self.tgt, x.den, {0: v}))
-                                              for key, v in x._num.items()])
+            # sum over keys of image(key) (re + im i), over x.den times the
+            # images' common denominator
+            images = [(self._image_of_key(key), v) for key, v in x._num.items()]
+            den = 1
+            for img, _ in images:
+                if den % img.den:
+                    den = den // gcd(den, img.den) * img.den
+            forms = [(1, x.den * img.den, img._num, {0: v}) for img, v in images]
+            return _accumulate(self.tgt, ((x.den * den, forms),))[0]
         # each key goes to one term or to zero; distinct keys may meet
         out: Dict[int, tuple] = {}
         for key, (re, im) in x._num.items():
@@ -1009,7 +1010,14 @@ def dual_scale(x: SuperNumber, a: SuperNumber) -> SuperNumber:
     term of ``a`` that holds ``eps`` shares that bit with every term of ``v
     eps``, so it vanishes by the kernel's rule; the keys of ``a (v eps)``
     hold ``eps`` and those of ``u`` do not, so no two terms meet."""
-    _, free, held = _split_dual_bit(x)
+    bit = 1 << (_ODD_BITS + x.sig.even_nilpotents - 1)
+    free: Dict[int, tuple] = {}
+    held: Dict[int, tuple] = {}
+    for key, v in x._num.items():
+        if key & bit:
+            held[key] = v
+        else:
+            free[key] = v
     if not held:
         return x
     if a.sig is not x.sig:

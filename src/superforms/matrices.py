@@ -15,7 +15,7 @@ elements for every scalar.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from . import linalg
 from .algebra import AlgebraSignature, SuperNumber, one, products_vanish, scalar, sums_of_products
@@ -204,16 +204,29 @@ def parity_swap(x: SuperMatrix) -> SuperMatrix:
 
 def scale_offdiagonal(x: SuperMatrix, lam: SuperNumber) -> SuperMatrix:
     """B -> lam*B, C -> lam^-1*C.  Equals conjugation by diag(1_m, lam^-1 1_n)."""
-    m, factors = x.m, (lam, lam.inverse())
-    out = [[e if (i < m) == (j < m) else factors[i >= m] * e for j, e in enumerate(row)]
-           for i, row in enumerate(x.rows)]
+    lam_inv = lam.inverse()
+    m = x.m
+    out = []
+    for i, row in enumerate(x.rows):
+        new_row = []
+        for j, e in enumerate(row):
+            if (i < m) == (j < m):
+                new_row.append(e)
+            elif i < m:
+                new_row.append(lam * e)
+            else:
+                new_row.append(lam_inv * e)
+        out.append(new_row)
     return SuperMatrix(x.m, x.n, x.sig, out, check=False)
 
 
 def supertrace(x: SuperMatrix) -> SuperNumber:
-    """The even diagonal less the odd one, as one kernel cell."""
-    diagonal = [(x.rows[i][i], ONE) for i in range(x.size)]
-    return sums_of_products(x.sig, ((diagonal[:x.m], diagonal[x.m:]),))[0]
+    acc = SuperNumber.zero(x.sig)
+    for i in range(x.m):
+        acc = acc + x.rows[i][i]
+    for i in range(x.m, x.size):
+        acc = acc - x.rows[i][i]
+    return acc
 
 
 def const_mul(grid: Sequence[Sequence[GaussianRational]], x: SuperMatrix) -> SuperMatrix:
@@ -310,23 +323,33 @@ def det_even(rows: Sequence[Sequence[SuperNumber]], sig: AlgebraSignature) -> Su
     """Determinant of a square grid of *even* (hence commuting) elements.
 
     Subset dynamic programming over column sets — no division, so it is sound
-    over the full coefficient ring, nilpotents included.  Row ``i`` extends
-    each set of used columns by an unused column ``j``, all in one kernel
-    call: the cell of each new set sums the products ``value e_ij``, as minus
-    pairs when an odd number of the used columns lie after ``j`` (row ``i``
-    then has that many inversions against the earlier rows).
+    over the full coefficient ring, nilpotents included.
     """
+    size = len(rows)
+    if size == 0:
+        return one(sig)
     states = {0: one(sig)}
-    for row in rows:
-        cells: Dict[int, tuple] = {}
+    for i in range(size):
+        next_states = {}
+        row = rows[i]
         for mask, value in states.items():
             if value.is_zero():
                 continue
-            for j, e in enumerate(row):
-                if not mask >> j & 1 and not e.is_zero():
-                    cells.setdefault(mask | 1 << j, ([], []))[(mask >> j).bit_count() & 1].append((value, e))
-        states = dict(zip(cells, sums_of_products(sig, cells.values())))
-    return states.get((1 << len(rows)) - 1, SuperNumber.zero(sig))
+            position = 0
+            for j in range(size):
+                bit = 1 << j
+                if mask & bit:
+                    position += 1
+                    continue
+                e = row[j]
+                if not e.is_zero():
+                    # row i vs. earlier rows: one inversion per used column > j
+                    term = value * e if ((i - position) & 1) == 0 else -(value * e)
+                    key = mask | bit
+                    cur = next_states.get(key)
+                    next_states[key] = term if cur is None else cur + term
+        states = next_states
+    return states.get((1 << size) - 1, SuperNumber.zero(sig))
 
 
 def berezinian(x: SuperMatrix) -> SuperNumber:

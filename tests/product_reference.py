@@ -30,10 +30,8 @@ numerators over one denominator:
   combination ``a x + b y`` as two scaled matrices and a sum, a positional
   map's cell as ``k`` conjugated copies of each entry followed by a scaling,
   the tensor-form bracket as a negate, scale and add per term over every
-  pair of coefficients, the dual scaling applied through its generator
-  images (``eps -> a eps``), with no closed form, and the determinant of
-  even elements with one product and one sum per step of its subset
-  dynamic programme;
+  pair of coefficients, and the dual scaling applied through its generator
+  images (``eps -> a eps``), with no closed form;
 * the one-pass short cuts of the group layer as they were before it: a
   kernel point ``Id + t M`` as a scaling by ``t`` and a sum with the unit on
   the diagonal (``scale_plus_unit``), the dual scaling as two
@@ -450,27 +448,6 @@ def reference_even_rules_bracket(t1: TensorElement, t2: TensorElement) -> Tensor
                 term = ab.scaled(coeff)
                 out[k] = term if k not in out else out[k] + term
     return TensorElement(kind, sig, out, check=False)
-
-
-def reference_det_even(rows, sig) -> SuperNumber:
-    """The determinant of a grid of even elements by the subset dynamic
-    programme one product and one sum at a time: each state ``value`` of a
-    set of used columns gains ``+-value e_ij`` for each unused column ``j``."""
-    size = len(rows)
-    states = {0: one(sig)}
-    for i, row in enumerate(rows):
-        next_states = {}
-        for mask, value in states.items():
-            position = 0
-            for j in range(size):
-                if mask >> j & 1:
-                    position += 1
-                elif not row[j].is_zero():
-                    term = value * row[j] if (i - position) % 2 == 0 else -(value * row[j])
-                    key = mask | 1 << j
-                    next_states[key] = term if key not in next_states else next_states[key] + term
-        states = next_states
-    return states.get((1 << size) - 1, SuperNumber.zero(sig))
 
 
 def reference_dual_scale(x: SuperNumber, a: SuperNumber) -> SuperNumber:

@@ -15,6 +15,7 @@ with the normal form it keeps and the coefficients it does not build."""
 
 import itertools
 import random
+import sys
 from collections import Counter
 from math import gcd
 
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from product_reference import (
     PerTerm, per_term_apply, per_term_dual_scale, per_term_split_dual, per_term_sum_of_products,
-    reference_cayley, reference_commutator, reference_conj_mask, reference_conjugate, reference_det_even,
+    reference_cayley, reference_commutator, reference_conj_mask, reference_conjugate,
     reference_conjugated, reference_dual_scale, reference_element_inverse,
     reference_even_rules_bracket, reference_linear_combination, reference_mat_mul, reference_mul,
     reference_positional_apply, reference_product, reference_sample_sl, reference_scale,
@@ -790,17 +791,6 @@ def test_the_bracket_of_a_point_with_itself_has_no_coefficient(kind):
     assert even_rules_bracket(t, t).coeffs == {}
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_det_even_matches_the_term_by_term_programme(data):
-    """One kernel call per row against one product and one sum per step;
-    size 0 gives 1."""
-    sig = data.draw(signatures(max_generators=4))
-    size = data.draw(st.integers(0, 4))
-    rows = data.draw(grids(size, size, SuperNumber.zero(sig), even_elements(sig)))
-    assert matrices.det_even(rows, sig) == reference_det_even(rows, sig)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_dual_scale_matches_the_generator_images(data):
@@ -1101,34 +1091,49 @@ def test_random_element_draws_what_the_scalar_pool_draws(sig, parity):
 
 
 def test_the_kernel_builds_no_coefficient_in_a_verify_run(monkeypatch):
-    """A work count: inside the kernel loop ``algebra._accumulate``, which
-    every product and batch of sums of products runs, no
-    ``GaussianRational`` is built in a verify run; before, the kernel built
-    one per output monomial."""
+    """A work count: inside ``sums_of_products`` and ``sum_of_products``,
+    wherever the package calls them by name, no ``GaussianRational`` is
+    built in a verify run; before, the kernel built one per output
+    monomial.  The kernel's output cells are counted, one per
+    ``sum_of_products`` call and one per cell of a batch, once also where
+    one function enters the other."""
     desc, sig = build("sigma1", MatrixKind(SL, 2, 2)), AlgebraSignature(1, 1, 1, STANDARD)
     desc.compiled        # compiling runs the steps on unit matrices, before counting
-    depth = calls = built = 0
-    init, kernel = GaussianRational.__init__, algebra._accumulate
+    depth = cells = built = 0
+    init, one_cell, batch = GaussianRational.__init__, algebra.sum_of_products, algebra.sums_of_products
 
     def counting_init(self, *args, **kwargs):
         nonlocal built
         built += depth > 0
         init(self, *args, **kwargs)
 
-    def counted_kernel(*args, **kwargs):
-        nonlocal depth, calls
-        depth, calls = depth + 1, calls + 1
-        try:
-            return kernel(*args, **kwargs)
-        finally:
-            depth -= 1
+    def counted(kernel):
+        def counted_kernel(sig, *args):
+            nonlocal depth, cells
+            if kernel is batch:
+                args = (list(args[0]),)
+            if depth == 0:
+                cells += len(args[0]) if kernel is batch else 1
+            depth += 1
+            try:
+                return kernel(sig, *args)
+            finally:
+                depth -= 1
+        return counted_kernel
 
-    monkeypatch.setattr(algebra, "_accumulate", counted_kernel)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("superforms"):
+            for attr in ("sum_of_products", "sums_of_products"):
+                if getattr(module, attr, None) in (one_cell, batch):
+                    monkeypatch.setattr(module, attr, counted(getattr(module, attr)))
     monkeypatch.setattr(GaussianRational, "__init__", counting_init)
     x, y = dense(AlgebraSignature(3), 0), dense(AlgebraSignature(3), 3)
     product = algebra.sum_of_products(x.sig, [(x, y)])
-    assert (calls, built) == (1, 0) and len(product) > 0
+    assert (cells, built) == (1, 0) and len(product) > 0
+    c, d = GaussianRational(1, 2, 3), GaussianRational(3, -1, 5)
+    assert algebra.sum_of_products(x.sig, [(c, d)]) == scalar(x.sig, c * d)
+    assert (cells, built) == (2, 0)
     outcomes = verify_structure(desc, sig, samples=8)
     monkeypatch.undo()
     assert [o.status for o in outcomes] == ["pass"] * 6
-    assert calls > 100 and built == 0
+    assert cells > 100 and built == 0
