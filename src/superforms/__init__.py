@@ -34,9 +34,8 @@ from .scalars import GaussianRational, HALF, I, MINUS_I, MINUS_ONE, ONE, ZERO, i
 from .algebra import (
     AlgebraSignature, AlgebraMorphism, MorphismError, NotInvertible, SuperNumber,
     EVEN, GRADED, ODD, STANDARD,
-    adjoin_dual, dual_scale_morphism, epsilon, identity_morphism,
-    include_pairs, kill_pair_projection, one, scalar, theta, theta_bar,
-    theta_selfreal,
+    adjoin_dual, epsilon, include_pairs, kill_pair_projection, one,
+    scalar, theta, theta_bar, theta_selfreal,
 )
 from .literals import LiteralError, format_matrix, format_number, parse_matrix, parse_number
 from .matrices import (
@@ -74,9 +73,8 @@ __all__ = [
     "GaussianRational", "HALF", "I", "MINUS_I", "MINUS_ONE", "ONE", "ZERO", "integer",
     "AlgebraSignature", "AlgebraMorphism", "MorphismError", "NotInvertible",
     "SuperNumber", "EVEN", "GRADED", "ODD", "STANDARD",
-    "adjoin_dual", "dual_scale_morphism", "epsilon", "identity_morphism",
-    "include_pairs", "kill_pair_projection", "one", "scalar", "theta",
-    "theta_bar", "theta_selfreal",
+    "adjoin_dual", "epsilon", "include_pairs", "kill_pair_projection", "one",
+    "scalar", "theta", "theta_bar", "theta_selfreal",
     "LiteralError", "format_matrix", "format_number", "parse_matrix", "parse_number",
     "EvennessError", "NotInvertibleMatrix", "SuperMatrix",
     "berezinian", "commutator", "identity_matrix", "osp_form_grid",

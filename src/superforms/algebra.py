@@ -35,13 +35,14 @@ per key.  The signature also keeps its tuples of basis keys, whole and by
 parity.
 
 The dual numbers ``A(eps)`` of :func:`adjoin_dual` put ``eps`` last among
-the even generators.  :func:`dual_scale_morphism` scales that generator,
+the even generators.  One partition of an element's terms, without and with
+the bit of ``eps`` (:func:`_dual_split`), serves both of its readers:
 :func:`split_dual` splits an element of ``A(eps)`` as ``a + b eps``, and
-:func:`dual_scale` applies the scaling in closed form, as one kernel call on
-the terms of ``x`` without and with ``eps``.  :func:`identity_plus_multiple`
-builds the grid ``Id + t M`` of a dual-number kernel point in one pass per
-entry, for ``t`` one of ``eps``, ``-eps`` or ``e h``: such a monomial only
-sets bits on the keys of ``M``.
+:func:`dual_scale` applies the endomorphism ``eps -> a eps`` in closed form,
+as one kernel call on the two parts.  :func:`identity_plus_multiple` builds
+the grid ``Id + t M`` of a dual-number kernel point in one pass per entry,
+for ``t`` one of ``eps``, ``-eps`` or ``e h``: such a monomial only sets
+bits on the keys of ``M``.  Any other ``t`` raises ``ValueError`` there.
 
 An element is stored as Gaussian-integer numerators over one denominator,
 in a unique normal form (see :class:`SuperNumber`), so equality and hashing
@@ -60,15 +61,17 @@ asks for a coefficient (``items``, ``coefficient``, ``body``).
 :func:`sum_of_products` and ``SuperNumber.__mul__`` are the kernel on one
 cell; ``linalg.mat_mul`` hands it every cell of a grid product, and of a
 commutator with minus pairs, in one call, as ``matrices.linear_combination``
-and ``liealg.even_rules_bracket`` do theirs.
+and ``liealg.even_rules_bracket`` do theirs.  ``SuperMatrix.scale`` is the one
+scaling path: each entry is a cell of one pair, so a constant scales every
+entry by the short cut and an element is multiplied in one kernel call.
 ``SuperNumber.conjugated`` gives ``c conj^k(x)`` in one pass over the terms.
 
 An :class:`AlgebraMorphism` is *monomial* when every generator image has at
-most one term, as for the pair projections and inclusions, the dual-number
-inclusion and projection, and scaling the dual generator by a constant.  It
-then sends each monomial to at most one monomial by the monomial rule, and
-applying it relabels keys and scales numerators, summing keys that meet and
-dropping zeros, without the kernel.  A monomial morphism that sends every
+most one term, as for the pair projections and inclusions and the
+dual-number inclusion and projection.  It then sends each monomial to at
+most one monomial by the monomial rule, and applying it relabels keys and
+scales numerators, summing keys that meet and dropping zeros, without the
+kernel.  A monomial morphism that sends every
 generator to the generator of the same key, as the dual-number inclusion does,
 *keeps keys*: it hands each element's numerators to the target unchanged.
 Other morphisms sum the images of their monomials, times the element's
@@ -300,19 +303,26 @@ def conjugate_monomial(sig: AlgebraSignature, key: int, times: int) -> Tuple[int
     return omask | (key & ~0xFF), sign
 
 
-def split_dual(x: "SuperNumber", base: AlgebraSignature) -> Tuple["SuperNumber", "SuperNumber"]:
-    """``x`` in ``A(eps)`` as ``(a, b)`` over ``base = A``, ``x = a + b eps``.
-    ``eps`` is the last even generator, the one :func:`adjoin_dual` adds; it
-    is even, so ``b eps`` keeps the keys of ``b`` with its bit set."""
+def _dual_split(x: "SuperNumber") -> Tuple[int, Dict[int, tuple], Dict[int, tuple]]:
+    """The bit of ``eps`` in the keys of ``x``, and the numerators of ``x``
+    without and with it, keys as stored.  ``eps`` is the last even
+    generator, the one :func:`adjoin_dual` adds."""
     bit = 1 << (_ODD_BITS + x.sig.even_nilpotents - 1)
     free: Dict[int, tuple] = {}
-    coef: Dict[int, tuple] = {}
+    held: Dict[int, tuple] = {}
     for key, v in x._num.items():
         if key & bit:
-            coef[key ^ bit] = v
+            held[key] = v
         else:
             free[key] = v
-    return _normal(base, x.den, free), _normal(base, x.den, coef)
+    return bit, free, held
+
+
+def split_dual(x: "SuperNumber", base: AlgebraSignature) -> Tuple["SuperNumber", "SuperNumber"]:
+    """``x`` in ``A(eps)`` as ``(a, b)`` over ``base = A``, ``x = a + b eps``.
+    ``eps`` is even, so ``b eps`` keeps the keys of ``b`` with its bit set."""
+    bit, free, held = _dual_split(x)
+    return _normal(base, x.den, free), _normal(base, x.den, {key ^ bit: v for key, v in held.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +374,7 @@ class SuperNumber:
 
     Construct with the module helpers (``scalar``, ``theta``, ``epsilon``,
     ...), or from Gaussian-rational coefficients as ``SuperNumber(sig,
-    {key: c})`` or :meth:`from_terms`; zero coefficients are dropped.
+    {key: c})``; zero coefficients are dropped.
     ``items``, ``coefficient`` and ``body`` hand coefficients out as
     ``GaussianRational``; ``numerators`` and ``body_parts`` hand out ints,
     and the arithmetic works on the numerators.
@@ -389,10 +399,6 @@ class SuperNumber:
         self._num = num
 
     # -- construction --------------------------------------------------------
-
-    @staticmethod
-    def from_terms(sig: AlgebraSignature, terms: Dict[int, GaussianRational]) -> "SuperNumber":
-        return SuperNumber(sig, terms)
 
     _from_numerators = staticmethod(_normal)      # the private constructor from numerators
 
@@ -548,26 +554,6 @@ class SuperNumber:
             return -self if cr else _element(self.sig, 1, {})
         return _normal(self.sig, self.den * cd,
                        {k: (re * cr - im * ci, re * ci + im * cr) for k, (re, im) in self._num.items()})
-
-    def monomial_multiple(self, key: int, c: GaussianRational) -> "SuperNumber":
-        """``(c t) x`` for the even monomial ``t`` of ``key``, without the
-        product kernel: each key is relabelled with its sign from the product
-        sign table, and the result scaled by ``c``.  Distinct keys stay
-        distinct, so no two terms meet.  A monomial of even generators alone
-        has no odd generator to pass, so every sign is +1."""
-        num = self._num
-        if not num:
-            return self
-        if key & 0xFF:
-            shift, signs = self.sig.product_signs
-            row = (key & 0xFF) << shift
-            out = {k | key: v if signs[row | (k & 0xFF)] > 0 else (-v[0], -v[1])
-                   for k, v in num.items() if not k & key}
-        else:
-            out = {k | key: v for k, v in num.items() if not k & key}
-        # dropping terms can leave a common factor
-        x = _element(self.sig, self.den, out) if len(out) == len(num) else _normal(self.sig, self.den, out)
-        return x.scaled(c)
 
     def conjugate(self) -> "SuperNumber":
         return self.conjugated(1)
@@ -962,10 +948,6 @@ def generators(sig: AlgebraSignature) -> Tuple[list, list]:
             [epsilon(sig, j) for j in range(sig.even_nilpotents)])
 
 
-def identity_morphism(sig: AlgebraSignature) -> AlgebraMorphism:
-    return AlgebraMorphism(sig, sig, *generators(sig))
-
-
 def adjoin_dual(sig: AlgebraSignature):
     """Adjoin one even square-zero generator: ``A -> A(eps)``.
 
@@ -983,41 +965,19 @@ def adjoin_dual(sig: AlgebraSignature):
     return ext, include, project, even_ext[-1]
 
 
-def dual_scale_morphism(sig: AlgebraSignature, a: SuperNumber) -> AlgebraMorphism:
-    """The endomorphism of ``A(eps)`` fixing every generator except ``eps -> a*eps``.
-
-    ``sig`` is the extended signature, whose last even generator is ``eps``
-    (see :func:`adjoin_dual`); ``a`` lives in it (its coefficient on
-    monomials involving ``eps`` must vanish) and must be even.  The morphism
-    intertwines conjugation exactly when ``conj(a) == a``.
-    """
-    if a.sig != sig:
-        raise ValueError("scaling element must live in the extended algebra")
-    if not a.is_even():
-        raise MorphismError("scaling element must be even")
-    odd, even = generators(sig)
-    return AlgebraMorphism(sig, sig, odd, even[:-1] + [a * even[-1]])
-
-
 _UNIT_TERMS = {0: (1, 0)}
 
 
 def dual_scale(x: SuperNumber, a: SuperNumber) -> SuperNumber:
-    """The image of ``x`` under ``dual_scale_morphism(x.sig, a)``, in closed
+    """The image of ``x`` under the endomorphism of ``A(eps) = x.sig`` that
+    fixes every generator except ``eps -> a eps``, for ``a`` even, in closed
     form: ``x = u + v eps`` goes to ``u + a (v eps)``, one kernel call on the
     pairs ``(u, 1)`` and ``(a, v eps)``, ``u`` and ``v eps`` being the terms of
-    ``x`` without and with the bit of ``eps``, the last even generator.  A
+    ``x`` without and with the bit of ``eps`` (:func:`_dual_split`).  A
     term of ``a`` that holds ``eps`` shares that bit with every term of ``v
     eps``, so it vanishes by the kernel's rule; the keys of ``a (v eps)``
     hold ``eps`` and those of ``u`` do not, so no two terms meet."""
-    bit = 1 << (_ODD_BITS + x.sig.even_nilpotents - 1)
-    free: Dict[int, tuple] = {}
-    held: Dict[int, tuple] = {}
-    for key, v in x._num.items():
-        if key & bit:
-            held[key] = v
-        else:
-            free[key] = v
+    _, free, held = _dual_split(x)
     if not held:
         return x
     if a.sig is not x.sig:
@@ -1026,21 +986,19 @@ def dual_scale(x: SuperNumber, a: SuperNumber) -> SuperNumber:
     return _accumulate(x.sig, ((d, ((1, x.den, free, _UNIT_TERMS), (1, d, a._num, held))),))[0]
 
 
-def identity_plus_multiple(rows: Sequence[Sequence[SuperNumber]], t: SuperNumber) -> Optional[list]:
+def identity_plus_multiple(rows: Sequence[Sequence[SuperNumber]], t: SuperNumber) -> list:
     """The rows of ``Id + t M`` for the square grid ``rows`` of ``M``, in one
-    pass per entry, when ``t`` is 1 or -1 times a monomial of even
-    generators alone (``eps``, ``-eps``, ``e h``); ``None`` for any other
-    ``t``.  Such a monomial is central and passes no odd generator, so each
-    key of ``M_ij`` gains its bits with no sign, a key that already holds one
-    of them vanishes, and the numerators are kept or negated; dropping terms
-    can leave a common factor, which is reduced.  The diagonal then gains
-    the unit, at key 0, which no key of ``t M`` is."""
+    pass per entry, for ``t`` 1 or -1 times a monomial of even generators
+    alone (``eps``, ``-eps``, ``e h``); any other ``t`` raises
+    ``ValueError``.  Such a monomial is central and passes no odd generator,
+    so each key of ``M_ij`` gains its bits with no sign, a key that already
+    holds one of them vanishes, and the numerators are kept or negated;
+    dropping terms can leave a common factor, which is reduced.  The
+    diagonal then gains the unit, at key 0, which no key of ``t M`` is."""
     num = t._num
-    if t.den != 1 or len(num) != 1:
-        return None
-    (key, (cr, ci)), = num.items()
-    if ci or cr not in (1, -1) or not key or key & 0xFF:
-        return None
+    key, (cr, ci) = next(iter(num.items()), (0, (0, 0)))
+    if t.den != 1 or len(num) != 1 or ci or cr not in (1, -1) or not key or key & 0xFF:
+        raise ValueError("a kernel point needs its multiplier to be 1 or -1 times a monomial of even generators")
     sig = t.sig
     out = []
     for i, row in enumerate(rows):

@@ -16,7 +16,8 @@ chosen with ``--odd-pairs`` / ``--odd-selfreal`` / ``--even-nil``; the kind of
 conjugation is dictated by the structure itself.
 
 Exit status: 0 when every check passed (flagged-as-expected counts as
-passing), 1 when some check failed, 2 on usage or applicability errors.
+passing), 1 when some check failed, 2 on usage or applicability errors and
+when sampling gives up before any check is decided.
 
 All output is deterministic for a fixed command line: samples are drawn from
 a seeded generator and reports carry no timestamps, so ``--format json`` is
@@ -31,7 +32,7 @@ import sys
 from typing import List, Optional
 
 from .algebra import MAX_EVEN_NILPOTENT, AlgebraSignature
-from .catalog import Descriptor, InapplicableDescriptor, build, names_for
+from .catalog import InapplicableDescriptor, build, descriptor_summary, names_for
 from .groups import (
     SamplingFailed, group_commutator_identity, lie_fixed_span_check,
     verify_group_structure,
@@ -108,11 +109,6 @@ def _config(args, group: bool, with_samples: bool = True) -> dict:
     return config
 
 
-def _target(desc: Descriptor, group: bool) -> dict:
-    from .catalog import descriptor_summary
-    return descriptor_summary(desc, group=group)
-
-
 def _emit(report: dict, fmt: str) -> int:
     sys.stdout.write(render(report, fmt))
     return 0 if report["summary"]["verdict"] == PASS else 1
@@ -139,7 +135,7 @@ def _cmd_verify(args) -> int:
     else:
         checks = verify_structure(desc, sig, samples=args.samples, seed=args.seed)
     report = build_report(
-        "verify", _target(desc, group), signature_dict(sig),
+        "verify", descriptor_summary(desc, group=group), signature_dict(sig),
         _config(args, group), list(desc.notes), checks,
     )
     return _emit(report, args.format)
@@ -164,7 +160,7 @@ def _cmd_fixed_basis(args) -> int:
         }
     }
     report = build_report(
-        "fixed-basis", _target(desc, group), signature_dict(sig),
+        "fixed-basis", descriptor_summary(desc, group=group), signature_dict(sig),
         _config(args, group, with_samples=False), list(desc.notes), [check], extras,
     )
     return _emit(report, args.format)
@@ -198,7 +194,7 @@ def _cmd_witness(args) -> int:
             "the fixed element avoids the product span — no real form represents this structure",
         ))
     report = build_report(
-        "witness", _target(desc, group), signature_dict(sig),
+        "witness", descriptor_summary(desc, group=group), signature_dict(sig),
         _config(args, group, with_samples=False), list(desc.notes), checks,
         extras={"witness_data": result},
     )
@@ -311,7 +307,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except SamplingFailed as exc:
         print(f"superforms: sampling failed: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

@@ -100,7 +100,7 @@ def sample_invertible(m: int, n: int, sig: AlgebraSignature, rng) -> SuperMatrix
             break
         shift += 1
     if shift:
-        return x + identity_matrix(m, n, sig).scale(scalar(sig, integer(shift)))
+        return x + identity_matrix(m, n, sig).scale(integer(shift))
     return x
 
 
@@ -175,7 +175,7 @@ def sample_osp(kind: MatrixKind, sig: AlgebraSignature, rng, max_tries: int = 25
             denominator = matrix_inverse(ident + x)
         except NotInvertibleMatrix:
             continue
-        return denominator.scale(scalar(sig, integer(2))) - ident
+        return denominator.scale(integer(2)) - ident
     raise SamplingFailed(
         f"no invertible Cayley denominator for {kind.display()} after {max_tries} tries"
     )
@@ -207,10 +207,7 @@ def kernel_point(m_ext: SuperMatrix, eps: SuperNumber) -> SuperMatrix:
     generators, such as :func:`algebra.adjoin_dual`'s: each entry is built
     in one pass (:func:`algebra.identity_plus_multiple`); any other ``eps``
     raises ``ValueError``."""
-    rows = identity_plus_multiple(m_ext.rows, eps)
-    if rows is None:
-        raise ValueError("a kernel point needs eps to be 1 or -1 times a monomial of even generators")
-    return SuperMatrix(m_ext.m, m_ext.n, eps.sig, rows, check=False)
+    return SuperMatrix(m_ext.m, m_ext.n, eps.sig, identity_plus_multiple(m_ext.rows, eps), check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,8 @@ def _parse_rational(s: _Scanner) -> Tuple[int, int]:
         if not den_tok.isdigit():
             raise LiteralError(f"expected denominator, got {den_tok!r}")
         den = int(den_tok)
+        if not den:
+            raise LiteralError("zero denominator")
     return (-num if negative else num, den)
 
 

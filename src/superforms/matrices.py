@@ -66,9 +66,6 @@ class SuperMatrix:
     def size(self) -> int:
         return self.m + self.n
 
-    def entry(self, i: int, j: int) -> SuperNumber:
-        return self.rows[i][j]
-
     def blocks(self):
         """The four blocks (A, B, C, D) as plain nested lists."""
         m = self.m
@@ -119,13 +116,13 @@ class SuperMatrix:
         if (self.m, self.n) != (other.m, other.n) or self.sig != other.sig:
             raise ValueError("shape or coefficient algebra mismatch")
 
-    def scale(self, a: SuperNumber) -> "SuperMatrix":
-        """Entrywise multiplication by an even central element.  By a monomial
-        ``c t`` no product kernel runs (:meth:`SuperNumber.monomial_multiple`)."""
-        if len(a) != 1:
-            return self._like([[a * e for e in row] for row in self.rows])
-        (key, c), = a.items()
-        return self._like([[e.monomial_multiple(key, c) for e in row] for row in self.rows])
+    def scale(self, a: "SuperNumber | GaussianRational") -> "SuperMatrix":
+        """Entrywise multiplication ``a e`` by an even central element or a
+        ``GaussianRational`` ``a``, each cell one pair, all in one kernel
+        call; a constant scales each entry with no kernel loop."""
+        flat = sums_of_products(self.sig, [(((a, e),), ()) for row in self.rows for e in row])
+        size = self.size
+        return self._like([flat[i:i + size] for i in range(0, len(flat), size)])
 
     def map_entries(self, f: Callable[[SuperNumber], SuperNumber], sig: Optional[AlgebraSignature] = None) -> "SuperMatrix":
         target = sig if sig is not None else self.sig

@@ -9,7 +9,7 @@ environment data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional
 
 from .algebra import AlgebraSignature
@@ -27,15 +27,6 @@ class CheckOutcome:
     samples: int
     witness: Optional[Dict[str, str]] = None
     note: Optional[str] = None
-
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "samples": self.samples,
-            "witness": self.witness,
-            "note": self.note,
-        }
 
 
 class Tally:
@@ -96,7 +87,7 @@ def build_report(command: str, target: Dict, signature: Optional[Dict], config: 
         "signature": signature,
         "config": config,
         "notes": list(notes),
-        "checks": [c.to_dict() for c in checks],
+        "checks": [asdict(c) for c in checks],
         "summary": {**counts, "verdict": verdict_of(checks)},
     }
     if extras:

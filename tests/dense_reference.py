@@ -234,7 +234,7 @@ def dense_real_fixed_elements(sig, parity) -> List[SuperNumber]:
     out = []
     for vec in dense_fixed_vectors(matrix):
         terms = {key: _join(vec[2 * idx], vec[2 * idx + 1]) for idx, key in enumerate(keys)}
-        out.append(SuperNumber.from_terms(sig, terms))
+        out.append(SuperNumber(sig, terms))
     return out
 
 

@@ -6,9 +6,9 @@ numerators over one denominator:
 
 * the element arithmetic on ``{key: GaussianRational}`` terms
   (:class:`PerTerm`): sums, differences, negatives, products, sums of
-  products with minus pairs, scalings, monomial multiples, conjugated
-  copies, inverses, the dual split and scaling, and morphism images as sums
-  of products of generator images, one coefficient operation per term;
+  products with minus pairs, scalings, conjugated copies, inverses, the
+  dual split and scaling, and morphism images as sums of products of
+  generator images, one coefficient operation per term;
 * the Grassmann product as one ``GaussianRational`` product, sign and sum
   per pair of terms, with the reordering sign found by counting the
   inversions of the two odd-generator lists;
@@ -20,9 +20,9 @@ numerators over one denominator:
 * the inverses of an element and of a supermatrix as the geometric series
   started at the identity and stopped at the first computed power that is
   zero, the Cayley sample as the product ``(Id - X)(Id + X)^-1``, and the
-  scaling of a supermatrix by an element as one kernel product per entry,
+  scaling of a supermatrix by an element as one kernel call per entry,
   from before the series skipped products known to vanish, the sample took
-  ``2 D - Id`` and a monomial scaling relabelled keys;
+  ``2 D - Id`` and the scaling became one batch;
 * the ``SL`` sample as the product of its factor matrices, from before each
   factor became the column operation it stands for;
 * the algebra-level evaluations from before each output cell was built in
@@ -142,10 +142,6 @@ class PerTerm:
 
     def scaled(self, c: GaussianRational) -> "PerTerm":
         return PerTerm(self.sig, {k: v * c for k, v in self.terms.items()})
-
-    def monomial_multiple(self, key: int, c: GaussianRational) -> "PerTerm":
-        """``(c t) x`` for the monomial ``t`` of ``key``, as a product."""
-        return PerTerm(self.sig, {key: c}) * self
 
     def conjugated(self, times: int, c: GaussianRational) -> "PerTerm":
         """``c conj^times(x)``: ``times`` conjugated copies, each odd mask
@@ -450,13 +446,20 @@ def reference_even_rules_bracket(t1: TensorElement, t2: TensorElement) -> Tensor
     return TensorElement(kind, sig, out, check=False)
 
 
+def dual_scaling_morphism(ext, a: SuperNumber) -> AlgebraMorphism:
+    """The endomorphism of ``A(eps) = ext`` that fixes every generator except
+    ``eps -> a eps``, ``eps`` the last even generator, by the general
+    constructor, which refuses an ``a eps`` that is not even."""
+    odd, even = generators(ext)
+    return AlgebraMorphism(ext, ext, odd, even[:-1] + [a * even[-1]])
+
+
 def reference_dual_scale(x: SuperNumber, a: SuperNumber) -> SuperNumber:
     """The dual scaling ``eps -> a eps`` of ``A(eps) = x.sig`` applied through
     its generator images: each monomial's image is the product of its
     generators' images, and the images are summed against the coefficients."""
     sig = x.sig
-    odd, even = generators(sig)
-    morphism = AlgebraMorphism(sig, sig, odd, even[:-1] + [a * even[-1]])
+    morphism = dual_scaling_morphism(sig, a)
     pairs = []
     for key, c in x.items():
         image = one(sig)
@@ -482,13 +485,15 @@ def scale_plus_unit(m_ext: SuperMatrix, t: SuperNumber) -> SuperMatrix:
 
 def split_dual_scale(x: SuperNumber, a: SuperNumber) -> SuperNumber:
     """The dual scaling ``u + v eps -> u + (a v) eps`` from the split
-    ``split_dual(x) = (u, v)``: the product ``a v`` relabelled by
-    ``monomial_multiple`` (a term of it that holds ``eps`` vanishes), then
-    merged with ``u`` over the common denominator."""
+    ``split_dual(x) = (u, v)``: the product ``a v`` relabelled by setting
+    the bit of ``eps`` on its keys (a term of it that holds ``eps``
+    vanishes), then merged with ``u`` over the common denominator."""
     u, v = split_dual(x, x.sig)
     if v.is_zero():
         return x
-    w = (a * v).monomial_multiple(make_key(0, 1 << (x.sig.even_nilpotents - 1)), ONE)
+    bit = make_key(0, 1 << (x.sig.even_nilpotents - 1))
+    w = a * v
+    w = SuperNumber._from_numerators(x.sig, w.den, {k | bit: c for k, c in w.numerators() if not k & bit})
     den = u.den // gcd(u.den, w.den) * w.den
     su, sw = den // u.den, den // w.den
     terms = {k: (re * su, im * su) for k, (re, im) in u.numerators()}

@@ -2,12 +2,11 @@
 
 import pytest
 
-from product_reference import parity_part, respects_conjugation
+from product_reference import dual_scaling_morphism, parity_part, respects_conjugation
 from superforms.algebra import (
     AlgebraMorphism, AlgebraSignature, GRADED, MorphismError, NotInvertible, STANDARD, SuperNumber,
-    adjoin_dual, dual_scale_morphism, epsilon, identity_morphism, include_pairs,
-    kill_pair_projection, odd_generator, one, scalar, theta, theta_bar,
-    theta_selfreal,
+    adjoin_dual, epsilon, generators, include_pairs, kill_pair_projection, odd_generator, one,
+    scalar, theta, theta_bar, theta_selfreal,
 )
 from superforms.scalars import GaussianRational, HALF, I, MINUS_ONE, ONE, integer
 
@@ -116,7 +115,7 @@ def test_parity_queries():
 
 
 def test_identity_morphism_and_composition_caching():
-    ident = identity_morphism(STD21)
+    ident = AlgebraMorphism(STD21, STD21, *generators(STD21))
     x = theta(STD21, 0) * theta_selfreal(STD21, 0) + epsilon(STD21, 0)
     assert ident.apply(x) == x
     assert respects_conjugation(ident)
@@ -157,12 +156,12 @@ def test_adjoin_dual():
 
 def test_inclusions_that_keep_keys_share_the_terms():
     ext, inc, proj, eps = adjoin_dual(STD21)
-    assert inc.keeps_keys and identity_morphism(STD21).keeps_keys
+    assert inc.keeps_keys and AlgebraMorphism(STD21, STD21, *generators(STD21)).keeps_keys
     assert include_pairs(AlgebraSignature(1, 0, 0, STANDARD), STD2).keeps_keys
     # the self-real generator moves from id 1 to id 3
     assert not include_pairs(AlgebraSignature(0, 1, 0, STANDARD), AlgebraSignature(1, 1, 0, STANDARD)).keeps_keys
     assert not proj.keeps_keys and not kill_pair_projection(STD21, 0).keeps_keys
-    assert not dual_scale_morphism(ext, scalar(ext, MINUS_ONE)).keeps_keys
+    assert not dual_scaling_morphism(ext, scalar(ext, MINUS_ONE)).keeps_keys
     x = (theta(STD21, 0) * theta_selfreal(STD21, 0) * epsilon(STD21, 0)
          + theta_bar(STD21, 1).scaled(HALF) + one(STD21).scaled(I))
     monomial = AlgebraMorphism(STD21, ext, inc.odd_images, inc.even_images)
@@ -176,12 +175,12 @@ def test_inclusions_that_keep_keys_share_the_terms():
 def test_dual_scale_morphism():
     ext, inc, _, eps = adjoin_dual(STD2)
     a = inc.apply(one(STD2).scaled(I) + theta(STD2, 0) * theta_bar(STD2, 0))
-    v = dual_scale_morphism(ext, a)
+    v = dual_scaling_morphism(ext, a)
     # fixes the base, scales epsilon by a
     assert v.apply(inc.apply(theta(STD2, 0))) == inc.apply(theta(STD2, 0))
     assert v.apply(eps) == a * eps
     with pytest.raises(MorphismError):
-        dual_scale_morphism(ext, inc.apply(theta(STD2, 0)))  # odd scaling is not allowed
+        dual_scaling_morphism(ext, inc.apply(theta(STD2, 0)))  # odd scaling is not allowed
 
 
 def test_dual_scale_morphism_scales_the_generator_adjoin_dual_adds():
@@ -189,7 +188,7 @@ def test_dual_scale_morphism_scales_the_generator_adjoin_dual_adds():
     ext, inc, _, eps = adjoin_dual(STD21)
     assert eps == epsilon(ext, 1)
     a = inc.apply(one(STD21).scaled(I) + epsilon(STD21, 0))
-    v = dual_scale_morphism(ext, a)
+    v = dual_scaling_morphism(ext, a)
     assert v.apply(epsilon(ext, 0)) == epsilon(ext, 0)
     assert v.apply(eps) == a * eps
 
@@ -201,7 +200,7 @@ def test_dual_scale_morphism_applies_nothing_until_asked(monkeypatch):
     calls = []
     apply = AlgebraMorphism.apply
     monkeypatch.setattr(AlgebraMorphism, "apply", lambda self, x: calls.append(x) or apply(self, x))
-    v = dual_scale_morphism(ext, a)
+    v = dual_scaling_morphism(ext, a)
     assert calls == []
     # the conjugation check applies the morphism: conj(a) != a here
     assert not respects_conjugation(v) and calls

@@ -154,6 +154,20 @@ def test_failure_exit_code(monkeypatch):
     assert "verdict: fail" in out
 
 
+def test_sampling_failure_exits_two_with_the_reason(monkeypatch, capsys):
+    from superforms import groups
+
+    def no_point(kind, sig, rng):
+        raise groups.SamplingFailed(f"no group point for {kind.display()}")
+
+    monkeypatch.setattr(groups, "sample_group", no_point)
+    code = main(["verify", "sl", "1", "1", "Sigma1", "--samples", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "superforms: sampling failed: no group point for sl(1|1)" in captured.err
+
+
 def test_witness_text_report():
     code, out = run_cli("witness", "sl", "1", "1", "omega2")
     assert code == 0

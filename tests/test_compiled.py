@@ -25,12 +25,11 @@ from dense_reference import (
 )
 from expr_reference import reference_apply_expr
 from probe_reference import probe_compile_expr
-from product_reference import loop_positional_apply, respects_conjugation
+from product_reference import dual_scaling_morphism, loop_positional_apply, respects_conjugation
 from superforms import catalog, exprs, linalg
 from superforms.algebra import (
-    GRADED, STANDARD, AlgebraSignature, SuperNumber, adjoin_dual, dual_scale_morphism,
-    even_mask_of, include_pairs, kill_pair_projection, odd_mask_of, one, scalar,
-    sum_of_products, theta, theta_bar,
+    GRADED, STANDARD, AlgebraSignature, SuperNumber, adjoin_dual, even_mask_of, include_pairs,
+    kill_pair_projection, odd_mask_of, one, scalar, sum_of_products, theta, theta_bar,
 )
 from superforms.catalog import Descriptor, applicable_names, build, corrupted_sigma1, param_choices
 from superforms.exprs import (
@@ -374,8 +373,8 @@ def morphisms():
         ext, include, project, _ = adjoin_dual(sig)
         yield "adjoin-include", include
         yield "adjoin-project", project
-        yield "dual-scale-I", dual_scale_morphism(ext, scalar(ext, I))
-        yield "dual-scale-minus-I", dual_scale_morphism(ext, scalar(ext, I.conjugate()))
+        yield "dual-scale-I", dual_scaling_morphism(ext, scalar(ext, I))
+        yield "dual-scale-minus-I", dual_scaling_morphism(ext, scalar(ext, I.conjugate()))
 
 
 @pytest.mark.parametrize("label,morph", list(morphisms()), ids=lambda v: v if isinstance(v, str) else "")
@@ -406,7 +405,7 @@ def test_general_dual_scaling_keeps_the_kernel_path():
     a = include.apply(random_even(sig, rng)) + scalar(ext, ONE)
     while len(a) < 2:
         a = a + include.apply(random_even(sig, rng))
-    morph = dual_scale_morphism(ext, a)
+    morph = dual_scaling_morphism(ext, a)
     assert not morph.monomial
     for _ in range(10):
         x = random_element(ext, rng)

@@ -63,3 +63,12 @@ def test_single_version_source():
     assert project["project"]["dynamic"] == ["version"]
     assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "superforms.report.TOOL_VERSION"}
     assert superforms.__version__ == TOOL_VERSION
+
+
+def test_the_exports_are_the_imported_names():
+    import superforms
+    tree = ast.parse((ROOT / "src" / "superforms" / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    imported.remove("TOOL_VERSION")      # exported as __version__
+    assert sorted(superforms.__all__) == sorted(imported)

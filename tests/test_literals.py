@@ -60,6 +60,14 @@ def test_parse_errors():
         parse_number("t2", grd)
 
 
+@pytest.mark.parametrize("text", ["(1/0)", "(1+1/0i)"])
+def test_a_zero_denominator_is_a_literal_error(text):
+    with pytest.raises(LiteralError, match="zero denominator"):
+        parse_number(text, SIG)
+    with pytest.raises(LiteralError, match="zero denominator"):
+        parse_matrix(f"shape 1|1 [[{text}, (0)], [(0), (1)]]", SIG)
+
+
 def test_matrix_roundtrip():
     text = "shape 1|1 [[(1), (1/2)*t1], [(0+1i)*t1~, (0)]]"
     m, n, rows = parse_matrix(text, SIG)
