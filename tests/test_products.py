@@ -2,8 +2,8 @@
 Grassmann products, sums of products, constant factors, grid products and
 the amount of coefficient work one product does.  The group layer's short
 cuts against their references too: the inverse series that skip products
-known to vanish, the Cayley sample ``2 D - Id`` and the scaling by a
-monomial that relabels keys.  And the algebra-level evaluations that build
+known to vanish, the Cayley sample ``2 D - Id`` and the scaling of a
+supermatrix as one batch.  And the algebra-level evaluations that build
 each output cell once: the commutator and ``a x + b y`` as signed sums, a
 positional map's cell as one conjugating pass, the tensor-form bracket that
 skips empty brackets, and the dual scaling in closed form.  The one-pass
@@ -24,8 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 from product_reference import (
     PerTerm, dual_scaling_morphism, per_term_apply, per_term_dual_scale, per_term_split_dual,
-    per_term_sum_of_products, reference_cayley, reference_commutator, reference_conj_mask, reference_conjugate,
-    reference_conjugated, reference_dual_scale, reference_element_inverse,
+    per_term_sum_of_products, reference_cayley, reference_commutator, reference_conj_mask,
+    reference_conjugate, reference_conjugated, reference_dual_scale, reference_element_inverse,
     reference_even_rules_bracket, reference_linear_combination, reference_mat_mul, reference_mul,
     reference_positional_apply, reference_product, reference_sample_sl, reference_scale,
     reference_scaled, reference_series_inverse, scale_plus_unit, sort_sign, split_dual_scale,
