@@ -80,11 +80,10 @@ numerators, in the product kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
 from math import gcd
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -108,16 +107,20 @@ class MorphismError(ValueError):
     """Raised when generator images do not define a valid algebra morphism."""
 
 
-@dataclass(frozen=True)
-class AlgebraSignature:
-    """Shape of a coefficient algebra: generator counts plus conjugation kind."""
-
+class _SignatureFields(NamedTuple):
     odd_pairs: int = 0
     odd_selfreal: int = 0
     even_nilpotents: int = 0
     conjugation: str = STANDARD
 
-    def __post_init__(self):
+
+class AlgebraSignature(_SignatureFields):
+    """Shape of a coefficient algebra: generator counts plus conjugation kind.
+    Signatures are tuples and compare as such; each keeps the tables it
+    derives from its fields."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.odd_pairs < 0 or self.odd_selfreal < 0 or self.even_nilpotents < 0:
             raise ValueError("negative generator count")
         if self.conjugation not in (STANDARD, GRADED):
@@ -128,6 +131,12 @@ class AlgebraSignature:
             raise ValueError(f"at most {MAX_ODD} odd generators supported")
         if self.even_nilpotents > MAX_EVEN_NILPOTENT:
             raise ValueError(f"at most {MAX_EVEN_NILPOTENT} even nilpotent generators supported")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, so a changed copy is validated too
+        return cls(*iterable)
 
     @property
     def odd_total(self) -> int:

@@ -31,7 +31,6 @@ antiautomorphism into a multiplicative map on group points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
@@ -71,8 +70,7 @@ NOTE_PSI1 = (
 )
 
 
-@dataclass(frozen=True)
-class Descriptor:
+class _DescriptorFields(NamedTuple):
     name: str
     kind: MatrixKind
     conjugation: str
@@ -82,6 +80,11 @@ class Descriptor:
     strict: bool = False
     expected_flagged: frozenset = frozenset()
     lift_form: str = "direct"
+
+
+class Descriptor(_DescriptorFields):
+    """A catalog structure on one shape.  Descriptors are tuples; ``_replace``
+    gives a new one, compiled afresh."""
 
     def display(self, group: bool = False) -> str:
         shape = f"({self.kind.m}|{self.kind.n})"

@@ -16,8 +16,9 @@ chosen with ``--odd-pairs`` / ``--odd-selfreal`` / ``--even-nil``; the kind of
 conjugation is dictated by the structure itself.
 
 Exit status: 0 when every check passed (flagged-as-expected counts as
-passing), 1 when some check failed, 2 on usage or applicability errors and
-when sampling gives up before any check is decided.
+passing), 1 when some check failed, 2 on usage or applicability errors
+(a shape of dimension 0, such as ``sl 1 0``, is one: every check would pass
+vacuously) and when sampling gives up before any check is decided.
 
 All output is deterministic for a fixed command line: samples are drawn from
 a seeded generator and reports carry no timestamps, so ``--format json`` is
@@ -37,7 +38,7 @@ from .groups import (
     SamplingFailed, group_commutator_identity, lie_fixed_span_check,
     verify_group_structure,
 )
-from .liealg import OSP, SL, MatrixKind
+from .liealg import OSP, SL, MatrixKind, basis_of
 from .realforms import (
     compact_scan, fixed_point_data, matrix_literal, representability_check,
     verify_structure,
@@ -55,9 +56,12 @@ def _matrix_kind(family: str, m: int, n: int) -> MatrixKind:
     if family not in (SL, OSP):
         raise UsageError(f"unknown matrix family {family!r} (choose sl or osp)")
     try:
-        return MatrixKind(family, m, n)
+        kind = MatrixKind(family, m, n)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if not basis_of(kind):
+        raise UsageError(f"{kind.display()} has dimension 0, so every check would pass vacuously")
+    return kind
 
 
 def _descriptor(args) -> tuple:

@@ -27,9 +27,8 @@ tests check against the matrix commutator.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .algebra import AlgebraSignature, EVEN, ODD, SuperNumber, sums_of_products
@@ -44,21 +43,29 @@ class MembershipError(ValueError):
     """Raised when a matrix does not belong to the claimed Lie superalgebra."""
 
 
-@dataclass(frozen=True)
-class MatrixKind:
-    """A matrix Lie superalgebra family instance: (family, block sizes m, n)."""
-
+class _KindFields(NamedTuple):
     family: str
     m: int
     n: int
 
-    def __post_init__(self):
+
+class MatrixKind(_KindFields):
+    """A matrix Lie superalgebra family instance: (family, block sizes m, n)."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in (GL, SL, OSP):
             raise ValueError(f"unknown family {self.family!r}")
         if self.m < 0 or self.n < 0 or self.m + self.n == 0:
             raise ValueError("block sizes must be non-negative and not both zero")
         if self.family == OSP and self.n % 2:
             raise ValueError("the odd block of an orthosymplectic family must have even size")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, so a changed copy is validated too
+        return cls(*iterable)
 
     @property
     def size(self) -> int:
@@ -89,8 +96,7 @@ class MatrixKind:
 Cell = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class BasisVector:
+class BasisVector(NamedTuple):
     """A basis vector of the underlying space, with its sparse form.
 
     ``support`` lists the nonzero cells of ``grid`` with their values, row by

@@ -34,9 +34,8 @@ not the descriptor's (:meth:`Descriptor.require_conjugation`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .algebra import (
@@ -190,8 +189,13 @@ def verify_structure(desc: Descriptor, sig: AlgebraSignature, samples: int = 100
 # extraction of the underlying antilinear map on the defining space
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VectorConjugation:
+class _ConjugationFields(NamedTuple):
+    kind: MatrixKind
+    conjugation: str
+    coords: Tuple[Tuple[Tuple[int, GaussianRational], ...], ...]
+
+
+class VectorConjugation(_ConjugationFields):
     """The antilinear map on the defining space induced by a descriptor.
 
     ``coords[i]`` is the image of basis vector ``i``, decomposed
@@ -200,10 +204,6 @@ class VectorConjugation:
     the map squares to the identity; for graded ones it squares to the parity
     sign (+1 on even vectors, -1 on odd ones).
     """
-
-    kind: MatrixKind
-    conjugation: str
-    coords: Tuple[Tuple[Tuple[int, GaussianRational], ...], ...]
 
     def rebuild(self, x: SuperMatrix) -> SuperMatrix:
         """The functorial map reconstituted as conj-coefficients + vector map:
@@ -366,8 +366,7 @@ def rebuild_matches(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignat
                      lambda: witness(matrix_of(TensorElement(desc.kind, sig, {v.index: unit}))))
     outcome = tally.outcome()
     certified = f"certified on a basis of {outcome.samples}"
-    outcome.note = f"{outcome.note}, {certified}" if outcome.note else certified
-    return outcome
+    return outcome._replace(note=f"{outcome.note}, {certified}" if outcome.note else certified)
 
 
 # ---------------------------------------------------------------------------

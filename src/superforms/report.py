@@ -3,14 +3,14 @@
 Reports are plain dicts with a fixed construction order and only
 JSON-primitive leaf values (exact numbers are rendered as literal strings),
 so the same inputs always serialize to the same bytes.  No timestamps, no
-environment data.
+environment data.  A check's result is a :class:`CheckOutcome`, an immutable
+``NamedTuple`` that enters a report through ``_asdict()``, in field order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .algebra import AlgebraSignature
 
@@ -20,8 +20,7 @@ TOOL_VERSION = "0.1.0"
 PASS, FAIL, FLAGGED = "pass", "fail", "flagged"
 
 
-@dataclass
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     name: str
     status: str                      # pass | fail | flagged
     samples: int
@@ -87,7 +86,7 @@ def build_report(command: str, target: Dict, signature: Optional[Dict], config: 
         "signature": signature,
         "config": config,
         "notes": list(notes),
-        "checks": [asdict(c) for c in checks],
+        "checks": [c._asdict() for c in checks],
         "summary": {**counts, "verdict": verdict_of(checks)},
     }
     if extras:

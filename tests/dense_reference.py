@@ -362,8 +362,7 @@ def dense_rebuild_matches(desc, phi, sig) -> CheckOutcome:
                          lambda: witness(matrix_of(TensorElement(desc.kind, sig, {v.index: unit}))))
     outcome = tally.outcome()
     certified = f"certified on a basis of {outcome.samples}"
-    outcome.note = f"{outcome.note}, {certified}" if outcome.note else certified
-    return outcome
+    return outcome._replace(note=f"{outcome.note}, {certified}" if outcome.note else certified)
 
 
 def tensor_term(coefficient: SuperNumber, grid, m: int, n: int) -> SuperMatrix:

@@ -22,6 +22,10 @@ def test_signature_validation():
         AlgebraSignature(0, 1, 0, GRADED)       # graded needs paired generators
     with pytest.raises(ValueError):
         AlgebraSignature(0, 0, 0, "weird")
+    with pytest.raises(ValueError):
+        STD2._replace(odd_selfreal=1, conjugation=GRADED)
+    assert STD2._replace(even_nilpotents=1) == AlgebraSignature(odd_pairs=2, even_nilpotents=1)
+    assert repr(GRD2) == "AlgebraSignature(odd_pairs=2, odd_selfreal=0, even_nilpotents=0, conjugation='graded')"
     assert AlgebraSignature(1, 2, 0, STANDARD).odd_total == 4
     assert AlgebraSignature(1, 0, 2, STANDARD).dimension == 4 * 4
 

@@ -120,9 +120,30 @@ def test_sample_count_below_one_is_a_usage_error(count, capsys):
     assert "--samples: must be at least 1" in capsys.readouterr().err
 
 
+ZERO_DIMENSIONAL = [("sl", "1", "0", "sigma1"), ("sl", "0", "1", "sigma1"), ("osp", "1", "0", "xi1")]
+
+
+@pytest.mark.parametrize("family, m, n, name", ZERO_DIMENSIONAL)
+@pytest.mark.parametrize("command", ["verify", "verify-group", "fixed-basis", "witness", "compact-scan"])
+def test_zero_dimensional_shape_is_a_usage_error(command, family, m, n, name, capsys):
+    # every check on an algebra of dimension 0 would pass vacuously
+    if command == "compact-scan":
+        argv = (command, family, m, n)
+    elif command == "verify-group":
+        argv = ("verify", family, m, n, name.capitalize())
+    else:
+        argv = (command, family, m, n, name)
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert f"{family}({m}|{n}) has dimension 0" in err and "vacuously" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("m, n", [("1", "0"), ("0", "1")])
 def test_size_one_group_verify_returns_promptly(m, n):
-    """SL(1|0) and SL(0|1) are trivial groups; sampling them must not spin."""
+    """SL(1|0) and SL(0|1) are trivial groups: verify refuses them at once
+    rather than sampling them."""
     def hang(signum, frame):
         raise TimeoutError("verify did not return")
 
@@ -135,8 +156,7 @@ def test_size_one_group_verify_returns_promptly(m, n):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert code == 0
-    assert "verdict: pass" in out
+    assert (code, out) == (2, "")
     assert elapsed < 1.0
 
 

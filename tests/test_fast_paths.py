@@ -589,12 +589,11 @@ def test_another_conjugation_count_keeps_the_sampled_check():
     # three conjugations square like one under the graded conjugation, so the
     # vector map extracts, but the difference with the rebuilt map (one
     # conjugation) cannot be formed
-    from dataclasses import replace
     from superforms.exprs import conj_step
 
     for name, kind in (("omega2", MatrixKind(SL, 2, 1)), ("psi1", MatrixKind(OSP, 1, 2))):
         base = build(name, kind)
-        desc = replace(base, steps=(conj_step(),) * 2 + base.steps)
+        desc = base._replace(steps=(conj_step(),) * 2 + base.steps)
         phi = extract_vector_conjugation(desc)
         sig = one_pair(desc)
         outcome = rebuild_matches(desc, phi, sig, samples=12, seed=9)
@@ -747,7 +746,6 @@ def vector_action_cases():
     (``conj^k(t1)`` is then ``+-t1``, and ``-t1~`` for the graded ``k = 3``),
     and a map that trades an even and an odd index, whose images leave the
     algebra."""
-    from dataclasses import replace
     from superforms.catalog import Descriptor
     from superforms.exprs import ad_step, conj_step
 
@@ -762,7 +760,7 @@ def vector_action_cases():
             if (fam, m, n) in ((SL, 2, 1), (OSP, 1, 2)):
                 desc = build(name, kind)
                 for extra in (1, 2):
-                    yield f"{desc.display()} conj+{extra}", replace(desc, steps=(conj_step(),) * extra + desc.steps)
+                    yield f"{desc.display()} conj+{extra}", desc._replace(steps=(conj_step(),) * extra + desc.steps)
     swap = [[ONE, ZERO, ZERO], [ZERO, ZERO, ONE], [ZERO, ONE, ZERO]]
     yield "mixing", Descriptor("mixing", MatrixKind(SL, 2, 1), STANDARD, (ad_step("swap", swap), conj_step()))
 

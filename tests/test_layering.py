@@ -1,10 +1,12 @@
 """Layering rules of the package source, checked on its syntax trees.
 
 Modules use only each other's public names, and the runtime imports
-nothing outside the standard library.
+nothing outside the standard library, nor the standard library's
+introspection modules.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -72,3 +74,14 @@ def test_the_exports_are_the_imported_names():
                 for alias in node.names]
     imported.remove("TOOL_VERSION")      # exported as __version__
     assert sorted(superforms.__all__) == sorted(imported)
+
+
+def test_starting_the_cli_imports_no_introspection_modules():
+    # ``dataclasses`` pulls these in and execs generated methods at every
+    # start; the package's records are NamedTuples, which need none of them
+    banned = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import superforms.cli; "
+             f"print(' '.join(m for m in {banned!r} if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-S", "-c", probe, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []

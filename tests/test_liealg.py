@@ -23,7 +23,11 @@ def test_kind_validation():
         MatrixKind("sp", 2, 2)
     with pytest.raises(ValueError):
         MatrixKind(OSP, 2, 3)        # odd block must have even size
+    with pytest.raises(ValueError):
+        MatrixKind(OSP, 2, 2)._replace(n=3)
     assert MatrixKind(SL, 2, 1).display() == "sl(2|1)"
+    assert MatrixKind(family=SL, m=2, n=1) == MatrixKind(SL, 2, 1)._replace(m=2)
+    assert repr(MatrixKind(SL, 2, 1)) == "MatrixKind(family='sl', m=2, n=1)"
 
 
 def test_dimensions():
