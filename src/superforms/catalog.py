@@ -37,7 +37,7 @@ from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .algebra import GRADED, STANDARD
 from .exprs import (
-    CompiledExpr, Step, ad_step, compile_expr, conj_step, delta_step, expr_display,
+    PositionalMap, Step, ad_step, compile_expr, conj_step, delta_step, expr_display,
     ginv_step, neg_step, negst_step, pi_step,
 )
 from .liealg import OSP, SL, MatrixKind
@@ -111,14 +111,18 @@ class Descriptor(_DescriptorFields):
         return self.steps
 
     @cached_property
-    def compiled(self) -> CompiledExpr:
-        """``steps`` compiled for the kind's shape, once per descriptor."""
+    def compiled(self) -> PositionalMap:
+        """``L``: ``steps`` compiled for the kind's shape, once per descriptor."""
         return compile_expr(self.steps, self.kind.m, self.kind.n)
 
     @cached_property
-    def compiled_lift(self) -> CompiledExpr:
-        """``lift_steps()`` compiled for the kind's shape, once per descriptor."""
-        return compile_expr(self.lift_steps(), self.kind.m, self.kind.n)
+    def lift_map(self) -> PositionalMap:
+        """The map the group lift applies, once per descriptor: ``L`` for a
+        direct lift; for an inverse-neg lift ``N = -L``, compiled from
+        ``lift_steps()[1:]``, whose image the lift inverts."""
+        if self.lift_form == "inverse-neg":
+            return compile_expr(self.lift_steps()[1:], self.kind.m, self.kind.n)
+        return self.compiled
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +216,8 @@ STRICT_VARIANTS: Dict[str, Entry] = {
     # the literally printed xi2: complex-linear, no conjugation
     "xi2": CATALOG["xi2"]._replace(
         steps=lambda m, n, h, p: (_ad_diag(_symplectic(m), _signed(h, p), _signed(h, p)),),
-        note=NOTE_XI2_STRICT, flagged=frozenset({"antilinearity", "involutivity", "naturality"})),
+        note=NOTE_XI2_STRICT,
+        flagged=frozenset({"antilinearity", "involutivity", "naturality", "dual-equivariance"})),
 }
 
 SL_NAMES = tuple(name for name, entry in CATALOG.items() if entry.family == SL)

@@ -15,10 +15,10 @@ right end of the tuple to the left.  Steps:
 Every step but ``conj`` and ``ginv`` is a constant map on the matrix slots:
 output cell ``(i, j)`` is a fixed combination ``sum c x[r][s]`` of input
 cells with constant ``c``.  Entrywise conjugation passes through such a map
-and conjugates its constants, so a run of algebra-level steps is one
+and conjugates its constants, so an expression of algebra-level steps is one
 constant map ``L`` applied after ``k`` entrywise conjugations, ``k`` the
-number of ``conj`` steps in the run.  ``k`` is kept as it is, not reduced
-mod 2, because the graded conjugation squares to the parity sign.
+number of ``conj`` steps.  ``k`` is kept as it is, not reduced mod 2,
+because the graded conjugation squares to the parity sign.
 
 :func:`compile_expr` finds ``L`` once per expression and shape by composing
 per-step maps, with no matrix evaluated.  Each step rule that is not
@@ -29,8 +29,8 @@ keeps its sign; ``pi`` swaps both block rows and block columns; ``delta``
 scales the B block by ``lam`` and the C block by ``lam^-1``; ``ad`` writes
 cell ``(i, j)`` of ``K x K^-1`` as ``sum K[i][a] K^-1[b][j] x[a][b]`` over the
 nonzero entries of row ``i`` of ``K`` and column ``j`` of ``K^-1``.  The map
-of a ``conj`` step is the identity after one conjugation.  A run folds these
-maps in the order the steps apply (:meth:`PositionalMap.compose`), from
+of a ``conj`` step is the identity after one conjugation.  The compile folds
+these maps in the order the steps apply (:meth:`PositionalMap.compose`), from
 the first step's map, and composition multiplies constants only where
 neither is 1 or -1.  Composition moves conjugation inward past the maps
 composed so far:
@@ -62,13 +62,13 @@ basis vector's ``support``) through the map's source index, which lists for
 each input slot the output cells that read it, so it costs the support and
 not the grid: :mod:`superforms.realforms` reads each structure's action on
 the defining space this way, and decides the rebuild check by applying the
-folded difference to each basis vector.  A group-only step splits the
-expression into runs and is applied by its own rule between them, so an
-``inverse-neg`` lift is ``inverse(-f(x))``;
-``CompiledExpr.algebra_map`` refuses such an expression wherever one
-positional map is needed.
-:func:`apply_expr` evaluates a compiled expression, or compiles a step tuple
-on the spot.
+folded difference to each basis vector.  A group-only step has no constant
+map, and :func:`compile_expr` refuses it: an ``inverse-neg`` lift is the map
+of ``neg`` after the steps, then the matrix inverse
+(:func:`superforms.groups.lift`).  A map records its upper block size, so
+maps of one size but other block sizes neither combine nor apply to each
+other's points.  :func:`apply_expr` evaluates a compiled map, or compiles a
+step tuple on the spot.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _slot_map(m: int, n: int, terms: Callable[[int, int], Sequence[Term]],
     """The positional map whose output cell ``(i, j)`` is ``terms(i, j)``."""
     size = m + n
     return PositionalMap(tuple(tuple(tuple(terms(i, j)) for j in range(size)) for i in range(size)),
-                         conjugations)
+                         conjugations, m)
 
 
 def _parity_swap_map(step: Step, m: int, n: int) -> "PositionalMap":
@@ -190,13 +190,19 @@ def step_rule(step: Step) -> StepRule:
 class _MapFields(NamedTuple):
     cells: Tuple[Tuple[Tuple[Tuple[int, int, GaussianRational], ...], ...], ...]
     conjugations: int
+    m: int
 
 
 class PositionalMap(_MapFields):
-    """A run of algebra-level steps: ``conjugations`` entrywise conjugations,
-    then the constant map whose output cell ``(i, j)`` is ``sum c x[r][s]``
-    over ``cells[i][j] = ((r, s, c), ...)``.  Maps are tuples and compare as
+    """An expression compiled for the shape ``m|n``, ``n`` the rest of the
+    size: ``conjugations`` entrywise conjugations, then the constant map
+    whose output cell ``(i, j)`` is ``sum c x[r][s]`` over
+    ``cells[i][j] = ((r, s, c), ...)``.  Maps are tuples and compare as
     such; each keeps the :attr:`plan` it derives from its cells."""
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return self.m, len(self.cells) - self.m
 
     @cached_property
     def plan(self) -> Optional[Tuple[Term, ...]]:
@@ -246,7 +252,7 @@ class PositionalMap(_MapFields):
         conjugates constants, so it vanishes exactly where this map does."""
         flip = self.conjugations & 1
         return PositionalMap(tuple(tuple(tuple((r, s, c.conjugate() if flip else c) for r, s, c in cell)
-                                         for cell in row) for row in self.cells), 0)
+                                         for cell in row) for row in self.cells), 0, self.m)
 
     def vanishes(self, x: SuperMatrix) -> bool:
         """Whether a map that conjugates nothing (see :meth:`folded`) sends
@@ -276,7 +282,7 @@ class PositionalMap(_MapFields):
         same number of times, so the difference is one positional map, its
         cells the two maps' terms per input cell, cancelled terms dropped.
         Raises ``ValueError`` for another shape or conjugation count."""
-        if len(self.cells) != len(other.cells) or self.conjugations != other.conjugations:
+        if self.shape != other.shape or self.conjugations != other.conjugations:
             raise ValueError("positional maps of different shapes or conjugation counts")
         cells = []
         for row, other_row in zip(self.cells, other.cells):
@@ -287,7 +293,7 @@ class PositionalMap(_MapFields):
                     acc[r, s] = acc.get((r, s), ZERO) + c
                 out_row.append(tuple((r, s, c) for (r, s), c in acc.items() if not c.is_zero()))
             cells.append(tuple(out_row))
-        return PositionalMap(tuple(cells), self.conjugations)
+        return PositionalMap(tuple(cells), self.conjugations, self.m)
 
     def compose(self, inner: "PositionalMap") -> "PositionalMap":
         """The map ``x -> self(inner(x))``.  ``self`` conjugates ``inner(x)``
@@ -298,7 +304,7 @@ class PositionalMap(_MapFields):
         ``(a, b)``, ``d'`` being ``d`` conjugated ``k`` times.  Terms are
         merged per input slot, zeros dropped and slots sorted.  Raises
         ``ValueError`` for another shape."""
-        if len(self.cells) != len(inner.cells):
+        if self.shape != inner.shape:
             raise ValueError("positional maps of different shapes")
         flip = self.conjugations & 1
         cells = []
@@ -313,7 +319,7 @@ class PositionalMap(_MapFields):
                         acc[r, s] = term if prev is None else prev + term
                 out_row.append(tuple((r, s, c) for (r, s), c in sorted(acc.items()) if not c.is_zero()))
             cells.append(tuple(out_row))
-        return PositionalMap(tuple(cells), self.conjugations + inner.conjugations)
+        return PositionalMap(tuple(cells), self.conjugations + inner.conjugations, self.m)
 
     def source_index(self) -> Dict[Cell, List[Term]]:
         """Input slot ``(r, s)`` -> the output cells ``(i, j, c)`` whose sums
@@ -351,73 +357,34 @@ def _times(c: GaussianRational, d: GaussianRational) -> GaussianRational:
     return c * d
 
 
-def _compile_run(run: Sequence[Step], m: int, n: int) -> PositionalMap:
-    """The positional map of ``run``, steps listed in the order they apply:
-    each step's constant map composed after those of the steps before it,
-    starting from the first step's map, so a run of ``k`` steps composes
-    ``k - 1`` times.  A step's map already has its cells' slots sorted and
-    merged and no zero constant, as a composition leaves them; an empty run
-    is the identity."""
-    maps = [step_rule(step).constant(step, m, n) for step in run]
+def compile_expr(steps: Sequence[Step], m: int, n: int) -> PositionalMap:
+    """The positional map of ``steps`` on matrices of shape ``m|n`` (see the
+    module notes): each step's constant map composed after those of the
+    steps that apply before it, starting from the first step's map, so ``k``
+    steps compose ``k - 1`` times.  A step's map already has its cells' slots
+    sorted and merged and no zero constant, as a composition leaves them; no
+    steps give the identity.
+
+    Raises ``ValueError`` for an unknown step, a group-only step, or a step
+    the shape does not admit (a parity swap needs ``m == n``)."""
+    if any(step_rule(step).group_only for step in steps):
+        raise ValueError("matrix inverse is a group-level step")
+    maps = [step_rule(step).constant(step, m, n) for step in reversed(steps)]
     if not maps:
         return _slot_map(m, n, lambda i, j: ((i, j, ONE),))
     return reduce(lambda inner, outer: outer.compose(inner), maps)
 
 
-class CompiledExpr(NamedTuple):
-    """An expression compiled for one shape ``m|n``: ``stages`` apply in
-    order, each a :class:`PositionalMap` or a group-only step."""
-
-    m: int
-    n: int
-    stages: Tuple[Union[PositionalMap, Step], ...]
-    group_only: bool
-
-    @property
-    def algebra_map(self) -> PositionalMap:
-        """The one positional map of an algebra-level expression; raises
-        ``ValueError`` when a group-only step splits the expression."""
-        if self.group_only:
-            raise ValueError("matrix inverse is a group-level step")
-        return self.stages[0]
-
-
-def compile_expr(steps: Sequence[Step], m: int, n: int) -> CompiledExpr:
-    """Compile ``steps`` for matrices of shape ``m|n`` (see the module notes).
-
-    Raises ``ValueError`` for an unknown step, or for a step the shape does
-    not admit (a parity swap needs ``m == n``)."""
-    stages = []
-    run = []
-    group_only = False
-    for step in reversed(steps):
-        if step_rule(step).group_only:
-            group_only = True
-            if run:
-                stages.append(_compile_run(run, m, n))
-            stages.append(step)
-            run = []
-        else:
-            run.append(step)
-    if run or not stages:
-        stages.append(_compile_run(run, m, n))
-    return CompiledExpr(m, n, tuple(stages), group_only)
-
-
-def apply_expr(expr: Union[CompiledExpr, Sequence[Step]], x: SuperMatrix,
-               allow_inverse: bool = False) -> SuperMatrix:
+def apply_expr(expr: Union[PositionalMap, Sequence[Step]], x: SuperMatrix) -> SuperMatrix:
     """Evaluate an expression on ``x``.  A step tuple is compiled for the
-    shape of ``x`` first; pass a :class:`CompiledExpr` to compile once."""
-    if not isinstance(expr, CompiledExpr):
+    shape of ``x`` first; pass the map of :func:`compile_expr` to compile
+    once.  Raises ``ValueError`` for a map of another shape."""
+    if not isinstance(expr, PositionalMap):
         expr = compile_expr(expr, x.m, x.n)
-    if (expr.m, expr.n) != (x.m, x.n):
-        raise ValueError(f"expression compiled for shape {expr.m}|{expr.n}, got {x.m}|{x.n}")
-    for stage in expr.stages if allow_inverse else (expr.algebra_map,):
-        if type(stage) is PositionalMap:
-            x = stage.apply(x)
-        else:
-            x = step_rule(stage).apply(x, stage)
-    return x
+    elif expr.shape != (x.m, x.n):
+        m, n = expr.shape
+        raise ValueError(f"expression compiled for shape {m}|{n}, got {x.m}|{x.n}")
+    return expr.apply(x)
 
 
 def step_display(step: Step) -> str:

@@ -214,6 +214,13 @@ def kernel_point(m_ext: SuperMatrix, eps: SuperNumber) -> SuperMatrix:
 # group-level verification of a lifted structure
 # ---------------------------------------------------------------------------
 
+def lift(desc: Descriptor, g: SuperMatrix) -> SuperMatrix:
+    """The lifted structure on the group point ``g``: ``L(g)`` for a direct
+    lift, ``N(g)^-1`` for an inverse-neg one (:attr:`Descriptor.lift_map`)."""
+    image = apply_expr(desc.lift_map, g)
+    return matrix_inverse(image) if desc.lift_form == "inverse-neg" else image
+
+
 GROUP_CHECK_NAMES = ("closure", "multiplicativity", "involutivity",
                      "dual-equivariance", "lift-consistency")
 
@@ -231,13 +238,11 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
 
     ext, include, _, eps = adjoin_dual(sig)
 
-    evaluate = lambda g: apply_expr(desc.compiled_lift, g, allow_inverse=True)
-
     for idx in range(samples):
         x = sample_group(kind, sig, rng)
         y = sample_group(kind, sig, rng)
-        sx = evaluate(x)
-        sy = evaluate(y)
+        sx = lift(desc, x)
+        sy = lift(desc, y)
 
         defect = group_membership_defect(kind, sx)
         tallies["closure"].record(defect is None, lambda: {
@@ -245,14 +250,14 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
             "defect": defect or "",
         })
 
-        lhs = evaluate(x * y)
+        lhs = lift(desc, x * y)
         rhs = sx * sy
         tallies["multiplicativity"].record(lhs == rhs, lambda: {
             "x": matrix_literal(x), "y": matrix_literal(y),
             "lhs": matrix_literal(lhs), "rhs": matrix_literal(rhs),
         })
 
-        back = evaluate(sx)
+        back = lift(desc, sx)
         tallies["involutivity"].record(back == x, lambda: {
             "input": matrix_literal(x), "twice": matrix_literal(back),
         })
@@ -261,14 +266,14 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
         m_point = random_point(kind, sig, rng)
         m_ext = m_point.map_entries(include.apply, ext)
         z = kernel_point(m_ext, eps)
-        sz = evaluate(z)
+        sz = lift(desc, z)
 
         if idx == 0:
             a = scalar(ext, I)
         else:
             a = include.apply(random_even(sig, rng))
         a_conj = a.conjugate()
-        lhs_e = evaluate(z.map_entries(lambda e: dual_scale(e, a)))
+        lhs_e = lift(desc, z.map_entries(lambda e: dual_scale(e, a)))
         rhs_e = sz.map_entries(lambda e: dual_scale(e, a_conj))
         tallies["dual-equivariance"].record(lhs_e == rhs_e, lambda: {
             "a": format_number(a), "kernel-point": matrix_literal(z),
@@ -329,7 +334,7 @@ def fixed_span_maps(desc: Descriptor, sig: AlgebraSignature):
 
     def group_side(t):
         z = kernel_point(matrix_of(t).map_entries(include.apply, ext), eps)
-        sz = apply_expr(desc.compiled_lift, z, allow_inverse=True)
+        sz = lift(desc, z)
         delta = sz - identity_matrix(kind.m, kind.n, ext)
         free, coef = eps_split(delta, sig)
         if not free.is_zero():

@@ -87,10 +87,10 @@ class MatrixKind(_KindFields):
         m, n = self.m, self.n
         if self.family == OSP:
             sigma = (ad_step("F^-1", linalg.invert(osp_form_grid(m, n))), negst_step())
-            return compile_expr((), m, n).algebra_map - compile_expr(sigma, m, n).algebra_map
+            return compile_expr((), m, n) - compile_expr(sigma, m, n)
         cells = [[()] * self.size for _ in range(self.size)]
         cells[0][0] = tuple((i, i, ONE if i < m else MINUS_ONE) for i in range(self.size))
-        return PositionalMap(tuple(tuple(row) for row in cells), 0)
+        return PositionalMap(tuple(tuple(row) for row in cells), 0, m)
 
 
 Cell = Tuple[int, int]

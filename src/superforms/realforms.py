@@ -222,7 +222,7 @@ class VectorConjugation(_ConjugationFields):
         for v in basis_of(self.kind):
             for (a, b), c in combination_cells(self.kind, self.coords[v.index]).items():
                 cells[a][b].append((*v.slot, c))
-        return PositionalMap(tuple(tuple(tuple(cell) for cell in row) for row in cells), 1)
+        return PositionalMap(tuple(tuple(tuple(cell) for cell in row) for row in cells), 1, self.kind.m)
 
     def square_sign(self, parity: int) -> int:
         return -1 if (self.conjugation == GRADED and parity == ODD) else 1
@@ -236,11 +236,10 @@ def _vector_action(desc: Descriptor) -> Tuple[int, List[Optional[List[Tuple[int,
     ``L(v_i)``, ``v_i`` conjugated when ``k`` is odd, in the basis vectors of
     ``v_i``'s parity, or is ``None`` when that image leaves the algebra.
     Each image is read from ``v_i``'s sparse support through the map's source
-    index (:meth:`PositionalMap.apply_support`).  A group-only step raises
-    ``ValueError``."""
-    run = desc.compiled.algebra_map
-    index = run.source_index()
-    return run.conjugations, [decompose_cells(desc.kind, run.apply_support(v.support, index), v.parity)
+    index (:meth:`PositionalMap.apply_support`)."""
+    own = desc.compiled
+    index = own.source_index()
+    return own.conjugations, [decompose_cells(desc.kind, own.apply_support(v.support, index), v.parity)
                               for v in basis_of(desc.kind)]
 
 
@@ -327,31 +326,31 @@ def rebuild_matches(desc: Descriptor, phi: VectorConjugation, sig: AlgebraSignat
     ``t D(v)``, not zero, and both maps are evaluated on it for the witness,
     which must show them different.
 
-    When the two maps conjugate a different number of times, or a group-only
-    step splits the descriptor, the difference cannot be formed: then
-    ``samples`` random points are compared instead.  ``samples`` must be at
-    least 1 either way.
+    When the two maps conjugate a different number of times, the difference
+    cannot be formed: then ``samples`` random points are compared instead.
+    ``samples`` must be at least 1 either way.
     """
     require_samples(samples)
     desc.require_conjugation(sig)
     tally = Tally("extraction-rebuild", False)
+    own_map = desc.compiled
 
     def witness(x: SuperMatrix) -> Dict[str, str]:
-        own, rebuilt = apply_expr(desc.compiled, x), phi.rebuild(x)
+        own, rebuilt = apply_expr(own_map, x), phi.rebuild(x)
         if own == rebuilt:
             raise AssertionError(f"{desc.display()}: no mismatch at the witness {matrix_literal(x)}")
         return {"input": matrix_literal(x), "functorial": matrix_literal(own),
                 "rebuilt": matrix_literal(rebuilt)}
 
     try:
-        difference = (desc.compiled.algebra_map - phi._rebuild_map).folded()
-    except ValueError:          # a group-only step, or another conjugation count
+        difference = (own_map - phi._rebuild_map).folded()
+    except ValueError:          # another conjugation count
         difference = None
     if difference is None:
         rng = rng_for(seed, "rebuild", desc.display(), f"P{sig.odd_pairs}")
         for _ in range(samples):
             x = random_point(desc.kind, sig, rng)
-            tally.record(apply_expr(desc.compiled, x) == phi.rebuild(x), lambda: witness(x))
+            tally.record(apply_expr(own_map, x) == phi.rebuild(x), lambda: witness(x))
         return tally.outcome()
 
     units = {EVEN: one(sig)}

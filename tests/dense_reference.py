@@ -334,8 +334,8 @@ def scan_decompose(kind, grid, parity):
 def dense_vector_action(desc):
     """``realforms._vector_action`` on whole grids: the compiled map applied
     to each basis vector's grid, decomposed by a scan."""
-    run = desc.compiled.algebra_map
-    return run.conjugations, [scan_decompose(desc.kind, apply_constant(run, v.grid), v.parity)
+    own = desc.compiled
+    return own.conjugations, [scan_decompose(desc.kind, apply_constant(own, v.grid), v.parity)
                               for v in basis_of(desc.kind)]
 
 
@@ -343,7 +343,7 @@ def dense_rebuild_matches(desc, phi, sig) -> CheckOutcome:
     """The exact branch of ``realforms.rebuild_matches`` on whole grids: the
     folded difference applied to each basis vector's grid, which must be
     zero, a failure lifted to ``t v`` as the witness."""
-    difference = (desc.compiled.algebra_map - phi._rebuild_map).folded()
+    difference = (desc.compiled - phi._rebuild_map).folded()
     tally = Tally("extraction-rebuild", False)
     units = {EVEN: one(sig)}
     if sig.odd_pairs or sig.odd_selfreal:

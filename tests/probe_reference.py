@@ -24,7 +24,7 @@ from superforms.algebra import (
     EVEN, MAX_EVEN_NILPOTENT, ODD, AlgebraSignature, SuperNumber, basis_keys, even_mask_of,
     make_key, odd_mask_of,
 )
-from superforms.exprs import CompiledExpr, PositionalMap, apply_expr, step_rule
+from superforms.exprs import PositionalMap, apply_expr, step_rule
 from superforms.liealg import TensorElement, basis_of, decompose_in_basis, matrix_of, tensor_of
 from superforms.matrices import SuperMatrix
 from superforms.realforms import (
@@ -36,9 +36,12 @@ from superforms.scalars import GaussianRational, I, ONE, ZERO
 _PROBE = AlgebraSignature(even_nilpotents=MAX_EVEN_NILPOTENT)
 
 
-def probe_compile_run(run, m: int, n: int) -> PositionalMap:
-    """The positional map of ``run``, steps listed in the order they apply,
-    from tagged evaluations of the unit matrices."""
+def probe_compile_expr(steps, m: int, n: int) -> PositionalMap:
+    """``exprs.compile_expr`` from tagged evaluations of the unit matrices,
+    the steps applied from the right end of the tuple to the left."""
+    if any(step_rule(step).group_only for step in steps):
+        raise ValueError("matrix inverse is a group-level step")
+    run = tuple(reversed(steps))
     size = m + n
     tags = basis_keys(_PROBE)
     slots = [(r, s) for r in range(size) for s in range(size)]
@@ -58,24 +61,8 @@ def probe_compile_run(run, m: int, n: int) -> PositionalMap:
     return PositionalMap(
         tuple(tuple(tuple(sorted(cell)) for cell in row) for row in cells),
         sum(step[0] == "conj" for step in run),
+        m,
     )
-
-
-def probe_compile_expr(steps, m: int, n: int) -> CompiledExpr:
-    """``exprs.compile_expr`` with each run compiled by :func:`probe_compile_run`."""
-    stages, run, group_only = [], [], False
-    for step in reversed(steps):
-        if step_rule(step).group_only:
-            group_only = True
-            if run:
-                stages.append(probe_compile_run(run, m, n))
-            stages.append(step)
-            run = []
-        else:
-            run.append(step)
-    if run or not stages:
-        stages.append(probe_compile_run(run, m, n))
-    return CompiledExpr(m, n, tuple(stages), group_only)
 
 
 def probe_extract_vector_conjugation(desc) -> VectorConjugation:
@@ -134,7 +121,7 @@ def evaluated_fixed_point_coords(desc, sig) -> Tuple[List[Dict[int, GaussianRati
     monomials relabelled by ``conj^k``."""
     kind = desc.kind
     layout = CoordLayout(kind, sig)
-    conjugations = desc.compiled.stages[0].conjugations   # one positional map
+    conjugations = desc.compiled.conjugations
 
     def conj_power(key: int) -> Tuple[int, GaussianRational]:
         t = SuperNumber(sig, {key: ONE})

@@ -101,7 +101,8 @@ def test_lift_forms():
 def test_strict_variant_only_for_xi2():
     strict = build("xi2", MatrixKind(OSP, 2, 2), strict=True)
     assert strict.strict
-    assert strict.expected_flagged == frozenset({"antilinearity", "involutivity", "naturality"})
+    assert strict.expected_flagged == frozenset({"antilinearity", "involutivity", "naturality",
+                                                 "dual-equivariance"})
     assert strict.steps != build("xi2", MatrixKind(OSP, 2, 2)).steps
     for kind, names in ((MatrixKind(SL, 2, 2), SL_NAMES), (MatrixKind(OSP, 2, 2), OSP_NAMES)):
         for name in names:
@@ -150,4 +151,3 @@ def test_step_table_rejects_unknown_tags_and_algebra_level_inverse():
         expr_display([("bogus",)])
     with pytest.raises(ValueError, match="group-level"):
         apply_expr([ginv_step()], x)
-    assert apply_expr([ginv_step()], x, allow_inverse=True) == x

@@ -77,11 +77,14 @@ def test_seed_changes_samples_not_verdict():
 
 
 def test_flagged_strict_variant_exits_zero():
-    code, out = run_cli("verify", "osp", "2", "2", "xi2", "--strict-printed",
-                        "--samples", "5")
-    assert code == 0
-    assert "[FLAG] antilinearity" in out
-    assert "verdict: pass" in out
+    # the algebra level flags antilinearity; the group level flags the
+    # twisted scaling by i, which the algebra level calls naturality
+    for name, samples, flag in (("xi2", "5", "[FLAG] antilinearity"),
+                                ("Xi2", "3", "[FLAG] dual-equivariance (3 samples) — 2 failure(s)")):
+        code, out = run_cli("verify", "osp", "2", "2", name, "--strict-printed", "--samples", samples)
+        assert code == 0, name
+        assert flag in out
+        assert "verdict: pass" in out
 
 
 def test_usage_errors_exit_two():

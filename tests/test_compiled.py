@@ -35,7 +35,7 @@ from superforms.catalog import Descriptor, applicable_names, build, corrupted_si
 from superforms.exprs import (
     ad_step, apply_expr, compile_expr, conj_step, delta_step, neg_step, negst_step, pi_step,
 )
-from superforms.groups import sample_group
+from superforms.groups import lie_fixed_span_check, lift, sample_group, verify_group_structure
 from superforms.liealg import OSP, SL, MatrixKind, combination_cells
 from superforms.realforms import _vector_action, compactness_data, gram_matrix, verify_structure
 from superforms.sampling import random_element, random_even, random_point
@@ -103,11 +103,18 @@ def oracle_descriptors():
 ORACLE_DESCRIPTORS = list(oracle_descriptors())
 
 
+def lift_map_steps(desc):
+    """The steps of ``desc.lift_map``: ``lift_steps()`` without the group
+    inverse that leads an inverse-neg lift."""
+    steps = desc.lift_steps()
+    return steps[1:] if desc.lift_form == "inverse-neg" else steps
+
+
 @pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS, ids=label)
 def test_composed_compile_matches_probe_compile(desc):
     m, n = desc.kind.m, desc.kind.n
-    for steps in (desc.steps, desc.lift_steps()):
-        assert compile_expr(steps, m, n) == probe_compile_expr(steps, m, n)
+    for steps, compiled in ((desc.steps, desc.compiled), (lift_map_steps(desc), desc.lift_map)):
+        assert compiled == compile_expr(steps, m, n) == probe_compile_expr(steps, m, n)
 
 
 def test_compile_evaluates_no_matrix(monkeypatch):
@@ -123,7 +130,7 @@ def test_compile_evaluates_no_matrix(monkeypatch):
             for p, q in param_choices(name, kind):
                 desc = build(name, kind, p, q)
                 compile_expr(desc.steps, m, n)
-                compile_expr(desc.lift_steps(), m, n)
+                compile_expr(lift_map_steps(desc), m, n)
 
 
 def random_invertible(size, rng):
@@ -156,15 +163,14 @@ def test_composed_compile_matches_probe_compile_on_random_runs(shape, seed):
         return
     compiled = compile_expr(steps, m, n)
     assert compiled == probe_compile_expr(steps, m, n)
-    run = compiled.algebra_map
-    index = run.source_index()
+    index = compiled.source_index()
     for _ in range(3):
         grid = [[rng.choice([ZERO, ZERO, ONE, I, GaussianRational(2, -1)]) for _ in range(m + n)]
                 for _ in range(m + n)]
         support = [((i, j), x) for i, row in enumerate(grid) for j, x in enumerate(row) if not x.is_zero()]
-        dense = apply_constant(run, grid)
+        dense = apply_constant(compiled, grid)
         expected = {(i, j): y for i, row in enumerate(dense) for j, y in enumerate(row) if not y.is_zero()}
-        assert run.apply_support(support, index) == expected
+        assert compiled.apply_support(support, index) == expected
 
 
 @pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS, ids=label)
@@ -190,11 +196,10 @@ def test_compiled_lift_matches_step_by_step(desc):
     rng = random.Random("lift " + label(desc))
     sig = AlgebraSignature(1, 0, 1, desc.conjugation)
     g = sample_group(desc.kind, sig, rng)
-    lift = desc.lift_steps()
-    expected = reference_apply_expr(lift, g, allow_inverse=True)
-    assert apply_expr(desc.compiled_lift, g, allow_inverse=True) == expected
-    assert (len(desc.compiled_lift.stages), desc.compiled_lift.group_only) == (
-        (2, True) if desc.lift_form == "inverse-neg" else (1, False))
+    expected = reference_apply_expr(desc.lift_steps(), g, allow_inverse=True)
+    assert lift(desc, g) == expected
+    # a direct lift applies L itself; an inverse-neg one inverts N = -L
+    assert (desc.lift_map is desc.compiled) == (desc.lift_form == "direct")
 
 
 def grid_storage(x):
@@ -204,27 +209,26 @@ def grid_storage(x):
 
 @pytest.mark.parametrize("desc", list(every_descriptor()), ids=label)
 def test_flat_plan_matches_the_cell_loop(desc):
-    stages = [stage for stage in desc.compiled.stages + desc.compiled_lift.stages
-              if type(stage) is exprs.PositionalMap]
+    maps = [desc.compiled, desc.lift_map]
     # every catalog map reads one slot per cell, so each is applied from its plan
-    assert stages and all(stage.plan is not None for stage in stages)
+    assert all(pmap.plan is not None for pmap in maps)
     rng = random.Random("plan " + label(desc))
     for conjugation in (STANDARD, GRADED):
         for sig in signatures(conjugation):
             ext = adjoin_dual(sig)[0]
             for x in (random_point(desc.kind, sig, rng), random_point(desc.kind, ext, rng)):
-                for stage in stages:
-                    assert grid_storage(stage.apply(x)) == grid_storage(loop_positional_apply(stage, x))
+                for pmap in maps:
+                    assert grid_storage(pmap.apply(x)) == grid_storage(loop_positional_apply(pmap, x))
 
 
 def test_maps_with_several_terms_per_cell_keep_the_cell_loop():
     shear = next(desc for desc in ORACLE_DESCRIPTORS if desc.name == "shear")
-    run = shear.compiled.algebra_map
-    assert run.plan is None
+    pmap = shear.compiled
+    assert pmap.plan is None
     x = random_point(shear.kind, AlgebraSignature(1, 1, 1, STANDARD), random.Random(3))
-    assert grid_storage(run.apply(x)) == grid_storage(loop_positional_apply(run, x))
+    assert grid_storage(pmap.apply(x)) == grid_storage(loop_positional_apply(pmap, x))
     # an empty cell in a plan reads nothing
-    empty = exprs.PositionalMap(((((0, 0, ONE),), ()), ((), ((1, 1, I),))), 1)
+    empty = exprs.PositionalMap(((((0, 0, ONE),), ()), ((), ((1, 1, I),))), 1, 1)
     assert empty.plan == ((0, 0, ONE), (0, 0, ZERO), (0, 0, ZERO), (1, 1, I))
     y = random_point(MatrixKind(SL, 1, 1), AlgebraSignature(1, 0, 1, GRADED), random.Random(4))
     assert grid_storage(empty.apply(y)) == grid_storage(loop_positional_apply(empty, y))
@@ -243,7 +247,7 @@ def test_a_run_of_k_steps_composes_k_minus_1_times(monkeypatch):
     for run in runs:
         calls.clear()
         compiled = compile_expr(run, kind.m, kind.n)
-        assert len(compiled.stages) == 1
+        assert type(compiled) is exprs.PositionalMap
         assert len(calls) == max(len(run) - 1, 0), run
         assert compiled == probe_compile_expr(run, kind.m, kind.n)
 
@@ -295,7 +299,7 @@ def test_conjugation_count_is_not_reduced():
     kind = MatrixKind(SL, 2, 1)
     steps = (conj_step(), negst_step(), conj_step())
     compiled = compile_expr(steps, kind.m, kind.n)
-    assert [stage.conjugations for stage in compiled.stages] == [2]
+    assert compiled.conjugations == 2
     rng = random.Random(5)
     for conjugation in (STANDARD, GRADED):
         x = random_point(kind, AlgebraSignature(2, 0, 0, conjugation), rng)
@@ -305,12 +309,14 @@ def test_conjugation_count_is_not_reduced():
 
 def test_compiled_expression_refuses_other_shapes_and_group_steps():
     desc = build("sigma1", MatrixKind(SL, 2, 1))
-    x = random_point(MatrixKind(SL, 1, 1), AlgebraSignature(1, 0, 0, STANDARD), random.Random(0))
-    with pytest.raises(ValueError):
+    sig = AlgebraSignature(1, 0, 0, STANDARD)
+    x = random_point(MatrixKind(SL, 1, 1), sig, random.Random(0))
+    with pytest.raises(ValueError, match=r"^expression compiled for shape 2\|1, got 1\|1$"):
         apply_expr(desc.compiled, x)
-    g = random_point(desc.kind, AlgebraSignature(1, 0, 0, STANDARD), random.Random(0))
-    with pytest.raises(ValueError):
-        apply_expr(desc.compiled_lift, g)
+    # the group inverse of an inverse-neg lift is no compiled step
+    g = random_point(desc.kind, sig, random.Random(0))
+    with pytest.raises(ValueError, match="^matrix inverse is a group-level step$"):
+        apply_expr(desc.lift_steps(), g)
 
 
 def test_ad_descriptor_makes_no_grid_products(monkeypatch):
@@ -336,10 +342,23 @@ def test_verify_structure_compiles_each_descriptor_once(monkeypatch):
 
     monkeypatch.setattr(exprs, "compile_expr", counting)
     monkeypatch.setattr(catalog, "compile_expr", counting)
+    sig = AlgebraSignature(1, 0, 0, STANDARD)
     desc = build("sigma1", MatrixKind(SL, 2, 1))
-    outcomes = verify_structure(desc, AlgebraSignature(1, 0, 0, STANDARD), samples=4)
+    outcomes = verify_structure(desc, sig, samples=4)
     assert {o.status for o in outcomes} == {"pass"}
     assert compiles == {desc.steps: 1}
+    # the group level compiles the steps once, and an inverse-neg lift's N once more
+    descs = (build("sigma1", MatrixKind(SL, 2, 1)), build("sigma3", MatrixKind(SL, 1, 1)))
+    assert [desc.lift_form for desc in descs] == ["inverse-neg", "direct"]
+    for desc in descs:
+        compiles.clear()
+        outcomes = verify_group_structure(desc, sig, samples=2)
+        assert {o.status for o in outcomes} == {"pass"}
+        assert lie_fixed_span_check(desc, sig)["spans_agree"]
+        expected = Counter({desc.steps: 1})
+        if desc.lift_form == "inverse-neg":
+            expected[desc.lift_steps()[1:]] += 1
+        assert compiles == expected, desc.display()
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +526,7 @@ def test_cells_with_several_terms_sum_exactly():
     grid = [[ONE, g(1, 1), ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, g(2)]]
     steps = (ad_step("K", grid), conj_step(), delta_step(g(1, 0, 2)), negst_step())
     compiled = compile_expr(steps, kind.m, kind.n)
-    assert max(len(cell) for row in compiled.stages[0].cells for cell in row) > 1
+    assert max(len(cell) for row in compiled.cells for cell in row) > 1
     rng = random.Random(7)
     for conjugation in (STANDARD, GRADED):
         x = random_point(kind, AlgebraSignature(2, 0, 1, conjugation), rng)

@@ -652,8 +652,8 @@ def maps_by_shape():
     maps = {}
     for desc in catalog_descriptors():
         kind = desc.kind
-        found = maps.setdefault((kind.m, kind.n), [compile_expr((), kind.m, kind.n).algebra_map])
-        found.append(desc.compiled.algebra_map)
+        found = maps.setdefault((kind.m, kind.n), [compile_expr((), kind.m, kind.n)])
+        found.append(desc.compiled)
         if not desc.strict:
             found.append(extract_vector_conjugation(desc)._rebuild_map)
         if kind.family == OSP:
@@ -672,15 +672,30 @@ def test_map_difference_applies_as_the_difference_of_the_maps(data):
     if a.conjugations != b.conjugations:
         with pytest.raises(ValueError, match="conjugation counts"):
             a - b
-        b = PositionalMap(b.cells, a.conjugations)
+        b = b._replace(conjugations=a.conjugations)
     assert (a - b).apply(x) == a.apply(x) - b.apply(x)
 
 
 def test_map_difference_drops_cancelled_terms_and_refuses_other_shapes():
-    own = build("sigma1", MatrixKind(SL, 2, 1)).compiled.algebra_map
-    assert own - own == PositionalMap(tuple(((),) * 3 for _ in range(3)), own.conjugations)
+    own = build("sigma1", MatrixKind(SL, 2, 1)).compiled
+    assert own - own == PositionalMap(tuple(((),) * 3 for _ in range(3)), own.conjugations, 2)
     with pytest.raises(ValueError, match="shapes"):
-        own - build("sigma1", MatrixKind(SL, 2, 2)).compiled.algebra_map
+        own - build("sigma1", MatrixKind(SL, 2, 2)).compiled
+
+
+def test_map_algebra_refuses_other_block_sizes():
+    # sl(2|1) and sl(1|2) maps have the same size but not the same blocks
+    own = build("sigma1", MatrixKind(SL, 2, 1)).compiled
+    other = build("sigma1", MatrixKind(SL, 1, 2)).compiled
+    assert len(own.cells) == len(other.cells) and own.conjugations == other.conjugations
+    with pytest.raises(ValueError, match="^positional maps of different shapes$"):
+        own.compose(other)
+    with pytest.raises(ValueError, match="^positional maps of different shapes or conjugation counts$"):
+        own - other
+    x = random_point(MatrixKind(SL, 1, 2), AlgebraSignature(1, 0, 0, STANDARD), random.Random(0))
+    with pytest.raises(ValueError, match=r"^expression compiled for shape 2\|1, got 1\|2$"):
+        apply_expr(own, x)
+    assert apply_expr(other, x) == other.apply(x)
 
 
 @given(st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1), (1, 0)]), st.integers(0, 10 ** 6))
@@ -712,7 +727,7 @@ def test_vanishes_matches_applying_the_map():
         if desc.strict:
             continue
         kind = desc.kind
-        maps = [desc.compiled.algebra_map - extract_vector_conjugation(desc)._rebuild_map]
+        maps = [desc.compiled - extract_vector_conjugation(desc)._rebuild_map]
         if kind.family == OSP:
             maps.append(kind.conditions)
         sig = AlgebraSignature(2, 0, 1, desc.conjugation)

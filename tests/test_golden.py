@@ -35,6 +35,7 @@ COMMANDS = (
     "verify osp 1 2 Xi1 --samples 2",
     "verify osp 2 2 Psi2 --samples 2 --even-nil 1",
     "verify osp 2 2 xi2 --strict-printed --samples 3",
+    "verify osp 2 2 Xi2 --strict-printed --samples 3",
     "verify sl 1 1 sigma1 --strict-printed --samples 3",
     "verify osp 1 2 psi1 --strict-printed --samples 3",
     "fixed-basis sl 1 1 sigma1",

@@ -138,6 +138,17 @@ def test_all_group_lifts_pass():
             assert set(statuses.values()) == {"pass"}, (desc.display(group=True), statuses)
 
 
+def test_printed_xi2_flags_its_twisted_naturality_at_group_level():
+    # the complex-linear printed xi2 fails the dual scaling by i at the group
+    # level as it fails naturality at the algebra level: both are flagged
+    strict = build("xi2", MatrixKind(OSP, 2, 2), strict=True)
+    for seed in range(4):
+        checks = {c.name: c for c in verify_group_structure(strict, SIG1S, samples=3, seed=seed)}
+        equivariance = checks["dual-equivariance"]
+        assert equivariance.status == "flagged" and equivariance.witness, seed
+        assert "fail" not in {c.status for c in checks.values()}, seed
+
+
 def test_group_commutator_identity():
     for kind in (MatrixKind(SL, 1, 1), MatrixKind(SL, 2, 1), MatrixKind(OSP, 2, 2)):
         for sig in (SIG0S, SIG1S):

@@ -310,16 +310,13 @@ def catalog_lifts():
 
 
 def lift_stages(desc, z, invert):
-    """The lift of ``desc`` on ``z``, its group inverses taken by ``invert``;
-    returns the image and the matrices that were inverted."""
-    inverted = []
-    for stage in desc.compiled_lift.stages:
-        if type(stage) is PositionalMap:
-            z = stage.apply(z)
-        else:
-            inverted.append(z)
-            z = invert(z)
-    return z, inverted
+    """The lift of ``desc`` on ``z``: its lift map, then for an inverse-neg
+    lift the group inverse taken by ``invert``; returns the image and the
+    matrices that were inverted."""
+    z = desc.lift_map.apply(z)
+    if desc.lift_form == "inverse-neg":
+        return invert(z), [z]
+    return z, []
 
 
 @pytest.mark.parametrize("conjugation,selfreal,even", [(STANDARD, 1, 1), (GRADED, 0, 2)])
@@ -715,15 +712,16 @@ def test_conjugated_matches_conjugated_copies_then_scaling(times, c, data):
 
 
 @st.composite
-def positional_maps(draw, size: int):
+def positional_maps(draw, m: int, n: int):
     """Cells of up to three distinct slots with unit and non-unit constants,
     conjugating 0 to 3 times."""
+    size = m + n
     slot = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
     cell = st.lists(st.tuples(slot, st.sampled_from(CELL_CONSTANTS + (GaussianRational(-3, 0, 2),))),
                     max_size=3, unique_by=lambda term: term[0])
     cells = tuple(tuple(tuple(sorted((r, s, c) for (r, s), c in draw(cell))) for _ in range(size))
                   for _ in range(size))
-    return PositionalMap(cells, draw(st.integers(0, 3)))
+    return PositionalMap(cells, draw(st.integers(0, 3)), m)
 
 
 @settings(max_examples=80, deadline=None)
@@ -731,7 +729,7 @@ def positional_maps(draw, size: int):
 def test_positional_map_matches_conjugate_then_scale(data):
     sig = data.draw(signatures(max_generators=4))
     m, n = data.draw(st.sampled_from(SHAPES))
-    pmap = data.draw(positional_maps(m + n))
+    pmap = data.draw(positional_maps(m, n))
     x = data.draw(supermatrices(sig, m, n))
     image = pmap.apply(x)
     assert image == reference_positional_apply(pmap, x)
@@ -750,12 +748,11 @@ def test_catalog_maps_match_conjugate_then_scale(desc):
     rng = random.Random("cells " + desc.display())
     sigs = ([AlgebraSignature(1, 1, 1, STANDARD), AlgebraSignature(2, 0, 0, STANDARD)]
             if desc.conjugation == STANDARD else [AlgebraSignature(1, 0, 1, GRADED), AlgebraSignature(2, 0, 0, GRADED)])
-    stages = [s for s in desc.compiled.stages + desc.compiled_lift.stages if isinstance(s, PositionalMap)]
     for sig in sigs:
         for _ in range(3):
             x = random_point(desc.kind, sig, rng)
-            for stage in stages:
-                assert stage.apply(x) == reference_positional_apply(stage, x)
+            for pmap in (desc.compiled, desc.lift_map):
+                assert pmap.apply(x) == reference_positional_apply(pmap, x)
 
 
 @pytest.mark.parametrize("kind", [MatrixKind(SL, 2, 2), MatrixKind(OSP, 2, 2), MatrixKind(GL, 2, 1),
