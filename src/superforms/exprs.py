@@ -77,11 +77,8 @@ from functools import cached_property, reduce
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import linalg
-from .matrices import (
-    SuperMatrix, const_mul, inverse, mul_const, parity_swap, scale_offdiagonal,
-    supertranspose,
-)
-from .algebra import SuperNumber, scalar, sum_of_products
+from .matrices import SuperMatrix
+from .algebra import SuperNumber, sum_of_products
 from .scalars import MINUS_ONE, ONE, ZERO, GaussianRational, format_scalar
 
 Step = Tuple
@@ -148,13 +145,10 @@ def _ad_map(step: Step, m: int, n: int) -> "PositionalMap":
 
 
 class StepRule(NamedTuple):
-    """How one step tag acts on a matrix and how it is displayed.
+    """How one step tag is displayed, and its positional map for a shape
+    ``m|n`` (``constant``, see the module notes), which a group-only step
+    does not have."""
 
-    ``constant`` gives the step as a positional map for a shape ``m|n``
-    (see the module notes); ``apply`` evaluates it on a whole matrix, and is
-    the only rule of a group-only step, which has no ``constant``."""
-
-    apply: Callable[[SuperMatrix, Step], SuperMatrix]
     display: Callable[[Step], str]
     constant: Optional[Callable[[Step, int, int], "PositionalMap"]] = None
 
@@ -164,19 +158,17 @@ class StepRule(NamedTuple):
 
 
 STEP_RULES: Dict[str, StepRule] = {
-    "conj": StepRule(lambda x, step: x.conjugate_entries(), lambda step: "ConjugateEntries",
+    "conj": StepRule(lambda step: "ConjugateEntries",
                      lambda step, m, n: _slot_map(m, n, lambda i, j: ((i, j, ONE),), 1)),
-    "negst": StepRule(lambda x, step: -supertranspose(x), lambda step: "NegateSupertranspose",
+    "negst": StepRule(lambda step: "NegateSupertranspose",
                       lambda step, m, n: _slot_map(m, n, lambda i, j: (
                           (j, i, ONE if j >= m > i else MINUS_ONE),))),
-    "pi": StepRule(lambda x, step: parity_swap(x), lambda step: "ParitySwap", _parity_swap_map),
-    "neg": StepRule(lambda x, step: -x, lambda step: "Negate",
+    "pi": StepRule(lambda step: "ParitySwap", _parity_swap_map),
+    "neg": StepRule(lambda step: "Negate",
                     lambda step, m, n: _slot_map(m, n, lambda i, j: ((i, j, MINUS_ONE),))),
-    "delta": StepRule(lambda x, step: scale_offdiagonal(x, scalar(x.sig, step[1])),
-                      lambda step: f"ScaleOffDiagonal({format_scalar(step[1])})", _scale_offdiagonal_map),
-    "ad": StepRule(lambda x, step: const_mul(step[2], mul_const(x, step[3])),
-                   lambda step: f"Ad({step[1]})", _ad_map),
-    "ginv": StepRule(lambda x, step: inverse(x), lambda step: "GroupInverse"),
+    "delta": StepRule(lambda step: f"ScaleOffDiagonal({format_scalar(step[1])})", _scale_offdiagonal_map),
+    "ad": StepRule(lambda step: f"Ad({step[1]})", _ad_map),
+    "ginv": StepRule(lambda step: "GroupInverse"),
 }
 
 

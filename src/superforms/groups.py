@@ -16,6 +16,20 @@ scalings, consistency with the algebra-level map on the dual-number kernel,
 the group-commutator recovery of the bracket, and exact agreement of the two
 fixed-point pictures.
 
+The sampled axioms read the lift through ``N = Descriptor.lift_map``: a
+direct lift is ``F = N``, an inverse-neg lift ``F(g) = N(g)^-1``.  For an
+inverse-neg lift each axiom is checked in an exactly equivalent form with
+no inverse beyond ``F(x)`` itself, so a sample passes or fails as the axiom
+does:
+
+* multiplicativity ``N(xy) == N(y) N(x)``: inversion reverses products;
+* involutivity ``N(F(x)) x == Id``: ``N(F(x))^-1 == x`` multiplied out;
+* dual-equivariance ``N(D_a z) == D_ā(N(z))``, as for a direct lift: the
+  dual scaling ``D_ā`` is an entrywise ring morphism, so it commutes with
+  the matrix inverse;
+* lift-consistency ``N(z) == Id - eps f(M)`` for ``z = Id + eps M``: that is
+  the inverse of ``Id + eps f(M)``, because ``eps^2 = 0``.
+
 A kernel point ``Id + eps M`` lives over the dual numbers ``A(eps)`` of
 :func:`~superforms.algebra.adjoin_dual`, where ``eps`` is the last even
 generator; :func:`kernel_point` takes ``M`` already mapped through the
@@ -225,24 +239,50 @@ GROUP_CHECK_NAMES = ("closure", "multiplicativity", "involutivity",
                      "dual-equivariance", "lift-consistency")
 
 
+def _require_invertible(image: SuperMatrix) -> None:
+    """Raise :class:`NotInvertibleMatrix`, as :func:`lift` would on inverting
+    ``image``, unless its body is invertible."""
+    if not is_invertible(image):
+        raise NotInvertibleMatrix("matrix body is singular")
+
+
 def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int = 50,
                            seed: int = 0) -> List[CheckOutcome]:
-    """Group axioms for the lifted structure, on ``samples`` (at least 1)
-    deterministic samples."""
+    """Group axioms for the lifted structure ``F``, on ``samples`` (at least 1)
+    deterministic samples, each drawing ``x``, ``y``, ``M`` and ``a`` in turn.
+
+    The checks read ``N = desc.lift_map``.  For a direct lift ``F = N`` and
+    each axiom is checked as stated.  For an inverse-neg lift ``F = N^-1``,
+    ``F(x) = N(x)^-1`` is the one matrix inverse of a sample, and the other
+    axioms are checked in their ``N`` forms (see the module notes):
+    ``N(xy) == N(y) N(x)``, ``N(F(x)) x == Id``, ``N(D_a z) == D_ā(N(z))``
+    and ``N(z) == Id - eps f(M)``.  Each is equivalent to its axiom when the
+    ``N`` images are invertible, and ``F`` inverts each image it reads, so a
+    singular one raises :class:`NotInvertibleMatrix` as :func:`lift` does.
+    ``N(y)`` is tested every sample.  ``N(xy)``, ``N(F(x))``, ``N(D_a z)`` and
+    ``N(z)`` are tested when multiplicativity, involutivity,
+    dual-equivariance and lift-consistency fail, in turn: a pass proves its
+    image invertible, given ``N(z)`` for dual-equivariance.  A failing
+    sample's witness evaluates ``F`` itself (:func:`lift`), so reports do not
+    depend on the form checked."""
     require_samples(samples)
     desc.require_conjugation(sig)
     kind = desc.kind
     rng = rng_for(seed, "group-verify", desc.display(group=True),
                   f"P{sig.odd_pairs}", f"S{sig.odd_selfreal}", f"E{sig.even_nilpotents}")
     tallies = {name: Tally(name, name in desc.expected_flagged) for name in GROUP_CHECK_NAMES}
+    lift_map = desc.lift_map
+    inverse_neg = desc.lift_form == "inverse-neg"
+    ident = identity_matrix(kind.m, kind.n, sig)
 
     ext, include, _, eps = adjoin_dual(sig)
 
     for idx in range(samples):
         x = sample_group(kind, sig, rng)
         y = sample_group(kind, sig, rng)
-        sx = lift(desc, x)
-        sy = lift(desc, y)
+        nx = apply_expr(lift_map, x)
+        ny = apply_expr(lift_map, y)
+        sx = matrix_inverse(nx) if inverse_neg else nx
 
         defect = group_membership_defect(kind, sx)
         tallies["closure"].record(defect is None, lambda: {
@@ -250,40 +290,56 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
             "defect": defect or "",
         })
 
-        lhs = lift(desc, x * y)
-        rhs = sx * sy
-        tallies["multiplicativity"].record(lhs == rhs, lambda: {
+        xy = x * y
+        nxy = apply_expr(lift_map, xy)
+        ok = nxy == (ny * nx if inverse_neg else nx * ny)
+        if inverse_neg:
+            _require_invertible(ny)
+            if not ok:
+                _require_invertible(nxy)
+        tallies["multiplicativity"].record(ok, lambda: {
             "x": matrix_literal(x), "y": matrix_literal(y),
-            "lhs": matrix_literal(lhs), "rhs": matrix_literal(rhs),
+            "lhs": matrix_literal(lift(desc, xy)), "rhs": matrix_literal(sx * lift(desc, y)),
         })
 
-        back = lift(desc, sx)
-        tallies["involutivity"].record(back == x, lambda: {
-            "input": matrix_literal(x), "twice": matrix_literal(back),
+        back = apply_expr(lift_map, sx)
+        ok = back * x == ident if inverse_neg else back == x
+        if inverse_neg and not ok:
+            _require_invertible(back)
+        tallies["involutivity"].record(ok, lambda: {
+            "input": matrix_literal(x), "twice": matrix_literal(lift(desc, sx)),
         })
 
         # kernel element Id + eps*M of the dual-number projection
         m_point = random_point(kind, sig, rng)
         m_ext = m_point.map_entries(include.apply, ext)
         z = kernel_point(m_ext, eps)
-        sz = lift(desc, z)
+        nz = apply_expr(lift_map, z)
 
         if idx == 0:
             a = scalar(ext, I)
         else:
             a = include.apply(random_even(sig, rng))
         a_conj = a.conjugate()
-        lhs_e = lift(desc, z.map_entries(lambda e: dual_scale(e, a)))
-        rhs_e = sz.map_entries(lambda e: dual_scale(e, a_conj))
-        tallies["dual-equivariance"].record(lhs_e == rhs_e, lambda: {
+        z_scaled = z.map_entries(lambda e: dual_scale(e, a))
+        lhs_e = apply_expr(lift_map, z_scaled)
+        ok = lhs_e == nz.map_entries(lambda e: dual_scale(e, a_conj))
+        if inverse_neg and not ok:
+            _require_invertible(lhs_e)
+        tallies["dual-equivariance"].record(ok, lambda: {
             "a": format_number(a), "kernel-point": matrix_literal(z),
-            "lhs": matrix_literal(lhs_e), "rhs": matrix_literal(rhs_e),
+            "lhs": matrix_literal(lift(desc, z_scaled)),
+            "rhs": matrix_literal(lift(desc, z).map_entries(lambda e: dual_scale(e, a_conj))),
         })
 
-        expected = kernel_point(apply_expr(desc.compiled, m_ext), eps)
-        tallies["lift-consistency"].record(sz == expected, lambda: {
+        image = apply_expr(desc.compiled, m_ext)
+        ok = nz == kernel_point(image, -eps if inverse_neg else eps)
+        if inverse_neg and not ok:
+            _require_invertible(nz)
+        tallies["lift-consistency"].record(ok, lambda: {
             "m": matrix_literal(m_point),
-            "group-image": matrix_literal(sz), "expected": matrix_literal(expected),
+            "group-image": matrix_literal(lift(desc, z)),
+            "expected": matrix_literal(kernel_point(image, eps)),
         })
 
     return [tallies[name].outcome() for name in GROUP_CHECK_NAMES]

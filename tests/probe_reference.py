@@ -20,6 +20,7 @@ The tests require the package to agree with them exactly.
 
 from typing import Dict, List, Tuple
 
+from expr_reference import apply_step
 from superforms.algebra import (
     EVEN, MAX_EVEN_NILPOTENT, ODD, AlgebraSignature, SuperNumber, basis_keys, even_mask_of,
     make_key, odd_mask_of,
@@ -54,7 +55,7 @@ def probe_compile_expr(steps, m: int, n: int) -> PositionalMap:
             grid[r][s] = SuperNumber(_PROBE, {tag: ONE})
         x = SuperMatrix(m, n, _PROBE, grid, check=False)
         for step in run:
-            x = step_rule(step).apply(x, step)
+            x = apply_step(x, step)
         for i, row in enumerate(x.rows):
             for j, e in enumerate(row):
                 cells[i][j] += [batch[tag] + (c,) for tag, c in e.items()]

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report schema, byte determinism."""
 
+import gc
 import io
 import json
 import signal
@@ -189,6 +190,57 @@ def test_sampling_failure_exits_two_with_the_reason(monkeypatch, capsys):
     assert code == 2
     assert captured.out == ""
     assert "superforms: sampling failed: no group point for sl(1|1)" in captured.err
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("shape, code", [(("sl", "1", "1"), 0), (("sl", "1", "0"), 2)],
+                         ids=["exit-0", "exit-2"])
+def test_the_collector_pauses_for_a_command_and_resumes_as_the_caller_had_it(
+        monkeypatch, capsys, shape, code, collecting):
+    from superforms import cli as cli_module
+    states = []
+
+    def observed_verify(*args, **kwargs):
+        states.append(gc.isenabled())
+        return verify(*args, **kwargs)
+
+    verify = cli_module.verify_structure
+    monkeypatch.setattr(cli_module, "verify_structure", observed_verify)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(["verify", *shape, "sigma1", "--samples", "2"]) == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert states == ([False] if code == 0 else [])
+
+
+def test_the_collector_resumes_after_an_uncaught_error(monkeypatch):
+    from superforms import cli as cli_module
+
+    def broken_verify(*args, **kwargs):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(cli_module, "verify_structure", broken_verify)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="planted"):
+        main(["verify", "sl", "1", "1", "sigma1", "--samples", "2"])
+    assert gc.isenabled()
+
+
+def test_a_longer_run_leaves_no_more_cyclic_garbage():
+    # with the collector paused, garbage in cycles would stay until the
+    # command ends; a run of ten times the samples must leave no more of it
+    argv = ("verify", "sl", "2", "1", "Sigma1", "--samples")
+    run_cli(*argv, "2")             # warm-up: the parser and the package's tables
+    unreachable = {}
+    for samples in ("2", "20"):
+        gc.collect()
+        assert run_cli(*argv, samples)[0] == 0
+        unreachable[samples] = gc.collect()
+    assert unreachable["20"] <= unreachable["2"]
 
 
 def test_witness_text_report():
