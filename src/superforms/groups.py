@@ -30,14 +30,18 @@ does:
 * lift-consistency ``N(z) == Id - eps f(M)`` for ``z = Id + eps M``: that is
   the inverse of ``Id + eps f(M)``, because ``eps^2 = 0``.
 
+The fixed-span group side reads ``N`` too: ``N(z) = Id + eps C`` makes an
+inverse-neg ``F(z) = Id - eps C``.  The group-commutator identity
+``(Id+eM)(Id+hN)(Id-eM)(Id-hN) == Id + eh[M,N]`` over ``A(e,h)`` is checked
+as ``P - Q == eh[M,N]``, ``P = (Id+eM)(Id+hN)``, ``Q = (Id+hN)(Id+eM)``.  As
+``e^2 = h^2 = 0``, ``Id-eM`` and ``Id-hN`` invert ``Id+eM`` and ``Id+hN``, so
+the product is ``Id + eh[M,N]`` exactly when ``P = (Id + eh[M,N]) Q``; as
+``eh e = eh h = 0``, that is ``Q + eh[M,N]``.
+
 A kernel point ``Id + eps M`` lives over the dual numbers ``A(eps)`` of
-:func:`~superforms.algebra.adjoin_dual`, where ``eps`` is the last even
-generator; :func:`kernel_point` takes ``M`` already mapped through the
-inclusion that function returns, and :func:`eps_split` reads ``M`` back
-entry by entry.  A kernel point is built in one pass per entry
-(:func:`~superforms.algebra.identity_plus_multiple`): multiplying by
-``eps``, ``-eps`` or the ``e h`` of the commutator identity only sets the
-monomial's bits on the keys of ``M``.
+:func:`~superforms.algebra.adjoin_dual`, ``eps`` the last even generator.
+:func:`kernel_point` builds it in one pass per entry, and :func:`eps_split`
+reads ``M`` back entry by entry.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .algebra import (
-    AlgebraSignature, SuperNumber, adjoin_dual, dual_scale, identity_plus_multiple, one,
-    scalar, split_dual,
+    AlgebraSignature, SuperNumber, adjoin_dual, dual_scale, epsilon, identity_plus_multiple,
+    include_pairs, one, scalar, split_dual,
 )
 from .catalog import Descriptor
 from .exprs import apply_expr
@@ -143,7 +147,7 @@ def sample_sl(kind: MatrixKind, sig: AlgebraSignature, rng, factors: int = 4) ->
                 f"no {kind.display()} factor after {draws} draws ({made} of {factors} made)"
             )
         draws += 1
-        if rng.random() < 0.65 and size > 1:
+        if rng.random() < 0.65:
             i = rng.randrange(size)
             j = rng.randrange(size)
             if i == j:
@@ -352,25 +356,32 @@ def verify_group_structure(desc: Descriptor, sig: AlgebraSignature, samples: int
 def group_commutator_identity(kind: MatrixKind, sig: AlgebraSignature, samples: int = 50,
                               seed: int = 0) -> CheckOutcome:
     """``(Id+eM)(Id+hN)(Id-eM)(Id-hN) == Id + eh[M,N]`` over ``A(e,h)``, exactly,
-    on ``samples`` (at least 1) samples."""
+    on ``samples`` (at least 1) samples, checked with two grid products as
+    ``P - Q == eh[M,N]``, ``P = (Id+eM)(Id+hN)`` and ``Q = (Id+hN)(Id+eM)``:
+    ``e^2 = h^2 = 0`` makes the product ``Id + eh[M,N]`` exactly when ``P =
+    (Id + eh[M,N]) Q``, and ``eh e = eh h = 0`` makes that ``Q + eh[M,N]``.
+    A failing sample's witness is the four-factor product."""
     require_samples(samples)
-    ext1, include1, _, e_gen = adjoin_dual(sig)
-    ext2, include2, _, h_gen = adjoin_dual(ext1)
-    e_gen = include2.apply(e_gen)
+    ext2 = sig.extended(2)
+    e_gen, h_gen = epsilon(ext2, sig.even_nilpotents), epsilon(ext2, sig.even_nilpotents + 1)
+    eh = e_gen * h_gen
+    include = include_pairs(sig, ext2)
+    ident = identity_matrix(kind.m, kind.n, ext2)
     rng = rng_for(seed, "commutator", kind.display(),
                   f"P{sig.odd_pairs}", f"E{sig.even_nilpotents}")
     tally = Tally("group-commutator", False)
-    lift = lambda m: m.map_entries(lambda c: include2.apply(include1.apply(c)), ext2)
+    lift = lambda m: m.map_entries(include.apply, ext2)
     for _ in range(samples):
         m_point = random_point(kind, sig, rng)
         n_point = random_point(kind, sig, rng)
         m_ext, n_ext = lift(m_point), lift(n_point)
-        product = (kernel_point(m_ext, e_gen) * kernel_point(n_ext, h_gen)
-                   * kernel_point(m_ext, -e_gen) * kernel_point(n_ext, -h_gen))
-        expected = kernel_point(lift(commutator(m_point, n_point)), e_gen * h_gen)
-        tally.record(product == expected, lambda: {
+        em, hn = kernel_point(m_ext, e_gen), kernel_point(n_ext, h_gen)
+        expected = kernel_point(lift(commutator(m_point, n_point)), eh)
+        p = em * hn
+        tally.record(p - hn * em == expected - ident, lambda: {
             "m": matrix_literal(m_point), "n": matrix_literal(n_point),
-            "product": matrix_literal(product), "expected": matrix_literal(expected),
+            "product": matrix_literal(p * kernel_point(m_ext, -e_gen) * kernel_point(n_ext, -h_gen)),
+            "expected": matrix_literal(expected),
         })
     return tally.outcome()
 
@@ -382,20 +393,23 @@ def group_commutator_identity(kind: MatrixKind, sig: AlgebraSignature, samples: 
 def fixed_span_maps(desc: Descriptor, sig: AlgebraSignature):
     """The group side of :func:`lie_fixed_span_check`: the lifted structure
     read on the dual-number kernel ``Id + eps M``, as a real-linear map on
-    ``g(A)``, evaluated generically.  Returns ``(layout, group_side)``."""
+    ``g(A)``, evaluated generically with no inverse: ``N(z) = Id + eps C``
+    (:attr:`Descriptor.lift_map`) makes an inverse-neg ``F(z) = Id - eps C``.
+    An ``N(z)`` off the kernel is lifted (:func:`lift`) to raise as ``F`` does.
+    Returns ``(layout, group_side)``."""
     desc.require_conjugation(sig)
     kind = desc.kind
     layout = CoordLayout(kind, sig)
     ext, include, _, eps = adjoin_dual(sig)
+    ident = identity_matrix(kind.m, kind.n, ext)
 
     def group_side(t):
         z = kernel_point(matrix_of(t).map_entries(include.apply, ext), eps)
-        sz = lift(desc, z)
-        delta = sz - identity_matrix(kind.m, kind.n, ext)
-        free, coef = eps_split(delta, sig)
+        free, coef = eps_split(apply_expr(desc.lift_map, z) - ident, sig)
         if not free.is_zero():
+            lift(desc, z)      # raises where F cannot be formed
             raise AssertionError("lifted image of a kernel point left the kernel")
-        return tensor_of(kind, coef)
+        return tensor_of(kind, -coef if desc.lift_form == "inverse-neg" else coef)
 
     return layout, group_side
 

@@ -1,20 +1,32 @@
-"""The group-level check loop as the package ran it before it read
-inverse-neg lifts through ``N = Descriptor.lift_map``, kept as a test oracle.
+"""Group-level checks as the package ran them before they read through
+``N = Descriptor.lift_map`` or checked a shorter equivalent form, kept as
+test oracles.
 
-Every axiom is checked on ``F`` itself (``groups.lift``): an inverse-neg
-lift inverts six matrices per sample, ``F(x)``, ``F(y)``, ``F(xy)``,
-``F(F(x))``, ``F(z)`` and ``F(D_a z)``.  The random draws are those of
-``groups.verify_group_structure``, in the same order, so the tests require
-its outcomes (statuses, counts and witnesses) to equal these exactly.
+* ``reference_verify_group_structure`` checks every axiom on ``F`` itself
+  (``groups.lift``): an inverse-neg lift inverts six matrices per sample,
+  ``F(x)``, ``F(y)``, ``F(xy)``, ``F(F(x))``, ``F(z)`` and ``F(D_a z)``.
+* ``reference_group_commutator_identity`` multiplies out the four-factor
+  product ``(Id+eM)(Id+hN)(Id-eM)(Id-hN)``: three grid products over
+  ``A(e,h)`` per sample.  It reads ``groups.commutator`` at call time, so a
+  test that replaces it there replaces it in both loops.
+* ``reference_fixed_span_maps`` evaluates ``F`` on every kernel point, with
+  a matrix inverse for an inverse-neg lift.
+
+The random draws are those of the package's functions, in the same order,
+so the tests require their outcomes (statuses, counts and witnesses, or
+fixed vectors) to equal these exactly.
 """
 
+from superforms import groups
 from superforms.algebra import adjoin_dual, dual_scale, scalar
 from superforms.exprs import apply_expr
 from superforms.groups import (
-    GROUP_CHECK_NAMES, group_membership_defect, kernel_point, lift, sample_group,
+    GROUP_CHECK_NAMES, eps_split, group_membership_defect, kernel_point, lift, sample_group,
 )
+from superforms.liealg import matrix_of, tensor_of
 from superforms.literals import format_number
-from superforms.realforms import matrix_literal
+from superforms.matrices import identity_matrix
+from superforms.realforms import CoordLayout, matrix_literal
 from superforms.report import Tally
 from superforms.sampling import random_even, random_point, require_samples, rng_for
 from superforms.scalars import I
@@ -79,3 +91,44 @@ def reference_verify_group_structure(desc, sig, samples=50, seed=0):
         })
 
     return [tallies[name].outcome() for name in GROUP_CHECK_NAMES]
+
+
+def reference_group_commutator_identity(kind, sig, samples=50, seed=0):
+    require_samples(samples)
+    ext1, include1, _, e_gen = adjoin_dual(sig)
+    ext2, include2, _, h_gen = adjoin_dual(ext1)
+    e_gen = include2.apply(e_gen)
+    rng = rng_for(seed, "commutator", kind.display(),
+                  f"P{sig.odd_pairs}", f"E{sig.even_nilpotents}")
+    tally = Tally("group-commutator", False)
+    include = lambda m: m.map_entries(lambda c: include2.apply(include1.apply(c)), ext2)
+    for _ in range(samples):
+        m_point = random_point(kind, sig, rng)
+        n_point = random_point(kind, sig, rng)
+        m_ext, n_ext = include(m_point), include(n_point)
+        product = (kernel_point(m_ext, e_gen) * kernel_point(n_ext, h_gen)
+                   * kernel_point(m_ext, -e_gen) * kernel_point(n_ext, -h_gen))
+        expected = kernel_point(include(groups.commutator(m_point, n_point)), e_gen * h_gen)
+        tally.record(product == expected, lambda: {
+            "m": matrix_literal(m_point), "n": matrix_literal(n_point),
+            "product": matrix_literal(product), "expected": matrix_literal(expected),
+        })
+    return tally.outcome()
+
+
+def reference_fixed_span_maps(desc, sig):
+    desc.require_conjugation(sig)
+    kind = desc.kind
+    layout = CoordLayout(kind, sig)
+    ext, include, _, eps = adjoin_dual(sig)
+
+    def group_side(t):
+        z = kernel_point(matrix_of(t).map_entries(include.apply, ext), eps)
+        sz = lift(desc, z)
+        delta = sz - identity_matrix(kind.m, kind.n, ext)
+        free, coef = eps_split(delta, sig)
+        if not free.is_zero():
+            raise AssertionError("lifted image of a kernel point left the kernel")
+        return tensor_of(kind, coef)
+
+    return layout, group_side

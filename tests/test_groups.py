@@ -3,6 +3,7 @@ group-commutator bracket identity, fixed-span agreement."""
 
 import pytest
 
+from group_reference import reference_group_commutator_identity
 from superforms.algebra import AlgebraSignature, GRADED, STANDARD, adjoin_dual, epsilon, even_mask_of, one
 from superforms.catalog import applicable_names, build
 from superforms.groups import (
@@ -154,6 +155,65 @@ def test_group_commutator_identity():
         for sig in (SIG0S, SIG1S):
             out = group_commutator_identity(kind, sig, samples=10, seed=25)
             assert out.status == "pass", (kind.display(), sig)
+
+
+CRITERION_6_KINDS = SL_SHAPES + OSP_SHAPES
+COMMUTATOR_SIGS = [AlgebraSignature(pairs, 0, 0, STANDARD) for pairs in (0, 1, 2)] + [
+    AlgebraSignature(1, 1, 1, STANDARD)]
+
+
+def sig_id(sig):
+    return f"P{sig.odd_pairs}S{sig.odd_selfreal}E{sig.even_nilpotents}"
+
+
+@pytest.mark.parametrize("sig", COMMUTATOR_SIGS, ids=sig_id)
+@pytest.mark.parametrize("kind", CRITERION_6_KINDS, ids=MatrixKind.display)
+def test_group_commutator_identity_equals_the_four_factor_oracle(kind, sig):
+    assert (group_commutator_identity(kind, sig, samples=3, seed=32)
+            == reference_group_commutator_identity(kind, sig, samples=3, seed=32))
+
+
+def test_a_reversed_commutator_fails_both_loops_on_the_same_sample(monkeypatch):
+    # a commutator that returns [N, M] fails wherever [M, N] != 0; both loops
+    # must fail on the same sample, with equal witnesses
+    from superforms import groups
+    from superforms.matrices import commutator
+
+    monkeypatch.setattr(groups, "commutator", lambda x, y: commutator(y, x))
+    failed = set()
+    for kind in CRITERION_6_KINDS:
+        for sig in COMMUTATOR_SIGS:
+            out = group_commutator_identity(kind, sig, samples=3, seed=33)
+            assert out == reference_group_commutator_identity(kind, sig, samples=3, seed=33)
+            if out.status == "fail":
+                assert out.witness["product"] != out.witness["expected"]
+                failed.add((kind.display(), sig_id(sig)))
+    # every case but sl(1|1) over the scalars, whose even points are diagonal
+    # and commute; that includes a self-real generator with an even nilpotent
+    assert failed == {(kind.display(), sig_id(sig)) for kind in CRITERION_6_KINDS
+                      for sig in COMMUTATOR_SIGS} - {("sl(1|1)", "P0S0E0")}
+
+
+@pytest.mark.parametrize("samples", [1, 3])
+def test_group_commutator_identity_makes_two_grid_products_per_sample(monkeypatch, samples):
+    from superforms.matrices import SuperMatrix
+
+    sig = AlgebraSignature(1, 0, 0, STANDARD)
+    calls = []
+    mul = SuperMatrix.__mul__
+
+    def counted(x, y):
+        if x.sig.even_nilpotents == sig.even_nilpotents + 2:     # over A(e,h)
+            calls.append(x)
+        return mul(x, y)
+
+    monkeypatch.setattr(SuperMatrix, "__mul__", counted)
+    kind = MatrixKind(SL, 2, 1)
+    assert group_commutator_identity(kind, sig, samples=samples, seed=34).status == "pass"
+    assert len(calls) == 2 * samples
+    calls.clear()
+    reference_group_commutator_identity(kind, sig, samples=samples, seed=34)
+    assert len(calls) == 3 * samples
 
 
 def test_fixed_span_agreement_all_descriptors():

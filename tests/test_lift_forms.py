@@ -1,11 +1,12 @@
 """Group checks read through ``N = Descriptor.lift_map``: the package's
 outcomes equal the ``F``-form oracle's, every check can fail, an inverse-neg
 lift inverts one matrix per sample, and a singular ``N`` image raises as the
-lift does."""
+lift does.  The group side of the fixed-span check reads ``N`` too, with no
+inverse, and its fixed vectors equal those of the ``F``-form oracle."""
 
 import pytest
 
-from group_reference import reference_verify_group_structure
+from group_reference import reference_fixed_span_maps, reference_verify_group_structure
 from superforms import groups
 from superforms.algebra import AlgebraSignature
 from superforms.catalog import Descriptor, applicable_names, build, corrupted_sigma1
@@ -138,3 +139,55 @@ def test_a_singular_image_raises_as_the_lift_does(monkeypatch, desc, sample, pos
     for verify in (reference_verify_group_structure, groups.verify_group_structure):
         with pytest.raises(NotInvertibleMatrix):
             verify(desc, sig, samples=2, seed=8)
+
+
+def span_outcome(maps, desc, sig):
+    """The fixed vectors of a group side, or the exception it raised."""
+    layout, group_side = maps(desc, sig)
+    try:
+        return layout.fixed_vectors(group_side)
+    except (NotInvertibleMatrix, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+SPAN_CASES = (
+    [(build(name, kind), pairs) for kind in SL_SHAPES + OSP_SHAPES
+     for name in applicable_names(kind) for pairs in (0, 1)]
+    + [(desc, pairs) for kind in SL_SHAPES for desc in planted_lifts(kind) for pairs in (0, 1)]
+)
+
+
+@pytest.mark.parametrize("case", SPAN_CASES, ids=case_id)
+def test_fixed_span_group_side_equals_the_f_form_oracle(case):
+    desc, pairs = case
+    sig = sig_for(desc, pairs)
+    vectors = span_outcome(groups.fixed_span_maps, desc, sig)
+    assert isinstance(vectors, list)
+    assert vectors == span_outcome(reference_fixed_span_maps, desc, sig)
+
+
+def test_the_fixed_span_check_inverts_no_matrix(monkeypatch):
+    sigma1 = build("sigma1", MatrixKind(SL, 2, 2))
+    assert sigma1.lift_form == "inverse-neg"
+    assert count_inverses(monkeypatch, lambda desc, sig, **_: groups.lie_fixed_span_check(desc, sig),
+                          sigma1, 1) == 0
+    assert count_inverses(monkeypatch, lambda desc, sig, **_: span_outcome(reference_fixed_span_maps, desc, sig),
+                          sigma1, 1) > 0
+
+
+@pytest.mark.parametrize("name, planted, error", [
+    ("sigma1", lambda x: zero_matrix(x.m, x.n, x.sig), NotInvertibleMatrix),
+    ("sigma1", lambda x: x + x, AssertionError),
+    ("sigma3", lambda x: zero_matrix(x.m, x.n, x.sig), AssertionError),
+    ("sigma3", lambda x: x + x, AssertionError),
+], ids=["inverse-neg-singular", "inverse-neg-off-kernel", "direct-singular", "direct-off-kernel"])
+def test_an_image_off_the_kernel_raises_as_the_lift_does(monkeypatch, name, planted, error):
+    # N(z) = 0 is singular, so an inverse-neg F = N^-1 cannot be formed, and
+    # a direct F = 0 leaves the kernel; N(z) = 2 z is invertible, but its
+    # eps-free part 2 Id leaves the kernel
+    desc = build(name, MatrixKind(SL, 2, 2))
+    plant_lift_map(monkeypatch, desc.lift_map, lambda base, x: planted(x))
+    sig = sig_for(desc, 1)
+    outcome = span_outcome(groups.fixed_span_maps, desc, sig)
+    assert outcome[0] is error
+    assert outcome == span_outcome(reference_fixed_span_maps, desc, sig)
