@@ -35,11 +35,10 @@ per key.  The signature also keeps its tuples of basis keys, whole and by
 parity.
 
 The dual numbers ``A(eps)`` of :func:`adjoin_dual` put ``eps`` last among
-the even generators.  One partition of an element's terms, without and with
-the bit of ``eps`` (:func:`_dual_split`), serves both of its readers:
-:func:`split_dual` splits an element of ``A(eps)`` as ``a + b eps``, and
-:func:`dual_scale` applies the endomorphism ``eps -> a eps`` in closed form,
-as one kernel call on the two parts.  :func:`identity_plus_multiple` builds
+the even generators.  :func:`dual_scale` applies the endomorphism
+``eps -> a eps`` in closed form: it partitions an element's terms by the
+bit of ``eps`` and makes one kernel call on the two parts.
+:func:`identity_plus_multiple` builds
 the grid ``Id + t M`` of a dual-number kernel point in one pass per entry,
 for ``t`` one of ``eps``, ``-eps`` or ``e h``: such a monomial only sets
 bits on the keys of ``M``.  Any other ``t`` raises ``ValueError`` there.
@@ -310,28 +309,6 @@ def conjugate_monomial(sig: AlgebraSignature, key: int, times: int) -> Tuple[int
     the table of ``conj^times``; even generators are fixed."""
     omask, sign = sig.conjugation_power(times)[key & 0xFF]
     return omask | (key & ~0xFF), sign
-
-
-def _dual_split(x: "SuperNumber") -> Tuple[int, Dict[int, tuple], Dict[int, tuple]]:
-    """The bit of ``eps`` in the keys of ``x``, and the numerators of ``x``
-    without and with it, keys as stored.  ``eps`` is the last even
-    generator, the one :func:`adjoin_dual` adds."""
-    bit = 1 << (_ODD_BITS + x.sig.even_nilpotents - 1)
-    free: Dict[int, tuple] = {}
-    held: Dict[int, tuple] = {}
-    for key, v in x._num.items():
-        if key & bit:
-            held[key] = v
-        else:
-            free[key] = v
-    return bit, free, held
-
-
-def split_dual(x: "SuperNumber", base: AlgebraSignature) -> Tuple["SuperNumber", "SuperNumber"]:
-    """``x`` in ``A(eps)`` as ``(a, b)`` over ``base = A``, ``x = a + b eps``.
-    ``eps`` is even, so ``b eps`` keeps the keys of ``b`` with its bit set."""
-    bit, free, held = _dual_split(x)
-    return _normal(base, x.den, free), _normal(base, x.den, {key ^ bit: v for key, v in held.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -982,11 +959,16 @@ def dual_scale(x: SuperNumber, a: SuperNumber) -> SuperNumber:
     fixes every generator except ``eps -> a eps``, for ``a`` even, in closed
     form: ``x = u + v eps`` goes to ``u + a (v eps)``, one kernel call on the
     pairs ``(u, 1)`` and ``(a, v eps)``, ``u`` and ``v eps`` being the terms of
-    ``x`` without and with the bit of ``eps`` (:func:`_dual_split`).  A
-    term of ``a`` that holds ``eps`` shares that bit with every term of ``v
-    eps``, so it vanishes by the kernel's rule; the keys of ``a (v eps)``
-    hold ``eps`` and those of ``u`` do not, so no two terms meet."""
-    _, free, held = _dual_split(x)
+    ``x`` without and with the bit of ``eps``, keys and numerators as
+    stored.  A term of ``a`` that holds ``eps`` shares that bit with every
+    term of ``v eps``, so it vanishes by the kernel's rule; the keys of
+    ``a (v eps)`` hold ``eps`` and those of ``u`` do not, so no two terms
+    meet."""
+    bit = 1 << (_ODD_BITS + x.sig.even_nilpotents - 1)
+    free: Dict[int, tuple] = {}
+    held: Dict[int, tuple] = {}
+    for key, v in x._num.items():
+        (held if key & bit else free)[key] = v
     if not held:
         return x
     if a.sig is not x.sig:

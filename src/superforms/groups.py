@@ -30,8 +30,15 @@ does:
 * lift-consistency ``N(z) == Id - eps f(M)`` for ``z = Id + eps M``: that is
   the inverse of ``Id + eps f(M)``, because ``eps^2 = 0``.
 
-The fixed-span group side reads ``N`` too: ``N(z) = Id + eps C`` makes an
-inverse-neg ``F(z) = Id - eps C``.  The group-commutator identity
+The fixed-span group side reads ``N`` too, as a map on ``g(A)``.  ``N`` is
+``k`` entrywise conjugations and a constant map, both additive;
+conjugation fixes ``eps``, and the constant map commutes with multiplying
+by the central ``eps``, so ``N(Id + eps M) = N(Id) + eps N(M)``.  When
+``N(Id) == Id`` a direct lift sends the kernel point to ``Id + eps N(M)``,
+and an inverse-neg one to its inverse ``Id - eps N(M)``: on the kernel the
+lift acts as ``N`` or ``-N``.  Otherwise the eps-free part of every
+lifted kernel point is ``N(Id)`` or its inverse, not ``Id``, and the lift
+leaves the kernel.  The group-commutator identity
 ``(Id+eM)(Id+hN)(Id-eM)(Id-hN) == Id + eh[M,N]`` over ``A(e,h)`` is checked
 as ``P - Q == eh[M,N]``, ``P = (Id+eM)(Id+hN)``, ``Q = (Id+hN)(Id+eM)``.  As
 ``e^2 = h^2 = 0``, ``Id-eM`` and ``Id-hN`` invert ``Id+eM`` and ``Id+hN``, so
@@ -39,30 +46,31 @@ the product is ``Id + eh[M,N]`` exactly when ``P = (Id + eh[M,N]) Q``; as
 ``eh e = eh h = 0``, that is ``Q + eh[M,N]``.
 
 A kernel point ``Id + eps M`` lives over the dual numbers ``A(eps)`` of
-:func:`~superforms.algebra.adjoin_dual`, ``eps`` the last even generator.
-:func:`kernel_point` builds it in one pass per entry, and :func:`eps_split`
-reads ``M`` back entry by entry.
+:func:`~superforms.algebra.adjoin_dual`, ``eps`` the last even generator,
+and :func:`kernel_point` builds it in one pass per entry.  The fixed-span
+check builds none: both of its sides are vector actions of positional maps
+(:func:`~superforms.realforms.fixed_point_coords`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from . import linalg
 from .algebra import (
     AlgebraSignature, SuperNumber, adjoin_dual, dual_scale, epsilon, identity_plus_multiple,
-    include_pairs, one, scalar, split_dual,
+    include_pairs, one, scalar,
 )
 from .catalog import Descriptor
-from .exprs import apply_expr
-from .liealg import GL, OSP, SL, MatrixKind, matrix_of, tensor_of
+from .exprs import PositionalMap, apply_expr, compile_expr, neg_step
+from .liealg import GL, OSP, SL, MatrixKind
 from .literals import format_number
 from .matrices import (
     NotInvertibleMatrix, SuperMatrix, berezinian, commutator, const_matrix, identity_matrix,
     inverse as matrix_inverse, is_invertible, mul_const, osp_form_grid,
     supertranspose,
 )
-from .realforms import CoordLayout, fixed_point_coords, matrix_literal
+from .realforms import fixed_point_coords, matrix_literal
 from .report import CheckOutcome, Tally
 from .sampling import (
     random_even, random_invertible_even, random_odd, random_point, require_samples,
@@ -208,16 +216,8 @@ def sample_group(kind: MatrixKind, sig: AlgebraSignature, rng) -> SuperMatrix:
 
 
 # ---------------------------------------------------------------------------
-# dual-number helpers
+# dual-number kernel points
 # ---------------------------------------------------------------------------
-
-def eps_split(x: SuperMatrix, base: AlgebraSignature) -> Tuple[SuperMatrix, SuperMatrix]:
-    """Split a matrix over ``A(eps)`` as ``(eps-free part, eps-coefficient)``,
-    both over the base algebra, entry by entry (:func:`algebra.split_dual`)."""
-    split = [[split_dual(e, base) for e in row] for row in x.rows]
-    return tuple(SuperMatrix(x.m, x.n, base, [[pair[part] for pair in row] for row in split], check=False)
-                 for part in (0, 1))
-
 
 def kernel_point(m_ext: SuperMatrix, eps: SuperNumber) -> SuperMatrix:
     """``Id + eps * M`` over the extended algebra, with ``M`` already mapped
@@ -390,45 +390,40 @@ def group_commutator_identity(kind: MatrixKind, sig: AlgebraSignature, samples: 
 # fixed-span agreement between the group and algebra pictures
 # ---------------------------------------------------------------------------
 
-def fixed_span_maps(desc: Descriptor, sig: AlgebraSignature):
-    """The group side of :func:`lie_fixed_span_check`: the lifted structure
-    read on the dual-number kernel ``Id + eps M``, as a real-linear map on
-    ``g(A)``, evaluated generically with no inverse: ``N(z) = Id + eps C``
-    (:attr:`Descriptor.lift_map`) makes an inverse-neg ``F(z) = Id - eps C``.
-    An ``N(z)`` off the kernel is lifted (:func:`lift`) to raise as ``F`` does.
-    Returns ``(layout, group_side)``."""
-    desc.require_conjugation(sig)
-    kind = desc.kind
-    layout = CoordLayout(kind, sig)
-    ext, include, _, eps = adjoin_dual(sig)
-    ident = identity_matrix(kind.m, kind.n, ext)
-
-    def group_side(t):
-        z = kernel_point(matrix_of(t).map_entries(include.apply, ext), eps)
-        free, coef = eps_split(apply_expr(desc.lift_map, z) - ident, sig)
-        if not free.is_zero():
-            lift(desc, z)      # raises where F cannot be formed
-            raise AssertionError("lifted image of a kernel point left the kernel")
-        return tensor_of(kind, -coef if desc.lift_form == "inverse-neg" else coef)
-
-    return layout, group_side
+def kernel_map(desc: Descriptor) -> PositionalMap:
+    """The lifted structure on the dual-number kernel, as a positional map
+    on ``g(A)``: ``N = desc.lift_map`` for a direct lift, ``-N`` for an
+    inverse-neg one (see the module notes), when ``N(Id) == Id``."""
+    if desc.lift_form == "inverse-neg":
+        return compile_expr((neg_step(),), desc.kind.m, desc.kind.n).compose(desc.lift_map)
+    return desc.lift_map
 
 
 def lie_fixed_span_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
     """Compare the fixed span of the lifted structure on the dual-number
     kernel with the fixed span of the algebra-level structure, exactly.
 
+    The lift keeps the kernel exactly when ``N(Id) == Id`` (see the module
+    notes), tested once over ``A = sig``.  Otherwise ``F(Id)`` is formed
+    (:func:`lift`), which raises :class:`NotInvertibleMatrix` where ``F``
+    cannot be formed, as on every kernel point, whose body is that of
+    ``N(Id)``; where it can, ``AssertionError`` is raised.
+
     Both sides are fixed vectors of real-linear maps on the same coordinate
-    system: the group side of :func:`fixed_span_maps`, and the algebra side
-    from :func:`superforms.realforms.fixed_point_coords`.  The result records
-    both dimensions and whether the spans agree as Q-subspaces.  Each side is
-    the canonical basis of its span (see
+    system, read off a positional map's vector action by
+    :func:`superforms.realforms.fixed_point_coords`: the group side off
+    :func:`kernel_map`, and the algebra side off ``desc.compiled``.  The
+    result records both dimensions and whether the spans agree as
+    Q-subspaces.  Each side is the canonical basis of its span (see
     :func:`superforms.realforms.fixed_vectors`), so the spans agree exactly
     when the two lists of vectors are equal.
     """
-    layout, group_side = fixed_span_maps(desc, sig)
-    group_span = layout.fixed_vectors(group_side)
-    algebra_span, _ = fixed_point_coords(desc, sig)
+    ident = identity_matrix(desc.kind.m, desc.kind.n, sig)
+    if apply_expr(desc.lift_map, ident) != ident:
+        lift(desc, ident)
+        raise AssertionError("lifted image of a kernel point left the kernel")
+    group_span, layout = fixed_point_coords(desc, sig, kernel_map(desc))
+    algebra_span, _ = fixed_point_coords(desc, sig, desc.compiled)
     return {
         "descriptor": desc.display(group=True),
         "group_fixed_dimension": len(group_span),

@@ -228,16 +228,17 @@ class VectorConjugation(_ConjugationFields):
         return -1 if (self.conjugation == GRADED and parity == ODD) else 1
 
 
-def _vector_action(desc: Descriptor) -> Tuple[int, List[Optional[List[Tuple[int, GaussianRational]]]]]:
-    """The descriptor's action on the defining space, read off its compiled
-    map: ``k`` entrywise conjugations, then the constant map ``L``.
+def _vector_action(desc: Descriptor, own: PositionalMap
+                   ) -> Tuple[int, List[Optional[List[Tuple[int, GaussianRational]]]]]:
+    """The action on the defining space of ``own``, a positional map on the
+    descriptor's shape: ``k`` entrywise conjugations, then the constant map
+    ``L``.
 
     Returns ``k`` and one entry per basis vector: entry ``i`` decomposes
     ``L(v_i)``, ``v_i`` conjugated when ``k`` is odd, in the basis vectors of
     ``v_i``'s parity, or is ``None`` when that image leaves the algebra.
     Each image is read from ``v_i``'s sparse support through the map's source
     index (:meth:`PositionalMap.apply_support`)."""
-    own = desc.compiled
     index = own.source_index()
     return own.conjugations, [decompose_cells(desc.kind, own.apply_support(v.support, index), v.parity)
                               for v in basis_of(desc.kind)]
@@ -256,7 +257,7 @@ def extract_vector_conjugation(desc: Descriptor) -> VectorConjugation:
     ExtractionMismatch is raised on the first odd vector.
     """
     kind = desc.kind
-    conjugations, action = _vector_action(desc)
+    conjugations, action = _vector_action(desc, desc.compiled)
     sig = AlgebraSignature(1, 0, 0, desc.conjugation)
     t1, t1bar = basis_keys(sig, ODD)
     image_key, sign = conjugate_monomial(sig, t1, conjugations)
@@ -295,7 +296,7 @@ def _validate_square(phi: VectorConjugation):
                     f"square of extracted map is not the expected parity sign "
                     f"(vector {v.index})"
                 )
-        if v.index not in acc and expected_sign:
+        if v.index not in acc:
             raise ExtractionMismatch(
                 f"square of extracted map vanishes on vector {v.index}"
             )
@@ -459,16 +460,6 @@ class CoordLayout:
         coeffs = {i: SuperNumber(self.sig, t) for i, t in terms.items()}
         return TensorElement(self.kind, self.sig, coeffs, check=False)
 
-    def fixed_vectors(self, func: Callable[[TensorElement], TensorElement]) -> List[Dict[int, GaussianRational]]:
-        """Real basis, as complex coordinate dicts, of the fixed points of a
-        real-linear map on ``g(A)``."""
-        def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
-            i, key = self.entries[p]
-            unit_tensor = TensorElement(self.kind, self.sig, {i: SuperNumber(self.sig, {key: unit})}, check=False)
-            return self.complex_coords(func(unit_tensor))
-
-        return fixed_vectors(self.complex_dim, image)
-
 
 def fixed_point_data(desc: Descriptor, sig: AlgebraSignature):
     """Exact fixed-point basis of the structure over ``A``.
@@ -479,18 +470,19 @@ def fixed_point_data(desc: Descriptor, sig: AlgebraSignature):
     a real fixed form of exactly that real dimension).  The points are the
     vectors of :func:`fixed_point_coords`, as matrices.
     """
-    vectors, layout = fixed_point_coords(desc, sig)
+    vectors, layout = fixed_point_coords(desc, sig, desc.compiled)
     points = [matrix_of(layout.tensor_from(v)) for v in vectors]
     return points, layout, layout.complex_dim
 
 
-def fixed_point_coords(desc: Descriptor, sig: AlgebraSignature
+def fixed_point_coords(desc: Descriptor, sig: AlgebraSignature, own: PositionalMap
                        ) -> Tuple[List[Dict[int, GaussianRational]], CoordLayout]:
-    """The canonical real basis of the fixed points of the structure over
-    ``A`` (see :func:`fixed_vectors`), as complex coordinate dicts on the
-    returned layout of ``g(A)``.
+    """The canonical real basis of the fixed points over ``A`` of ``own``, a
+    positional map on the descriptor's shape (the structure's is
+    ``desc.compiled``), see :func:`fixed_vectors`, as complex coordinate
+    dicts on the returned layout of ``g(A)``.
 
-    The structure map is a constant map ``L`` after ``k`` entrywise
+    The map is a constant map ``L`` after ``k`` entrywise
     conjugations (see :mod:`superforms.exprs`), and ``k`` conjugations send a
     monomial ``t`` to ``c t'`` with ``c = +-1``.  So the image of
     ``u t (x) v_i`` is ``c t' (x) u' L(v_i')``, where ``u'`` and ``v_i'`` are
@@ -502,7 +494,7 @@ def fixed_point_coords(desc: Descriptor, sig: AlgebraSignature
     desc.require_conjugation(sig)
     kind = desc.kind
     layout = CoordLayout(kind, sig)
-    conjugations, action = _vector_action(desc)
+    conjugations, action = _vector_action(desc, own)
     relabel = {}
 
     def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
@@ -596,7 +588,7 @@ def representability_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
         if not odd_vectors:
             raise ValueError("the defining space has no odd vectors")
     phi = extract_vector_conjugation(desc)
-    fixed, layout = fixed_point_coords(desc, sig)
+    fixed, layout = fixed_point_coords(desc, sig, desc.compiled)
     span = _product_span(phi, sig, layout)
 
     result: Dict = {

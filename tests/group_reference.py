@@ -10,7 +10,9 @@ test oracles.
   ``A(e,h)`` per sample.  It reads ``groups.commutator`` at call time, so a
   test that replaces it there replaces it in both loops.
 * ``reference_fixed_span_maps`` evaluates ``F`` on every kernel point, with
-  a matrix inverse for an inverse-neg lift.
+  a matrix inverse for an inverse-neg lift, and reads ``M`` back with
+  ``eps_split``; ``layout_fixed_vectors`` takes the fixed vectors of such a
+  map by evaluating it on every coordinate of ``g(A)``.
 
 The random draws are those of the package's functions, in the same order,
 so the tests require their outcomes (statuses, counts and witnesses, or
@@ -18,18 +20,40 @@ fixed vectors) to equal these exactly.
 """
 
 from superforms import groups
-from superforms.algebra import adjoin_dual, dual_scale, scalar
+from superforms.algebra import SuperNumber, adjoin_dual, dual_scale, epsilon, scalar
 from superforms.exprs import apply_expr
 from superforms.groups import (
-    GROUP_CHECK_NAMES, eps_split, group_membership_defect, kernel_point, lift, sample_group,
+    GROUP_CHECK_NAMES, group_membership_defect, kernel_point, lift, sample_group,
 )
-from superforms.liealg import matrix_of, tensor_of
+from superforms.liealg import TensorElement, matrix_of, tensor_of
 from superforms.literals import format_number
-from superforms.matrices import identity_matrix
-from superforms.realforms import CoordLayout, matrix_literal
+from superforms.matrices import SuperMatrix, identity_matrix
+from superforms.realforms import CoordLayout, fixed_vectors, matrix_literal
 from superforms.report import Tally
 from superforms.sampling import random_even, random_point, require_samples, rng_for
 from superforms.scalars import I
+
+
+def split_dual(x, base):
+    """``x`` in ``A(eps)`` as ``(a, b)`` over ``base = A``, ``x = a + b eps``,
+    ``eps`` the last even generator (:func:`superforms.algebra.adjoin_dual`'s).
+    ``eps`` is even, so ``b eps`` keeps the keys of ``b`` with its bit set."""
+    (bit, _), = epsilon(x.sig, x.sig.even_nilpotents - 1).items()
+    free, held = {}, {}
+    for key, c in x.items():
+        if key & bit:
+            held[key ^ bit] = c
+        else:
+            free[key] = c
+    return SuperNumber(base, free), SuperNumber(base, held)
+
+
+def eps_split(x, base):
+    """Split a matrix over ``A(eps)`` as ``(eps-free part, eps-coefficient)``,
+    both over ``base``, entry by entry (:func:`split_dual`)."""
+    split = [[split_dual(e, base) for e in row] for row in x.rows]
+    return tuple(SuperMatrix(x.m, x.n, base, [[pair[part] for pair in row] for row in split], check=False)
+                 for part in (0, 1))
 
 
 def reference_verify_group_structure(desc, sig, samples=50, seed=0):
@@ -132,3 +156,16 @@ def reference_fixed_span_maps(desc, sig):
         return tensor_of(kind, coef)
 
     return layout, group_side
+
+
+def layout_fixed_vectors(layout, func):
+    """Real basis, as complex coordinate dicts on ``layout``, of the fixed
+    points of a real-linear map ``func`` on ``g(A)``, evaluated on the unit
+    tensor of every coordinate."""
+    def image(p, unit):
+        i, key = layout.entries[p]
+        unit_tensor = TensorElement(layout.kind, layout.sig, {i: SuperNumber(layout.sig, {key: unit})},
+                                    check=False)
+        return layout.complex_coords(func(unit_tensor))
+
+    return fixed_vectors(layout.complex_dim, image)

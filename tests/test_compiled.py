@@ -35,7 +35,7 @@ from superforms.catalog import Descriptor, applicable_names, build, corrupted_si
 from superforms.exprs import (
     ad_step, apply_expr, compile_expr, conj_step, delta_step, neg_step, negst_step, pi_step,
 )
-from superforms.groups import lie_fixed_span_check, lift, sample_group, verify_group_structure
+from superforms.groups import kernel_map, lie_fixed_span_check, lift, sample_group, verify_group_structure
 from superforms.liealg import OSP, SL, MatrixKind, combination_cells
 from superforms.realforms import _vector_action, compactness_data, gram_matrix, verify_structure
 from superforms.sampling import random_element, random_even, random_point
@@ -117,6 +117,12 @@ def test_composed_compile_matches_probe_compile(desc):
         assert compiled == compile_expr(steps, m, n) == probe_compile_expr(steps, m, n)
 
 
+def test_the_kernel_map_of_every_catalog_lift_is_the_compiled_structure():
+    # the fixed-span group side reads N, or -N for an inverse-neg lift
+    for desc in every_descriptor():
+        assert kernel_map(desc) == desc.compiled, label(desc)
+
+
 def test_compile_evaluates_no_matrix(monkeypatch):
     from superforms.matrices import SuperMatrix
 
@@ -175,7 +181,7 @@ def test_composed_compile_matches_probe_compile_on_random_runs(shape, seed):
 
 @pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS, ids=label)
 def test_vector_action_reads_supports_like_dense_grids(desc):
-    action = _vector_action(desc)
+    action = _vector_action(desc, desc.compiled)
     assert action == dense_vector_action(desc)
     assert (None in action[1]) == (desc.name == "mixing")
 

@@ -22,6 +22,7 @@ from dense_reference import (
     dense_rebuild_matches, dense_representability, in_span, nullspace, osp_basis_grids, rank, real_coordinates, rref,
     solve_decompose, solve_tensor_of, spans_equal, summed_matrix_of,
 )
+from group_reference import layout_fixed_vectors, reference_fixed_span_maps
 from probe_reference import evaluated_fixed_point_coords, probe_extract_vector_conjugation
 from superforms import linalg
 from superforms.algebra import (
@@ -29,7 +30,7 @@ from superforms.algebra import (
 )
 from superforms.catalog import applicable_names, build, param_choices
 from superforms.exprs import PositionalMap, apply_expr, compile_expr
-from superforms.groups import fixed_span_maps
+from superforms.groups import kernel_map
 from superforms.liealg import (
     GL, OSP, SL, MatrixKind, MembershipError, TensorElement, basis_of, decompose_in_basis, matrix_of,
     membership_defect, tensor_of,
@@ -75,7 +76,7 @@ def test_block_kernel_matches_dense_nullspace(desc):
         return tensor_of(desc.kind, apply_expr(desc.steps, matrix_of(t)))
 
     expected = dense_layout_fixed_vectors(layout, act)
-    vectors = layout.fixed_vectors(act)
+    vectors = layout_fixed_vectors(layout, act)
     assert as_real(layout, vectors) == expected
     points, _, _ = fixed_point_data(desc, sig)
     assert points == [matrix_of(layout.tensor_from(v)) for v in vectors]
@@ -86,12 +87,13 @@ def test_block_kernel_matches_dense_nullspace(desc):
     for fam, m, n in SHAPES for name in applicable_names(MatrixKind(fam, m, n))
 ], ids=lambda d: d.display(group=True))
 def test_block_kernel_matches_dense_on_fixed_span_maps(desc):
-    layout, group_side = fixed_span_maps(desc, one_pair(desc))
+    sig = one_pair(desc)
+    layout, group_side = reference_fixed_span_maps(desc, sig)
 
     def algebra_side(t):
         return tensor_of(desc.kind, apply_expr(desc.steps, matrix_of(t)))
 
-    spans = [layout.fixed_vectors(side) for side in (group_side, algebra_side)]
+    spans = [fixed_point_coords(desc, sig, own)[0] for own in (kernel_map(desc), desc.compiled)]
     for side, vectors in zip((group_side, algebra_side), spans):
         assert as_real(layout, vectors) == dense_layout_fixed_vectors(layout, side)
     # lie_fixed_span_check compares the canonical bases as lists
@@ -257,7 +259,7 @@ def test_span_basis_matches_dense_rank_spans_and_membership(width, count, seed):
                          ids=lambda d: d.display() + (" strict" if d.strict else ""))
 def test_span_basis_keeps_fixed_vectors(desc):
     # fixed_vectors already returns the canonical basis of its span
-    vectors, _ = fixed_point_coords(desc, one_pair(desc))
+    vectors, _ = fixed_point_coords(desc, one_pair(desc), desc.compiled)
     real = [to_real(v) for v in vectors]
     assert linalg.span_basis(real) == real
     assert linalg.span_basis(reversed(real)) == real
@@ -422,7 +424,7 @@ def test_fixed_point_data_relabels_like_per_monomial_images(sig):
             return tensor_of(desc.kind, apply_expr(desc.steps, matrix_of(t)))
 
         points, _, _ = fixed_point_data(desc, sig)
-        assert points == [matrix_of(layout.tensor_from(v)) for v in layout.fixed_vectors(act)]
+        assert points == [matrix_of(layout.tensor_from(v)) for v in layout_fixed_vectors(layout, act)]
 
 
 def test_rebuild_map_matches_the_tensor_route():
@@ -794,9 +796,10 @@ def test_vector_action_matches_probe_evaluations(desc):
     for sig in (AlgebraSignature(1, 0, 1, STANDARD), AlgebraSignature(1, 0, 1, GRADED)):
         if sig.conjugation != desc.conjugation:     # the other conjugation is refused
             with pytest.raises(ValueError, match=f"needs {desc.conjugation} conjugation"):
-                fixed_point_coords(desc, sig)
+                fixed_point_coords(desc, sig, desc.compiled)
             continue
-        new, old = (outcome(fixed, desc, sig) for fixed in (fixed_point_coords, evaluated_fixed_point_coords))
+        new, old = (outcome(fixed, desc, sig) for fixed in (
+            lambda d, s: fixed_point_coords(d, s, d.compiled), evaluated_fixed_point_coords))
         if old[0] == "MembershipError":
             assert new[0] == "MembershipError"      # the messages name different defects
         else:

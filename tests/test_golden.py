@@ -40,6 +40,7 @@ COMMANDS = (
     "verify osp 1 2 psi1 --strict-printed --samples 3",
     "verify sl 2 1 Sigma1 --odd-selfreal 1 --even-nil 1 --samples 2",
     "verify osp 2 2 Psi1 --odd-pairs 2 --samples 2",
+    "verify sl 2 2 Omega2 --odd-pairs 2 --even-nil 1 --samples 2",
     "fixed-basis sl 1 1 sigma1",
     "fixed-basis sl 1 1 sigma1 --odd-pairs 2",
     "fixed-basis sl 2 2 sigma2",

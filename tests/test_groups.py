@@ -3,11 +3,11 @@ group-commutator bracket identity, fixed-span agreement."""
 
 import pytest
 
-from group_reference import reference_group_commutator_identity
+from group_reference import eps_split, reference_group_commutator_identity
 from superforms.algebra import AlgebraSignature, GRADED, STANDARD, adjoin_dual, epsilon, even_mask_of, one
 from superforms.catalog import applicable_names, build
 from superforms.groups import (
-    SL_DRAWS_PER_FACTOR, SamplingFailed, eps_split, group_contains, group_membership_defect,
+    SL_DRAWS_PER_FACTOR, SamplingFailed, group_contains, group_membership_defect,
     group_commutator_identity, kernel_point, lie_fixed_span_check, sample_group,
     sample_invertible, sample_osp, sample_sl, verify_group_structure,
 )
@@ -228,20 +228,16 @@ def test_fixed_span_agreement_all_descriptors():
 
 
 def test_fixed_span_check_tells_apart_spans_of_equal_dimension(monkeypatch):
-    # -sigma is an antilinear involution too; its fixed points are i times
-    # those of sigma, a different span of the same dimension
-    from superforms import groups
-    from superforms.exprs import apply_expr
-    from superforms.liealg import TensorElement, matrix_of, tensor_of
+    # -L is an antilinear involution too; its fixed points are i times those
+    # of L, a different span of the same dimension.  Planted as the
+    # algebra-level map of the inverse-neg sigma1, whose kernel map is -N = L
+    from superforms.catalog import Descriptor
 
     desc = build("sigma1", MatrixKind(SL, 2, 1))
-    layout, _ = groups.fixed_span_maps(desc, SIG1S)
-
-    def negated(t):
-        image = tensor_of(desc.kind, apply_expr(desc.compiled, matrix_of(t)))
-        return TensorElement(image.kind, image.sig, {i: -c for i, c in image.coeffs.items()}, check=False)
-
-    monkeypatch.setattr(groups, "fixed_span_maps", lambda d, s: (layout, negated))
+    assert desc.lift_form == "inverse-neg"
+    minus = desc.lift_map
+    assert minus != desc.compiled
+    monkeypatch.setattr(Descriptor, "compiled", property(lambda d: minus))
     res = lie_fixed_span_check(desc, SIG1S)
     assert res["group_fixed_dimension"] == res["algebra_fixed_dimension"] == res["expected_dimension"]
     assert res["spans_agree"] is False

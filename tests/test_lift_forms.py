@@ -1,14 +1,16 @@
 """Group checks read through ``N = Descriptor.lift_map``: the package's
 outcomes equal the ``F``-form oracle's, every check can fail, an inverse-neg
 lift inverts one matrix per sample, and a singular ``N`` image raises as the
-lift does.  The group side of the fixed-span check reads ``N`` too, with no
-inverse, and its fixed vectors equal those of the ``F``-form oracle."""
+lift does.  The group side of the fixed-span check reads the vector action
+of ``N``, or ``-N`` for an inverse-neg lift, which is the compiled structure
+for every catalog lift; its fixed vectors equal those of the ``F``-form
+oracle, and a lift that leaves the kernel raises as the oracle does."""
 
 import pytest
 
-from group_reference import reference_fixed_span_maps, reference_verify_group_structure
-from superforms import groups
-from superforms.algebra import AlgebraSignature
+from group_reference import layout_fixed_vectors, reference_fixed_span_maps, reference_verify_group_structure
+from superforms import groups, realforms
+from superforms.algebra import AlgebraSignature, STANDARD
 from superforms.catalog import Descriptor, applicable_names, build, corrupted_sigma1
 from superforms.exprs import PositionalMap, delta_step
 from superforms.liealg import MatrixKind, OSP, SL
@@ -141,29 +143,72 @@ def test_a_singular_image_raises_as_the_lift_does(monkeypatch, desc, sample, pos
             verify(desc, sig, samples=2, seed=8)
 
 
-def span_outcome(maps, desc, sig):
-    """The fixed vectors of a group side, or the exception it raised."""
-    layout, group_side = maps(desc, sig)
+def oracle_span(desc, sig):
+    """The fixed vectors of the ``F``-form group side, or the exception it raised."""
+    layout, group_side = reference_fixed_span_maps(desc, sig)
     try:
-        return layout.fixed_vectors(group_side)
+        return layout_fixed_vectors(layout, group_side)
     except (NotInvertibleMatrix, AssertionError) as exc:
         return type(exc), str(exc)
 
 
-SPAN_CASES = (
-    [(build(name, kind), pairs) for kind in SL_SHAPES + OSP_SHAPES
-     for name in applicable_names(kind) for pairs in (0, 1)]
-    + [(desc, pairs) for kind in SL_SHAPES for desc in planted_lifts(kind) for pairs in (0, 1)]
-)
+def group_span(monkeypatch, desc, sig):
+    """The group side's fixed vectors in :func:`groups.lie_fixed_span_check`,
+    the first of its two :func:`realforms.fixed_point_coords` calls, or the
+    exception the check raised."""
+    spans = []
+
+    def recorded(*args):
+        result = realforms.fixed_point_coords(*args)
+        spans.append(result[0])
+        return result
+
+    monkeypatch.setattr(groups, "fixed_point_coords", recorded)
+    try:
+        groups.lie_fixed_span_check(desc, sig)
+    except (NotInvertibleMatrix, AssertionError) as exc:
+        return type(exc), str(exc)
+    assert len(spans) == 2
+    return spans[0]
 
 
-@pytest.mark.parametrize("case", SPAN_CASES, ids=case_id)
-def test_fixed_span_group_side_equals_the_f_form_oracle(case):
-    desc, pairs = case
-    sig = sig_for(desc, pairs)
-    vectors = span_outcome(groups.fixed_span_maps, desc, sig)
-    assert isinstance(vectors, list)
-    assert vectors == span_outcome(reference_fixed_span_maps, desc, sig)
+def span_signatures(desc, pairs):
+    """A case's signature, and the same at 2 odd pairs, with an even
+    nilpotent, and with a self-real odd generator where the conjugation is
+    standard."""
+    conjugation = desc.conjugation
+    sigs = [AlgebraSignature(pairs, 0, 0, conjugation), AlgebraSignature(2, 0, 0, conjugation),
+            AlgebraSignature(pairs, 0, 1, conjugation)]
+    if conjugation == STANDARD:
+        sigs.append(AlgebraSignature(pairs, 1, 0, conjugation))
+    return sigs
+
+
+SPAN_CASES = list(dict.fromkeys((desc, sig) for desc, pairs in CASES for sig in span_signatures(desc, pairs)))
+
+
+def span_case_id(case):
+    desc, sig = case
+    extra = "-S1" * sig.odd_selfreal + "-E1" * sig.even_nilpotents
+    return f"{desc.display(group=True)}-P{sig.odd_pairs}{extra}"
+
+
+@pytest.mark.parametrize("case", SPAN_CASES, ids=span_case_id)
+def test_fixed_span_group_side_equals_the_f_form_oracle(monkeypatch, case):
+    desc, sig = case
+    vectors = group_span(monkeypatch, desc, sig)
+    assert vectors == oracle_span(desc, sig)
+
+
+def test_the_fixed_span_check_evaluates_one_matrix_and_no_kernel_point(monkeypatch):
+    sigma1 = build("sigma1", MatrixKind(SL, 2, 2))
+    assert sigma1.lift_form == "inverse-neg"
+    applied, adjoined = [], []
+    apply_expr, adjoin_dual = groups.apply_expr, groups.adjoin_dual
+    monkeypatch.setattr(groups, "apply_expr", lambda *args: applied.append(args) or apply_expr(*args))
+    monkeypatch.setattr(groups, "adjoin_dual", lambda *args: adjoined.append(args) or adjoin_dual(*args))
+    assert groups.lie_fixed_span_check(sigma1, sig_for(sigma1, 1))["spans_agree"] is True
+    assert (len(applied), adjoined) == (1, [])
 
 
 def test_the_fixed_span_check_inverts_no_matrix(monkeypatch):
@@ -171,8 +216,7 @@ def test_the_fixed_span_check_inverts_no_matrix(monkeypatch):
     assert sigma1.lift_form == "inverse-neg"
     assert count_inverses(monkeypatch, lambda desc, sig, **_: groups.lie_fixed_span_check(desc, sig),
                           sigma1, 1) == 0
-    assert count_inverses(monkeypatch, lambda desc, sig, **_: span_outcome(reference_fixed_span_maps, desc, sig),
-                          sigma1, 1) > 0
+    assert count_inverses(monkeypatch, lambda desc, sig, **_: oracle_span(desc, sig), sigma1, 1) > 0
 
 
 @pytest.mark.parametrize("name, planted, error", [
@@ -188,6 +232,6 @@ def test_an_image_off_the_kernel_raises_as_the_lift_does(monkeypatch, name, plan
     desc = build(name, MatrixKind(SL, 2, 2))
     plant_lift_map(monkeypatch, desc.lift_map, lambda base, x: planted(x))
     sig = sig_for(desc, 1)
-    outcome = span_outcome(groups.fixed_span_maps, desc, sig)
+    outcome = group_span(monkeypatch, desc, sig)
     assert outcome[0] is error
-    assert outcome == span_outcome(reference_fixed_span_maps, desc, sig)
+    assert outcome == oracle_span(desc, sig)

@@ -22,6 +22,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from group_reference import eps_split, split_dual
 from product_reference import (
     PerTerm, dual_scaling_morphism, per_term_apply, per_term_dual_scale, per_term_split_dual,
     per_term_sum_of_products, reference_cayley, reference_commutator, reference_conj_mask,
@@ -34,13 +35,13 @@ from superforms import algebra, liealg, linalg
 from superforms.algebra import (
     EVEN, GRADED, MAX_ODD, ODD, STANDARD, AlgebraMorphism, AlgebraSignature, SuperNumber, adjoin_dual,
     basis_keys, conjugate_monomial, dual_scale, epsilon, generators,
-    identity_plus_multiple, kill_pair_projection, mono_mul, odd_mask_of, one, scalar, split_dual,
+    identity_plus_multiple, kill_pair_projection, mono_mul, odd_mask_of, one, scalar,
     sum_of_products, theta, theta_bar,
 )
 from superforms.catalog import applicable_names, build, param_choices
 from superforms.exprs import PositionalMap
 from superforms import matrices
-from superforms.groups import eps_split, kernel_point, sample_invertible, sample_osp, sample_sl
+from superforms.groups import kernel_point, sample_invertible, sample_osp, sample_sl
 from superforms.liealg import (
     GL, OSP, SL, MatrixKind, TensorElement, basis_of, even_rules_bracket, vector_bracket,
 )

@@ -95,7 +95,7 @@ def test_group_only_descriptor_is_refused_everywhere():
 
     desc = Descriptor("x", MatrixKind(SL, 1, 1), STANDARD, (conj_step(), ginv_step()))
     for check in (extract_vector_conjugation, compactness_data,
-                  lambda d: fixed_point_coords(d, SIG1S), lambda d: fixed_point_data(d, SIG1S),
+                  lambda d: fixed_point_coords(d, SIG1S, d.compiled), lambda d: fixed_point_data(d, SIG1S),
                   lambda d: representability_check(d, SIG1S), lambda d: lie_fixed_span_check(d, SIG1S),
                   lambda d: verify_structure(d, SIG1S, samples=1)):
         with pytest.raises(ValueError, match="^matrix inverse is a group-level step$"):
@@ -209,7 +209,7 @@ OTHER_CONJUGATION_CHECKS = {
     "verify_structure": lambda d, s: verify_structure(d, s, samples=1),
     "verify_group_structure": lambda d, s: verify_group_structure(d, s, samples=1),
     "rebuild_matches": lambda d, s: rebuild_matches(d, extract_vector_conjugation(d), s, samples=1),
-    "fixed_point_coords": fixed_point_coords,
+    "fixed_point_coords": lambda d, s: fixed_point_coords(d, s, d.compiled),
     "fixed_point_data": fixed_point_data,
     "representability_check": representability_check,
     "lie_fixed_span_check": lie_fixed_span_check,
