@@ -416,14 +416,17 @@ def lie_fixed_span_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
     result records both dimensions and whether the spans agree as
     Q-subspaces.  Each side is the canonical basis of its span (see
     :func:`superforms.realforms.fixed_vectors`), so the spans agree exactly
-    when the two lists of vectors are equal.
+    when the two lists of vectors are equal.  When the two maps are equal
+    as tuples, as for every catalog lift, one basis serves both sides.
     """
     ident = identity_matrix(desc.kind.m, desc.kind.n, sig)
     if apply_expr(desc.lift_map, ident) != ident:
         lift(desc, ident)
         raise AssertionError("lifted image of a kernel point left the kernel")
-    group_span, layout = fixed_point_coords(desc, sig, kernel_map(desc))
-    algebra_span, _ = fixed_point_coords(desc, sig, desc.compiled)
+    group_map = kernel_map(desc)
+    group_span, layout = fixed_point_coords(desc, sig, group_map)
+    algebra_span = (group_span if group_map == desc.compiled
+                    else fixed_point_coords(desc, sig, desc.compiled)[0])
     return {
         "descriptor": desc.display(group=True),
         "group_fixed_dimension": len(group_span),

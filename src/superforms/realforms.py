@@ -11,7 +11,8 @@ This module houses the substance of the package:
   ``g(A)``, decided exactly on a basis of ``g`` (its docstring has the
   lemma);
 * :func:`fixed_point_data` / :func:`fixed_point_coords` — exact basis of the
-  fixed-point set over a given coefficient algebra;
+  fixed-point set over a given coefficient algebra, one null space per
+  monomial orbit type;
 * :func:`representability_check` — the standard/graded dichotomy: standard
   structures have fixed sets spanned by real-coefficient combinations of
   fixed vectors; graded ones admit an explicit fixed point outside that span;
@@ -489,27 +490,66 @@ def fixed_point_coords(desc: Descriptor, sig: AlgebraSignature, own: PositionalM
     ``u`` and ``v_i``, conjugated when ``k`` is odd: ``u'`` times the vector
     action entry of ``v_i`` (:func:`_vector_action`), relabelled from ``t``
     to ``t'`` with the sign ``c``.  No matrix is evaluated.  An action entry
-    of ``None`` means the image left ``g(A)`` and raises MembershipError.
+    of ``None`` means the image left ``g(A)``: the first such basis vector
+    that has a coordinate raises MembershipError.
+
+    Lemma.  The map sends the coordinates ``(v_i, t)`` of one parity, ``t``
+    in an orbit ``{t, t'}`` of ``conj^k`` on that parity's keys, to the
+    coordinates ``(v_j, s)`` with ``s`` in the same orbit, so it is block
+    diagonal over the orbits.  Number a block's coordinates by the parity's
+    basis vectors, then the orbit's keys, both increasing: this is the
+    layout's order, so the block embeds in the layout monotonically.  On
+    these local coordinates the block depends only on the orbit's *type*:
+    the parity, the orbit's size (1 or 2) and the signs ``c`` of its keys.
+    The canonical basis of a direct sum on disjoint coordinates is the union
+    of the summands' canonical bases (each vector stays 1 at its own last
+    index, 0 at the others' and 0 after its own), and a monotone relabelling
+    keeps a basis canonical.  So one :func:`fixed_vectors` per type,
+    relabelled into each orbit of the type and ordered by last index, is
+    the canonical basis of the whole map.  The elimination never mixes
+    blocks, so each vector is also built entry by entry as one elimination
+    on all coordinates would build it, and its keys come in the same order.
     """
     desc.require_conjugation(sig)
     kind = desc.kind
     layout = CoordLayout(kind, sig)
     conjugations, action = _vector_action(desc, own)
-    relabel = {}
-
-    def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
-        i, key = layout.entries[p]
-        decomposition = action[i]
-        if decomposition is None:
-            raise MembershipError(f"not a point of {kind.display()}: image of basis vector {i} left the algebra")
-        if (key, unit) not in relabel:
+    for v in basis_of(kind):
+        if action[v.index] is None and basis_keys(sig, v.parity):
+            raise MembershipError(f"not a point of {kind.display()}: image of basis vector {v.index} left the algebra")
+    scales = {unit: unit.conjugate() if conjugations & 1 else unit for unit in (ONE, I)}
+    vectors = []
+    for parity in (EVEN, ODD):
+        indices = [v.index for v in basis_of(kind) if v.parity == parity]
+        keys = basis_keys(sig, parity)
+        if not indices or not keys:
+            continue
+        orbits: Dict[tuple, List[Tuple[int, ...]]] = {}
+        for key in keys:
             image_key, sign = conjugate_monomial(sig, key, conjugations)
-            scale = unit.conjugate() if conjugations & 1 else unit
-            relabel[key, unit] = image_key, scale if sign > 0 else -scale
-        image_key, scale = relabel[key, unit]
-        return {layout.pos[(j, image_key)]: z * scale for j, z in decomposition}
+            if image_key < key:
+                continue                    # listed with its partner
+            if image_key == key:
+                orbits.setdefault((sign,), []).append((key,))
+            else:
+                signs = (sign, conjugate_monomial(sig, image_key, conjugations)[1])
+                orbits.setdefault(signs, []).append((key, image_key))
+        local = {i: a for a, i in enumerate(indices)}
+        for signs, members in orbits.items():
+            size = len(signs)
 
-    return fixed_vectors(layout.complex_dim, image), layout
+            def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
+                a, s = divmod(p, size)
+                scale = scales[unit] if signs[s] > 0 else -scales[unit]
+                target = (s + 1) % size
+                return {local[j] * size + target: z * scale for j, z in action[indices[a]]}
+
+            block = fixed_vectors(len(indices) * size, image)
+            for orbit in members:
+                embed = [layout.pos[i, key] for i in indices for key in orbit]
+                vectors += [{embed[p]: z for p, z in vec.items()} for vec in block]
+    vectors.sort(key=max)
+    return vectors, layout
 
 
 # ---------------------------------------------------------------------------

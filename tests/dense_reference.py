@@ -10,6 +10,9 @@ canonical bases and compared spans through them:
   the form the package's conditions had before they became ``id - sigma``;
 * the fixed points of a real-linear map as the nullspace of one dense
   ``M - I`` over all real coordinates;
+* ``global_fixed_point_coords``: the fixed points of a structure over ``A``
+  as one sparse null space on all real coordinates of ``g(A)``, from before
+  ``realforms.fixed_point_coords`` solved one block per monomial orbit type;
 * ``decompose_in_basis`` / ``tensor_of`` by one linear solve per monomial;
 * a compiled map applied to a whole constant grid, ``apply_constant``, and
   ``scan_decompose``, which reads every slot of a grid and compares whole
@@ -45,7 +48,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from superforms import linalg
 from superforms.algebra import (
-    EVEN, ODD, STANDARD, SuperNumber, basis_keys, key_parity, one, theta, theta_bar, theta_selfreal,
+    EVEN, ODD, STANDARD, SuperNumber, basis_keys, conjugate_monomial, key_parity, one, theta, theta_bar,
+    theta_selfreal,
 )
 from superforms.exprs import apply_expr
 from superforms.liealg import (
@@ -53,8 +57,8 @@ from superforms.liealg import (
 )
 from superforms.matrices import SuperMatrix, osp_form_grid, supertranspose_grid, zero_matrix
 from superforms.realforms import (
-    CoordLayout, extract_vector_conjugation, fixed_point_data, matrix_literal,
-    real_fixed_elements, real_fixed_vectors,
+    CoordLayout, _vector_action, extract_vector_conjugation, fixed_point_data, fixed_vectors,
+    matrix_literal, real_fixed_elements, real_fixed_vectors,
 )
 from superforms.report import CheckOutcome, Tally
 from superforms.scalars import GaussianRational, I, MINUS_ONE, ONE, ZERO
@@ -206,6 +210,33 @@ def dense_layout_fixed_vectors(layout: CoordLayout, func) -> List[List[GaussianR
             columns.append(layout_coords(layout, func(unit)))
     matrix = [[columns[c][r] for c in range(dim)] for r in range(dim)]
     return dense_fixed_vectors(matrix)
+
+
+def global_fixed_point_coords(desc, sig, own) -> Tuple[List[Dict[int, GaussianRational]], CoordLayout]:
+    """``realforms.fixed_point_coords`` as one :func:`realforms.fixed_vectors`
+    over every coordinate of the layout: the image of ``u t (x) v_i`` is
+    ``u'`` times ``v_i``'s vector action entry, relabelled from ``t`` to
+    ``conj^k(t) = c t'`` with the sign ``c``.  An entry of ``None`` raises
+    MembershipError when its first coordinate is reached."""
+    desc.require_conjugation(sig)
+    kind = desc.kind
+    layout = CoordLayout(kind, sig)
+    conjugations, action = _vector_action(desc, own)
+    relabel = {}
+
+    def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
+        i, key = layout.entries[p]
+        decomposition = action[i]
+        if decomposition is None:
+            raise MembershipError(f"not a point of {kind.display()}: image of basis vector {i} left the algebra")
+        if (key, unit) not in relabel:
+            image_key, sign = conjugate_monomial(sig, key, conjugations)
+            scale = unit.conjugate() if conjugations & 1 else unit
+            relabel[key, unit] = image_key, scale if sign > 0 else -scale
+        image_key, scale = relabel[key, unit]
+        return {layout.pos[(j, image_key)]: z * scale for j, z in decomposition}
+
+    return fixed_vectors(layout.complex_dim, image), layout
 
 
 def _join(re_part: GaussianRational, im_part: GaussianRational) -> GaussianRational:

@@ -53,6 +53,9 @@ COMMANDS = (
     "fixed-basis osp 2 2 xi2 --p 0",
     "fixed-basis osp 2 2 psi1 --p 1 --q 0",
     "fixed-basis osp 2 2 psi2",
+    "fixed-basis sl 2 2 omega2 --odd-pairs 2 --even-nil 1",
+    "fixed-basis sl 2 2 sigma1 --odd-pairs 2 --odd-selfreal 1",
+    "fixed-basis osp 2 2 xi2 --strict-printed --odd-pairs 2",
     "witness sl 1 1 omega2",
     "witness sl 2 1 sigma1 --p 1 --q 0",
     "witness sl 2 2 sigma2",

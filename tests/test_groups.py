@@ -8,7 +8,7 @@ from superforms.algebra import AlgebraSignature, GRADED, STANDARD, adjoin_dual, 
 from superforms.catalog import applicable_names, build
 from superforms.groups import (
     SL_DRAWS_PER_FACTOR, SamplingFailed, group_contains, group_membership_defect,
-    group_commutator_identity, kernel_point, lie_fixed_span_check, sample_group,
+    group_commutator_identity, kernel_map, kernel_point, lie_fixed_span_check, sample_group,
     sample_invertible, sample_osp, sample_sl, verify_group_structure,
 )
 from superforms.liealg import GL, MatrixKind, OSP, SL
@@ -227,6 +227,35 @@ def test_fixed_span_agreement_all_descriptors():
                 assert res["algebra_fixed_dimension"] == res["expected_dimension"]
 
 
+def count_fixed_point_coords(monkeypatch):
+    """Count the :func:`realforms.fixed_point_coords` calls that
+    :func:`groups.lie_fixed_span_check` makes."""
+    from superforms import groups, realforms
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return realforms.fixed_point_coords(*args)
+
+    monkeypatch.setattr(groups, "fixed_point_coords", counted)
+    return calls
+
+
+@pytest.mark.parametrize("desc", [build("sigma1", MatrixKind(SL, 2, 1)), build("omega2", MatrixKind(SL, 2, 1)),
+                                  build("xi1", MatrixKind(OSP, 1, 2)), build("psi1", MatrixKind(OSP, 1, 2))],
+                         ids=lambda d: d.display(group=True))
+def test_fixed_span_check_solves_once_for_a_catalog_lift(monkeypatch, desc):
+    # the kernel map of a catalog lift, inverse-neg or direct, is its compiled
+    # structure, so one basis serves both sides
+    assert kernel_map(desc) == desc.compiled
+    calls = count_fixed_point_coords(monkeypatch)
+    res = lie_fixed_span_check(desc, sig_for(desc))
+    assert len(calls) == 1
+    assert res["group_fixed_dimension"] == res["algebra_fixed_dimension"] == res["expected_dimension"]
+    assert res["spans_agree"] is True
+
+
 def test_fixed_span_check_tells_apart_spans_of_equal_dimension(monkeypatch):
     # -L is an antilinear involution too; its fixed points are i times those
     # of L, a different span of the same dimension.  Planted as the
@@ -238,7 +267,9 @@ def test_fixed_span_check_tells_apart_spans_of_equal_dimension(monkeypatch):
     minus = desc.lift_map
     assert minus != desc.compiled
     monkeypatch.setattr(Descriptor, "compiled", property(lambda d: minus))
+    calls = count_fixed_point_coords(monkeypatch)
     res = lie_fixed_span_check(desc, SIG1S)
+    assert len(calls) == 2
     assert res["group_fixed_dimension"] == res["algebra_fixed_dimension"] == res["expected_dimension"]
     assert res["spans_agree"] is False
 
