@@ -11,8 +11,7 @@ This module houses the substance of the package:
   ``g(A)``, decided exactly on a basis of ``g`` (its docstring has the
   lemma);
 * :func:`fixed_point_data` / :func:`fixed_point_coords` — exact basis of the
-  fixed-point set over a given coefficient algebra, one null space per
-  monomial orbit type;
+  fixed-point set over a given coefficient algebra;
 * :func:`representability_check` — the standard/graded dichotomy: standard
   structures have fixed sets spanned by real-coefficient combinations of
   fixed vectors; graded ones admit an explicit fixed point outside that span;
@@ -31,6 +30,9 @@ written in the basis vectors of its parity.  The coefficients only pick up
 (:func:`algebra.conjugate_monomial`).
 Every check over a coefficient algebra refuses one whose conjugation kind is
 not the descriptor's (:meth:`Descriptor.require_conjugation`).
+Every fixed set over ``A`` is read off one orbit walk
+(:func:`_per_orbit_type`, which states the lemma) and one block image
+(:func:`_orbit_block`, the one call of :func:`fixed_vectors`).
 """
 
 from __future__ import annotations
@@ -476,6 +478,67 @@ def fixed_point_data(desc: Descriptor, sig: AlgebraSignature):
     return points, layout, layout.complex_dim
 
 
+def _orbit_block(action, indices: List[int], signs: Tuple[int, ...], conjugations: int
+                 ) -> List[Dict[int, GaussianRational]]:
+    """The canonical fixed basis (:func:`fixed_vectors`) of one orbit block on
+    its local coordinates ``a * size + s``, ``a`` numbering ``indices`` and
+    ``s`` the orbit's keys ``t_s``: ``u t_s (x) v_a`` goes to ``c_s conj^k(u)
+    t_{s+1} (x) action[v_a]``, with ``c_s = signs[s]``, ``k = conjugations``,
+    ``s + 1`` modulo the size and ``action[i]`` as ``[(j, z), ...]``."""
+    size = len(signs)
+    local = {i: a for a, i in enumerate(indices)}
+    scales = {unit: unit.conjugate() if conjugations & 1 else unit for unit in (ONE, I)}
+
+    def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
+        a, s = divmod(p, size)
+        scale = scales[unit] if signs[s] > 0 else -scales[unit]
+        return {local[j] * size + (s + 1) % size: z * scale for j, z in action[indices[a]]}
+
+    return fixed_vectors(len(indices) * size, image)
+
+
+def _per_orbit_type(kind: MatrixKind, sig: AlgebraSignature, conjugations: int, layout: CoordLayout,
+                    solve: Callable, parts: int = 1) -> List[Dict[int, GaussianRational]]:
+    """A canonical basis on ``layout``, solved once per orbit type of
+    ``conj^k`` (``k = conjugations``) on each parity's keys:
+    ``solve(parity, indices, signs)`` gives one block's basis on the local
+    coordinates of :func:`_orbit_block` (``parts = 2``: real coordinates,
+    parts of ``p`` at ``2p`` and ``2p + 1``), ``signs`` being those of
+    ``conj^k`` on the orbit's keys.  It is relabelled into every orbit of
+    the type, and the vectors are ordered by last index.
+
+    Lemma.  Let the map or span keep the coordinates ``(v_i, t)``, ``t`` in
+    an orbit of one parity's keys, within that orbit: it is block diagonal.
+    Numbered by the parity's basis vectors, then the orbit's keys, a block's
+    coordinates embed in the layout monotonically, and on them the block
+    depends only on the orbit's type: parity, size (1 or 2) and signs.  The
+    canonical basis of a direct sum on disjoint coordinates is the union of
+    the summands' (each vector stays 1 at its own last index, 0 at the
+    others' and 0 after its own), and a monotone relabelling keeps a basis
+    canonical.  So the relabelled blocks are the canonical basis of the
+    whole, and as no elimination mixes blocks, each vector's keys come in
+    the order of one elimination on all coordinates.
+    """
+    vectors: List[Dict[int, GaussianRational]] = []
+    for parity in (EVEN, ODD):
+        indices = [v.index for v in basis_of(kind) if v.parity == parity]
+        if not indices:
+            continue
+        orbits: Dict[tuple, List[Tuple[int, ...]]] = {}
+        for key in basis_keys(sig, parity):
+            image_key = conjugate_monomial(sig, key, conjugations)[0]
+            if image_key >= key:            # a partner below lists the orbit
+                orbit = (key,) if image_key == key else (key, image_key)
+                orbits.setdefault(tuple(conjugate_monomial(sig, t, conjugations)[1] for t in orbit), []).append(orbit)
+        for signs, members in orbits.items():
+            block = solve(parity, indices, signs)
+            for orbit in members:
+                embed = [parts * layout.pos[i, key] + part for i in indices for key in orbit for part in range(parts)]
+                vectors += [{embed[p]: z for p, z in vec.items()} for vec in block]
+    vectors.sort(key=max)
+    return vectors
+
+
 def fixed_point_coords(desc: Descriptor, sig: AlgebraSignature, own: PositionalMap
                        ) -> Tuple[List[Dict[int, GaussianRational]], CoordLayout]:
     """The canonical real basis of the fixed points over ``A`` of ``own``, a
@@ -483,32 +546,14 @@ def fixed_point_coords(desc: Descriptor, sig: AlgebraSignature, own: PositionalM
     ``desc.compiled``), see :func:`fixed_vectors`, as complex coordinate
     dicts on the returned layout of ``g(A)``.
 
-    The map is a constant map ``L`` after ``k`` entrywise
-    conjugations (see :mod:`superforms.exprs`), and ``k`` conjugations send a
-    monomial ``t`` to ``c t'`` with ``c = +-1``.  So the image of
-    ``u t (x) v_i`` is ``c t' (x) u' L(v_i')``, where ``u'`` and ``v_i'`` are
-    ``u`` and ``v_i``, conjugated when ``k`` is odd: ``u'`` times the vector
-    action entry of ``v_i`` (:func:`_vector_action`), relabelled from ``t``
-    to ``t'`` with the sign ``c``.  No matrix is evaluated.  An action entry
+    The map is a constant map ``L`` after ``k`` entrywise conjugations
+    (see :mod:`superforms.exprs`), and ``conj^k(t) = c t'`` with ``c =
+    +-1``.  So ``u t (x) v_i`` goes to ``c t' (x) u' L(v_i')``, ``u'`` and
+    ``v_i'`` conjugated when ``k`` is odd: one :func:`_orbit_block` of the
+    vector action (:func:`_vector_action`) per orbit type
+    (:func:`_per_orbit_type`), and no matrix is evaluated.  An action entry
     of ``None`` means the image left ``g(A)``: the first such basis vector
     that has a coordinate raises MembershipError.
-
-    Lemma.  The map sends the coordinates ``(v_i, t)`` of one parity, ``t``
-    in an orbit ``{t, t'}`` of ``conj^k`` on that parity's keys, to the
-    coordinates ``(v_j, s)`` with ``s`` in the same orbit, so it is block
-    diagonal over the orbits.  Number a block's coordinates by the parity's
-    basis vectors, then the orbit's keys, both increasing: this is the
-    layout's order, so the block embeds in the layout monotonically.  On
-    these local coordinates the block depends only on the orbit's *type*:
-    the parity, the orbit's size (1 or 2) and the signs ``c`` of its keys.
-    The canonical basis of a direct sum on disjoint coordinates is the union
-    of the summands' canonical bases (each vector stays 1 at its own last
-    index, 0 at the others' and 0 after its own), and a monotone relabelling
-    keeps a basis canonical.  So one :func:`fixed_vectors` per type,
-    relabelled into each orbit of the type and ordered by last index, is
-    the canonical basis of the whole map.  The elimination never mixes
-    blocks, so each vector is also built entry by entry as one elimination
-    on all coordinates would build it, and its keys come in the same order.
     """
     desc.require_conjugation(sig)
     kind = desc.kind
@@ -517,94 +562,46 @@ def fixed_point_coords(desc: Descriptor, sig: AlgebraSignature, own: PositionalM
     for v in basis_of(kind):
         if action[v.index] is None and basis_keys(sig, v.parity):
             raise MembershipError(f"not a point of {kind.display()}: image of basis vector {v.index} left the algebra")
-    scales = {unit: unit.conjugate() if conjugations & 1 else unit for unit in (ONE, I)}
-    vectors = []
-    for parity in (EVEN, ODD):
-        indices = [v.index for v in basis_of(kind) if v.parity == parity]
-        keys = basis_keys(sig, parity)
-        if not indices or not keys:
-            continue
-        orbits: Dict[tuple, List[Tuple[int, ...]]] = {}
-        for key in keys:
-            image_key, sign = conjugate_monomial(sig, key, conjugations)
-            if image_key < key:
-                continue                    # listed with its partner
-            if image_key == key:
-                orbits.setdefault((sign,), []).append((key,))
-            else:
-                signs = (sign, conjugate_monomial(sig, image_key, conjugations)[1])
-                orbits.setdefault(signs, []).append((key, image_key))
-        local = {i: a for a, i in enumerate(indices)}
-        for signs, members in orbits.items():
-            size = len(signs)
-
-            def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
-                a, s = divmod(p, size)
-                scale = scales[unit] if signs[s] > 0 else -scales[unit]
-                target = (s + 1) % size
-                return {local[j] * size + target: z * scale for j, z in action[indices[a]]}
-
-            block = fixed_vectors(len(indices) * size, image)
-            for orbit in members:
-                embed = [layout.pos[i, key] for i in indices for key in orbit]
-                vectors += [{embed[p]: z for p, z in vec.items()} for vec in block]
-    vectors.sort(key=max)
-    return vectors, layout
+    block = lambda parity, indices, signs: _orbit_block(action, indices, signs, conjugations)
+    return _per_orbit_type(kind, sig, conjugations, layout, block), layout
 
 
 # ---------------------------------------------------------------------------
 # representability dichotomy
 # ---------------------------------------------------------------------------
 
-def real_fixed_elements(sig: AlgebraSignature, parity: int) -> List[SuperNumber]:
-    """Real basis of the conjugation-fixed elements of one parity sector."""
-    keys = basis_keys(sig, parity)
-    pos = {key: idx for idx, key in enumerate(keys)}
-
-    def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
-        return {pos[key]: z for key, z in SuperNumber(sig, {keys[p]: unit}).conjugate().items()}
-
-    return [
-        SuperNumber(sig, {keys[p]: z for p, z in vec.items()})
-        for vec in fixed_vectors(len(keys), image)
-    ]
+def _orbit_coefficients(signs: Tuple[int, ...]) -> List[Dict[int, GaussianRational]]:
+    """Real basis of the conjugation-fixed coefficients on one orbit of
+    ``conj`` with these signs, on the orbit's keys ``{s: z}``."""
+    return _orbit_block(([(0, ONE)],), [0], signs, 1)
 
 
 def real_fixed_vectors(phi: VectorConjugation, parity: int) -> List[Dict[int, GaussianRational]]:
-    """Real basis of the phi-fixed vectors of one parity of the defining space.
-
-    Each element is a complex coordinate dict over the basis; the real span of
-    the returned vectors is the fixed set.  Empty for the odd sector of a
-    graded map (its square is -1 there).
-    """
+    """Real basis of the phi-fixed vectors of one parity of the defining space,
+    as complex coordinate dicts over the basis: one :func:`_orbit_block` on an
+    orbit ``(1,)`` of ``conj``.  Empty for the odd sector of a graded map (its
+    square is -1 there)."""
     indices = [v.index for v in basis_of(phi.kind) if v.parity == parity]
-    pos = {i: idx for idx, i in enumerate(indices)}
-
-    def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
-        cc = unit.conjugate()
-        return {pos[j]: cc * c for j, c in phi.coords[indices[p]]}
-
-    return [
-        {indices[p]: z for p, z in vec.items()}
-        for vec in fixed_vectors(len(indices), image)
-    ]
+    return [{indices[p]: z for p, z in vec.items()} for vec in _orbit_block(phi.coords, indices, (1,), 1)]
 
 
 def _product_span(phi: VectorConjugation, sig: AlgebraSignature,
                   layout: CoordLayout) -> List[Dict[int, GaussianRational]]:
     """Canonical basis (:func:`linalg.span_basis`), in sparse real coordinates
     on ``layout``, of the span of all products (real fixed coefficient) *
-    (fixed vector).  Conjugation sends each monomial to plus or minus one
-    monomial, so each product has only a few nonzero coordinates."""
-    products = []
-    for parity in (EVEN, ODD):
-        vectors = real_fixed_vectors(phi, parity)
-        for r in real_fixed_elements(sig, parity):
-            for u in vectors:
-                products.append(to_real({
-                    layout.pos[j, key]: z * c for j, c in u.items() for key, z in r.items()
-                }))
-    return linalg.span_basis(products)
+    (fixed vector).  A fixed coefficient of ``conj`` lies in one orbit, so
+    one elimination per orbit type (:func:`_per_orbit_type`) spans the
+    orbit's coefficients (:func:`_orbit_coefficients`) times the vectors."""
+    fixed = {parity: real_fixed_vectors(phi, parity) for parity in (EVEN, ODD)}
+
+    def span(parity: int, indices: List[int], signs: Tuple[int, ...]):
+        size = len(signs)
+        local = {i: a for a, i in enumerate(indices)}
+        return linalg.span_basis(
+            to_real({local[j] * size + s: z * c for j, c in u.items() for s, z in r.items()})
+            for r in _orbit_coefficients(signs) for u in fixed[parity])
+
+    return _per_orbit_type(phi.kind, sig, 1, layout, span, parts=2)
 
 
 def representability_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:

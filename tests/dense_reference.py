@@ -13,6 +13,11 @@ canonical bases and compared spans through them:
 * ``global_fixed_point_coords``: the fixed points of a structure over ``A``
   as one sparse null space on all real coordinates of ``g(A)``, from before
   ``realforms.fixed_point_coords`` solved one block per monomial orbit type;
+* ``global_product_span``: the span of every product (real fixed
+  coefficient) x (fixed vector) as one sparse elimination over all real
+  coordinates of ``g(A)``, its coefficients one sparse null space over all
+  keys of a parity (``global_real_fixed_elements``), from before
+  ``realforms._product_span`` eliminated once per orbit type of ``conj``;
 * ``decompose_in_basis`` / ``tensor_of`` by one linear solve per monomial;
 * a compiled map applied to a whole constant grid, ``apply_constant``, and
   ``scan_decompose``, which reads every slot of a grid and compares whole
@@ -58,7 +63,7 @@ from superforms.liealg import (
 from superforms.matrices import SuperMatrix, osp_form_grid, supertranspose_grid, zero_matrix
 from superforms.realforms import (
     CoordLayout, _vector_action, extract_vector_conjugation, fixed_point_data, fixed_vectors,
-    matrix_literal, real_fixed_elements, real_fixed_vectors,
+    matrix_literal, real_fixed_vectors, to_real,
 )
 from superforms.report import CheckOutcome, Tally
 from superforms.scalars import GaussianRational, I, MINUS_ONE, ONE, ZERO
@@ -237,6 +242,34 @@ def global_fixed_point_coords(desc, sig, own) -> Tuple[List[Dict[int, GaussianRa
         return {layout.pos[(j, image_key)]: z * scale for j, z in decomposition}
 
     return fixed_vectors(layout.complex_dim, image), layout
+
+
+def global_real_fixed_elements(sig, parity) -> List[SuperNumber]:
+    """Real basis of the conjugation-fixed elements of one parity sector, as
+    one :func:`realforms.fixed_vectors` over all of the parity's keys."""
+    keys = basis_keys(sig, parity)
+    pos = {key: idx for idx, key in enumerate(keys)}
+
+    def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
+        return {pos[key]: z for key, z in SuperNumber(sig, {keys[p]: unit}).conjugate().items()}
+
+    return [SuperNumber(sig, {keys[p]: z for p, z in vec.items()}) for vec in fixed_vectors(len(keys), image)]
+
+
+def global_product_span(phi, sig, layout: CoordLayout) -> List[Dict[int, GaussianRational]]:
+    """``realforms._product_span`` as one :func:`linalg.span_basis` over
+    every product (real fixed coefficient) * (fixed vector), in sparse real
+    coordinates on ``layout``, the coefficients from
+    :func:`global_real_fixed_elements`."""
+    products = []
+    for parity in (EVEN, ODD):
+        vectors = real_fixed_vectors(phi, parity)
+        for r in global_real_fixed_elements(sig, parity):
+            for u in vectors:
+                products.append(to_real({
+                    layout.pos[j, key]: z * c for j, c in u.items() for key, z in r.items()
+                }))
+    return linalg.span_basis(products)
 
 
 def _join(re_part: GaussianRational, im_part: GaussianRational) -> GaussianRational:
@@ -433,7 +466,7 @@ def dense_representability(desc, sig) -> Dict:
     product_coords = []
     for parity in (EVEN, ODD):
         vectors = real_fixed_vectors(phi, parity)
-        for r in real_fixed_elements(sig, parity):
+        for r in dense_real_fixed_elements(sig, parity):
             for u in vectors:
                 tensor = TensorElement(desc.kind, sig, {j: r.scaled(c) for j, c in u.items()}, check=False)
                 product_coords.append(layout_coords(layout, tensor))

@@ -26,7 +26,8 @@ from group_reference import layout_fixed_vectors, reference_fixed_span_maps
 from probe_reference import evaluated_fixed_point_coords, probe_extract_vector_conjugation
 from superforms import linalg
 from superforms.algebra import (
-    EVEN, GRADED, ODD, STANDARD, AlgebraSignature, SuperNumber, basis_keys, one, theta, theta_selfreal,
+    EVEN, GRADED, ODD, STANDARD, AlgebraSignature, SuperNumber, basis_keys, conjugate_monomial, one, theta,
+    theta_selfreal,
 )
 from superforms.catalog import applicable_names, build, param_choices
 from superforms.exprs import PositionalMap, apply_expr, compile_expr
@@ -40,9 +41,8 @@ from superforms.matrices import (
     SuperMatrix, const_mul, identity_matrix, mul_const, osp_form_grid, supertrace, supertranspose,
 )
 from superforms.realforms import (
-    CoordLayout, VectorConjugation, extract_vector_conjugation, fixed_point_coords,
-    fixed_point_data, matrix_literal, real_fixed_elements, real_fixed_vectors,
-    rebuild_matches, representability_check, to_real,
+    CoordLayout, VectorConjugation, _orbit_coefficients, extract_vector_conjugation, fixed_point_coords,
+    fixed_point_data, matrix_literal, real_fixed_vectors, rebuild_matches, representability_check, to_real,
 )
 from superforms.sampling import random_point, random_tensor, rng_for
 from superforms.scalars import GaussianRational, I, ONE, ZERO
@@ -100,11 +100,28 @@ def test_block_kernel_matches_dense_on_fixed_span_maps(desc):
     assert (spans[0] == spans[1]) == spans_equal(*(as_real(layout, v) for v in spans))
 
 
+def conj_orbits(sig, parity):
+    """The orbits ``{t, conj(t)}`` of a parity's keys, each as its keys in
+    increasing order and the signs of ``conj`` on them."""
+    orbits = []
+    for key in basis_keys(sig, parity):
+        image = conjugate_monomial(sig, key, 1)[0]
+        if image >= key:
+            orbit = tuple(sorted({key, image}))
+            orbits.append((orbit, tuple(conjugate_monomial(sig, t, 1)[1] for t in orbit)))
+    return orbits
+
+
 def test_real_fixed_elements_and_vectors_match_dense():
+    # the coefficients' blocks, one per orbit of conj, relabelled to the keys
+    # and ordered by last key, are the canonical basis of the dense null space
     for sig in (AlgebraSignature(2, 1, 1, STANDARD), AlgebraSignature(2, 0, 1, GRADED),
                 AlgebraSignature(0, 0, 0, GRADED)):
         for parity in (EVEN, ODD):
-            assert real_fixed_elements(sig, parity) == dense_real_fixed_elements(sig, parity)
+            coefficients = [{orbit[s]: z for s, z in vec.items()}
+                            for orbit, signs in conj_orbits(sig, parity) for vec in _orbit_coefficients(signs)]
+            coefficients.sort(key=max)
+            assert [SuperNumber(sig, c) for c in coefficients] == dense_real_fixed_elements(sig, parity)
     for desc in catalog_descriptors():
         if desc.strict:
             continue                     # the printed xi2 has no vector conjugation
@@ -189,13 +206,24 @@ def test_witness_inside_an_enlarged_product_span(monkeypatch):
 
     def coefficients(sig, parity):
         if parity == EVEN:
-            return real_fixed_elements(sig, parity)
+            return dense_real_fixed_elements(sig, parity)
         return [SuperNumber(sig, {key: ONE}) for key in basis_keys(sig, ODD)]
+
+    desc = build("omega2", MatrixKind(SL, 2, 1))
+    # the package plants per orbit type; at one graded pair only the odd
+    # orbit {t1, t1~} has the odd type, so each of its keys becomes a coefficient
+    odd_types = {signs for _, signs in conj_orbits(one_pair(desc), ODD)}
+    assert not odd_types & {signs for _, signs in conj_orbits(one_pair(desc), EVEN)}
+
+    def orbit_coefficients(signs):
+        if signs in odd_types:
+            return [{s: ONE} for s in range(len(signs))]
+        return _orbit_coefficients(signs)
 
     for module in (realforms, dense_reference):
         monkeypatch.setattr(module, "real_fixed_vectors", vectors)
-        monkeypatch.setattr(module, "real_fixed_elements", coefficients)
-    desc = build("omega2", MatrixKind(SL, 2, 1))
+    monkeypatch.setattr(realforms, "_orbit_coefficients", orbit_coefficients)
+    monkeypatch.setattr(dense_reference, "dense_real_fixed_elements", coefficients)
     result = representability_check(desc, one_pair(desc))
     assert result["witness_fixed"] is True and result["witness_in_product_span"] is True
     assert result == dense_representability(desc, one_pair(desc))

@@ -1,4 +1,4 @@
-"""Fixed points read off one null space per monomial orbit type.
+"""Fixed points and product spans read off one block per monomial orbit type.
 
 ``realforms.fixed_point_coords`` solves one block per orbit type of the
 monomial keys and relabels it into every orbit of that type.  The oracle is
@@ -6,18 +6,27 @@ monomial keys and relabels it into every orbit of that type.  The oracle is
 coordinates of ``g(A)``: the two must give the same vectors in the same
 order, each dict with its keys in the same order, and raise the same
 ``MembershipError`` where a basis vector's image leaves ``g``.
+
+``realforms._product_span`` eliminates the products (real fixed coefficient)
+x (fixed vector) once per orbit type of ``conj`` in the same way, against
+the oracle ``dense_reference.global_product_span``, one elimination of all
+products on all real coordinates.
 """
+
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import global_fixed_point_coords
-from superforms import linalg
+from dense_reference import global_fixed_point_coords, global_product_span
+from superforms import linalg, realforms
 from superforms.algebra import EVEN, ODD, STANDARD, AlgebraSignature, basis_keys, conjugate_monomial
 from superforms.catalog import applicable_names, build, param_choices
 from superforms.exprs import ad_step
 from superforms.liealg import MembershipError, MatrixKind, OSP, SL, basis_of
-from superforms.realforms import fixed_point_coords
+from superforms.realforms import (
+    CoordLayout, _product_span, extract_vector_conjugation, fixed_point_coords, representability_check,
+)
 from superforms.scalars import GaussianRational, ONE, ZERO
 
 SMALL_SHAPES = [MatrixKind(SL, 1, 1), MatrixKind(SL, 2, 1), MatrixKind(SL, 2, 2), MatrixKind(SL, 3, 1),
@@ -142,11 +151,11 @@ def test_a_map_leaving_g_on_odd_vectors_only_raises_only_when_a_has_odd_keys():
     assert assert_matches_oracle(desc, AlgebraSignature(0, 0, 1, desc.conjugation), odd_only) != raised
 
 
-def orbit_types(desc, sig):
+def orbit_types(desc, sig, k=None):
     """``(parity, signs)`` of each orbit ``{t, conj^k(t)}`` of the keys of a
     parity that has basis vectors, the signs of ``conj^k`` on the orbit's
-    keys in increasing order."""
-    k = desc.compiled.conjugations
+    keys in increasing order; ``k`` is the structure's by default."""
+    k = desc.compiled.conjugations if k is None else k
     parities = {v.parity for v in basis_of(desc.kind)}
     types = set()
     for parity in parities:
@@ -176,3 +185,62 @@ def test_one_null_space_per_orbit_type(monkeypatch, shape):
     assert len(calls) == len(orbit_types(desc, sig)) == 6
     # each block has (vectors of a parity) x (orbit size) complex coordinates
     assert max(calls) <= 2 * 2 * len(basis_of(desc.kind))
+
+
+def product_span_cases():
+    """Every applicable descriptor of the small shapes, at up to two
+    parameter choices, with 0-3 odd pairs, 0-2 self-real generators on
+    standard rows and 0-2 even nilpotents."""
+    for kind in SMALL_SHAPES:
+        for name in applicable_names(kind):
+            for p, q in list(param_choices(name, kind))[:2]:
+                desc = build(name, kind, p, q)
+                for pairs in range(4):
+                    for selfreal in range(3 if desc.conjugation == STANDARD else 1):
+                        for nil in range(3):
+                            yield desc, AlgebraSignature(pairs, selfreal, nil, desc.conjugation)
+
+
+PRODUCT_SPAN_CASES = list(product_span_cases())
+
+
+def test_the_product_span_case_set_has_840_cases():
+    assert len(PRODUCT_SPAN_CASES) == 840
+
+
+@given(st.sampled_from(PRODUCT_SPAN_CASES))
+@settings(max_examples=200, deadline=None)
+def test_orbit_product_spans_equal_the_global_elimination(case):
+    desc, sig = case
+    phi = extract_vector_conjugation(desc)
+    layout = CoordLayout(desc.kind, sig)
+    expected = [list(v.items()) for v in global_product_span(phi, sig, layout)]
+    assert [list(v.items()) for v in _product_span(phi, sig, layout)] == expected
+
+
+def test_one_product_elimination_per_orbit_type_of_conj(monkeypatch):
+    # the witness of sl(2|2) sigma1 at 4 pairs and 4 even nilpotents has
+    # 30,720 products; each elimination takes one orbit type's few
+    desc = build("sigma1", MatrixKind(SL, 2, 2))
+    sig = AlgebraSignature(4, 0, 4, desc.conjugation)
+    eliminations, solves = [], []
+    span_basis, fixed_vectors = linalg.span_basis, realforms.fixed_vectors
+
+    def counted_span_basis(vectors):
+        vectors = list(vectors)
+        eliminations.append((sys._getframe(1).f_code.co_name, len(vectors)))
+        return span_basis(vectors)
+
+    def counted_fixed_vectors(count, image):
+        solves.append(sys._getframe(1).f_code.co_name)
+        return fixed_vectors(count, image)
+
+    monkeypatch.setattr(linalg, "span_basis", counted_span_basis)
+    monkeypatch.setattr(realforms, "fixed_vectors", counted_fixed_vectors)
+    result = representability_check(desc, sig)
+    assert result["representable"] is True
+    assert result["product_span_rank"] == result["expected_fixed_dimension"] == 30720
+    products = [size for caller, size in eliminations if caller == "span"]
+    assert len(products) == len(orbit_types(desc, sig, k=1)) > 1
+    assert max(size for _, size in eliminations) < 30720
+    assert solves and set(solves) == {"_orbit_block"}

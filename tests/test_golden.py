@@ -62,6 +62,10 @@ COMMANDS = (
     "witness osp 1 2 xi1",
     "witness osp 1 2 psi1",
     "witness osp 2 2 psi2",
+    # size-1 orbits of both signs; a standard osp witness; a graded one at two pairs
+    "witness sl 3 2 sigma1 --odd-pairs 2 --odd-selfreal 2 --even-nil 1",
+    "witness osp 2 2 xi1 --odd-pairs 2 --odd-selfreal 1 --even-nil 1",
+    "witness osp 2 2 psi1 --odd-pairs 2 --even-nil 1",
     "compact-scan sl 1 1",
     "compact-scan sl 2 1",
     "compact-scan sl 2 2",
