@@ -114,6 +114,11 @@ def _config(args, group: bool, with_samples: bool = True) -> dict:
     return config
 
 
+def _decided(name: str, ok: bool, note: str) -> CheckOutcome:
+    """A check decided once, exactly: one sample and no witness."""
+    return CheckOutcome(name, PASS if ok else FAIL, 1, None, note)
+
+
 def _emit(report: dict, fmt: str) -> int:
     sys.stdout.write(render(report, fmt))
     return 0 if report["summary"]["verdict"] == PASS else 1
@@ -152,11 +157,7 @@ def _cmd_fixed_basis(args) -> int:
         raise UsageError("fixed-basis works at the algebra level; use a lowercase name")
     sig = _signature(args, desc.conjugation)
     points, layout, expected = fixed_point_data(desc, sig)
-    ok = len(points) == expected
-    check = CheckOutcome(
-        "fixed-dimension", PASS if ok else FAIL, 1, None,
-        f"real dimension {len(points)}, expected {expected}",
-    )
+    check = _decided("fixed-dimension", len(points) == expected, f"real dimension {len(points)}, expected {expected}")
     extras = {
         "fixed_point_basis": {
             "dimension": len(points),
@@ -180,24 +181,14 @@ def _cmd_witness(args) -> int:
         result = representability_check(desc, sig)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    checks = []
     if result["mode"] == "span-comparison":
-        checks.append(CheckOutcome(
-            "fixed-equals-product-span",
-            PASS if result["representable"] else FAIL, 1, None,
-            "fixed points = (real coefficients) x (fixed vectors)",
-        ))
+        checks = [_decided("fixed-equals-product-span", result["representable"],
+                           "fixed points = (real coefficients) x (fixed vectors)")]
     else:
-        checks.append(CheckOutcome(
-            "graded-witness-fixed",
-            PASS if result["witness_fixed"] else FAIL, 1, None,
-            "the paired odd element is fixed by the structure",
-        ))
-        checks.append(CheckOutcome(
-            "graded-witness-outside-span",
-            PASS if not result["witness_in_product_span"] else FAIL, 1, None,
-            "the fixed element avoids the product span — no real form represents this structure",
-        ))
+        checks = [_decided("graded-witness-fixed", result["witness_fixed"],
+                           "the paired odd element is fixed by the structure"),
+                  _decided("graded-witness-outside-span", not result["witness_in_product_span"],
+                           "the fixed element avoids the product span — no real form represents this structure")]
     report = build_report(
         "witness", descriptor_summary(desc, group=group), signature_dict(sig),
         _config(args, group, with_samples=False), list(desc.notes), checks,

@@ -32,19 +32,24 @@ Every check over a coefficient algebra refuses one whose conjugation kind is
 not the descriptor's (:meth:`Descriptor.require_conjugation`).
 Every fixed set over ``A`` is read off one orbit walk
 (:func:`_per_orbit_type`, which states the lemma) and one block image
-(:func:`_orbit_block`, the one call of :func:`fixed_vectors`).
+(:func:`_orbit_block`, the one call of :func:`fixed_vectors`), and the
+graded witness is tested against the product span in its own orbit.  The
+coordinates of ``g(A)`` are numbered by arithmetic, an offset per basis
+vector plus a key's rank among its parity's keys (:class:`CoordLayout`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .algebra import (
     EVEN, GRADED, ODD, STANDARD, AlgebraSignature, SuperNumber, adjoin_dual, basis_keys,
-    conjugate_monomial, dual_scale, include_pairs, kill_pair_projection, one, scalar, theta,
-    theta_selfreal,
+    conjugate_monomial, dual_scale, even_mask_of, include_pairs, key_parity, kill_pair_projection,
+    odd_mask_of, one, scalar, theta, theta_selfreal,
 )
 from .catalog import Descriptor, InapplicableDescriptor, build, names_for, param_choices
 from .exprs import PositionalMap, apply_expr
@@ -437,28 +442,61 @@ def fixed_vectors(count: int, image: Callable[[int, GaussianRational], Dict[int,
 
 
 class CoordLayout:
-    """Complex coordinates on ``g(A)``, one per (basis vector, monomial key)."""
+    """Complex coordinates on ``g(A)``, one per (basis vector, monomial key of
+    the vector's parity), numbered by arithmetic: no table of them is kept.
+
+    The coordinates run through the basis vectors in order, and through
+    each vector's keys (:func:`algebra.basis_keys` of its parity) in
+    increasing order.  So ``(v_i, t)`` sits at ``offsets[i]``, the sum of
+    the parity widths of the vectors before ``v_i``, plus the rank of ``t``
+    among its parity's keys (:meth:`rank`); ``offsets[-1]`` is the complex
+    dimension.  With ``n`` odd generators, and ``o`` and ``e`` the odd and
+    even masks of ``t``, that rank is ``e 2^(n-1) + (o >> 1)``, or ``e``
+    when ``n = 0`` (both are ``(e 2^n + o) >> min(n, 1)``): keys are
+    ordered by even mask, then odd mask, and each pair of odd masks ``2j``,
+    ``2j+1`` differs only in generator 0, so it holds exactly one mask of
+    each parity (when ``n = 0`` every key is even and the odd width is 0).
+    The inverse (:meth:`entry`) finds the vector by bisecting the offsets
+    and reads the key off its parity's keys.
+    """
 
     def __init__(self, kind: MatrixKind, sig: AlgebraSignature):
         self.kind = kind
         self.sig = sig
-        self.entries: List[Tuple[int, int]] = []
-        for v in basis_of(kind):
-            for key in basis_keys(sig, v.parity):
-                self.entries.append((v.index, key))
-        self.pos = {entry: idx for idx, entry in enumerate(self.entries)}
+        self.widths = {parity: len(basis_keys(sig, parity)) for parity in (EVEN, ODD)}
+        self.offsets = tuple(accumulate((self.widths[v.parity] for v in basis_of(kind)), initial=0))
 
     @property
     def complex_dim(self) -> int:
-        return len(self.entries)
+        return self.offsets[-1]
+
+    def rank(self, key: int, parity: int) -> int:
+        """The index of ``key`` among the keys of ``parity``; ValueError when
+        it is not one of them."""
+        n, o, e = self.sig.odd_total, odd_mask_of(key), even_mask_of(key)
+        if key_parity(key) != parity or o >> n or e >> self.sig.even_nilpotents:
+            raise ValueError(f"key {key} is not a monomial of parity {parity} of {self.sig}")
+        return (e << n | o) >> min(n, 1)
+
+    def position(self, i: int, key: int) -> int:
+        """The coordinate of ``(v_i, key)``; ValueError when ``key`` is not a
+        monomial of ``v_i``'s parity."""
+        return self.offsets[i] + self.rank(key, basis_of(self.kind)[i].parity)
+
+    def entry(self, p: int) -> Tuple[int, int]:
+        """The ``(i, key)`` at coordinate ``p``: ``v_i`` is the last vector
+        whose offset is at most ``p`` (a vector of width 0 shares its offset
+        with the next one)."""
+        i = bisect_right(self.offsets, p) - 1
+        return i, basis_keys(self.sig, basis_of(self.kind)[i].parity)[p - self.offsets[i]]
 
     def complex_coords(self, t: TensorElement) -> Dict[int, GaussianRational]:
-        return {self.pos[(i, key)]: z for i, c in t.coeffs.items() for key, z in c.items()}
+        return {self.position(i, key): z for i, c in t.coeffs.items() for key, z in c.items()}
 
     def tensor_from(self, coords: Dict[int, GaussianRational]) -> TensorElement:
         terms: Dict[int, Dict[int, GaussianRational]] = {}
         for p, z in coords.items():
-            i, key = self.entries[p]
+            i, key = self.entry(p)
             terms.setdefault(i, {})[key] = z
         coeffs = {i: SuperNumber(self.sig, t) for i, t in terms.items()}
         return TensorElement(self.kind, self.sig, coeffs, check=False)
@@ -517,7 +555,8 @@ def _per_orbit_type(kind: MatrixKind, sig: AlgebraSignature, conjugations: int, 
     others' and 0 after its own), and a monotone relabelling keeps a basis
     canonical.  So the relabelled blocks are the canonical basis of the
     whole, and as no elimination mixes blocks, each vector's keys come in
-    the order of one elimination on all coordinates.
+    the order of one elimination on all coordinates.  The relabelling reads
+    each orbit key's rank once (:meth:`CoordLayout.rank`).
     """
     vectors: List[Dict[int, GaussianRational]] = []
     for parity in (EVEN, ODD):
@@ -533,7 +572,8 @@ def _per_orbit_type(kind: MatrixKind, sig: AlgebraSignature, conjugations: int, 
         for signs, members in orbits.items():
             block = solve(parity, indices, signs)
             for orbit in members:
-                embed = [parts * layout.pos[i, key] + part for i in indices for key in orbit for part in range(parts)]
+                ranks = [layout.rank(key, parity) for key in orbit]
+                embed = [parts * (layout.offsets[i] + r) + part for i in indices for r in ranks for part in range(parts)]
                 vectors += [{embed[p]: z for p, z in vec.items()} for vec in block]
     vectors.sort(key=max)
     return vectors
@@ -617,6 +657,11 @@ def representability_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
     by the structure but lies outside that span, because the graded
     conjugation has no fixed odd coefficients; both facts are verified.  It
     needs an odd pair in ``A`` and an odd vector, which are checked first.
+    The witness has coordinates only in the orbit ``{t1, t1~}`` of ``conj``,
+    and the span is the direct sum of its orbit blocks on disjoint
+    coordinates (:func:`_per_orbit_type`), so the witness lies in the span
+    exactly when it lies in that orbit's block: one elimination of the
+    block plus the witness decides it.
     """
     odd_vectors = [v for v in basis_of(desc.kind) if v.parity == ODD]
     if desc.conjugation == GRADED:
@@ -645,7 +690,10 @@ def representability_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
     w_matrix = x + phi.rebuild(x)
     fixed_ok = apply_expr(desc.compiled, w_matrix) == w_matrix
     witness = to_real(layout.complex_coords(tensor_of(desc.kind, w_matrix)))
-    inside = len(linalg.span_basis(span + [witness])) == len(span)
+    orbit = {2 * layout.position(v.index, key) + part for v in odd_vectors
+             for key in basis_keys(sig, ODD)[:2] for part in (0, 1)}      # the first odd keys: t1, t1~
+    block = [u for u in span if max(u) in orbit]
+    inside = len(linalg.span_basis(block + [witness])) == len(block)
     result["mode"] = "witness"
     result["witness"] = matrix_literal(w_matrix)
     result["witness_fixed"] = fixed_ok
@@ -739,15 +787,11 @@ def compact_scan(kind: MatrixKind) -> Dict:
             if data["compact"] and desc.conjugation == GRADED:
                 graded_compact.append((desc, data))
 
-    distinct_actions = len({
-        data["_phi"].coords for _, data in graded_compact
-    })
-    # distinct real spans of the even fixed parts; each is a canonical basis
-    # on the same coordinates (see fixed_vectors), so equal spans are equal lists
-    even_spans: List[List[Dict[int, GaussianRational]]] = []
-    for _, data in graded_compact:
-        if data["_even_fixed"] not in even_spans:
-            even_spans.append(data["_even_fixed"])
+    distinct_actions = len({data["_phi"].coords for _, data in graded_compact})
+    # distinct real spans of the even fixed parts; each is a canonical basis on
+    # the same coordinates (see fixed_vectors), so equal spans are equal lists
+    # of equal dicts, that is equal tuples of the dicts' item sets
+    even_spans = {tuple(frozenset(u.items()) for u in data["_even_fixed"]) for _, data in graded_compact}
 
     if kind.family == "sl" and kind.m == kind.n:
         notes.append(

@@ -39,7 +39,12 @@ canonical bases and compared spans through them:
 * ``dense_representability``: the representability dichotomy on dense real
   coordinates of the fixed points and of every product (real fixed
   coefficient) x (fixed vector), decided by ``rank``, ``spans_equal`` and
-  ``in_span``.
+  ``in_span``;
+* ``global_witness_in_span``: the graded witness tested against the whole
+  product span in one elimination, from before
+  ``realforms.representability_check`` tested it in its own orbit block;
+* ``dict_layout``: the coordinates of ``g(A)`` as a list of ``(i, key)``
+  and a dict over it, from before ``realforms.CoordLayout`` computed them;
 * ``dense_determinant`` and ``dense_leading_minors``: elimination on whole
   grids, the first with row swaps and the second without, from before
   ``linalg.determinant`` and ``linalg.leading_principal_minors`` read their
@@ -188,6 +193,16 @@ def real_coordinates(coords: Dict[int, GaussianRational], count: int) -> List[Ga
     return vec
 
 
+def dict_layout(kind, sig) -> Tuple[List[Tuple[int, int]], Dict[Tuple[int, int], int]]:
+    """The coordinates of ``g(A)`` as a table, from before
+    ``realforms.CoordLayout`` computed them: ``entries`` lists the
+    ``(i, key)`` of each coordinate, basis vector by basis vector and each
+    vector's keys of its parity in increasing order, and ``pos`` maps each
+    entry to its coordinate."""
+    entries = [(v.index, key) for v in basis_of(kind) for key in basis_keys(sig, v.parity)]
+    return entries, {entry: p for p, entry in enumerate(entries)}
+
+
 def layout_coords(layout: CoordLayout, t: TensorElement) -> List[GaussianRational]:
     """Dense real coordinates of a tensor element on a layout."""
     return real_coordinates(layout.complex_coords(t), layout.complex_dim)
@@ -209,7 +224,7 @@ def dense_layout_fixed_vectors(layout: CoordLayout, func) -> List[List[GaussianR
     its dense nullspace of ``M - I``."""
     dim = 2 * layout.complex_dim
     columns = []
-    for i, key in layout.entries:
+    for i, key in dict_layout(layout.kind, layout.sig)[0]:
         for value in (ONE, I):
             unit = TensorElement(layout.kind, layout.sig, {i: SuperNumber(layout.sig, {key: value})}, check=False)
             columns.append(layout_coords(layout, func(unit)))
@@ -226,11 +241,12 @@ def global_fixed_point_coords(desc, sig, own) -> Tuple[List[Dict[int, GaussianRa
     desc.require_conjugation(sig)
     kind = desc.kind
     layout = CoordLayout(kind, sig)
+    entries, pos = dict_layout(kind, sig)
     conjugations, action = _vector_action(desc, own)
     relabel = {}
 
     def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
-        i, key = layout.entries[p]
+        i, key = entries[p]
         decomposition = action[i]
         if decomposition is None:
             raise MembershipError(f"not a point of {kind.display()}: image of basis vector {i} left the algebra")
@@ -239,7 +255,7 @@ def global_fixed_point_coords(desc, sig, own) -> Tuple[List[Dict[int, GaussianRa
             scale = unit.conjugate() if conjugations & 1 else unit
             relabel[key, unit] = image_key, scale if sign > 0 else -scale
         image_key, scale = relabel[key, unit]
-        return {layout.pos[(j, image_key)]: z * scale for j, z in decomposition}
+        return {pos[(j, image_key)]: z * scale for j, z in decomposition}
 
     return fixed_vectors(layout.complex_dim, image), layout
 
@@ -261,13 +277,14 @@ def global_product_span(phi, sig, layout: CoordLayout) -> List[Dict[int, Gaussia
     every product (real fixed coefficient) * (fixed vector), in sparse real
     coordinates on ``layout``, the coefficients from
     :func:`global_real_fixed_elements`."""
+    pos = dict_layout(layout.kind, sig)[1]
     products = []
     for parity in (EVEN, ODD):
         vectors = real_fixed_vectors(phi, parity)
         for r in global_real_fixed_elements(sig, parity):
             for u in vectors:
                 products.append(to_real({
-                    layout.pos[j, key]: z * c for j, c in u.items() for key, z in r.items()
+                    pos[j, key]: z * c for j, c in u.items() for key, z in r.items()
                 }))
     return linalg.span_basis(products)
 
@@ -456,6 +473,29 @@ def summed_matrix_of(t: TensorElement):
     return acc
 
 
+def graded_witness(phi, sig, v) -> TensorElement:
+    """The graded witness ``t1 (x) v + t1~ (x) phi(v)`` in tensor form."""
+    coeffs: Dict[int, SuperNumber] = {v.index: theta(sig, 0)}
+    for j, c in phi.coords[v.index]:
+        term = theta_bar(sig, 0).scaled(c)
+        coeffs[j] = coeffs[j] + term if j in coeffs else term
+    return TensorElement(phi.kind, sig, coeffs, check=False)
+
+
+def global_witness_in_span(desc, sig) -> bool:
+    """The graded witness's membership in the product span as
+    ``realforms.representability_check`` decided it before it took the
+    witness's orbit block: one :func:`linalg.span_basis` over the whole span
+    (:func:`global_product_span`) plus the witness, its coordinates read off
+    :func:`dict_layout`."""
+    phi = extract_vector_conjugation(desc)
+    span = global_product_span(phi, sig, CoordLayout(desc.kind, sig))
+    v = next(v for v in basis_of(desc.kind) if v.parity == ODD)
+    pos = dict_layout(desc.kind, sig)[1]
+    witness = to_real({pos[i, key]: z for i, c in graded_witness(phi, sig, v).coeffs.items() for key, z in c.items()})
+    return len(linalg.span_basis(span + [witness])) == len(span)
+
+
 def dense_representability(desc, sig) -> Dict:
     """The representability dichotomy on dense real coordinates: the rank of
     the product span, span equality for standard structures, and for graded
@@ -486,12 +526,7 @@ def dense_representability(desc, sig) -> Dict:
     odd_vectors = [v for v in basis_of(desc.kind) if v.parity == ODD]
     if not odd_vectors:
         raise ValueError("the defining space has no odd vectors")
-    v = odd_vectors[0]
-    coeffs: Dict[int, SuperNumber] = {v.index: theta(sig, 0)}
-    for j, c in phi.coords[v.index]:
-        term = theta_bar(sig, 0).scaled(c)
-        coeffs[j] = coeffs[j] + term if j in coeffs else term
-    witness = TensorElement(desc.kind, sig, coeffs, check=False)
+    witness = graded_witness(phi, sig, odd_vectors[0])
     w_matrix = matrix_of(witness)
     fixed_ok = apply_expr(desc.compiled, w_matrix) == w_matrix
     inside = in_span(product_coords, layout_coords(layout, witness))

@@ -19,6 +19,7 @@ so the tests require their outcomes (statuses, counts and witnesses, or
 fixed vectors) to equal these exactly.
 """
 
+from dense_reference import dict_layout
 from superforms import groups
 from superforms.algebra import SuperNumber, adjoin_dual, dual_scale, epsilon, scalar
 from superforms.exprs import apply_expr
@@ -161,9 +162,11 @@ def reference_fixed_span_maps(desc, sig):
 def layout_fixed_vectors(layout, func):
     """Real basis, as complex coordinate dicts on ``layout``, of the fixed
     points of a real-linear map ``func`` on ``g(A)``, evaluated on the unit
-    tensor of every coordinate."""
+    tensor of every coordinate (:func:`dense_reference.dict_layout`)."""
+    entries = dict_layout(layout.kind, layout.sig)[0]
+
     def image(p, unit):
-        i, key = layout.entries[p]
+        i, key = entries[p]
         unit_tensor = TensorElement(layout.kind, layout.sig, {i: SuperNumber(layout.sig, {key: unit})},
                                     check=False)
         return layout.complex_coords(func(unit_tensor))

@@ -20,6 +20,7 @@ The tests require the package to agree with them exactly.
 
 from typing import Dict, List, Tuple
 
+from dense_reference import dict_layout
 from expr_reference import apply_step
 from superforms.algebra import (
     EVEN, MAX_EVEN_NILPOTENT, ODD, AlgebraSignature, SuperNumber, basis_keys, even_mask_of,
@@ -122,6 +123,7 @@ def evaluated_fixed_point_coords(desc, sig) -> Tuple[List[Dict[int, GaussianRati
     monomials relabelled by ``conj^k``."""
     kind = desc.kind
     layout = CoordLayout(kind, sig)
+    entries, pos = dict_layout(kind, sig)
     conjugations = desc.compiled.conjugations
 
     def conj_power(key: int) -> Tuple[int, GaussianRational]:
@@ -143,8 +145,8 @@ def evaluated_fixed_point_coords(desc, sig) -> Tuple[List[Dict[int, GaussianRati
             images[v.index, unit] = [(j, c.coefficient(probe_key) * probe_c) for j, c in image.coeffs.items()]
 
     def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
-        i, key = layout.entries[p]
+        i, key = entries[p]
         image_key, c = conj_power(key)
-        return {layout.pos[(j, image_key)]: z * c for j, z in images[i, unit]}
+        return {pos[(j, image_key)]: z * c for j, z in images[i, unit]}
 
     return fixed_vectors(layout.complex_dim, image), layout

@@ -18,16 +18,19 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_reference import global_fixed_point_coords, global_product_span
+import dense_reference
+from dense_reference import global_fixed_point_coords, global_product_span, global_witness_in_span
 from superforms import linalg, realforms
-from superforms.algebra import EVEN, ODD, STANDARD, AlgebraSignature, basis_keys, conjugate_monomial
+from superforms.algebra import (
+    EVEN, GRADED, ODD, STANDARD, AlgebraSignature, SuperNumber, basis_keys, conjugate_monomial,
+)
 from superforms.catalog import applicable_names, build, param_choices
 from superforms.exprs import ad_step
 from superforms.liealg import MembershipError, MatrixKind, OSP, SL, basis_of
 from superforms.realforms import (
     CoordLayout, _product_span, extract_vector_conjugation, fixed_point_coords, representability_check,
 )
-from superforms.scalars import GaussianRational, ONE, ZERO
+from superforms.scalars import GaussianRational, I, ONE, ZERO
 
 SMALL_SHAPES = [MatrixKind(SL, 1, 1), MatrixKind(SL, 2, 1), MatrixKind(SL, 2, 2), MatrixKind(SL, 3, 1),
                 MatrixKind(OSP, 1, 2), MatrixKind(OSP, 2, 2)]
@@ -244,3 +247,80 @@ def test_one_product_elimination_per_orbit_type_of_conj(monkeypatch):
     assert len(products) == len(orbit_types(desc, sig, k=1)) > 1
     assert max(size for _, size in eliminations) < 30720
     assert solves and set(solves) == {"_orbit_block"}
+
+
+GRADED_ROWS = [build(name, kind, p, q) for kind in SMALL_SHAPES for name in applicable_names(kind)
+               for p, q in param_choices(name, kind) if build(name, kind, p, q).conjugation == GRADED]
+WITNESS_CASES = [(desc, AlgebraSignature(pairs, 0, nil, GRADED))
+                 for desc in GRADED_ROWS for pairs in (1, 2) for nil in (0, 1)]
+
+
+def plant_odd_span(monkeypatch, desc, sig):
+    """Enlarge the product span to all of the odd part, in the package and in
+    the oracle: every odd vector and ``i`` times it are taken as fixed, and
+    every key of an odd orbit as a fixed coefficient.  The witness then lies
+    in the span."""
+    odd_types = {signs for parity, signs in orbit_types(desc, sig, k=1) if parity == ODD}
+    assert odd_types and not odd_types & {signs for parity, signs in orbit_types(desc, sig, k=1) if parity == EVEN}
+    real_fixed_vectors, orbit_coefficients = realforms.real_fixed_vectors, realforms._orbit_coefficients
+    global_real_fixed_elements = dense_reference.global_real_fixed_elements
+
+    def vectors(phi, parity):
+        if parity == EVEN:
+            return real_fixed_vectors(phi, parity)
+        return [{v.index: unit} for v in basis_of(phi.kind) if v.parity == ODD for unit in (ONE, I)]
+
+    def coefficients(signs):
+        return [{s: ONE} for s in range(len(signs))] if signs in odd_types else orbit_coefficients(signs)
+
+    def elements(sig, parity):
+        if parity == EVEN:
+            return global_real_fixed_elements(sig, parity)
+        return [SuperNumber(sig, {key: ONE}) for key in basis_keys(sig, ODD)]
+
+    for module in (realforms, dense_reference):
+        monkeypatch.setattr(module, "real_fixed_vectors", vectors)
+    monkeypatch.setattr(realforms, "_orbit_coefficients", coefficients)
+    monkeypatch.setattr(dense_reference, "global_real_fixed_elements", elements)
+
+
+def test_the_witness_case_set_covers_the_graded_rows():
+    assert {desc.kind for desc in GRADED_ROWS} == set(SMALL_SHAPES)
+    assert len(WITNESS_CASES) == 4 * len(GRADED_ROWS) == 164
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["catalog", "planted"])
+@pytest.mark.parametrize("case", WITNESS_CASES, ids=lambda c: (
+    f"{c[0].display()}-P{c[1].odd_pairs}E{c[1].even_nilpotents}"))
+def test_the_witness_in_its_orbit_matches_the_global_membership(monkeypatch, case, planted):
+    desc, sig = case
+    if planted:
+        plant_odd_span(monkeypatch, desc, sig)
+    result = representability_check(desc, sig)
+    assert result["witness_in_product_span"] is global_witness_in_span(desc, sig) is planted
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["catalog", "planted"])
+def test_the_witness_membership_reduces_one_orbit_block(monkeypatch, planted):
+    # the graded witness of sl(2|2) omega2 at 4 pairs and 4 even nilpotents
+    # faces a product span of rank 14,336, of which its orbit {t1, t1~}
+    # holds no vector, or 2 keys x 2 parts x 8 odd vectors when planted
+    desc = build("omega2", MatrixKind(SL, 2, 2))
+    sig = AlgebraSignature(4, 0, 4, desc.conjugation)
+    odd = sum(v.parity == ODD for v in basis_of(desc.kind))
+    if planted:
+        plant_odd_span(monkeypatch, desc, sig)
+    sizes = []
+    span_basis = linalg.span_basis
+
+    def counted_span_basis(vectors):
+        vectors = list(vectors)
+        if sys._getframe(1).f_code.co_name == "representability_check":
+            sizes.append(len(vectors))
+        return span_basis(vectors)
+
+    monkeypatch.setattr(linalg, "span_basis", counted_span_basis)
+    result = representability_check(desc, sig)
+    assert result["product_span_rank"] >= 14336
+    assert sizes == [2 * 2 * odd + 1 if planted else 1]
+    assert result["witness_in_product_span"] is planted
