@@ -48,8 +48,8 @@ the product is ``Id + eh[M,N]`` exactly when ``P = (Id + eh[M,N]) Q``; as
 A kernel point ``Id + eps M`` lives over the dual numbers ``A(eps)`` of
 :func:`~superforms.algebra.adjoin_dual`, ``eps`` the last even generator,
 and :func:`kernel_point` builds it in one pass per entry.  The fixed-span
-check builds none: both of its sides are vector actions of positional maps
-(:func:`~superforms.realforms.fixed_point_coords`).
+check builds none: both of its sides are tables read off the vector actions
+of positional maps (:func:`~superforms.realforms.fixed_point_table`).
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .matrices import (
     inverse as matrix_inverse, is_invertible, mul_const, osp_form_grid,
     supertranspose,
 )
-from .realforms import fixed_point_coords, matrix_literal
+from .realforms import CoordLayout, fixed_dimension, fixed_point_table, matrix_literal
 from .report import CheckOutcome, Tally
 from .sampling import (
     random_even, random_invertible_even, random_odd, random_point, require_samples,
@@ -409,28 +409,27 @@ def lie_fixed_span_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
     cannot be formed, as on every kernel point, whose body is that of
     ``N(Id)``; where it can, ``AssertionError`` is raised.
 
-    Both sides are fixed vectors of real-linear maps on the same coordinate
-    system, read off a positional map's vector action by
-    :func:`superforms.realforms.fixed_point_coords`: the group side off
-    :func:`kernel_map`, and the algebra side off ``desc.compiled``.  The
-    result records both dimensions and whether the spans agree as
-    Q-subspaces.  Each side is the canonical basis of its span (see
-    :func:`superforms.realforms.fixed_vectors`), so the spans agree exactly
-    when the two lists of vectors are equal.  When the two maps are equal
-    as tuples, as for every catalog lift, one basis serves both sides.
+    Both sides are tables of one fixed block per orbit type of ``conj``
+    (:func:`superforms.realforms.fixed_point_table`): the group side off
+    :func:`kernel_map`, the algebra side off ``desc.compiled``.  The result
+    records both dimensions and whether the spans agree as Q-subspaces.
+    Each block is a canonical basis, so the spans agree exactly when the
+    tables are equal (:func:`superforms.realforms.orbit_types`), and no
+    block is relabelled.  When the two maps are equal as tuples, as for
+    every catalog lift, one table serves both sides.
     """
     ident = identity_matrix(desc.kind.m, desc.kind.n, sig)
     if apply_expr(desc.lift_map, ident) != ident:
         lift(desc, ident)
         raise AssertionError("lifted image of a kernel point left the kernel")
     group_map = kernel_map(desc)
-    group_span, layout = fixed_point_coords(desc, sig, group_map)
-    algebra_span = (group_span if group_map == desc.compiled
-                    else fixed_point_coords(desc, sig, desc.compiled)[0])
+    group_table = fixed_point_table(desc, sig, group_map)
+    algebra_table = (group_table if group_map == desc.compiled
+                     else fixed_point_table(desc, sig, desc.compiled))
     return {
         "descriptor": desc.display(group=True),
-        "group_fixed_dimension": len(group_span),
-        "algebra_fixed_dimension": len(algebra_span),
-        "expected_dimension": layout.complex_dim,
-        "spans_agree": group_span == algebra_span,
+        "group_fixed_dimension": fixed_dimension(group_table),
+        "algebra_fixed_dimension": fixed_dimension(algebra_table),
+        "expected_dimension": CoordLayout(desc.kind, sig).complex_dim,
+        "spans_agree": group_table == algebra_table,
     }

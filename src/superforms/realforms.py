@@ -10,8 +10,9 @@ This module houses the substance of the package:
   checks that the functorial map is conj-coefficients + that map on all of
   ``g(A)``, decided exactly on a basis of ``g`` (its docstring has the
   lemma);
-* :func:`fixed_point_data` / :func:`fixed_point_coords` — exact basis of the
-  fixed-point set over a given coefficient algebra;
+* :func:`fixed_point_table` — the fixed-point set over a given coefficient
+  algebra, one block per orbit type; :func:`fixed_point_data` /
+  :func:`fixed_point_coords` — its exact basis, relabelled into coordinates;
 * :func:`representability_check` — the standard/graded dichotomy: standard
   structures have fixed sets spanned by real-coefficient combinations of
   fixed vectors; graded ones admit an explicit fixed point outside that span;
@@ -30,12 +31,12 @@ written in the basis vectors of its parity.  The coefficients only pick up
 (:func:`algebra.conjugate_monomial`).
 Every check over a coefficient algebra refuses one whose conjugation kind is
 not the descriptor's (:meth:`Descriptor.require_conjugation`).
-Every fixed set over ``A`` is read off one orbit walk
-(:func:`_per_orbit_type`, which states the lemma) and one block image
-(:func:`_orbit_block`, the one call of :func:`fixed_vectors`), and the
-graded witness is tested against the product span in its own orbit.  The
-coordinates of ``g(A)`` are numbered by arithmetic, an offset per basis
-vector plus a key's rank among its parity's keys (:class:`CoordLayout`).
+Every fixed set over ``A`` is one table (:func:`fixed_point_table`): a
+block per orbit type of ``conj`` (:func:`orbit_types` has the lemma), each
+one :func:`_orbit_block`, plus the orbits of the type.  The decisions read
+the tables; only :func:`fixed_point_coords` relabels blocks into the
+coordinates of ``g(A)``, an offset per basis vector plus a key's rank among
+its parity's keys (:class:`CoordLayout`).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate
+from math import prod
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
@@ -446,25 +448,24 @@ class CoordLayout:
     the vector's parity), numbered by arithmetic: no table of them is kept.
 
     The coordinates run through the basis vectors in order, and through
-    each vector's keys (:func:`algebra.basis_keys` of its parity) in
-    increasing order.  So ``(v_i, t)`` sits at ``offsets[i]``, the sum of
-    the parity widths of the vectors before ``v_i``, plus the rank of ``t``
-    among its parity's keys (:meth:`rank`); ``offsets[-1]`` is the complex
-    dimension.  With ``n`` odd generators, and ``o`` and ``e`` the odd and
-    even masks of ``t``, that rank is ``e 2^(n-1) + (o >> 1)``, or ``e``
-    when ``n = 0`` (both are ``(e 2^n + o) >> min(n, 1)``): keys are
-    ordered by even mask, then odd mask, and each pair of odd masks ``2j``,
-    ``2j+1`` differs only in generator 0, so it holds exactly one mask of
-    each parity (when ``n = 0`` every key is even and the odd width is 0).
-    The inverse (:meth:`entry`) finds the vector by bisecting the offsets
-    and reads the key off its parity's keys.
+    each vector's keys (:func:`algebra.basis_keys` of its parity, kept per
+    vector as ``keys[i]``) in increasing order.  So ``(v_i, t)`` sits at
+    ``offsets[i]``, the sum of the key counts of the vectors before ``v_i``,
+    plus the rank of ``t`` among its parity's keys (:meth:`rank`);
+    ``offsets[-1]`` is the complex dimension.  With ``n`` odd generators,
+    and ``o`` and ``e`` the odd and even masks of ``t``, that rank is
+    ``e 2^(n-1) + (o >> 1)``, or ``e`` when ``n = 0`` (both are
+    ``(e 2^n + o) >> min(n, 1)``): keys are ordered by even mask, then odd
+    mask, and each pair of odd masks ``2j``, ``2j+1`` differs only in
+    generator 0, so it holds exactly one mask of each parity (when ``n = 0``
+    every key is even).  The inverse (:meth:`entry`) bisects the offsets.
     """
 
     def __init__(self, kind: MatrixKind, sig: AlgebraSignature):
         self.kind = kind
         self.sig = sig
-        self.widths = {parity: len(basis_keys(sig, parity)) for parity in (EVEN, ODD)}
-        self.offsets = tuple(accumulate((self.widths[v.parity] for v in basis_of(kind)), initial=0))
+        self.keys = tuple(basis_keys(sig, v.parity) for v in basis_of(kind))
+        self.offsets = tuple(accumulate(map(len, self.keys), initial=0))
 
     @property
     def complex_dim(self) -> int:
@@ -478,20 +479,12 @@ class CoordLayout:
             raise ValueError(f"key {key} is not a monomial of parity {parity} of {self.sig}")
         return (e << n | o) >> min(n, 1)
 
-    def position(self, i: int, key: int) -> int:
-        """The coordinate of ``(v_i, key)``; ValueError when ``key`` is not a
-        monomial of ``v_i``'s parity."""
-        return self.offsets[i] + self.rank(key, basis_of(self.kind)[i].parity)
-
     def entry(self, p: int) -> Tuple[int, int]:
         """The ``(i, key)`` at coordinate ``p``: ``v_i`` is the last vector
-        whose offset is at most ``p`` (a vector of width 0 shares its offset
-        with the next one)."""
+        whose offset is at most ``p`` (a vector with no keys shares its
+        offset with the next one)."""
         i = bisect_right(self.offsets, p) - 1
-        return i, basis_keys(self.sig, basis_of(self.kind)[i].parity)[p - self.offsets[i]]
-
-    def complex_coords(self, t: TensorElement) -> Dict[int, GaussianRational]:
-        return {self.position(i, key): z for i, c in t.coeffs.items() for key, z in c.items()}
+        return i, self.keys[i][p - self.offsets[i]]
 
     def tensor_from(self, coords: Dict[int, GaussianRational]) -> TensorElement:
         terms: Dict[int, Dict[int, GaussianRational]] = {}
@@ -516,94 +509,107 @@ def fixed_point_data(desc: Descriptor, sig: AlgebraSignature):
     return points, layout, layout.complex_dim
 
 
+def orbit_types(sig: AlgebraSignature, parity: int) -> Dict[Tuple[int, ...], List[Tuple[int, ...]]]:
+    """The orbits ``{t, conj(t)}`` of the keys of ``parity``, each as its keys
+    in increasing order, grouped by the signs of ``conj`` on those keys:
+    ``{signs: orbits}``, the types in the order of their first keys.
+
+    Lemma.  Number an orbit's keys ``t_s``, so that ``conj(t_s) = c_s
+    t_{s+1}`` (indices modulo the size, 1 or 2).  Then ``conj^k(t_s) = c_s
+    ... c_{s+k-1} t_{s+k}`` for every ``k``: ``conj^k`` maps the orbit into
+    itself, with signs fixed by the ``c_s``.  So a map of ``k`` entrywise
+    conjugations and a constant map keeps the coordinates ``(v_i, t)``, ``t``
+    in one orbit of one parity's keys, within the orbit, and there depends
+    only on the orbit's type.  Its fixed set is block diagonal over the
+    orbits, and so is the span of (real fixed coefficient) x (fixed vector).
+    A block's coordinates embed in the layout monotonically, the canonical
+    basis of a direct sum on disjoint coordinates is the union of the
+    summands', and a monotone relabelling keeps a basis canonical.  So one
+    block per type, relabelled into every orbit of the type and ordered by
+    last index, is the canonical basis of the whole (no elimination mixes
+    blocks, so each vector's keys come in the order of one elimination on
+    all coordinates), and two such sets are equal exactly when their blocks
+    are, type by type.
+    """
+    types: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+    for key in basis_keys(sig, parity):
+        image_key = conjugate_monomial(sig, key, 1)[0]
+        if image_key >= key:            # a partner below lists the orbit
+            orbit = (key,) if image_key == key else (key, image_key)
+            types.setdefault(tuple(conjugate_monomial(sig, t, 1)[1] for t in orbit), []).append(orbit)
+    return types
+
+
 def _orbit_block(action, indices: List[int], signs: Tuple[int, ...], conjugations: int
                  ) -> List[Dict[int, GaussianRational]]:
     """The canonical fixed basis (:func:`fixed_vectors`) of one orbit block on
     its local coordinates ``a * size + s``, ``a`` numbering ``indices`` and
-    ``s`` the orbit's keys ``t_s``: ``u t_s (x) v_a`` goes to ``c_s conj^k(u)
-    t_{s+1} (x) action[v_a]``, with ``c_s = signs[s]``, ``k = conjugations``,
-    ``s + 1`` modulo the size and ``action[i]`` as ``[(j, z), ...]``."""
+    ``s`` the keys ``t_s`` of an orbit of ``conj`` with signs ``c_s``
+    (:func:`orbit_types`): ``u t_s (x) v_a`` goes to ``c_s ... c_{s+k-1}
+    conj^k(u) t_{s+k} (x) action[v_a]``, with ``k = conjugations``, indices
+    modulo the size and ``action[i]`` as ``[(j, z), ...]``."""
     size = len(signs)
     local = {i: a for a, i in enumerate(indices)}
     scales = {unit: unit.conjugate() if conjugations & 1 else unit for unit in (ONE, I)}
 
     def image(p: int, unit: GaussianRational) -> Dict[int, GaussianRational]:
         a, s = divmod(p, size)
-        scale = scales[unit] if signs[s] > 0 else -scales[unit]
-        return {local[j] * size + (s + 1) % size: z * scale for j, z in action[indices[a]]}
+        scale = scales[unit] if prod(signs[(s + j) % size] for j in range(conjugations)) > 0 else -scales[unit]
+        return {local[j] * size + (s + conjugations) % size: z * scale for j, z in action[indices[a]]}
 
     return fixed_vectors(len(indices) * size, image)
 
 
-def _per_orbit_type(kind: MatrixKind, sig: AlgebraSignature, conjugations: int, layout: CoordLayout,
-                    solve: Callable, parts: int = 1) -> List[Dict[int, GaussianRational]]:
-    """A canonical basis on ``layout``, solved once per orbit type of
-    ``conj^k`` (``k = conjugations``) on each parity's keys:
-    ``solve(parity, indices, signs)`` gives one block's basis on the local
-    coordinates of :func:`_orbit_block` (``parts = 2``: real coordinates,
-    parts of ``p`` at ``2p`` and ``2p + 1``), ``signs`` being those of
-    ``conj^k`` on the orbit's keys.  It is relabelled into every orbit of
-    the type, and the vectors are ordered by last index.
-
-    Lemma.  Let the map or span keep the coordinates ``(v_i, t)``, ``t`` in
-    an orbit of one parity's keys, within that orbit: it is block diagonal.
-    Numbered by the parity's basis vectors, then the orbit's keys, a block's
-    coordinates embed in the layout monotonically, and on them the block
-    depends only on the orbit's type: parity, size (1 or 2) and signs.  The
-    canonical basis of a direct sum on disjoint coordinates is the union of
-    the summands' (each vector stays 1 at its own last index, 0 at the
-    others' and 0 after its own), and a monotone relabelling keeps a basis
-    canonical.  So the relabelled blocks are the canonical basis of the
-    whole, and as no elimination mixes blocks, each vector's keys come in
-    the order of one elimination on all coordinates.  The relabelling reads
-    each orbit key's rank once (:meth:`CoordLayout.rank`).
-    """
-    vectors: List[Dict[int, GaussianRational]] = []
-    for parity in (EVEN, ODD):
-        indices = [v.index for v in basis_of(kind) if v.parity == parity]
-        if not indices:
-            continue
-        orbits: Dict[tuple, List[Tuple[int, ...]]] = {}
-        for key in basis_keys(sig, parity):
-            image_key = conjugate_monomial(sig, key, conjugations)[0]
-            if image_key >= key:            # a partner below lists the orbit
-                orbit = (key,) if image_key == key else (key, image_key)
-                orbits.setdefault(tuple(conjugate_monomial(sig, t, conjugations)[1] for t in orbit), []).append(orbit)
-        for signs, members in orbits.items():
-            block = solve(parity, indices, signs)
-            for orbit in members:
-                ranks = [layout.rank(key, parity) for key in orbit]
-                embed = [parts * (layout.offsets[i] + r) + part for i in indices for r in ranks for part in range(parts)]
-                vectors += [{embed[p]: z for p, z in vec.items()} for vec in block]
-    vectors.sort(key=max)
-    return vectors
+class OrbitType(NamedTuple):
+    """A fixed set's row for one orbit type of ``conj``: its parity, signs
+    and orbits, and its block on the local coordinates of :func:`_orbit_block`."""
+    parity: int
+    signs: Tuple[int, ...]
+    orbits: List[Tuple[int, ...]]
+    block: List[Dict[int, GaussianRational]]
 
 
-def fixed_point_coords(desc: Descriptor, sig: AlgebraSignature, own: PositionalMap
-                       ) -> Tuple[List[Dict[int, GaussianRational]], CoordLayout]:
-    """The canonical real basis of the fixed points over ``A`` of ``own``, a
-    positional map on the descriptor's shape (the structure's is
-    ``desc.compiled``), see :func:`fixed_vectors`, as complex coordinate
-    dicts on the returned layout of ``g(A)``.
-
-    The map is a constant map ``L`` after ``k`` entrywise conjugations
-    (see :mod:`superforms.exprs`), and ``conj^k(t) = c t'`` with ``c =
-    +-1``.  So ``u t (x) v_i`` goes to ``c t' (x) u' L(v_i')``, ``u'`` and
-    ``v_i'`` conjugated when ``k`` is odd: one :func:`_orbit_block` of the
-    vector action (:func:`_vector_action`) per orbit type
-    (:func:`_per_orbit_type`), and no matrix is evaluated.  An action entry
-    of ``None`` means the image left ``g(A)``: the first such basis vector
-    that has a coordinate raises MembershipError.
-    """
+def fixed_point_table(desc: Descriptor, sig: AlgebraSignature, own: PositionalMap) -> List[OrbitType]:
+    """The fixed points over ``A`` of ``own``, a positional map on the
+    descriptor's shape (the structure's is ``desc.compiled``): one
+    :func:`_orbit_block` of its vector action (:func:`_vector_action`) per
+    orbit type of ``conj`` on each parity's keys (:func:`orbit_types`), and
+    no matrix is evaluated.  An action entry of ``None`` means the image
+    left ``g(A)``: the first such basis vector in layout order that has a
+    coordinate raises MembershipError."""
     desc.require_conjugation(sig)
     kind = desc.kind
-    layout = CoordLayout(kind, sig)
     conjugations, action = _vector_action(desc, own)
     for v in basis_of(kind):
         if action[v.index] is None and basis_keys(sig, v.parity):
             raise MembershipError(f"not a point of {kind.display()}: image of basis vector {v.index} left the algebra")
-    block = lambda parity, indices, signs: _orbit_block(action, indices, signs, conjugations)
-    return _per_orbit_type(kind, sig, conjugations, layout, block), layout
+    indices = {parity: [v.index for v in basis_of(kind) if v.parity == parity] for parity in (EVEN, ODD)}
+    return [OrbitType(parity, signs, orbits, _orbit_block(action, indices[parity], signs, conjugations))
+            for parity in (EVEN, ODD) for signs, orbits in orbit_types(sig, parity).items()]
+
+
+def fixed_dimension(table: List[OrbitType]) -> int:
+    """The real dimension of a fixed set from its table: each block stands
+    once in every orbit of its type."""
+    return sum(len(row.block) * len(row.orbits) for row in table)
+
+
+def fixed_point_coords(desc: Descriptor, sig: AlgebraSignature, own: PositionalMap
+                       ) -> Tuple[List[Dict[int, GaussianRational]], CoordLayout]:
+    """The canonical real basis (:func:`fixed_vectors`) of the fixed points
+    of :func:`fixed_point_table`, as complex coordinate dicts on the returned
+    layout of ``g(A)``: each block relabelled into every orbit of its type
+    (:meth:`CoordLayout.rank` per orbit key), ordered by last index."""
+    layout = CoordLayout(desc.kind, sig)
+    vectors: List[Dict[int, GaussianRational]] = []
+    for row in fixed_point_table(desc, sig, own):
+        indices = [v.index for v in basis_of(desc.kind) if v.parity == row.parity]
+        for orbit in row.orbits:
+            ranks = [layout.rank(key, row.parity) for key in orbit]
+            embed = [layout.offsets[i] + r for i in indices for r in ranks]
+            vectors += [{embed[p]: z for p, z in vec.items()} for vec in row.block]
+    vectors.sort(key=max)
+    return vectors, layout
 
 
 # ---------------------------------------------------------------------------
@@ -625,32 +631,29 @@ def real_fixed_vectors(phi: VectorConjugation, parity: int) -> List[Dict[int, Ga
     return [{indices[p]: z for p, z in vec.items()} for vec in _orbit_block(phi.coords, indices, (1,), 1)]
 
 
-def _product_span(phi: VectorConjugation, sig: AlgebraSignature,
-                  layout: CoordLayout) -> List[Dict[int, GaussianRational]]:
-    """Canonical basis (:func:`linalg.span_basis`), in sparse real coordinates
-    on ``layout``, of the span of all products (real fixed coefficient) *
-    (fixed vector).  A fixed coefficient of ``conj`` lies in one orbit, so
-    one elimination per orbit type (:func:`_per_orbit_type`) spans the
-    orbit's coefficients (:func:`_orbit_coefficients`) times the vectors."""
-    fixed = {parity: real_fixed_vectors(phi, parity) for parity in (EVEN, ODD)}
-
-    def span(parity: int, indices: List[int], signs: Tuple[int, ...]):
-        size = len(signs)
-        local = {i: a for a, i in enumerate(indices)}
-        return linalg.span_basis(
-            to_real({local[j] * size + s: z * c for j, c in u.items() for s, z in r.items()})
-            for r in _orbit_coefficients(signs) for u in fixed[parity])
-
-    return _per_orbit_type(phi.kind, sig, 1, layout, span, parts=2)
+def _product_block(kind: MatrixKind, parity: int, signs: Tuple[int, ...],
+                   vectors: List[Dict[int, GaussianRational]]) -> List[Dict[int, GaussianRational]]:
+    """Canonical basis (:func:`linalg.span_basis`), in real coordinates on an
+    orbit type's local coordinates, of the products (real fixed coefficient
+    of one orbit, :func:`_orbit_coefficients`) x (fixed vector of ``parity``)."""
+    size = len(signs)
+    local = {i: a for a, i in enumerate(v.index for v in basis_of(kind) if v.parity == parity)}
+    return linalg.span_basis(
+        to_real({local[j] * size + s: z * c for j, c in u.items() for s, z in r.items()})
+        for r in _orbit_coefficients(signs) for u in vectors)
 
 
 def representability_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
     """The dichotomy: span equality for standard, verified witness for graded.
 
-    Standard: the fixed set of the structure over A equals the span of
-    (conjugation-fixed coefficients) x (phi-fixed vectors).  Both are
-    canonical bases on the same real coordinates, so the spans are equal
-    exactly when the lists are.
+    Both sides are read per orbit type of ``conj`` (:func:`orbit_types`):
+    the fixed set as its table (:func:`fixed_point_table`), the span of
+    (conjugation-fixed coefficients) x (phi-fixed vectors) as one product
+    block per type on the same local coordinates.  Nothing is relabelled.
+
+    Standard: the fixed set of the structure over A equals that span
+    exactly when each type's fixed block, in real coordinates, equals its
+    product block.
 
     Graded: the element ``x + phi.rebuild(x)`` with ``x = t1 (x) v`` (v the
     first odd basis vector), that is ``t1 (x) v + t1~ (x) phi(v)``, is fixed
@@ -658,10 +661,8 @@ def representability_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
     conjugation has no fixed odd coefficients; both facts are verified.  It
     needs an odd pair in ``A`` and an odd vector, which are checked first.
     The witness has coordinates only in the orbit ``{t1, t1~}`` of ``conj``,
-    and the span is the direct sum of its orbit blocks on disjoint
-    coordinates (:func:`_per_orbit_type`), so the witness lies in the span
-    exactly when it lies in that orbit's block: one elimination of the
-    block plus the witness decides it.
+    so it lies in the span exactly when it lies in the product block of
+    that orbit's type: one elimination of the block plus the witness.
     """
     odd_vectors = [v for v in basis_of(desc.kind) if v.parity == ODD]
     if desc.conjugation == GRADED:
@@ -670,35 +671,34 @@ def representability_check(desc: Descriptor, sig: AlgebraSignature) -> Dict:
         if not odd_vectors:
             raise ValueError("the defining space has no odd vectors")
     phi = extract_vector_conjugation(desc)
-    fixed, layout = fixed_point_coords(desc, sig, desc.compiled)
-    span = _product_span(phi, sig, layout)
+    table = fixed_point_table(desc, sig, desc.compiled)
+    fixed = {parity: real_fixed_vectors(phi, parity) for parity in (EVEN, ODD)}
+    spans = [_product_block(desc.kind, row.parity, row.signs, fixed[row.parity]) for row in table]
 
     result: Dict = {
         "descriptor": desc.display(),
         "conjugation": desc.conjugation,
-        "fixed_dimension": len(fixed),
-        "expected_fixed_dimension": layout.complex_dim,
-        "product_span_rank": len(span),
+        "fixed_dimension": fixed_dimension(table),
+        "expected_fixed_dimension": CoordLayout(desc.kind, sig).complex_dim,
+        "product_span_rank": sum(len(span) * len(row.orbits) for row, span in zip(table, spans)),
     }
 
     if desc.conjugation == STANDARD:
-        result["mode"] = "span-comparison"
-        result["representable"] = [to_real(u) for u in fixed] == span
+        result.update(mode="span-comparison", representable=all(
+            [to_real(u) for u in row.block] == span for row, span in zip(table, spans)))
         return result
 
     x = matrix_of(TensorElement(desc.kind, sig, {odd_vectors[0].index: theta(sig, 0)}))
     w_matrix = x + phi.rebuild(x)
     fixed_ok = apply_expr(desc.compiled, w_matrix) == w_matrix
-    witness = to_real(layout.complex_coords(tensor_of(desc.kind, w_matrix)))
-    orbit = {2 * layout.position(v.index, key) + part for v in odd_vectors
-             for key in basis_keys(sig, ODD)[:2] for part in (0, 1)}      # the first odd keys: t1, t1~
-    block = [u for u in span if max(u) in orbit]
-    inside = len(linalg.span_basis(block + [witness])) == len(block)
-    result["mode"] = "witness"
-    result["witness"] = matrix_literal(w_matrix)
-    result["witness_fixed"] = fixed_ok
-    result["witness_in_product_span"] = inside
-    result["representable"] = not (fixed_ok and not inside)
+    orbit = basis_keys(sig, ODD)[:2]                # the first odd keys: t1, t1~
+    span = next(span for row, span in zip(table, spans) if orbit in row.orbits)
+    local = {v.index: a for a, v in enumerate(odd_vectors)}
+    witness = to_real({2 * local[i] + orbit.index(key): z
+                       for i, c in tensor_of(desc.kind, w_matrix).coeffs.items() for key, z in c.items()})
+    inside = len(linalg.span_basis(span + [witness])) == len(span)
+    result.update(mode="witness", witness=matrix_literal(w_matrix), witness_fixed=fixed_ok,
+                  witness_in_product_span=inside, representable=not (fixed_ok and not inside))
     return result
 
 

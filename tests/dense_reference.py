@@ -12,12 +12,13 @@ canonical bases and compared spans through them:
   ``M - I`` over all real coordinates;
 * ``global_fixed_point_coords``: the fixed points of a structure over ``A``
   as one sparse null space on all real coordinates of ``g(A)``, from before
-  ``realforms.fixed_point_coords`` solved one block per monomial orbit type;
+  ``realforms.fixed_point_table`` solved one block per orbit type;
 * ``global_product_span``: the span of every product (real fixed
   coefficient) x (fixed vector) as one sparse elimination over all real
   coordinates of ``g(A)``, its coefficients one sparse null space over all
   keys of a parity (``global_real_fixed_elements``), from before
-  ``realforms._product_span`` eliminated once per orbit type of ``conj``;
+  ``realforms.representability_check`` eliminated one product block per
+  orbit type of ``conj``;
 * ``decompose_in_basis`` / ``tensor_of`` by one linear solve per monomial;
 * a compiled map applied to a whole constant grid, ``apply_constant``, and
   ``scan_decompose``, which reads every slot of a grid and compares whole
@@ -45,6 +46,8 @@ canonical bases and compared spans through them:
   ``realforms.representability_check`` tested it in its own orbit block;
 * ``dict_layout``: the coordinates of ``g(A)`` as a list of ``(i, key)``
   and a dict over it, from before ``realforms.CoordLayout`` computed them;
+  ``complex_coords`` reads a tensor element's coordinates off a
+  ``CoordLayout``'s offsets and ranks instead;
 * ``dense_determinant`` and ``dense_leading_minors``: elimination on whole
   grids, the first with row swaps and the second without, from before
   ``linalg.determinant`` and ``linalg.leading_principal_minors`` read their
@@ -203,9 +206,17 @@ def dict_layout(kind, sig) -> Tuple[List[Tuple[int, int]], Dict[Tuple[int, int],
     return entries, {entry: p for p, entry in enumerate(entries)}
 
 
+def complex_coords(layout: CoordLayout, t: TensorElement) -> Dict[int, GaussianRational]:
+    """Sparse complex coordinates of a tensor element on a layout: ``(v_i,
+    key)`` at ``offsets[i]`` plus the key's rank in ``v_i``'s parity."""
+    basis = basis_of(layout.kind)
+    return {layout.offsets[i] + layout.rank(key, basis[i].parity): z
+            for i, c in t.coeffs.items() for key, z in c.items()}
+
+
 def layout_coords(layout: CoordLayout, t: TensorElement) -> List[GaussianRational]:
     """Dense real coordinates of a tensor element on a layout."""
-    return real_coordinates(layout.complex_coords(t), layout.complex_dim)
+    return real_coordinates(complex_coords(layout, t), layout.complex_dim)
 
 
 def dense_fixed_vectors(matrix) -> List[List[GaussianRational]]:
@@ -273,10 +284,10 @@ def global_real_fixed_elements(sig, parity) -> List[SuperNumber]:
 
 
 def global_product_span(phi, sig, layout: CoordLayout) -> List[Dict[int, GaussianRational]]:
-    """``realforms._product_span`` as one :func:`linalg.span_basis` over
-    every product (real fixed coefficient) * (fixed vector), in sparse real
-    coordinates on ``layout``, the coefficients from
-    :func:`global_real_fixed_elements`."""
+    """The product span of ``realforms.representability_check`` as one
+    :func:`linalg.span_basis` over every product (real fixed coefficient) *
+    (fixed vector), in sparse real coordinates on ``layout``, the
+    coefficients from :func:`global_real_fixed_elements`."""
     pos = dict_layout(layout.kind, sig)[1]
     products = []
     for parity in (EVEN, ODD):

@@ -19,7 +19,7 @@ so the tests require their outcomes (statuses, counts and witnesses, or
 fixed vectors) to equal these exactly.
 """
 
-from dense_reference import dict_layout
+from dense_reference import complex_coords, dict_layout
 from superforms import groups
 from superforms.algebra import SuperNumber, adjoin_dual, dual_scale, epsilon, scalar
 from superforms.exprs import apply_expr
@@ -169,6 +169,6 @@ def layout_fixed_vectors(layout, func):
         i, key = entries[p]
         unit_tensor = TensorElement(layout.kind, layout.sig, {i: SuperNumber(layout.sig, {key: unit})},
                                     check=False)
-        return layout.complex_coords(func(unit_tensor))
+        return complex_coords(layout, func(unit_tensor))
 
     return fixed_vectors(layout.complex_dim, image)

@@ -66,6 +66,8 @@ COMMANDS = (
     "witness sl 3 2 sigma1 --odd-pairs 2 --odd-selfreal 2 --even-nil 1",
     "witness osp 2 2 xi1 --odd-pairs 2 --odd-selfreal 1 --even-nil 1",
     "witness osp 2 2 psi1 --odd-pairs 2 --even-nil 1",
+    # the one span comparison with k = 0: the strict xi2 is complex-linear, so it fails
+    "witness osp 2 0 xi2 --strict-printed --odd-pairs 2",
     "compact-scan sl 1 1",
     "compact-scan sl 2 1",
     "compact-scan sl 2 2",

@@ -227,8 +227,8 @@ def test_fixed_span_agreement_all_descriptors():
                 assert res["algebra_fixed_dimension"] == res["expected_dimension"]
 
 
-def count_fixed_point_coords(monkeypatch):
-    """Count the :func:`realforms.fixed_point_coords` calls that
+def count_fixed_point_tables(monkeypatch):
+    """Count the :func:`realforms.fixed_point_table` calls that
     :func:`groups.lie_fixed_span_check` makes."""
     from superforms import groups, realforms
 
@@ -236,9 +236,9 @@ def count_fixed_point_coords(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return realforms.fixed_point_coords(*args)
+        return realforms.fixed_point_table(*args)
 
-    monkeypatch.setattr(groups, "fixed_point_coords", counted)
+    monkeypatch.setattr(groups, "fixed_point_table", counted)
     return calls
 
 
@@ -247,9 +247,9 @@ def count_fixed_point_coords(monkeypatch):
                          ids=lambda d: d.display(group=True))
 def test_fixed_span_check_solves_once_for_a_catalog_lift(monkeypatch, desc):
     # the kernel map of a catalog lift, inverse-neg or direct, is its compiled
-    # structure, so one basis serves both sides
+    # structure, so one table serves both sides
     assert kernel_map(desc) == desc.compiled
-    calls = count_fixed_point_coords(monkeypatch)
+    calls = count_fixed_point_tables(monkeypatch)
     res = lie_fixed_span_check(desc, sig_for(desc))
     assert len(calls) == 1
     assert res["group_fixed_dimension"] == res["algebra_fixed_dimension"] == res["expected_dimension"]
@@ -267,7 +267,7 @@ def test_fixed_span_check_tells_apart_spans_of_equal_dimension(monkeypatch):
     minus = desc.lift_map
     assert minus != desc.compiled
     monkeypatch.setattr(Descriptor, "compiled", property(lambda d: minus))
-    calls = count_fixed_point_coords(monkeypatch)
+    calls = count_fixed_point_tables(monkeypatch)
     res = lie_fixed_span_check(desc, SIG1S)
     assert len(calls) == 2
     assert res["group_fixed_dimension"] == res["algebra_fixed_dimension"] == res["expected_dimension"]

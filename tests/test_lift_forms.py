@@ -154,23 +154,24 @@ def oracle_span(desc, sig):
 
 def group_span(monkeypatch, desc, sig):
     """The group side's fixed vectors in :func:`groups.lie_fixed_span_check`,
-    the first of its :func:`realforms.fixed_point_coords` calls, or the
-    exception the check raised.  It makes one call when the kernel map is
-    the compiled structure, as for every catalog lift, and two otherwise."""
-    spans = []
+    or the exception the check raised: the first of its
+    :func:`realforms.fixed_point_table` calls, relabelled into coordinates
+    by :func:`realforms.fixed_point_coords` on the same map.  It makes one
+    call when the kernel map is the compiled structure, as for every catalog
+    lift, and two otherwise."""
+    calls = []
 
     def recorded(*args):
-        result = realforms.fixed_point_coords(*args)
-        spans.append(result[0])
-        return result
+        calls.append(args)
+        return realforms.fixed_point_table(*args)
 
-    monkeypatch.setattr(groups, "fixed_point_coords", recorded)
+    monkeypatch.setattr(groups, "fixed_point_table", recorded)
     try:
         groups.lie_fixed_span_check(desc, sig)
     except (NotInvertibleMatrix, AssertionError) as exc:
         return type(exc), str(exc)
-    assert len(spans) == (1 if groups.kernel_map(desc) == desc.compiled else 2)
-    return spans[0]
+    assert len(calls) == (1 if groups.kernel_map(desc) == desc.compiled else 2)
+    return realforms.fixed_point_coords(*calls[0])[0]
 
 
 def span_signatures(desc, pairs):

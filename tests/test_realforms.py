@@ -197,7 +197,7 @@ def test_graded_witness_needs_an_odd_pair(monkeypatch):
         raise AssertionError("work done before the graded preconditions")
 
     monkeypatch.setattr(realforms, "extract_vector_conjugation", forbidden)
-    monkeypatch.setattr(realforms, "fixed_point_coords", forbidden)
+    monkeypatch.setattr(realforms, "fixed_point_table", forbidden)
     desc = build("omega3", MatrixKind(SL, 1, 1))
     with pytest.raises(ValueError, match="odd pair"):
         representability_check(desc, AlgebraSignature(0, 0, 0, GRADED))
